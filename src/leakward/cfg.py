@@ -124,12 +124,27 @@ class Cfg:
     program: Optional[sx.Program] = None
     class_ast: Optional[sx.ClassDecl] = None
     method_ast: Optional[sx.MethodDecl] = None
+    # adjacency index over `edges`: kind (None for any) -> per-node neighbour
+    # lists, in `edges` order so meets and warnings keep a fixed order
+    _succ: dict[Optional[str], list[list[int]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pred: dict[Optional[str], list[list[int]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def index_edges(self) -> None:
+        """Build the lists `succs`/`preds` read; lowering calls it once `edges` is final."""
+        kinds = (None, NORMAL, EXCEPTIONAL)
+        self._succ = {k: [[] for _ in self.nodes] for k in kinds}
+        self._pred = {k: [[] for _ in self.nodes] for k in kinds}
+        for f, t, k in self.edges:
+            self._succ[None][f].append(t)
+            self._succ[k][f].append(t)
+            self._pred[None][t].append(f)
+            self._pred[k][t].append(f)
 
     def succs(self, n: int, kind: Optional[str] = None) -> list[int]:
-        return [t for (f, t, k) in self.edges if f == n and (kind is None or k == kind)]
+        return list(self._succ[kind][n])
 
     def preds(self, n: int, kind: Optional[str] = None) -> list[int]:
-        return [f for (f, t, k) in self.edges if t == n and (kind is None or k == kind)]
+        return list(self._pred[kind][n])
 
     def rpo(self) -> list[int]:
         seen: set[int] = set()
@@ -236,6 +251,7 @@ class Lowerer:
         self.temp_counter = 0
         # finally-duplicate continuations, keyed per active Try frame
         self.frames: list[_TryFrame] = []
+        self.edge_set: set[tuple[int, int, str]] = set()
 
     # graph plumbing
 
@@ -244,7 +260,8 @@ class Lowerer:
         return len(self.cfg.nodes) - 1
 
     def edge(self, a: int, b: int, kind: str = NORMAL) -> None:
-        if (a, b, kind) not in self.cfg.edges:
+        if (a, b, kind) not in self.edge_set:
+            self.edge_set.add((a, b, kind))
             self.cfg.edges.append((a, b, kind))
 
     def temp(self, type_name: str) -> str:
@@ -278,14 +295,18 @@ class Lowerer:
         for t in tails:
             self.edge(t, exit_)
         self._prune_unreachable()
+        self.cfg.index_edges()
         return self.cfg
 
     def _prune_unreachable(self) -> None:
+        succs: dict[int, list[int]] = {}
+        for a, b, _k in self.cfg.edges:
+            succs.setdefault(a, []).append(b)
         reach = {self.cfg.entry}
         work = [self.cfg.entry]
         while work:
             n = work.pop()
-            for s in self.cfg.succs(n):
+            for s in succs.get(n, ()):
                 if s not in reach:
                     reach.add(s)
                     work.append(s)
@@ -660,16 +681,6 @@ def lower(
     return Lowerer(program, cls, method, libspec or LibrarySpec()).lower()
 
 
-def lower_program(program: sx.Program, libspec: Optional[LibrarySpec] = None) -> dict[tuple[str, str], Cfg]:
-    """Cfgs for every constructor and method, keyed by (class, cfg method name)."""
-    out: dict[tuple[str, str], Cfg] = {}
-    for cls in program.classes:
-        for meth in cls.all_methods():
-            g = lower(program, cls, meth, libspec)
-            out[(cls.name, g.method_name)] = g
-    return out
-
-
 # --- must-alias analysis ----------------------------------------------------
 
 SiteTag = Optional[tuple]  # ("site", id) | ("null",) | None
@@ -792,7 +803,11 @@ def _alias_meet(f1: AliasFact, f2: AliasFact, locals_: list[str]) -> AliasFact:
 
 
 def must_alias(cfg: Cfg) -> AliasSets:
-    """Forward must-alias fixpoint; meet at joins is partition intersection."""
+    """Forward must-alias fixpoint; meet at joins is partition intersection.
+
+    Public API only: no step of the pipeline (check, infer, escape, repair)
+    reads it.
+    """
     locals_ = sorted(cfg.local_types)
     init = _fact_from_parts({name: i for i, name in enumerate(locals_)}, {})
     before: dict[int, AliasFact] = {cfg.entry: init}

@@ -259,9 +259,8 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
 
 
 class _MethodChecker:
-    def __init__(self, cfg: C.Cfg, aliases: C.AliasSets, specs: SpecSet, libspec: LibrarySpec, program: sx.Program):
+    def __init__(self, cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec, program: sx.Program):
         self.cfg = cfg
-        self.aliases = aliases
         self.specs = specs
         self.libspec = libspec
         self.program = program
@@ -725,11 +724,7 @@ class _MethodChecker:
                     if out_facts.get((n, succ)) != of:
                         out_facts[(n, succ)] = of
                         changed = True
-        normal_in = [
-            out_facts[(p, cfg.exit)]
-            for (p, t, k) in cfg.edges
-            if t == cfg.exit and k == C.NORMAL and (p, cfg.exit) in out_facts
-        ]
+        normal_in = [out_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in out_facts]
         self.exit_in_facts = normal_in
         if normal_in:
             fact = normal_in[0]
@@ -741,10 +736,10 @@ class _MethodChecker:
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
 
 
-def check_method(cfg: C.Cfg, aliases: C.AliasSets, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
+def check_method(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
     """Warnings for one lowered method; pure function of its inputs."""
     assert cfg.program is not None, "Cfg must carry its program"
-    return _MethodChecker(cfg, aliases, specs, libspec, cfg.program).run()
+    return _MethodChecker(cfg, specs, libspec, cfg.program).run()
 
 
 def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
@@ -753,8 +748,7 @@ def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> 
     for cls in program.classes:
         for meth in cls.all_methods():
             cfg = C.lower(program, cls, meth, libspec)
-            aliases = C.must_alias(cfg)
-            out.extend(check_method(cfg, aliases, specs, libspec))
+            out.extend(check_method(cfg, specs, libspec))
     return sorted(out, key=lambda w: (w.file, w.line, w.kind, w.id))
 
 

@@ -131,9 +131,9 @@ def cmd_fix(args: argparse.Namespace) -> int:
                 continue
             er = None
             if w.kind == "UnsatisfiedObligation":
-                from .pipeline import _escape_for
+                from .pipeline import escape_for
 
-                er = _escape_for(w, patched, specs, libspec, PipelineConfig())
+                er = escape_for(w, patched, specs, libspec, PipelineConfig())
             plan = plan_fix(w, patched, specs, er, libspec)
             if isinstance(plan, Unfixable):
                 fixreport.append(plan.to_json())

@@ -99,12 +99,18 @@ def _taint_transfer(instr: C.Instr, taint: frozenset[str]) -> frozenset[str]:
 
 
 class EscapeAnalyzer:
-    """Shared caches for wrapper classification and containment queries."""
+    """Shared caches for wrapper classification and containment queries.
 
-    def __init__(self, program: sx.Program, specs: SpecSet, libspec: LibrarySpec):
+    With `enhancements` false (classic close-only repair) no class is a
+    resource alias or accessor, so passing a resource into any wrapper
+    constructor is an escape.
+    """
+
+    def __init__(self, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, enhancements: bool = True):
         self.program = program
         self.specs = specs
         self.libspec = libspec
+        self.enhancements = enhancements
         self._classify_cache: dict[str, WrapperClassification] = {}
         self._containment_cache: dict[tuple[str, str], bool] = {}
         self._containment_in_progress: set[tuple[str, str]] = set()
@@ -156,6 +162,8 @@ class EscapeAnalyzer:
     # --- wrapper classification ---
 
     def classify_wrapper(self, class_name: str) -> WrapperClassification:
+        if not self.enhancements:
+            return WrapperClassification(kind=NOT_A_WRAPPER)
         if class_name in self._classify_cache:
             return self._classify_cache[class_name]
         self._classify_cache[class_name] = WrapperClassification(kind=NOT_A_WRAPPER)  # cycle guard
@@ -350,7 +358,6 @@ def classify_wrapper(
 def escapes(
     alloc_site: int,
     cfg: C.Cfg,
-    aliases: C.AliasSets,
     program: sx.Program,
     specs: SpecSet | None = None,
     libspec: LibrarySpec | None = None,

@@ -40,8 +40,7 @@ from .specs import (
 def _normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> CheckFact | None:
     """Meet of the facts flowing into exit along normal edges, or None if no
     normal path completes."""
-    aliases = C.must_alias(cfg)
-    checker = _MethodChecker(cfg, aliases, specs, libspec, cfg.program)
+    checker = _MethodChecker(cfg, specs, libspec, cfg.program)
     checker.run()
     out_facts = checker.exit_in_facts
     if not out_facts:

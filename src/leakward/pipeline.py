@@ -327,9 +327,11 @@ def _checked(program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: 
     return warnings
 
 
-def _escape_for(
+def escape_for(
     w: Warning, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig
 ) -> Optional[EscapeResult]:
+    """Escape result for the value an UnsatisfiedObligation warning tracks;
+    None for other warnings or when the warned node is gone."""
     if w.kind != UNSATISFIED_OBLIGATION:
         return None
     cls = program.class_named(w.class_name)
@@ -337,9 +339,7 @@ def _escape_for(
     if meth is None:
         return None
     cfg = C.lower(program, cls, meth, libspec)
-    analyzer = EscapeAnalyzer(program, specs, libspec)
-    if not config.enable_fixer_enhancements:
-        analyzer._classify_cache = _NoWrapperCache()  # classic mode: no accessor/alias discounts
+    analyzer = EscapeAnalyzer(program, specs, libspec, enhancements=config.enable_fixer_enhancements)
     for node, ins in enumerate(cfg.nodes):
         if isinstance(ins, C.Alloc) and ins.ast_nid == w.ast_nid:
             return analyzer.escapes_from(cfg, node)
@@ -347,18 +347,6 @@ def _escape_for(
             routes, sinks = analyzer._collect_routes(cfg, node, ins.dst, set())
             return EscapeResult(escapes=bool(routes), routes=routes, wrapper_sinks=sinks)
     return None
-
-
-class _NoWrapperCache(dict):
-    """Classifies every class as NotAWrapper (ablation of the fixer enhancements)."""
-
-    def __contains__(self, key) -> bool:
-        return True
-
-    def __getitem__(self, key):
-        from .escape import NOT_A_WRAPPER, WrapperClassification
-
-        return WrapperClassification(kind=NOT_A_WRAPPER)
 
 
 def run_file_pipeline(
@@ -402,7 +390,7 @@ def run_file_pipeline(
             if not config.enable_overwrite_handling and w.kind == OWNING_FIELD_OVERWRITE:
                 fix_status[w.id] = ("unfixable", "PreCloseConditionsFail(disabled)")
                 continue
-            er = _escape_for(w, patched, specs_now, libspec, config)
+            er = escape_for(w, patched, specs_now, libspec, config)
             try:
                 plan = plan_fix(w, patched, specs_now, er, libspec)
             except StaleWarning:

@@ -26,6 +26,7 @@ from typing import Optional
 from . import cfg as C
 from . import syntax as sx
 from .checker import Warning, stores_to_field
+from .escape import taint_fixpoint
 from .inference import disposes
 from .libspec import LibrarySpec
 from .specs import SpecSet, resource_must_call
@@ -158,9 +159,7 @@ def _writes_exactly_once_per_normal_path(
         if n in reach or n in blocked:
             continue
         reach.add(n)
-        for (f, t, k) in cfg.edges:
-            if f == n and k == C.NORMAL and t not in blocked:
-                work.append(t)
+        work.extend(t for t in cfg.succs(n, C.NORMAL) if t not in blocked)
     return cfg.exit not in reach
 
 
@@ -448,7 +447,7 @@ def _warned_ctor_fields(
                 continue
             node = sites[w.site]
             alloc = cfg.nodes[node]
-            taintmap = _taint_from(cfg, node, alloc.dst)  # type: ignore[union-attr]
+            taintmap = taint_fixpoint(cfg, node, alloc.dst)  # type: ignore[union-attr]
             for i, ins in enumerate(cfg.nodes):
                 if (
                     isinstance(ins, C.StoreField)
@@ -461,12 +460,6 @@ def _warned_ctor_fields(
                         hits.setdefault(ins.field, []).append(w.id)
     order = {f.name: i for i, f in enumerate(cls.fields)}
     return sorted(((f, sorted(set(ids))) for f, ids in hits.items()), key=lambda kv: order.get(kv[0], 99))
-
-
-def _taint_from(cfg: C.Cfg, start_node: int, start_local: str) -> dict[int, frozenset[str]]:
-    from .escape import taint_fixpoint
-
-    return taint_fixpoint(cfg, start_node, start_local)
 
 
 def _apply_inject(

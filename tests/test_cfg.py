@@ -1,4 +1,6 @@
-"""CFG lowering, try/finally duplication, and must-alias analysis."""
+"""CFG lowering, try/finally duplication, the adjacency index, and must-alias analysis."""
+
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,31 @@ def test_finally_removal_disconnects_exit():
 def test_exit_has_no_successors():
     g = lower_method(TRY_FINALLY_RETURN, "A", "m")
     assert g.succs(g.exit) == []
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _all_cfgs(prog, lib):
+    for cls in prog.classes:
+        for meth in cls.all_methods():
+            yield C.lower(prog, cls, meth, lib)
+
+
+def test_adjacency_index_matches_edge_scan():
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
+    programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
+    for prog, lib in programs:
+        for g in _all_cfgs(prog, lib):
+            assert len(set(g.edges)) == len(g.edges), "duplicate edge"
+            for n in range(len(g.nodes)):
+                for kind in (None, C.NORMAL, C.EXCEPTIONAL):
+                    # the reference: a scan over the edge list of record
+                    scan_succs = [t for (f, t, k) in g.edges if f == n and (kind is None or k == kind)]
+                    scan_preds = [f for (f, t, k) in g.edges if t == n and (kind is None or k == kind)]
+                    assert g.succs(n, kind) == scan_succs
+                    assert g.preds(n, kind) == scan_preds
 
 
 # --- must-alias ---

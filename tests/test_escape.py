@@ -32,8 +32,7 @@ def _escape_for_site(src, site, cls_name="Main", meth_name="main"):
     cls = prog.class_named(cls_name)
     meth = cls.method_named(meth_name)
     g = C.lower(prog, cls, meth, LIB)
-    aliases = C.must_alias(g)
-    return escapes(site, g, aliases, prog, specs, LIB), prog, specs
+    return escapes(site, g, prog, specs, LIB), prog, specs
 
 
 PROXY = """class FileEventProxy {
@@ -188,7 +187,7 @@ def test_escape_returned_route():
     prog = parse(src, "e.mj")
     cls = prog.class_named("Main")
     g = C.lower(prog, cls, cls.method_named("main2"), LIB)
-    result = escapes(1, g, C.must_alias(g), prog, None, LIB)
+    result = escapes(1, g, prog, None, LIB)
     assert result.escapes and result.routes[0].kind == "Returned"
 
 
@@ -265,4 +264,4 @@ def test_unknown_site_raises():
     cls = prog.class_named("Main")
     g = C.lower(prog, cls, cls.method_named("main"), LIB)
     with pytest.raises(ValueError):
-        escapes(99, g, C.must_alias(g), prog, None, LIB)
+        escapes(99, g, prog, None, LIB)

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakward.checker import Warning
+from leakward.parser import parse
 from leakward.pipeline import (
     MetricsReport,
     PipelineConfig,
     ShiftMap,
     WarningSetPair,
     compute_metrics,
+    run_file_pipeline,
     run_pipeline,
 )
 from leakward.printer import pretty_print
@@ -204,6 +206,18 @@ def test_exit_codes(corpus_report, libspec):
         PipelineConfig(),
     )
     assert fixed_all.exit_code == 0
+
+
+def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
+    import leakward.cfg
+
+    def must_alias(cfg):
+        raise AssertionError("must_alias is not on the pipeline path")
+
+    monkeypatch.setattr(leakward.cfg, "must_alias", must_alias)
+    program = parse((corpus_dir / "writer_wrapper.mj").read_text(), "writer_wrapper.mj")
+    fr = run_file_pipeline(program, libspec, PipelineConfig())
+    assert fr.w_xform
 
 
 # --- ablation flags exist and change behavior ---

@@ -48,7 +48,7 @@ def _plan_first(src, kind=None):
         meth = cls.method_named(w.method_name) if not w.method_name.startswith("<init>") else cls.constructors[0]
         g = C.lower(annotated, cls, meth, LIB)
         if w.site >= 0:
-            er = escapes(w.site, g, C.must_alias(g), annotated, specs, LIB)
+            er = escapes(w.site, g, annotated, specs, LIB)
     return plan_fix(w, annotated, specs, er, LIB), annotated, w
 
 
@@ -179,7 +179,7 @@ def test_plan_unfixable_on_return_escape():
     alloc_warning = next(w for w in warnings if w.anchor_kind == "new")
     cls = prog.class_named("A")
     g = C.lower(prog, cls, cls.method_named("partial"), LIB)
-    er = escapes(alloc_warning.site, g, C.must_alias(g), prog, specs, LIB)
+    er = escapes(alloc_warning.site, g, prog, specs, LIB)
     plan = plan_fix(alloc_warning, prog, specs, er, LIB)
     assert isinstance(plan, Unfixable) and plan.reason == "EscapesReturn"
 
@@ -330,7 +330,7 @@ def test_multi_mustcall_inserts_every_finalizer():
     w = check_program(prog, specs, lib2)[0]
     cls = prog.class_named("A")
     g = C.lower(prog, cls, cls.method_named("main"), lib2)
-    er = escapes(w.site, g, C.must_alias(g), prog, specs, lib2)
+    er = escapes(w.site, g, prog, specs, lib2)
     plan = plan_fix(w, prog, specs, er, lib2)
     assert isinstance(plan, RepairPlan)
     assert plan.finalizer_methods == ("close", "drain")
