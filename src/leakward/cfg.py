@@ -11,12 +11,18 @@ guarantee.
 Edges that continue exception propagation carry kind "exceptional"; the
 normal-exit state of a method is therefore the meet over the exit node's
 normal-kind in-edges.
+
+`solve` is the one dataflow engine: liveness and must-alias here, the
+checker's obligation dataflow and the escape taint each give it a transfer
+(`flow`) and a meet.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from functools import reduce
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 from . import syntax as sx
 from .errors import SyntaxError
@@ -147,27 +153,22 @@ class Cfg:
         return list(self._pred[kind][n])
 
     def rpo(self) -> list[int]:
-        seen: set[int] = set()
+        """Nodes reachable from entry in reverse postorder (successors taken by id)."""
+        seen = {self.entry}
         order: list[int] = []
-
-        def visit(n: int) -> None:
-            stack = [(n, iter(sorted(self.succs(n))))]
-            seen.add(n)
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for s in it:
-                    if s not in seen:
-                        seen.add(s)
-                        stack.append((s, iter(sorted(self.succs(s)))))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-
-        visit(self.entry)
-        return list(reversed(order))
+        stack = [(self.entry, iter(sorted(self.succs(self.entry))))]
+        while stack:
+            node, it = stack[-1]
+            for s in it:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append((s, iter(sorted(self.succs(s)))))
+                    break
+            else:
+                order.append(node)
+                stack.pop()
+        order.reverse()
+        return order
 
     def to_dot(self) -> str:
         lines = [f'digraph "{self.class_name}.{self.method_name}" {{']
@@ -681,6 +682,69 @@ def lower(
     return Lowerer(program, cls, method, libspec or LibrarySpec()).lower()
 
 
+# --- dataflow solver ----------------------------------------------------------
+
+Fact = TypeVar("Fact")
+
+# a node visited this many times per CFG node means the flow does not converge
+MAX_VISITS_PER_NODE = 500
+
+
+def solve(
+    cfg: Cfg,
+    seeds: dict[int, Fact],
+    flow: Callable[[int, Fact], dict[int, Fact]],
+    meet: Callable[[Fact, Fact], Fact],
+    backward: bool = False,
+) -> tuple[dict[int, Fact], dict[tuple[int, int], Fact]]:
+    """Worklist fixpoint over `cfg` (Kildall 1973) keeping one fact per edge.
+
+    A node's in-fact is the meet of its seed and the facts on its in-edges
+    (out-edges when `backward`) that carry one; it is computed when the node
+    is popped, in reverse postorder (postorder when `backward`), and a node
+    whose in-fact has not changed is skipped. `flow(node, in_fact)` maps
+    successors (predecessors when `backward`) to out-facts; an edge it leaves
+    out keeps its fact. Returns the in-fact of every visited node and the
+    fact of every edge, keyed (source, target) in CFG direction. Raises
+    RuntimeError when the flow does not converge.
+    """
+    order = cfg.rpo()
+    if backward:
+        order.reverse()
+    rank = [len(order) + n for n in range(len(cfg.nodes))]  # nodes unreachable from entry go last
+    for i, n in enumerate(order):
+        rank[n] = i
+    in_edges = cfg.succs if backward else cfg.preds
+    heap = sorted((rank[n], n) for n in seeds)
+    queued = set(seeds)
+    facts: dict[int, Fact] = {}
+    edges: dict[tuple[int, int], Fact] = {}
+    visits_left = MAX_VISITS_PER_NODE * len(cfg.nodes)
+    while heap:
+        _rank, n = heapq.heappop(heap)
+        queued.discard(n)
+        keys = [(n, m) if backward else (m, n) for m in in_edges(n)]
+        incoming = [edges[k] for k in keys if k in edges]
+        if n in seeds:
+            incoming.insert(0, seeds[n])
+        fact = reduce(meet, incoming)
+        if n in facts and facts[n] == fact:
+            continue
+        visits_left -= 1
+        if visits_left < 0:
+            raise RuntimeError(f"dataflow fixpoint diverged in {cfg.class_name}.{cfg.method_name}")
+        facts[n] = fact
+        for m, out in flow(n, fact).items():
+            key = (m, n) if backward else (n, m)
+            if key in edges and edges[key] == out:
+                continue
+            edges[key] = out
+            if m not in queued:
+                queued.add(m)
+                heapq.heappush(heap, (rank[m], m))
+    return facts, edges
+
+
 # --- must-alias analysis ----------------------------------------------------
 
 SiteTag = Optional[tuple]  # ("site", id) | ("null",) | None
@@ -810,32 +874,13 @@ def must_alias(cfg: Cfg) -> AliasSets:
     """
     locals_ = sorted(cfg.local_types)
     init = _fact_from_parts({name: i for i, name in enumerate(locals_)}, {})
-    before: dict[int, AliasFact] = {cfg.entry: init}
     after: dict[int, AliasFact] = {}
-    order = cfg.rpo()
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            preds = cfg.preds(n)
-            if preds:
-                facts = [after[p] for p in preds if p in after]
-                if not facts:
-                    continue
-                fact = facts[0]
-                for f in facts[1:]:
-                    fact = _alias_meet(fact, f, locals_)
-            else:
-                if n != cfg.entry:
-                    continue
-                fact = init
-            if before.get(n) != fact:
-                before[n] = fact
-                changed = True
-            out = _alias_transfer(fact, cfg.nodes[n], locals_, n)
-            if after.get(n) != out:
-                after[n] = out
-                changed = True
+
+    def flow(n: int, fact: AliasFact) -> dict[int, AliasFact]:
+        after[n] = _alias_transfer(fact, cfg.nodes[n], locals_, n)
+        return dict.fromkeys(cfg.succs(n), after[n])
+
+    before, _edges = solve(cfg, {cfg.entry: init}, flow, lambda f1, f2: _alias_meet(f1, f2, locals_))
     return AliasSets(before, after)
 
 
@@ -874,17 +919,13 @@ def instr_defs(instr: Instr) -> set[str]:
 def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
     """May-liveness of locals before each node (backward union fixpoint)."""
     live_in: dict[int, frozenset[str]] = {n: frozenset() for n in range(len(cfg.nodes))}
-    changed = True
-    while changed:
-        changed = False
-        for n in range(len(cfg.nodes) - 1, -1, -1):
-            out: frozenset[str] = frozenset()
-            for s in cfg.succs(n):
-                out |= live_in[s]
-            new_in = frozenset(instr_uses(cfg.nodes[n])) | (out - frozenset(instr_defs(cfg.nodes[n])))
-            if new_in != live_in[n]:
-                live_in[n] = new_in
-                changed = True
+
+    def flow(n: int, live_out: frozenset[str]) -> dict[int, frozenset[str]]:
+        instr = cfg.nodes[n]
+        live_in[n] = frozenset(instr_uses(instr)) | (live_out - frozenset(instr_defs(instr)))
+        return dict.fromkeys(cfg.preds(n), live_in[n])
+
+    solve(cfg, dict.fromkeys(live_in, frozenset()), flow, frozenset.union, backward=True)
     return live_in
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Optional
 
 from . import cfg as C
@@ -259,15 +260,16 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
 
 
 class _MethodChecker:
-    def __init__(self, cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec, program: sx.Program):
+    def __init__(self, cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec):
+        assert cfg.program is not None, "Cfg must carry its program"
         self.cfg = cfg
         self.specs = specs
         self.libspec = libspec
-        self.program = program
+        self.program = cfg.program
         self.cls = cfg.class_ast
         self.method = cfg.method_ast
         assert self.cls is not None and self.method is not None
-        self.warnings: dict[str, Warning] = {}
+        self.warnings: dict[str, Warning] = {}  # the visited node's during run(), then all
         self.alloc_class: dict[int, str] = {}
         self.alloc_nid: dict[int, int] = {}
         for instr in cfg.nodes:
@@ -275,7 +277,7 @@ class _MethodChecker:
                 self.alloc_class[instr.site] = instr.class_name
                 self.alloc_nid[instr.site] = instr.ast_nid
         self.call_ret_class: dict[int, str] = {}  # invoke ast nid -> returned class
-        self.exit_in_facts: list[CheckFact] = []  # facts on the exit node's normal in-edges
+        self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
         self.live_in = C.liveness(cfg)
 
     # origin helpers
@@ -440,13 +442,7 @@ class _MethodChecker:
                 refs[instr.dst] = ((origin,), True)
             if C.THIS in instr.args:
                 touch_field_contents()
-            out = pack()
-            outs: dict[int, CheckFact] = {}
-            for s in self.cfg.succs(node, C.NORMAL):
-                outs[s] = out
-            for s in self.cfg.succs(node, C.EXCEPTIONAL):
-                outs.setdefault(s, pre)  # the allocation never happened on this edge
-            return outs
+            return self._split_out(node, pack(), pre)  # the allocation never happened on the exceptional edge
         if isinstance(instr, C.CopyLocal):
             if instr.src != instr.dst:
                 src_ref = refs.get(instr.src)
@@ -524,13 +520,7 @@ class _MethodChecker:
             origins[origin] = SiteState(frozenset(), False)
             if instr.dst:
                 refs[instr.dst] = ((origin,), False)  # callees may return null
-            out = pack()
-            outs = {}
-            for s in self.cfg.succs(node, C.NORMAL):
-                outs[s] = out
-            for s in self.cfg.succs(node, C.EXCEPTIONAL):
-                outs.setdefault(s, pre_ret)
-            return outs
+            return self._split_out(node, pack(), pre_ret)
         elif isinstance(instr, C.ReturnVal):
             if instr.src is not None and method_return_ownership(self.method) == OWNING:
                 discharge(instr.src)
@@ -539,6 +529,14 @@ class _MethodChecker:
 
         out = pack()
         return {s: out for s in self.cfg.succs(node)}
+
+    def _split_out(self, node: int, normal: CheckFact, exceptional: CheckFact) -> dict[int, CheckFact]:
+        """`normal` on the normal out-edges, `exceptional` on the others; a
+        successor reached both ways gets `normal`."""
+        outs = dict.fromkeys(self.cfg.succs(node, C.NORMAL), normal)
+        for s in self.cfg.succs(node, C.EXCEPTIONAL):
+            outs.setdefault(s, exceptional)
+        return outs
 
     def _branch_out(self, instr: C.Branch, fact: CheckFact, node: int) -> dict[int, CheckFact]:
         eq_edge = instr.false_succ if instr.negated else instr.true_succ  # taken when lhs == rhs
@@ -691,46 +689,21 @@ class _MethodChecker:
     # fixpoint driver
 
     def run(self) -> list[Warning]:
+        """Warnings of the method; a node's are those of its last visit, which
+        saw the converged in-fact. Also sets `exit_fact`."""
         cfg = self.cfg
-        in_facts: dict[int, CheckFact] = {}
-        out_facts: dict[tuple[int, int], CheckFact] = {}
-        order = cfg.rpo()
-        changed = True
-        passes = 0
-        while changed:
-            passes += 1
-            if passes > 500:  # pragma: no cover
-                raise RuntimeError("checker fixpoint diverged")
-            changed = False
-            self.warnings.clear()  # re-emitted each pass; the converged pass is authoritative
-            for n in order:
-                preds = cfg.preds(n)
-                if preds:
-                    facts = [out_facts[(p, n)] for p in preds if (p, n) in out_facts]
-                    if not facts:
-                        continue
-                    fact = facts[0]
-                    for f in facts[1:]:
-                        fact = _meet(fact, f)
-                else:
-                    if n != cfg.entry:
-                        continue
-                    fact = EMPTY_FACT
-                if in_facts.get(n) != fact:
-                    in_facts[n] = fact
-                    changed = True
-                for succ, of in self.transfer(n, fact).items():
-                    of = self._prune(of, succ)
-                    if out_facts.get((n, succ)) != of:
-                        out_facts[(n, succ)] = of
-                        changed = True
-        normal_in = [out_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in out_facts]
-        self.exit_in_facts = normal_in
+        emitted: dict[int, dict[str, Warning]] = {}
+
+        def flow(n: int, fact: CheckFact) -> dict[int, CheckFact]:
+            self.warnings = emitted[n] = {}
+            return {succ: self._prune(of, succ) for succ, of in self.transfer(n, fact).items()}
+
+        _in_facts, edge_facts = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
+        self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
+        normal_in = [edge_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in edge_facts]
         if normal_in:
-            fact = normal_in[0]
-            for f in normal_in[1:]:
-                fact = _meet(fact, f)
-            for origin, st in fact.origin_map().items():
+            self.exit_fact = reduce(_meet, normal_in)
+            for origin, st in self.exit_fact.origin_map().items():
                 if self.insufficient(origin, st):
                     self.warn_unsatisfied(origin)
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
@@ -738,8 +711,15 @@ class _MethodChecker:
 
 def check_method(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
     """Warnings for one lowered method; pure function of its inputs."""
-    assert cfg.program is not None, "Cfg must carry its program"
-    return _MethodChecker(cfg, specs, libspec, cfg.program).run()
+    return _MethodChecker(cfg, specs, libspec).run()
+
+
+def normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> Optional[CheckFact]:
+    """Meet of the checker's facts on the exit node's normal in-edges, or
+    None if no normal path completes."""
+    checker = _MethodChecker(cfg, specs, libspec)
+    checker.run()
+    return checker.exit_fact
 
 
 def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:

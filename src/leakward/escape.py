@@ -60,25 +60,16 @@ class EscapeResult:
 
 def taint_fixpoint(cfg: C.Cfg, start_node: int, start_local: str) -> dict[int, frozenset[str]]:
     """May-alias taint of the value defined at start_node, per node (state
-    before the node). Union at joins."""
-    before: dict[int, frozenset[str]] = {}
-    after: dict[int, frozenset[str]] = {start_node: frozenset({start_local})}
-    order = cfg.rpo()
-    changed = True
-    while changed:
-        changed = False
-        for n in order:
-            inc = [after[p] for p in cfg.preds(n) if p in after]
-            fact: frozenset[str] = frozenset().union(*inc) if inc else frozenset()
-            if before.get(n) != fact:
-                before[n] = fact
-                changed = True
-            out = _taint_transfer(cfg.nodes[n], fact)
-            if n == start_node:
-                out = out | {start_local}
-            if after.get(n) != out:
-                after[n] = out
-                changed = True
+    before the node). Union at joins; nodes the taint never reaches may be
+    absent."""
+
+    def flow(n: int, taint: frozenset[str]) -> dict[int, frozenset[str]]:
+        out = _taint_transfer(cfg.nodes[n], taint)
+        if n == start_node:
+            out = out | {start_local}
+        return dict.fromkeys(cfg.succs(n), out)
+
+    before, _edges = C.solve(cfg, {start_node: frozenset()}, flow, frozenset.union)
     return before
 
 
@@ -238,10 +229,12 @@ class EscapeAnalyzer:
 
     # --- escape engine ---
 
-    def escapes_from(self, cfg: C.Cfg, alloc_node: int) -> EscapeResult:
-        instr = cfg.nodes[alloc_node]
-        assert isinstance(instr, C.Alloc)
-        routes, sinks = self._collect_routes(cfg, alloc_node, instr.dst, set())
+    def escapes_from(self, cfg: C.Cfg, node: int) -> EscapeResult:
+        """Escape result for the value node defines: an allocation, or the
+        value a call returns."""
+        instr = cfg.nodes[node]
+        assert isinstance(instr, (C.Alloc, C.Invoke)) and instr.dst
+        routes, sinks = self._collect_routes(cfg, node, instr.dst, set())
         return EscapeResult(escapes=bool(routes), routes=routes, wrapper_sinks=sinks)
 
     def _collect_routes(

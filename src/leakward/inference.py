@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import cfg as C
 from . import syntax as sx
-from .checker import CheckFact, _MethodChecker, _meet
+from .checker import normal_exit_fact
 from .errors import AnnotationConflict
 from .libspec import LibrarySpec
 from .specs import (
@@ -37,27 +37,11 @@ from .specs import (
 )
 
 
-def _normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> CheckFact | None:
-    """Meet of the facts flowing into exit along normal edges, or None if no
-    normal path completes."""
-    checker = _MethodChecker(cfg, specs, libspec, cfg.program)
-    checker.run()
-    out_facts = checker.exit_in_facts
-    if not out_facts:
-        return None
-    fact = out_facts[0]
-    for f in out_facts[1:]:
-        fact = _meet(fact, f)
-    return fact
-
-
 def disposes(method_cfg: C.Cfg, field_name: str, specs: SpecSet, libspec: LibrarySpec) -> bool:
     """True when every normal path of the method satisfies the field content's
     must-call obligations (or proves the content null)."""
-    fact = _normal_exit_fact(method_cfg, specs, libspec)
-    if fact is None:
-        return False
-    return field_name in fact.field_sat
+    fact = normal_exit_fact(method_cfg, specs, libspec)
+    return fact is not None and field_name in fact.field_sat
 
 
 @dataclass
@@ -78,10 +62,9 @@ def infer_specs(program: sx.Program, libspec: LibrarySpec) -> SpecSet:
                 continue
             disposals: list[_Disposal] = []
             for meth in cls.methods:
-                cfg = C.lower(program, cls, meth, libspec)
-                covered = {
-                    f.name for f in candidates if disposes(cfg, f.name, specs, libspec)
-                }
+                # one checker run gives field_sat for every candidate field
+                fact = normal_exit_fact(C.lower(program, cls, meth, libspec), specs, libspec)
+                covered = {f.name for f in candidates if fact is not None and f.name in fact.field_sat}
                 if covered:
                     disposals.append(_Disposal(method=meth, fields=covered))
             if not disposals:

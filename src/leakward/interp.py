@@ -27,6 +27,10 @@ from .parser import parse
 from .printer import pretty_print
 
 DEFAULT_STEP_LIMIT = 100_000
+# nested user calls (methods and constructors) before a run stops with
+# RuntimeError(StackOverflow); each level takes five or more Python frames,
+# so this stays well inside Python's default recursion limit of 1000
+MAX_CALL_DEPTH = 64
 
 COMPLETED = "Completed"
 STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
@@ -172,6 +176,7 @@ class Interpreter:
         self.use_after_close: list[tuple[int, str, int]] = []
         self.statics: dict[tuple[str, str], object] = {}
         self.oid_counter = 0
+        self.call_depth = 0
 
     # --- plumbing ---
 
@@ -370,13 +375,7 @@ class Interpreter:
                 if args or user.constructors:
                     raise MiniJRuntimeError("NoSuchConstructor", f"{expr.class_name}/{len(args)}")
                 return obj  # implicit default constructor
-            frame = _Env()
-            for p, v in zip(ctor.params, args):
-                frame.declare(p.name, v)
-            try:
-                self.exec_block(ctor.body, frame, obj, user)
-            except _Return:
-                pass
+            self.invoke_user(user, ctor, obj, args)
             return obj
         if self.libspec.has_class(expr.class_name):
             entry = self.libspec.entries[expr.class_name]
@@ -430,13 +429,18 @@ class Interpreter:
     def invoke_user(self, owner: sx.ClassDecl, meth: sx.MethodDecl, this, args):
         if len(args) != len(meth.params):
             raise MiniJRuntimeError("ArityMismatch", f"{owner.name}.{meth.name}")
+        if self.call_depth >= MAX_CALL_DEPTH:
+            raise MiniJRuntimeError("StackOverflow", f"{owner.name}.{meth.name}")
         frame = _Env()
         for p, v in zip(meth.params, args):
             frame.declare(p.name, v)
+        self.call_depth += 1
         try:
             self.exec_block(meth.body, frame, this, owner)
         except _Return as r:
             return r.value
+        finally:
+            self.call_depth -= 1
         return None
 
     def invoke_library(self, res: VRes, method: str, args):

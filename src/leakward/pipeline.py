@@ -34,7 +34,7 @@ from .checker import (
     warning_id,
 )
 from .errors import AmbiguousMapping, MaterializationFailure, StaleWarning
-from .escape import EscapeAnalyzer, EscapeResult
+from .escape import EscapeAnalyzer, EscapeResult, taint_fixpoint
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
@@ -42,9 +42,9 @@ from .printer import pretty_print
 from .repair import (
     Unfixable,
     apply_plan_in_place,
+    method_by_cfg_name,
     plan_fix,
     unified_diff_text,
-    _method_by_cfg_name,
 )
 from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
@@ -244,8 +244,6 @@ def _chain_roots(
 
 
 def _alloc_flows_to_owning_store(cfg: C.Cfg, node: int, alloc: C.Alloc, owning_fields: list[str], wrapper: str) -> bool:
-    from .escape import taint_fixpoint
-
     taint = taint_fixpoint(cfg, node, alloc.dst)
     for i, ins in enumerate(cfg.nodes):
         if (
@@ -335,17 +333,14 @@ def escape_for(
     if w.kind != UNSATISFIED_OBLIGATION:
         return None
     cls = program.class_named(w.class_name)
-    meth = _method_by_cfg_name(cls, w.method_name) if cls else None
+    meth = method_by_cfg_name(cls, w.method_name) if cls else None
     if meth is None:
         return None
     cfg = C.lower(program, cls, meth, libspec)
     analyzer = EscapeAnalyzer(program, specs, libspec, enhancements=config.enable_fixer_enhancements)
     for node, ins in enumerate(cfg.nodes):
-        if isinstance(ins, C.Alloc) and ins.ast_nid == w.ast_nid:
+        if isinstance(ins, (C.Alloc, C.Invoke)) and ins.ast_nid == w.ast_nid and ins.dst:
             return analyzer.escapes_from(cfg, node)
-        if isinstance(ins, C.Invoke) and ins.ast_nid == w.ast_nid and ins.dst:
-            routes, sinks = analyzer._collect_routes(cfg, node, ins.dst, set())
-            return EscapeResult(escapes=bool(routes), routes=routes, wrapper_sinks=sinks)
     return None
 
 

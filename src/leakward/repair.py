@@ -91,7 +91,7 @@ class Patch:
 # --- anchor lookup -----------------------------------------------------------
 
 
-def _method_by_cfg_name(cls: sx.ClassDecl, cfg_name: str) -> Optional[sx.MethodDecl]:
+def method_by_cfg_name(cls: sx.ClassDecl, cfg_name: str) -> Optional[sx.MethodDecl]:
     if cfg_name.startswith("<init>#"):
         arity = int(cfg_name.split("#", 1)[1])
         for ctor in cls.constructors:
@@ -106,7 +106,7 @@ def locate_anchor(warning: Warning, program: sx.Program) -> sx.Node:
     cls = program.class_named(warning.class_name)
     if cls is None:
         raise StaleWarning(f"{warning.id}: class {warning.class_name} is gone")
-    method = _method_by_cfg_name(cls, warning.method_name)
+    method = method_by_cfg_name(cls, warning.method_name)
     if method is None:
         raise StaleWarning(f"{warning.id}: method {warning.method_name} is gone")
     if warning.anchor_kind == "new":
@@ -254,7 +254,7 @@ def plan_fix(
     if not finalizers:
         return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
     cls = program.class_named(warning.class_name)
-    method = _method_by_cfg_name(cls, warning.method_name) if cls else None
+    method = method_by_cfg_name(cls, warning.method_name) if cls else None
     if method is None:
         return Unfixable(warning.id, NO_IR_MATCH, detail="enclosing method not found")
     located = _locate_stmt(method.body, anchor)
@@ -434,7 +434,7 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
     if store is None or not isinstance(store, sx.Assign):
         raise MaterializationFailure("StaleAnchor", f"store anchor for {plan.warning_id}")
     cls = program.class_named(plan.class_name)
-    method = _method_by_cfg_name(cls, plan.method_name) if cls else None
+    method = method_by_cfg_name(cls, plan.method_name) if cls else None
     if method is None:
         raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
     located = _locate_stmt_by_identity(method.body, store)
@@ -540,7 +540,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     if expr is None or not isinstance(expr, (sx.New, sx.Call)):
         raise MaterializationFailure("StaleAnchor", f"expression anchor for {plan.warning_id}")
     cls = program.class_named(plan.class_name)
-    method = _method_by_cfg_name(cls, plan.method_name) if cls else None
+    method = method_by_cfg_name(cls, plan.method_name) if cls else None
     if method is None:
         raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
     located = _locate_stmt(method.body, expr)

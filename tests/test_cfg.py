@@ -1,14 +1,19 @@
-"""CFG lowering, try/finally duplication, the adjacency index, and must-alias analysis."""
+"""CFG lowering, try/finally duplication, the adjacency index, the dataflow solver, and must-alias analysis."""
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakward import cfg as C
+from leakward import checker as K
+from leakward import escape as E
 from leakward.fuzz import fuzz_libspec, generate_source
+from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
+from leakward.specs import SpecSet
 
 LIB = load_library_spec(
     "resource PrintStream { must_call: [close]; method PrintStream(notowning) -> void;"
@@ -123,11 +128,17 @@ def _all_cfgs(prog, lib):
             yield C.lower(prog, cls, meth, lib)
 
 
-def test_adjacency_index_matches_edge_scan():
+def _corpus_and_fuzz_programs():
+    """(program, libspec) for every corpus file and generate_source(0..59);
+    both have while loops, so back edges are exercised."""
     corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
     programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
     programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
-    for prog, lib in programs:
+    return programs
+
+
+def test_adjacency_index_matches_edge_scan():
+    for prog, lib in _corpus_and_fuzz_programs():
         for g in _all_cfgs(prog, lib):
             assert len(set(g.edges)) == len(g.edges), "duplicate edge"
             for n in range(len(g.nodes)):
@@ -137,6 +148,162 @@ def test_adjacency_index_matches_edge_scan():
                     scan_preds = [f for (f, t, k) in g.edges if t == n and (kind is None or k == kind)]
                     assert g.succs(n, kind) == scan_succs
                     assert g.preds(n, kind) == scan_preds
+
+
+# --- the worklist solver against the round-robin loops it replaced ---
+
+
+def _round_robin_liveness(cfg):
+    live_in = {n: frozenset() for n in range(len(cfg.nodes))}
+    changed = True
+    while changed:
+        changed = False
+        for n in range(len(cfg.nodes) - 1, -1, -1):
+            out = frozenset()
+            for s in cfg.succs(n):
+                out |= live_in[s]
+            new_in = frozenset(C.instr_uses(cfg.nodes[n])) | (out - frozenset(C.instr_defs(cfg.nodes[n])))
+            if new_in != live_in[n]:
+                live_in[n] = new_in
+                changed = True
+    return live_in
+
+
+def _round_robin_must_alias(cfg):
+    locals_ = sorted(cfg.local_types)
+    init = C._fact_from_parts({name: i for i, name in enumerate(locals_)}, {})
+    before = {cfg.entry: init}
+    after = {}
+    order = cfg.rpo()
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            preds = cfg.preds(n)
+            if preds:
+                facts = [after[p] for p in preds if p in after]
+                if not facts:
+                    continue
+                fact = facts[0]
+                for f in facts[1:]:
+                    fact = C._alias_meet(fact, f, locals_)
+            else:
+                if n != cfg.entry:
+                    continue
+                fact = init
+            if before.get(n) != fact:
+                before[n] = fact
+                changed = True
+            out = C._alias_transfer(fact, cfg.nodes[n], locals_, n)
+            if after.get(n) != out:
+                after[n] = out
+                changed = True
+    return before, after
+
+
+def _round_robin_taint(cfg, start_node, start_local):
+    before = {}
+    after = {start_node: frozenset({start_local})}
+    order = cfg.rpo()
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            inc = [after[p] for p in cfg.preds(n) if p in after]
+            fact = frozenset().union(*inc) if inc else frozenset()
+            if before.get(n) != fact:
+                before[n] = fact
+                changed = True
+            out = E._taint_transfer(cfg.nodes[n], fact)
+            if n == start_node:
+                out = out | {start_local}
+            if after.get(n) != out:
+                after[n] = out
+                changed = True
+    return before
+
+
+def _round_robin_check(cfg, specs, lib):
+    chk = K._MethodChecker(cfg, specs, lib)
+    in_facts, out_facts = {}, {}
+    order = cfg.rpo()
+    changed = True
+    while changed:
+        changed = False
+        chk.warnings = {}  # re-emitted each pass; the converged pass is authoritative
+        for n in order:
+            preds = cfg.preds(n)
+            if preds:
+                facts = [out_facts[(p, n)] for p in preds if (p, n) in out_facts]
+                if not facts:
+                    continue
+                fact = facts[0]
+                for f in facts[1:]:
+                    fact = K._meet(fact, f)
+            else:
+                if n != cfg.entry:
+                    continue
+                fact = K.EMPTY_FACT
+            if in_facts.get(n) != fact:
+                in_facts[n] = fact
+                changed = True
+            for succ, of in chk.transfer(n, fact).items():
+                of = chk._prune(of, succ)
+                if out_facts.get((n, succ)) != of:
+                    out_facts[(n, succ)] = of
+                    changed = True
+    normal_in = [out_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in out_facts]
+    exit_fact = None
+    if normal_in:
+        exit_fact = normal_in[0]
+        for f in normal_in[1:]:
+            exit_fact = K._meet(exit_fact, f)
+        for origin, st in exit_fact.origin_map().items():
+            if chk.insufficient(origin, st):
+                chk.warn_unsatisfied(origin)
+    warnings = sorted(chk.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
+    return warnings, exit_fact
+
+
+def test_solver_matches_round_robin_loops():
+    for prog, lib in _corpus_and_fuzz_programs():
+        spec_sets = (SpecSet.from_declared(prog), infer_specs(prog, lib))
+        for g in _all_cfgs(prog, lib):
+            assert C.liveness(g) == _round_robin_liveness(g)
+            aliases = C.must_alias(g)
+            assert (aliases.before, aliases.after) == _round_robin_must_alias(g)
+            for n, ins in enumerate(g.nodes):
+                if getattr(ins, "dst", None):
+                    expected = {k: v for k, v in _round_robin_taint(g, n, ins.dst).items() if v}
+                    assert {k: v for k, v in E.taint_fixpoint(g, n, ins.dst).items() if v} == expected
+            for specs in spec_sets:
+                warnings, exit_fact = _round_robin_check(g, specs, lib)
+                assert K.check_method(g, specs, lib) == warnings
+                assert K.normal_exit_fact(g, specs, lib) == exit_fact
+
+
+def test_solver_divergence_guard_raises():
+    g = lower_method("class A { void m(String c) { while (c == null) { c = null; } } }", "A", "m")
+
+    def flow(n, k):
+        return dict.fromkeys(g.succs(n), k + 1)  # grows on every trip round the loop
+
+    with pytest.raises(RuntimeError, match="diverged"):
+        C.solve(g, {g.entry: 0}, flow, max)
+
+
+def test_solver_backward_visits_every_seeded_node_once_on_acyclic_cfg():
+    g = lower_method(TRY_FINALLY_RETURN, "A", "m")
+    visits = []
+
+    def flow(n, steps_to_exit):  # longest path to exit: final only once every successor is
+        visits.append(n)
+        return dict.fromkeys(g.preds(n), steps_to_exit + 1)
+
+    facts, edges = C.solve(g, dict.fromkeys(range(len(g.nodes)), 0), flow, max, backward=True)
+    assert sorted(visits) == list(range(len(g.nodes)))  # postorder: successors settle first
+    assert set(edges) == {(f, t) for f, t, _k in g.edges}
+    assert facts[g.entry] == max(len(path) - 1 for path in C.acyclic_paths(g))
 
 
 # --- must-alias ---

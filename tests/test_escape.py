@@ -3,10 +3,12 @@
 import pytest
 
 from leakward import cfg as C
+from leakward.checker import check_program
 from leakward.escape import (
     NOT_A_WRAPPER,
     RESOURCE_ACCESSOR,
     RESOURCE_ALIAS,
+    EscapeAnalyzer,
     classify_wrapper,
     escapes,
     field_containment,
@@ -14,6 +16,7 @@ from leakward.escape import (
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
+from leakward.pipeline import PipelineConfig, escape_for
 
 LIB = load_library_spec(
     """
@@ -172,6 +175,30 @@ class Main {
 """
     result, _, _ = _escape_for_site(src, 1)
     assert result.escapes and result.routes[0].kind == "ToField"
+
+
+def test_escape_of_call_returned_value():
+    src = """class Box {
+  static Socket kept;
+}
+class Main {
+  static Socket open() {
+    return new Socket();
+  }
+  static void main() {
+    Socket s = Main.open();
+    Box.kept = s;
+  }
+}
+"""
+    prog = parse(src, "e.mj")
+    specs = infer_specs(prog, LIB)
+    g = C.lower(prog, prog.class_named("Main"), prog.class_named("Main").method_named("main"), LIB)
+    call = next(i for i, ins in enumerate(g.nodes) if isinstance(ins, C.Invoke) and ins.method == "open")
+    result = EscapeAnalyzer(prog, specs, LIB).escapes_from(g, call)
+    assert result.escapes and [r.kind for r in result.routes] == ["ToField"]
+    (w,) = [w for w in check_program(prog, specs, LIB) if w.anchor_kind == "call"]
+    assert escape_for(w, prog, specs, LIB, PipelineConfig()) == result
 
 
 def test_escape_returned_route():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from leakward import inference
 from leakward.checker import check_program, filter_constructor_first_writes
 from leakward.errors import AnnotationConflict
 from leakward.inference import infer_specs, write_specs
@@ -96,6 +97,35 @@ def test_null_guarded_disposal_counts():
 """
     specs = infer_specs(parse(src), LIB)
     assert specs.field_ownership[("Guarded", "s")] == "owning"
+
+
+def test_each_method_is_checked_once_per_round(monkeypatch):
+    src = """class Pair {
+  private Socket a;
+  private Socket b;
+
+  Pair() {
+    a = new Socket();
+    b = new Socket();
+  }
+  void close() {
+    a.close();
+    b.close();
+  }
+}
+"""
+    checked = []
+    original = inference.normal_exit_fact
+
+    def counting(cfg, specs, libspec):
+        checked.append(cfg)
+        return original(cfg, specs, libspec)
+
+    monkeypatch.setattr(inference, "normal_exit_fact", counting)
+    specs = infer_specs(parse(src), LIB)
+    assert specs.field_ownership[("Pair", "a")] == specs.field_ownership[("Pair", "b")] == "owning"
+    # two candidate fields, yet one checker run per lowered method
+    assert checked and len({id(cfg) for cfg in checked}) == len(checked)
 
 
 def test_conditional_disposal_does_not_count():

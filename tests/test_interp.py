@@ -168,6 +168,40 @@ def test_step_limit():
     assert rep.status == "StepLimitExceeded"
 
 
+def test_unbounded_recursion_is_stack_overflow():
+    rep = run(parse("class Main { static void f() { Main.f(); } static void main() { Main.f(); } }"), LIB)
+    assert rep.status == "RuntimeError(StackOverflow)"
+    src = """class Main {
+  static void main() {
+    PrintStream s = new PrintStream("f");
+    Node n = new Node();
+  }
+}
+class Node {
+  Node() {
+    Node next = new Node();
+  }
+}
+"""
+    rep = run(parse(src), LIB)
+    assert rep.status == "RuntimeError(StackOverflow)" and rep.leaked_sites == (1,)
+
+
+def test_bounded_recursion_completes():
+    src = """class Main {
+  static void f(String x) {
+    if (x != null) {
+      Main.f(null);
+    }
+  }
+  static void main() {
+    Main.f("go");
+  }
+}
+"""
+    assert run(parse(src), LIB).status == "Completed"
+
+
 def test_determinism():
     src = 'class A { static void main() { PrintStream s = new PrintStream("f"); s.println("x"); } }'
     assert run(parse(src), LIB) == run(parse(src), LIB)
