@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import syntax as sx
 from .errors import SyntaxError
@@ -118,7 +118,7 @@ class Branch(Instr):
 @dataclass
 class Cfg:
     class_name: str
-    method_name: str  # "<init>#<arity>" for constructors
+    method_name: str  # syntax.member_key of the method
     source_name: str
     nodes: list[Instr] = field(default_factory=list)
     edges: list[tuple[int, int, str]] = field(default_factory=list)
@@ -151,6 +151,19 @@ class Cfg:
 
     def preds(self, n: int, kind: Optional[str] = None) -> list[int]:
         return list(self._pred[kind][n])
+
+    def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
+        """Nodes reachable from `starts` (themselves included) along edges of
+        `kind` (any kind when None), never entering a node in `blocked`."""
+        succ = self._succ[kind]
+        seen: set[int] = set()
+        work = [n for n in starts if n not in blocked]
+        while work:
+            n = work.pop()
+            if n not in seen:
+                seen.add(n)
+                work.extend(t for t in succ[n] if t not in blocked)
+        return seen
 
     def rpo(self) -> list[int]:
         """Nodes reachable from entry in reverse postorder (successors taken by id)."""
@@ -238,12 +251,11 @@ class Lowerer:
         self.cls = cls
         self.method = method
         self.libspec = libspec
-        is_ctor = method.return_type == ""
         self.cfg = Cfg(
             class_name=cls.name,
-            method_name=f"<init>#{len(method.params)}" if is_ctor else method.name,
+            method_name=sx.member_key(method),
             source_name=program.source_name,
-            is_constructor=is_ctor,
+            is_constructor=method.is_constructor,
             arity=len(method.params),
             program=program,
             class_ast=cls,

@@ -144,26 +144,6 @@ def make_warning(
     )
 
 
-def stores_to_field(method: sx.MethodDecl, field_name: str) -> list[sx.Assign]:
-    """Assign statements writing the named field, in AST order.
-
-    A bare `f = e;` target counts when no parameter or local shadows f.
-    """
-    shadowed = any(p.name == field_name for p in method.params) or any(
-        isinstance(s, sx.LocalDecl) and s.name == field_name for s in sx.walk_stmts(method.body)
-    )
-    out = []
-    for s in sx.walk_stmts(method.body):
-        if not isinstance(s, sx.Assign):
-            continue
-        t = s.target
-        if isinstance(t, sx.FieldRef) and t.name == field_name:
-            out.append(s)
-        elif isinstance(t, sx.VarRef) and t.name == field_name and not shadowed:
-            out.append(s)
-    return out
-
-
 # --- per-method obligation dataflow -----------------------------------------
 
 
@@ -302,32 +282,6 @@ class _MethodChecker:
     def insufficient(self, origin: Origin, st: SiteState) -> bool:
         return not st.resolved and not st.called >= self.must_call_for(self.origin_class(origin))
 
-    # ordinals for stable descriptors
-
-    def new_ordinal(self, ast_nid: int, resource_class: str) -> int:
-        count = 0
-        for e in sx.walk_exprs(self.method.body):
-            if isinstance(e, sx.New) and e.class_name == resource_class:
-                if e.nid == ast_nid:
-                    return count
-                count += 1
-        return count
-
-    def call_ordinal(self, ast_nid: int) -> int:
-        count = 0
-        for e in sx.walk_exprs(self.method.body):
-            if isinstance(e, sx.Call):
-                if e.nid == ast_nid:
-                    return count
-                count += 1
-        return count
-
-    def store_ordinal(self, ast_nid: int, field_name: str) -> int:
-        for i, s in enumerate(stores_to_field(self.method, field_name)):
-            if s.nid == ast_nid:
-                return i
-        return 0
-
     # warning emission
 
     def warn_unsatisfied(self, origin: Origin) -> None:
@@ -342,7 +296,7 @@ class _MethodChecker:
                 self.cfg.method_name,
                 "new",
                 rclass,
-                self.new_ordinal(ast_nid, rclass),
+                sx.anchor_ordinal(self.method, "new", rclass, ast_nid),
                 ast_nid,
                 rclass,
                 f"{rclass} allocated here may never reach {', '.join(mc)}()",
@@ -357,7 +311,7 @@ class _MethodChecker:
                 self.cfg.method_name,
                 "call",
                 rclass,
-                self.call_ordinal(ast_nid),
+                sx.anchor_ordinal(self.method, "call", rclass, ast_nid),
                 ast_nid,
                 rclass,
                 f"{rclass} returned by this call may never reach {', '.join(mc)}()",
@@ -368,14 +322,15 @@ class _MethodChecker:
         decl_cls = self.program.class_named(store.field_class)
         fld = decl_cls.field_named(store.field) if decl_cls else None
         ftype = fld.declared_type if fld else "?"
+        token = f"{store.field_class}.{store.field}"
         w = make_warning(
             OWNING_FIELD_OVERWRITE,
             self.program,
             self.cfg.class_name,
             self.cfg.method_name,
             "store",
-            f"{store.field_class}.{store.field}",
-            self.store_ordinal(store.ast_nid, store.field),
+            token,
+            sx.anchor_ordinal(self.method, "store", token, store.ast_nid),
             store.ast_nid,
             ftype,
             f"overwriting @Owning field {store.field} may leak its current {ftype}",
@@ -634,12 +589,7 @@ class _MethodChecker:
     def _param_ownerships(self, callee_class: str, method: str, arity: int, is_ctor: bool) -> list[str]:
         cls = self.program.class_named(callee_class)
         if cls is not None:
-            if is_ctor:
-                for ctor in cls.constructors:
-                    if len(ctor.params) == arity:
-                        return [param_ownership(p) for p in ctor.params]
-                return [NOT_OWNING] * arity
-            m = cls.method_named(method)
+            m = cls.constructor(arity) if is_ctor else cls.method_named(method)
             if m is not None and len(m.params) == arity:
                 return [param_ownership(p) for p in m.params]
             return [NOT_OWNING] * arity
@@ -765,39 +715,20 @@ def _first_write_conditions_hold(w: Warning, program: sx.Program) -> bool:
     if fld.initializer is not None:
         return False  # condition 2
     # condition 3: vacuous, MiniJ has no instance initializer blocks
-    ctor = _enclosing_constructor(program, w)
-    if ctor is None:
-        return False  # condition 4: not a constructor write at all
-    stores = stores_to_field(ctor, field_name)
-    if w.ordinal >= len(stores):
-        return False
-    assign = stores[w.ordinal]
-    if assign not in ctor.body.stmts:
-        return False  # condition 4: nested inside if/while/try
-    if len(stores) != 1:
-        return False  # condition 5
-    # condition 6: no calls before (or within) the assignment
-    for stmt in ctor.body.stmts:
-        if stmt is assign:
-            break
-        for e in sx.walk_exprs(stmt):
-            if isinstance(e, sx.Call):
-                return False
-    for e in sx.walk_exprs_of_expr(assign.value):
-        if isinstance(e, sx.Call):
-            return False
-    return True
-
-
-def _enclosing_constructor(program: sx.Program, w: Warning) -> Optional[sx.MethodDecl]:
     cls = program.class_named(w.class_name)
-    if cls is None or not w.method_name.startswith("<init>#"):
-        return None
-    arity = int(w.method_name.split("#", 1)[1])
-    for ctor in cls.constructors:
-        if len(ctor.params) == arity:
-            return ctor
-    return None
+    ctor = cls.member(w.method_name) if cls else None
+    if ctor is None or not ctor.is_constructor:
+        return False  # condition 4: not a constructor write at all
+    stores = sx.stores_to_field(ctor, field_name)
+    if len(stores) != 1 or w.ordinal != 0:
+        return False  # condition 5
+    path = sx.stmt_path(ctor.body, stores[0])
+    if len(path) != 1:
+        return False  # condition 4: nested inside if/while/try
+    # condition 6: no calls before (or within) the assignment
+    _body, idx = path[0]
+    before = [e for s in ctor.body.stmts[:idx] for e in sx.walk_exprs(s)]
+    return not any(isinstance(e, sx.Call) for e in before + list(sx.walk_exprs(stores[0].value)))
 
 
 # --- final-field write checking ----------------------------------------------
@@ -819,7 +750,7 @@ def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = No
             continue
         for fld in final_fields:
             for meth in cls.all_methods():
-                is_ctor = meth.return_type == ""
+                is_ctor = meth.is_constructor
                 cfg = C.lower(program, cls, meth, libspec)
                 store_nodes = [
                     i
@@ -856,14 +787,7 @@ def _doubled_store_nids(cfg: C.Cfg, store_nodes: list[int]) -> set[int]:
     """Ast nids of stores reachable from another store (same nid via a cycle counts)."""
     doubled: set[int] = set()
     for a in store_nodes:
-        reach: set[int] = set()
-        work = list(cfg.succs(a))
-        while work:
-            n = work.pop()
-            if n in reach:
-                continue
-            reach.add(n)
-            work.extend(cfg.succs(n))
+        reach = cfg.reachable(cfg.succs(a))
         for b in store_nodes:
             if b in reach:
                 doubled.add(cfg.nodes[b].ast_nid)  # type: ignore[union-attr]

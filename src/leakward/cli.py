@@ -2,7 +2,8 @@
 
 Subcommands: check, infer, transform, fix, run, explain-escape, pipeline.
 Pipeline exit codes: 0 = all materialized patches validated, 2 = unfixable
-warnings remain, 3 = validation failure.
+warnings remain, 3 = validation failure, 4 = a file failed (syntax error,
+duplicate name, annotation conflict) and was left out.
 """
 
 from __future__ import annotations

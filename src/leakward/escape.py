@@ -73,6 +73,15 @@ def taint_fixpoint(cfg: C.Cfg, start_node: int, start_local: str) -> dict[int, f
     return before
 
 
+def tainted_stores(cfg: C.Cfg, node: int, local: str) -> list[C.StoreField]:
+    """Field stores whose source may hold the value `local` gets at `node`
+    (per `taint_fixpoint`), in node order."""
+    taint = taint_fixpoint(cfg, node, local)
+    return [
+        ins for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.StoreField) and ins.src in taint.get(i, frozenset())
+    ]
+
+
 def _taint_transfer(instr: C.Instr, taint: frozenset[str]) -> frozenset[str]:
     if isinstance(instr, C.CopyLocal):
         if instr.src in taint:
@@ -186,9 +195,7 @@ class EscapeAnalyzer:
         return WrapperClassification(kind=RESOURCE_ACCESSOR, witness_field=witness)
 
     def _assigned_in_some_ctor(self, cls: sx.ClassDecl, field_name: str) -> bool:
-        from .checker import stores_to_field
-
-        return any(stores_to_field(ctor, field_name) for ctor in cls.constructors)
+        return any(sx.stores_to_field(ctor, field_name) for ctor in cls.constructors)
 
     def _finalizer_of(self, cls: sx.ClassDecl) -> Optional[str]:
         mc = self.specs.class_mustcall.get(cls.name)
@@ -205,27 +212,12 @@ class EscapeAnalyzer:
         wc = self.classify_wrapper(class_name)
         if cls is None or wc.witness_field is None:
             return False
-        for ctor in cls.constructors:
-            if len(ctor.params) != arity:
-                continue
-            if position >= len(ctor.params):
-                return False
-            cfg = self._cfg(cls, ctor)
-            pname = ctor.params[position].name
-            return self._flows_to_store(cfg, pname, wc.witness_field)
-        return False
-
-    def _flows_to_store(self, cfg: C.Cfg, start_local: str, field_name: str) -> bool:
-        taint = taint_fixpoint(cfg, cfg.entry, start_local)
-        for node, instr in enumerate(cfg.nodes):
-            if (
-                isinstance(instr, C.StoreField)
-                and instr.field == field_name
-                and instr.recv == C.THIS
-                and instr.src in taint.get(node, frozenset())
-            ):
-                return True
-        return False
+        ctor = cls.constructor(arity)
+        if ctor is None or position >= arity:
+            return False
+        cfg = self._cfg(cls, ctor)
+        stores = tainted_stores(cfg, cfg.entry, ctor.params[position].name)
+        return any(s.field == wc.witness_field and s.recv == C.THIS for s in stores)
 
     # --- escape engine ---
 
@@ -292,7 +284,7 @@ class EscapeAnalyzer:
         lm = self.libspec.method(instr.class_name, instr.class_name)
         if lm is not None and position < len(lm.param_ownership) and lm.param_ownership[position] == "notowning":
             return  # safe borrow
-        add(PASSED_AS_ARG, f"{instr.class_name}.<init>#{position}")
+        add(PASSED_AS_ARG, f"{instr.class_name}.{sx.CONSTRUCTOR}#{position}")
 
     def _wrapper_sink(
         self,
@@ -312,12 +304,12 @@ class EscapeAnalyzer:
         if wc.kind == NOT_A_WRAPPER:
             return False
         if instr.class_name in visited_wrappers:
-            add(PASSED_AS_ARG, f"{instr.class_name}.<init> (wrapper revisited)")
+            add(PASSED_AS_ARG, f"{instr.class_name}.{sx.CONSTRUCTOR} (wrapper revisited)")
             return True
         arity = len(instr.args)
         for p in positions:
             if not self.ctor_param_reaches_witness(instr.class_name, arity, p):
-                add(PASSED_AS_ARG, f"{instr.class_name}.<init>#{p}")
+                add(PASSED_AS_ARG, f"{instr.class_name}.{sx.CONSTRUCTOR}#{p}")
                 return True
         sinks.append((instr.class_name, wc.kind))
         sub_routes, sub_sinks = self._collect_routes(

@@ -370,7 +370,7 @@ class Interpreter:
                 obj.fields[fld.name] = (
                     self.eval_expr(fld.initializer, _Env(), obj, user) if fld.initializer is not None else None
                 )
-            ctor = next((c for c in user.constructors if len(c.params) == len(args)), None)
+            ctor = user.constructor(len(args))
             if ctor is None:
                 if args or user.constructors:
                     raise MiniJRuntimeError("NoSuchConstructor", f"{expr.class_name}/{len(args)}")

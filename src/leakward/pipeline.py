@@ -33,19 +33,15 @@ from .checker import (
     filter_constructor_first_writes,
     warning_id,
 )
-from .errors import AmbiguousMapping, MaterializationFailure, StaleWarning
-from .escape import EscapeAnalyzer, EscapeResult, taint_fixpoint
+from .errors import AmbiguousMapping, AnnotationConflict, DuplicateName, MaterializationFailure, StaleWarning
+from .errors import SyntaxError as MiniJSyntaxError
+from .escape import EscapeAnalyzer, EscapeResult, tainted_stores
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
+from .parser import parse
 from .printer import pretty_print
-from .repair import (
-    Unfixable,
-    apply_plan_in_place,
-    method_by_cfg_name,
-    plan_fix,
-    unified_diff_text,
-)
+from .repair import Unfixable, apply_plan_in_place, locate_anchor, plan_fix, unified_diff_text
 from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -164,8 +160,6 @@ def build_shift_map(
     to the w_orig warning at the library allocation its @Owning field chain
     reaches inside the wrapper's constructors; overwrite warnings and library
     warnings map to themselves."""
-    from .repair import locate_anchor
-
     orig_ids = {w.id for w in w_orig}
     pairs: dict[str, str] = {}
     mult: dict[str, int] = {}
@@ -227,43 +221,21 @@ def _chain_roots(
             if alloc.ast_nid in seen_nids:
                 continue  # finally duplication repeats instructions
             seen_nids.add(alloc.ast_nid)
-            if not _alloc_flows_to_owning_store(cfg, node, alloc, owning_fields, wrapper):
+            stores = tainted_stores(cfg, node, alloc.dst)
+            if not any(s.field in owning_fields and s.field_class == wrapper for s in stores):
                 continue
             if program.class_named(alloc.class_name) is not None:
                 roots |= _chain_roots(
                     alloc.class_name, len(alloc.args), file, program, specs, libspec, orig_ids, seen
                 )
                 continue
-            ordinal = _ctor_new_ordinal(ctor, alloc.ast_nid, alloc.class_name)
+            ordinal = sx.anchor_ordinal(ctor, "new", alloc.class_name, alloc.ast_nid)
             wid = warning_id(
                 UNSATISFIED_OBLIGATION, file, wrapper, cfg.method_name, "new", alloc.class_name, ordinal
             )
             if wid in orig_ids:
                 roots.add(wid)
     return roots
-
-
-def _alloc_flows_to_owning_store(cfg: C.Cfg, node: int, alloc: C.Alloc, owning_fields: list[str], wrapper: str) -> bool:
-    taint = taint_fixpoint(cfg, node, alloc.dst)
-    for i, ins in enumerate(cfg.nodes):
-        if (
-            isinstance(ins, C.StoreField)
-            and ins.field in owning_fields
-            and ins.field_class == wrapper
-            and ins.src in taint.get(i, frozenset())
-        ):
-            return True
-    return False
-
-
-def _ctor_new_ordinal(ctor: sx.MethodDecl, ast_nid: int, class_name: str) -> int:
-    count = 0
-    for e in sx.walk_exprs(ctor.body):
-        if isinstance(e, sx.New) and e.class_name == class_name:
-            if e.nid == ast_nid:
-                return count
-            count += 1
-    return count
 
 
 # --- per-file pipeline -------------------------------------------------------
@@ -333,7 +305,7 @@ def escape_for(
     if w.kind != UNSATISFIED_OBLIGATION:
         return None
     cls = program.class_named(w.class_name)
-    meth = method_by_cfg_name(cls, w.method_name) if cls else None
+    meth = cls.member(w.method_name) if cls else None
     if meth is None:
         return None
     cfg = C.lower(program, cls, meth, libspec)
@@ -357,7 +329,7 @@ def run_file_pipeline(
 
     # stage 4: code transformations
     edit_log = EditLog()
-    current = copy.deepcopy(program)
+    current = program  # each transform returns a fresh copy
     if config.enable_transforms:
         current, log1 = finalize_fields(current, libspec)
         edit_log.extend(log1)
@@ -447,15 +419,18 @@ def run_file_pipeline(
 def run_pipeline(
     sources: list[tuple[str, str]], libspec: LibrarySpec, config: Optional[PipelineConfig] = None
 ) -> PipelineReport:
-    """Full pipeline over (name, text) sources; deterministic and pure."""
-    from .parser import parse
-
+    """Full pipeline over (name, text) sources; deterministic and pure. A
+    file that does not parse, lower or annotate is left out with an entry in
+    `errors` and exit code 4 (unless a validation failure makes it 3)."""
     config = config or PipelineConfig()
     files: dict[str, FileResult] = {}
     errors: list[str] = []
     for name, text in sorted(sources):
-        program = parse(text, name)
-        files[name] = run_file_pipeline(program, libspec, config)
+        try:
+            files[name] = run_file_pipeline(parse(text, name), libspec, config)
+        except (MiniJSyntaxError, DuplicateName, AnnotationConflict) as e:
+            errors.append(f"{name}: {type(e).__name__}: {e}")
+    bad_files = bool(errors)
 
     w_orig_all = [w for fr in files.values() for w in fr.w_orig]
     w_xform_all = [w for fr in files.values() for w in fr.w_xform]
@@ -509,7 +484,7 @@ def run_pipeline(
     any_unfixable = any(st in ("unfixable",) for fr in files.values() for st, _ in fr.fix_status.values()) or any(
         st == "unfixable" for st, _ in dispositions_orig.values()
     )
-    exit_code = 3 if any_validation_failure else (2 if any_unfixable else 0)
+    exit_code = 3 if any_validation_failure else 4 if bad_files else 2 if any_unfixable else 0
     return PipelineReport(
         files=files,
         pair=pair,

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import copy
 import difflib
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional, Union
 
-from . import cfg as C
 from . import syntax as sx
-from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning, stores_to_field
+from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
 from .errors import MaterializationFailure, StaleWarning
 from .escape import EscapeAnalyzer, EscapeResult, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
 from .libspec import LibrarySpec
@@ -91,43 +90,17 @@ class Patch:
 # --- anchor lookup -----------------------------------------------------------
 
 
-def method_by_cfg_name(cls: sx.ClassDecl, cfg_name: str) -> Optional[sx.MethodDecl]:
-    if cfg_name.startswith("<init>#"):
-        arity = int(cfg_name.split("#", 1)[1])
-        for ctor in cls.constructors:
-            if len(ctor.params) == arity:
-                return ctor
-        return None
-    return cls.method_named(cfg_name)
-
-
 def locate_anchor(warning: Warning, program: sx.Program) -> sx.Node:
     """Find the AST node a warning names, via its structural descriptor."""
     cls = program.class_named(warning.class_name)
     if cls is None:
         raise StaleWarning(f"{warning.id}: class {warning.class_name} is gone")
-    method = method_by_cfg_name(cls, warning.method_name)
+    method = cls.member(warning.method_name)
     if method is None:
         raise StaleWarning(f"{warning.id}: method {warning.method_name} is gone")
-    if warning.anchor_kind == "new":
-        count = 0
-        for e in sx.walk_exprs(method.body):
-            if isinstance(e, sx.New) and e.class_name == warning.anchor_token:
-                if count == warning.ordinal:
-                    return e
-                count += 1
-    elif warning.anchor_kind == "call":
-        count = 0
-        for e in sx.walk_exprs(method.body):
-            if isinstance(e, sx.Call):
-                if count == warning.ordinal:
-                    return e
-                count += 1
-    elif warning.anchor_kind == "store":
-        _, _, fname = warning.anchor_token.partition(".")
-        stores = stores_to_field(method, fname)
-        if warning.ordinal < len(stores):
-            return stores[warning.ordinal]
+    nodes = list(sx.anchors(method, warning.anchor_kind, warning.anchor_token))
+    if 0 <= warning.ordinal < len(nodes):
+        return nodes[warning.ordinal]
     raise StaleWarning(f"{warning.id}: no anchor matches {warning.descriptor()}")
 
 
@@ -148,22 +121,7 @@ def rebind_warning(data: dict, program: sx.Program) -> Warning:
         ordinal=int(ordinal),
     )
     node = locate_anchor(w, program)  # raises StaleWarning if unmatched
-    site = node.site if isinstance(node, sx.New) else -1
-    return Warning(
-        id=w.id,
-        kind=w.kind,
-        file=w.file,
-        line=w.line,
-        resource_class=w.resource_class,
-        message=w.message,
-        class_name=class_name,
-        method_name=method_name,
-        anchor_kind=anchor_kind,
-        anchor_token=anchor_token,
-        ordinal=int(ordinal),
-        ast_nid=node.nid,
-        site=site,
-    )
+    return replace(w, ast_nid=node.nid, site=node.site if isinstance(node, sx.New) else -1)
 
 
 # --- eligibility -------------------------------------------------------------
@@ -202,7 +160,7 @@ def pre_close_check(
     if fld.initializer is not None:
         writes.append(fld.initializer)
     for m in cls.all_methods():
-        writes.extend(s.value for s in stores_to_field(m, field_name))
+        writes.extend(s.value for s in sx.stores_to_field(m, field_name))
     for value in writes:
         if isinstance(value, sx.NullLit):
             continue
@@ -254,19 +212,19 @@ def plan_fix(
     if not finalizers:
         return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
     cls = program.class_named(warning.class_name)
-    method = method_by_cfg_name(cls, warning.method_name) if cls else None
+    method = cls.member(warning.method_name) if cls else None
     if method is None:
         return Unfixable(warning.id, NO_IR_MATCH, detail="enclosing method not found")
-    located = _locate_stmt(method.body, anchor)
-    if located is None:
+    path = _template_path(method.body, anchor)
+    if path is None:
         return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
-    block, idx, try_chain = located
-    stmt = block.stmts[idx]
-    in_try_body = bool(try_chain)
-    template = CLOSE_IN_FINALLY if in_try_body else TRY_FINALLY_WRAP
-    anchors = {"expr": anchor.nid, "stmt": stmt.nid, "block": block.nid}
-    if in_try_body:
-        anchors["try"] = try_chain[-1].nid
+    block, idx = path[-1]
+    tries = sx.try_slots(path)
+    template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
+    anchors = {"expr": anchor.nid, "stmt": block.stmts[idx].nid, "block": block.nid}
+    if tries:
+        try_block, try_idx = tries[-1]
+        anchors["try"] = try_block.stmts[try_idx].nid
     return RepairPlan(
         warning_id=warning.id,
         template=template,
@@ -290,56 +248,17 @@ def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -
     return tuple(names)
 
 
-def _locate_stmt(
-    body: sx.Block, anchor: sx.Node
-) -> Optional[tuple[sx.Block, int, list[sx.Try]]]:
-    """Find (block, index, enclosing-try-bodies) of the statement containing anchor."""
-
-    def stmt_contains(s: sx.Stmt) -> bool:
-        if s.nid == anchor.nid:
-            return True
-        return any(e.nid == anchor.nid for e in sx.walk_exprs(s))
-
-    def direct_exprs(s: sx.Stmt) -> bool:
-        # anchor must belong to the statement itself, not a nested block
-        if isinstance(s, sx.LocalDecl):
-            return s.init is not None and any(e.nid == anchor.nid for e in sx.walk_exprs_of_expr(s.init))
-        if isinstance(s, sx.Assign):
-            return any(
-                e.nid == anchor.nid for e in list(sx.walk_exprs_of_expr(s.value)) + list(sx.walk_exprs_of_expr(s.target))
-            )
-        if isinstance(s, sx.ExprStmt):
-            return any(e.nid == anchor.nid for e in sx.walk_exprs_of_expr(s.expr))
-        if isinstance(s, sx.Return):
-            return s.value is not None and any(e.nid == anchor.nid for e in sx.walk_exprs_of_expr(s.value))
-        return False
-
-    def search(block: sx.Block, tries: list[sx.Try]) -> Optional[tuple[sx.Block, int, list[sx.Try]]]:
-        for i, s in enumerate(block.stmts):
-            if direct_exprs(s):
-                return block, i, list(tries)
-            if isinstance(s, sx.If) and stmt_contains(s):
-                for sub in (s.then_block, s.else_block):
-                    if sub is not None:
-                        r = search(sub, tries)
-                        if r is not None:
-                            return r
-                if s.cond is not None and any(e.nid == anchor.nid for e in sx.walk_exprs_of_expr(s.cond)):
-                    return None  # allocation in a condition: no statement slot
-            elif isinstance(s, sx.While) and stmt_contains(s):
-                return None  # loop-allocated: needs a template we do not provide
-            elif isinstance(s, sx.Try) and stmt_contains(s):
-                r = search(s.body, tries + [s])
-                if r is not None:
-                    return r
-                for sub in (s.catch_block, s.finally_block):
-                    if sub is not None:
-                        r = search(sub, tries)
-                        if r is not None:
-                            return r
+def _template_path(body: sx.Block, anchor: sx.Node) -> Optional[sx.StmtPath]:
+    """`stmt_path` to the statement holding an allocation, or None when no
+    statement slot takes a template: a loop on the path (loop-allocated values
+    need a template we do not provide), or the anchor in an if/while condition."""
+    path = sx.stmt_path(body, anchor)
+    if path is None:
         return None
-
-    return search(body, [])
+    stmts = [block.stmts[i] for block, i in path]
+    if isinstance(stmts[-1], sx.If) or any(isinstance(s, sx.While) for s in stmts):
+        return None
+    return path
 
 
 # --- materialization ---------------------------------------------------------
@@ -374,20 +293,7 @@ def unified_diff_text(before: str, after: str, name: str) -> str:
 
 
 def _find_node(program: sx.Program, nid: int) -> Optional[sx.Node]:
-    for cls in program.classes:
-        for meth in cls.all_methods():
-            if meth.nid == nid:
-                return meth
-            for s in sx.walk_stmts(meth.body):
-                if s.nid == nid:
-                    return s
-            for e in sx.walk_exprs(meth.body):
-                if e.nid == nid:
-                    return e
-        for f in cls.fields:
-            if f.nid == nid:
-                return f
-    return None
+    return next((n for n in sx.walk_nodes(program) if n.nid == nid), None)
 
 
 def _apply_plan(program: sx.Program, plan: RepairPlan) -> list[dict]:
@@ -408,25 +314,8 @@ def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tupl
         then_block=sx.Block(stmts=calls),
         else_block=None,
     )
-    _note_new_subtree(program, guard, anchor)
+    program.adopt(guard, anchor)
     return guard
-
-
-def _note_new_subtree(program: sx.Program, root: sx.Node, anchor: sx.Node) -> None:
-    program.inherit_pos(root, anchor)
-    if isinstance(root, sx.Stmt):
-        for s in sx.walk_stmts(root):
-            program.inherit_pos(s, anchor)
-        for e in sx.walk_exprs(root):
-            program.inherit_pos(e, anchor)
-        if isinstance(root, sx.If):
-            for b in (root.then_block, root.else_block):
-                if b is not None:
-                    program.inherit_pos(b, anchor)
-        if isinstance(root, sx.Try):
-            for b in (root.body, root.catch_block, root.finally_block):
-                if b is not None:
-                    program.inherit_pos(b, anchor)
 
 
 def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
@@ -434,13 +323,13 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
     if store is None or not isinstance(store, sx.Assign):
         raise MaterializationFailure("StaleAnchor", f"store anchor for {plan.warning_id}")
     cls = program.class_named(plan.class_name)
-    method = method_by_cfg_name(cls, plan.method_name) if cls else None
+    method = cls.member(plan.method_name) if cls else None
     if method is None:
         raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
-    located = _locate_stmt_by_identity(method.body, store)
-    if located is None:
+    path = sx.stmt_path(method.body, store)
+    if path is None:
         raise MaterializationFailure("StaleAnchor", "store not in a statement list")
-    block, idx = located
+    block, idx = path[-1]
     if _already_pre_closed(block, idx, store):
         raise MaterializationFailure("StaleAnchor", "pre-close already present")
     exc_name = _exception_name(method)
@@ -464,7 +353,7 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
         then_block=sx.Block(stmts=[try_stmt]),
         else_block=None,
     )
-    _note_new_subtree(program, guard, store)
+    program.adopt(guard, store)
     block.stmts.insert(idx, guard)
     return [
         {
@@ -513,40 +402,18 @@ def _exception_name(method: sx.MethodDecl) -> str:
     return f"e{i}"
 
 
-def _locate_stmt_by_identity(body: sx.Block, target: sx.Stmt) -> Optional[tuple[sx.Block, int]]:
-    def search(block: sx.Block) -> Optional[tuple[sx.Block, int]]:
-        for i, s in enumerate(block.stmts):
-            if s is target:
-                return block, i
-            subs: list[Optional[sx.Block]] = []
-            if isinstance(s, sx.If):
-                subs = [s.then_block, s.else_block]
-            elif isinstance(s, sx.While):
-                subs = [s.body]
-            elif isinstance(s, sx.Try):
-                subs = [s.body, s.catch_block, s.finally_block]
-            for sub in subs:
-                if sub is not None:
-                    r = search(sub)
-                    if r is not None:
-                        return r
-        return None
-
-    return search(body)
-
-
 def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     expr = _find_node(program, plan.anchors["expr"])
     if expr is None or not isinstance(expr, (sx.New, sx.Call)):
         raise MaterializationFailure("StaleAnchor", f"expression anchor for {plan.warning_id}")
     cls = program.class_named(plan.class_name)
-    method = method_by_cfg_name(cls, plan.method_name) if cls else None
+    method = cls.member(plan.method_name) if cls else None
     if method is None:
         raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
-    located = _locate_stmt(method.body, expr)
-    if located is None:
+    path = _template_path(method.body, expr)
+    if path is None:
         raise MaterializationFailure("StaleAnchor", "allocation is not inside a statement list")
-    block, idx, try_chain = located
+    block, idx = path[-1]
     stmt = block.stmts[idx]
     fresh = FreshNames(program)
     edits: list[dict] = []
@@ -557,8 +424,8 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
         var = stmt.name
         assign = sx.Assign(target=sx.VarRef(name=var), value=stmt.init)
         decl = sx.LocalDecl(type_name=stmt.type_name, name=var, init=sx.NullLit())
-        _note_new_subtree(program, assign, stmt)
-        _note_new_subtree(program, decl, stmt)
+        program.adopt(assign, stmt)
+        program.adopt(decl, stmt)
         block.stmts[idx] = assign
         hoisted: Optional[sx.LocalDecl] = decl
     elif isinstance(stmt, sx.Assign) and isinstance(stmt.target, sx.VarRef) and stmt.value.nid == expr.nid:
@@ -570,10 +437,10 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
         plan.fresh_names.append(var)
         decl = sx.LocalDecl(type_name=plan.resource_class, name=var, init=sx.NullLit())
         assign = sx.Assign(target=sx.VarRef(name=var), value=expr)
-        _note_new_subtree(program, decl, stmt)
-        _note_new_subtree(program, assign, stmt)
-        replaced = _replace_expr(stmt, expr, sx.VarRef(name=var))
-        if not replaced:
+        program.adopt(decl, stmt)
+        program.adopt(assign, stmt)
+        ref = sx.VarRef(name=var)
+        if not sx.map_exprs(stmt, lambda e: ref if e is expr else None):
             raise MaterializationFailure("StaleAnchor", "could not extract the allocation")
         if isinstance(stmt, sx.ExprStmt) and isinstance(stmt.expr, sx.VarRef):
             block.stmts[idx] = assign  # the statement was just the extracted expression
@@ -585,13 +452,10 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     guard = _guarded_close(program, stmt, var, plan.finalizer_methods)
 
     if plan.template == CLOSE_IN_FINALLY:
-        try_stmt = try_chain[-1]
+        try_block, try_idx = sx.try_slots(path)[-1]
+        try_stmt = try_block.stmts[try_idx]
         if hoisted is not None:
-            outer = _locate_stmt_by_identity(method.body, try_stmt)
-            if outer is None:
-                raise MaterializationFailure("StaleAnchor", "enclosing try vanished")
-            outer_block, outer_idx = outer
-            outer_block.stmts.insert(outer_idx, hoisted)
+            try_block.stmts.insert(try_idx, hoisted)
         if try_stmt.finally_block is None:
             try_stmt.finally_block = sx.Block(stmts=[guard])
             program.inherit_pos(try_stmt.finally_block, try_stmt)
@@ -619,36 +483,3 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     block.stmts.append(try_stmt)
     edits.append({"edit": "try-finally-wrap", "warningId": plan.warning_id, "var": var, "moved": len(suffix)})
     return edits
-
-
-def _replace_expr(stmt: sx.Stmt, old: sx.Expr, new: sx.Expr) -> bool:
-    """Swap one expression node for another within a statement."""
-
-    def fix(e: sx.Expr) -> sx.Expr:
-        if e.nid == old.nid:
-            return new
-        if isinstance(e, sx.New):
-            e.args = [fix(a) for a in e.args]
-        elif isinstance(e, sx.Call):
-            e.receiver = fix(e.receiver)
-            e.args = [fix(a) for a in e.args]
-        elif isinstance(e, sx.FieldRef):
-            e.receiver = fix(e.receiver)
-        elif isinstance(e, sx.Eq):
-            e.lhs = fix(e.lhs)
-            e.rhs = fix(e.rhs)
-        return e
-
-    found = any(e.nid == old.nid for e in sx.walk_exprs(stmt))
-    if not found:
-        return False
-    if isinstance(stmt, sx.LocalDecl) and stmt.init is not None:
-        stmt.init = fix(stmt.init)
-    elif isinstance(stmt, sx.Assign):
-        stmt.target = fix(stmt.target)  # type: ignore[assignment]
-        stmt.value = fix(stmt.value)
-    elif isinstance(stmt, sx.ExprStmt):
-        stmt.expr = fix(stmt.expr)
-    elif isinstance(stmt, sx.Return) and stmt.value is not None:
-        stmt.value = fix(stmt.value)
-    return True

@@ -1,18 +1,27 @@
-"""MiniJ abstract syntax.
+"""MiniJ abstract syntax and the one place that names, finds and rewrites
+its nodes.
 
 Node identity (``nid``) and allocation-site ids are excluded from structural
 equality, so ``parse(pretty_print(p)) == p`` holds position-free. Source
 positions live in ``Program.line_index`` keyed by node id, never on the nodes
 themselves.
+
+Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
+warnings do; ``anchors`` lists the nodes a warning ordinal counts;
+``stmt_path`` finds the statement holding a node; ``map_exprs`` swaps
+expressions; ``Program.adopt`` positions a synthesized subtree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 _node_counter = itertools.count(1)
+
+# the member name of a constructor; `member_key` appends `#<arity>`
+CONSTRUCTOR = "<init>"
 
 
 def fresh_nid() -> int:
@@ -195,6 +204,16 @@ class MethodDecl(Node):
     def is_static(self) -> bool:
         return "static" in self.modifiers
 
+    @property
+    def is_constructor(self) -> bool:
+        return self.return_type == ""
+
+
+def member_key(meth: MethodDecl) -> str:
+    """How CFGs and warnings name a member: `<init>#<arity>` for a constructor
+    (arities are unique within a class), the name for a method."""
+    return f"{CONSTRUCTOR}#{len(meth.params)}" if meth.is_constructor else meth.name
+
 
 @dataclass
 class ClassDecl(Node):
@@ -216,6 +235,15 @@ class ClassDecl(Node):
             if m.name == name:
                 return m
         return None
+
+    def constructor(self, arity: int) -> Optional[MethodDecl]:
+        return next((c for c in self.constructors if len(c.params) == arity), None)
+
+    def member(self, key: str) -> Optional[MethodDecl]:
+        """The constructor or method `member_key` names `key`."""
+        if key.startswith(CONSTRUCTOR + "#"):
+            return self.constructor(int(key[len(CONSTRUCTOR) + 1 :]))
+        return self.method_named(key)
 
     def all_methods(self) -> list[MethodDecl]:
         return list(self.constructors) + list(self.methods)
@@ -242,7 +270,13 @@ class Program(Node):
 
     def inherit_pos(self, node: Node, anchor: Node) -> None:
         """Give a synthesized node the position of the original node it hangs off."""
-        self.line_index[node.nid] = self.line_index.get(anchor.nid, (0, 0))
+        self.line_index[node.nid] = self.pos_of(anchor.nid)
+
+    def adopt(self, root: Node, anchor: Node) -> None:
+        """Give every node of a synthesized subtree the position of `anchor`."""
+        pos = self.pos_of(anchor.nid)
+        for node in walk_nodes(root):
+            self.line_index[node.nid] = pos
 
 
 # --- traversal helpers -----------------------------------------------------
@@ -320,3 +354,124 @@ def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annot
         if a.kind == kind:
             return a
     return None
+
+
+def walk_nodes(root: Node) -> Iterator[Node]:
+    """root and every node under it, preorder, children in field order."""
+    yield root
+    for value in vars(root).values():
+        if isinstance(value, Node):
+            yield from walk_nodes(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, Node):
+                    yield from walk_nodes(item)
+
+
+# --- naming, finding and rewriting ------------------------------------------
+
+
+def shadowed(method: MethodDecl, name: str) -> bool:
+    """Does a parameter or some local of the method take the name?"""
+    return any(p.name == name for p in method.params) or any(
+        isinstance(s, LocalDecl) and s.name == name for s in walk_stmts(method.body)
+    )
+
+
+def stores_to_field(method: MethodDecl, field_name: str) -> list[Assign]:
+    """Assign statements writing the named field, in AST order.
+
+    A bare `f = e;` target counts when no parameter or local shadows f.
+    """
+    bare = not shadowed(method, field_name)
+    out = []
+    for s in walk_stmts(method.body):
+        if not isinstance(s, Assign):
+            continue
+        t = s.target
+        if isinstance(t, FieldRef) and t.name == field_name:
+            out.append(s)
+        elif isinstance(t, VarRef) and t.name == field_name and bare:
+            out.append(s)
+    return out
+
+
+def anchors(method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
+    """The nodes a warning ordinal counts, in AST order: for `new` the `New`s
+    of class `token`, for `call` every `Call`, for `store` the stores to the
+    field of `token` = `Class.field`; nothing for another kind."""
+    if kind == "store":
+        yield from stores_to_field(method, token.partition(".")[2])
+        return
+    for e in walk_exprs(method.body):
+        if (kind == "call" and isinstance(e, Call)) or (kind == "new" and isinstance(e, New) and e.class_name == token):
+            yield e
+
+
+def anchor_ordinal(method: MethodDecl, kind: str, token: str, nid: int) -> int:
+    """Index of node `nid` in `anchors(method, kind, token)`. A store the
+    lowering takes for a field write but `stores_to_field` does not list (a
+    local of that name elsewhere in the method) counts as 0."""
+    for i, node in enumerate(anchors(method, kind, token)):
+        if node.nid == nid:
+            return i
+    return 0
+
+
+StmtPath = list[tuple[Block, int]]
+
+
+def stmt_path(body: Block, node: Node) -> Optional[StmtPath]:
+    """(block, index) pairs from `body` down to the innermost statement that
+    is `node` or holds it in its own expressions (an `if` condition counts,
+    a nested block does not), matched by identity; None if body lacks it."""
+    for i, s in enumerate(body.stmts):
+        if s is node:
+            return [(body, i)]
+        parts = [v for v in vars(s).values() if isinstance(v, (Expr, Block))]
+        if any(e is node for part in parts if isinstance(part, Expr) for e in walk_exprs(part)):
+            return [(body, i)]
+        for part in parts:
+            if isinstance(part, Block):
+                rest = stmt_path(part, node)
+                if rest is not None:
+                    return [(body, i), *rest]
+    return None
+
+
+def try_slots(path: StmtPath) -> StmtPath:
+    """The pairs of `path` at a `Try` whose body (not catch or finally) the
+    path goes on into, outermost first."""
+    return [
+        (block, i)
+        for (block, i), (inner, _j) in zip(path, path[1:])
+        if isinstance(block.stmts[i], Try) and inner is block.stmts[i].body
+    ]
+
+
+def map_exprs(root: Node, fn: Callable[[Expr], Optional[Expr]]) -> int:
+    """Put `fn(e)` into each expression slot under root whose expression `e`
+    it maps to a new node, preorder; an expression kept (`fn` gives None or
+    `e`) is searched on, a replacement is not. Returns the slots replaced."""
+    replaced = 0
+
+    def slot(value):
+        nonlocal replaced
+        if isinstance(value, Expr):
+            new = fn(value)
+            if new is not None and new is not value:
+                replaced += 1
+                return new
+        if isinstance(value, Node):
+            visit(value)
+        return value
+
+    def visit(node: Node) -> None:
+        for name, value in list(vars(node).items()):
+            if isinstance(value, list):
+                value[:] = [slot(item) for item in value]
+            elif isinstance(value, Node):
+                setattr(node, name, slot(value))
+
+    visit(root)
+    return replaced

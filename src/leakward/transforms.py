@@ -25,8 +25,8 @@ from typing import Optional
 
 from . import cfg as C
 from . import syntax as sx
-from .checker import Warning, stores_to_field
-from .escape import taint_fixpoint
+from .checker import Warning
+from .escape import tainted_stores
 from .inference import disposes
 from .libspec import LibrarySpec
 from .specs import SpecSet, resource_must_call
@@ -111,10 +111,10 @@ def finalize_fields(program: sx.Program, libspec: Optional[LibrarySpec] = None) 
 
 
 def _finalize_eligible(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, libspec: LibrarySpec) -> bool:
-    method_writers = [m for m in cls.methods if stores_to_field(m, fld.name)]
+    method_writers = [m for m in cls.methods if sx.stores_to_field(m, fld.name)]
     if method_writers:
         return False
-    ctor_writers = [c for c in cls.constructors if stores_to_field(c, fld.name)]
+    ctor_writers = [c for c in cls.constructors if sx.stores_to_field(c, fld.name)]
     if fld.has("static"):
         return fld.initializer is not None and not ctor_writers
     if fld.initializer is not None:
@@ -139,28 +139,10 @@ def _writes_exactly_once_per_normal_path(
     if not stores:
         return False
     # max <= 1: no store reaches another store (or itself through a cycle)
-    for a in stores:
-        reach: set[int] = set()
-        work = list(cfg.succs(a))
-        while work:
-            n = work.pop()
-            if n in reach:
-                continue
-            reach.add(n)
-            work.extend(cfg.succs(n))
-        if any(b in reach for b in stores):
-            return False
+    if any(cfg.reachable(cfg.succs(a)).intersection(stores) for a in stores):
+        return False
     # min >= 1 along pure-normal paths: exit unreachable once stores are removed
-    blocked = set(stores)
-    reach = set()
-    work = [cfg.entry]
-    while work:
-        n = work.pop()
-        if n in reach or n in blocked:
-            continue
-        reach.add(n)
-        work.extend(t for t in cfg.succs(n, C.NORMAL) if t not in blocked)
-    return cfg.exit not in reach
+    return cfg.exit not in cfg.reachable([cfg.entry], C.NORMAL, blocked=set(stores))
 
 
 def _apply_finalize(
@@ -169,15 +151,15 @@ def _apply_finalize(
     touched = [fld.nid]
     rewrites = []
     for ctor in cls.constructors:
-        store = next(iter(stores_to_field(ctor, fld.name)), None)
+        store = next(iter(sx.stores_to_field(ctor, fld.name)), None)
         if store is None:
             continue
-        enclosing_try = _enclosing_try(ctor.body, store)
-        if enclosing_try is not None:
-            rewrites.append((ctor, store, enclosing_try))
-    for ctor, store, try_stmt in rewrites:
+        tries = sx.try_slots(sx.stmt_path(ctor.body, store))
+        if tries:
+            rewrites.append((store, tries[-1]))
+    for store, try_slot in rewrites:
         temp = fresh.next(hint=fld.name)
-        touched += _temp_rewrite(program, ctor, store, try_stmt, fld, temp)
+        touched += _temp_rewrite(program, store, try_slot, fld, temp)
     fld.modifiers = tuple([m for m in fld.modifiers] + ["final"])
     log.entries.append(
         EditEntry(
@@ -192,69 +174,26 @@ def _apply_finalize(
     )
 
 
-def _enclosing_try(block: sx.Block, target: sx.Stmt) -> Optional[sx.Try]:
-    """Innermost try whose body (not catch/finally) contains target."""
-
-    def search(b: sx.Block, trail: list[sx.Try]) -> Optional[list[sx.Try]]:
-        for s in b.stmts:
-            if s is target:
-                return list(trail)
-            if isinstance(s, sx.If):
-                for sub in (s.then_block, s.else_block):
-                    if sub is not None:
-                        r = search(sub, trail)
-                        if r is not None:
-                            return r
-            elif isinstance(s, sx.While):
-                r = search(s.body, trail)
-                if r is not None:
-                    return r
-            elif isinstance(s, sx.Try):
-                r = search(s.body, trail + [s])
-                if r is not None:
-                    return r
-                for sub in (s.catch_block, s.finally_block):
-                    if sub is not None:
-                        r = search(sub, trail)
-                        if r is not None:
-                            return r
-        return None
-
-    trail = search(block, [])
-    if not trail:
-        return None
-    return trail[-1]
-
-
 def _temp_rewrite(
-    program: sx.Program, ctor: sx.MethodDecl, store: sx.Assign, try_stmt: sx.Try, fld: sx.FieldDecl, temp: str
+    program: sx.Program, store: sx.Assign, try_slot: tuple[sx.Block, int], fld: sx.FieldDecl, temp: str
 ) -> list[int]:
-    """Null-initialized temp before the try, assign the temp inside the try,
-    copy the temp into the field in a (possibly new) finally."""
-    null_init = sx.NullLit()
-    temp_decl = sx.LocalDecl(type_name=fld.declared_type, name=temp, init=null_init)
-    idx = _stmt_index(ctor.body, try_stmt)
-    assert idx is not None
-    ctor.body.stmts.insert(idx, temp_decl)
+    """Null-initialized temp before the try (in the try's own block), assign
+    the temp inside the try, copy the temp into the field in a (possibly new)
+    finally."""
+    block, idx = try_slot
+    try_stmt = block.stmts[idx]
+    temp_decl = sx.LocalDecl(type_name=fld.declared_type, name=temp, init=sx.NullLit())
+    block.stmts.insert(idx, temp_decl)
     # retarget the original store
     store.target = sx.VarRef(name=temp)
     field_assign = sx.Assign(target=sx.VarRef(name=fld.name), value=sx.VarRef(name=temp))
     if try_stmt.finally_block is None:
-        try_stmt.finally_block = sx.Block(stmts=[field_assign])
-    else:
-        try_stmt.finally_block.stmts.append(field_assign)
-    for node in (null_init, temp_decl, store.target, field_assign, field_assign.target, field_assign.value):
-        program.inherit_pos(node, try_stmt)
-    if try_stmt.finally_block is not None:
+        try_stmt.finally_block = sx.Block(stmts=[])
         program.inherit_pos(try_stmt.finally_block, try_stmt)
+    try_stmt.finally_block.stmts.append(field_assign)
+    for node in (temp_decl, store.target, field_assign):
+        program.adopt(node, try_stmt)
     return [temp_decl.nid, field_assign.nid]
-
-
-def _stmt_index(block: sx.Block, stmt: sx.Stmt) -> Optional[int]:
-    for i, s in enumerate(block.stmts):
-        if s is stmt:
-            return i
-    return None
 
 
 # --- field_to_local ----------------------------------------------------------
@@ -273,16 +212,18 @@ def field_to_local(program: sx.Program, libspec: Optional[LibrarySpec] = None) -
     return out, log
 
 
-def _reads_of_field(method: sx.MethodDecl, cls: sx.ClassDecl, field_name: str) -> list[sx.Expr]:
-    shadowed = any(p.name == field_name for p in method.params) or any(
-        isinstance(s, sx.LocalDecl) and s.name == field_name for s in sx.walk_stmts(method.body)
-    )
-    write_targets = {s.target.nid for s in stores_to_field(method, field_name)}
+def _is_this_ref(e: sx.Expr, field_name: str) -> bool:
+    return isinstance(e, sx.FieldRef) and e.name == field_name and isinstance(e.receiver, sx.VarRef) and e.receiver.name == C.THIS
+
+
+def _reads_of_field(method: sx.MethodDecl, field_name: str) -> list[sx.Expr]:
+    shadowed = sx.shadowed(method, field_name)
+    write_targets = {s.target.nid for s in sx.stores_to_field(method, field_name)}
     reads = []
     for e in sx.walk_exprs(method.body):
         if e.nid in write_targets:
             continue
-        if isinstance(e, sx.FieldRef) and e.name == field_name and isinstance(e.receiver, sx.VarRef) and e.receiver.name == C.THIS:
+        if _is_this_ref(e, field_name):
             reads.append(e)
         elif isinstance(e, sx.VarRef) and e.name == field_name and not shadowed:
             reads.append(e)
@@ -292,38 +233,41 @@ def _reads_of_field(method: sx.MethodDecl, cls: sx.ClassDecl, field_name: str) -
 def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[sx.MethodDecl]:
     if not fld.has("private") or fld.initializer is not None:
         return None
-    readers = [m for m in cls.all_methods() if _reads_of_field(m, cls, fld.name)]
-    writers = [m for m in cls.all_methods() if stores_to_field(m, fld.name)]
+    readers = [m for m in cls.all_methods() if _reads_of_field(m, fld.name)]
+    writers = [m for m in cls.all_methods() if sx.stores_to_field(m, fld.name)]
     if len(readers) > 1 or len(writers) != 1:
         return None
     if readers and readers[0] is not writers[0]:
         return None
     m = writers[0]
     # the first write must be a top-level statement preceding every read
-    stores = stores_to_field(m, fld.name)
-    anchor = stores[0]
-    if anchor not in m.body.stmts:
+    anchor = sx.stores_to_field(m, fld.name)[0]
+    path = sx.stmt_path(m.body, anchor)
+    if len(path) != 1:
         return None
-    anchor_idx = m.body.stmts.index(anchor)
-    read_nids = {e.nid for e in _reads_of_field(m, cls, fld.name)}
-    for i, s in enumerate(m.body.stmts):
-        if i >= anchor_idx:
-            break
-        if any(e.nid in read_nids for e in sx.walk_exprs(s)):
-            return None
-    if any(e.nid in read_nids for e in sx.walk_exprs_of_expr(anchor.value)):
+    _body, anchor_idx = path[0]
+    read_nids = {e.nid for e in _reads_of_field(m, fld.name)}
+    before = [e for s in m.body.stmts[:anchor_idx] for e in sx.walk_exprs(s)]
+    if any(e.nid in read_nids for e in before + list(sx.walk_exprs(anchor.value))):
         return None
     return m
 
 
 def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, method: sx.MethodDecl, log: EditLog) -> None:
-    stores = stores_to_field(method, fld.name)
-    anchor = stores[0]
+    anchor = sx.stores_to_field(method, fld.name)[0]
     decl = sx.LocalDecl(type_name=fld.declared_type, name=fld.name, init=anchor.value)
     program.inherit_pos(decl, anchor)
-    idx = method.body.stmts.index(anchor)
+    [(_body, idx)] = sx.stmt_path(method.body, anchor)
     method.body.stmts[idx] = decl
-    _rewrite_this_refs(program, method.body, fld.name)
+
+    def local_ref(e: sx.Expr) -> Optional[sx.Expr]:
+        if not _is_this_ref(e, fld.name):
+            return None
+        ref = sx.VarRef(name=fld.name)
+        program.inherit_pos(ref, e)
+        return ref
+
+    sx.map_exprs(method.body, local_ref)
     cls.fields.remove(fld)
     log.entries.append(
         EditEntry(
@@ -335,58 +279,6 @@ def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, met
             meta={"method": method.name},
         )
     )
-
-
-def _rewrite_this_refs(program: sx.Program, block: sx.Block, field_name: str) -> None:
-    """Replace this.f reads/writes with bare f references."""
-
-    def fix_expr(e: sx.Expr) -> sx.Expr:
-        if isinstance(e, sx.FieldRef) and e.name == field_name and isinstance(e.receiver, sx.VarRef) and e.receiver.name == C.THIS:
-            v = sx.VarRef(name=field_name)
-            program.inherit_pos(v, e)
-            return v
-        if isinstance(e, sx.New):
-            e.args = [fix_expr(a) for a in e.args]
-        elif isinstance(e, sx.Call):
-            e.receiver = fix_expr(e.receiver)
-            e.args = [fix_expr(a) for a in e.args]
-        elif isinstance(e, sx.FieldRef):
-            e.receiver = fix_expr(e.receiver)
-        elif isinstance(e, sx.Eq):
-            e.lhs = fix_expr(e.lhs)
-            e.rhs = fix_expr(e.rhs)
-        return e
-
-    def fix_stmt(s: sx.Stmt) -> None:
-        if isinstance(s, sx.LocalDecl) and s.init is not None:
-            s.init = fix_expr(s.init)
-        elif isinstance(s, sx.Assign):
-            s.target = fix_expr(s.target)  # type: ignore[assignment]
-            s.value = fix_expr(s.value)
-        elif isinstance(s, sx.ExprStmt):
-            s.expr = fix_expr(s.expr)
-        elif isinstance(s, sx.Return) and s.value is not None:
-            s.value = fix_expr(s.value)
-        elif isinstance(s, sx.If):
-            s.cond = fix_expr(s.cond)
-            fix_block(s.then_block)
-            if s.else_block:
-                fix_block(s.else_block)
-        elif isinstance(s, sx.While):
-            s.cond = fix_expr(s.cond)
-            fix_block(s.body)
-        elif isinstance(s, sx.Try):
-            fix_block(s.body)
-            if s.catch_block:
-                fix_block(s.catch_block)
-            if s.finally_block:
-                fix_block(s.finally_block)
-
-    def fix_block(b: sx.Block) -> None:
-        for s in b.stmts:
-            fix_stmt(s)
-
-    fix_block(block)
 
 
 # --- inject_finalizers -------------------------------------------------------
@@ -428,12 +320,13 @@ def _warned_ctor_fields(
 ) -> list[tuple[str, list[str]]]:
     """Instance fields of cls receiving a warned constructor allocation, in
     field declaration order, with the driving warning ids."""
+    ctor_keys = {sx.member_key(c) for c in cls.constructors}
     ws = [
         w
         for w in warnings
         if w.kind == "UnsatisfiedObligation"
         and w.class_name == cls.name
-        and w.method_name.startswith("<init>#")
+        and w.method_name in ctor_keys
         and w.anchor_kind == "new"
     ]
     if not ws:
@@ -446,15 +339,8 @@ def _warned_ctor_fields(
             if w.site not in sites:
                 continue
             node = sites[w.site]
-            alloc = cfg.nodes[node]
-            taintmap = taint_fixpoint(cfg, node, alloc.dst)  # type: ignore[union-attr]
-            for i, ins in enumerate(cfg.nodes):
-                if (
-                    isinstance(ins, C.StoreField)
-                    and ins.recv == C.THIS
-                    and ins.field_class == cls.name
-                    and ins.src in taintmap.get(i, frozenset())
-                ):
+            for ins in tainted_stores(cfg, node, cfg.nodes[node].dst):  # type: ignore[union-attr]
+                if ins.recv == C.THIS and ins.field_class == cls.name:
                     fld = cls.field_named(ins.field)
                     if fld is not None and not fld.has("static"):
                         hits.setdefault(ins.field, []).append(w.id)
@@ -478,12 +364,10 @@ def _apply_inject(
         always_assigned = all(
             _writes_exactly_once_per_normal_path(program, cls, ctor, fname, libspec) for ctor in cls.constructors
         ) and bool(cls.constructors)
-        calls: list[sx.Stmt] = []
-        for d in sorted(resource_must_call(fld.declared_type, specs, libspec)):
-            call = sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
-            program.inherit_pos(call, cls)
-            program.inherit_pos(call.expr, cls)
-            calls.append(call)
+        calls: list[sx.Stmt] = [
+            sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
+            for d in sorted(resource_must_call(fld.declared_type, specs, libspec))
+        ]
         if always_assigned:
             stmts.extend(calls)
         else:
@@ -493,18 +377,12 @@ def _apply_inject(
                 then_block=sx.Block(stmts=calls),
                 else_block=None,
             )
-            program.inherit_pos(guard, cls)
             stmts.append(guard)
     body = sx.Block(stmts=stmts)
     close = sx.MethodDecl(
         name="close", params=[], return_type="void", body=body, annotations=[], modifiers=("public",)
     )
-    program.inherit_pos(close, cls)
-    program.inherit_pos(body, cls)
-    for node in sx.walk_stmts(body):
-        program.inherit_pos(node, cls)
-    for node in sx.walk_exprs(body):
-        program.inherit_pos(node, cls)
+    program.adopt(close, cls)
     cls.methods.append(close)
     implements_set = False
     if cls.implements is None:

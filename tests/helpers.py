@@ -1,13 +1,30 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
-and structural AST comparison modulo local-variable names."""
+structural AST comparison modulo local-variable names, and the corpus-plus-
+fuzz program list."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from leakward import cfg as C
 from leakward import syntax as sx
 from leakward.escape import taint_fixpoint
-from leakward.libspec import LibrarySpec
+from leakward.fuzz import fuzz_libspec, generate_source
+from leakward.libspec import LibrarySpec, load_library_spec
+from leakward.parser import parse
 from leakward.specs import OWNING, SpecSet, method_return_ownership, param_ownership
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def corpus_and_fuzz_programs():
+    """(program, libspec) for every corpus file and generate_source(0..59);
+    both have while loops, so back edges are exercised."""
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
+    programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
+    return programs
 
 
 def build_coverage(program: sx.Program, libspec: LibrarySpec, warnings, specs: SpecSet | None = None):

@@ -1,11 +1,10 @@
 """CFG lowering, try/finally duplication, the adjacency index, the dataflow solver, and must-alias analysis."""
 
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import corpus_and_fuzz_programs
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
@@ -119,26 +118,14 @@ def test_exit_has_no_successors():
     assert g.succs(g.exit) == []
 
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-
-
 def _all_cfgs(prog, lib):
     for cls in prog.classes:
         for meth in cls.all_methods():
             yield C.lower(prog, cls, meth, lib)
 
 
-def _corpus_and_fuzz_programs():
-    """(program, libspec) for every corpus file and generate_source(0..59);
-    both have while loops, so back edges are exercised."""
-    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
-    programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
-    programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
-    return programs
-
-
 def test_adjacency_index_matches_edge_scan():
-    for prog, lib in _corpus_and_fuzz_programs():
+    for prog, lib in corpus_and_fuzz_programs():
         for g in _all_cfgs(prog, lib):
             assert len(set(g.edges)) == len(g.edges), "duplicate edge"
             for n in range(len(g.nodes)):
@@ -266,7 +253,7 @@ def _round_robin_check(cfg, specs, lib):
 
 
 def test_solver_matches_round_robin_loops():
-    for prog, lib in _corpus_and_fuzz_programs():
+    for prog, lib in corpus_and_fuzz_programs():
         spec_sets = (SpecSet.from_declared(prog), infer_specs(prog, lib))
         for g in _all_cfgs(prog, lib):
             assert C.liveness(g) == _round_robin_liveness(g)

@@ -208,6 +208,16 @@ def test_exit_codes(corpus_report, libspec):
     assert fixed_all.exit_code == 0
 
 
+
+def test_malformed_file_fails_alone(corpus_report, corpus_sources, libspec):
+    broken = ("broken.mj", "class Broken {\n  void f() {\n    PrintStream s = ;\n  }\n}\n")
+    report = run_pipeline(corpus_sources + [broken], libspec, PipelineConfig())
+    rest = {k: v for k, v in report.to_json().items() if k not in ("errors", "exitCode")}
+    assert rest == {k: v for k, v in corpus_report.to_json().items() if k not in ("errors", "exitCode")}
+    assert report.errors == ["broken.mj: SyntaxError: 3:21: expected an expression, found ';'"]
+    assert report.exit_code == 4
+
+
 def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
     import leakward.cfg
 

@@ -1,0 +1,148 @@
+"""AST navigation in `syntax`: member keys, warning anchors, statement paths,
+the expression rewriter and subtree positions, over every method of the
+corpus and generate_source(0..59)."""
+
+import copy
+
+from helpers import corpus_and_fuzz_programs
+from leakward import cfg as C
+from leakward import syntax as sx
+from leakward.checker import check_program
+from leakward.inference import infer_specs
+from leakward.parser import parse
+from leakward.printer import pretty_print
+from leakward.repair import locate_anchor
+from leakward.specs import SpecSet
+
+PROGRAMS = corpus_and_fuzz_programs()
+
+
+def _methods():
+    for prog, lib in PROGRAMS:
+        for cls in prog.classes:
+            for meth in cls.all_methods():
+                yield prog, lib, cls, meth
+
+
+def _all_methods(prog):
+    return [m for cls in prog.classes for m in cls.all_methods()]
+
+
+def _own_exprs(stmt):
+    """Expressions a statement holds itself, not through a nested block."""
+    for value in vars(stmt).values():
+        if isinstance(value, sx.Expr):
+            yield from sx.walk_exprs(value)
+
+
+def test_member_key_names_the_cfg_and_finds_the_member():
+    for prog, lib, cls, meth in _methods():
+        key = sx.member_key(meth)
+        assert key == C.lower(prog, cls, meth, lib).method_name
+        assert cls.member(key) is meth
+    assert sx.member_key(parse("class A { A(int a, int b) { } }").classes[0].constructors[0]) == "<init>#2"
+
+
+def test_anchor_ordinal_indexes_every_new_call_and_field_store():
+    for prog, lib, cls, meth in _methods():
+        for e in sx.walk_exprs(meth.body):
+            if isinstance(e, sx.New):
+                kind, token = "new", e.class_name
+            elif isinstance(e, sx.Call):
+                kind, token = "call", ""
+            else:
+                continue
+            assert list(sx.anchors(meth, kind, token))[sx.anchor_ordinal(meth, kind, token, e.nid)] is e
+        # field stores as the checker sees them: the lowered StoreFields
+        for ins in C.lower(prog, cls, meth, lib).nodes:
+            if isinstance(ins, C.StoreField):
+                token = f"{ins.field_class}.{ins.field}"
+                node = list(sx.anchors(meth, "store", token))[sx.anchor_ordinal(meth, "store", token, ins.ast_nid)]
+                assert node.nid == ins.ast_nid
+
+
+def test_every_warning_locates_its_own_node():
+    seen = 0
+    for prog, lib in PROGRAMS:
+        for specs in (SpecSet.from_declared(prog), infer_specs(prog, lib)):
+            for w in check_program(prog, specs, lib):
+                assert locate_anchor(w, prog).nid == w.ast_nid, w.descriptor()
+                seen += 1
+    assert seen > 100
+
+
+def test_stmt_path_leads_to_every_statement_and_expression():
+    for _prog, _lib, _cls, meth in _methods():
+        for stmt in sx.walk_stmts(meth.body):
+            path = sx.stmt_path(meth.body, stmt)
+            assert path[0][0] is meth.body
+            for (block, i), (inner, _j) in zip(path, path[1:]):
+                assert inner in [v for v in vars(block.stmts[i]).values() if isinstance(v, sx.Block)]
+            block, i = path[-1]
+            assert block.stmts[i] is stmt
+            for e in _own_exprs(stmt):
+                assert sx.stmt_path(meth.body, e) == path
+        assert sx.stmt_path(meth.body, sx.NullLit()) is None
+
+
+def test_try_slots_are_the_tries_whose_body_the_path_enters():
+    prog = parse(
+        """class A {
+  void m() {
+    try {
+      try {
+        int x = 1;
+      } finally {
+        int y = 2;
+      }
+    } catch (Exception e) {
+      int z = 3;
+    }
+  }
+}
+"""
+    )
+    body = prog.classes[0].methods[0].body
+    outer = body.stmts[0]
+    inner = outer.body.stmts[0]
+    x, y, z = inner.body.stmts[0], inner.finally_block.stmts[0], outer.catch_block.stmts[0]
+    assert sx.try_slots(sx.stmt_path(body, x)) == [(body, 0), (outer.body, 0)]
+    assert sx.try_slots(sx.stmt_path(body, y)) == [(body, 0)]
+    assert sx.try_slots(sx.stmt_path(body, z)) == []
+
+
+def test_identity_map_exprs_leaves_the_print_unchanged():
+    for prog, _lib in PROGRAMS:
+        before = pretty_print(prog)
+        assert sx.map_exprs(prog, lambda e: None) == 0
+        assert sx.map_exprs(prog, lambda e: e) == 0
+        assert pretty_print(prog) == before
+        # swapping every VarRef for an equal fresh one reaches every slot
+        var_refs = sum(isinstance(e, sx.VarRef) for m in _all_methods(prog) for e in sx.walk_exprs(m.body))
+        assert sx.map_exprs(prog, lambda e: copy.deepcopy(e) if isinstance(e, sx.VarRef) else None) == var_refs
+        assert pretty_print(prog) == before
+
+
+def test_map_exprs_does_not_search_a_replacement():
+    prog = parse("class A { void m(A a) { a.m(a); } }")
+    stmt = prog.classes[0].methods[0].body.stmts[0]
+    call = stmt.expr
+
+    def wrap(e):
+        return sx.Call(receiver=e, method="m", args=[]) if e is call else None
+
+    assert sx.map_exprs(stmt, wrap) == 1
+    assert stmt.expr.receiver is call
+
+
+def test_adopt_positions_every_node_of_the_subtree():
+    prog = parse("class A {\n  void m() {\n    int x = 1;\n  }\n}\n")
+    anchor = prog.classes[0].methods[0].body.stmts[0]
+    guard = sx.If(
+        cond=sx.Eq(lhs=sx.VarRef(name="x"), rhs=sx.NullLit(), negated=True),
+        then_block=sx.Block(stmts=[sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name="x"), method="close", args=[]))]),
+        else_block=None,
+    )
+    prog.adopt(guard, anchor)
+    assert {prog.pos_of(n.nid) for n in sx.walk_nodes(guard)} == {prog.pos_of(anchor.nid)} != {(0, 0)}
+    assert len(list(sx.walk_nodes(guard))) == 8

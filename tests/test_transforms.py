@@ -1,9 +1,11 @@
 """The three code transformations and their semantic-preservation guarantees."""
 
 from leakward.checker import check_program, reject_final_writes
+from leakward import syntax as sx
 from leakward.interp import has_main, run
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
+from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 from leakward.specs import SpecSet
 from leakward.transforms import field_to_local, finalize_fields, inject_finalizers, replay
@@ -195,6 +197,69 @@ def test_transform_semantic_preservation_on_finalize():
     before = run(prog, LIB)
     out, _ = finalize_fields(prog, LIB)
     assert run(out, LIB) == before
+
+
+
+def test_field_to_local_skips_field_whose_first_store_is_nested(libspec):
+    # the top-level store equals the nested one structurally; only the nested
+    # one is the first write, so demoting would leave it writing an unbound name
+    src = """class Holder {
+  private FileInputStream f;
+
+  void open(String p) {
+    if (p != null) {
+      f = new FileInputStream(p);
+    }
+    f = new FileInputStream(p);
+    f.close();
+  }
+}
+"""
+    prog = parse(src, "nested_store.mj")
+    out, log = field_to_local(prog, libspec)
+    assert not log.entries and pretty_print(out) == pretty_print(prog)
+    check_program(out, SpecSet.from_declared(out), libspec)  # still lowers: f resolves
+    assert run_pipeline([("nested_store.mj", src)], libspec).errors == []
+
+
+def test_finalize_temp_rewrite_in_nested_try(libspec):
+    src = """class Holder {
+  private FileInputStream f;
+
+  Holder(String p) {
+    if (p != null) {
+      try {
+        f = new FileInputStream(p);
+      } finally {
+        p = null;
+      }
+    } else {
+      f = null;
+    }
+  }
+}
+"""
+    main = """class M {
+  static void main() {
+    Holder a = new Holder("in.txt");
+    Holder b = new Holder(null);
+  }
+}
+"""
+    prog = parse(src + main, "nested_try.mj")
+    out, log = finalize_fields(prog, libspec)
+    assert "private final FileInputStream f;" in pretty_print(out)
+    assert [e.meta for e in log.entries] == [{"temp_rewrites": 1}]
+    # the temp is declared in the try's own block, the then branch
+    then_block = out.class_named("Holder").constructors[0].body.stmts[0].then_block
+    temp, try_stmt = then_block.stmts
+    assert isinstance(temp, sx.LocalDecl) and isinstance(try_stmt, sx.Try)
+    copy_back = try_stmt.finally_block.stmts[-1]
+    assert copy_back == sx.Assign(target=sx.VarRef(name="f"), value=sx.VarRef(name=temp.name))
+    assert reject_final_writes(out, libspec) == []
+    assert run(out, libspec) == run(prog, libspec)
+    report = run_pipeline([("nested_try.mj", src)], libspec)
+    assert report.errors == [] and report.exit_code == 0
 
 
 TEMPFILE_SRC = """class TempFileWriter {
