@@ -1,11 +1,12 @@
 """Control-flow graphs for MiniJ method bodies.
 
 Lowering flattens nested expressions through fresh temporaries (``%tN``) into
-three-address instructions. Only Invoke and Alloc nodes can throw; they get an
-exceptional edge to the innermost enclosing catch head, or else toward method
-exit through every enclosing finally block. Finally blocks are duplicated per
-entry path (normal completion, exception propagation, return), so the
-analyses stay path-insensitive without losing the finally-always-runs
+three-address instructions; a bare name is a local where ``syntax.local_refs``
+says so, else a field or a class. Only Invoke and Alloc nodes can throw; they
+get an exceptional edge to the innermost enclosing catch head, or else toward
+method exit through every enclosing finally block. Finally blocks are
+duplicated per entry path (normal completion, exception propagation, return),
+so the analyses stay path-insensitive without losing the finally-always-runs
 guarantee.
 
 Edges that continue exception propagation carry kind "exceptional"; the
@@ -31,7 +32,7 @@ from .libspec import LibrarySpec
 NORMAL = "normal"
 EXCEPTIONAL = "exceptional"
 
-THIS = "this"
+THIS = sx.THIS
 
 Value = Union[None, int, str]  # Const payload; None encodes the null literal
 
@@ -226,25 +227,6 @@ def _instr_text(i: Instr) -> str:
 # --- lowering --------------------------------------------------------------
 
 
-class _Scope:
-    """Lexical scope chain used to resolve bare names during lowering."""
-
-    def __init__(self, parent: Optional["_Scope"] = None):
-        self.parent = parent
-        self.names: dict[str, str] = {}  # local name -> type
-
-    def lookup(self, name: str) -> Optional[str]:
-        scope: Optional[_Scope] = self
-        while scope is not None:
-            if name in scope.names:
-                return scope.names[name]
-            scope = scope.parent
-        return None
-
-    def declare(self, name: str, type_name: str) -> None:
-        self.names[name] = type_name
-
-
 class Lowerer:
     def __init__(self, program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, libspec: LibrarySpec):
         self.program = program
@@ -261,6 +243,7 @@ class Lowerer:
             class_ast=cls,
             method_ast=method,
         )
+        self.names = sx.local_refs(method)
         self.temp_counter = 0
         # finally-duplicate continuations, keyed per active Try frame
         self.frames: list[_TryFrame] = []
@@ -297,14 +280,11 @@ class Lowerer:
         exit_ = self.node(Nop("exit"))
         self.cfg.entry = entry
         self.cfg.exit = exit_
-        scope = _Scope()
         if not self.method.is_static:
-            scope.declare(THIS, self.cls.name)
             self.cfg.local_types[THIS] = self.cls.name
         for p in self.method.params:
-            scope.declare(p.name, p.type_name)
             self.cfg.local_types[p.name] = p.type_name
-        tails = self.lower_block(self.method.body, [entry], scope)
+        tails = self.lower_block(self.method.body, [entry])
         for t in tails:
             self.edge(t, exit_)
         self._prune_unreachable()
@@ -337,53 +317,51 @@ class Lowerer:
 
     # statements; every lower_* takes the current dangling tails and returns the new ones
 
-    def lower_block(self, block: sx.Block, tails: list[int], scope: _Scope) -> list[int]:
-        inner = _Scope(scope)
+    def lower_block(self, block: sx.Block, tails: list[int]) -> list[int]:
         for stmt in block.stmts:
             if not tails:
                 break  # unreachable trailing code is not lowered
-            tails = self.lower_stmt(stmt, tails, inner)
+            tails = self.lower_stmt(stmt, tails)
         return tails
 
-    def lower_stmt(self, stmt: sx.Stmt, tails: list[int], scope: _Scope) -> list[int]:
+    def lower_stmt(self, stmt: sx.Stmt, tails: list[int]) -> list[int]:
         if isinstance(stmt, sx.LocalDecl):
-            if stmt.name in scope.names:
+            if self.names.redeclares(stmt):
                 raise self.fail(stmt, f"duplicate local {stmt.name}")
-            scope.declare(stmt.name, stmt.type_name)
             self.cfg.local_types.setdefault(stmt.name, stmt.type_name)
             if stmt.init is not None:
-                tails, src = self.lower_expr(stmt.init, tails, scope)
+                tails, src = self.lower_expr(stmt.init, tails)
                 n = self.node(CopyLocal(stmt.name, src))
                 return self.connect(tails, n)
             n = self.node(Const(stmt.name, None, is_null=True))
             return self.connect(tails, n)
         if isinstance(stmt, sx.Assign):
-            return self.lower_assign(stmt, tails, scope)
+            return self.lower_assign(stmt, tails)
         if isinstance(stmt, sx.ExprStmt):
-            tails, _ = self.lower_expr(stmt.expr, tails, scope, want_value=False)
+            tails, _ = self.lower_expr(stmt.expr, tails, want_value=False)
             return tails
         if isinstance(stmt, sx.If):
-            tails, branch = self.lower_cond(stmt.cond, tails, scope)
+            tails, branch = self.lower_cond(stmt.cond, tails)
             then_head = self.node(Nop("then"))
             self.edge(branch, then_head)
             self.cfg.nodes[branch].true_succ = then_head  # type: ignore[attr-defined]
-            then_tails = self.lower_block(stmt.then_block, [then_head], scope)
+            then_tails = self.lower_block(stmt.then_block, [then_head])
             else_head = self.node(Nop("else"))
             self.edge(branch, else_head)
             self.cfg.nodes[branch].false_succ = else_head  # type: ignore[attr-defined]
             if stmt.else_block is not None:
-                else_tails = self.lower_block(stmt.else_block, [else_head], scope)
+                else_tails = self.lower_block(stmt.else_block, [else_head])
             else:
                 else_tails = [else_head]
             return then_tails + else_tails
         if isinstance(stmt, sx.While):
             head = self.node(Nop("loop-head"))
             tails = self.connect(tails, head)
-            cond_tails, branch = self.lower_cond(stmt.cond, tails, scope)
+            cond_tails, branch = self.lower_cond(stmt.cond, tails)
             body_head = self.node(Nop("loop-body"))
             self.edge(branch, body_head)
             self.cfg.nodes[branch].true_succ = body_head  # type: ignore[attr-defined]
-            body_tails = self.lower_block(stmt.body, [body_head], scope)
+            body_tails = self.lower_block(stmt.body, [body_head])
             for t in body_tails:
                 self.edge(t, head)
             after = self.node(Nop("loop-exit"))
@@ -391,11 +369,11 @@ class Lowerer:
             self.cfg.nodes[branch].false_succ = after  # type: ignore[attr-defined]
             return [after]
         if isinstance(stmt, sx.Try):
-            return self.lower_try(stmt, tails, scope)
+            return self.lower_try(stmt, tails)
         if isinstance(stmt, sx.Return):
             src = None
             if stmt.value is not None:
-                tails, src = self.lower_expr(stmt.value, tails, scope)
+                tails, src = self.lower_expr(stmt.value, tails)
             tails = self.run_finallies_for_return(tails)
             ret = self.node(ReturnVal(src))
             tails = self.connect(tails, ret)
@@ -408,53 +386,51 @@ class Lowerer:
             self.edge(t, n)
         return [n]
 
-    def lower_assign(self, stmt: sx.Assign, tails: list[int], scope: _Scope) -> list[int]:
+    def lower_assign(self, stmt: sx.Assign, tails: list[int]) -> list[int]:
         target = stmt.target
         if isinstance(target, sx.VarRef):
-            kind, info = self.resolve_name(target, scope)
+            kind, info = self.resolve_name(target)
             if kind == "local":
-                tails, src = self.lower_expr(stmt.value, tails, scope)
+                tails, src = self.lower_expr(stmt.value, tails)
                 n = self.node(CopyLocal(target.name, src))
                 return self.connect(tails, n)
             if kind == "field":
-                tails, src = self.lower_expr(stmt.value, tails, scope)
+                tails, src = self.lower_expr(stmt.value, tails)
                 n = self.node(StoreField(THIS, target.name, src, self.cls.name, ast_nid=stmt.nid))
                 return self.connect(tails, n)
             if kind == "static-field":
-                tails, src = self.lower_expr(stmt.value, tails, scope)
+                tails, src = self.lower_expr(stmt.value, tails)
                 n = self.node(StoreField(None, target.name, src, info, ast_nid=stmt.nid))
                 return self.connect(tails, n)
             raise self.fail(target, f"cannot assign to {target.name}")
         # FieldRef target
         recv = target.receiver
         if isinstance(recv, sx.VarRef):
-            kind, info = self.resolve_name(recv, scope)
+            kind, info = self.resolve_name(recv)
             if kind == "class":
-                tails, src = self.lower_expr(stmt.value, tails, scope)
+                tails, src = self.lower_expr(stmt.value, tails)
                 n = self.node(StoreField(None, target.name, src, info, ast_nid=stmt.nid))
                 return self.connect(tails, n)
-        tails, recv_op = self.lower_expr(recv, tails, scope)
+        tails, recv_op = self.lower_expr(recv, tails)
         recv_type = self.cfg.local_types.get(recv_op, "?")
-        tails, src = self.lower_expr(stmt.value, tails, scope)
+        tails, src = self.lower_expr(stmt.value, tails)
         n = self.node(StoreField(recv_op, target.name, src, recv_type, ast_nid=stmt.nid))
         return self.connect(tails, n)
 
-    def lower_try(self, stmt: sx.Try, tails: list[int], scope: _Scope) -> list[int]:
-        body_frame = _TryFrame(self, stmt, scope, catch_active=stmt.catch_block is not None)
+    def lower_try(self, stmt: sx.Try, tails: list[int]) -> list[int]:
+        body_frame = _TryFrame(self, stmt, catch_active=stmt.catch_block is not None)
         self.frames.append(body_frame)
-        body_tails = self.lower_block(stmt.body, tails, scope)
+        body_tails = self.lower_block(stmt.body, tails)
         self.frames.pop()
         catch_tails: list[int] = []
         catch_frame: Optional[_TryFrame] = None
         if stmt.catch_block is not None and body_frame.catch_created():
             # while inside the catch block, this try's catch no longer applies
             # but its finally (if any) still must run on every exit path
-            catch_frame = _TryFrame(self, stmt, scope, catch_active=False)
+            catch_frame = _TryFrame(self, stmt, catch_active=False)
             self.frames.append(catch_frame)
-            catch_scope = _Scope(scope)
-            catch_scope.declare(stmt.catch_name or "e", stmt.catch_type or "Exception")
             self.cfg.local_types.setdefault(stmt.catch_name or "e", stmt.catch_type or "Exception")
-            catch_tails = self.lower_block(stmt.catch_block, [body_frame.catch_head()], scope=catch_scope)
+            catch_tails = self.lower_block(stmt.catch_block, [body_frame.catch_head()])
             self.frames.pop()
         if stmt.finally_block is not None:
             # normal completion duplicate
@@ -464,7 +440,7 @@ class Lowerer:
             if joined:
                 for t in joined:
                     self.edge(t, fin_head)
-                out = self.lower_block(stmt.finally_block, [fin_head], scope)
+                out = self.lower_block(stmt.finally_block, [fin_head])
         else:
             out = body_tails + catch_tails
         body_frame.seal(self)
@@ -483,7 +459,7 @@ class Lowerer:
                 # exceptions thrown inside a finally propagate outward, never
                 # back into the same finally
                 self.frames = active[:idx]
-                tails = self.lower_block(frame.stmt.finally_block, tails, frame.outer_scope)
+                tails = self.lower_block(frame.stmt.finally_block, tails)
                 self.frames = active
         return tails
 
@@ -509,9 +485,7 @@ class Lowerer:
 
     # expressions; return (tails, operand)
 
-    def lower_expr(
-        self, expr: sx.Expr, tails: list[int], scope: _Scope, want_value: bool = True
-    ) -> tuple[list[int], str]:
+    def lower_expr(self, expr: sx.Expr, tails: list[int], want_value: bool = True) -> tuple[list[int], str]:
         if isinstance(expr, sx.NullLit):
             t = self.temp("?")
             n = self.node(Const(t, None, is_null=True))
@@ -525,7 +499,7 @@ class Lowerer:
             n = self.node(Const(t, expr.value, is_null=False))
             return self.connect(tails, n), t
         if isinstance(expr, sx.VarRef):
-            kind, info = self.resolve_name(expr, scope)
+            kind, info = self.resolve_name(expr)
             if kind == "local":
                 return tails, expr.name
             if kind == "field":
@@ -543,14 +517,14 @@ class Lowerer:
         if isinstance(expr, sx.FieldRef):
             recv = expr.receiver
             if isinstance(recv, sx.VarRef):
-                kind, info = self.resolve_name(recv, scope)
+                kind, info = self.resolve_name(recv)
                 if kind == "class":
                     decl_cls = self.program.class_named(info)
                     fld = decl_cls.field_named(expr.name) if decl_cls else None
                     t = self.temp(fld.declared_type if fld else "?")
                     n = self.node(LoadField(t, None, expr.name, info, ast_nid=expr.nid))
                     return self.connect(tails, n), t
-            tails, recv_op = self.lower_expr(recv, tails, scope)
+            tails, recv_op = self.lower_expr(recv, tails)
             recv_type = self.cfg.local_types.get(recv_op, "?")
             decl_cls = self.program.class_named(recv_type)
             fld = decl_cls.field_named(expr.name) if decl_cls else None
@@ -560,7 +534,7 @@ class Lowerer:
         if isinstance(expr, sx.New):
             arg_ops: list[str] = []
             for a in expr.args:
-                tails, op = self.lower_expr(a, tails, scope)
+                tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
             t = self.temp(expr.class_name)
             n = self.node(Alloc(t, expr.class_name, expr.site, arg_ops, ast_nid=expr.nid))
@@ -572,16 +546,16 @@ class Lowerer:
             static_class: Optional[str] = None
             recv_op: Optional[str] = None
             if isinstance(recv, sx.VarRef):
-                kind, info = self.resolve_name(recv, scope)
+                kind, info = self.resolve_name(recv)
                 if kind == "class":
                     static_class = info
                 else:
-                    tails, recv_op = self.lower_expr(recv, tails, scope)
+                    tails, recv_op = self.lower_expr(recv, tails)
             else:
-                tails, recv_op = self.lower_expr(recv, tails, scope)
+                tails, recv_op = self.lower_expr(recv, tails)
             arg_ops = []
             for a in expr.args:
-                tails, op = self.lower_expr(a, tails, scope)
+                tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
             dst = None
             ret_type = self.callee_return_type(static_class, recv_op, expr.method)
@@ -611,15 +585,15 @@ class Lowerer:
                 return "void" if lm.return_ownership == "void" else "?"
         return "?"
 
-    def lower_cond(self, cond: sx.Expr, tails: list[int], scope: _Scope) -> tuple[list[int], int]:
+    def lower_cond(self, cond: sx.Expr, tails: list[int]) -> tuple[list[int], int]:
         """Lower a condition to a Branch node; returns (tails-unused, branch node id)."""
         if isinstance(cond, sx.Eq):
-            tails, lhs = self.lower_expr(cond.lhs, tails, scope)
-            tails, rhs = self.lower_expr(cond.rhs, tails, scope)
+            tails, lhs = self.lower_expr(cond.lhs, tails)
+            tails, rhs = self.lower_expr(cond.rhs, tails)
             branch = self.node(Branch(lhs, rhs, cond.negated))
         else:
             # bare condition: truthy means non-null
-            tails, op = self.lower_expr(cond, tails, scope)
+            tails, op = self.lower_expr(cond, tails)
             t = self.temp("?")
             null_node = self.node(Const(t, None, is_null=True))
             tails = self.connect(tails, null_node)
@@ -628,10 +602,10 @@ class Lowerer:
             self.edge(t_, branch)
         return [branch], branch
 
-    def resolve_name(self, ref: sx.VarRef, scope: _Scope) -> tuple[str, str]:
-        """Classify a bare name: local, field (of this), static-field, or class."""
-        if scope.lookup(ref.name) is not None:
-            return "local", scope.lookup(ref.name) or "?"
+    def resolve_name(self, ref: sx.VarRef) -> tuple[str, str]:
+        """Classify a bare name: local (per `sx.local_refs`), field (of this), static-field, or class."""
+        if self.names.is_local(ref):
+            return "local", ""
         fld = self.cls.field_named(ref.name)
         if fld is not None:
             if fld.has("static"):
@@ -649,9 +623,8 @@ class Lowerer:
 class _TryFrame:
     """Bookkeeping for one active try statement during lowering."""
 
-    def __init__(self, lowerer: Lowerer, stmt: sx.Try, outer_scope: _Scope, catch_active: bool):
+    def __init__(self, lowerer: Lowerer, stmt: sx.Try, catch_active: bool):
         self.stmt = stmt
-        self.outer_scope = outer_scope
         self.catch_active = catch_active
         self._lowerer = lowerer
         self._catch_head: Optional[int] = None
@@ -680,7 +653,7 @@ class _TryFrame:
         level = self._exc_pending_level or 0
         saved = lowerer.frames
         lowerer.frames = saved[:level]
-        tails = lowerer.lower_block(self.stmt.finally_block, [self._exc_head], self.outer_scope)  # type: ignore[arg-type]
+        tails = lowerer.lower_block(self.stmt.finally_block, [self._exc_head])  # type: ignore[arg-type]
         target, _handled = lowerer.exception_target(level)
         for t in tails:
             lowerer.edge(t, target, EXCEPTIONAL)

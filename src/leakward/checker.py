@@ -748,10 +748,9 @@ def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = No
         final_fields = [f for f in cls.fields if f.has("final")]
         if not final_fields:
             continue
-        for fld in final_fields:
-            for meth in cls.all_methods():
-                is_ctor = meth.is_constructor
-                cfg = C.lower(program, cls, meth, libspec)
+        for meth in cls.all_methods():
+            cfg = C.lower(program, cls, meth, libspec)
+            for fld in final_fields:
                 store_nodes = [
                     i
                     for i, ins in enumerate(cfg.nodes)
@@ -760,7 +759,7 @@ def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = No
                 if not store_nodes:
                     continue
                 store_nids = sorted({cfg.nodes[i].ast_nid for i in store_nodes})  # type: ignore[union-attr]
-                if not is_ctor or (fld.has("static") and is_ctor) or fld.initializer is not None:
+                if not meth.is_constructor or fld.has("static") or fld.initializer is not None:
                     for nid in store_nids:
                         line, _ = program.pos_of(nid)
                         errors.append(

@@ -6,14 +6,13 @@ the fix+validate stage iterated (re-checking patched code can surface
 deferred plans and fresh warnings).
 
 Metrics: shifted warnings in w_xform are mapped back to their root library
-warnings by following @Owning field assignment chains through constructors
-(and injected finalizers recorded in the edit log). Roots present in both
-sets are core leaks (CL); new roots are transformation-exposed (XE); original
-warnings with no surviving root are transformation-resolved (XR). Each root
-with n shifted warnings of which k were fixed contributes k/n, in exact
-rational arithmetic, and the resolution rate is
-R = (F_CL + F_XE + XR) / (CL + XE + XR), with R = 1 when there is nothing to
-fix.
+warnings by following @Owning field assignment chains through constructors.
+Roots present in both sets are core leaks (CL); new roots are
+transformation-exposed (XE); original warnings with no surviving root are
+transformation-resolved (XR). Each root with n shifted warnings of which k
+were fixed contributes k/n, in exact rational arithmetic, and the resolution
+rate is R = (F_CL + F_XE + XR) / (CL + XE + XR), with R = 1 when there is
+nothing to fix.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ class PipelineConfig:
     enable_transforms: bool = True
     enable_fixer_enhancements: bool = True
     enable_overwrite_handling: bool = True
-    step_limit: int = 100_000
 
 
 @dataclass
@@ -151,7 +149,6 @@ def compute_metrics(
 def build_shift_map(
     w_orig: list[Warning],
     w_xform: list[Warning],
-    edit_log: EditLog,
     specs_by_file: dict[str, SpecSet],
     programs_by_file: dict[str, sx.Program],
     libspec: LibrarySpec,
@@ -348,11 +345,12 @@ def run_file_pipeline(
     fix_status: dict[str, tuple[str, str]] = {}
     pending = list(w_xform)
     iterations = 0
+    if pending:
+        specs_now = infer_specs(patched, libspec)  # redone only when a fix changes `patched`
     while pending and iterations < config.max_iterations:
         iterations += 1
         progressed = False
         deferred: list[Warning] = []
-        specs_now = infer_specs(patched, libspec)
         for w in sorted(pending, key=lambda w: (w.line, w.id)):
             if not config.enable_overwrite_handling and w.kind == OWNING_FIELD_OVERWRITE:
                 fix_status[w.id] = ("unfixable", "PreCloseConditionsFail(disabled)")
@@ -378,10 +376,10 @@ def run_file_pipeline(
                 deferred.append(w)
         # surface fresh warnings on the patched code
         if progressed:
-            specs_next = infer_specs(patched, libspec)
+            specs_now = infer_specs(patched, libspec)
             fresh = [
                 w
-                for w in _checked(patched, specs_next, libspec, config)
+                for w in _checked(patched, specs_now, libspec, config)
                 if w.id not in fix_status and all(w.id != p.id for p in w_xform)
             ]
         else:
@@ -395,7 +393,7 @@ def run_file_pipeline(
             fix_status[w.id] = ("unfixable", detail)
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
-    verdict = validate_patch(annotated, patched, libspec, fixed_ids=fixed_ids, step_limit=config.step_limit)
+    verdict = validate_patch(annotated, patched, libspec, fixed_ids=fixed_ids)
     if not verdict.ok:
         for wid in fixed_ids:
             fix_status[wid] = ("validation-failed", verdict.label)
@@ -436,13 +434,10 @@ def run_pipeline(
     w_xform_all = [w for fr in files.values() for w in fr.w_xform]
     pair = WarningSetPair(w_orig=w_orig_all, w_xform=w_xform_all)
 
-    merged_log = EditLog()
-    for fr in files.values():
-        merged_log.extend(fr.edit_log)
     specs_by_file = {fr.name: fr.specs for fr in files.values()}
     programs_by_file = {fr.name: fr.transformed for fr in files.values()}
     try:
-        shift_map = build_shift_map(w_orig_all, w_xform_all, merged_log, specs_by_file, programs_by_file, libspec)
+        shift_map = build_shift_map(w_orig_all, w_xform_all, specs_by_file, programs_by_file, libspec)
     except AmbiguousMapping as e:
         errors.append(f"shift-map: {e}")
         shift_map = ShiftMap(pairs={w.id: w.id for w in w_xform_all}, multiplicity={}, fixed_counts={})

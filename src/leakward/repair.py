@@ -383,7 +383,7 @@ def _expr_matches(a: sx.Expr, b: sx.Expr) -> bool:
 
 
 def _strip_nids(root: sx.Expr) -> None:
-    for e in sx.walk_exprs_of_expr(root):
+    for e in sx.walk_exprs(root):
         e.nid = sx.fresh_nid()
 
 

@@ -6,6 +6,9 @@ equality, so ``parse(pretty_print(p)) == p`` holds position-free. Source
 positions live in ``Program.line_index`` keyed by node id, never on the nodes
 themselves.
 
+Names: ``local_refs`` resolves a method's bare names by block scope, once for
+the CFG lowering and ``stores_to_field`` alike.
+
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
 warnings do; ``anchors`` lists the nodes a warning ordinal counts;
 ``stmt_path`` finds the statement holding a node; ``map_exprs`` swaps
@@ -22,6 +25,7 @@ _node_counter = itertools.count(1)
 
 # the member name of a constructor; `member_key` appends `#<arity>`
 CONSTRUCTOR = "<init>"
+THIS = "this"
 
 
 def fresh_nid() -> int:
@@ -345,10 +349,6 @@ def walk_stmts(root: Union[Block, Stmt, None]) -> Iterator[Stmt]:
         yield from walk_stmts(root.finally_block)
 
 
-def walk_exprs_of_expr(e: Expr) -> Iterator[Expr]:
-    yield from walk_exprs(ExprStmt(e))
-
-
 def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annotation]:
     for a in annotations:
         if a.kind == kind:
@@ -371,29 +371,63 @@ def walk_nodes(root: Node) -> Iterator[Node]:
 # --- naming, finding and rewriting ------------------------------------------
 
 
-def shadowed(method: MethodDecl, name: str) -> bool:
-    """Does a parameter or some local of the method take the name?"""
-    return any(p.name == name for p in method.params) or any(
-        isinstance(s, LocalDecl) and s.name == name for s in walk_stmts(method.body)
-    )
+@dataclass
+class LocalRefs:
+    """What `local_refs` resolved in one method, as `id`s of its nodes."""
+
+    locals: set[int] = field(default_factory=set)  # VarRefs naming `this`, a parameter or a local
+    redeclared: set[int] = field(default_factory=set)  # LocalDecls of a name their block declared
+
+    def is_local(self, ref: VarRef) -> bool:
+        return id(ref) in self.locals
+
+    def redeclares(self, decl: LocalDecl) -> bool:
+        return id(decl) in self.redeclared
+
+
+def local_refs(method: MethodDecl) -> LocalRefs:
+    """Resolve the bare names of a method by block scope, as lowering does.
+
+    `this` (in an instance method) and the parameters are in scope
+    throughout; a local from its declaration, its own initializer included,
+    to the end of its block; a catch variable (default `e`) in its catch
+    block. A finally block sees the names in scope at its `try`. Redeclaring
+    a parameter, or a name of an enclosing block, is allowed; redeclaring a
+    name of the same block is recorded in `redeclared`."""
+    out = LocalRefs()
+
+    def visit(node: Node, scope: list[str]) -> None:
+        if isinstance(node, VarRef):
+            if node.name in scope:
+                out.locals.add(id(node))
+        elif isinstance(node, Block):
+            inner = list(scope)
+            for s in node.stmts:
+                if isinstance(s, LocalDecl):
+                    if s.name in inner[len(scope) :]:
+                        out.redeclared.add(id(s))
+                    inner.append(s.name)
+                visit(s, inner)
+        else:
+            for part in vars(node).values():
+                if isinstance(part, Node):
+                    catch = isinstance(node, Try) and part is node.catch_block
+                    visit(part, scope + [node.catch_name or "e"] if catch else scope)
+                elif isinstance(part, list):
+                    for child in part:
+                        visit(child, scope)
+
+    visit(method.body, ([] if method.is_static else [THIS]) + [p.name for p in method.params])
+    return out
 
 
 def stores_to_field(method: MethodDecl, field_name: str) -> list[Assign]:
-    """Assign statements writing the named field, in AST order.
-
-    A bare `f = e;` target counts when no parameter or local shadows f.
-    """
-    bare = not shadowed(method, field_name)
-    out = []
-    for s in walk_stmts(method.body):
-        if not isinstance(s, Assign):
-            continue
-        t = s.target
-        if isinstance(t, FieldRef) and t.name == field_name:
-            out.append(s)
-        elif isinstance(t, VarRef) and t.name == field_name and bare:
-            out.append(s)
-    return out
+    """Assign statements writing the named field, in AST order: `x.f = e;`
+    for any receiver, and a bare `f = e;` whose `f` is not a local there
+    (`local_refs`)."""
+    names = local_refs(method)
+    assigns = [s for s in walk_stmts(method.body) if isinstance(s, Assign) and s.target.name == field_name]
+    return [s for s in assigns if isinstance(s.target, FieldRef) or not names.is_local(s.target)]
 
 
 def anchors(method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
@@ -409,9 +443,7 @@ def anchors(method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
 
 
 def anchor_ordinal(method: MethodDecl, kind: str, token: str, nid: int) -> int:
-    """Index of node `nid` in `anchors(method, kind, token)`. A store the
-    lowering takes for a field write but `stores_to_field` does not list (a
-    local of that name elsewhere in the method) counts as 0."""
+    """Index of node `nid` in `anchors(method, kind, token)`, 0 if it is not there."""
     for i, node in enumerate(anchors(method, kind, token)):
         if node.nid == nid:
             return i

@@ -217,17 +217,14 @@ def _is_this_ref(e: sx.Expr, field_name: str) -> bool:
 
 
 def _reads_of_field(method: sx.MethodDecl, field_name: str) -> list[sx.Expr]:
-    shadowed = sx.shadowed(method, field_name)
-    write_targets = {s.target.nid for s in sx.stores_to_field(method, field_name)}
-    reads = []
-    for e in sx.walk_exprs(method.body):
-        if e.nid in write_targets:
-            continue
-        if _is_this_ref(e, field_name):
-            reads.append(e)
-        elif isinstance(e, sx.VarRef) and e.name == field_name and not shadowed:
-            reads.append(e)
-    return reads
+    names = sx.local_refs(method)
+    targets = {id(s.target) for s in sx.walk_stmts(method.body) if isinstance(s, sx.Assign)}
+    return [
+        e
+        for e in sx.walk_exprs(method.body)
+        if id(e) not in targets
+        and (_is_this_ref(e, field_name) or isinstance(e, sx.VarRef) and e.name == field_name and not names.is_local(e))
+    ]
 
 
 def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[sx.MethodDecl]:
@@ -361,14 +358,17 @@ def _apply_inject(
     for fname, _ids in fields_with_ids:
         fld = cls.field_named(fname)
         assert fld is not None
-        always_assigned = all(
-            _writes_exactly_once_per_normal_path(program, cls, ctor, fname, libspec) for ctor in cls.constructors
-        ) and bool(cls.constructors)
+        # unguarded only when every constructor stores a fresh object exactly once
+        never_null = bool(cls.constructors) and all(
+            _writes_exactly_once_per_normal_path(program, cls, ctor, fname, libspec)
+            and all(isinstance(st.value, sx.New) for st in sx.stores_to_field(ctor, fname))
+            for ctor in cls.constructors
+        )
         calls: list[sx.Stmt] = [
             sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
             for d in sorted(resource_must_call(fld.declared_type, specs, libspec))
         ]
-        if always_assigned:
+        if never_null:
             stmts.extend(calls)
         else:
             guarded.append(fname)

@@ -1,4 +1,4 @@
-"""CFG lowering, try/finally duplication, the adjacency index, the dataflow solver, and must-alias analysis."""
+"""CFG lowering, its name errors, try/finally duplication, the adjacency index, the dataflow solver, and must-alias analysis."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from helpers import corpus_and_fuzz_programs
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
+from leakward.errors import SyntaxError as MiniJSyntaxError
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
@@ -116,6 +117,38 @@ def test_finally_removal_disconnects_exit():
 def test_exit_has_no_successors():
     g = lower_method(TRY_FINALLY_RETURN, "A", "m")
     assert g.succs(g.exit) == []
+
+
+@pytest.mark.parametrize(
+    "method, error",
+    [
+        # a duplicate in one block is reported at the second declaration
+        ("void m() {\n PrintStream s = null;\n PrintStream s = null;\n}", (4, 2, "duplicate local s")),
+        ("void m(String c) {\n if (c != null) {\n PrintStream s = null;\n PrintStream s = null;\n }\n}", (5, 2, "duplicate local s")),
+        # the same name in sibling or nested blocks, or over a parameter or a catch variable
+        ("void m(String c) {\n if (c != null) { PrintStream s = null; } else { PrintStream s = null; }\n PrintStream s = null;\n}", None),
+        ("void m(String c) {\n PrintStream s = null;\n while (c != null) { PrintStream s = null; }\n}", None),
+        ("void m(PrintStream p) {\n PrintStream p = null;\n}", None),
+        ('void m() {\n try { PrintStream s = new PrintStream("f"); }\n catch (Exception e) { PrintStream e = null; }\n}', None),
+        # a name is in scope to the end of its block only
+        ("void m(String c) {\n if (c != null) { PrintStream s = null; }\n s.close();\n}", (4, 2, "unresolved name s")),
+        ('void m() {\n try { PrintStream s = new PrintStream("f"); } catch (Exception e) { }\n e.close();\n}', (4, 2, "unresolved name e")),
+        ("static void m() {\n A a = this;\n}", (3, 8, "this is not available in a static context")),
+        ("void m() {\n PrintStream s = q;\n}", (3, 18, "unresolved name q")),
+        # code after a return is never lowered, so its duplicate is not reported
+        ("void m() {\n PrintStream s = null;\n return;\n PrintStream s = null;\n}", None),
+    ],
+)
+def test_lowering_name_errors(method, error):
+    src = "class A {\n" + method + "\n}"
+    prog = parse(src, "t.mj")
+    cls = prog.classes[0]
+    if error is None:
+        C.lower(prog, cls, cls.methods[0], LIB)
+        return
+    with pytest.raises(MiniJSyntaxError) as info:
+        C.lower(prog, cls, cls.methods[0], LIB)
+    assert (info.value.line, info.value.col, info.value.message) == error
 
 
 def _all_cfgs(prog, lib):

@@ -145,7 +145,7 @@ def test_tempfile_file_resolves_fully(corpus_report):
     from leakward.pipeline import build_shift_map
 
     shift = build_shift_map(
-        fr.w_orig, fr.w_xform, fr.edit_log, {fr.name: fr.specs}, {fr.name: fr.transformed}, corpus_report_libspec(corpus_report)
+        fr.w_orig, fr.w_xform, {fr.name: fr.specs}, {fr.name: fr.transformed}, corpus_report_libspec(corpus_report)
     )
     dispositions = {w.id: fr.fix_status[w.id] for w in fr.w_xform}
     m = compute_metrics(pair, shift, dispositions)
@@ -228,6 +228,34 @@ def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
     program = parse((corpus_dir / "writer_wrapper.mj").read_text(), "writer_wrapper.mj")
     fr = run_file_pipeline(program, libspec, PipelineConfig())
     assert fr.w_xform
+
+
+REOPEN = """class R {
+  @Owning private FileInputStream f;
+  R(String p) { f = new FileInputStream(p); }
+  void reopen(String p) {
+    if (p != null) {
+      FileInputStream f = new FileInputStream(p);
+      f.close();
+    }
+    f = new FileInputStream(p);
+  }
+  void close() { f.close(); }
+}
+"""
+
+
+@pytest.mark.parametrize("transforms", [True, False])
+def test_store_to_field_beside_a_shadowing_local_is_pre_closed(libspec, transforms):
+    # the local `f` lives in the `if` block only: the last store writes the field
+    report = run_pipeline([("reopen.mj", REOPEN)], libspec, PipelineConfig(enable_transforms=transforms))
+    assert report.exit_code == 0 and report.errors == []
+    fr = report.files["reopen.mj"]
+    assert not fr.transformed.class_named("R").field_named("f").has("final")
+    (w,) = fr.w_xform
+    assert w.kind == "OwningFieldOverwrite" and w.method_name == "reopen"
+    assert fr.fix_status[w.id] == ("fixed", "PreCloseInsertion")
+    assert fr.verdict.ok and report.metrics.xr == 0
 
 
 # --- ablation flags exist and change behavior ---

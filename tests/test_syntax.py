@@ -1,14 +1,15 @@
-"""AST navigation in `syntax`: member keys, warning anchors, statement paths,
-the expression rewriter and subtree positions, over every method of the
-corpus and generate_source(0..59)."""
+"""AST navigation in `syntax`: name resolution, member keys, warning anchors,
+statement paths, the expression rewriter and subtree positions, over every
+method of the corpus and generate_source(0..59)."""
 
 import copy
 
-from helpers import corpus_and_fuzz_programs
+from helpers import CORPUS, corpus_and_fuzz_programs
 from leakward import cfg as C
 from leakward import syntax as sx
 from leakward.checker import check_program
 from leakward.inference import infer_specs
+from leakward.libspec import load_library_spec
 from leakward.parser import parse
 from leakward.printer import pretty_print
 from leakward.repair import locate_anchor
@@ -16,9 +17,50 @@ from leakward.specs import SpecSet
 
 PROGRAMS = corpus_and_fuzz_programs()
 
+# locals, parameters and catch variables that share a field's name
+SHADOWING = [
+    """class R {
+  @Owning private FileInputStream f;
+  R(String p) { f = new FileInputStream(p); }
+  void reopen(String p) {
+    if (p != null) {
+      FileInputStream f = new FileInputStream(p);
+      f.close();
+    }
+    f = new FileInputStream(p);
+  }
+  void close() { f.close(); }
+}
+""",
+    """class P {
+  private FileInputStream f;
+  P(FileInputStream f) { this.f = f; }
+  void set(String p) { f = new FileInputStream(p); FileInputStream f = null; f = new FileInputStream(p); f.close(); }
+}
+""",
+    """class C {
+  private Exception e;
+  private FileInputStream f;
+  void m(String p) {
+    try {
+      FileInputStream f = new FileInputStream(p);
+      f.close();
+    } catch (Exception e) {
+      e = null;
+    } finally {
+      f = null;
+    }
+    e = null;
+  }
+}
+""",
+]
+CORPUS_LIB = load_library_spec((CORPUS / "minij.libspec").read_text())
+SHADOWING_PROGRAMS = [(parse(src, "shadowing.mj"), CORPUS_LIB) for src in SHADOWING]
 
-def _methods():
-    for prog, lib in PROGRAMS:
+
+def _methods(programs=PROGRAMS):
+    for prog, lib in programs:
         for cls in prog.classes:
             for meth in cls.all_methods():
                 yield prog, lib, cls, meth
@@ -35,6 +77,66 @@ def _own_exprs(stmt):
             yield from sx.walk_exprs(value)
 
 
+def _resolved(meth):
+    names = sx.local_refs(meth)
+    return [(e.name, names.is_local(e)) for e in sx.walk_exprs(meth.body) if isinstance(e, sx.VarRef)], names
+
+
+def test_local_refs_resolves_by_block_scope():
+    prog = parse(
+        """class R {
+  private FileInputStream f;
+  private FileInputStream g;
+  void m(String p) {
+    if (p != null) {
+      FileInputStream f = f;
+      f.close();
+      FileInputStream f = null;
+    }
+    f = g;
+    try {
+      FileInputStream g = new FileInputStream(p);
+    } catch (Exception e) {
+      e = null;
+    } finally {
+      g = this.g;
+    }
+    e = null;
+  }
+  static void s(FileInputStream g) {
+    g = f;
+    this.f = g;
+  }
+}
+"""
+    )
+    m, s = prog.classes[0].methods
+    refs, names = _resolved(m)
+    # an initializer sees its own local; the block's locals end with it; a
+    # catch variable is in scope in its catch block only; a finally block
+    # resolves where it sits, outside the try body's locals
+    assert refs == [
+        ("p", True),
+        ("f", True),
+        ("f", True),
+        ("f", False),
+        ("g", False),
+        ("p", True),
+        ("e", True),
+        ("g", False),
+        ("this", True),
+        ("e", False),
+    ]
+    decls = [st for st in sx.walk_stmts(m.body) if isinstance(st, sx.LocalDecl)]
+    assert [names.redeclares(d) for d in decls] == [False, True, False]
+    refs, names = _resolved(s)
+    assert refs == [("g", True), ("f", False), ("this", False), ("g", True)]
+    assert sx.stores_to_field(m, "f") == [m.body.stmts[1]]
+    assert sx.stores_to_field(m, "g") == [m.body.stmts[2].finally_block.stmts[0]]
+    assert sx.stores_to_field(m, "e") == [m.body.stmts[3]]
+    assert sx.stores_to_field(s, "g") == [] and sx.stores_to_field(s, "f") == [s.body.stmts[1]]
+
+
 def test_member_key_names_the_cfg_and_finds_the_member():
     for prog, lib, cls, meth in _methods():
         key = sx.member_key(meth)
@@ -44,7 +146,7 @@ def test_member_key_names_the_cfg_and_finds_the_member():
 
 
 def test_anchor_ordinal_indexes_every_new_call_and_field_store():
-    for prog, lib, cls, meth in _methods():
+    for prog, lib, cls, meth in _methods(PROGRAMS + SHADOWING_PROGRAMS):
         for e in sx.walk_exprs(meth.body):
             if isinstance(e, sx.New):
                 kind, token = "new", e.class_name

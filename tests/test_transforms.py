@@ -364,6 +364,31 @@ class M {
     assert log.entries and log.entries[0].meta["guarded"] == ["stream"]
 
 
+def test_inject_guards_a_field_a_constructor_may_set_to_null(libspec):
+    # each path writes f once, but one write stores null: close() needs the guard
+    src = """class Holder {
+  private FileInputStream f;
+
+  Holder(String p) {
+    if (p != null) {
+      f = new FileInputStream(p);
+    } else {
+      f = null;
+    }
+  }
+  static void main() {
+    Holder h = new Holder(null);
+  }
+}
+"""
+    report = run_pipeline([("holder.mj", src)], libspec)
+    assert report.exit_code == 0 and report.errors == []
+    fr = report.files["holder.mj"]
+    assert "    if (f != null) {\n      f.close();\n    }" in pretty_print(fr.transformed)
+    assert [e.meta["guarded"] for e in fr.edit_log.entries if e.transform == "inject_finalizer"] == [["f"]]
+    assert fr.verdict.ok
+
+
 def test_injection_is_behavior_neutral_until_called():
     prog = parse(TEMPFILE_SRC, "tempfile.mj")
     specs = SpecSet.from_declared(prog)
