@@ -1,41 +1,42 @@
 """leakward command line.
 
 Subcommands: check, infer, transform, fix, run, explain-escape, pipeline.
-Pipeline exit codes: 0 = all materialized patches validated, 2 = unfixable
-warnings remain, 3 = validation failure, 4 = a file failed (syntax error,
-duplicate name, annotation conflict) and was left out.
+`check`, `transform` and `fix` call the pipeline's own stages (`check_stage`,
+`transform_stage`, `fix_stage`), so `fix` infers specs, re-checks, defers and
+validates as `pipeline` does. Exit codes: 0 = done, every patch validated;
+1 = `check` reports warnings; 2 = unfixable warnings remain (`pipeline`);
+3 = a patch failed validation (`fix`, `pipeline`); 4 = a file that does not
+parse, lower or annotate was left out, named on stderr (`check`, `infer`,
+`transform`, `fix`) or in `errors` (`pipeline`). 3 wins over 4.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
 
 from . import cfg as C
-from .checker import check_program, filter_constructor_first_writes
-from .errors import MaterializationFailure, StaleWarning
+from .errors import FILE_ERRORS, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
 from .interp import run as interp_run
 from .libspec import LibrarySpec, load_library_spec
 from .parser import parse
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, check_stage, fix_stage, run_pipeline, transform_stage
 from .printer import pretty_print
-from .repair import Unfixable, apply_plan_in_place, plan_fix, rebind_warning, unified_diff_text
+from .repair import rebind_warning
 from .specs import SpecSet
-from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
 
 def _load_libspec(path: str) -> LibrarySpec:
     return load_library_spec(Path(path).read_text())
 
 
-def _load_specs(path: str | None, program=None) -> SpecSet:
+def _load_specs(path: str | None, program) -> SpecSet:
     if path is None:
-        return SpecSet.from_declared(program) if program is not None else SpecSet()
+        return SpecSet.from_declared(program)
     return SpecSet.from_json(json.loads(Path(path).read_text()))
 
 
@@ -44,14 +45,37 @@ def _parse_file(path: str):
     return parse(p.read_text(), p.name)
 
 
+def _each_file(paths: list[str], work) -> tuple[list, bool]:
+    """work(program) for each file; one that raises a FILE_ERRORS error is left
+    out and named on stderr. The other files' results, and whether one failed."""
+    results, failed = [], False
+    for path in paths:
+        try:
+            results.append(work(_parse_file(path)))
+        except FILE_ERRORS as e:
+            print(f"{Path(path).name}: {type(e).__name__}: {e}", file=sys.stderr)
+            failed = True
+    return results, failed
+
+
+def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
+    """`program`'s JSON warnings bound to its AST, and the ids of those that match no node."""
+    bound, stale = [], []
+    for wd in warnings_data:
+        if wd["file"] != program.source_name:
+            continue
+        try:
+            bound.append(rebind_warning(wd, program))
+        except StaleWarning:
+            stale.append(wd["id"])
+    return bound, stale
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
-    all_warnings = []
-    for f in args.files:
-        program = _parse_file(f)
-        specs = _load_specs(args.specs, program)
-        warnings = filter_constructor_first_writes(check_program(program, specs, libspec), program)
-        all_warnings.extend(warnings)
+
+    def check(program):
+        warnings = check_stage(program, _load_specs(args.specs, program), libspec, PipelineConfig())
         if args.dump_cfg:
             outdir = Path(args.dump_cfg)
             outdir.mkdir(parents=True, exist_ok=True)
@@ -60,28 +84,31 @@ def cmd_check(args: argparse.Namespace) -> int:
                     g = C.lower(program, cls, meth, libspec)
                     name = g.method_name.replace("<init>#", "init")
                     (outdir / f"{program.source_name}.{cls.name}.{name}.dot").write_text(g.to_dot())
+        return warnings
+
+    per_file, failed = _each_file(args.files, check)
+    all_warnings = [w for warnings in per_file for w in warnings]
     if args.json:
         print(json.dumps([w.to_json() for w in all_warnings], indent=2))
     else:
         for w in all_warnings:
             print(f"{w.file}:{w.line}: [{w.kind}] {w.message} (id {w.id})")
         print(f"{len(all_warnings)} warning(s)")
-    return 1 if all_warnings else 0
+    return 4 if failed else 1 if all_warnings else 0
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
+    per_file, failed = _each_file(args.files, lambda program: infer_specs(program, libspec))
     merged = SpecSet()
-    for f in args.files:
-        program = _parse_file(f)
-        specs = infer_specs(program, libspec)
+    for specs in per_file:
         merged.class_mustcall.update(specs.class_mustcall)
         merged.field_ownership.update(specs.field_ownership)
         merged.field_provenance.update(specs.field_provenance)
         merged.method_ensures.update(specs.method_ensures)
     Path(args.output).write_text(merged.to_json_text())
     print(f"wrote {args.output}")
-    return 0
+    return 4 if failed else 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -89,28 +116,16 @@ def cmd_transform(args: argparse.Namespace) -> int:
     warnings_data = json.loads(Path(args.warnings).read_text()) if args.warnings else []
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    for f in args.files:
-        program = _parse_file(f)
-        specs = infer_specs(program, libspec)
-        bound = []
-        for wd in warnings_data:
-            if wd["file"] != program.source_name:
-                continue
-            try:
-                bound.append(rebind_warning(wd, program))
-            except StaleWarning:
-                pass
-        log = EditLog()
-        out, l1 = finalize_fields(program, libspec)
-        log.extend(l1)
-        out, l2 = field_to_local(out, libspec)
-        log.extend(l2)
-        out, l3 = inject_finalizers(out, bound, specs, libspec)
-        log.extend(l3)
+
+    def transform(program):
+        warnings, _stale = _rebind(warnings_data, program)
+        out, log = transform_stage(program, warnings, infer_specs(program, libspec), libspec)
         (outdir / program.source_name).write_text(pretty_print(out))
         (outdir / f"{program.source_name}.editlog.json").write_text(json.dumps(log.to_json(), indent=2) + "\n")
         print(f"transformed {program.source_name}: {len(log.entries)} edit(s)")
-    return 0
+
+    _done, failed = _each_file(args.files, transform)
+    return 4 if failed else 0
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
@@ -118,38 +133,20 @@ def cmd_fix(args: argparse.Namespace) -> int:
     warnings_data = json.loads(Path(args.warnings).read_text())
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    fixreport = []
-    for f in args.files:
-        program = _parse_file(f)
-        specs = _load_specs(args.specs, program)
-        patched = copy.deepcopy(program)
-        applied = 0
-        for wd in sorted((w for w in warnings_data if w["file"] == program.source_name), key=lambda w: (w["line"], w["id"])):
-            try:
-                w = rebind_warning(wd, patched)
-            except StaleWarning:
-                fixreport.append({"warningId": wd["id"], "unfixableReason": "NoIrMatch", "detail": "stale"})
-                continue
-            er = None
-            if w.kind == "UnsatisfiedObligation":
-                from .pipeline import escape_for
 
-                er = escape_for(w, patched, specs, libspec, PipelineConfig())
-            plan = plan_fix(w, patched, specs, er, libspec)
-            if isinstance(plan, Unfixable):
-                fixreport.append(plan.to_json())
-                continue
-            try:
-                apply_plan_in_place(patched, plan)
-                fixreport.append(plan.to_json())
-                applied += 1
-            except MaterializationFailure as mf:
-                fixreport.append({"warningId": w.id, "unfixableReason": f"MaterializationFailure({mf.reason})"})
-        diff = unified_diff_text(pretty_print(program), pretty_print(patched), program.source_name)
-        (outdir / f"{program.source_name}.patch").write_text(diff)
-        print(f"{program.source_name}: {applied} repair(s) materialized")
-    (outdir / "fixreport.json").write_text(json.dumps(fixreport, indent=2) + "\n")
-    return 0
+    def fix(program):
+        warnings, stale = _rebind(warnings_data, program)
+        outcome = fix_stage(program, warnings, libspec, PipelineConfig())
+        for wid in stale:
+            outcome.fix_status.setdefault(wid, ("unfixable", "NoIrMatch"))
+        (outdir / f"{program.source_name}.patch").write_text(outcome.diff)
+        print(f"{program.source_name}: {len(outcome.fix_status)} warning(s), validation {outcome.verdict.label}")
+        return program.source_name, outcome
+
+    outcomes, failed = _each_file(args.files, fix)
+    report = json.dumps({name: outcome.to_json() for name, outcome in outcomes}, indent=2, sort_keys=True)
+    (outdir / "fixreport.json").write_text(report + "\n")
+    return 3 if any(not outcome.verdict.ok for _name, outcome in outcomes) else 4 if failed else 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -238,11 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("fix", help="plan and materialize repairs")
+    p = sub.add_parser("fix", help="repair warnings, re-checking and validating the patch")
     p.add_argument("files", nargs="+")
     p.add_argument("--libspec", required=True)
     p.add_argument("--warnings", required=True)
-    p.add_argument("--specs")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_fix)
 

@@ -48,3 +48,8 @@ class MaterializationFailure(Exception):
 
 class AmbiguousMapping(Exception):
     """A wrapper warning's owning-field chain reaches multiple distinct root warnings."""
+
+
+# A file that raises one of these is left out of a run, which goes on with the
+# other files: it does not parse, lower or annotate.
+FILE_ERRORS = (SyntaxError, DuplicateName, AnnotationConflict)

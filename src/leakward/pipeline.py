@@ -5,6 +5,9 @@ transform -> infer -> check (w_xform) -> plan+materialize -> validate, with
 the fix+validate stage iterated (re-checking patched code can surface
 deferred plans and fresh warnings).
 
+`run_file_pipeline` is a sequence of stage calls, and the CLI calls the
+same stages: `check_stage`, `transform_stage` and `fix_stage`.
+
 Metrics: shifted warnings in w_xform are mapped back to their root library
 warnings by following @Owning field assignment chains through constructors.
 Roots present in both sets are core leaks (CL); new roots are
@@ -32,8 +35,7 @@ from .checker import (
     filter_constructor_first_writes,
     warning_id,
 )
-from .errors import AmbiguousMapping, AnnotationConflict, DuplicateName, MaterializationFailure, StaleWarning
-from .errors import SyntaxError as MiniJSyntaxError
+from .errors import FILE_ERRORS, AmbiguousMapping, MaterializationFailure, StaleWarning
 from .escape import EscapeAnalyzer, EscapeResult, tainted_stores
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
@@ -239,25 +241,38 @@ def _chain_roots(
 
 
 @dataclass
-class FileResult:
-    name: str
-    original: sx.Program
-    transformed: sx.Program
+class FixOutcome:
+    """`fix_stage`'s result; fix_status maps warning id -> (state, detail)."""
+
     patched: sx.Program
+    fix_status: dict[str, tuple[str, str]]
+    iterations_used: int
+    verdict: ValidationVerdict
+    diff: str
+
+    def to_json(self) -> dict:
+        return {
+            "fixes": {wid: {"state": st, "detail": d} for wid, (st, d) in sorted(self.fix_status.items())},
+            "validation": self.verdict.to_json(),
+            "iterations": self.iterations_used,
+        }
+
+
+@dataclass
+class FileResult(FixOutcome):
+    """A file's fix outcome with the warnings, edit log and specs behind it."""
+
+    name: str
+    transformed: sx.Program
     w_orig: list[Warning]
     w_xform: list[Warning]
     edit_log: EditLog
     specs: SpecSet
-    fix_status: dict[str, tuple[str, str]]  # warning id -> (state, detail)
-    verdict: Optional[ValidationVerdict]
-    diff: str
-    iterations_used: int
 
 
 @dataclass
 class PipelineReport:
     files: dict[str, FileResult]
-    pair: WarningSetPair
     shift_map: ShiftMap
     metrics: MetricsReport
     dispositions_orig: dict[str, tuple[str, str]]
@@ -271,9 +286,7 @@ class PipelineReport:
                     "warningsOriginal": [w.to_json() for w in fr.w_orig],
                     "warningsTransformed": [w.to_json() for w in fr.w_xform],
                     "editLog": fr.edit_log.to_json(),
-                    "fixes": {wid: {"state": st, "detail": d} for wid, (st, d) in sorted(fr.fix_status.items())},
-                    "validation": fr.verdict.to_json() if fr.verdict else None,
-                    "iterations": fr.iterations_used,
+                    **FixOutcome.to_json(fr),
                 }
                 for name, fr in sorted(self.files.items())
             },
@@ -287,11 +300,22 @@ class PipelineReport:
         }
 
 
-def _checked(program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig) -> list[Warning]:
+def check_stage(program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig) -> list[Warning]:
+    """The checker's warnings, less constructor first writes when overwrite handling is on."""
     warnings = check_program(program, specs, libspec)
     if config.enable_overwrite_handling:
         warnings = filter_constructor_first_writes(warnings, program)
     return warnings
+
+
+def transform_stage(
+    program: sx.Program, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec
+) -> tuple[sx.Program, EditLog]:
+    """finalize_fields -> field_to_local -> inject_finalizers, on copies."""
+    current, log1 = finalize_fields(program, libspec)
+    current, log2 = field_to_local(current, libspec)
+    current, log3 = inject_finalizers(current, warnings, specs, libspec)
+    return current, EditLog(log1.entries + log2.entries + log3.entries)
 
 
 def escape_for(
@@ -313,37 +337,12 @@ def escape_for(
     return None
 
 
-def run_file_pipeline(
-    program: sx.Program, libspec: LibrarySpec, config: PipelineConfig
-) -> FileResult:
-    declared = SpecSet.from_declared(program)
-    # w_orig: the checker alone, no inferred specifications
-    w_orig = _checked(program, declared, libspec, config)
-
-    # stage 1-3: inference, first check (drives the transforms)
-    specs1 = infer_specs(program, libspec)
-    w_first = _checked(program, specs1, libspec, config)
-
-    # stage 4: code transformations
-    edit_log = EditLog()
-    current = program  # each transform returns a fresh copy
-    if config.enable_transforms:
-        current, log1 = finalize_fields(current, libspec)
-        edit_log.extend(log1)
-        current, log2 = field_to_local(current, libspec)
-        edit_log.extend(log2)
-        current, log3 = inject_finalizers(current, w_first, specs1, libspec)
-        edit_log.extend(log3)
-
-    # stage 5-6: re-infer, write annotations, updated warnings
-    specs2 = infer_specs(current, libspec)
-    annotated = write_specs(current, specs2)
-    w_xform = _checked(annotated, specs2, libspec, config)
-
-    # stage 7-8: plan, materialize, validate; iterate for deferred plans
-    patched = copy.deepcopy(annotated)
+def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig) -> FixOutcome:
+    """Repair `warnings` on a copy of `program`; re-check after each iteration
+    that fixed something, retry deferred plans, then validate the patch."""
+    patched = copy.deepcopy(program)
     fix_status: dict[str, tuple[str, str]] = {}
-    pending = list(w_xform)
+    pending = list(warnings)
     iterations = 0
     if pending:
         specs_now = infer_specs(patched, libspec)  # redone only when a fix changes `patched`
@@ -374,16 +373,10 @@ def run_file_pipeline(
             except MaterializationFailure as mf:
                 fix_status[w.id] = ("deferred", f"MaterializationFailure({mf.reason})")
                 deferred.append(w)
-        # surface fresh warnings on the patched code
+        fresh = []  # warnings of the patched code not seen before (every given one has a status)
         if progressed:
             specs_now = infer_specs(patched, libspec)
-            fresh = [
-                w
-                for w in _checked(patched, specs_now, libspec, config)
-                if w.id not in fix_status and all(w.id != p.id for p in w_xform)
-            ]
-        else:
-            fresh = []
+            fresh = [w for w in check_stage(patched, specs_now, libspec, config) if w.id not in fix_status]
         pending = deferred + fresh
         if not progressed and not fresh:
             break
@@ -393,24 +386,34 @@ def run_file_pipeline(
             fix_status[w.id] = ("unfixable", detail)
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
-    verdict = validate_patch(annotated, patched, libspec, fixed_ids=fixed_ids)
+    verdict = validate_patch(program, patched, libspec, fixed_ids=fixed_ids)
     if not verdict.ok:
         for wid in fixed_ids:
             fix_status[wid] = ("validation-failed", verdict.label)
-    diff = unified_diff_text(pretty_print(annotated), pretty_print(patched), program.source_name)
+    diff = unified_diff_text(pretty_print(program), pretty_print(patched), program.source_name)
+    return FixOutcome(patched, fix_status, iterations, verdict, diff)
+
+
+def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: PipelineConfig) -> FileResult:
+    # w_orig: the checker alone, no inferred specifications
+    w_orig = check_stage(program, SpecSet.from_declared(program), libspec, config)
+
+    # stages 1-4: inference and a first check drive the code transformations
+    current, edit_log = program, EditLog()
+    if config.enable_transforms:
+        specs1 = infer_specs(program, libspec)
+        current, edit_log = transform_stage(program, check_stage(program, specs1, libspec, config), specs1, libspec)
+
+    # stages 5-6: re-infer, write annotations, updated warnings
+    specs2 = infer_specs(current, libspec)
+    annotated = write_specs(current, specs2)
+    w_xform = check_stage(annotated, specs2, libspec, config)
+
+    # stages 7-8: plan, materialize, validate
+    fixed = fix_stage(annotated, w_xform, libspec, config)
     return FileResult(
-        name=program.source_name,
-        original=program,
-        transformed=annotated,
-        patched=patched,
-        w_orig=w_orig,
-        w_xform=w_xform,
-        edit_log=edit_log,
-        specs=specs2,
-        fix_status=fix_status,
-        verdict=verdict,
-        diff=diff,
-        iterations_used=iterations,
+        **vars(fixed), name=program.source_name, transformed=annotated, w_orig=w_orig, w_xform=w_xform,
+        edit_log=edit_log, specs=specs2,
     )
 
 
@@ -426,13 +429,12 @@ def run_pipeline(
     for name, text in sorted(sources):
         try:
             files[name] = run_file_pipeline(parse(text, name), libspec, config)
-        except (MiniJSyntaxError, DuplicateName, AnnotationConflict) as e:
+        except FILE_ERRORS as e:
             errors.append(f"{name}: {type(e).__name__}: {e}")
     bad_files = bool(errors)
 
     w_orig_all = [w for fr in files.values() for w in fr.w_orig]
     w_xform_all = [w for fr in files.values() for w in fr.w_xform]
-    pair = WarningSetPair(w_orig=w_orig_all, w_xform=w_xform_all)
 
     specs_by_file = {fr.name: fr.specs for fr in files.values()}
     programs_by_file = {fr.name: fr.transformed for fr in files.values()}
@@ -454,7 +456,7 @@ def run_pipeline(
             for wid, r in shift_map.pairs.items()
             if r == root and dispositions_xform.get(wid, ("", ""))[0] == "fixed"
         )
-    metrics = compute_metrics(pair, shift_map, dispositions_xform)
+    metrics = compute_metrics(WarningSetPair(w_orig_all, w_xform_all), shift_map, dispositions_xform)
 
     # per-original-warning dispositions: fixed / resolved-by-transform / unfixable
     roots = set(shift_map.pairs.values())
@@ -475,14 +477,13 @@ def run_pipeline(
             )
             dispositions_orig[w.id] = ("unfixable", reasons[0] if reasons else "unknown")
 
-    any_validation_failure = any(fr.verdict is not None and not fr.verdict.ok for fr in files.values())
+    any_validation_failure = any(not fr.verdict.ok for fr in files.values())
     any_unfixable = any(st in ("unfixable",) for fr in files.values() for st, _ in fr.fix_status.values()) or any(
         st == "unfixable" for st, _ in dispositions_orig.values()
     )
     exit_code = 3 if any_validation_failure else 4 if bad_files else 2 if any_unfixable else 0
     return PipelineReport(
         files=files,
-        pair=pair,
         shift_map=shift_map,
         metrics=metrics,
         dispositions_orig=dispositions_orig,

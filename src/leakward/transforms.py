@@ -61,9 +61,6 @@ class EditLog:
     def to_json(self) -> list:
         return [e.to_json() for e in self.entries]
 
-    def extend(self, other: "EditLog") -> None:
-        self.entries.extend(other.entries)
-
 
 class FreshNames:
     """Deterministic collision-free identifiers, one counter per file."""

@@ -1,10 +1,18 @@
 """The leakward command line, exercised in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import leakward.pipeline
 from leakward.cli import main
+from leakward.interp import ValidationVerdict
+from leakward.libspec import load_library_spec
+from leakward.pipeline import run_pipeline
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+CORPUS_LIB = str(CORPUS / "minij.libspec")
 
 CLEAN = 'class A {\n  static void main() {\n    Socket s = new Socket();\n    s.close();\n  }\n}\n'
 LEAKY = 'class A {\n  static void main() {\n    Socket s = new Socket();\n    s.send("x");\n  }\n}\n'
@@ -125,8 +133,23 @@ def test_check_then_fix_flow(workdir, capsys):
     patch = (fixdir / "leaky.mj.patch").read_text()
     assert "+    try {" in patch and "s.close();" in patch
     report = json.loads((fixdir / "fixreport.json").read_text())
-    assert report[0]["template"] == "TryFinallyWrap"
+    (wid,) = [w["id"] for w in json.loads(warnings)]
+    assert report["leaky.mj"]["fixes"][wid] == {"state": "fixed", "detail": "TryFinallyWrap"}
 
+
+def test_fix_records_a_stale_warning_as_no_ir_match(workdir, capsys):
+    lib = str(workdir / "lib.libspec")
+    main(["check", str(workdir / "leaky.mj"), "--libspec", lib, "--json"])
+    out = capsys.readouterr().out
+    (warning,) = json.loads(out[out.index("[") :])
+    warning["descriptor"] = warning["descriptor"].rsplit("|", 1)[0] + "|7"  # no eighth `new Socket`
+    (workdir / "stale.json").write_text(json.dumps([warning]))
+    fixdir = workdir / "fixes"
+    code = main(["fix", str(workdir / "leaky.mj"), "--libspec", lib, "--warnings", str(workdir / "stale.json"), "-o", str(fixdir)])
+    assert code == 0
+    report = json.loads((fixdir / "fixreport.json").read_text())["leaky.mj"]
+    assert report["fixes"] == {warning["id"]: {"state": "unfixable", "detail": "NoIrMatch"}}
+    assert report["iterations"] == 0 and (fixdir / "leaky.mj.patch").read_text() == ""
 
 def test_transform_command(workdir, capsys):
     src = """class TempFileWriter {
@@ -196,3 +219,93 @@ def test_pipeline_exit_code_unfixable(workdir):
     outdir = workdir / "out2"
     code = main(["pipeline", str(workdir), "--libspec", lib, "-o", str(outdir)])
     assert code == 2
+
+
+# --- a file that does not parse, lower or annotate fails alone -----------------
+
+BAD = {
+    "syntax": 'class A {\n  static void main() {\n    Socket s = ;\n  }\n}\n',
+    "duplicate": "class A {\n}\nclass A {\n}\n",
+    "lowering": "class A {\n  static void main() {\n    Socket s = q;\n  }\n}\n",
+}
+
+
+def _subcommand(command, workdir, capsys):
+    """The arguments after the files for `command`, writing leaky.mj's warnings first."""
+    lib = str(workdir / "lib.libspec")
+    if command in ("transform", "fix"):
+        main(["check", str(workdir / "leaky.mj"), "--libspec", lib, "--json"])
+        out = capsys.readouterr().out
+        (workdir / "w.json").write_text(out[out.index("[") :])
+    return {
+        "check": ["--libspec", lib],
+        "infer": ["--libspec", lib, "-o", str(workdir / "s.json")],
+        "transform": ["--libspec", lib, "--warnings", str(workdir / "w.json"), "-o", str(workdir / "out")],
+        "fix": ["--libspec", lib, "--warnings", str(workdir / "w.json"), "-o", str(workdir / "out")],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    # infer and transform never lower `main`, so a bad name in it is not their failure
+    [(c, k) for c in ("check", "infer", "transform", "fix") for k in sorted(BAD) if k != "lowering" or c in ("check", "fix")],
+)
+def test_bad_file_fails_alone(workdir, capsys, command, kind):
+    (workdir / "bad.mj").write_text(BAD[kind])
+    rest = _subcommand(command, workdir, capsys)
+    code = main([command, str(workdir / "bad.mj"), str(workdir / "leaky.mj"), *rest])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.splitlines() == run_pipeline([("bad.mj", BAD[kind])], load_library_spec(LIBSPEC)).errors
+    if command == "check":
+        assert "leaky.mj:3: [UnsatisfiedObligation]" in captured.out
+    elif command == "infer":
+        assert json.loads((workdir / "s.json").read_text())["classes"] == {}
+    elif command == "transform":
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == ["leaky.mj", "leaky.mj.editlog.json"]
+    else:
+        report = json.loads((workdir / "out" / "fixreport.json").read_text())
+        assert list(report) == ["leaky.mj"] and report["leaky.mj"]["validation"]["ok"]
+        assert "finally" in (workdir / "out" / "leaky.mj.patch").read_text()
+
+
+def test_fix_validation_failure_wins_over_a_bad_file(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(leakward.pipeline, "validate_patch", lambda *a, **k: ValidationVerdict(False, ("Forced",)))
+    (workdir / "bad.mj").write_text(BAD["syntax"])
+    rest = _subcommand("fix", workdir, capsys)
+    assert main(["fix", str(workdir / "bad.mj"), str(workdir / "leaky.mj"), *rest]) == 3
+    fixes = json.loads((workdir / "out" / "fixreport.json").read_text())["leaky.mj"]["fixes"]
+    assert [f["state"] for f in fixes.values()] == ["validation-failed"]
+
+
+# --- infer, check --specs, transform and fix give the pipeline's results -------
+
+
+@pytest.fixture(scope="module")
+def pipeline_reports(tmp_path_factory):
+    """report.json of `pipeline` on the corpus, with and without transforms."""
+    out = tmp_path_factory.mktemp("pipeline")
+    main(["pipeline", str(CORPUS), "--libspec", CORPUS_LIB, "-o", str(out / "xform")])
+    main(["pipeline", str(CORPUS), "--libspec", CORPUS_LIB, "-o", str(out / "plain"), "--no-transforms"])
+    return {kind: json.loads((out / kind / "report.json").read_text()) for kind in ("xform", "plain")}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.mj")))
+def test_cli_chain_is_the_pipeline(name, pipeline_reports, tmp_path, capsys):
+    src = str(CORPUS / name)
+    main(["infer", src, "--libspec", CORPUS_LIB, "-o", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    main(["check", src, "--libspec", CORPUS_LIB, "--specs", str(tmp_path / "s.json"), "--json"])
+    out = capsys.readouterr().out
+    (tmp_path / "w.json").write_text(out[out.index("[") :])
+
+    warnings = ["--libspec", CORPUS_LIB, "--warnings", str(tmp_path / "w.json")]
+    assert main(["transform", src, *warnings, "-o", str(tmp_path / "xform")]) == 0
+    edit_log = json.loads((tmp_path / "xform" / f"{name}.editlog.json").read_text())
+    assert edit_log == pipeline_reports["xform"]["files"][name]["editLog"]
+
+    plain = pipeline_reports["plain"]["files"][name]
+    code = main(["fix", src, *warnings, "-o", str(tmp_path / "fix")])
+    assert code == (0 if plain["validation"]["ok"] else 3)
+    fixed = json.loads((tmp_path / "fix" / "fixreport.json").read_text())[name]
+    assert fixed == {key: plain[key] for key in ("fixes", "validation", "iterations")}

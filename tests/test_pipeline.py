@@ -230,6 +230,27 @@ def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
     assert fr.w_xform
 
 
+def test_transforms_off_runs_no_first_inference_or_check(monkeypatch, corpus_dir, libspec):
+    # with transforms off the original program is inferred once (the stage
+    # re-inference, which reads it unchanged) and checked once (w_orig); the
+    # first inference and check only ever fed inject_finalizers
+    import leakward.pipeline as pipeline
+
+    program = parse((corpus_dir / "writer_wrapper.mj").read_text(), "writer_wrapper.mj")
+    calls = {"infer_specs": 0, "check_program": 0}
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counted(prog, *args, _real=real, _name=name):
+            calls[_name] += prog is program
+            return _real(prog, *args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    fr = run_file_pipeline(program, libspec, PipelineConfig(enable_transforms=False))
+    assert fr.w_xform and fr.edit_log.entries == []
+    assert calls == {"infer_specs": 1, "check_program": 1}
+
+
 REOPEN = """class R {
   @Owning private FileInputStream f;
   R(String p) { f = new FileInputStream(p); }
