@@ -40,6 +40,7 @@ from typing import Optional
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
+from .memo import ProgramVersion
 from .specs import (
     NOT_OWNING,
     OWNING,
@@ -659,26 +660,37 @@ class _MethodChecker:
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
 
 
+def _run(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> tuple[list[Warning], Optional[CheckFact]]:
+    checker = _MethodChecker(cfg, specs, libspec)
+    return checker.run(), checker.exit_fact
+
+
 def check_method(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
     """Warnings for one lowered method; pure function of its inputs."""
-    return _MethodChecker(cfg, specs, libspec).run()
+    return _run(cfg, specs, libspec)[0]
 
 
 def normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> Optional[CheckFact]:
     """Meet of the checker's facts on the exit node's normal in-edges, or
     None if no normal path completes."""
-    checker = _MethodChecker(cfg, specs, libspec)
-    checker.run()
-    return checker.exit_fact
+    return _run(cfg, specs, libspec)[1]
+
+
+def method_run(
+    version: ProgramVersion, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet
+) -> tuple[list[Warning], Optional[CheckFact]]:
+    """One checker run of a method of `version`: what `check_method` and
+    `normal_exit_fact` give, run once per version and specs in a file scope."""
+    return version.remember(cls, meth, specs, lambda: _run(version.cfg(cls, meth), specs, version.libspec))
 
 
 def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
     """Check every method; merged deterministically by (file, line, id)."""
+    version = ProgramVersion(program, libspec)
     out: list[Warning] = []
     for cls in program.classes:
         for meth in cls.all_methods():
-            cfg = C.lower(program, cls, meth, libspec)
-            out.extend(check_method(cfg, specs, libspec))
+            out.extend(method_run(version, cls, meth, specs)[0])
     return sorted(out, key=lambda w: (w.file, w.line, w.kind, w.id))
 
 

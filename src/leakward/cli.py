@@ -7,7 +7,9 @@ validates as `pipeline` does. Exit codes: 0 = done, every patch validated;
 1 = `check` reports warnings; 2 = unfixable warnings remain (`pipeline`);
 3 = a patch failed validation (`fix`, `pipeline`); 4 = a file that does not
 parse, lower or annotate was left out, named on stderr (`check`, `infer`,
-`transform`, `fix`) or in `errors` (`pipeline`). 3 wins over 4.
+`transform`, `fix`) or in `errors` (`pipeline`), as is a file whose inferred
+specs for a class differ from an earlier file's (`infer`). 3 wins over 4.
+Each file is analysed in its own `memo.file_scope()`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import cfg as C
-from .errors import FILE_ERRORS, StaleWarning
+from . import memo
+from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
 from .interp import run as interp_run
@@ -51,7 +54,8 @@ def _each_file(paths: list[str], work) -> tuple[list, bool]:
     results, failed = [], False
     for path in paths:
         try:
-            results.append(work(_parse_file(path)))
+            with memo.file_scope():
+                results.append(work(_parse_file(path)))
         except FILE_ERRORS as e:
             print(f"{Path(path).name}: {type(e).__name__}: {e}", file=sys.stderr)
             failed = True
@@ -71,6 +75,11 @@ def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
     return bound, stale
 
 
+def _lower_all(program, libspec) -> list[C.Cfg]:
+    """Every method's CFG, uncached; a method that does not lower raises, so its file fails alone."""
+    return [C.lower(program, cls, meth, libspec) for cls in program.classes for meth in cls.all_methods()]
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
 
@@ -79,11 +88,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.dump_cfg:
             outdir = Path(args.dump_cfg)
             outdir.mkdir(parents=True, exist_ok=True)
-            for cls in program.classes:
-                for meth in cls.all_methods():
-                    g = C.lower(program, cls, meth, libspec)
-                    name = g.method_name.replace("<init>#", "init")
-                    (outdir / f"{program.source_name}.{cls.name}.{name}.dot").write_text(g.to_dot())
+            for g in _lower_all(program, libspec):
+                name = g.method_name.replace("<init>#", "init")
+                (outdir / f"{program.source_name}.{g.class_name}.{name}.dot").write_text(g.to_dot())
         return warnings
 
     per_file, failed = _each_file(args.files, check)
@@ -99,13 +106,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
-    per_file, failed = _each_file(args.files, lambda program: infer_specs(program, libspec))
     merged = SpecSet()
-    for specs in per_file:
-        merged.class_mustcall.update(specs.class_mustcall)
-        merged.field_ownership.update(specs.field_ownership)
-        merged.field_provenance.update(specs.field_provenance)
-        merged.method_ensures.update(specs.method_ensures)
+    held: dict[str, tuple[str, dict]] = {}  # class name -> (file, its specs' JSON)
+
+    def infer(program):
+        _lower_all(program, libspec)
+        specs = infer_specs(program, libspec)
+        mine = {cls.name: specs.of_class(cls.name).to_json() for cls in program.classes}
+        for name, entry in mine.items():
+            if name in held and held[name][1] != entry:
+                raise AnnotationConflict(f"class {name}: inferred specs differ from those of {held[name][0]}")
+        for name, entry in mine.items():
+            held.setdefault(name, (program.source_name, entry))
+        merged.update(specs)
+
+    _done, failed = _each_file(args.files, infer)
     Path(args.output).write_text(merged.to_json_text())
     print(f"wrote {args.output}")
     return 4 if failed else 0
@@ -119,6 +134,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
     def transform(program):
         warnings, _stale = _rebind(warnings_data, program)
+        _lower_all(program, libspec)
         out, log = transform_stage(program, warnings, infer_specs(program, libspec), libspec)
         (outdir / program.source_name).write_text(pretty_print(out))
         (outdir / f"{program.source_name}.editlog.json").write_text(json.dumps(log.to_json(), indent=2) + "\n")

@@ -30,7 +30,8 @@ class UnknownClass(Exception):
 
 
 class AnnotationConflict(Exception):
-    """A declared annotation contradicts an inferred one."""
+    """A declared annotation contradicts an inferred one, or (`leakward infer`)
+    a file's inferred specs for a class contradict an earlier file's."""
 
 
 class StaleWarning(Exception):
@@ -51,5 +52,5 @@ class AmbiguousMapping(Exception):
 
 
 # A file that raises one of these is left out of a run, which goes on with the
-# other files: it does not parse, lower or annotate.
+# other files: it does not parse, lower or annotate, or its specs conflict.
 FILE_ERRORS = (SyntaxError, DuplicateName, AnnotationConflict)

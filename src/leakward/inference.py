@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 from . import cfg as C
 from . import syntax as sx
-from .checker import normal_exit_fact
+from .checker import method_run, normal_exit_fact
 from .errors import AnnotationConflict
 from .libspec import LibrarySpec
+from .memo import ProgramVersion
 from .specs import (
     NOT_OWNING,
     OWNING,
@@ -52,6 +53,7 @@ class _Disposal:
 
 def infer_specs(program: sx.Program, libspec: LibrarySpec) -> SpecSet:
     """Fixed point of R1-R3 over the whole program."""
+    version = ProgramVersion(program, libspec)
     specs = SpecSet.from_declared(program)
     changed = True
     while changed:
@@ -63,7 +65,7 @@ def infer_specs(program: sx.Program, libspec: LibrarySpec) -> SpecSet:
             disposals: list[_Disposal] = []
             for meth in cls.methods:
                 # one checker run gives field_sat for every candidate field
-                fact = normal_exit_fact(C.lower(program, cls, meth, libspec), specs, libspec)
+                _warnings, fact = method_run(version, cls, meth, specs)
                 covered = {f.name for f in candidates if fact is not None and f.name in fact.field_sat}
                 if covered:
                     disposals.append(_Disposal(method=meth, fields=covered))

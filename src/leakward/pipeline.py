@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import cfg as C
+from . import memo
 from . import syntax as sx
 from .checker import (
     OWNING_FIELD_OVERWRITE,
@@ -420,15 +421,17 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
 def run_pipeline(
     sources: list[tuple[str, str]], libspec: LibrarySpec, config: Optional[PipelineConfig] = None
 ) -> PipelineReport:
-    """Full pipeline over (name, text) sources; deterministic and pure. A
-    file that does not parse, lower or annotate is left out with an entry in
-    `errors` and exit code 4 (unless a validation failure makes it 3)."""
+    """Full pipeline over (name, text) sources; deterministic and pure. Each
+    file runs in its own `memo.file_scope()`. A file that does not parse,
+    lower or annotate is left out with an entry in `errors` and exit code 4
+    (unless a validation failure makes it 3)."""
     config = config or PipelineConfig()
     files: dict[str, FileResult] = {}
     errors: list[str] = []
     for name, text in sorted(sources):
         try:
-            files[name] = run_file_pipeline(parse(text, name), libspec, config)
+            with memo.file_scope():
+                files[name] = run_file_pipeline(parse(text, name), libspec, config)
         except FILE_ERRORS as e:
             errors.append(f"{name}: {type(e).__name__}: {e}")
     bad_files = bool(errors)

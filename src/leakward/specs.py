@@ -70,6 +70,22 @@ class SpecSet:
     def ownership(self, class_name: str, field_name: str) -> str:
         return self.field_ownership.get((class_name, field_name), NOT_OWNING)
 
+    def of_class(self, name: str) -> "SpecSet":
+        """The entries about class `name`."""
+        return SpecSet(
+            class_mustcall={c: mc for c, mc in self.class_mustcall.items() if c == name},
+            field_ownership={k: v for k, v in self.field_ownership.items() if k[0] == name},
+            field_provenance={k: v for k, v in self.field_provenance.items() if k[0] == name},
+            method_ensures={k: v for k, v in self.method_ensures.items() if k[0] == name},
+        )
+
+    def update(self, other: "SpecSet") -> None:
+        """Take every entry of `other`, replacing those of the same class and member."""
+        self.class_mustcall.update(other.class_mustcall)
+        self.field_ownership.update(other.field_ownership)
+        self.field_provenance.update(other.field_provenance)
+        self.method_ensures.update(other.method_ensures)
+
     def copy(self) -> "SpecSet":
         out = SpecSet()
         out.class_mustcall = dict(self.class_mustcall)

@@ -18,6 +18,7 @@ expressions; ``Program.adopt`` positions a synthesized subtree.
 from __future__ import annotations
 
 import itertools
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -259,6 +260,12 @@ class Program(Node):
     source_name: str = field(default="<memory>", compare=False)
     line_index: dict[int, tuple[int, int]] = field(default_factory=dict, compare=False)
     source_text: str = field(default="", compare=False)
+
+    def __deepcopy__(self, memo: dict) -> "Program":
+        """A pickle round trip: done in C, it keeps nids, positions and
+        internal sharing as `copy.deepcopy` would."""
+        out = memo[id(self)] = pickle.loads(pickle.dumps(self, pickle.HIGHEST_PROTOCOL))
+        return out
 
     def class_named(self, name: str) -> Optional[ClassDecl]:
         for c in self.classes:

@@ -86,6 +86,29 @@ class M {
     assert data["ensures"]["W.close"] == [{"field": "s", "methods": ["close"]}]
 
 
+def _wrapper_file(main_class: str, finalizer: str) -> str:
+    """A wrapper `W` around a Socket, closed by `finalizer`, and a main that disposes of one."""
+    return (
+        f"class W {{\n  private Socket s;\n\n  W() {{\n    s = new Socket();\n  }}\n"
+        f"  void {finalizer}() {{\n    s.close();\n  }}\n}}\n"
+        f"class {main_class} {{\n  static void main() {{\n    W w = new W();\n    w.{finalizer}();\n  }}\n}}\n"
+    )
+
+
+def test_infer_rejects_a_file_whose_class_conflicts(workdir, capsys):
+    for name, main_class, finalizer in (("a.mj", "A", "close"), ("b.mj", "B", "stop"), ("c.mj", "C", "close")):
+        (workdir / name).write_text(_wrapper_file(main_class, finalizer))
+    files = [str(workdir / name) for name in ("a.mj", "b.mj", "c.mj")]
+    lib, specs = str(workdir / "lib.libspec"), str(workdir / "s.json")
+    assert main(["infer", *files, "--libspec", lib, "-o", specs]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["b.mj: AnnotationConflict: class W: inferred specs differ from those of a.mj"]
+    # b.mj is left out whole; c.mj's identical W merges
+    data = json.loads((workdir / "s.json").read_text())
+    assert data["classes"] == {"W": {"mustCall": ["close"]}} and "W.stop" not in data["ensures"]
+    assert main(["check", files[0], files[2], "--libspec", lib, "--specs", specs]) == 0
+
+
 def test_run_reports_leaks(workdir, capsys):
     assert main(["run", str(workdir / "leaky.mj"), "--libspec", str(workdir / "lib.libspec")]) == 0
     out = capsys.readouterr().out
@@ -245,11 +268,7 @@ def _subcommand(command, workdir, capsys):
     }[command]
 
 
-@pytest.mark.parametrize(
-    "command, kind",
-    # infer and transform never lower `main`, so a bad name in it is not their failure
-    [(c, k) for c in ("check", "infer", "transform", "fix") for k in sorted(BAD) if k != "lowering" or c in ("check", "fix")],
-)
+@pytest.mark.parametrize("command, kind", [(c, k) for c in ("check", "infer", "transform", "fix") for k in sorted(BAD)])
 def test_bad_file_fails_alone(workdir, capsys, command, kind):
     (workdir / "bad.mj").write_text(BAD[kind])
     rest = _subcommand(command, workdir, capsys)

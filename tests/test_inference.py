@@ -115,17 +115,17 @@ def test_each_method_is_checked_once_per_round(monkeypatch):
 }
 """
     checked = []
-    original = inference.normal_exit_fact
+    original = inference.method_run
 
-    def counting(cfg, specs, libspec):
-        checked.append(cfg)
-        return original(cfg, specs, libspec)
+    def counting(version, cls, meth, specs):
+        checked.append((cls.name, meth.name, specs.to_json_text()))
+        return original(version, cls, meth, specs)
 
-    monkeypatch.setattr(inference, "normal_exit_fact", counting)
+    monkeypatch.setattr(inference, "method_run", counting)
     specs = infer_specs(parse(src), LIB)
     assert specs.field_ownership[("Pair", "a")] == specs.field_ownership[("Pair", "b")] == "owning"
-    # two candidate fields, yet one checker run per lowered method
-    assert checked and len({id(cfg) for cfg in checked}) == len(checked)
+    # two candidate fields, yet one checker run per method and round
+    assert checked == [("Pair", "close", SpecSet().to_json_text()), ("Pair", "close", specs.to_json_text())]
 
 
 def test_conditional_disposal_does_not_count():

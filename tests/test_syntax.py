@@ -248,3 +248,46 @@ def test_adopt_positions_every_node_of_the_subtree():
     prog.adopt(guard, anchor)
     assert {prog.pos_of(n.nid) for n in sx.walk_nodes(guard)} == {prog.pos_of(anchor.nid)} != {(0, 0)}
     assert len(list(sx.walk_nodes(guard))) == 8
+
+
+# --- Program copies ------------------------------------------------------------
+
+
+def _lists(root: sx.Node) -> list[list]:
+    """Every list a node under root holds."""
+    return [v for n in sx.walk_nodes(root) for v in vars(n).values() if isinstance(v, list)]
+
+
+def test_deepcopy_is_equal_keeps_nids_and_positions_and_shares_nothing():
+    for prog, _lib in PROGRAMS:
+        dup = copy.deepcopy(prog)
+        assert dup == prog and dup.source_name == prog.source_name and dup.source_text == prog.source_text
+        nodes, dup_nodes = list(sx.walk_nodes(prog)), list(sx.walk_nodes(dup))
+        assert [n.nid for n in dup_nodes] == [n.nid for n in nodes]
+        assert dup.line_index == prog.line_index and dup.line_index is not prog.line_index
+        originals = {id(n) for n in nodes} | {id(v) for v in _lists(prog)}
+        assert not any(id(n) in originals for n in dup_nodes)
+        assert not any(id(v) in originals for v in _lists(dup))
+
+
+def test_editing_a_copy_leaves_the_original_unchanged():
+    prog, _lib = PROGRAMS[0]
+    text, positions = pretty_print(prog), dict(prog.line_index)
+    dup = copy.deepcopy(prog)
+    cls = dup.classes[0]
+    meth = cls.all_methods()[0]
+    meth.body.stmts.insert(0, sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name="x"), method="close", args=[])))
+    meth.annotations.append(sx.Annotation(kind=sx.NOT_OWNING))
+    cls.annotations.append(sx.Annotation(kind=sx.MUST_CALL, methods=("close",)))
+    for nid in dup.line_index:
+        dup.line_index[nid] = (0, 0)
+    assert pretty_print(dup) != text
+    assert pretty_print(prog) == text and prog.line_index == positions
+
+
+def test_a_program_in_a_copied_container_is_copied_once():
+    prog, _lib = PROGRAMS[0]
+    box = {"first": prog, "again": [prog, (prog,)]}
+    dup = copy.deepcopy(box)
+    assert dup["first"] is dup["again"][0] is dup["again"][1][0]
+    assert dup["first"] is not prog and dup["first"] == prog
