@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Ablation study over the bundled corpus: run the pipeline with each major
-component disabled in turn and print the resolution-rate table."""
+component disabled in turn and print the resolution-rate table. A corpus file
+that a configuration leaves out is named on stderr, and the exit code is 1."""
 
 from __future__ import annotations
 
@@ -27,10 +28,11 @@ def main() -> int:
     libspec = load_library_spec((CORPUS / "minij.libspec").read_text())
     sources = [(p.name, p.read_text()) for p in sorted(CORPUS.glob("*.mj"))]
     rows = []
+    errors = []
     for label, config in CONFIGS:
         report = run_pipeline(sources, libspec, config)
-        m = report.metrics
-        rows.append((label, m))
+        rows.append((label, report.metrics))
+        errors.extend(f"{label}: {e}" for e in report.errors)
     head = f"{'Configuration':<22} | {'CL':>4} {'XE':>4} {'XR':>4} | {'F_CL':>7} {'F_XE':>7} | Repair rate"
     print(head)
     print("-" * len(head))
@@ -38,7 +40,9 @@ def main() -> int:
         f_cl = f"{float(m.f_cl):g}"
         f_xe = f"{float(m.f_xe):g}"
         print(f"{label:<22} | {m.cl:>4} {m.xe:>4} {m.xr:>4} | {f_cl:>7} {f_xe:>7} | {m.percent}%")
-    return 0
+    for e in errors:
+        print(e, file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from .checker import (
     reject_final_writes,
 )
 from .cfg import AliasSets, Cfg, lower, must_alias
-from .escape import EscapeResult, WrapperClassification, classify_wrapper, escapes, field_containment
+from .escape import EscapeAnalyzer, EscapeResult, WrapperClassification
 from .inference import infer_specs, write_specs
 from .interp import RuntimeReport, ValidationVerdict, run, validate_patch
 from .libspec import LibrarySpec, load_library_spec
@@ -26,7 +26,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .printer import pretty_print
-from .repair import Patch, RepairPlan, Unfixable, materialize, plan_fix, pre_close_eligible
+from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix
 from .specs import MustCallSet, SpecSet, must_call_of
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -35,11 +35,11 @@ __all__ = [
     "Cfg",
     "CompileError",
     "EditLog",
+    "EscapeAnalyzer",
     "EscapeResult",
     "LibrarySpec",
     "MetricsReport",
     "MustCallSet",
-    "Patch",
     "PipelineConfig",
     "PipelineReport",
     "RepairPlan",
@@ -51,13 +51,11 @@ __all__ = [
     "Warning",
     "WarningSetPair",
     "WrapperClassification",
+    "apply_plan_in_place",
     "build_shift_map",
     "check_method",
     "check_program",
-    "classify_wrapper",
     "compute_metrics",
-    "escapes",
-    "field_containment",
     "field_to_local",
     "filter_constructor_first_writes",
     "finalize_fields",
@@ -65,12 +63,10 @@ __all__ = [
     "inject_finalizers",
     "load_library_spec",
     "lower",
-    "materialize",
     "must_alias",
     "must_call_of",
     "parse",
     "plan_fix",
-    "pre_close_eligible",
     "pretty_print",
     "reject_final_writes",
     "run",

@@ -4,11 +4,14 @@ Subcommands: check, infer, transform, fix, run, explain-escape, pipeline.
 `check`, `transform` and `fix` call the pipeline's own stages (`check_stage`,
 `transform_stage`, `fix_stage`), so `fix` infers specs, re-checks, defers and
 validates as `pipeline` does. Exit codes: 0 = done, every patch validated;
-1 = `check` reports warnings; 2 = unfixable warnings remain (`pipeline`);
-3 = a patch failed validation (`fix`, `pipeline`); 4 = a file that does not
-parse, lower or annotate was left out, named on stderr (`check`, `infer`,
-`transform`, `fix`) or in `errors` (`pipeline`), as is a file whose inferred
-specs for a class differ from an earlier file's (`infer`). 3 wins over 4.
+1 = `check` reports warnings, `run` ends in another status than Completed,
+`explain-escape` finds no such site; 2 = unfixable warnings remain
+(`pipeline`); 3 = a patch failed validation (`fix`, `pipeline`); 4 = a file
+that does not parse, lower or annotate was left out, named on stderr
+(`check`, `infer`, `transform`, `fix`, `run`, `explain-escape`) or in
+`errors` (`pipeline`), as is a file whose inferred specs for a class differ
+from an earlier file's (`infer`). `run` does not lower: the interpreter
+reports an unbound name as a status. 3 wins over 4.
 Each file is analysed in its own `memo.file_scope()`.
 """
 
@@ -21,6 +24,7 @@ from pathlib import Path
 
 from . import cfg as C
 from . import memo
+from . import syntax as sx
 from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
@@ -167,38 +171,49 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
-    program = _parse_file(args.file)
-    report = interp_run(program, libspec, step_limit=args.step_limit)
-    if args.trace:
-        for line in report.stdout:
-            print(line)
-    payload = report.to_json()
-    if not args.trace:
-        payload.pop("stdout")
-    print(json.dumps(payload, indent=2))
-    return 0 if report.status == "Completed" else 1
+
+    def run(program):
+        report = interp_run(program, libspec, step_limit=args.step_limit)
+        if args.trace:
+            for line in report.stdout:
+                print(line)
+        payload = report.to_json()
+        if not args.trace:
+            payload.pop("stdout")
+        print(json.dumps(payload, indent=2))
+        return 0 if report.status == "Completed" else 1
+
+    codes, _failed = _each_file([args.file], run)
+    return codes[0] if codes else 4
 
 
 def cmd_explain_escape(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
-    program = _parse_file(args.file)
-    specs = _load_specs(args.specs, program)
-    analyzer = EscapeAnalyzer(program, specs, libspec)
-    for cls in program.classes:
-        for meth in cls.all_methods():
-            g = C.lower(program, cls, meth, libspec)
-            for node, ins in enumerate(g.nodes):
-                if isinstance(ins, C.Alloc) and ins.site == args.site:
-                    result = analyzer.escapes_from(g, node)
-                    print(f"site {args.site}: new {ins.class_name} in {cls.name}.{g.method_name}")
+
+    def explain(program):
+        _lower_all(program, libspec)
+        analyzer = EscapeAnalyzer(program, _load_specs(args.specs, program), libspec)
+        for cls in program.classes:
+            for meth in cls.all_methods():
+                key = sx.member_key(meth)
+                for node in sx.walk_nodes(meth):
+                    if not (isinstance(node, sx.New) and node.site == args.site):
+                        continue
+                    result = analyzer.escapes_at(cls.name, key, node.nid)
+                    if result is None:
+                        continue  # code after a return is not lowered
+                    print(f"site {args.site}: new {node.class_name} in {cls.name}.{key}")
                     print(f"escapes: {result.escapes}")
                     for r in result.routes:
                         print(f"  route {r.kind}: {r.detail}")
                     for sink, kind in result.wrapper_sinks:
                         print(f"  wrapper sink {sink} ({kind})")
                     return 0
-    print(f"site {args.site} not found", file=sys.stderr)
-    return 1
+        print(f"site {args.site} not found", file=sys.stderr)
+        return 1
+
+    codes, _failed = _each_file([args.file], explain)
+    return codes[0] if codes else 4
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:

@@ -10,6 +10,10 @@ Field containment (the repair-safety property): a private field f of C is
 contained iff no value read from f flows into a field, collection, owning
 return, or non-wrapper-sink argument. Computed by running the escape engine
 from every load of f inside C.
+
+`EscapeAnalyzer` is the one surface: `escapes_at` answers for a warned
+allocation or call, `field_containment` for a field, and both share the
+analyzer's CFGs and wrapper classifications.
 """
 
 from __future__ import annotations
@@ -221,6 +225,19 @@ class EscapeAnalyzer:
 
     # --- escape engine ---
 
+    def escapes_at(self, class_name: str, method_key: str, ast_nid: int) -> Optional[EscapeResult]:
+        """Escape result for the value the allocation or call `ast_nid` defines
+        in member `method_key` of `class_name`; None when no such node defines one."""
+        cls = self.program.class_named(class_name)
+        meth = cls.member(method_key) if cls else None
+        if meth is None:
+            return None
+        cfg = self._cfg(cls, meth)
+        for node, instr in enumerate(cfg.nodes):
+            if isinstance(instr, (C.Alloc, C.Invoke)) and instr.ast_nid == ast_nid and instr.dst:
+                return self.escapes_from(cfg, node)
+        return None
+
     def escapes_from(self, cfg: C.Cfg, node: int) -> EscapeResult:
         """Escape result for the value node defines: an allocation, or the
         value a call returns."""
@@ -319,38 +336,3 @@ class EscapeAnalyzer:
             add(r.kind, r.detail)
         sinks.extend(sub_sinks)
         return True
-
-
-# --- module-level operation surface -------------------------------------------
-
-
-def field_containment(
-    class_name: str, field_name: str, program: sx.Program, specs: SpecSet | None = None, libspec: LibrarySpec | None = None
-) -> bool:
-    specs = specs or SpecSet.from_declared(program)
-    analyzer = EscapeAnalyzer(program, specs, libspec or LibrarySpec())
-    return analyzer.field_containment(class_name, field_name)
-
-
-def classify_wrapper(
-    class_name: str, program: sx.Program, specs: SpecSet | None = None, libspec: LibrarySpec | None = None
-) -> WrapperClassification:
-    specs = specs or SpecSet.from_declared(program)
-    analyzer = EscapeAnalyzer(program, specs, libspec or LibrarySpec())
-    return analyzer.classify_wrapper(class_name)
-
-
-def escapes(
-    alloc_site: int,
-    cfg: C.Cfg,
-    program: sx.Program,
-    specs: SpecSet | None = None,
-    libspec: LibrarySpec | None = None,
-) -> EscapeResult:
-    """Escape result for the New with the given allocation-site id in cfg."""
-    specs = specs or SpecSet.from_declared(program)
-    analyzer = EscapeAnalyzer(program, specs, libspec or LibrarySpec())
-    for node, instr in enumerate(cfg.nodes):
-        if isinstance(instr, C.Alloc) and instr.site == alloc_site:
-            return analyzer.escapes_from(cfg, node)
-    raise ValueError(f"allocation site {alloc_site} not in cfg {cfg.class_name}.{cfg.method_name}")

@@ -16,8 +16,8 @@ It holds two kinds of entries, both also keyed on the library spec:
 A miss calls the module-level `cfg.lower` (and the checker `cfg.liveness`),
 so counts of those calls count real work. Outside a scope nothing is cached
 and every lookup computes. Every other caller lowers and checks uncached:
-`escape_for`, the transforms' `disposes`, `_chain_roots` and `--dump-cfg`
-work on a program that is changing, or would never hit.
+`plan_fix`'s `EscapeAnalyzer`, the transforms' `disposes`, `_chain_roots`
+and `--dump-cfg` work on a program that is changing, or would never hit.
 """
 
 from __future__ import annotations

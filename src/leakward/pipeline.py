@@ -1,7 +1,7 @@
 """Eight-step leak-repair pipeline and evaluation metrics.
 
 Per file: infer -> check (plus a spec-free check recorded as w_orig) ->
-transform -> infer -> check (w_xform) -> plan+materialize -> validate, with
+transform -> infer -> check (w_xform) -> plan+apply -> validate, with
 the fix+validate stage iterated (re-checking patched code can surface
 deferred plans and fresh warnings).
 
@@ -37,7 +37,7 @@ from .checker import (
     warning_id,
 )
 from .errors import FILE_ERRORS, AmbiguousMapping, MaterializationFailure, StaleWarning
-from .escape import EscapeAnalyzer, EscapeResult, tainted_stores
+from .escape import tainted_stores
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
@@ -319,25 +319,6 @@ def transform_stage(
     return current, EditLog(log1.entries + log2.entries + log3.entries)
 
 
-def escape_for(
-    w: Warning, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig
-) -> Optional[EscapeResult]:
-    """Escape result for the value an UnsatisfiedObligation warning tracks;
-    None for other warnings or when the warned node is gone."""
-    if w.kind != UNSATISFIED_OBLIGATION:
-        return None
-    cls = program.class_named(w.class_name)
-    meth = cls.member(w.method_name) if cls else None
-    if meth is None:
-        return None
-    cfg = C.lower(program, cls, meth, libspec)
-    analyzer = EscapeAnalyzer(program, specs, libspec, enhancements=config.enable_fixer_enhancements)
-    for node, ins in enumerate(cfg.nodes):
-        if isinstance(ins, (C.Alloc, C.Invoke)) and ins.ast_nid == w.ast_nid and ins.dst:
-            return analyzer.escapes_from(cfg, node)
-    return None
-
-
 def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig) -> FixOutcome:
     """Repair `warnings` on a copy of `program`; re-check after each iteration
     that fixed something, retry deferred plans, then validate the patch."""
@@ -355,17 +336,13 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
             if not config.enable_overwrite_handling and w.kind == OWNING_FIELD_OVERWRITE:
                 fix_status[w.id] = ("unfixable", "PreCloseConditionsFail(disabled)")
                 continue
-            er = escape_for(w, patched, specs_now, libspec, config)
             try:
-                plan = plan_fix(w, patched, specs_now, er, libspec)
+                plan = plan_fix(w, patched, specs_now, libspec, config.enable_fixer_enhancements)
             except StaleWarning:
                 fix_status.setdefault(w.id, ("unfixable", "NoIrMatch"))
                 continue
             if isinstance(plan, Unfixable):
                 fix_status[w.id] = ("unfixable", plan.reason)
-                continue
-            if not config.enable_fixer_enhancements and plan.finalizer_method != "close":
-                fix_status[w.id] = ("unfixable", "NoIrMatch")  # classic mode only inserts close()
                 continue
             try:
                 apply_plan_in_place(patched, plan)
@@ -410,7 +387,7 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     annotated = write_specs(current, specs2)
     w_xform = check_stage(annotated, specs2, libspec, config)
 
-    # stages 7-8: plan, materialize, validate
+    # stages 7-8: plan, apply, validate
     fixed = fix_stage(annotated, w_xform, libspec, config)
     return FileResult(
         **vars(fixed), name=program.source_name, transformed=annotated, w_orig=w_orig, w_xform=w_xform,

@@ -1,6 +1,9 @@
-"""Repair planning and patch materialization.
+"""Repair planning and plan application.
 
-Template selection per warning:
+`plan_fix` decides each warning on its own, against one `EscapeAnalyzer`
+built with the run's `enhancements` flag: the escape of the warned value,
+the pre-close conditions and the finalizer all come from it. Template
+selection per warning:
 
   UnsatisfiedObligation, value does not escape
       -> TryFinallyWrap: declare the holder null before a try, move the
@@ -9,13 +12,18 @@ Template selection per warning:
       -> CloseInFinally when the allocation already sits in a try body: hoist
          the declaration if needed and add the guarded close to that try's
          finally.
-  OwningFieldOverwrite and pre_close_eligible
+  OwningFieldOverwrite and `pre_close_check` holds
       -> PreCloseInsertion: a guarded try/close/catch(printStackTrace) block
          immediately before the overwriting store.
   anything else -> Unfixable with the failing route or condition.
 
-Materialization edits a private AST copy and emits a unified diff against the
-canonical print of the original; byte-identical across runs.
+With `enhancements` off (the classic close-only repair) no class is a
+resource alias or accessor, so a resource passed into a wrapper escapes and
+a field read into one is not contained, and a plan whose first finalizer is
+not `close()` is Unfixable(NoIrMatch).
+
+`apply_plan_in_place` edits the program it is given; the caller copies first
+and diffs the canonical prints with `unified_diff_text`.
 """
 
 from __future__ import annotations
@@ -28,9 +36,8 @@ from typing import Optional, Union
 from . import syntax as sx
 from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
 from .errors import MaterializationFailure, StaleWarning
-from .escape import EscapeAnalyzer, EscapeResult, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
+from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
 from .libspec import LibrarySpec
-from .printer import pretty_print
 from .specs import SpecSet, resource_must_call
 from .transforms import FreshNames
 
@@ -78,15 +85,6 @@ class Unfixable:
         return {"warningId": self.warning_id, "unfixableReason": self.reason, "detail": self.detail}
 
 
-@dataclass
-class Patch:
-    file: str
-    diff: str
-    structured_edits: list[dict]
-    status: str  # Materialized | Unfixable(<reason>)
-    patched_program: Optional[sx.Program] = None
-
-
 # --- anchor lookup -----------------------------------------------------------
 
 
@@ -127,30 +125,11 @@ def rebind_warning(data: dict, program: sx.Program) -> Warning:
 # --- eligibility -------------------------------------------------------------
 
 
-def pre_close_eligible(
-    class_name: str,
-    field_name: str,
-    program: sx.Program,
-    specs: Optional[SpecSet] = None,
-    libspec: Optional[LibrarySpec] = None,
-) -> bool:
-    ok, _which = pre_close_check(class_name, field_name, program, specs, libspec)
-    return ok
-
-
-def pre_close_check(
-    class_name: str,
-    field_name: str,
-    program: sx.Program,
-    specs: Optional[SpecSet] = None,
-    libspec: Optional[LibrarySpec] = None,
-) -> tuple[bool, str]:
-    """(eligible, failing-condition). Conditions: (1) field private, (2) every
-    write stores a freshly allocated resource (null writes are benign),
-    (3) field containment holds."""
-    specs = specs or SpecSet.from_declared(program)
-    libspec = libspec or LibrarySpec()
-    cls = program.class_named(class_name)
+def pre_close_check(class_name: str, field_name: str, analyzer: EscapeAnalyzer) -> tuple[bool, str]:
+    """(eligible, failing-condition) for `analyzer`'s program. Conditions:
+    (1) field private, (2) every write stores a freshly allocated resource
+    (null writes are benign), (3) field containment holds."""
+    cls = analyzer.program.class_named(class_name)
     fld = cls.field_named(field_name) if cls else None
     if cls is None or fld is None:
         return False, "NoSuchField"
@@ -166,7 +145,6 @@ def pre_close_check(
             continue
         if not isinstance(value, sx.New):
             return False, "NonFreshWrite"
-    analyzer = EscapeAnalyzer(program, specs, libspec)
     if not analyzer.field_containment(class_name, field_name):
         return False, "ContainmentFails"
     return True, ""
@@ -176,45 +154,53 @@ def pre_close_check(
 
 
 def plan_fix(
-    warning: Warning,
-    program: sx.Program,
-    specs: SpecSet,
-    escape_result: Optional[EscapeResult],
-    libspec: Optional[LibrarySpec] = None,
+    warning: Warning, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, enhancements: bool = True
 ) -> Union[RepairPlan, Unfixable]:
-    libspec = libspec or LibrarySpec()
-    anchor = locate_anchor(warning, program)  # StaleWarning if the id no longer matches
-    if warning.kind == OWNING_FIELD_OVERWRITE:
-        _, _, fname = warning.anchor_token.partition(".")
-        owner = warning.anchor_token.split(".", 1)[0]
-        ok, which = pre_close_check(owner, fname, program, specs, libspec)
-        if not ok:
-            return Unfixable(warning.id, f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
-        finalizers = _finalizers_for(warning.resource_class, specs, libspec)
-        if not finalizers:
-            return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
-        return RepairPlan(
-            warning_id=warning.id,
-            template=PRE_CLOSE_INSERTION,
-            anchors={"store": anchor.nid},
-            finalizer_method=finalizers[0],
-            finalizer_methods=finalizers,
-            resource_class=warning.resource_class,
-            class_name=warning.class_name,
-            method_name=warning.method_name,
-        )
-    assert warning.kind == UNSATISFIED_OBLIGATION
-    if escape_result is not None and escape_result.escapes:
-        route = escape_result.primary_route()
-        reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
-        return Unfixable(warning.id, reason, detail=route.detail if route else "")
-    finalizers = _finalizers_for(warning.resource_class, specs, libspec)
+    """The repair of one warning, or why it has none. Raises StaleWarning when
+    the warning's anchor is gone from `program`."""
+    anchor = locate_anchor(warning, program)
+    analyzer = EscapeAnalyzer(program, specs, libspec, enhancements=enhancements)
+    plan = (
+        _plan_pre_close(warning, anchor, analyzer)
+        if warning.kind == OWNING_FIELD_OVERWRITE
+        else _plan_obligation(warning, anchor, analyzer)
+    )
+    if isinstance(plan, RepairPlan) and not enhancements and plan.finalizer_method != "close":
+        return Unfixable(warning.id, NO_IR_MATCH, detail="classic repair inserts only close()")
+    return plan
+
+
+def _plan_pre_close(warning: Warning, anchor: sx.Node, analyzer: EscapeAnalyzer) -> Union[RepairPlan, Unfixable]:
+    owner, _, fname = warning.anchor_token.partition(".")
+    ok, which = pre_close_check(owner, fname, analyzer)
+    if not ok:
+        return Unfixable(warning.id, f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
+    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
     if not finalizers:
         return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
-    cls = program.class_named(warning.class_name)
-    method = cls.member(warning.method_name) if cls else None
-    if method is None:
-        return Unfixable(warning.id, NO_IR_MATCH, detail="enclosing method not found")
+    return RepairPlan(
+        warning_id=warning.id,
+        template=PRE_CLOSE_INSERTION,
+        anchors={"store": anchor.nid},
+        finalizer_method=finalizers[0],
+        finalizer_methods=finalizers,
+        resource_class=warning.resource_class,
+        class_name=warning.class_name,
+        method_name=warning.method_name,
+    )
+
+
+def _plan_obligation(warning: Warning, anchor: sx.Node, analyzer: EscapeAnalyzer) -> Union[RepairPlan, Unfixable]:
+    assert warning.kind == UNSATISFIED_OBLIGATION
+    escape = analyzer.escapes_at(warning.class_name, warning.method_name, warning.ast_nid)
+    if escape is not None and escape.escapes:
+        route = escape.primary_route()
+        reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
+        return Unfixable(warning.id, reason, detail=route.detail if route else "")
+    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
+    if not finalizers:
+        return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
+    method = analyzer.program.class_named(warning.class_name).member(warning.method_name)
     path = _template_path(method.body, anchor)
     if path is None:
         return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
@@ -261,28 +247,17 @@ def _template_path(body: sx.Block, anchor: sx.Node) -> Optional[sx.StmtPath]:
     return path
 
 
-# --- materialization ---------------------------------------------------------
-
-
-def materialize(program: sx.Program, plan: RepairPlan, libspec: Optional[LibrarySpec] = None) -> Patch:
-    """Apply the plan's template to a private copy and diff the canonical prints."""
-    before = pretty_print(program)
-    patched = copy.deepcopy(program)
-    edits = _apply_plan(patched, plan)
-    after = pretty_print(patched)
-    diff = unified_diff_text(before, after, program.source_name)
-    return Patch(
-        file=program.source_name,
-        diff=diff,
-        structured_edits=edits,
-        status="Materialized",
-        patched_program=patched,
-    )
+# --- plan application --------------------------------------------------------
 
 
 def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> list[dict]:
-    """Apply a plan to an already-copied program (pipeline batching)."""
-    return _apply_plan(program, plan)
+    """Apply a plan's template to `program` itself; the structured edits made.
+    Raises MaterializationFailure when the anchors no longer admit it."""
+    if plan.template == PRE_CLOSE_INSERTION:
+        return _apply_pre_close(program, plan)
+    if plan.template in (TRY_FINALLY_WRAP, CLOSE_IN_FINALLY):
+        return _apply_wrap(program, plan)
+    raise MaterializationFailure("UnknownTemplate", plan.template)
 
 
 def unified_diff_text(before: str, after: str, name: str) -> str:
@@ -294,14 +269,6 @@ def unified_diff_text(before: str, after: str, name: str) -> str:
 
 def _find_node(program: sx.Program, nid: int) -> Optional[sx.Node]:
     return next((n for n in sx.walk_nodes(program) if n.nid == nid), None)
-
-
-def _apply_plan(program: sx.Program, plan: RepairPlan) -> list[dict]:
-    if plan.template == PRE_CLOSE_INSERTION:
-        return _apply_pre_close(program, plan)
-    if plan.template in (TRY_FINALLY_WRAP, CLOSE_IN_FINALLY):
-        return _apply_wrap(program, plan)
-    raise MaterializationFailure("UnknownTemplate", plan.template)
 
 
 def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tuple[str, ...]) -> sx.If:

@@ -265,18 +265,31 @@ def _subcommand(command, workdir, capsys):
         "infer": ["--libspec", lib, "-o", str(workdir / "s.json")],
         "transform": ["--libspec", lib, "--warnings", str(workdir / "w.json"), "-o", str(workdir / "out")],
         "fix": ["--libspec", lib, "--warnings", str(workdir / "w.json"), "-o", str(workdir / "out")],
+        "run": ["--libspec", lib],
+        "explain-escape": ["--site", "1", "--libspec", lib],
     }[command]
 
 
-@pytest.mark.parametrize("command, kind", [(c, k) for c in ("check", "infer", "transform", "fix") for k in sorted(BAD)])
+# `run` and `explain-escape` take one file; `run` does not lower, so the
+# interpreter reports an unbound name as a status
+BAD_FILE_CASES = [(c, k) for c in ("check", "infer", "transform", "fix", "explain-escape") for k in sorted(BAD)] + [
+    ("run", k) for k in ("duplicate", "syntax")
+]
+
+
+@pytest.mark.parametrize("command, kind", BAD_FILE_CASES)
 def test_bad_file_fails_alone(workdir, capsys, command, kind):
     (workdir / "bad.mj").write_text(BAD[kind])
     rest = _subcommand(command, workdir, capsys)
-    code = main([command, str(workdir / "bad.mj"), str(workdir / "leaky.mj"), *rest])
+    single = command in ("run", "explain-escape")
+    files = ["bad.mj"] if single else ["bad.mj", "leaky.mj"]
+    code = main([command, *(str(workdir / f) for f in files), *rest])
     captured = capsys.readouterr()
     assert code == 4
     assert captured.err.splitlines() == run_pipeline([("bad.mj", BAD[kind])], load_library_spec(LIBSPEC)).errors
-    if command == "check":
+    if single:
+        assert captured.out == ""
+    elif command == "check":
         assert "leaky.mj:3: [UnsatisfiedObligation]" in captured.out
     elif command == "infer":
         assert json.loads((workdir / "s.json").read_text())["classes"] == {}

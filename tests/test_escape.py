@@ -1,22 +1,19 @@
 """Escape routes, field containment, and wrapper classification."""
 
-import pytest
-
 from leakward import cfg as C
+from leakward import syntax as sx
 from leakward.checker import check_program
 from leakward.escape import (
     NOT_A_WRAPPER,
     RESOURCE_ACCESSOR,
     RESOURCE_ALIAS,
     EscapeAnalyzer,
-    classify_wrapper,
-    escapes,
-    field_containment,
 )
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
-from leakward.pipeline import PipelineConfig, escape_for
+from leakward.repair import Unfixable, plan_fix
+from leakward.specs import SpecSet
 
 LIB = load_library_spec(
     """
@@ -29,13 +26,21 @@ resource List { must_call: []; method List() -> void; method add(notowning) -> v
 )
 
 
-def _escape_for_site(src, site, cls_name="Main", meth_name="main"):
+def _analyzer(prog, specs=None):
+    return EscapeAnalyzer(prog, specs if specs is not None else SpecSet.from_declared(prog), LIB)
+
+
+def _escapes_at_site(prog, specs, site, cls_name="Main", meth_name="main"):
+    """The analyzer's escape result for the `new` with allocation site `site`."""
+    meth = prog.class_named(cls_name).member(meth_name)
+    (new,) = [n for n in sx.walk_nodes(meth) if isinstance(n, sx.New) and n.site == site]
+    return _analyzer(prog, specs).escapes_at(cls_name, meth_name, new.nid)
+
+
+def _escape_for_site(src, site):
     prog = parse(src, "e.mj")
     specs = infer_specs(prog, LIB)
-    cls = prog.class_named(cls_name)
-    meth = cls.method_named(meth_name)
-    g = C.lower(prog, cls, meth, LIB)
-    return escapes(site, g, prog, specs, LIB), prog, specs
+    return _escapes_at_site(prog, specs, site), prog, specs
 
 
 PROXY = """class FileEventProxy {
@@ -66,13 +71,13 @@ GETTER_WRAPPER = """class Wrapper {
 def test_containment_receiver_only_reads():
     prog = parse(PROXY + "class Main { static void main() { } }")
     specs = infer_specs(prog, LIB)
-    assert field_containment("FileEventProxy", "scanner", prog, specs, LIB) is True
+    assert _analyzer(prog, specs).field_containment("FileEventProxy", "scanner") is True
 
 
 def test_containment_fails_via_getter():
     prog = parse(GETTER_WRAPPER + "class Main { static void main() { } }")
     specs = infer_specs(prog, LIB)
-    assert field_containment("Wrapper", "s", prog, specs, LIB) is False
+    assert _analyzer(prog, specs).field_containment("Wrapper", "s") is False
 
 
 def test_containment_vacuous_when_never_read():
@@ -86,7 +91,7 @@ def test_containment_vacuous_when_never_read():
 class Main { static void main() { } }
 """
     prog = parse(src)
-    assert field_containment("Sink", "dump", prog, None, LIB) is True
+    assert _analyzer(prog).field_containment("Sink", "dump") is True
 
 
 def test_containment_requires_private():
@@ -100,7 +105,7 @@ def test_containment_requires_private():
 class Main { static void main() { } }
 """
     prog = parse(src)
-    assert field_containment("Open", "s", prog, None, LIB) is False
+    assert _analyzer(prog).field_containment("Open", "s") is False
 
 
 def test_containment_fails_when_stored_onward():
@@ -117,7 +122,7 @@ def test_containment_fails_when_stored_onward():
 class Main { static void main() { } }
 """
     prog = parse(src)
-    assert field_containment("Relay", "held", prog, None, LIB) is False
+    assert _analyzer(prog).field_containment("Relay", "held") is False
 
 
 def test_classify_accessor_alias_and_plain():
@@ -133,20 +138,20 @@ def test_classify_accessor_alias_and_plain():
 }
 """
     prog = parse(alias_src + PROXY + GETTER_WRAPPER + "class Main { static void main() { } }")
-    specs = infer_specs(prog, LIB)
-    assert classify_wrapper("MyWriter", prog, specs, LIB).kind == RESOURCE_ALIAS
-    assert classify_wrapper("MyWriter", prog, specs, LIB).finalizer == "close"
-    assert classify_wrapper("FileEventProxy", prog, specs, LIB).kind == RESOURCE_ACCESSOR
-    assert classify_wrapper("Wrapper", prog, specs, LIB).kind == NOT_A_WRAPPER  # containment fails
-    assert classify_wrapper("Main", prog, specs, LIB).kind == NOT_A_WRAPPER
+    analyzer = _analyzer(prog, infer_specs(prog, LIB))
+    assert analyzer.classify_wrapper("MyWriter").kind == RESOURCE_ALIAS
+    assert analyzer.classify_wrapper("MyWriter").finalizer == "close"
+    assert analyzer.classify_wrapper("FileEventProxy").kind == RESOURCE_ACCESSOR
+    assert analyzer.classify_wrapper("Wrapper").kind == NOT_A_WRAPPER  # containment fails
+    assert analyzer.classify_wrapper("Main").kind == NOT_A_WRAPPER
 
 
 def test_alias_and_accessor_disjoint_over_corpus(corpus_sources, libspec):
     for name, text in corpus_sources:
         prog = parse(text, name)
-        specs = infer_specs(prog, libspec)
+        analyzer = EscapeAnalyzer(prog, infer_specs(prog, libspec), libspec)
         for cls in prog.classes:
-            kind = classify_wrapper(cls.name, prog, specs, libspec).kind
+            kind = analyzer.classify_wrapper(cls.name).kind
             assert kind in (RESOURCE_ALIAS, RESOURCE_ACCESSOR, NOT_A_WRAPPER)
 
 
@@ -198,7 +203,8 @@ class Main {
     result = EscapeAnalyzer(prog, specs, LIB).escapes_from(g, call)
     assert result.escapes and [r.kind for r in result.routes] == ["ToField"]
     (w,) = [w for w in check_program(prog, specs, LIB) if w.anchor_kind == "call"]
-    assert escape_for(w, prog, specs, LIB, PipelineConfig()) == result
+    assert EscapeAnalyzer(prog, specs, LIB).escapes_at("Main", "main", w.ast_nid) == result
+    assert plan_fix(w, prog, specs, LIB) == Unfixable(w.id, "EscapesToField", detail="Box.kept")
 
 
 def test_escape_returned_route():
@@ -212,9 +218,7 @@ def test_escape_returned_route():
 }
 """
     prog = parse(src, "e.mj")
-    cls = prog.class_named("Main")
-    g = C.lower(prog, cls, cls.method_named("main2"), LIB)
-    result = escapes(1, g, prog, None, LIB)
+    result = _escapes_at_site(prog, None, 1, meth_name="main2")
     assert result.escapes and result.routes[0].kind == "Returned"
 
 
@@ -277,18 +281,18 @@ def test_containment_monotone_conservatism():
     # adding a read that stores the field flips containment to false
     base = PROXY + "class Main { static void main() { } }"
     prog = parse(base)
-    assert field_containment("FileEventProxy", "scanner", prog, None, LIB) is True
+    assert _analyzer(prog).field_containment("FileEventProxy", "scanner") is True
     stored = PROXY.replace(
         "  void hasNextEvent() {\n    scanner.read();\n  }",
         "  void hasNextEvent() {\n    scanner.read();\n  }\n  void spill(List bag) {\n    bag.add(scanner);\n  }",
     )
     prog2 = parse(stored + "class Main { static void main() { } }")
-    assert field_containment("FileEventProxy", "scanner", prog2, None, LIB) is False
+    assert _analyzer(prog2).field_containment("FileEventProxy", "scanner") is False
 
 
-def test_unknown_site_raises():
+def test_unknown_node_has_no_escape_result():
     prog = parse("class Main { static void main() { Socket s = new Socket(); } }", "e.mj")
-    cls = prog.class_named("Main")
-    g = C.lower(prog, cls, cls.method_named("main"), LIB)
-    with pytest.raises(ValueError):
-        escapes(99, g, prog, None, LIB)
+    analyzer = _analyzer(prog)
+    assert analyzer.escapes_at("Main", "main", 10**9) is None
+    assert analyzer.escapes_at("Main", "ghost", 1) is None
+    assert analyzer.escapes_at("Ghost", "main", 1) is None

@@ -1,5 +1,6 @@
 """Pipeline orchestration, shift mapping, and metric arithmetic."""
 
+import importlib.util
 import json
 from fractions import Fraction
 
@@ -303,6 +304,36 @@ def test_ablation_disable_enhancements(corpus_sources, libspec):
     assert all(st != "fixed" for st, _ in fr2.fix_status.values())
 
 
+PEEK = """class Peek {
+  private FileInputStream s;
+  Peek(FileInputStream s) { this.s = s; }
+  void look() { s.read(); }
+}
+class Holder {
+  private FileInputStream f;
+  Holder(String p) { f = new FileInputStream(p); }
+  void reopen(String p) { f = new FileInputStream(p); }
+  void peek() { Peek k = new Peek(f); k.look(); }
+  void close() { f.close(); }
+  static void main() { Holder h = new Holder("a"); h.reopen("b"); h.peek(); h.close(); }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "enhancements, status",
+    [(True, ("fixed", "PreCloseInsertion")), (False, ("unfixable", "PreCloseConditionsFail(ContainmentFails)"))],
+)
+def test_classic_mode_pre_close_needs_containment_without_accessors(libspec, enhancements, status):
+    # `f` is contained only because Peek is a resource accessor, which the
+    # classic close-only repair does not know
+    report = run_pipeline([("peek.mj", PEEK)], libspec, PipelineConfig(enable_fixer_enhancements=enhancements))
+    fr = report.files["peek.mj"]
+    (w,) = fr.w_xform
+    assert w.kind == "OwningFieldOverwrite" and w.method_name == "reopen"
+    assert fr.fix_status[w.id] == status
+
+
 def test_ablation_disable_transforms(corpus_sources, libspec):
     report = run_pipeline(corpus_sources, libspec, PipelineConfig(enable_transforms=False))
     fr = report.files["tempfile_writer.mj"]
@@ -310,6 +341,27 @@ def test_ablation_disable_transforms(corpus_sources, libspec):
     # client-side fix is impossible and constructor warnings stay put
     assert all(w.resource_class == "PrintStream" for w in fr.w_xform)
     assert report.metrics.resolution_rate < 1
+
+
+ABLATION_TABLE = {
+    "leakward": {"CL": 18, "XE": 2, "XR": 5, "F_CL": "12", "F_XE": "2", "T": 25, "R": "19/25", "percent": 76},
+    "- transforms": {"CL": 19, "XE": 2, "XR": 4, "F_CL": "10", "F_XE": "2", "T": 25, "R": "16/25", "percent": 64},
+    "- fixer enhancements": {"CL": 18, "XE": 2, "XR": 5, "F_CL": "9", "F_XE": "2", "T": 25, "R": "16/25", "percent": 64},
+    "- overwrite handling": {"CL": 18, "XE": 3, "XR": 5, "F_CL": "12", "F_XE": "0", "T": 26, "R": "17/26", "percent": 65},
+}
+
+
+def test_ablation_table(corpus_dir, corpus_sources, libspec):
+    # the rows scripts/run_ablation.py prints, from its own configurations
+    spec = importlib.util.spec_from_file_location("run_ablation", corpus_dir.parent / "scripts" / "run_ablation.py")
+    ablation = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ablation)
+    table = {}
+    for label, config in ablation.CONFIGS:
+        report = run_pipeline(corpus_sources, libspec, config)
+        assert report.errors == [], label
+        table[label] = report.metrics.to_json()
+    assert table == ABLATION_TABLE
 
 
 def test_pipeline_metrics_match_golden(corpus_report, golden_dir):

@@ -1,12 +1,13 @@
 """Repair planning, the pre-close eligibility conditions, and materialization."""
 
+import copy
+
 import pytest
 
 from helpers import apply_unified_diff
-from leakward import cfg as C
 from leakward.checker import check_program, filter_constructor_first_writes
 from leakward.errors import MaterializationFailure, StaleWarning
-from leakward.escape import escapes
+from leakward.escape import EscapeAnalyzer
 from leakward.inference import infer_specs, write_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
@@ -17,11 +18,12 @@ from leakward.repair import (
     TRY_FINALLY_WRAP,
     RepairPlan,
     Unfixable,
+    apply_plan_in_place,
     locate_anchor,
-    materialize,
     plan_fix,
     pre_close_check,
     rebind_warning,
+    unified_diff_text,
 )
 from leakward.specs import SpecSet
 
@@ -42,14 +44,14 @@ def _plan_first(src, kind=None):
     if kind:
         warnings = [w for w in warnings if w.kind == kind]
     w = warnings[0]
-    er = None
-    if w.kind == "UnsatisfiedObligation":
-        cls = annotated.class_named(w.class_name)
-        meth = cls.method_named(w.method_name) if not w.method_name.startswith("<init>") else cls.constructors[0]
-        g = C.lower(annotated, cls, meth, LIB)
-        if w.site >= 0:
-            er = escapes(w.site, g, annotated, specs, LIB)
-    return plan_fix(w, annotated, specs, er, LIB), annotated, w
+    return plan_fix(w, annotated, specs, LIB), annotated, w
+
+
+def _apply_to_copy(program, plan):
+    """`plan` applied to a deep copy of `program`: the copy, and its diff against `program`."""
+    patched = copy.deepcopy(program)
+    apply_plan_in_place(patched, plan)
+    return patched, unified_diff_text(pretty_print(program), pretty_print(patched), program.source_name)
 
 
 # --- pre-close eligibility: six cases (acceptance criterion 7) ---
@@ -74,7 +76,7 @@ def _eligibility(field_decl="private Socket f;", write="f = new Socket();", extr
     src = PRECLOSE_TEMPLATE.format(field_decl=field_decl, write=write, extra=extra)
     prog = parse(src, "p.mj")
     specs = infer_specs(prog, LIB)
-    return pre_close_check("W", "f", prog, specs, LIB)
+    return pre_close_check("W", "f", EscapeAnalyzer(prog, specs, LIB))
 
 
 PRECLOSE_CASES = [
@@ -120,13 +122,11 @@ def test_pre_close_cases_count():
 
 
 def test_pre_close_eligible_boolean_surface():
-    from leakward.repair import pre_close_eligible
-
     src = PRECLOSE_TEMPLATE.format(field_decl="private Socket f;", write="f = new Socket();", extra="")
     prog = parse(src, "p.mj")
-    specs = infer_specs(prog, LIB)
-    assert pre_close_eligible("W", "f", prog, specs, LIB) is True
-    assert pre_close_eligible("W", "ghost", prog, specs, LIB) is False
+    analyzer = EscapeAnalyzer(prog, infer_specs(prog, LIB), LIB)
+    assert pre_close_check("W", "f", analyzer) == (True, "")
+    assert pre_close_check("W", "ghost", analyzer) == (False, "NoSuchField")
 
 
 def test_null_initializer_is_benign_for_freshness():
@@ -177,10 +177,7 @@ def test_plan_unfixable_on_return_escape():
     specs = infer_specs(prog, LIB)
     warnings = check_program(prog, specs, LIB)
     alloc_warning = next(w for w in warnings if w.anchor_kind == "new")
-    cls = prog.class_named("A")
-    g = C.lower(prog, cls, cls.method_named("partial"), LIB)
-    er = escapes(alloc_warning.site, g, prog, specs, LIB)
-    plan = plan_fix(alloc_warning, prog, specs, er, LIB)
+    plan = plan_fix(alloc_warning, prog, specs, LIB)
     assert isinstance(plan, Unfixable) and plan.reason == "EscapesReturn"
 
 
@@ -213,7 +210,7 @@ def test_plan_stale_warning_raises():
     plan, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); } }')
     stripped = parse("class A { static void main() { } }", "r.mj")
     with pytest.raises(StaleWarning):
-        plan_fix(w, stripped, SpecSet(), None, LIB)
+        plan_fix(w, stripped, SpecSet(), LIB)
 
 
 # --- materialization ---
@@ -241,9 +238,9 @@ class M {
 }
 """
     plan, annotated, _ = _plan_first(src, kind="OwningFieldOverwrite")
-    patch = materialize(annotated, plan, LIB)
-    assert patch.status == "Materialized"
-    text = pretty_print(patch.patched_program)
+    patched = copy.deepcopy(annotated)
+    assert [e["edit"] for e in apply_plan_in_place(patched, plan)] == ["pre-close"]
+    text = pretty_print(patched)
     block = (
         "    if (f != null) {\n"
         "      try {\n"
@@ -259,9 +256,9 @@ class M {
 
 def test_materialize_diff_applies_to_canonical_text():
     plan, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
-    patch = materialize(annotated, plan, LIB)
-    patched_text = apply_unified_diff(pretty_print(annotated), patch.diff)
-    assert patched_text == pretty_print(patch.patched_program)
+    patched, diff = _apply_to_copy(annotated, plan)
+    patched_text = apply_unified_diff(pretty_print(annotated), diff)
+    assert patched_text == pretty_print(patched)
     # re-check: the fixed warning id is gone
     reparsed = parse(patched_text, "r.mj")
     specs = infer_specs(reparsed, LIB)
@@ -271,9 +268,9 @@ def test_materialize_diff_applies_to_canonical_text():
 
 def test_materialize_is_deterministic():
     plan, annotated, _ = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
-    p1 = materialize(annotated, plan, LIB)
-    p2 = materialize(annotated, plan, LIB)
-    assert p1.diff == p2.diff
+    _, diff1 = _apply_to_copy(annotated, plan)
+    _, diff2 = _apply_to_copy(annotated, plan)
+    assert diff1 == diff2 and diff1
 
 
 def test_materialize_stale_anchor_on_already_patched_site():
@@ -300,9 +297,9 @@ class M {
 """,
         kind="OwningFieldOverwrite",
     )
-    patch = materialize(annotated, plan, LIB)
+    patched, _ = _apply_to_copy(annotated, plan)
     with pytest.raises(MaterializationFailure) as err:
-        materialize(patch.patched_program, plan, LIB)
+        _apply_to_copy(patched, plan)
     assert err.value.reason == "StaleAnchor"
 
 
@@ -315,8 +312,8 @@ def test_fresh_temp_extraction_for_nested_allocation():
 """
     plan, annotated, _ = _plan_first(src)
     assert isinstance(plan, RepairPlan)
-    patch = materialize(annotated, plan, LIB)
-    text = pretty_print(patch.patched_program)
+    patched, _ = _apply_to_copy(annotated, plan)
+    text = pretty_print(patched)
     assert "__lw_tmp1" in text and plan.fresh_names == ["__lw_tmp1"]
     assert "Socket __lw_tmp1 = null;" in text
 
@@ -328,14 +325,23 @@ def test_multi_mustcall_inserts_every_finalizer():
     prog = parse("class A { static void main() { Pipe p = new Pipe(); } }", "r.mj")
     specs = infer_specs(prog, lib2)
     w = check_program(prog, specs, lib2)[0]
-    cls = prog.class_named("A")
-    g = C.lower(prog, cls, cls.method_named("main"), lib2)
-    er = escapes(w.site, g, prog, specs, lib2)
-    plan = plan_fix(w, prog, specs, er, lib2)
+    plan = plan_fix(w, prog, specs, lib2)
     assert isinstance(plan, RepairPlan)
     assert plan.finalizer_methods == ("close", "drain")
-    text = pretty_print(materialize(prog, plan, lib2).patched_program)
+    text = pretty_print(_apply_to_copy(prog, plan)[0])
     assert "p.close();" in text and "p.drain();" in text
+
+
+def test_classic_mode_plans_only_close():
+    lib2 = load_library_spec(
+        "resource Pipe { must_call: [drain]; method Pipe() -> void; method drain() -> void; }"
+    )
+    prog = parse("class A { static void main() { Pipe p = new Pipe(); } }", "r.mj")
+    specs = infer_specs(prog, lib2)
+    w = check_program(prog, specs, lib2)[0]
+    assert plan_fix(w, prog, specs, lib2).finalizer_method == "drain"
+    unfixable = plan_fix(w, prog, specs, lib2, enhancements=False)
+    assert isinstance(unfixable, Unfixable) and unfixable.reason == "NoIrMatch"
 
 
 def test_rebind_warning_round_trip():
