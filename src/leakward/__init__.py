@@ -4,7 +4,6 @@ repair for the MiniJ language, validated by a tree-walking interpreter."""
 from .checker import (
     CompileError,
     Warning,
-    check_method,
     check_program,
     filter_constructor_first_writes,
     reject_final_writes,
@@ -27,7 +26,7 @@ from .pipeline import (
 )
 from .printer import pretty_print
 from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix
-from .specs import MustCallSet, SpecSet, must_call_of
+from .specs import MustCallSet, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "WrapperClassification",
     "apply_plan_in_place",
     "build_shift_map",
-    "check_method",
     "check_program",
     "compute_metrics",
     "field_to_local",
@@ -64,7 +62,6 @@ __all__ = [
     "load_library_spec",
     "lower",
     "must_alias",
-    "must_call_of",
     "parse",
     "plan_fix",
     "pretty_print",

@@ -26,6 +26,16 @@ allocation registers on neither. Values dying on an uncaught-exception edge
 out of the method are not leak-reported; only the exit node's normal in-edges
 feed the final check.
 
+A fact (`CheckFact`) holds the maps and sets the transfer function works on:
+dicts from origins to states, from locals to the frozenset of origins they
+may hold, and from this-fields to what was called on or stored in them, plus
+frozensets of null locals and satisfied fields. Facts compare as maps, with
+no regard to order. Once built a fact is never mutated: out-edges share it
+and the file memo keeps exit facts. Its dicts make a `CheckFact` unhashable.
+The one order that could show is that of warning emission: were two origins
+to share a warning id, the first one warned would set `Warning.site`. So
+dying origins are warned in `repr` order, whatever order a fact's dict has.
+
 Warning ids hash a structural descriptor (class, method, resource, ordinal),
 never line numbers, so inserting blank lines changes no ids.
 """
@@ -154,69 +164,38 @@ class SiteState:
     resolved: bool
 
 
-RefInfo = tuple[tuple[Origin, ...], bool]  # (possible origins, definitely non-null)
+RefInfo = tuple[frozenset[Origin], bool]  # (possible origins, definitely non-null)
 
 
 @dataclass(frozen=True)
 class CheckFact:
-    origins: tuple[tuple[Origin, SiteState], ...]  # sorted association list
-    refs: tuple[tuple[str, RefInfo], ...]  # local -> origins it may hold
+    origins: dict[Origin, SiteState]
+    refs: dict[str, RefInfo]  # local -> origins it may hold
     nulls: frozenset[str]  # locals definitely holding null
-    field_called: tuple[tuple[str, frozenset[str]], ...]  # accumulated on the current content
+    field_called: dict[str, frozenset[str]]  # accumulated on the current content
     field_sat: frozenset[str]  # this-fields whose content is known satisfied-or-null
-    bindings: tuple[tuple[str, str], ...]  # temp -> this-field it was loaded from
-    field_origins: tuple[tuple[str, tuple[Origin, ...]], ...]  # this-field -> stored origins
-
-    def origin_map(self) -> dict[Origin, SiteState]:
-        return dict(self.origins)
-
-    def ref_map(self) -> dict[str, RefInfo]:
-        return dict(self.refs)
-
-
-def _pack(
-    origins: dict[Origin, SiteState],
-    refs: dict[str, RefInfo],
-    nulls: set[str],
-    field_called: dict[str, frozenset[str]],
-    field_sat: set[str],
-    bindings: dict[str, str],
-    field_origins: dict[str, tuple[Origin, ...]],
-) -> CheckFact:
-    return CheckFact(
-        origins=tuple(sorted(origins.items(), key=lambda kv: repr(kv[0]))),
-        refs=tuple(sorted(refs.items())),
-        nulls=frozenset(nulls),
-        field_called=tuple(sorted(field_called.items())),
-        field_sat=frozenset(field_sat),
-        bindings=tuple(sorted(bindings.items())),
-        field_origins=tuple(sorted((k, v) for k, v in field_origins.items() if v)),
-    )
+    bindings: dict[str, str]  # temp -> this-field it was loaded from
+    field_origins: dict[str, frozenset[Origin]]  # this-field -> stored origins, never empty
 
 
 EMPTY_FACT = CheckFact(
-    origins=(), refs=(), nulls=frozenset(), field_called=(), field_sat=frozenset(), bindings=(), field_origins=()
+    origins={}, refs={}, nulls=frozenset(), field_called={}, field_sat=frozenset(), bindings={}, field_origins={}
 )
 
 
 def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
-    o1, o2 = f1.origin_map(), f2.origin_map()
-    origins: dict[Origin, SiteState] = {}
-    for k in set(o1) | set(o2):
-        if k in o1 and k in o2:
-            origins[k] = SiteState(o1[k].called & o2[k].called, o1[k].resolved and o2[k].resolved)
-        else:
-            origins[k] = o1[k] if k in o1 else o2[k]  # absent = not allocated on that path
-    r1, r2 = f1.ref_map(), f2.ref_map()
+    origins = dict(f2.origins)  # absent = not allocated on that path
+    for k, st in f1.origins.items():
+        other = origins.get(k)
+        origins[k] = st if other is None else SiteState(st.called & other.called, st.resolved and other.resolved)
+    r1, r2 = f1.refs, f2.refs
     refs: dict[str, RefInfo] = {}
     nulls: set[str] = set()
-    for x in set(r1) | set(r2) | set(f1.nulls) | set(f2.nulls):
+    for x in r1.keys() | r2.keys() | f1.nulls | f2.nulls:
         in1, in2 = x in r1 or x in f1.nulls, x in r2 or x in f2.nulls
         null1, null2 = x in f1.nulls, x in f2.nulls
-        s1 = set(r1.get(x, ((), False))[0])
-        s2 = set(r2.get(x, ((), False))[0])
-        nn1 = r1[x][1] if x in r1 else False
-        nn2 = r2[x][1] if x in r2 else False
+        s1, nn1 = r1.get(x, (frozenset(), False))
+        s2, nn2 = r2.get(x, (frozenset(), False))
         if not in1:  # unbound on side 1: unreadable on those paths, keep side 2
             s, nn, isnull = s2, nn2, null2
         elif not in2:
@@ -226,18 +205,21 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
         if isnull:
             nulls.add(x)
         elif s:
-            refs[x] = (tuple(sorted(s, key=repr)), nn and not (null1 or null2))
-    fc1, fc2 = dict(f1.field_called), dict(f2.field_called)
-    field_called = {k: fc1[k] & fc2[k] for k in set(fc1) & set(fc2)}
-    b1, b2 = dict(f1.bindings), dict(f2.bindings)
-    bindings = {k: v for k, v in b1.items() if b2.get(k) == v}
+            refs[x] = (s, nn and not (null1 or null2))
+    fc1, fc2 = f1.field_called, f2.field_called
+    b1, b2 = f1.bindings, f2.bindings
     # field-content origins meet by intersection: crediting a close through a
     # field is only sound when the field holds the origin on every path
-    fo1, fo2 = dict(f1.field_origins), dict(f2.field_origins)
-    field_origins = {
-        k: tuple(sorted(set(fo1[k]) & set(fo2[k]), key=repr)) for k in set(fo1) & set(fo2)
-    }
-    return _pack(origins, refs, nulls, field_called, set(f1.field_sat & f2.field_sat), bindings, field_origins)
+    fo1, fo2 = f1.field_origins, f2.field_origins
+    return CheckFact(
+        origins=origins,
+        refs=refs,
+        nulls=frozenset(nulls),
+        field_called={k: fc1[k] & fc2[k] for k in fc1.keys() & fc2.keys()},
+        field_sat=f1.field_sat & f2.field_sat,
+        bindings={k: v for k, v in b1.items() if b2.get(k) == v},
+        field_origins={k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])},
+    )
 
 
 class _MethodChecker:
@@ -263,11 +245,8 @@ class _MethodChecker:
 
     # origin helpers
 
-    def origins_of_operand(self, op: str, fact: CheckFact) -> tuple[Origin, ...]:
-        for local, (origins, _nn) in fact.refs:
-            if local == op:
-                return origins
-        return ()
+    def origins_of_operand(self, op: str, fact: CheckFact) -> frozenset[Origin]:
+        return fact.refs.get(op, (frozenset(), False))[0]
 
     def origin_class(self, origin: Origin) -> str:
         if origin[0] == "new":
@@ -344,8 +323,8 @@ class _MethodChecker:
         """Out-facts per successor; branches refine null knowledge per edge and
         a throwing allocation registers nothing on its exceptional edge."""
         instr = self.cfg.nodes[node]
-        origins = fact.origin_map()
-        refs = fact.ref_map()
+        origins = dict(fact.origins)
+        refs = dict(fact.refs)
         nulls = set(fact.nulls)
         field_called = dict(fact.field_called)
         field_sat = set(fact.field_sat)
@@ -383,7 +362,16 @@ class _MethodChecker:
                     origins[origin] = replace(st, resolved=True)
 
         def pack() -> CheckFact:
-            return _pack(origins, refs, nulls, field_called, field_sat, bindings, field_origins)
+            # copies: the working maps change after `pre_ret = pack()`
+            return CheckFact(
+                dict(origins),
+                dict(refs),
+                frozenset(nulls),
+                dict(field_called),
+                frozenset(field_sat),
+                dict(bindings),
+                dict(field_origins),
+            )
 
         if isinstance(instr, C.Alloc):
             pre = fact
@@ -395,7 +383,7 @@ class _MethodChecker:
                 if prior is not None and self.insufficient(origin, prior):
                     self.warn_unsatisfied(origin)  # looped re-allocation rolls over a pending instance
                 origins[origin] = SiteState(frozenset(), False)
-                refs[instr.dst] = ((origin,), True)
+                refs[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
                 touch_field_contents()
             return self._split_out(node, pack(), pre)  # the allocation never happened on the exceptional edge
@@ -419,7 +407,7 @@ class _MethodChecker:
             kill_local(instr.dst)
             if instr.recv == C.THIS:
                 bindings[instr.dst] = instr.field
-                held = field_origins.get(instr.field, ())
+                held = field_origins.get(instr.field)
                 if held:
                     refs[instr.dst] = (held, False)
         elif isinstance(instr, C.StoreField):
@@ -475,7 +463,7 @@ class _MethodChecker:
                 self.warn_unsatisfied(origin)
             origins[origin] = SiteState(frozenset(), False)
             if instr.dst:
-                refs[instr.dst] = ((origin,), False)  # callees may return null
+                refs[instr.dst] = (frozenset({origin}), False)  # callees may return null
             return self._split_out(node, pack(), pre_ret)
         elif isinstance(instr, C.ReturnVal):
             if instr.src is not None and method_return_ownership(self.method) == OWNING:
@@ -497,7 +485,7 @@ class _MethodChecker:
     def _branch_out(self, instr: C.Branch, fact: CheckFact, node: int) -> dict[int, CheckFact]:
         eq_edge = instr.false_succ if instr.negated else instr.true_succ  # taken when lhs == rhs
         ne_edge = instr.true_succ if instr.negated else instr.false_succ
-        refs = fact.ref_map()
+        refs = fact.refs
 
         def nonnull(op: str) -> bool:
             return op in refs and refs[op][1]
@@ -519,31 +507,17 @@ class _MethodChecker:
             tested = instr.rhs
         if tested is None:
             return outs
-        bindings = dict(fact.bindings)
-        bound = bindings.get(tested)
-        if ne_edge in outs:
+        if ne_edge in outs and tested in refs:
             # the tested local is non-null here
-            refs_ne = dict(refs)
-            if tested in refs_ne:
-                refs_ne[tested] = (refs_ne[tested][0], True)
-            outs[ne_edge] = _pack(
-                fact.origin_map(),
-                refs_ne,
-                set(fact.nulls),
-                dict(fact.field_called),
-                set(fact.field_sat),
-                bindings,
-                dict(fact.field_origins),
-            )
+            outs[ne_edge] = replace(fact, refs={**refs, tested: (refs[tested][0], True)})
         if eq_edge in outs:
             # the tested local is null here: its origins are vacuous when no
             # other live reference can still reach them
-            origins_eq = fact.origin_map()
+            origins_eq = dict(fact.origins)
             refs_eq = dict(refs)
-            field_origins_eq = dict(fact.field_origins)
-            tested_origins = refs_eq.pop(tested, ((), False))[0]
+            tested_origins = refs_eq.pop(tested, (frozenset(), False))[0]
             live = self.live_in.get(eq_edge, frozenset())
-            field_referenced = {o for held in field_origins_eq.values() for o in held}
+            field_referenced = {o for held in fact.field_origins.values() for o in held}
             for origin in tested_origins:
                 others = [
                     x for x, (oset, _nn) in refs_eq.items() if origin in oset and x in live
@@ -551,19 +525,18 @@ class _MethodChecker:
                 st = origins_eq.get(origin)
                 if not others and origin not in field_referenced and st is not None:
                     origins_eq[origin] = replace(st, resolved=True)
-            nulls_eq = set(fact.nulls) | {tested}
-            field_sat_eq = set(fact.field_sat)
+            field_sat_eq, field_origins_eq = fact.field_sat, fact.field_origins
+            bound = fact.bindings.get(tested)
             if bound is not None:
-                field_sat_eq.add(bound)  # the field content itself is proven null
-                field_origins_eq.pop(bound, None)
-            outs[eq_edge] = _pack(
-                origins_eq,
-                refs_eq,
-                nulls_eq,
-                dict(fact.field_called),
-                field_sat_eq,
-                bindings,
-                field_origins_eq,
+                field_sat_eq = field_sat_eq | {bound}  # the field content itself is proven null
+                field_origins_eq = {k: v for k, v in field_origins_eq.items() if k != bound}
+            outs[eq_edge] = replace(
+                fact,
+                origins=origins_eq,
+                refs=refs_eq,
+                nulls=fact.nulls | {tested},
+                field_sat=field_sat_eq,
+                field_origins=field_origins_eq,
             )
         return outs
 
@@ -616,26 +589,22 @@ class _MethodChecker:
     def _prune(self, fact: CheckFact, succ: int) -> CheckFact:
         """Drop dead locals entering succ; an obligation losing its last live
         reference while unsatisfied is a leak at that point (unless the value
-        is leaving through an uncaught exception, which is not checked)."""
+        is leaving through an uncaught exception, which is not checked).
+        Dying origins are warned in `repr` order."""
         live = self.live_in.get(succ, frozenset())
-        refs = {x: info for x, info in fact.refs if x in live}
-        nulls = fact.nulls & live
-        bindings = {k: v for k, v in fact.bindings if k in live}
-        origins = fact.origin_map()
-        field_origins = dict(fact.field_origins)
+        refs = {x: info for x, info in fact.refs.items() if x in live}
+        origins = fact.origins
         if succ != self.cfg.exit:
-            referenced: set[Origin] = set()
-            for _x, (oset, _nn) in refs.items():
-                referenced.update(oset)
-            for held in field_origins.values():
-                referenced.update(held)
-            for origin in list(origins):
-                st = origins[origin]
-                if origin in referenced or not self.insufficient(origin, st):
-                    continue
-                self.warn_unsatisfied(origin)
-                origins[origin] = replace(st, resolved=True)
-        return _pack(origins, refs, nulls, dict(fact.field_called), set(fact.field_sat), bindings, field_origins)
+            referenced = {o for oset, _nn in refs.values() for o in oset}
+            referenced.update(o for held in fact.field_origins.values() for o in held)
+            dying = [o for o, st in origins.items() if o not in referenced and self.insufficient(o, st)]
+            if dying:
+                origins = dict(origins)
+                for origin in sorted(dying, key=repr):
+                    self.warn_unsatisfied(origin)
+                    origins[origin] = replace(origins[origin], resolved=True)
+        bindings = {k: v for k, v in fact.bindings.items() if k in live}
+        return replace(fact, origins=origins, refs=refs, nulls=fact.nulls & live, bindings=bindings)
 
     # fixpoint driver
 
@@ -654,8 +623,9 @@ class _MethodChecker:
         normal_in = [edge_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in edge_facts]
         if normal_in:
             self.exit_fact = reduce(_meet, normal_in)
-            for origin, st in self.exit_fact.origin_map().items():
-                if self.insufficient(origin, st):
+            origins = self.exit_fact.origins
+            for origin in sorted(origins, key=repr):
+                if self.insufficient(origin, origins[origin]):
                     self.warn_unsatisfied(origin)
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
 
@@ -663,11 +633,6 @@ class _MethodChecker:
 def _run(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> tuple[list[Warning], Optional[CheckFact]]:
     checker = _MethodChecker(cfg, specs, libspec)
     return checker.run(), checker.exit_fact
-
-
-def check_method(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
-    """Warnings for one lowered method; pure function of its inputs."""
-    return _run(cfg, specs, libspec)[0]
 
 
 def normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> Optional[CheckFact]:
@@ -679,8 +644,8 @@ def normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> Option
 def method_run(
     version: ProgramVersion, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet
 ) -> tuple[list[Warning], Optional[CheckFact]]:
-    """One checker run of a method of `version`: what `check_method` and
-    `normal_exit_fact` give, run once per version and specs in a file scope."""
+    """One checker run of a method of `version`, its warnings and what
+    `normal_exit_fact` gives, run once per version and specs in a file scope."""
     return version.remember(cls, meth, specs, lambda: _run(version.cfg(cls, meth), specs, version.libspec))
 
 

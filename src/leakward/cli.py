@@ -80,8 +80,9 @@ def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
 
 
 def _lower_all(program, libspec) -> list[C.Cfg]:
-    """Every method's CFG, uncached; a method that does not lower raises, so its file fails alone."""
-    return [C.lower(program, cls, meth, libspec) for cls in program.classes for meth in cls.all_methods()]
+    """Every method's CFG, from the file's memo; a method that does not lower raises, so its file fails alone."""
+    version = memo.ProgramVersion(program, libspec)
+    return [version.cfg(cls, meth) for cls in program.classes for meth in cls.all_methods()]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -221,7 +222,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     indir = Path(args.directory)
     sources = [(p.name, p.read_text()) for p in sorted(indir.glob("*.mj"))]
     config = PipelineConfig(
-        max_iterations=args.max_iterations,
         enable_transforms=not args.no_transforms,
         enable_fixer_enhancements=not args.no_enhancements,
         enable_overwrite_handling=not args.no_overwrite_handling,
@@ -291,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("directory")
     p.add_argument("--libspec", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-iterations", type=int, default=3)
     p.add_argument("--no-transforms", action="store_true")
     p.add_argument("--no-enhancements", action="store_true")
     p.add_argument("--no-overwrite-handling", action="store_true")

@@ -25,10 +25,6 @@ class UnknownMethodInMustCall(Exception):
     """A must_call entry names a method absent from the class's method map."""
 
 
-class UnknownClass(Exception):
-    """Class name resolvable neither in the program nor the library spec."""
-
-
 class AnnotationConflict(Exception):
     """A declared annotation contradicts an inferred one, or (`leakward infer`)
     a file's inferred specs for a class contradict an earlier file's."""

@@ -1,10 +1,11 @@
 """A memo of CFGs and checker runs that lasts for one file.
 
 `run_pipeline` and the CLI open a `file_scope()` around each file. Inside
-it, `check_program` and `infer_specs` each take a `ProgramVersion` of their
-program once, on entry. Its key is a blake2b digest of the pickled program,
-which covers every AST field: nids, annotations with their provenance,
-`line_index` and `source_name`. Equal digests therefore mean equal inputs.
+it, `check_program`, `infer_specs` and the CLI's `_lower_all` each take a
+`ProgramVersion` of their program once, on entry. Its key is a blake2b
+digest of the pickled program, which covers every AST field: nids,
+annotations with their provenance, `line_index` and `source_name`. Equal
+digests therefore mean equal inputs.
 It holds two kinds of entries, both also keyed on the library spec:
 
   (digest, class, member key) -> Cfg. A hit is a shallow copy of the stored
@@ -16,8 +17,8 @@ It holds two kinds of entries, both also keyed on the library spec:
 A miss calls the module-level `cfg.lower` (and the checker `cfg.liveness`),
 so counts of those calls count real work. Outside a scope nothing is cached
 and every lookup computes. Every other caller lowers and checks uncached:
-`plan_fix`'s `EscapeAnalyzer`, the transforms' `disposes`, `_chain_roots`
-and `--dump-cfg` work on a program that is changing, or would never hit.
+`plan_fix`'s `EscapeAnalyzer`, the transforms' `disposes` and `_chain_roots`
+work on a program that is changing, or would never hit.
 """
 
 from __future__ import annotations

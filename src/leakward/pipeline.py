@@ -48,9 +48,11 @@ from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
 
+MAX_FIX_ITERATIONS = 3  # rounds of repair and re-check per file
+
+
 @dataclass
 class PipelineConfig:
-    max_iterations: int = 3
     enable_transforms: bool = True
     enable_fixer_enhancements: bool = True
     enable_overwrite_handling: bool = True
@@ -328,7 +330,7 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
     iterations = 0
     if pending:
         specs_now = infer_specs(patched, libspec)  # redone only when a fix changes `patched`
-    while pending and iterations < config.max_iterations:
+    while pending and iterations < MAX_FIX_ITERATIONS:
         iterations += 1
         progressed = False
         deferred: list[Warning] = []

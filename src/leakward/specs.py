@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 from . import syntax as sx
-from .errors import UnknownClass
 from .libspec import LibrarySpec
 
 OWNING = "owning"
@@ -86,14 +85,6 @@ class SpecSet:
         self.field_provenance.update(other.field_provenance)
         self.method_ensures.update(other.method_ensures)
 
-    def copy(self) -> "SpecSet":
-        out = SpecSet()
-        out.class_mustcall = dict(self.class_mustcall)
-        out.field_ownership = dict(self.field_ownership)
-        out.field_provenance = dict(self.field_provenance)
-        out.method_ensures = {k: list(v) for k, v in self.method_ensures.items()}
-        return out
-
     # --- JSON wire format (External Interfaces) ---
 
     def to_json(self) -> dict:
@@ -129,23 +120,6 @@ class SpecSet:
                 for e in entries
             ]
         return specs
-
-
-def must_call_of(class_name: str, specs: SpecSet, libspec: LibrarySpec, program: sx.Program | None = None) -> MustCallSet:
-    """Required finalizers of a class: library spec for library classes,
-    @MustCall (declared or inferred) for user classes, else empty."""
-    if program is not None and program.class_named(class_name) is not None:
-        return specs.class_mustcall.get(class_name, EMPTY_MUST_CALL)
-    if libspec.has_class(class_name):
-        return MustCallSet(libspec.must_call(class_name), source="library")
-    if class_name in specs.class_mustcall:
-        return specs.class_mustcall[class_name]
-    if program is not None and class_name not in BUILTIN_VALUE_TYPES:
-        raise UnknownClass(class_name)
-    return EMPTY_MUST_CALL
-
-
-BUILTIN_VALUE_TYPES = frozenset({"int", "String", "Exception", "void", "?", "AutoCloseable"})
 
 
 def is_resource_type(class_name: str, specs: SpecSet, libspec: LibrarySpec) -> bool:

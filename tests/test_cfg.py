@@ -8,6 +8,7 @@ from helpers import corpus_and_fuzz_programs
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
+from leakward import memo
 from leakward.errors import SyntaxError as MiniJSyntaxError
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
@@ -278,8 +279,8 @@ def _round_robin_check(cfg, specs, lib):
         exit_fact = normal_in[0]
         for f in normal_in[1:]:
             exit_fact = K._meet(exit_fact, f)
-        for origin, st in exit_fact.origin_map().items():
-            if chk.insufficient(origin, st):
+        for origin in sorted(exit_fact.origins, key=repr):
+            if chk.insufficient(origin, exit_fact.origins[origin]):
                 chk.warn_unsatisfied(origin)
     warnings = sorted(chk.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
     return warnings, exit_fact
@@ -298,8 +299,10 @@ def test_solver_matches_round_robin_loops():
                     assert {k: v for k, v in E.taint_fixpoint(g, n, ins.dst).items() if v} == expected
             for specs in spec_sets:
                 warnings, exit_fact = _round_robin_check(g, specs, lib)
-                assert K.check_method(g, specs, lib) == warnings
-                assert K.normal_exit_fact(g, specs, lib) == exit_fact
+                run = K.method_run(memo.ProgramVersion(prog, lib), g.class_ast, g.method_ast, specs)
+                assert run == (warnings, exit_fact)
+                # `==` on a Warning ignores its site and AST node
+                assert [(w.id, w.site, w.ast_nid) for w in run[0]] == [(w.id, w.site, w.ast_nid) for w in warnings]
 
 
 def test_solver_divergence_guard_raises():

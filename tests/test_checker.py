@@ -11,8 +11,7 @@ from leakward.checker import (
 )
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
-from leakward.specs import MustCallSet, SpecSet, must_call_of
-from leakward.errors import UnknownClass
+from leakward.specs import MustCallSet, SpecSet, resource_must_call
 
 LIB = load_library_spec(
     """
@@ -29,30 +28,24 @@ def check(src, specs=None):
     return prog, check_program(prog, specs, LIB)
 
 
-# --- must_call_of ---
+# --- resource_must_call ---
 
 
 def test_must_call_of_library_class():
     specs = SpecSet()
-    assert must_call_of("PrintStream", specs, LIB).methods == frozenset({"close"})
+    assert resource_must_call("PrintStream", specs, LIB) == frozenset({"close"})
 
 
 def test_must_call_of_unannotated_user_class():
     prog = parse("class Plain { }")
     specs = SpecSet.from_declared(prog)
-    assert must_call_of("Plain", specs, LIB, prog).methods == frozenset()
+    assert resource_must_call("Plain", specs, LIB) == frozenset()
 
 
 def test_must_call_of_annotated_user_class():
     prog = parse('@MustCall("shutdown")\nclass Svc { void shutdown() { } }')
     specs = SpecSet.from_declared(prog)
-    assert must_call_of("Svc", specs, LIB, prog).methods == frozenset({"shutdown"})
-
-
-def test_must_call_of_unknown_class_raises():
-    prog = parse("class A { }")
-    with pytest.raises(UnknownClass):
-        must_call_of("Ghost", SpecSet(), LIB, prog)
+    assert resource_must_call("Svc", specs, LIB) == frozenset({"shutdown"})
 
 
 # --- core obligation checking ---

@@ -1,11 +1,14 @@
 """The leakward command line, exercised in-process."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import leakward.pipeline
+from leakward import cfg as C
+from leakward import syntax as sx
 from leakward.cli import main
 from leakward.interp import ValidationVerdict
 from leakward.libspec import load_library_spec
@@ -107,6 +110,23 @@ def test_infer_rejects_a_file_whose_class_conflicts(workdir, capsys):
     data = json.loads((workdir / "s.json").read_text())
     assert data["classes"] == {"W": {"mustCall": ["close"]}} and "W.stop" not in data["ensures"]
     assert main(["check", files[0], files[2], "--libspec", lib, "--specs", specs]) == 0
+
+
+def test_infer_lowers_each_member_once_per_file(workdir, monkeypatch):
+    (workdir / "a.mj").write_text(_wrapper_file("A", "close"))
+    (workdir / "c.mj").write_text(_wrapper_file("C", "close"))
+    lowered = Counter()
+    original = C.lower
+
+    def counting(program, cls, meth, *rest):
+        lowered[(program.source_name, cls.name, sx.member_key(meth))] += 1
+        return original(program, cls, meth, *rest)
+
+    monkeypatch.setattr(C, "lower", counting)
+    files = [str(workdir / "a.mj"), str(workdir / "c.mj")]
+    assert main(["infer", *files, "--libspec", str(workdir / "lib.libspec"), "-o", str(workdir / "s.json")]) == 0
+    assert {f for f, _c, _m in lowered} == {"a.mj", "c.mj"}
+    assert set(lowered.values()) == {1}
 
 
 def test_run_reports_leaks(workdir, capsys):

@@ -2,12 +2,17 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leakward
 from leakward.checker import Warning
 from leakward.parser import parse
 from leakward.pipeline import (
@@ -191,6 +196,23 @@ def test_pipeline_reproducible(corpus_sources, libspec):
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
     for name in a.files:
         assert pretty_print(a.files[name].patched) == pretty_print(b.files[name].patched)
+
+
+def test_pipeline_output_is_independent_of_the_hash_seed(corpus_dir, tmp_path):
+    """Checker facts are dicts and sets whose iteration order follows PYTHONHASHSEED."""
+    src = Path(leakward.__file__).resolve().parent.parent
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / seed
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        argv = ["pipeline", str(corpus_dir), "--libspec", str(corpus_dir / "minij.libspec"), "-o", str(out)]
+        done = subprocess.run([sys.executable, "-m", "leakward.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr  # authored-unfixable warnings remain
+        files = [out / "report.json", *sorted((out / "patched").glob("*.mj"))]
+        outputs.append({f.relative_to(out).as_posix(): f.read_bytes() for f in files})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_codes(corpus_report, libspec):
