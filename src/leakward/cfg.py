@@ -132,20 +132,21 @@ class Cfg:
     class_ast: Optional[sx.ClassDecl] = None
     method_ast: Optional[sx.MethodDecl] = None
     # adjacency index over `edges`: kind (None for any) -> per-node neighbour
-    # lists, in `edges` order so meets and warnings keep a fixed order
-    _succ: dict[Optional[str], list[list[int]]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pred: dict[Optional[str], list[list[int]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # tuples, in `edges` order so meets and warnings keep a fixed order
+    _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def index_edges(self) -> None:
-        """Build the lists `succs`/`preds` read; lowering calls it once `edges` is final."""
+        """Build the tuples `succs`/`preds` read; lowering calls it once `edges` is final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
-        self._succ = {k: [[] for _ in self.nodes] for k in kinds}
-        self._pred = {k: [[] for _ in self.nodes] for k in kinds}
+        succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
+        pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         for f, t, k in self.edges:
-            self._succ[None][f].append(t)
-            self._succ[k][f].append(t)
-            self._pred[None][t].append(f)
-            self._pred[k][t].append(f)
+            succ[None][f].append(t)
+            succ[k][f].append(t)
+            pred[None][t].append(f)
+            pred[k][t].append(f)
+        self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
 
     def succs(self, n: int, kind: Optional[str] = None) -> list[int]:
         return list(self._succ[kind][n])
@@ -195,6 +196,17 @@ class Cfg:
             lines.append(f"  n{f} -> n{t}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
+    """Per-node neighbour tuples. The file memo keeps every CFG until the file
+    is done, so a node whose edges are all of one kind shares one tuple
+    between that kind and the any-kind index (and an empty one is `()`)."""
+    any_kind = [tuple(ns) for ns in per_kind[None]]
+    out = {None: any_kind}
+    for k in (NORMAL, EXCEPTIONAL):
+        out[k] = [a if len(a) == len(ns) else tuple(ns) for a, ns in zip(any_kind, per_kind[k])]
+    return out
 
 
 def _instr_text(i: Instr) -> str:

@@ -32,9 +32,6 @@ may hold, and from this-fields to what was called on or stored in them, plus
 frozensets of null locals and satisfied fields. Facts compare as maps, with
 no regard to order. Once built a fact is never mutated: out-edges share it
 and the file memo keeps exit facts. Its dicts make a `CheckFact` unhashable.
-The one order that could show is that of warning emission: were two origins
-to share a warning id, the first one warned would set `Warning.site`. So
-dying origins are warned in `repr` order, whatever order a fact's dict has.
 
 Warning ids hash a structural descriptor (class, method, resource, ordinal),
 never line numbers, so inserting blank lines changes no ids.
@@ -590,7 +587,9 @@ class _MethodChecker:
         """Drop dead locals entering succ; an obligation losing its last live
         reference while unsatisfied is a leak at that point (unless the value
         is leaving through an uncaught exception, which is not checked).
-        Dying origins are warned in `repr` order."""
+        Emission order never shows: an origin is one allocation or call AST
+        node, and its warning id comes from that node's anchor ordinal, so
+        origins and warning ids map one to one."""
         live = self.live_in.get(succ, frozenset())
         refs = {x: info for x, info in fact.refs.items() if x in live}
         origins = fact.origins
@@ -600,7 +599,7 @@ class _MethodChecker:
             dying = [o for o, st in origins.items() if o not in referenced and self.insufficient(o, st)]
             if dying:
                 origins = dict(origins)
-                for origin in sorted(dying, key=repr):
+                for origin in dying:
                     self.warn_unsatisfied(origin)
                     origins[origin] = replace(origins[origin], resolved=True)
         bindings = {k: v for k, v in fact.bindings.items() if k in live}
@@ -623,30 +622,24 @@ class _MethodChecker:
         normal_in = [edge_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in edge_facts]
         if normal_in:
             self.exit_fact = reduce(_meet, normal_in)
-            origins = self.exit_fact.origins
-            for origin in sorted(origins, key=repr):
-                if self.insufficient(origin, origins[origin]):
+            for origin, st in self.exit_fact.origins.items():
+                if self.insufficient(origin, st):
                     self.warn_unsatisfied(origin)
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
-
-
-def _run(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> tuple[list[Warning], Optional[CheckFact]]:
-    checker = _MethodChecker(cfg, specs, libspec)
-    return checker.run(), checker.exit_fact
-
-
-def normal_exit_fact(cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec) -> Optional[CheckFact]:
-    """Meet of the checker's facts on the exit node's normal in-edges, or
-    None if no normal path completes."""
-    return _run(cfg, specs, libspec)[1]
 
 
 def method_run(
     version: ProgramVersion, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet
 ) -> tuple[list[Warning], Optional[CheckFact]]:
-    """One checker run of a method of `version`, its warnings and what
-    `normal_exit_fact` gives, run once per version and specs in a file scope."""
-    return version.remember(cls, meth, specs, lambda: _run(version.cfg(cls, meth), specs, version.libspec))
+    """One checker run of a method of `version`: its warnings, and the meet of
+    its facts on the exit node's normal in-edges (None if no normal path
+    completes). Run once per version and specs in a file scope."""
+
+    def run() -> tuple[list[Warning], Optional[CheckFact]]:
+        checker = _MethodChecker(version.cfg(cls, meth), specs, version.libspec)
+        return checker.run(), checker.exit_fact
+
+    return version.remember(cls, meth, specs, run)
 
 
 def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
@@ -719,14 +712,14 @@ def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = No
     writes on a path, and any write when the declaration carries an initializer
     are errors. Used as the recompile-cleanly gate for patch validation.
     """
-    libspec = libspec or LibrarySpec()
+    version = ProgramVersion(program, libspec or LibrarySpec())
     errors: list[CompileError] = []
     for cls in program.classes:
         final_fields = [f for f in cls.fields if f.has("final")]
         if not final_fields:
             continue
         for meth in cls.all_methods():
-            cfg = C.lower(program, cls, meth, libspec)
+            cfg = version.cfg(cls, meth)
             for fld in final_fields:
                 store_nodes = [
                     i

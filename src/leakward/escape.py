@@ -13,7 +13,9 @@ from every load of f inside C.
 
 `EscapeAnalyzer` is the one surface: `escapes_at` answers for a warned
 allocation or call, `field_containment` for a field, and both share the
-analyzer's CFGs and wrapper classifications.
+analyzer's wrapper classifications. It reads every CFG from one
+`memo.ProgramVersion` of its program, so inside a file scope it shares the
+CFGs the checker lowered for that version.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Optional
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
+from .memo import ProgramVersion
 from .specs import SpecSet, is_resource_type, method_return_ownership
 
 TO_FIELD = "ToField"
@@ -103,7 +106,9 @@ def _taint_transfer(instr: C.Instr, taint: frozenset[str]) -> frozenset[str]:
 
 
 class EscapeAnalyzer:
-    """Shared caches for wrapper classification and containment queries.
+    """Escape, containment and wrapper queries on one version of a program,
+    with shared caches for wrapper classification and containment. The
+    program must stay unedited while the analyzer is in use.
 
     With `enhancements` false (classic close-only repair) no class is a
     resource alias or accessor, so passing a resource into any wrapper
@@ -118,15 +123,7 @@ class EscapeAnalyzer:
         self._classify_cache: dict[str, WrapperClassification] = {}
         self._containment_cache: dict[tuple[str, str], bool] = {}
         self._containment_in_progress: set[tuple[str, str]] = set()
-        self._cfg_cache: dict[int, C.Cfg] = {}
-
-    # --- cfg helpers ---
-
-    def _cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
-        key = meth.nid
-        if key not in self._cfg_cache:
-            self._cfg_cache[key] = C.lower(self.program, cls, meth, self.libspec)
-        return self._cfg_cache[key]
+        self.version = ProgramVersion(program, libspec)
 
     # --- field containment (Def. 1) ---
 
@@ -145,7 +142,7 @@ class EscapeAnalyzer:
         try:
             contained = True
             for meth in cls.all_methods():
-                cfg = self._cfg(cls, meth)
+                cfg = self.version.cfg(cls, meth)
                 for node, instr in enumerate(cfg.nodes):
                     if (
                         isinstance(instr, C.LoadField)
@@ -219,7 +216,7 @@ class EscapeAnalyzer:
         ctor = cls.constructor(arity)
         if ctor is None or position >= arity:
             return False
-        cfg = self._cfg(cls, ctor)
+        cfg = self.version.cfg(cls, ctor)
         stores = tainted_stores(cfg, cfg.entry, ctor.params[position].name)
         return any(s.field == wc.witness_field and s.recv == C.THIS for s in stores)
 
@@ -232,7 +229,7 @@ class EscapeAnalyzer:
         meth = cls.member(method_key) if cls else None
         if meth is None:
             return None
-        cfg = self._cfg(cls, meth)
+        cfg = self.version.cfg(cls, meth)
         for node, instr in enumerate(cfg.nodes):
             if isinstance(instr, (C.Alloc, C.Invoke)) and instr.ast_nid == ast_nid and instr.dst:
                 return self.escapes_from(cfg, node)

@@ -21,9 +21,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from . import cfg as C
 from . import syntax as sx
-from .checker import method_run, normal_exit_fact
+from .checker import method_run
 from .errors import AnnotationConflict
 from .libspec import LibrarySpec
 from .memo import ProgramVersion
@@ -38,10 +37,12 @@ from .specs import (
 )
 
 
-def disposes(method_cfg: C.Cfg, field_name: str, specs: SpecSet, libspec: LibrarySpec) -> bool:
-    """True when every normal path of the method satisfies the field content's
+def disposes(
+    version: ProgramVersion, cls: sx.ClassDecl, meth: sx.MethodDecl, field_name: str, specs: SpecSet
+) -> bool:
+    """True when every normal path of `meth` satisfies the field content's
     must-call obligations (or proves the content null)."""
-    fact = normal_exit_fact(method_cfg, specs, libspec)
+    fact = method_run(version, cls, meth, specs)[1]
     return fact is not None and field_name in fact.field_sat
 
 

@@ -18,10 +18,13 @@ repairs add close calls by design.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import syntax as sx
+from .checker import check_program, filter_constructor_first_writes, reject_final_writes
+from .inference import infer_specs
 from .libspec import LibrarySpec
 from .parser import parse
 from .printer import pretty_print
@@ -509,9 +512,6 @@ def validate_patch(
     ids, and (c) the patched run has no use-after-close, leaks no site the
     original did not leak, and prints the same close-elided output.
     """
-    from .checker import check_program, filter_constructor_first_writes, reject_final_writes
-    from .inference import infer_specs
-
     failures: list[str] = []
     try:
         reparsed = parse(pretty_print(patched), patched.source_name)
@@ -543,7 +543,5 @@ def validate_patch(
 
 
 def _multiset_subset(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
-    from collections import Counter
-
     cs, cl = Counter(smaller), Counter(larger)
     return all(cs[k] <= cl[k] for k in cs)

@@ -1,11 +1,16 @@
 """A memo of CFGs and checker runs that lasts for one file.
 
+Every module gets a method's CFG, and runs the checker on a method, through
+a `ProgramVersion(program, libspec)`: `ProgramVersion.cfg` is the one caller
+of `cfg.lower`, and `checker.method_run` the one checker entry point below
+`check_program`. A version is valid only while its program is unedited; a
+caller that edits a program takes a new version of it.
+
 `run_pipeline` and the CLI open a `file_scope()` around each file. Inside
-it, `check_program`, `infer_specs` and the CLI's `_lower_all` each take a
-`ProgramVersion` of their program once, on entry. Its key is a blake2b
-digest of the pickled program, which covers every AST field: nids,
-annotations with their provenance, `line_index` and `source_name`. Equal
-digests therefore mean equal inputs.
+it, a version's key is a blake2b digest of the pickled program, taken at the
+version's first lookup, which covers every AST field: nids, annotations with
+their provenance, `line_index` and `source_name`. Equal digests therefore
+mean equal inputs.
 It holds two kinds of entries, both also keyed on the library spec:
 
   (digest, class, member key) -> Cfg. A hit is a shallow copy of the stored
@@ -15,10 +20,8 @@ It holds two kinds of entries, both also keyed on the library spec:
       ensures, without provenance, which the checker does not read.
 
 A miss calls the module-level `cfg.lower` (and the checker `cfg.liveness`),
-so counts of those calls count real work. Outside a scope nothing is cached
-and every lookup computes. Every other caller lowers and checks uncached:
-`plan_fix`'s `EscapeAnalyzer`, the transforms' `disposes` and `_chain_roots`
-work on a program that is changing, or would never hit.
+so counts of those calls count real work. Outside a scope nothing is cached,
+no digest is taken and every lookup computes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import pickle
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cached_property
 from typing import Callable, Iterator, Optional, TypeVar
 
 from . import cfg as C
@@ -64,7 +68,11 @@ class ProgramVersion:
         self.program = program
         self.libspec = libspec
         self._tables = _tables.get()
-        self._key = None if self._tables is None else (digest(program), id(libspec))
+
+    @cached_property
+    def _key(self) -> tuple[bytes, int]:
+        """Taken at the first lookup in a scope; the program is unedited since the version was taken."""
+        return digest(self.program), id(self.libspec)
 
     def cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
         """`cfg.lower(program, cls, meth, libspec)`, lowered once per version."""

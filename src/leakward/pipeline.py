@@ -179,7 +179,8 @@ def build_shift_map(
                             arity = len(node.args)
                     except StaleWarning:
                         arity = None
-                found = _chain_roots(w.resource_class, arity, w.file, program, specs, libspec, orig_ids, set())
+                version = memo.ProgramVersion(program, libspec)
+                found = _chain_roots(w.resource_class, arity, w.file, version, specs, orig_ids, set())
                 if len(found) > 1:
                     raise AmbiguousMapping(
                         f"warning {w.id} on {w.resource_class} reaches roots {sorted(found)}"
@@ -195,9 +196,8 @@ def _chain_roots(
     wrapper: str,
     arity: Optional[int],
     file: str,
-    program: sx.Program,
+    version: memo.ProgramVersion,
     specs: SpecSet,
-    libspec: LibrarySpec,
     orig_ids: set[str],
     seen: set[str],
 ) -> set[str]:
@@ -208,6 +208,7 @@ def _chain_roots(
     if wrapper in seen:
         return set()
     seen.add(wrapper)
+    program = version.program
     cls = program.class_named(wrapper)
     if cls is None:
         return set()
@@ -216,7 +217,7 @@ def _chain_roots(
     for ctor in cls.constructors:
         if arity is not None and len(ctor.params) != arity:
             continue
-        cfg = C.lower(program, cls, ctor, libspec)
+        cfg = version.cfg(cls, ctor)
         allocs = [(i, ins) for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.Alloc)]
         seen_nids: set[int] = set()
         for node, alloc in allocs:
@@ -228,7 +229,7 @@ def _chain_roots(
                 continue
             if program.class_named(alloc.class_name) is not None:
                 roots |= _chain_roots(
-                    alloc.class_name, len(alloc.args), file, program, specs, libspec, orig_ids, seen
+                    alloc.class_name, len(alloc.args), file, version, specs, orig_ids, seen
                 )
                 continue
             ordinal = sx.anchor_ordinal(ctor, "new", alloc.class_name, alloc.ast_nid)

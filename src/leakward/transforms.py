@@ -13,8 +13,10 @@ Three rewrites reshape code so inference and repair see clearer ownership:
                     in a constructor, store it in a field, and never dispose
                     it.
 
-Each returns a fresh Program plus an EditLog whose entries replay to the same
-output.
+Each returns a fresh Program plus an EditLog of the edits it made. The
+analyses read CFGs and checker runs from a `ProgramVersion` of the output,
+taken again after each edit: a version is valid only while its program is
+unedited.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .checker import Warning
 from .escape import tainted_stores
 from .inference import disposes
 from .libspec import LibrarySpec
+from .memo import ProgramVersion
 from .specs import SpecSet, resource_must_call
 
 
@@ -97,17 +100,19 @@ def finalize_fields(program: sx.Program, libspec: Optional[LibrarySpec] = None) 
     out = copy.deepcopy(program)
     log = EditLog()
     fresh = FreshNames(out)
+    version = ProgramVersion(out, libspec)
     for cls in out.classes:
         for fld in cls.fields:
             if fld.has("final") or not fld.has("private"):
                 continue
-            if not _finalize_eligible(out, cls, fld, libspec):
+            if not _finalize_eligible(version, cls, fld):
                 continue
             _apply_finalize(out, cls, fld, fresh, log)
+            version = ProgramVersion(out, libspec)
     return out, log
 
 
-def _finalize_eligible(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, libspec: LibrarySpec) -> bool:
+def _finalize_eligible(version: ProgramVersion, cls: sx.ClassDecl, fld: sx.FieldDecl) -> bool:
     method_writers = [m for m in cls.methods if sx.stores_to_field(m, fld.name)]
     if method_writers:
         return False
@@ -119,15 +124,15 @@ def _finalize_eligible(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl
     if not ctor_writers or len(ctor_writers) != len(cls.constructors):
         return False  # some constructor leaves the field unassigned
     for ctor in cls.constructors:
-        if not _writes_exactly_once_per_normal_path(program, cls, ctor, fld.name, libspec):
+        if not _writes_exactly_once_per_normal_path(version, cls, ctor, fld.name):
             return False
     return True
 
 
 def _writes_exactly_once_per_normal_path(
-    program: sx.Program, cls: sx.ClassDecl, ctor: sx.MethodDecl, field_name: str, libspec: LibrarySpec
+    version: ProgramVersion, cls: sx.ClassDecl, ctor: sx.MethodDecl, field_name: str
 ) -> bool:
-    cfg = C.lower(program, cls, ctor, libspec)
+    cfg = version.cfg(cls, ctor)
     stores = [
         i
         for i, ins in enumerate(cfg.nodes)
@@ -291,26 +296,25 @@ def inject_finalizers(
     specs = specs or SpecSet.from_declared(program)
     out = copy.deepcopy(program)
     log = EditLog()
+    version = ProgramVersion(out, libspec)
     for cls in out.classes:
         if cls.method_named("close") is not None:
             continue
-        flagged = _warned_ctor_fields(out, cls, warnings, specs, libspec)
-        if not flagged:
-            continue
-        undisposed = []
-        for fname, wids in flagged:
-            if not any(
-                disposes(C.lower(out, cls, m, libspec), fname, specs, libspec) for m in cls.methods
-            ):
-                undisposed.append((fname, wids))
+        flagged = _warned_ctor_fields(version, cls, warnings)
+        undisposed = [
+            (fname, wids)
+            for fname, wids in flagged
+            if not any(disposes(version, cls, m, fname, specs) for m in cls.methods)
+        ]
         if not undisposed:
             continue
-        _apply_inject(out, cls, undisposed, specs, libspec, log)
+        _apply_inject(version, cls, undisposed, specs, log)
+        version = ProgramVersion(out, libspec)
     return out, log
 
 
 def _warned_ctor_fields(
-    program: sx.Program, cls: sx.ClassDecl, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec
+    version: ProgramVersion, cls: sx.ClassDecl, warnings: list[Warning]
 ) -> list[tuple[str, list[str]]]:
     """Instance fields of cls receiving a warned constructor allocation, in
     field declaration order, with the driving warning ids."""
@@ -327,7 +331,7 @@ def _warned_ctor_fields(
         return []
     hits: dict[str, list[str]] = {}
     for ctor in cls.constructors:
-        cfg = C.lower(program, cls, ctor, libspec)
+        cfg = version.cfg(cls, ctor)
         sites = {ins.site: i for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.Alloc)}
         for w in ws:
             if w.site not in sites:
@@ -343,13 +347,13 @@ def _warned_ctor_fields(
 
 
 def _apply_inject(
-    program: sx.Program,
+    version: ProgramVersion,
     cls: sx.ClassDecl,
     fields_with_ids: list[tuple[str, list[str]]],
     specs: SpecSet,
-    libspec: LibrarySpec,
     log: EditLog,
 ) -> None:
+    """Add the close() method to `version`'s program, which ends the version."""
     stmts: list[sx.Stmt] = []
     guarded = []
     for fname, _ids in fields_with_ids:
@@ -357,13 +361,13 @@ def _apply_inject(
         assert fld is not None
         # unguarded only when every constructor stores a fresh object exactly once
         never_null = bool(cls.constructors) and all(
-            _writes_exactly_once_per_normal_path(program, cls, ctor, fname, libspec)
+            _writes_exactly_once_per_normal_path(version, cls, ctor, fname)
             and all(isinstance(st.value, sx.New) for st in sx.stores_to_field(ctor, fname))
             for ctor in cls.constructors
         )
         calls: list[sx.Stmt] = [
             sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
-            for d in sorted(resource_must_call(fld.declared_type, specs, libspec))
+            for d in sorted(resource_must_call(fld.declared_type, specs, version.libspec))
         ]
         if never_null:
             stmts.extend(calls)
@@ -379,7 +383,7 @@ def _apply_inject(
     close = sx.MethodDecl(
         name="close", params=[], return_type="void", body=body, annotations=[], modifiers=("public",)
     )
-    program.adopt(close, cls)
+    version.program.adopt(close, cls)
     cls.methods.append(close)
     implements_set = False
     if cls.implements is None:
@@ -400,34 +404,3 @@ def _apply_inject(
             },
         )
     )
-
-
-# --- replay -------------------------------------------------------------------
-
-
-def replay(program: sx.Program, log: EditLog, libspec: Optional[LibrarySpec] = None, specs: Optional[SpecSet] = None) -> sx.Program:
-    """Re-apply a recorded edit log to the original input, reproducing the
-    transformed output (the transforms are deterministic given their targets)."""
-    libspec = libspec or LibrarySpec()
-    out = copy.deepcopy(program)
-    fresh = FreshNames(out)
-    sublog = EditLog()
-    for entry in log.entries:
-        cls = out.class_named(entry.class_name)
-        if cls is None:
-            continue
-        if entry.transform == "finalize_field":
-            fld = cls.field_named(entry.member)
-            if fld is not None and not fld.has("final"):
-                _apply_finalize(out, cls, fld, fresh, sublog)
-        elif entry.transform == "field_to_local":
-            fld = cls.field_named(entry.member)
-            if fld is not None:
-                m = _demote_target(cls, fld)
-                if m is not None:
-                    _apply_demote(out, cls, fld, m, sublog)
-        elif entry.transform == "inject_finalizer":
-            if cls.method_named("close") is None:
-                pairs = [(f, entry.meta.get("warning_ids", {}).get(f, [])) for f in entry.meta.get("fields", [])]
-                _apply_inject(out, cls, pairs, specs or SpecSet.from_declared(out), libspec, sublog)
-    return out

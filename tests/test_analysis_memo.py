@@ -1,9 +1,12 @@
 """The per-file memo of CFGs and checker runs changes no result: a scoped
 pipeline run equals an unscoped one, an in-place edit is seen, file names
-stay apart, and a CFG served from the memo is bound to the caller's AST."""
+stay apart, and a CFG served from the memo is bound to the caller's AST.
+Every lowering goes through it: no version of a method is lowered twice in
+one file's scope."""
 
 import copy
-from contextlib import nullcontext
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -70,6 +73,34 @@ def test_scoped_pipeline_equals_unscoped(corpus_sources, libspec, monkeypatch):
         assert (scoped.w_orig, scoped.w_xform) == (unscoped.w_orig, unscoped.w_xform)
     # the memo was in use: the scoped runs lowered less
     assert lowerings["scoped"] < lowerings["unscoped"]
+
+
+def test_no_method_version_is_lowered_twice_in_a_file_scope(corpus_sources, libspec, monkeypatch):
+    scopes: list[Counter] = []  # lowerings per (program digest, class, member), one per file scope
+    open_scopes: list[Counter] = []
+    original_scope, original_lower = memo.file_scope, C.lower
+
+    @contextmanager
+    def recording_scope():
+        with original_scope():
+            open_scopes.append(Counter())
+            try:
+                yield
+            finally:
+                scopes.append(open_scopes.pop())
+
+    def recording(program, cls, meth, *rest):
+        if open_scopes:
+            open_scopes[-1][(memo.digest(program), cls.name, sx.member_key(meth))] += 1
+        return original_lower(program, cls, meth, *rest)
+
+    monkeypatch.setattr(memo, "file_scope", recording_scope)
+    monkeypatch.setattr(C, "lower", recording)
+    for name, text, lib in _sources(corpus_sources, libspec):
+        run_pipeline([(name, text)], lib)
+    assert len(scopes) == len(corpus_sources) + 50
+    twice = [(cls, member) for lowered in scopes for (_d, cls, member), n in lowered.items() if n > 1]
+    assert twice == []
 
 
 def test_an_in_place_edit_between_two_checks_is_seen(libspec):

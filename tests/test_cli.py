@@ -129,6 +129,20 @@ def test_infer_lowers_each_member_once_per_file(workdir, monkeypatch):
     assert set(lowered.values()) == {1}
 
 
+def test_explain_escape_lowers_the_method_once(monkeypatch, capsys):
+    lowered = Counter()
+    original = C.lower
+
+    def counting(program, cls, meth, *rest):
+        lowered[f"{cls.name}.{sx.member_key(meth)}"] += 1
+        return original(program, cls, meth, *rest)
+
+    monkeypatch.setattr(C, "lower", counting)
+    assert main(["explain-escape", str(CORPUS / "escape_field.mj"), "--site", "1", "--libspec", CORPUS_LIB]) == 0
+    assert "site 1: new Socket in BoxMain.main" in capsys.readouterr().out
+    assert lowered["BoxMain.main"] == 1
+
+
 def test_run_reports_leaks(workdir, capsys):
     assert main(["run", str(workdir / "leaky.mj"), "--libspec", str(workdir / "lib.libspec")]) == 0
     out = capsys.readouterr().out

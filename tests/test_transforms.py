@@ -8,7 +8,7 @@ from leakward.parser import parse
 from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 from leakward.specs import SpecSet
-from leakward.transforms import field_to_local, finalize_fields, inject_finalizers, replay
+from leakward.transforms import field_to_local, finalize_fields, inject_finalizers
 
 LIB = load_library_spec(
     """
@@ -104,12 +104,11 @@ def test_finalize_skips_ctor_that_never_writes():
     assert pretty_print(out) == pretty_print(prog)
 
 
-def test_finalize_idempotent_and_replayable():
+def test_finalize_idempotent():
     prog = parse(FINAL_TRY, "f.mj")
-    once, log = finalize_fields(prog, LIB)
+    once, _log = finalize_fields(prog, LIB)
     twice, log2 = finalize_fields(once, LIB)
     assert pretty_print(once) == pretty_print(twice) and not log2.entries
-    assert pretty_print(replay(prog, log, LIB)) == pretty_print(once)
 
 
 DEMOTE = """class Journal {
