@@ -25,7 +25,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .printer import pretty_print
-from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix
+from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix, screen_fix
 from .specs import MustCallSet, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -68,6 +68,7 @@ __all__ = [
     "reject_final_writes",
     "run",
     "run_pipeline",
+    "screen_fix",
     "validate_patch",
     "write_specs",
 ]

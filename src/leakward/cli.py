@@ -10,8 +10,9 @@ validates as `pipeline` does. Exit codes: 0 = done, every patch validated;
 that does not parse, lower or annotate was left out, named on stderr
 (`check`, `infer`, `transform`, `fix`, `run`, `explain-escape`) or in
 `errors` (`pipeline`), as is a file whose inferred specs for a class differ
-from an earlier file's (`infer`). `run` does not lower: the interpreter
-reports an unbound name as a status. 3 wins over 4.
+from an earlier file's (`infer`), or a file without exactly one static
+main (`run`). `run` does not lower: the interpreter reports an unbound name
+as a status. 3 wins over 4.
 Each file is analysed in its own `memo.file_scope()`.
 """
 

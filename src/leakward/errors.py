@@ -47,6 +47,11 @@ class AmbiguousMapping(Exception):
     """A wrapper warning's owning-field chain reaches multiple distinct root warnings."""
 
 
+class NoSingleMain(ValueError):
+    """A program to interpret has no `static void main()`, or more than one."""
+
+
 # A file that raises one of these is left out of a run, which goes on with the
-# other files: it does not parse, lower or annotate, or its specs conflict.
-FILE_ERRORS = (SyntaxError, DuplicateName, AnnotationConflict)
+# other files: it does not parse, lower or annotate, its specs conflict, or
+# (`leakward run`) it has no single main to interpret.
+FILE_ERRORS = (SyntaxError, DuplicateName, AnnotationConflict, NoSingleMain)

@@ -24,15 +24,17 @@ from typing import Optional
 
 from . import syntax as sx
 from .checker import check_program, filter_constructor_first_writes, reject_final_writes
+from .errors import NoSingleMain
 from .inference import infer_specs
 from .libspec import LibrarySpec
 from .parser import parse
 from .printer import pretty_print
 
 DEFAULT_STEP_LIMIT = 100_000
-# nested user calls (methods and constructors) before a run stops with
-# RuntimeError(StackOverflow); each level takes five or more Python frames,
-# so this stays well inside Python's default recursion limit of 1000
+# nested user calls (methods and constructors) and instance-field
+# initializers before a run stops with RuntimeError(StackOverflow); each
+# level takes a few Python frames, so this stays well inside Python's default
+# recursion limit of 1000
 MAX_CALL_DEPTH = 64
 
 COMPLETED = "Completed"
@@ -198,14 +200,9 @@ class Interpreter:
     # --- top level ---
 
     def run_main(self) -> RuntimeReport:
-        mains = [
-            (cls, m)
-            for cls in self.program.classes
-            for m in cls.methods
-            if m.name == "main" and m.is_static and not m.params
-        ]
+        mains = static_mains(self.program)
         if len(mains) != 1:
-            raise ValueError(f"program must have exactly one static main, found {len(mains)}")
+            raise NoSingleMain(f"program must have exactly one static main, found {len(mains)}")
         status = COMPLETED
         try:
             self._init_statics()
@@ -370,9 +367,7 @@ class Interpreter:
             for fld in user.fields:
                 if fld.has("static"):
                     continue
-                obj.fields[fld.name] = (
-                    self.eval_expr(fld.initializer, _Env(), obj, user) if fld.initializer is not None else None
-                )
+                obj.fields[fld.name] = self._init_field(user, fld, obj) if fld.initializer is not None else None
             ctor = user.constructor(len(args))
             if ctor is None:
                 if args or user.constructors:
@@ -429,6 +424,18 @@ class Interpreter:
             raise MiniJRuntimeError("NoSuchMethod", f"Exception.{expr.method}")
         raise MiniJRuntimeError("TypeError", f"call on {_render(obj)}")
 
+    def _init_field(self, owner: sx.ClassDecl, fld: sx.FieldDecl, obj: VObj):
+        """An instance field's initializer, evaluated as one nesting level like
+        a call, so that a class whose initializer allocates the class stops
+        with StackOverflow."""
+        if self.call_depth >= MAX_CALL_DEPTH:
+            raise MiniJRuntimeError("StackOverflow", f"{owner.name}.{fld.name}")
+        self.call_depth += 1
+        try:
+            return self.eval_expr(fld.initializer, _Env(), obj, owner)
+        finally:
+            self.call_depth -= 1
+
     def invoke_user(self, owner: sx.ClassDecl, meth: sx.MethodDecl, this, args):
         if len(args) != len(meth.params):
             raise MiniJRuntimeError("ArityMismatch", f"{owner.name}.{meth.name}")
@@ -472,14 +479,21 @@ class Interpreter:
 
 
 def run(program: sx.Program, libspec: LibrarySpec, step_limit: int = DEFAULT_STEP_LIMIT) -> RuntimeReport:
-    """Interpret the program's static main; deterministic for a fixed input."""
+    """Interpret the program's static main; deterministic for a fixed input.
+    Raises NoSingleMain unless `has_main(program)`."""
     return Interpreter(program, libspec, step_limit).run_main()
 
 
+def static_mains(program: sx.Program) -> list[tuple[sx.ClassDecl, sx.MethodDecl]]:
+    """Every `static void main()` of the program, with its class."""
+    return [
+        (cls, m) for cls in program.classes for m in cls.methods if m.name == "main" and m.is_static and not m.params
+    ]
+
+
 def has_main(program: sx.Program) -> bool:
-    return any(
-        m.name == "main" and m.is_static and not m.params for cls in program.classes for m in cls.methods
-    )
+    """Whether the program has exactly one `static void main()`, the one `run` interprets."""
+    return len(static_mains(program)) == 1
 
 
 # --- patch validation ---------------------------------------------------------
@@ -504,24 +518,36 @@ def validate_patch(
     libspec: LibrarySpec,
     fixed_ids: tuple[str, ...] = (),
     step_limit: int = DEFAULT_STEP_LIMIT,
+    patched_text: Optional[str] = None,
 ) -> ValidationVerdict:
     """Static + dynamic patch gate.
 
-    Pass iff (a) the patched program reparses and reject_final_writes is clean,
-    (b) re-checking (with fresh inference) no longer reports the fixed warning
-    ids, and (c) the patched run has no use-after-close, leaks no site the
-    original did not leak, and prints the same close-elided output.
+    Pass iff (a) `patched_text`, the canonical print of `patched` (printed
+    here when not given), reparses and prints back to itself, and
+    reject_final_writes on `patched` is clean, (b) re-checking `patched` (with
+    fresh inference) no longer reports the fixed warning ids, and (c) when the
+    original has one static main, the reparsed patch's run has no
+    use-after-close, leaks no site the original did not leak, and prints the
+    same close-elided output.
+
+    The reparse is the parse and printer-fixpoint gate: a patch that passes it
+    is the program its text describes, so the static checks read `patched`
+    itself, the version the fix loop has already analysed, and their results
+    come from the file's memo.
     """
-    failures: list[str] = []
+    text = pretty_print(patched) if patched_text is None else patched_text
     try:
-        reparsed = parse(pretty_print(patched), patched.source_name)
+        reparsed = parse(text, patched.source_name)
     except Exception as e:  # noqa: BLE001 - any parse failure is a verdict, not a crash
         return ValidationVerdict(ok=False, failures=(f"Reparse:{e}",))
-    errs = reject_final_writes(reparsed, libspec)
+    if pretty_print(reparsed) != text:
+        return ValidationVerdict(ok=False, failures=("Reparse:the printed patch does not print back to itself",))
+    failures: list[str] = []
+    errs = reject_final_writes(patched, libspec)
     if errs:
         failures.append(f"FinalWrites:{len(errs)}")
-    specs = infer_specs(reparsed, libspec)
-    warnings = filter_constructor_first_writes(check_program(reparsed, specs, libspec), reparsed)
+    specs = infer_specs(patched, libspec)
+    warnings = filter_constructor_first_writes(check_program(patched, specs, libspec), patched)
     surviving = {w.id for w in warnings} & set(fixed_ids)
     if surviving:
         failures.append(f"WarningSurvives:{','.join(sorted(surviving))}")

@@ -37,13 +37,13 @@ from .checker import (
     warning_id,
 )
 from .errors import FILE_ERRORS, AmbiguousMapping, MaterializationFailure, StaleWarning
-from .escape import tainted_stores
+from .escape import EscapeAnalyzer, tainted_stores
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
 from .parser import parse
 from .printer import pretty_print
-from .repair import Unfixable, apply_plan_in_place, locate_anchor, plan_fix, unified_diff_text
+from .repair import Unfixable, apply_plan_in_place, locate_anchor, plan_fix, screen_fix, unified_diff_text
 from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -323,8 +323,23 @@ def transform_stage(
 
 
 def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig) -> FixOutcome:
-    """Repair `warnings` on a copy of `program`; re-check after each iteration
-    that fixed something, retry deferred plans, then validate the patch."""
+    """Repair `warnings` on a copy of `program`, `patched`, in rounds; re-check
+    after each round that fixed something, retry deferred plans, then validate
+    the patch.
+
+    A round screens each of its warnings (`screen_fix`) with one
+    `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
+    then it plans and applies each warning in turn against `patched` as it is
+    by then. The screen's results hold for the whole round, because a template
+    only adds finalizer calls on existing receivers, null declarations (moving
+    an allocation into an assignment) and try/finally and catch blocks: no
+    field write, and no return, argument pass or collection store of a
+    tracked value.
+
+    `validate_patch` runs its static checks on `patched` itself, which the
+    last round's re-check has already analysed. Its reparse of the one print
+    of `patched`, which the diff also uses, is the parse and printer-fixpoint
+    gate."""
     patched = copy.deepcopy(program)
     fix_status: dict[str, tuple[str, str]] = {}
     pending = list(warnings)
@@ -335,12 +350,17 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
         iterations += 1
         progressed = False
         deferred: list[Warning] = []
-        for w in sorted(pending, key=lambda w: (w.line, w.id)):
-            if not config.enable_overwrite_handling and w.kind == OWNING_FIELD_OVERWRITE:
+        ordered = sorted(pending, key=lambda w: (w.line, w.id))
+        # every lookup of the round's analyzer happens here, before the round's first edit
+        analyzer = EscapeAnalyzer(patched, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
+        disabled = not config.enable_overwrite_handling
+        screened = [None if disabled and w.kind == OWNING_FIELD_OVERWRITE else screen_fix(w, analyzer) for w in ordered]
+        for w, screen in zip(ordered, screened):
+            if screen is None:
                 fix_status[w.id] = ("unfixable", "PreCloseConditionsFail(disabled)")
                 continue
             try:
-                plan = plan_fix(w, patched, specs_now, libspec, config.enable_fixer_enhancements)
+                plan = plan_fix(w, patched, screen)
             except StaleWarning:
                 fix_status.setdefault(w.id, ("unfixable", "NoIrMatch"))
                 continue
@@ -367,11 +387,12 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
             fix_status[w.id] = ("unfixable", detail)
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
-    verdict = validate_patch(program, patched, libspec, fixed_ids=fixed_ids)
+    patched_text = pretty_print(patched)
+    verdict = validate_patch(program, patched, libspec, fixed_ids=fixed_ids, patched_text=patched_text)
     if not verdict.ok:
         for wid in fixed_ids:
             fix_status[wid] = ("validation-failed", verdict.label)
-    diff = unified_diff_text(pretty_print(program), pretty_print(patched), program.source_name)
+    diff = unified_diff_text(pretty_print(program), patched_text, program.source_name)
     return FixOutcome(patched, fix_status, iterations, verdict, diff)
 
 

@@ -1,9 +1,15 @@
 """Repair planning and plan application.
 
-`plan_fix` decides each warning on its own, against one `EscapeAnalyzer`
-built with the run's `enhancements` flag: the escape of the warned value,
-the pre-close conditions and the finalizer all come from it. Template
-selection per warning:
+Planning a warning has two parts. `screen_fix` makes the decisions that read
+escape results, against an `EscapeAnalyzer` built with the run's
+`enhancements` flag: the escape of the warned value, the pre-close
+conditions, the finalizers and the classic close-only rule. `plan_fix` then
+anchors the template in the program as it is now. The fix stage screens a
+whole round's warnings with one analyzer before the round's first edit, so
+the analyzer may be on an earlier version of the program than `plan_fix`'s;
+its results still hold, since no template writes a field or adds a return,
+an argument pass or a collection store of a tracked value.
+Template selection per warning:
 
   UnsatisfiedObligation, value does not escape
       -> TryFinallyWrap: declare the holder null before a try, move the
@@ -153,70 +159,62 @@ def pre_close_check(class_name: str, field_name: str, analyzer: EscapeAnalyzer) 
 # --- planning ----------------------------------------------------------------
 
 
-def plan_fix(
-    warning: Warning, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, enhancements: bool = True
-) -> Union[RepairPlan, Unfixable]:
-    """The repair of one warning, or why it has none. Raises StaleWarning when
-    the warning's anchor is gone from `program`."""
-    anchor = locate_anchor(warning, program)
-    analyzer = EscapeAnalyzer(program, specs, libspec, enhancements=enhancements)
-    plan = (
-        _plan_pre_close(warning, anchor, analyzer)
-        if warning.kind == OWNING_FIELD_OVERWRITE
-        else _plan_obligation(warning, anchor, analyzer)
-    )
-    if isinstance(plan, RepairPlan) and not enhancements and plan.finalizer_method != "close":
+def screen_fix(warning: Warning, analyzer: EscapeAnalyzer) -> Union[tuple[str, ...], Unfixable]:
+    """The decisions on `warning` that read escape results, made on the
+    analyzer's version of the program: the warned value's escape, or the
+    pre-close conditions for an overwrite; the finalizers; the classic
+    close-only rule. The finalizers a repair calls, in order, or why there is
+    no repair."""
+    if warning.kind == OWNING_FIELD_OVERWRITE:
+        owner, _, fname = warning.anchor_token.partition(".")
+        ok, which = pre_close_check(owner, fname, analyzer)
+        if not ok:
+            return Unfixable(warning.id, f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
+    else:
+        escape = analyzer.escapes_at(warning.class_name, warning.method_name, warning.ast_nid)
+        if escape is not None and escape.escapes:
+            route = escape.primary_route()
+            reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
+            return Unfixable(warning.id, reason, detail=route.detail if route else "")
+    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
+    if not finalizers:
+        return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
+    if not analyzer.enhancements and finalizers[0] != "close":
         return Unfixable(warning.id, NO_IR_MATCH, detail="classic repair inserts only close()")
-    return plan
+    return finalizers
 
 
-def _plan_pre_close(warning: Warning, anchor: sx.Node, analyzer: EscapeAnalyzer) -> Union[RepairPlan, Unfixable]:
-    owner, _, fname = warning.anchor_token.partition(".")
-    ok, which = pre_close_check(owner, fname, analyzer)
-    if not ok:
-        return Unfixable(warning.id, f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
-    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
-    if not finalizers:
-        return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
-    return RepairPlan(
-        warning_id=warning.id,
-        template=PRE_CLOSE_INSERTION,
-        anchors={"store": anchor.nid},
-        finalizer_method=finalizers[0],
-        finalizer_methods=finalizers,
-        resource_class=warning.resource_class,
-        class_name=warning.class_name,
-        method_name=warning.method_name,
-    )
-
-
-def _plan_obligation(warning: Warning, anchor: sx.Node, analyzer: EscapeAnalyzer) -> Union[RepairPlan, Unfixable]:
-    assert warning.kind == UNSATISFIED_OBLIGATION
-    escape = analyzer.escapes_at(warning.class_name, warning.method_name, warning.ast_nid)
-    if escape is not None and escape.escapes:
-        route = escape.primary_route()
-        reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
-        return Unfixable(warning.id, reason, detail=route.detail if route else "")
-    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
-    if not finalizers:
-        return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
-    method = analyzer.program.class_named(warning.class_name).member(warning.method_name)
-    path = _template_path(method.body, anchor)
-    if path is None:
-        return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
-    block, idx = path[-1]
-    tries = sx.try_slots(path)
-    template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
-    anchors = {"expr": anchor.nid, "stmt": block.stmts[idx].nid, "block": block.nid}
-    if tries:
-        try_block, try_idx = tries[-1]
-        anchors["try"] = try_block.stmts[try_idx].nid
+def plan_fix(
+    warning: Warning, program: sx.Program, screened: Union[tuple[str, ...], Unfixable]
+) -> Union[RepairPlan, Unfixable]:
+    """The repair of one warning on `program` as it is now, given its
+    `screen_fix` result: the screen's Unfixable, or a template anchored in
+    `program`. Raises StaleWarning when the warning's anchor is gone from
+    `program`."""
+    anchor = locate_anchor(warning, program)
+    if isinstance(screened, Unfixable):
+        return screened
+    if warning.kind == OWNING_FIELD_OVERWRITE:
+        template, anchors = PRE_CLOSE_INSERTION, {"store": anchor.nid}
+    else:
+        assert warning.kind == UNSATISFIED_OBLIGATION
+        method = program.class_named(warning.class_name).member(warning.method_name)
+        path = _template_path(method.body, anchor)
+        if path is None:
+            return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
+        block, idx = path[-1]
+        tries = sx.try_slots(path)
+        template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
+        anchors = {"expr": anchor.nid, "stmt": block.stmts[idx].nid, "block": block.nid}
+        if tries:
+            try_block, try_idx = tries[-1]
+            anchors["try"] = try_block.stmts[try_idx].nid
     return RepairPlan(
         warning_id=warning.id,
         template=template,
         anchors=anchors,
-        finalizer_method=finalizers[0],
-        finalizer_methods=finalizers,
+        finalizer_method=screened[0],
+        finalizer_methods=screened,
         resource_class=warning.resource_class,
         class_name=warning.class_name,
         method_name=warning.method_name,

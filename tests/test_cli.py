@@ -150,6 +150,16 @@ def test_run_reports_leaks(workdir, capsys):
     assert data["leaked"] == [1] and data["status"] == "Completed"
 
 
+@pytest.mark.parametrize("mains", [0, 2])
+def test_run_without_a_single_main_is_a_bad_file(workdir, capsys, mains):
+    text = "".join(f"class C{i} {{\n  static void main() {{\n  }}\n}}\n" for i in range(mains)) or "class A {\n}\n"
+    (workdir / "mains.mj").write_text(text)
+    assert main(["run", str(workdir / "mains.mj"), "--libspec", str(workdir / "lib.libspec")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mains.mj: NoSingleMain: program must have exactly one static main, found {mains}\n"
+
+
 def test_run_trace_shows_events(workdir, capsys):
     main(["run", str(workdir / "clean.mj"), "--libspec", str(workdir / "lib.libspec"), "--trace"])
     out = capsys.readouterr().out

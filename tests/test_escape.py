@@ -12,7 +12,7 @@ from leakward.escape import (
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
-from leakward.repair import Unfixable, plan_fix
+from leakward.repair import Unfixable, plan_fix, screen_fix
 from leakward.specs import SpecSet
 
 LIB = load_library_spec(
@@ -204,7 +204,8 @@ class Main {
     assert result.escapes and [r.kind for r in result.routes] == ["ToField"]
     (w,) = [w for w in check_program(prog, specs, LIB) if w.anchor_kind == "call"]
     assert EscapeAnalyzer(prog, specs, LIB).escapes_at("Main", "main", w.ast_nid) == result
-    assert plan_fix(w, prog, specs, LIB) == Unfixable(w.id, "EscapesToField", detail="Box.kept")
+    screened = screen_fix(w, EscapeAnalyzer(prog, specs, LIB))
+    assert plan_fix(w, prog, screened) == screened == Unfixable(w.id, "EscapesToField", detail="Box.kept")
 
 
 def test_escape_returned_route():

@@ -5,6 +5,7 @@ import pytest
 from leakward.interp import run, validate_patch
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
+from leakward.pipeline import run_pipeline
 
 LIB = load_library_spec(
     """
@@ -187,6 +188,29 @@ class Node {
     assert rep.status == "RuntimeError(StackOverflow)" and rep.leaked_sites == (1,)
 
 
+SELF_ALLOCATING_FIELD = """class Pair {
+  Pair two = new Pair("t");
+
+  Pair(String name) {
+  }
+}
+class Main {
+  static void main() {
+    PrintStream out = new PrintStream("f");
+    Pair p = new Pair("x");
+  }
+}
+"""
+
+
+def test_field_initializer_recursion_is_stack_overflow():
+    # each instance-field initializer counts as one nesting level toward the cap
+    rep = run(parse(SELF_ALLOCATING_FIELD), LIB)
+    assert rep.status == "RuntimeError(StackOverflow)" and rep.leaked_sites == (2,)
+    report = run_pipeline([("pair.mj", SELF_ALLOCATING_FIELD)], LIB)
+    assert report.errors == [] and list(report.files) == ["pair.mj"]
+
+
 def test_bounded_recursion_completes():
     src = """class Main {
   static void f(String x) {
@@ -281,6 +305,13 @@ def test_validate_patch_pass():
     wid = check_program(original, SpecSet.from_declared(original), LIB)[0].id
     verdict = validate_patch(original, parse(GOOD_PATCHED, "g.mj"), LIB, fixed_ids=(wid,))
     assert verdict.ok and verdict.label == "Pass"
+
+
+def test_validate_patch_fails_when_the_print_does_not_print_back():
+    patched = parse(GOOD_PATCHED, "g.mj")
+    assert validate_patch(parse(GOOD, "g.mj"), patched, LIB, patched_text=GOOD_PATCHED).ok
+    verdict = validate_patch(parse(GOOD, "g.mj"), patched, LIB, patched_text=GOOD_PATCHED.replace("\n  ", "\n "))
+    assert verdict.failures == ("Reparse:the printed patch does not print back to itself",)
 
 
 def test_validate_patch_fails_on_use_after_close():

@@ -241,6 +241,15 @@ def test_malformed_file_fails_alone(corpus_report, corpus_sources, libspec):
     assert report.exit_code == 4
 
 
+def test_two_mains_skip_the_interpreter_leg_of_validation(libspec):
+    src = "class A {\n  static void main() {\n    Socket s = new Socket();\n  }\n}\n"
+    src += "class B {\n  static void main() {\n  }\n}\n"
+    report = run_pipeline([("two.mj", src)], libspec)
+    fr = report.files["two.mj"]
+    assert report.errors == [] and fr.verdict.ok
+    assert list(fr.fix_status.values()) == [("fixed", "TryFinallyWrap")]
+
+
 def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
     import leakward.cfg
 

@@ -23,6 +23,7 @@ from leakward.repair import (
     plan_fix,
     pre_close_check,
     rebind_warning,
+    screen_fix,
     unified_diff_text,
 )
 from leakward.specs import SpecSet
@@ -44,7 +45,12 @@ def _plan_first(src, kind=None):
     if kind:
         warnings = [w for w in warnings if w.kind == kind]
     w = warnings[0]
-    return plan_fix(w, annotated, specs, LIB), annotated, w
+    return _plan(w, annotated, specs), annotated, w
+
+
+def _plan(w, prog, specs, lib=LIB, enhancements=True):
+    """`plan_fix` on `prog`, screened by an analyzer of `prog` itself."""
+    return plan_fix(w, prog, screen_fix(w, EscapeAnalyzer(prog, specs, lib, enhancements=enhancements)))
 
 
 def _apply_to_copy(program, plan):
@@ -177,7 +183,7 @@ def test_plan_unfixable_on_return_escape():
     specs = infer_specs(prog, LIB)
     warnings = check_program(prog, specs, LIB)
     alloc_warning = next(w for w in warnings if w.anchor_kind == "new")
-    plan = plan_fix(alloc_warning, prog, specs, LIB)
+    plan = _plan(alloc_warning, prog, specs)
     assert isinstance(plan, Unfixable) and plan.reason == "EscapesReturn"
 
 
@@ -209,8 +215,9 @@ class M {
 def test_plan_stale_warning_raises():
     plan, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); } }')
     stripped = parse("class A { static void main() { } }", "r.mj")
+    screened = screen_fix(w, EscapeAnalyzer(annotated, SpecSet(), LIB))
     with pytest.raises(StaleWarning):
-        plan_fix(w, stripped, SpecSet(), LIB)
+        plan_fix(w, stripped, screened)
 
 
 # --- materialization ---
@@ -325,7 +332,7 @@ def test_multi_mustcall_inserts_every_finalizer():
     prog = parse("class A { static void main() { Pipe p = new Pipe(); } }", "r.mj")
     specs = infer_specs(prog, lib2)
     w = check_program(prog, specs, lib2)[0]
-    plan = plan_fix(w, prog, specs, lib2)
+    plan = _plan(w, prog, specs, lib2)
     assert isinstance(plan, RepairPlan)
     assert plan.finalizer_methods == ("close", "drain")
     text = pretty_print(_apply_to_copy(prog, plan)[0])
@@ -339,8 +346,8 @@ def test_classic_mode_plans_only_close():
     prog = parse("class A { static void main() { Pipe p = new Pipe(); } }", "r.mj")
     specs = infer_specs(prog, lib2)
     w = check_program(prog, specs, lib2)[0]
-    assert plan_fix(w, prog, specs, lib2).finalizer_method == "drain"
-    unfixable = plan_fix(w, prog, specs, lib2, enhancements=False)
+    assert _plan(w, prog, specs, lib2).finalizer_method == "drain"
+    unfixable = _plan(w, prog, specs, lib2, enhancements=False)
     assert isinstance(unfixable, Unfixable) and unfixable.reason == "NoIrMatch"
 
 
