@@ -16,6 +16,10 @@ normal-kind in-edges.
 `solve` is the one dataflow engine: liveness and must-alias here, the
 checker's obligation dataflow and the escape taint each give it a transfer
 (`flow`) and a meet.
+
+What depends only on the graph is computed once per lowering: the adjacency
+index and the reverse postorder when the CFG is built, liveness on first use
+(`Cfg.live_in`). The file memo's copies of a stored CFG share all three.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Collection, Iterable, Iterator, Optional, TypeVar, Union
+from typing import Callable, Collection, Iterable, Optional, TypeVar, Union
 
 from . import syntax as sx
 from .errors import SyntaxError
@@ -135,9 +139,14 @@ class Cfg:
     # tuples, in `edges` order so meets and warnings keep a fixed order
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # liveness, solved on first use; a one-slot list, so that the shallow
+    # copies the file memo hands out share it with the stored CFG
+    _live: list[tuple[frozenset[str], ...]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def index_edges(self) -> None:
-        """Build the tuples `succs`/`preds` read; lowering calls it once `edges` is final."""
+        """Build the adjacency index and the reverse postorder; lowering calls
+        it once `edges` is final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
@@ -147,12 +156,15 @@ class Cfg:
             pred[None][t].append(f)
             pred[k][t].append(f)
         self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
+        self._rpo = self._reverse_postorder()
 
-    def succs(self, n: int, kind: Optional[str] = None) -> list[int]:
-        return list(self._succ[kind][n])
+    def succs(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
+        """Successors of `n` along edges of `kind` (any kind when None), in `edges` order."""
+        return self._succ[kind][n]
 
-    def preds(self, n: int, kind: Optional[str] = None) -> list[int]:
-        return list(self._pred[kind][n])
+    def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
+        """Predecessors of `n` along edges of `kind` (any kind when None), in `edges` order."""
+        return self._pred[kind][n]
 
     def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
         """Nodes reachable from `starts` (themselves included) along edges of
@@ -168,22 +180,32 @@ class Cfg:
         return seen
 
     def rpo(self) -> list[int]:
-        """Nodes reachable from entry in reverse postorder (successors taken by id)."""
+        """Nodes reachable from entry in reverse postorder (successors taken by id); a fresh list."""
+        return list(self._rpo)
+
+    def live_in(self) -> tuple[frozenset[str], ...]:
+        """`liveness(self)` by node id, solved once per lowering."""
+        if not self._live:
+            live = liveness(self)
+            self._live.append(tuple(live[n] for n in range(len(self.nodes))))
+        return self._live[0]
+
+    def _reverse_postorder(self) -> tuple[int, ...]:
+        succ = self._succ[None]
         seen = {self.entry}
         order: list[int] = []
-        stack = [(self.entry, iter(sorted(self.succs(self.entry))))]
+        stack = [(self.entry, iter(sorted(succ[self.entry])))]
         while stack:
             node, it = stack[-1]
             for s in it:
                 if s not in seen:
                     seen.add(s)
-                    stack.append((s, iter(sorted(self.succs(s)))))
+                    stack.append((s, iter(sorted(succ[s]))))
                     break
             else:
                 order.append(node)
                 stack.pop()
-        order.reverse()
-        return order
+        return tuple(reversed(order))
 
     def to_dot(self) -> str:
         lines = [f'digraph "{self.class_name}.{self.method_name}" {{']
@@ -705,13 +727,14 @@ def solve(
     fact of every edge, keyed (source, target) in CFG direction. Raises
     RuntimeError when the flow does not converge.
     """
-    order = cfg.rpo()
-    if backward:
-        order.reverse()
-    rank = [len(order) + n for n in range(len(cfg.nodes))]  # nodes unreachable from entry go last
+    order = reversed(cfg._rpo) if backward else cfg._rpo
+    rank = [len(cfg._rpo) + n for n in range(len(cfg.nodes))]  # nodes unreachable from entry go last
     for i, n in enumerate(order):
         rank[n] = i
-    in_edges = cfg.succs if backward else cfg.preds
+    if backward:
+        in_keys = [tuple((n, m) for m in ms) for n, ms in enumerate(cfg._succ[None])]
+    else:
+        in_keys = [tuple((m, n) for m in ms) for n, ms in enumerate(cfg._pred[None])]
     heap = sorted((rank[n], n) for n in seeds)
     queued = set(seeds)
     facts: dict[int, Fact] = {}
@@ -720,11 +743,10 @@ def solve(
     while heap:
         _rank, n = heapq.heappop(heap)
         queued.discard(n)
-        keys = [(n, m) if backward else (m, n) for m in in_edges(n)]
-        incoming = [edges[k] for k in keys if k in edges]
+        incoming = [edges[k] for k in in_keys[n] if k in edges]
         if n in seeds:
             incoming.insert(0, seeds[n])
-        fact = reduce(meet, incoming)
+        fact = incoming[0] if len(incoming) == 1 else reduce(meet, incoming)
         if n in facts and facts[n] == fact:
             continue
         visits_left -= 1
@@ -914,42 +936,15 @@ def instr_defs(instr: Instr) -> set[str]:
 
 
 def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
-    """May-liveness of locals before each node (backward union fixpoint)."""
+    """May-liveness of locals before each node (backward union fixpoint).
+    `Cfg.live_in` keeps the result with the CFG."""
     live_in: dict[int, frozenset[str]] = {n: frozenset() for n in range(len(cfg.nodes))}
+    uses = [frozenset(instr_uses(instr)) for instr in cfg.nodes]
+    defs = [frozenset(instr_defs(instr)) for instr in cfg.nodes]
 
     def flow(n: int, live_out: frozenset[str]) -> dict[int, frozenset[str]]:
-        instr = cfg.nodes[n]
-        live_in[n] = frozenset(instr_uses(instr)) | (live_out - frozenset(instr_defs(instr)))
+        live_in[n] = uses[n] | (live_out - defs[n])
         return dict.fromkeys(cfg.preds(n), live_in[n])
 
     solve(cfg, dict.fromkeys(live_in, frozenset()), flow, frozenset.union, backward=True)
     return live_in
-
-
-# --- path enumeration (test oracle support) ---------------------------------
-
-
-def acyclic_paths(cfg: Cfg, limit: int = 20000) -> Iterator[list[int]]:
-    """All simple entry->exit paths. Intended for small, loop-free CFGs."""
-    path = [cfg.entry]
-    seen = {cfg.entry}
-    count = 0
-
-    def walk(n: int) -> Iterator[list[int]]:
-        nonlocal count
-        if n == cfg.exit:
-            count += 1
-            if count > limit:
-                raise RuntimeError("path explosion")
-            yield list(path)
-            return
-        for s in sorted(cfg.succs(n)):
-            if s in seen:
-                continue
-            seen.add(s)
-            path.append(s)
-            yield from walk(s)
-            path.pop()
-            seen.remove(s)
-
-    yield from walk(cfg.entry)

@@ -30,8 +30,16 @@ A fact (`CheckFact`) holds the maps and sets the transfer function works on:
 dicts from origins to states, from locals to the frozenset of origins they
 may hold, and from this-fields to what was called on or stored in them, plus
 frozensets of null locals and satisfied fields. Facts compare as maps, with
-no regard to order. Once built a fact is never mutated: out-edges share it
-and the file memo keeps exit facts. Its dicts make a `CheckFact` unhashable.
+no regard to order. Once built a fact is never mutated, nor is any map it
+holds: out-edges share facts, facts share maps, and the file memo keeps exit
+facts. So a transfer builds its out-fact copy-on-write (`_OutFact`): it
+shares with the in-fact every map the instruction does not write, a `Nop`
+passes its in-fact on as it is, a branch shares all but the maps its null
+test refines, and `_prune` returns its input when no local and no origin
+dies. Its dicts make a `CheckFact` unhashable.
+
+Warning ordinals come from a table built once per (kind, token) per checker
+run, not from a walk of the method per emitted warning.
 
 Warning ids hash a structural descriptor (class, method, resource, ordinal),
 never line numbers, so inserting blank lines changes no ids.
@@ -219,6 +227,70 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
     )
 
 
+class _OutFact:
+    """The out-fact of one transfer, built copy-on-write from its in-fact: a
+    map is copied on its first write, so the out-fact shares every map the
+    instruction leaves alone. `pack` hands the maps over without a copy;
+    a write after it copies again, so a packed fact never changes."""
+
+    __slots__ = ("_fact", "_owned", "origins", "refs", "nulls", "field_called", "field_sat", "bindings", "field_origins")
+
+    def __init__(self, fact: CheckFact):
+        self._fact = fact
+        self._owned: set[str] = set()  # dict fields copied since the last pack
+        self.origins = fact.origins
+        self.refs = fact.refs
+        self.nulls = fact.nulls  # frozensets: written by replacing them
+        self.field_called = fact.field_called
+        self.field_sat = fact.field_sat
+        self.bindings = fact.bindings
+        self.field_origins = fact.field_origins
+
+    def write(self, name: str) -> dict:
+        """The dict field `name`, ready to be written."""
+        if name not in self._owned:
+            self._owned.add(name)
+            setattr(self, name, dict(getattr(self, name)))
+        return getattr(self, name)
+
+    def kill_local(self, name: str) -> None:
+        if name in self.refs:
+            del self.write("refs")[name]
+        if name in self.nulls:
+            self.nulls = self.nulls - {name}
+        if name in self.bindings:
+            del self.write("bindings")[name]
+
+    def touch_field_contents(self) -> None:
+        """A self-call (or passing `this` away) may rewrite any field."""
+        self.field_called, self.field_sat, self.bindings, self.field_origins = {}, frozenset(), {}, {}
+        self._owned.update(("field_called", "bindings", "field_origins"))
+
+    def pack(self) -> CheckFact:
+        """The fact as built so far; the in-fact itself when nothing was written."""
+        fact = self._fact
+        if (
+            self.origins is not fact.origins
+            or self.refs is not fact.refs
+            or self.nulls is not fact.nulls
+            or self.field_called is not fact.field_called
+            or self.field_sat is not fact.field_sat
+            or self.bindings is not fact.bindings
+            or self.field_origins is not fact.field_origins
+        ):
+            self._fact = fact = CheckFact(
+                self.origins,
+                self.refs,
+                self.nulls,
+                self.field_called,
+                self.field_sat,
+                self.bindings,
+                self.field_origins,
+            )
+            self._owned.clear()
+        return fact
+
+
 class _MethodChecker:
     def __init__(self, cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec):
         assert cfg.program is not None, "Cfg must carry its program"
@@ -238,7 +310,8 @@ class _MethodChecker:
                 self.alloc_nid[instr.site] = instr.ast_nid
         self.call_ret_class: dict[int, str] = {}  # invoke ast nid -> returned class
         self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
-        self.live_in = C.liveness(cfg)
+        self.live_in = cfg.live_in()
+        self._ordinals: dict[tuple[str, str], dict[int, int]] = {}  # (kind, token) -> anchor nid -> ordinal
 
     # origin helpers
 
@@ -261,6 +334,16 @@ class _MethodChecker:
 
     # warning emission
 
+    def ordinal(self, kind: str, token: str, nid: int) -> int:
+        """`sx.anchor_ordinal(self.cls, self.method, kind, token, nid)`, read off a table
+        built on first use: one walk of the method per (kind, token) per run."""
+        table = self._ordinals.get((kind, token))
+        if table is None:
+            table = self._ordinals[(kind, token)] = {}
+            for i, node in enumerate(sx.anchors(self.cls, self.method, kind, token)):
+                table.setdefault(node.nid, i)
+        return table.get(nid, 0)
+
     def warn_unsatisfied(self, origin: Origin) -> None:
         rclass = self.origin_class(origin)
         mc = sorted(self.must_call_for(rclass))
@@ -273,7 +356,7 @@ class _MethodChecker:
                 self.cfg.method_name,
                 "new",
                 rclass,
-                sx.anchor_ordinal(self.method, "new", rclass, ast_nid),
+                self.ordinal("new", rclass, ast_nid),
                 ast_nid,
                 rclass,
                 f"{rclass} allocated here may never reach {', '.join(mc)}()",
@@ -288,7 +371,7 @@ class _MethodChecker:
                 self.cfg.method_name,
                 "call",
                 rclass,
-                sx.anchor_ordinal(self.method, "call", rclass, ast_nid),
+                self.ordinal("call", rclass, ast_nid),
                 ast_nid,
                 rclass,
                 f"{rclass} returned by this call may never reach {', '.join(mc)}()",
@@ -307,7 +390,7 @@ class _MethodChecker:
             self.cfg.method_name,
             "store",
             token,
-            sx.anchor_ordinal(self.method, "store", token, store.ast_nid),
+            self.ordinal("store", token, store.ast_nid),
             store.ast_nid,
             ftype,
             f"overwriting @Owning field {store.field} may leak its current {ftype}",
@@ -320,33 +403,19 @@ class _MethodChecker:
         """Out-facts per successor; branches refine null knowledge per edge and
         a throwing allocation registers nothing on its exceptional edge."""
         instr = self.cfg.nodes[node]
-        origins = dict(fact.origins)
-        refs = dict(fact.refs)
-        nulls = set(fact.nulls)
-        field_called = dict(fact.field_called)
-        field_sat = set(fact.field_sat)
-        bindings = dict(fact.bindings)
-        field_origins = dict(fact.field_origins)
-
-        def kill_local(name: str) -> None:
-            refs.pop(name, None)
-            nulls.discard(name)
-            bindings.pop(name, None)
-
-        def touch_field_contents() -> None:
-            # a self-call (or passing `this` away) may rewrite any field
-            field_called.clear()
-            field_sat.clear()
-            bindings.clear()
-            field_origins.clear()
+        if isinstance(instr, C.Nop):
+            return dict.fromkeys(self.cfg.succs(node), fact)
+        if isinstance(instr, C.Branch):
+            return self._branch_out(instr, fact, node)
+        out = _OutFact(fact)
 
         def credit_origin(origin: Origin, method: str) -> None:
-            st = origins.get(origin)
+            st = out.origins.get(origin)
             if st is None:
                 return
             called = st.called | {method}
             resolved = st.resolved or called >= self.must_call_for(self.origin_class(origin))
-            origins[origin] = SiteState(called, resolved)
+            out.write("origins")[origin] = SiteState(called, resolved)
 
         def credit(op: str, method: str) -> None:
             for origin in self.origins_of_operand(op, fact):
@@ -354,122 +423,110 @@ class _MethodChecker:
 
         def discharge(op: str) -> None:
             for origin in self.origins_of_operand(op, fact):
-                st = origins.get(origin)
-                if st is not None:
-                    origins[origin] = replace(st, resolved=True)
-
-        def pack() -> CheckFact:
-            # copies: the working maps change after `pre_ret = pack()`
-            return CheckFact(
-                dict(origins),
-                dict(refs),
-                frozenset(nulls),
-                dict(field_called),
-                frozenset(field_sat),
-                dict(bindings),
-                dict(field_origins),
-            )
+                st = out.origins.get(origin)
+                if st is not None and not st.resolved:
+                    out.write("origins")[origin] = SiteState(st.called, True)
 
         if isinstance(instr, C.Alloc):
-            pre = fact
             self._discharge_owning_args(instr.class_name, instr.class_name, instr.args, discharge, is_ctor=True)
-            kill_local(instr.dst)
+            out.kill_local(instr.dst)
             if self.tracked(instr.class_name):
                 origin: Origin = ("new", instr.site)
-                prior = origins.get(origin)
+                prior = out.origins.get(origin)
                 if prior is not None and self.insufficient(origin, prior):
                     self.warn_unsatisfied(origin)  # looped re-allocation rolls over a pending instance
-                origins[origin] = SiteState(frozenset(), False)
-                refs[instr.dst] = (frozenset({origin}), True)
+                out.write("origins")[origin] = SiteState(frozenset(), False)
+                out.write("refs")[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
-                touch_field_contents()
-            return self._split_out(node, pack(), pre)  # the allocation never happened on the exceptional edge
+                out.touch_field_contents()
+            return self._split_out(node, out.pack(), fact)  # the allocation never happened on the exceptional edge
         if isinstance(instr, C.CopyLocal):
             if instr.src != instr.dst:
-                src_ref = refs.get(instr.src)
-                src_null = instr.src in nulls
-                src_binding = bindings.get(instr.src)
-                kill_local(instr.dst)
+                src_ref = out.refs.get(instr.src)
+                src_null = instr.src in out.nulls
+                src_binding = out.bindings.get(instr.src)
+                out.kill_local(instr.dst)
                 if src_ref is not None:
-                    refs[instr.dst] = src_ref
+                    out.write("refs")[instr.dst] = src_ref
                 if src_null:
-                    nulls.add(instr.dst)
+                    out.nulls = out.nulls | {instr.dst}
                 if src_binding is not None:
-                    bindings[instr.dst] = src_binding
+                    out.write("bindings")[instr.dst] = src_binding
         elif isinstance(instr, C.Const):
-            kill_local(instr.dst)
+            out.kill_local(instr.dst)
             if instr.is_null:
-                nulls.add(instr.dst)
+                out.nulls = out.nulls | {instr.dst}
         elif isinstance(instr, C.LoadField):
-            kill_local(instr.dst)
+            out.kill_local(instr.dst)
             if instr.recv == C.THIS:
-                bindings[instr.dst] = instr.field
-                held = field_origins.get(instr.field)
+                out.write("bindings")[instr.dst] = instr.field
+                held = out.field_origins.get(instr.field)
                 if held:
-                    refs[instr.dst] = (held, False)
+                    out.write("refs")[instr.dst] = (held, False)
         elif isinstance(instr, C.StoreField):
             ownership = self.specs.ownership(instr.field_class, instr.field)
             if ownership == OWNING:
                 if not self._field_is_final(instr):
-                    sat = instr.recv == C.THIS and instr.field in field_sat
+                    sat = instr.recv == C.THIS and instr.field in out.field_sat
                     if not sat:
                         self.warn_overwrite(instr)
                 discharge(instr.src)
             if instr.recv == C.THIS or instr.recv is None:
-                field_called.pop(instr.field, None)
-                field_sat.discard(instr.field)
-                field_origins.pop(instr.field, None)
-                if instr.src in nulls:
-                    field_sat.add(instr.field)
+                if instr.field in out.field_called:
+                    del out.write("field_called")[instr.field]
+                if instr.src in out.nulls:
+                    out.field_sat = out.field_sat | {instr.field}
+                elif instr.field in out.field_sat:
+                    out.field_sat = out.field_sat - {instr.field}
                 stored = self.origins_of_operand(instr.src, fact)
                 if stored:
-                    field_origins[instr.field] = stored
-                for k in [k for k, v in bindings.items() if v == instr.field]:
-                    bindings.pop(k)
+                    out.write("field_origins")[instr.field] = stored
+                elif instr.field in out.field_origins:
+                    del out.write("field_origins")[instr.field]
+                stale = [k for k, v in out.bindings.items() if v == instr.field]
+                if stale:
+                    bindings = out.write("bindings")
+                    for k in stale:
+                        del bindings[k]
         elif isinstance(instr, C.Invoke):
             if instr.recv is not None:
                 credit(instr.recv, instr.method)
-                bound = bindings.get(instr.recv)
+                bound = out.bindings.get(instr.recv)
                 if bound is not None:
-                    field_called[bound] = field_called.get(bound, frozenset()) | {instr.method}
-                    for origin in field_origins.get(bound, ()):
+                    called = out.field_called.get(bound, frozenset()) | {instr.method}
+                    out.write("field_called")[bound] = called
+                    for origin in out.field_origins.get(bound, ()):
                         credit_origin(origin, instr.method)
                     fld = self.cls.field_named(bound)
                     if fld is not None:
                         need = self.must_call_for(fld.declared_type)
-                        if need and field_called[bound] >= need:
-                            field_sat.add(bound)
+                        if need and called >= need:
+                            out.field_sat = out.field_sat | {bound}
             self._discharge_owning_args(
                 self._receiver_class(instr), instr.method, instr.args, discharge, is_ctor=False
             )
             if instr.dst:
-                kill_local(instr.dst)
+                out.kill_local(instr.dst)
             if instr.recv == C.THIS or C.THIS in instr.args:
-                touch_field_contents()
+                out.touch_field_contents()
             ret_class = self._tracked_return_class(instr)
-            if ret_class is None:
-                out = pack()
-                return {s: out for s in self.cfg.succs(node)}
-            # the caller only owns the result on the normal edge; on the
-            # exceptional edge the call never returned a value
-            pre_ret = pack()
-            self.call_ret_class[instr.ast_nid] = ret_class
-            origin = ("call", instr.ast_nid)
-            prior = origins.get(origin)
-            if prior is not None and self.insufficient(origin, prior):
-                self.warn_unsatisfied(origin)
-            origins[origin] = SiteState(frozenset(), False)
-            if instr.dst:
-                refs[instr.dst] = (frozenset({origin}), False)  # callees may return null
-            return self._split_out(node, pack(), pre_ret)
+            if ret_class is not None:
+                # the caller only owns the result on the normal edge; on the
+                # exceptional edge the call never returned a value
+                pre_ret = out.pack()
+                self.call_ret_class[instr.ast_nid] = ret_class
+                origin = ("call", instr.ast_nid)
+                prior = out.origins.get(origin)
+                if prior is not None and self.insufficient(origin, prior):
+                    self.warn_unsatisfied(origin)
+                out.write("origins")[origin] = SiteState(frozenset(), False)
+                if instr.dst:
+                    out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
+                return self._split_out(node, out.pack(), pre_ret)
         elif isinstance(instr, C.ReturnVal):
             if instr.src is not None and method_return_ownership(self.method) == OWNING:
                 discharge(instr.src)
-        elif isinstance(instr, C.Branch):
-            return self._branch_out(instr, pack(), node)
-
-        out = pack()
-        return {s: out for s in self.cfg.succs(node)}
+        return dict.fromkeys(self.cfg.succs(node), out.pack())
 
     def _split_out(self, node: int, normal: CheckFact, exceptional: CheckFact) -> dict[int, CheckFact]:
         """`normal` on the normal out-edges, `exceptional` on the others; a
@@ -513,7 +570,7 @@ class _MethodChecker:
             origins_eq = dict(fact.origins)
             refs_eq = dict(refs)
             tested_origins = refs_eq.pop(tested, (frozenset(), False))[0]
-            live = self.live_in.get(eq_edge, frozenset())
+            live = self.live_in[eq_edge]
             field_referenced = {o for held in fact.field_origins.values() for o in held}
             for origin in tested_origins:
                 others = [
@@ -590,20 +647,26 @@ class _MethodChecker:
         Emission order never shows: an origin is one allocation or call AST
         node, and its warning id comes from that node's anchor ordinal, so
         origins and warning ids map one to one."""
-        live = self.live_in.get(succ, frozenset())
-        refs = {x: info for x, info in fact.refs.items() if x in live}
-        origins = fact.origins
-        if succ != self.cfg.exit:
-            referenced = {o for oset, _nn in refs.values() for o in oset}
-            referenced.update(o for held in fact.field_origins.values() for o in held)
-            dying = [o for o, st in origins.items() if o not in referenced and self.insufficient(o, st)]
+        live = self.live_in[succ]
+        refs, nulls, bindings, origins = fact.refs, fact.nulls, fact.bindings, fact.origins
+        if not refs.keys() <= live:
+            refs = {x: info for x, info in refs.items() if x in live}
+        if not nulls <= live:
+            nulls = nulls & live
+        if not bindings.keys() <= live:
+            bindings = {k: v for k, v in bindings.items() if k in live}
+        pending = [o for o, st in origins.items() if not st.resolved] if succ != self.cfg.exit else []
+        if pending:
+            referenced = set().union(*(oset for oset, _nn in refs.values()), *fact.field_origins.values())
+            dying = [o for o in pending if o not in referenced and self.insufficient(o, origins[o])]
             if dying:
                 origins = dict(origins)
                 for origin in dying:
                     self.warn_unsatisfied(origin)
-                    origins[origin] = replace(origins[origin], resolved=True)
-        bindings = {k: v for k, v in fact.bindings.items() if k in live}
-        return replace(fact, origins=origins, refs=refs, nulls=fact.nulls & live, bindings=bindings)
+                    origins[origin] = SiteState(origins[origin].called, True)
+        if refs is fact.refs and nulls is fact.nulls and bindings is fact.bindings and origins is fact.origins:
+            return fact
+        return CheckFact(origins, refs, nulls, fact.field_called, fact.field_sat, bindings, fact.field_origins)
 
     # fixpoint driver
 
@@ -689,7 +752,7 @@ def _first_write_conditions_hold(w: Warning, program: sx.Program) -> bool:
     ctor = cls.member(w.method_name) if cls else None
     if ctor is None or not ctor.is_constructor:
         return False  # condition 4: not a constructor write at all
-    stores = sx.stores_to_field(ctor, field_name)
+    stores = sx.stores_to_field(cls, ctor, field_class, field_name)
     if len(stores) != 1 or w.ordinal != 0:
         return False  # condition 5
     path = sx.stmt_path(ctor.body, stores[0])

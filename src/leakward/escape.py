@@ -196,7 +196,7 @@ class EscapeAnalyzer:
         return WrapperClassification(kind=RESOURCE_ACCESSOR, witness_field=witness)
 
     def _assigned_in_some_ctor(self, cls: sx.ClassDecl, field_name: str) -> bool:
-        return any(sx.stores_to_field(ctor, field_name) for ctor in cls.constructors)
+        return any(sx.stores_to_field(cls, ctor, cls.name, field_name) for ctor in cls.constructors)
 
     def _finalizer_of(self, cls: sx.ClassDecl) -> Optional[str]:
         mc = self.specs.class_mustcall.get(cls.name)

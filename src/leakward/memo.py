@@ -14,14 +14,18 @@ mean equal inputs.
 It holds two kinds of entries, both also keyed on the library spec:
 
   (digest, class, member key) -> Cfg. A hit is a shallow copy of the stored
-      Cfg, rebound to the caller's program, class and method.
+      Cfg, rebound to the caller's program, class and method. It shares the
+      graph facts kept with the stored Cfg: its adjacency index and reverse
+      postorder, built at lowering, and its liveness, solved at the first
+      `Cfg.live_in` on the stored Cfg or any hit.
   (digest, class, member key, spec key) -> a checker run's result. The spec
       key is `SpecSet.to_json()`: must-call sets, field ownership and
       ensures, without provenance, which the checker does not read.
 
-A miss calls the module-level `cfg.lower` (and the checker `cfg.liveness`),
-so counts of those calls count real work. Outside a scope nothing is cached,
-no digest is taken and every lookup computes.
+A miss calls the module-level `cfg.lower`, and the first `Cfg.live_in` of a
+lowering calls the module-level `cfg.liveness`, so counts of those calls
+count real work: liveness runs at most once per lowering. Outside a scope
+nothing is cached, no digest is taken and every lookup lowers afresh.
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ Grammar (see README for the full EBNF):
 
 Allocation sites are numbered from a deterministic counter in parse order, so
 site ids are stable across pretty-print round trips.
+
+Blocks and expressions nest at most MAX_NESTING levels deep; a deeper program
+is a SyntaxError.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ KEYWORDS = {
     "static",
     "final",
 }
+
+# Every pass over the AST recurses on its nesting: lowering, printing, the
+# interpreter, deepcopy and the file memo's pickle. Past this depth of blocks
+# and expressions together a file fails to parse, where it would otherwise
+# raise RecursionError later and take down the whole batch.
+MAX_NESTING = 64
 
 PUNCT = ("==", "!=", "{", "}", "(", ")", ";", ",", ".", "=", "@")
 
@@ -143,6 +152,7 @@ class Parser:
         self.pos = 0
         self.program = sx.Program(classes=[], source_name=source_name, source_text=source)
         self.site_counter = 0
+        self.depth = 0  # blocks and expressions open around the current token
 
     # --- token plumbing ---
 
@@ -167,6 +177,11 @@ class Parser:
 
     def note(self, node: sx.Node, tok: Token) -> None:
         self.program.set_pos(node, tok.line, tok.col)
+
+    def nest(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SyntaxError(f"blocks and expressions nest more than {MAX_NESTING} deep", tok.line, tok.col)
 
     # --- productions ---
 
@@ -346,10 +361,12 @@ class Parser:
 
     def parse_block(self) -> sx.Block:
         open_tok = self.expect("{")
+        self.nest(open_tok)
         stmts: list[sx.Stmt] = []
         while not self.at("}"):
             stmts.append(self.parse_stmt())
         self.expect("}")
+        self.depth -= 1
         blk = sx.Block(stmts=stmts)
         self.note(blk, open_tok)
         return blk
@@ -442,22 +459,26 @@ class Parser:
 
     def parse_expr(self, allow_eq: bool = False) -> sx.Expr:
         t = self.peek()
-        lhs = self.parse_unary()
+        self.nest(t)
+        expr = self.parse_unary()
         if self.at("==") or self.at("!="):
             if not allow_eq:
                 op = self.peek()
                 raise SyntaxError("equality tests are only legal as if/while conditions", op.line, op.col)
             negated = self.take().text == "!="
             rhs = self.parse_unary()
-            node = sx.Eq(lhs=lhs, rhs=rhs, negated=negated)
-            self.note(node, t)
-            return node
-        return lhs
+            expr = sx.Eq(lhs=expr, rhs=rhs, negated=negated)
+            self.note(expr, t)
+        self.depth -= 1
+        return expr
 
     def parse_unary(self) -> sx.Expr:
         expr = self.parse_primary()
+        links = 0  # each `.` wraps the expression so far one level deeper
         while self.at("."):
             dot = self.take()
+            self.nest(dot)
+            links += 1
             name = self.expect("ID").text
             if self.at("("):
                 self.take()
@@ -472,6 +493,7 @@ class Parser:
                 node = sx.FieldRef(receiver=expr, name=name)
             self.note(node, dot)
             expr = node
+        self.depth -= links
         return expr
 
     def parse_primary(self) -> sx.Expr:

@@ -232,7 +232,7 @@ def _chain_roots(
                     alloc.class_name, len(alloc.args), file, version, specs, orig_ids, seen
                 )
                 continue
-            ordinal = sx.anchor_ordinal(ctor, "new", alloc.class_name, alloc.ast_nid)
+            ordinal = sx.anchor_ordinal(cls, ctor, "new", alloc.class_name, alloc.ast_nid)
             wid = warning_id(
                 UNSATISFIED_OBLIGATION, file, wrapper, cfg.method_name, "new", alloc.class_name, ordinal
             )

@@ -102,7 +102,7 @@ def locate_anchor(warning: Warning, program: sx.Program) -> sx.Node:
     method = cls.member(warning.method_name)
     if method is None:
         raise StaleWarning(f"{warning.id}: method {warning.method_name} is gone")
-    nodes = list(sx.anchors(method, warning.anchor_kind, warning.anchor_token))
+    nodes = list(sx.anchors(cls, method, warning.anchor_kind, warning.anchor_token))
     if 0 <= warning.ordinal < len(nodes):
         return nodes[warning.ordinal]
     raise StaleWarning(f"{warning.id}: no anchor matches {warning.descriptor()}")
@@ -145,7 +145,7 @@ def pre_close_check(class_name: str, field_name: str, analyzer: EscapeAnalyzer) 
     if fld.initializer is not None:
         writes.append(fld.initializer)
     for m in cls.all_methods():
-        writes.extend(s.value for s in sx.stores_to_field(m, field_name))
+        writes.extend(s.value for s in sx.stores_to_field(cls, m, class_name, field_name))
     for value in writes:
         if isinstance(value, sx.NullLit):
             continue

@@ -382,11 +382,16 @@ def walk_nodes(root: Node) -> Iterator[Node]:
 class LocalRefs:
     """What `local_refs` resolved in one method, as `id`s of its nodes."""
 
-    locals: set[int] = field(default_factory=set)  # VarRefs naming `this`, a parameter or a local
+    # VarRefs naming `this`, a parameter or a local -> its declared type ("" for `this`)
+    locals: dict[int, str] = field(default_factory=dict)
     redeclared: set[int] = field(default_factory=set)  # LocalDecls of a name their block declared
 
     def is_local(self, ref: VarRef) -> bool:
         return id(ref) in self.locals
+
+    def local_type(self, ref: VarRef) -> str:
+        """The declared type of the local `ref` names; `is_local(ref)` must hold."""
+        return self.locals[id(ref)]
 
     def redeclares(self, decl: LocalDecl) -> bool:
         return id(decl) in self.redeclared
@@ -403,55 +408,85 @@ def local_refs(method: MethodDecl) -> LocalRefs:
     name of the same block is recorded in `redeclared`."""
     out = LocalRefs()
 
-    def visit(node: Node, scope: list[str]) -> None:
+    def visit(node: Node, scope: dict[str, str]) -> None:  # scope: name -> declared type
         if isinstance(node, VarRef):
             if node.name in scope:
-                out.locals.add(id(node))
+                out.locals[id(node)] = scope[node.name]
         elif isinstance(node, Block):
-            inner = list(scope)
+            inner = dict(scope)
+            declared: set[str] = set()
             for s in node.stmts:
                 if isinstance(s, LocalDecl):
-                    if s.name in inner[len(scope) :]:
+                    if s.name in declared:
                         out.redeclared.add(id(s))
-                    inner.append(s.name)
+                    declared.add(s.name)
+                    inner[s.name] = s.type_name
                 visit(s, inner)
         else:
             for part in vars(node).values():
                 if isinstance(part, Node):
-                    catch = isinstance(node, Try) and part is node.catch_block
-                    visit(part, scope + [node.catch_name or "e"] if catch else scope)
+                    if isinstance(node, Try) and part is node.catch_block:
+                        visit(part, {**scope, node.catch_name or "e": node.catch_type or "Exception"})
+                    else:
+                        visit(part, scope)
                 elif isinstance(part, list):
                     for child in part:
                         visit(child, scope)
 
-    visit(method.body, ([] if method.is_static else [THIS]) + [p.name for p in method.params])
+    scope = {} if method.is_static else {THIS: ""}
+    visit(method.body, {**scope, **{p.name: p.type_name for p in method.params}})
     return out
 
 
-def stores_to_field(method: MethodDecl, field_name: str) -> list[Assign]:
-    """Assign statements writing the named field, in AST order: `x.f = e;`
-    for any receiver, and a bare `f = e;` whose `f` is not a local there
-    (`local_refs`)."""
+def stores_to_field(cls: ClassDecl, method: MethodDecl, field_class: str, field_name: str) -> list[Assign]:
+    """Assign statements of `method`, a member of `cls`, that write field
+    `field_name` of class `field_class`, in AST order. The class written is
+    `cls` for a bare `f = e;` whose `f` is not a local there (`local_refs`)
+    and for `this.f = e;`. For `x.f = e;` it is the declared type of `x` when
+    `x` is a local, of the field `x` of `cls` when it is one, and else the
+    class `x` (a static store). A store through any other receiver, a call
+    or a field path, counts for every class."""
     names = local_refs(method)
-    assigns = [s for s in walk_stmts(method.body) if isinstance(s, Assign) and s.target.name == field_name]
-    return [s for s in assigns if isinstance(s.target, FieldRef) or not names.is_local(s.target)]
+
+    def writes_field_class(target: Union[VarRef, FieldRef]) -> bool:
+        if isinstance(target, VarRef):
+            return not names.is_local(target) and cls.name == field_class
+        recv = target.receiver
+        if not isinstance(recv, VarRef):
+            return True  # a call or a field path: its class is not resolved here
+        if recv.name == THIS:
+            owner = cls.name
+        elif names.is_local(recv):
+            owner = names.local_type(recv)
+        else:
+            fld = cls.field_named(recv.name)
+            owner = fld.declared_type if fld is not None else recv.name
+        return owner == field_class
+
+    return [
+        s
+        for s in walk_stmts(method.body)
+        if isinstance(s, Assign) and s.target.name == field_name and writes_field_class(s.target)
+    ]
 
 
-def anchors(method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
-    """The nodes a warning ordinal counts, in AST order: for `new` the `New`s
-    of class `token`, for `call` every `Call`, for `store` the stores to the
-    field of `token` = `Class.field`; nothing for another kind."""
+def anchors(cls: ClassDecl, method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
+    """The nodes a warning ordinal counts in `method`, a member of `cls`, in
+    AST order: for `new` the `New`s of class `token`, for `call` every
+    `Call`, for `store` the stores to the field `token` = `Class.field`
+    (`stores_to_field`); nothing for another kind."""
     if kind == "store":
-        yield from stores_to_field(method, token.partition(".")[2])
+        field_class, _, field_name = token.partition(".")
+        yield from stores_to_field(cls, method, field_class, field_name)
         return
     for e in walk_exprs(method.body):
         if (kind == "call" and isinstance(e, Call)) or (kind == "new" and isinstance(e, New) and e.class_name == token):
             yield e
 
 
-def anchor_ordinal(method: MethodDecl, kind: str, token: str, nid: int) -> int:
-    """Index of node `nid` in `anchors(method, kind, token)`, 0 if it is not there."""
-    for i, node in enumerate(anchors(method, kind, token)):
+def anchor_ordinal(cls: ClassDecl, method: MethodDecl, kind: str, token: str, nid: int) -> int:
+    """Index of node `nid` in `anchors(cls, method, kind, token)`, 0 if it is not there."""
+    for i, node in enumerate(anchors(cls, method, kind, token)):
         if node.nid == nid:
             return i
     return 0

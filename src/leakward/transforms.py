@@ -113,10 +113,10 @@ def finalize_fields(program: sx.Program, libspec: Optional[LibrarySpec] = None) 
 
 
 def _finalize_eligible(version: ProgramVersion, cls: sx.ClassDecl, fld: sx.FieldDecl) -> bool:
-    method_writers = [m for m in cls.methods if sx.stores_to_field(m, fld.name)]
+    method_writers = [m for m in cls.methods if sx.stores_to_field(cls, m, cls.name, fld.name)]
     if method_writers:
         return False
-    ctor_writers = [c for c in cls.constructors if sx.stores_to_field(c, fld.name)]
+    ctor_writers = [c for c in cls.constructors if sx.stores_to_field(cls, c, cls.name, fld.name)]
     if fld.has("static"):
         return fld.initializer is not None and not ctor_writers
     if fld.initializer is not None:
@@ -153,7 +153,7 @@ def _apply_finalize(
     touched = [fld.nid]
     rewrites = []
     for ctor in cls.constructors:
-        store = next(iter(sx.stores_to_field(ctor, fld.name)), None)
+        store = next(iter(sx.stores_to_field(cls, ctor, cls.name, fld.name)), None)
         if store is None:
             continue
         tries = sx.try_slots(sx.stmt_path(ctor.body, store))
@@ -233,14 +233,14 @@ def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[sx.MethodDe
     if not fld.has("private") or fld.initializer is not None:
         return None
     readers = [m for m in cls.all_methods() if _reads_of_field(m, fld.name)]
-    writers = [m for m in cls.all_methods() if sx.stores_to_field(m, fld.name)]
+    writers = [m for m in cls.all_methods() if sx.stores_to_field(cls, m, cls.name, fld.name)]
     if len(readers) > 1 or len(writers) != 1:
         return None
     if readers and readers[0] is not writers[0]:
         return None
     m = writers[0]
     # the first write must be a top-level statement preceding every read
-    anchor = sx.stores_to_field(m, fld.name)[0]
+    anchor = sx.stores_to_field(cls, m, cls.name, fld.name)[0]
     path = sx.stmt_path(m.body, anchor)
     if len(path) != 1:
         return None
@@ -253,7 +253,7 @@ def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[sx.MethodDe
 
 
 def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, method: sx.MethodDecl, log: EditLog) -> None:
-    anchor = sx.stores_to_field(method, fld.name)[0]
+    anchor = sx.stores_to_field(cls, method, cls.name, fld.name)[0]
     decl = sx.LocalDecl(type_name=fld.declared_type, name=fld.name, init=anchor.value)
     program.inherit_pos(decl, anchor)
     [(_body, idx)] = sx.stmt_path(method.body, anchor)
@@ -362,7 +362,7 @@ def _apply_inject(
         # unguarded only when every constructor stores a fresh object exactly once
         never_null = bool(cls.constructors) and all(
             _writes_exactly_once_per_normal_path(version, cls, ctor, fname)
-            and all(isinstance(st.value, sx.New) for st in sx.stores_to_field(ctor, fname))
+            and all(isinstance(st.value, sx.New) for st in sx.stores_to_field(cls, ctor, cls.name, fname))
             for ctor in cls.constructors
         )
         calls: list[sx.Stmt] = [

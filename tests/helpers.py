@@ -1,10 +1,11 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
-structural AST comparison modulo local-variable names, and the corpus-plus-
-fuzz program list."""
+structural AST comparison modulo local-variable names, the corpus-plus-fuzz
+program list, and simple-path enumeration over a CFG."""
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from leakward import cfg as C
 from leakward import syntax as sx
@@ -25,6 +26,32 @@ def corpus_and_fuzz_programs():
     programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
     programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
     return programs
+
+
+def acyclic_paths(cfg: C.Cfg, limit: int = 20000) -> Iterator[list[int]]:
+    """All simple entry->exit paths. Intended for small, loop-free CFGs."""
+    path = [cfg.entry]
+    seen = {cfg.entry}
+    count = 0
+
+    def walk(n: int) -> Iterator[list[int]]:
+        nonlocal count
+        if n == cfg.exit:
+            count += 1
+            if count > limit:
+                raise RuntimeError("path explosion")
+            yield list(path)
+            return
+        for s in sorted(cfg.succs(n)):
+            if s in seen:
+                continue
+            seen.add(s)
+            path.append(s)
+            yield from walk(s)
+            path.pop()
+            seen.remove(s)
+
+    yield from walk(cfg.entry)
 
 
 def build_coverage(program: sx.Program, libspec: LibrarySpec, warnings, specs: SpecSet | None = None):

@@ -2,7 +2,7 @@
 pipeline run equals an unscoped one, an in-place edit is seen, file names
 stay apart, and a CFG served from the memo is bound to the caller's AST.
 Every lowering goes through it: no version of a method is lowered twice in
-one file's scope."""
+one file's scope, and liveness is solved at most once per lowering."""
 
 import copy
 from collections import Counter
@@ -101,6 +101,29 @@ def test_no_method_version_is_lowered_twice_in_a_file_scope(corpus_sources, libs
     assert len(scopes) == len(corpus_sources) + 50
     twice = [(cls, member) for lowered in scopes for (_d, cls, member), n in lowered.items() if n > 1]
     assert twice == []
+
+
+def test_liveness_is_solved_at_most_once_per_lowered_method_version(corpus_sources, libspec, monkeypatch):
+    lowered: dict[int, tuple] = {}  # id of a lowered CFG's node list -> (digest, class, member)
+    kept: list = []  # the node lists, so that no id is reused
+    solved: Counter = Counter()
+    original_lower, original_liveness = C.lower, C.liveness
+
+    def recording_lower(program, cls, meth, *rest):
+        g = original_lower(program, cls, meth, *rest)
+        lowered[id(g.nodes)] = (memo.digest(program), cls.name, sx.member_key(meth))
+        kept.append(g.nodes)
+        return g
+
+    def recording_liveness(g):
+        solved[lowered[id(g.nodes)]] += 1  # memo hits share the stored CFG's node list
+        return original_liveness(g)
+
+    monkeypatch.setattr(C, "lower", recording_lower)
+    monkeypatch.setattr(C, "liveness", recording_liveness)
+    for name, text in corpus_sources:
+        run_pipeline([(name, text)], libspec)
+    assert set(solved.values()) == {1}
 
 
 def test_an_in_place_edit_between_two_checks_is_seen(libspec):

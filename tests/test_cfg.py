@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import corpus_and_fuzz_programs
+from helpers import acyclic_paths, corpus_and_fuzz_programs
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
@@ -97,7 +97,7 @@ def test_finally_runs_on_every_path():
     g = lower_method(TRY_FINALLY_RETURN, "A", "m")
     markers = _finally_marker_nodes(g)
     assert len(markers) >= 2  # return path and exceptional path duplicates
-    for path in C.acyclic_paths(g):
+    for path in acyclic_paths(g):
         assert any(n in markers for n in path), path
 
 
@@ -117,7 +117,7 @@ def test_finally_removal_disconnects_exit():
 
 def test_exit_has_no_successors():
     g = lower_method(TRY_FINALLY_RETURN, "A", "m")
-    assert g.succs(g.exit) == []
+    assert g.succs(g.exit) == ()
 
 
 @pytest.mark.parametrize(
@@ -167,8 +167,17 @@ def test_adjacency_index_matches_edge_scan():
                     # the reference: a scan over the edge list of record
                     scan_succs = [t for (f, t, k) in g.edges if f == n and (kind is None or k == kind)]
                     scan_preds = [f for (f, t, k) in g.edges if t == n and (kind is None or k == kind)]
-                    assert g.succs(n, kind) == scan_succs
-                    assert g.preds(n, kind) == scan_preds
+                    assert g.succs(n, kind) == tuple(scan_succs)
+                    assert g.preds(n, kind) == tuple(scan_preds)
+
+
+def test_rpo_is_a_fresh_list_each_call():
+    g = lower_method(TRY_FINALLY_RETURN, "A", "m")
+    order = g.rpo()
+    assert order[0] == g.entry and sorted(order) == sorted(g.reachable([g.entry]))
+    order.reverse()
+    order.append(-1)
+    assert g.rpo() == list(reversed(order[:-1]))
 
 
 # --- the worklist solver against the round-robin loops it replaced ---
@@ -326,7 +335,7 @@ def test_solver_backward_visits_every_seeded_node_once_on_acyclic_cfg():
     facts, edges = C.solve(g, dict.fromkeys(range(len(g.nodes)), 0), flow, max, backward=True)
     assert sorted(visits) == list(range(len(g.nodes)))  # postorder: successors settle first
     assert set(edges) == {(f, t) for f, t, _k in g.edges}
-    assert facts[g.entry] == max(len(path) - 1 for path in C.acyclic_paths(g))
+    assert facts[g.entry] == max(len(path) - 1 for path in acyclic_paths(g))
 
 
 # --- must-alias ---
@@ -383,7 +392,7 @@ class M {
 def _enumerate_path_tags(g, local):
     """Path-enumeration oracle: the tag at exit along each acyclic normal path."""
     tags = []
-    for path in C.acyclic_paths(g):
+    for path in acyclic_paths(g):
         value = ("unset",)
         env = {}
         for n in path:

@@ -1,0 +1,162 @@
+"""The checker's fixpoint computes what it always computed, and never
+mutates a fact once it is built.
+
+A SHA-256 pins every `method_run` result: its warnings and its normal-exit
+fact, over the corpus and `generate_source(0..599)`, under declared and under
+inferred specs. The round-robin reference in test_cfg.py calls the same
+transfer function, so only a recorded result can catch a change there, such
+as a copy-on-write transfer that writes into a map an out-edge shares.
+"""
+
+import hashlib
+from itertools import islice
+from pathlib import Path
+
+from leakward import checker as K
+from leakward import syntax as sx
+from leakward.checker import CheckFact, SiteState, check_program, method_run
+from leakward.fuzz import fuzz_libspec, generate_source
+from leakward.inference import infer_specs
+from leakward.libspec import load_library_spec
+from leakward.memo import ProgramVersion
+from leakward.parser import parse
+from leakward.specs import SpecSet
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# an owned call result on the normal edge only: the transfer copies the
+# receiver's credited origins before the call, packs the exceptional fact,
+# then adds the result's origin for the normal edge
+CALL_RESULT_IN_TRY = """@MustCall("close")
+class R {
+  void close() {
+  }
+  R make() {
+    return new R();
+  }
+  static void main() {
+    R q = new R();
+    R r = null;
+    try {
+      r = q.make();
+    } catch (Exception e) {
+      q.close();
+      return;
+    }
+    q.close();
+    r.close();
+  }
+}
+"""
+
+# recorded on the checker that copied every map of the in-fact per transfer
+PINNED_SHA256 = "1f37a8f31eaeedc452ff2600d3b0fb0fd56739d15ea384efe0e0e2cd549702a6"
+
+
+def _canon(value, nids: dict[int, int]) -> str:
+    """A repr that does not depend on set or dict order (string hashing is
+    randomised per process), nor on the process-wide nid counter: a call
+    origin names its node by its rank among the program's nids."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(sorted(f"{_canon(k, nids)}: {_canon(v, nids)}" for k, v in value.items())) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(_canon(v, nids) for v in value)) + "}"
+    if isinstance(value, tuple):
+        if len(value) == 2 and value[0] == "call":
+            return f"('call', {nids[value[1]]})"
+        return "(" + ", ".join(_canon(v, nids) for v in value) + ")"
+    if isinstance(value, SiteState):
+        return f"SiteState({_canon(value.called, nids)}, {value.resolved})"
+    if isinstance(value, CheckFact):
+        return "CheckFact(" + ", ".join(_canon(getattr(value, f), nids) for f in CheckFact.__dataclass_fields__) + ")"
+    return repr(value)
+
+
+def _programs():
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    for path in sorted(CORPUS.glob("*.mj")):
+        yield parse(path.read_text(), path.name), corpus_lib
+    fuzz_lib = fuzz_libspec()
+    for seed in range(600):
+        yield parse(generate_source(seed), f"fuzz{seed}.mj"), fuzz_lib
+
+
+def test_method_runs_match_the_pinned_hash():
+    digest = hashlib.sha256()
+    for program, libspec in _programs():
+        ranked = sorted(node.nid for cls in program.classes for node in sx.walk_nodes(cls))
+        nids = {nid: rank for rank, nid in enumerate(ranked)}
+        for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+            version = ProgramVersion(program, libspec)
+            for cls in program.classes:
+                for meth in cls.all_methods():
+                    warnings, exit_fact = method_run(version, cls, meth, specs)
+                    runs = [(w.id, w.site, nids[w.ast_nid], w.line) for w in warnings]
+                    key = f"{program.source_name}|{cls.name}|{sx.member_key(meth)}"
+                    digest.update(f"{key}|{runs!r}|{_canon(exit_fact, nids)}\n".encode())
+    assert digest.hexdigest() == PINNED_SHA256
+
+
+def _snapshot(fact: CheckFact) -> tuple:
+    """The fact's maps, copied; what they hold (frozensets, tuples, SiteStates) is immutable."""
+    maps = (getattr(fact, name) for name in CheckFact.__dataclass_fields__)
+    return tuple(dict(m) if isinstance(m, dict) else m for m in maps)
+
+
+def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
+    # id -> (fact, its contents when first seen): when the checker builds it,
+    # or else when it enters or leaves transfer, _prune or _meet
+    seen: dict[int, tuple[CheckFact, tuple]] = {}
+    checked = 0
+
+    def record(*facts: CheckFact) -> None:
+        for fact in facts:
+            if id(fact) not in seen:
+                seen[id(fact)] = (fact, _snapshot(fact))
+
+    transfer, prune, meet, run = K._MethodChecker.transfer, K._MethodChecker._prune, K._meet, K._MethodChecker.run
+
+    def recording_fact(*args, **kwargs):
+        fact = CheckFact(*args, **kwargs)
+        record(fact)
+        return fact
+
+    def recording_transfer(self, node, fact):
+        record(fact)
+        outs = transfer(self, node, fact)
+        record(*outs.values())
+        return outs
+
+    def recording_prune(self, fact, succ):
+        record(fact)
+        out = prune(self, fact, succ)
+        record(out)
+        return out
+
+    def recording_meet(f1, f2):
+        record(f1, f2)
+        out = meet(f1, f2)
+        record(out)
+        return out
+
+    def checking_run(self):
+        nonlocal checked
+        warnings = run(self)
+        for fact, before in seen.values():
+            assert _snapshot(fact) == before, f"{self.cfg.class_name}.{self.cfg.method_name}"
+        checked += len(seen)
+        seen.clear()
+        return warnings
+
+    monkeypatch.setattr(K._MethodChecker, "transfer", recording_transfer)
+    monkeypatch.setattr(K._MethodChecker, "_prune", recording_prune)
+    monkeypatch.setattr(K, "_meet", recording_meet)
+    monkeypatch.setattr(K._MethodChecker, "run", checking_run)
+    monkeypatch.setattr(K, "CheckFact", recording_fact)
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    programs = [(parse(CALL_RESULT_IN_TRY, "try.mj"), corpus_lib)]
+    programs += islice(_programs(), len(list(CORPUS.glob("*.mj"))) + 200)
+    for program, libspec in programs:
+        check_program(program, infer_specs(program, libspec), libspec)
+    assert checked > 0
+

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakward import syntax as sx
+from leakward.cli import main
 from leakward.errors import DuplicateName, SpecFormatError, SyntaxError, UnknownMethodInMustCall
 from leakward.fuzz import generate_source
 from leakward.libspec import load_library_spec
-from leakward.parser import parse
+from leakward.parser import MAX_NESTING, parse
+from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 
 WRITER_SRC = """class MyWriter {
@@ -193,3 +195,44 @@ def test_corpus_round_trip(corpus_sources):
     for name, text in corpus_sources:
         p = parse(text, name)
         assert parse(pretty_print(p), name) == p, name
+
+
+# --- nesting bound ---
+
+
+def _nested_ifs(levels: int) -> str:
+    """`levels` ifs inside main's body; the innermost statement's expression
+    is one level more, so the program nests levels + 2 deep."""
+    opens = "if (x == null) {\n" * levels
+    return f"class A {{\n static void main() {{\n FileInputStream x = null;\n{opens}x = null;\n{'}' * levels}\n}}\n}}\n"
+
+
+def _nested_boxes(levels: int) -> str:
+    """A `new Box(...)` chain `levels` deep as a local's initializer: levels + 2 deep."""
+    chain = "new Box(" * levels + "null" + ")" * levels
+    return f"class Box {{\n Box(Box b) {{\n }}\n static void main() {{\n Box b = {chain};\n }}\n}}\n"
+
+
+def test_nesting_past_the_limit_fails_that_file_alone(tmp_path, corpus_dir):
+    sources = [("ifs.mj", _nested_ifs(150)), ("boxes.mj", _nested_boxes(200)), ("ok.mj", _nested_ifs(2))]
+    report = run_pipeline(sources, load_library_spec((corpus_dir / "minij.libspec").read_text()))
+    assert [e.split(":")[:2] for e in report.errors] == [["boxes.mj", " SyntaxError"], ["ifs.mj", " SyntaxError"]]
+    assert list(report.files) == ["ok.mj"] and report.exit_code == 4
+    for name, text in sources[:2]:
+        (tmp_path / name).write_text(text)
+        assert main(["check", str(tmp_path / name), "--libspec", str(corpus_dir / "minij.libspec")]) == 4
+
+
+@pytest.mark.parametrize("program", [_nested_ifs, _nested_boxes])
+def test_a_program_at_the_nesting_limit_goes_through_the_pipeline(program, corpus_dir):
+    at_limit = program(MAX_NESTING - 2)
+    with pytest.raises(SyntaxError):
+        parse(program(MAX_NESTING - 1))
+    report = run_pipeline([("deep.mj", at_limit)], load_library_spec((corpus_dir / "minij.libspec").read_text()))
+    assert report.errors == [] and list(report.files) == ["deep.mj"]
+
+
+def test_no_corpus_or_fuzz_program_reaches_the_nesting_limit(corpus_sources):
+    for name, text in corpus_sources + [(f"fuzz{seed}.mj", generate_source(seed)) for seed in range(600)]:
+        parse(text, name)  # raises SyntaxError at the limit
+

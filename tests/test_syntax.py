@@ -131,10 +131,11 @@ def test_local_refs_resolves_by_block_scope():
     assert [names.redeclares(d) for d in decls] == [False, True, False]
     refs, names = _resolved(s)
     assert refs == [("g", True), ("f", False), ("this", False), ("g", True)]
-    assert sx.stores_to_field(m, "f") == [m.body.stmts[1]]
-    assert sx.stores_to_field(m, "g") == [m.body.stmts[2].finally_block.stmts[0]]
-    assert sx.stores_to_field(m, "e") == [m.body.stmts[3]]
-    assert sx.stores_to_field(s, "g") == [] and sx.stores_to_field(s, "f") == [s.body.stmts[1]]
+    cls = prog.classes[0]
+    assert sx.stores_to_field(cls, m, "R", "f") == [m.body.stmts[1]]
+    assert sx.stores_to_field(cls, m, "R", "g") == [m.body.stmts[2].finally_block.stmts[0]]
+    assert sx.stores_to_field(cls, m, "R", "e") == [m.body.stmts[3]]
+    assert sx.stores_to_field(cls, s, "R", "g") == [] and sx.stores_to_field(cls, s, "R", "f") == [s.body.stmts[1]]
 
 
 def test_member_key_names_the_cfg_and_finds_the_member():
@@ -154,12 +155,13 @@ def test_anchor_ordinal_indexes_every_new_call_and_field_store():
                 kind, token = "call", ""
             else:
                 continue
-            assert list(sx.anchors(meth, kind, token))[sx.anchor_ordinal(meth, kind, token, e.nid)] is e
+            assert list(sx.anchors(cls, meth, kind, token))[sx.anchor_ordinal(cls, meth, kind, token, e.nid)] is e
         # field stores as the checker sees them: the lowered StoreFields
         for ins in C.lower(prog, cls, meth, lib).nodes:
             if isinstance(ins, C.StoreField):
                 token = f"{ins.field_class}.{ins.field}"
-                node = list(sx.anchors(meth, "store", token))[sx.anchor_ordinal(meth, "store", token, ins.ast_nid)]
+                stores = list(sx.anchors(cls, meth, "store", token))
+                node = stores[sx.anchor_ordinal(cls, meth, "store", token, ins.ast_nid)]
                 assert node.nid == ins.ast_nid
 
 

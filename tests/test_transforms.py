@@ -111,6 +111,36 @@ def test_finalize_idempotent():
     assert pretty_print(once) == pretty_print(twice) and not log2.entries
 
 
+def test_finalize_ignores_a_store_to_another_class_field_of_the_same_name(libspec):
+    # B.f shares A.f's name; `b.f = null;` writes B's field, so A.f stays
+    # finalizable, as it is without m
+    src = """class B {
+  FileInputStream f;
+}
+class A {
+  private FileInputStream f;
+
+  A(String p) {
+    f = new FileInputStream(p);
+  }
+  void m(B b) {
+    b.f = null;
+  }
+  static void main() {
+    A a = new A("x");
+  }
+}
+"""
+    without_m = src.replace("  void m(B b) {\n    b.f = null;\n  }\n", "")
+    for text in (src, without_m):
+        out, log = finalize_fields(parse(text), libspec)
+        assert [(e.transform, e.class_name, e.member) for e in log.entries] == [("finalize_field", "A", "f")]
+        assert "private final FileInputStream f;" in pretty_print(out)
+    a = parse(src).classes[1]
+    m = a.method_named("m")
+    assert sx.stores_to_field(a, m, "A", "f") == [] and sx.stores_to_field(a, m, "B", "f") == m.body.stmts
+
+
 DEMOTE = """class Journal {
   private PrintStream sink;
 
