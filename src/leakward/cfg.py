@@ -19,7 +19,7 @@ checker's obligation dataflow and the escape taint each give it a transfer
 
 What depends only on the graph is computed once per lowering: the adjacency
 index and the reverse postorder when the CFG is built, liveness on first use
-(`Cfg.live_in`). The file memo's copies of a stored CFG share all three.
+(`Cfg.live_in`). The memo's copies of a stored CFG share all three.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ class StoreField(Instr):
 class Invoke(Instr):
     recv: Optional[str]  # receiver local; None for static calls
     static_class: Optional[str]
+    owner: str  # the class whose method is called: static_class, or the receiver's declared type
     method: str
     args: list[str]
     dst: Optional[str]
@@ -141,7 +142,7 @@ class Cfg:
     _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # liveness, solved on first use; a one-slot list, so that the shallow
-    # copies the file memo hands out share it with the stored CFG
+    # copies the memo hands out share it with the stored CFG
     _live: list[tuple[frozenset[str], ...]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def index_edges(self) -> None:
@@ -221,9 +222,10 @@ class Cfg:
 
 
 def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
-    """Per-node neighbour tuples. The file memo keeps every CFG until the file
-    is done, so a node whose edges are all of one kind shares one tuple
-    between that kind and the any-kind index (and an empty one is `()`)."""
+    """Per-node neighbour tuples. The memo keeps every CFG of a program family
+    until another family replaces it, so a node whose edges are all of one
+    kind shares one tuple between that kind and the any-kind index (and an
+    empty one is `()`)."""
     any_kind = [tuple(ns) for ns in per_kind[None]]
     out = {None: any_kind}
     for k in (NORMAL, EXCEPTIONAL):
@@ -446,7 +448,7 @@ class Lowerer:
                 n = self.node(StoreField(None, target.name, src, info, ast_nid=stmt.nid))
                 return self.connect(tails, n)
         tails, recv_op = self.lower_expr(recv, tails)
-        recv_type = self.cfg.local_types.get(recv_op, "?")
+        recv_type = self.operand_type(recv, recv_op)
         tails, src = self.lower_expr(stmt.value, tails)
         n = self.node(StoreField(recv_op, target.name, src, recv_type, ast_nid=stmt.nid))
         return self.connect(tails, n)
@@ -559,7 +561,7 @@ class Lowerer:
                     n = self.node(LoadField(t, None, expr.name, info, ast_nid=expr.nid))
                     return self.connect(tails, n), t
             tails, recv_op = self.lower_expr(recv, tails)
-            recv_type = self.cfg.local_types.get(recv_op, "?")
+            recv_type = self.operand_type(recv, recv_op)
             decl_cls = self.program.class_named(recv_type)
             fld = decl_cls.field_named(expr.name) if decl_cls else None
             t = self.temp(fld.declared_type if fld else "?")
@@ -592,10 +594,11 @@ class Lowerer:
                 tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
             dst = None
-            ret_type = self.callee_return_type(static_class, recv_op, expr.method)
+            owner = static_class or self.operand_type(recv, recv_op or "")
+            ret_type = self.callee_return_type(owner, expr.method)
             if want_value or ret_type not in ("void", "?"):
                 dst = self.temp(ret_type if ret_type != "void" else "?")
-            n = self.node(Invoke(recv_op, static_class, expr.method, arg_ops, dst, ast_nid=expr.nid))
+            n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, ast_nid=expr.nid))
             tails = self.connect(tails, n)
             self.add_throw_edges(n)
             return tails, dst if dst is not None else self.null_temp(tails)[1]
@@ -607,8 +610,14 @@ class Lowerer:
         t = self.temp("?")
         return tails, t
 
-    def callee_return_type(self, static_class: Optional[str], recv_op: Optional[str], method: str) -> str:
-        owner = static_class if static_class else self.cfg.local_types.get(recv_op or "", "?")
+    def operand_type(self, expr: sx.Expr, op: str) -> str:
+        """The declared type of `expr`, lowered to `op`: a local's by block
+        scope (`sx.local_refs`), a temporary's as it was made."""
+        if isinstance(expr, sx.VarRef) and self.names.is_local(expr):
+            return self.names.local_type(expr) or self.cls.name  # `this` has type ""
+        return self.cfg.local_types.get(op, "?")
+
+    def callee_return_type(self, owner: str, method: str) -> str:
         cls = self.program.class_named(owner)
         if cls is not None:
             m = cls.method_named(method)

@@ -31,7 +31,7 @@ dicts from origins to states, from locals to the frozenset of origins they
 may hold, and from this-fields to what was called on or stored in them, plus
 frozensets of null locals and satisfied fields. Facts compare as maps, with
 no regard to order. Once built a fact is never mutated, nor is any map it
-holds: out-edges share facts, facts share maps, and the file memo keeps exit
+holds: out-edges share facts, facts share maps, and the memo keeps exit
 facts. So a transfer builds its out-fact copy-on-write (`_OutFact`): it
 shares with the in-fact every map the instruction does not write, a `Nop`
 passes its in-fact on as it is, a branch shares all but the maps its null
@@ -189,10 +189,39 @@ EMPTY_FACT = CheckFact(
 
 
 def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
-    origins = dict(f2.origins)  # absent = not allocated on that path
-    for k, st in f1.origins.items():
-        other = origins.get(k)
-        origins[k] = st if other is None else SiteState(st.called & other.called, st.resolved and other.resolved)
+    """The meet of two facts. It is idempotent, since `refs` and `nulls` are
+    disjoint and no `refs` or `field_origins` entry is empty, so a fact met
+    with itself is that fact, and a map both sides share is the result's."""
+    if f1 is f2:
+        return f1
+    if f1.origins is f2.origins:
+        origins = f1.origins
+    else:
+        origins = dict(f2.origins)  # absent = not allocated on that path
+        for k, st in f1.origins.items():
+            other = origins.get(k)
+            origins[k] = st if other is None else SiteState(st.called & other.called, st.resolved and other.resolved)
+    if f1.refs is f2.refs and f1.nulls is f2.nulls:
+        refs, nulls = f1.refs, f1.nulls
+    else:
+        refs, nulls = _meet_refs(f1, f2)
+    fc1, fc2 = f1.field_called, f2.field_called
+    b1, b2 = f1.bindings, f2.bindings
+    # field-content origins meet by intersection: crediting a close through a
+    # field is only sound when the field holds the origin on every path
+    fo1, fo2 = f1.field_origins, f2.field_origins
+    return CheckFact(
+        origins=origins,
+        refs=refs,
+        nulls=nulls,
+        field_called=fc1 if fc1 is fc2 else {k: fc1[k] & fc2[k] for k in fc1.keys() & fc2.keys()},
+        field_sat=f1.field_sat if f1.field_sat is f2.field_sat else f1.field_sat & f2.field_sat,
+        bindings=b1 if b1 is b2 else {k: v for k, v in b1.items() if b2.get(k) == v},
+        field_origins=fo1 if fo1 is fo2 else {k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])},
+    )
+
+
+def _meet_refs(f1: CheckFact, f2: CheckFact) -> tuple[dict[str, RefInfo], frozenset[str]]:
     r1, r2 = f1.refs, f2.refs
     refs: dict[str, RefInfo] = {}
     nulls: set[str] = set()
@@ -211,20 +240,7 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
             nulls.add(x)
         elif s:
             refs[x] = (s, nn and not (null1 or null2))
-    fc1, fc2 = f1.field_called, f2.field_called
-    b1, b2 = f1.bindings, f2.bindings
-    # field-content origins meet by intersection: crediting a close through a
-    # field is only sound when the field holds the origin on every path
-    fo1, fo2 = f1.field_origins, f2.field_origins
-    return CheckFact(
-        origins=origins,
-        refs=refs,
-        nulls=frozenset(nulls),
-        field_called={k: fc1[k] & fc2[k] for k in fc1.keys() & fc2.keys()},
-        field_sat=f1.field_sat & f2.field_sat,
-        bindings={k: v for k, v in b1.items() if b2.get(k) == v},
-        field_origins={k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])},
-    )
+    return refs, frozenset(nulls)
 
 
 class _OutFact:
@@ -502,9 +518,7 @@ class _MethodChecker:
                         need = self.must_call_for(fld.declared_type)
                         if need and called >= need:
                             out.field_sat = out.field_sat | {bound}
-            self._discharge_owning_args(
-                self._receiver_class(instr), instr.method, instr.args, discharge, is_ctor=False
-            )
+            self._discharge_owning_args(instr.owner, instr.method, instr.args, discharge, is_ctor=False)
             if instr.dst:
                 out.kill_local(instr.dst)
             if instr.recv == C.THIS or C.THIS in instr.args:
@@ -601,11 +615,6 @@ class _MethodChecker:
         fld = decl_cls.field_named(store.field) if decl_cls else None
         return fld is not None and fld.has("final")
 
-    def _receiver_class(self, instr: C.Invoke) -> str:
-        if instr.static_class is not None:
-            return instr.static_class
-        return self.cfg.local_types.get(instr.recv or "", "?")
-
     def _discharge_owning_args(
         self, callee_class: str, method: str, args: list[str], discharge, is_ctor: bool
     ) -> None:
@@ -627,8 +636,7 @@ class _MethodChecker:
         return [NOT_OWNING] * arity
 
     def _tracked_return_class(self, instr: C.Invoke) -> Optional[str]:
-        owner = self._receiver_class(instr)
-        cls = self.program.class_named(owner)
+        cls = self.program.class_named(instr.owner)
         if cls is None:
             return None  # library specs carry no return class, so library returns are untracked
         m = cls.method_named(instr.method)
@@ -696,7 +704,7 @@ def method_run(
 ) -> tuple[list[Warning], Optional[CheckFact]]:
     """One checker run of a method of `version`: its warnings, and the meet of
     its facts on the exit node's normal in-edges (None if no normal path
-    completes). Run once per version and specs in a file scope."""
+    completes). Run once per version and specs."""
 
     def run() -> tuple[list[Warning], Optional[CheckFact]]:
         checker = _MethodChecker(version.cfg(cls, meth), specs, version.libspec)

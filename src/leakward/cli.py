@@ -13,7 +13,7 @@ that does not parse, lower or annotate was left out, named on stderr
 from an earlier file's (`infer`), or a file without exactly one static
 main (`run`). `run` does not lower: the interpreter reports an unbound name
 as a status. 3 wins over 4.
-Each file is analysed in its own `memo.file_scope()`.
+A file's analyses share its program family's memo (`memo.ProgramVersion`).
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def _each_file(paths: list[str], work) -> tuple[list, bool]:
     results, failed = [], False
     for path in paths:
         try:
-            with memo.file_scope():
-                results.append(work(_parse_file(path)))
+            results.append(work(_parse_file(path)))
         except FILE_ERRORS as e:
             print(f"{Path(path).name}: {type(e).__name__}: {e}", file=sys.stderr)
             failed = True
@@ -81,7 +80,7 @@ def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
 
 
 def _lower_all(program, libspec) -> list[C.Cfg]:
-    """Every method's CFG, from the file's memo; a method that does not lower raises, so its file fails alone."""
+    """Every method's CFG, from the memo; a method that does not lower raises, so its file fails alone."""
     version = memo.ProgramVersion(program, libspec)
     return [version.cfg(cls, meth) for cls in program.classes for meth in cls.all_methods()]
 

@@ -14,8 +14,8 @@ from every load of f inside C.
 `EscapeAnalyzer` is the one surface: `escapes_at` answers for a warned
 allocation or call, `field_containment` for a field, and both share the
 analyzer's wrapper classifications. It reads every CFG from one
-`memo.ProgramVersion` of its program, so inside a file scope it shares the
-CFGs the checker lowered for that version.
+`memo.ProgramVersion` of its program, so it shares the CFGs the checker
+lowered for that version.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class EscapeAnalyzer:
                 if method_return_ownership(cfg.method_ast) != "notowning":
                     add(RETURNED, cfg.method_name)
             elif isinstance(instr, C.Invoke):
-                self._route_invoke(cfg, node, instr, t, add)
+                self._route_invoke(node, instr, t, add)
             elif isinstance(instr, C.Alloc):
                 tainted_positions = [i for i, a in enumerate(instr.args) if a in t]
                 if not tainted_positions:
@@ -278,8 +278,8 @@ class EscapeAnalyzer:
                         self._route_library_ctor(instr, i, add)
         return routes, sinks
 
-    def _route_invoke(self, cfg: C.Cfg, node: int, instr: C.Invoke, taint: frozenset[str], add) -> None:
-        owner = instr.static_class or cfg.local_types.get(instr.recv or "", "?")
+    def _route_invoke(self, node: int, instr: C.Invoke, taint: frozenset[str], add) -> None:
+        owner = instr.owner
         for i, a in enumerate(instr.args):
             if a not in taint:
                 continue

@@ -533,7 +533,7 @@ def validate_patch(
     The reparse is the parse and printer-fixpoint gate: a patch that passes it
     is the program its text describes, so the static checks read `patched`
     itself, the version the fix loop has already analysed, and their results
-    come from the file's memo.
+    come from the memo of its program family.
     """
     text = pretty_print(patched) if patched_text is None else patched_text
     try:

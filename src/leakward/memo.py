@@ -1,4 +1,4 @@
-"""A memo of CFGs and checker runs that lasts for one file.
+"""A memo of CFGs and checker runs for one program family.
 
 Every module gets a method's CFG, and runs the checker on a method, through
 a `ProgramVersion(program, libspec)`: `ProgramVersion.cfg` is the one caller
@@ -6,12 +6,16 @@ of `cfg.lower`, and `checker.method_run` the one checker entry point below
 `check_program`. A version is valid only while its program is unedited; a
 caller that edits a program takes a new version of it.
 
-`run_pipeline` and the CLI open a `file_scope()` around each file. Inside
-it, a version's key is a blake2b digest of the pickled program, taken at the
+The memo holds one program family's entries under one library spec. A
+family is the copies of one parse: they share `Program.nid`, which
+`Program.__deepcopy__` keeps and a reparse renews. A lookup on another
+family, or under another libspec object, replaces the table.
+
+A version's key is a blake2b digest of the pickled program, taken at the
 version's first lookup, which covers every AST field: nids, annotations with
 their provenance, `line_index` and `source_name`. Equal digests therefore
-mean equal inputs.
-It holds two kinds of entries, both also keyed on the library spec:
+mean equal inputs, so an in-place edit is seen and no result depends on
+when the table is replaced. The table holds two kinds of entries:
 
   (digest, class, member key) -> Cfg. A hit is a shallow copy of the stored
       Cfg, rebound to the caller's program, class and method. It shares the
@@ -24,8 +28,7 @@ It holds two kinds of entries, both also keyed on the library spec:
 
 A miss calls the module-level `cfg.lower`, and the first `Cfg.live_in` of a
 lowering calls the module-level `cfg.liveness`, so counts of those calls
-count real work: liveness runs at most once per lowering. Outside a scope
-nothing is cached, no digest is taken and every lookup lowers afresh.
+count real work: liveness runs at most once per lowering.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ import copy
 import hashlib
 import json
 import pickle
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import cached_property
-from typing import Callable, Iterator, Optional, TypeVar
+from typing import Callable, TypeVar
 
 from . import cfg as C
 from . import syntax as sx
@@ -46,18 +47,8 @@ from .specs import SpecSet
 
 T = TypeVar("T")
 
-# the open scope's entries; None outside a scope
-_tables: ContextVar[Optional[dict[tuple, object]]] = ContextVar("leakward_memo_tables", default=None)
-
-
-@contextmanager
-def file_scope() -> Iterator[None]:
-    """Cache CFGs and checker runs until the block ends; a nested scope has its own entries."""
-    token = _tables.set({})
-    try:
-        yield
-    finally:
-        _tables.reset(token)
+# (family nid, libspec, entries) of the family analysed last
+_family: tuple[int, LibrarySpec, dict[tuple, object]] = (0, LibrarySpec(), {})
 
 
 def digest(program: sx.Program) -> bytes:
@@ -66,26 +57,32 @@ def digest(program: sx.Program) -> bytes:
 
 class ProgramVersion:
     """A program as it is now, analysed under one library spec: the key of
-    its entries in the scope that was open when it was taken."""
+    its entries in its family's table."""
 
     def __init__(self, program: sx.Program, libspec: LibrarySpec):
         self.program = program
         self.libspec = libspec
-        self._tables = _tables.get()
 
     @cached_property
-    def _key(self) -> tuple[bytes, int]:
-        """Taken at the first lookup in a scope; the program is unedited since the version was taken."""
-        return digest(self.program), id(self.libspec)
+    def _key(self) -> bytes:
+        """Taken at the first lookup; the program is unedited since the version was taken."""
+        return digest(self.program)
+
+    def _entries(self) -> dict[tuple, object]:
+        """Its family's table, which replaces another family's."""
+        global _family
+        nid, libspec, entries = _family
+        if nid != self.program.nid or libspec is not self.libspec:
+            _family = (self.program.nid, self.libspec, entries := {})
+        return entries
 
     def cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
         """`cfg.lower(program, cls, meth, libspec)`, lowered once per version."""
-        if self._tables is None:
-            return C.lower(self.program, cls, meth, self.libspec)
+        entries = self._entries()
         key = ("cfg", self._key, cls.name, sx.member_key(meth))
-        stored = self._tables.get(key)
+        stored = entries.get(key)
         if stored is None:
-            self._tables[key] = stored = C.lower(self.program, cls, meth, self.libspec)
+            entries[key] = stored = C.lower(self.program, cls, meth, self.libspec)
             return stored
         hit = copy.copy(stored)
         hit.program, hit.class_ast, hit.method_ast = self.program, cls, meth
@@ -93,9 +90,8 @@ class ProgramVersion:
 
     def remember(self, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet, compute: Callable[[], T]) -> T:
         """compute(), a pure function of this version's `meth` and `specs`, run once per version."""
-        if self._tables is None:
-            return compute()
         key = ("run", self._key, cls.name, sx.member_key(meth), json.dumps(specs.to_json(), sort_keys=True))
-        if key not in self._tables:
-            self._tables[key] = compute()
-        return self._tables[key]
+        entries = self._entries()
+        if key not in entries:
+            entries[key] = compute()
+        return entries[key]

@@ -44,7 +44,7 @@ KEYWORDS = {
 }
 
 # Every pass over the AST recurses on its nesting: lowering, printing, the
-# interpreter, deepcopy and the file memo's pickle. Past this depth of blocks
+# interpreter, deepcopy and the memo's pickle. Past this depth of blocks
 # and expressions together a file fails to parse, where it would otherwise
 # raise RecursionError later and take down the whole batch.
 MAX_NESTING = 64
@@ -530,6 +530,33 @@ class Parser:
             self.note(node, t)
             return node
         raise SyntaxError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
+
+
+def nesting(node: sx.Node) -> int:
+    """How many levels `Parser.nest` opens to read `node` back from its print,
+    from the level the parser is at before it: one per block, one per
+    expression, and one per `.` link of a call or field chain, around what
+    follows the link."""
+    if isinstance(node, sx.Block):
+        return 1 + max((nesting(s) for s in node.stmts), default=0)
+    if isinstance(node, sx.Expr):
+        return 1 + _unary_nesting(node)[0]
+    # a statement reads each of its blocks and expressions from its own level
+    return max((nesting(part) for part in vars(node).values() if isinstance(part, sx.Node)), default=0)
+
+
+def _unary_nesting(expr: sx.Expr) -> tuple[int, int]:
+    """(levels below its expression, `.` links) of a unary or an `==` test."""
+    if isinstance(expr, sx.Eq):
+        return max(_unary_nesting(expr.lhs)[0], _unary_nesting(expr.rhs)[0]), 0
+    if isinstance(expr, (sx.Call, sx.FieldRef)):
+        inner, links = _unary_nesting(expr.receiver)
+        links += 1
+        args = expr.args if isinstance(expr, sx.Call) else []
+        return max(inner, links + max((nesting(a) for a in args), default=0)), links
+    if isinstance(expr, sx.New):
+        return max((nesting(a) for a in expr.args), default=0), 0
+    return 0, 0
 
 
 def parse(source: str, source_name: str = "<memory>") -> sx.Program:

@@ -422,8 +422,9 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
 def run_pipeline(
     sources: list[tuple[str, str]], libspec: LibrarySpec, config: Optional[PipelineConfig] = None
 ) -> PipelineReport:
-    """Full pipeline over (name, text) sources; deterministic and pure. Each
-    file runs in its own `memo.file_scope()`. A file that does not parse,
+    """Full pipeline over (name, text) sources; deterministic and pure. A file's
+    stages share the memo of its program family (`memo`), whose entries the
+    next file's parse replaces. A file that does not parse,
     lower or annotate is left out with an entry in `errors` and exit code 4
     (unless a validation failure makes it 3)."""
     config = config or PipelineConfig()
@@ -431,8 +432,7 @@ def run_pipeline(
     errors: list[str] = []
     for name, text in sorted(sources):
         try:
-            with memo.file_scope():
-                files[name] = run_file_pipeline(parse(text, name), libspec, config)
+            files[name] = run_file_pipeline(parse(text, name), libspec, config)
         except FILE_ERRORS as e:
             errors.append(f"{name}: {type(e).__name__}: {e}")
     bad_files = bool(errors)

@@ -44,6 +44,7 @@ from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
 from .errors import MaterializationFailure, StaleWarning
 from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
 from .libspec import LibrarySpec
+from .parser import MAX_NESTING, nesting
 from .specs import SpecSet, resource_must_call
 from .transforms import FreshNames
 
@@ -209,6 +210,8 @@ def plan_fix(
         if tries:
             try_block, try_idx = tries[-1]
             anchors["try"] = try_block.stmts[try_idx].nid
+        if _wrap_nesting(path, tries) > MAX_NESTING:
+            return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
         warning_id=warning.id,
         template=template,
@@ -219,6 +222,24 @@ def plan_fix(
         class_name=warning.class_name,
         method_name=warning.method_name,
     )
+
+
+# the finally block, the guard's if block, and its `v.close();` (an
+# expression and one `.` link), opened in the block that holds the try
+_GUARD_NESTING = 4
+
+
+def _wrap_nesting(path: sx.StmtPath, tries: sx.StmtPath) -> int:
+    """How deep, in the parser's levels, the method's blocks and expressions
+    nest where a wrap template edits them: the guarded close in a finally
+    and, for a TryFinallyWrap, the statements it moves into the try body."""
+    if tries:  # CloseInFinally: the guard joins the innermost try's finally
+        try_block = tries[-1][0]
+        depth = 1 + next(j for j, (b, _i) in enumerate(path) if b is try_block)
+        return depth + _GUARD_NESTING
+    block, idx = path[-1]
+    depth = len(path)  # blocks open around the anchor statement
+    return max(depth + _GUARD_NESTING, depth + 1 + max(nesting(s) for s in block.stmts[idx:]))
 
 
 def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -> tuple[str, ...]:

@@ -1,13 +1,15 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
 structural AST comparison modulo local-variable names, the corpus-plus-fuzz
-program list, and simple-path enumeration over a CFG."""
+program list, simple-path enumeration over a CFG, and a memo bypass."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
 from leakward import cfg as C
+from leakward.memo import ProgramVersion
 from leakward import syntax as sx
 from leakward.escape import taint_fixpoint
 from leakward.fuzz import fuzz_libspec, generate_source
@@ -26,6 +28,19 @@ def corpus_and_fuzz_programs():
     programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
     programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
     return programs
+
+
+@contextmanager
+def memo_bypassed() -> Iterator[None]:
+    """Every `ProgramVersion.cfg` lowers afresh and every `remember` computes
+    afresh until the block ends: the memo-free reference the memo must equal."""
+    saved = ProgramVersion.cfg, ProgramVersion.remember
+    ProgramVersion.cfg = lambda self, cls, meth: C.lower(self.program, cls, meth, self.libspec)
+    ProgramVersion.remember = lambda self, cls, meth, specs, compute: compute()
+    try:
+        yield
+    finally:
+        ProgramVersion.cfg, ProgramVersion.remember = saved
 
 
 def acyclic_paths(cfg: C.Cfg, limit: int = 20000) -> Iterator[list[int]]:
@@ -88,8 +103,7 @@ def build_coverage(program: sx.Program, libspec: LibrarySpec, warnings, specs: S
             # record call sites for return-chain edges
             for ins in g.nodes:
                 if isinstance(ins, C.Invoke):
-                    owner = ins.static_class or g.local_types.get(ins.recv or "", "?")
-                    call_sites_of.setdefault((owner, ins.method), set()).add(ins.ast_nid)
+                    call_sites_of.setdefault((ins.owner, ins.method), set()).add(ins.ast_nid)
             starts: list[tuple[tuple, int, str]] = []
             for i, ins in enumerate(g.nodes):
                 if isinstance(ins, C.Alloc):

@@ -152,6 +152,42 @@ def test_lowering_name_errors(method, error):
     assert (info.value.line, info.value.col, info.value.message) == error
 
 
+# a block-scoped `A x` shadows the parameter `B x`: reads and writes through
+# it are typed by the declaration in scope, not by the method's first `x`
+SHADOWED_RECEIVER = """class B {
+  FileInputStream f;
+  B next() {
+    return null;
+  }
+}
+class A {
+  FileInputStream f;
+  A next() {
+    return null;
+  }
+  void m(B x) {
+    if (x == null) {
+      A x = new A();
+      x.f = null;
+      FileInputStream g = x.f;
+      A y = x.next();
+    }
+    x.f = null;
+  }
+}
+"""
+
+
+def test_a_shadowing_local_types_its_own_uses():
+    g = lower_method(SHADOWED_RECEIVER, "A", "m")
+    stores = [ins.field_class for ins in g.nodes if isinstance(ins, C.StoreField)]
+    loads = [ins.field_class for ins in g.nodes if isinstance(ins, C.LoadField)]
+    calls = [ins for ins in g.nodes if isinstance(ins, C.Invoke)]
+    assert stores == ["A", "B"] and loads == ["A"]
+    # the call is to A.next, and its result gets a temporary of A.next's return type
+    assert [(ins.owner, g.local_types[ins.dst]) for ins in calls] == [("A", "A")]
+
+
 def _all_cfgs(prog, lib):
     for cls in prog.classes:
         for meth in cls.all_methods():

@@ -243,6 +243,37 @@ def test_monotone_in_library_spec():
     assert {w.id for w in base} <= {w.id for w in more}
 
 
+def test_a_call_on_a_shadowing_local_reads_its_own_classes_ownership():
+    # B.take owns its argument and A.take does not; the call in m is on the
+    # block's `A x`, not on the parameter `B x`, so the socket leaks in both
+    src = """class B {
+  void take(@Owning Socket s) {
+    s.close();
+  }
+}
+class A {
+  void take(Socket s) {
+  }
+  void m(B x) {
+    if (x == null) {
+      A x = new A();
+      Socket s = new Socket();
+      x.take(s);
+    }
+  }
+  void n(B y) {
+    if (y == null) {
+      A x = new A();
+      Socket s = new Socket();
+      x.take(s);
+    }
+  }
+}
+"""
+    _prog, warnings = check(src)
+    assert [(w.kind, w.method_name) for w in warnings] == [(UNSATISFIED_OBLIGATION, "m"), (UNSATISFIED_OBLIGATION, "n")]
+
+
 # --- six-condition filter truth table (acceptance criterion 6) ---
 
 OVERWRITE_TEMPLATE = """class W {{

@@ -1,5 +1,6 @@
-"""The checker's fixpoint computes what it always computed, and never
-mutates a fact once it is built.
+"""The checker's fixpoint computes what it always computed, never mutates
+a fact once it is built, and builds only facts on which the meet is
+idempotent.
 
 A SHA-256 pins every `method_run` result: its warnings and its normal-exit
 fact, over the corpus and `generate_source(0..599)`, under declared and under
@@ -103,6 +104,17 @@ def _snapshot(fact: CheckFact) -> tuple:
     return tuple(dict(m) if isinstance(m, dict) else m for m in maps)
 
 
+def _meet_is_idempotent_on(fact: CheckFact) -> bool:
+    """What `_meet` relies on to return a fact met with itself, and a map both
+    sides share, unchanged: no local is both bound and null, and no bound
+    local or field content has an empty origin set."""
+    return (
+        fact.refs.keys().isdisjoint(fact.nulls)
+        and all(origins for origins, _nn in fact.refs.values())
+        and all(fact.field_origins.values())
+    )
+
+
 def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
     # id -> (fact, its contents when first seen): when the checker builds it,
     # or else when it enters or leaves transfer, _prune or _meet
@@ -112,6 +124,7 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
     def record(*facts: CheckFact) -> None:
         for fact in facts:
             if id(fact) not in seen:
+                assert _meet_is_idempotent_on(fact), fact
                 seen[id(fact)] = (fact, _snapshot(fact))
 
     transfer, prune, meet, run = K._MethodChecker.transfer, K._MethodChecker._prune, K._meet, K._MethodChecker.run

@@ -20,7 +20,6 @@ from collections import Counter
 import pytest
 
 from leakward import cfg as C
-from leakward import memo
 from leakward import pipeline
 from leakward.checker import OWNING_FIELD_OVERWRITE, check_program, filter_constructor_first_writes, reject_final_writes
 from leakward.escape import EscapeAnalyzer
@@ -109,10 +108,9 @@ def test_validation_reads_the_same_warnings_on_patched_as_on_its_reparse(fix_run
         reparsed = parse(pretty_print(fr.patched), fr.patched.source_name)
         seen = []
         for program in (fr.patched, reparsed):
-            with memo.file_scope():
-                specs = infer_specs(program, lib)
-                warnings = filter_constructor_first_writes(check_program(program, specs, lib), program)
-                seen.append((sorted(w.id for w in warnings), len(reject_final_writes(program, lib))))
+            specs = infer_specs(program, lib)
+            warnings = filter_constructor_first_writes(check_program(program, specs, lib), program)
+            seen.append((sorted(w.id for w in warnings), len(reject_final_writes(program, lib))))
         if seen[0] != seen[1] or pretty_print(reparsed) != pretty_print(fr.patched):
             differ.append(fr.name)
     assert len(results) == 22 + FUZZ_SEEDS

@@ -9,7 +9,7 @@ from leakward.cli import main
 from leakward.errors import DuplicateName, SpecFormatError, SyntaxError, UnknownMethodInMustCall
 from leakward.fuzz import generate_source
 from leakward.libspec import load_library_spec
-from leakward.parser import MAX_NESTING, parse
+from leakward.parser import MAX_NESTING, Parser, nesting, parse
 from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 
@@ -236,3 +236,45 @@ def test_no_corpus_or_fuzz_program_reaches_the_nesting_limit(corpus_sources):
     for name, text in corpus_sources + [(f"fuzz{seed}.mj", generate_source(seed)) for seed in range(600)]:
         parse(text, name)  # raises SyntaxError at the limit
 
+
+
+CHAINS = """class A {
+  A a;
+  A b(A x, A y) {
+    return x;
+  }
+  A f = new A().b(a.a.b(null, new A().a), a).a;
+  void m(A p) {
+    p.b(p.a.b(p, p.b(p, new A().a.a)), p).a.a.b(p, p);
+    while (p.a.a != null) {
+      try {
+        p.a = p.b(p.a.a, null).b(p, p);
+      } catch (Exception e) {
+        A q = new A().b(new A(), p.a);
+      } finally {
+        if (p != null) {
+        }
+      }
+    }
+  }
+}
+"""
+
+
+class _DepthRecordingParser(Parser):
+    deepest = 0
+
+    def nest(self, tok):
+        super().nest(tok)
+        self.deepest = max(self.deepest, self.depth)
+
+
+def test_nesting_counts_the_levels_the_parser_opens(corpus_sources):
+    sources = corpus_sources + [(f"fuzz{seed}.mj", generate_source(seed)) for seed in range(200)]
+    sources += [("chains.mj", CHAINS), ("ifs.mj", _nested_ifs(MAX_NESTING - 2)), ("boxes.mj", _nested_boxes(30))]
+    for name, text in sources:
+        parser = _DepthRecordingParser(text, name)
+        program = parser.parse_program()
+        counted = [nesting(m.body) for c in program.classes for m in c.all_methods()]
+        counted += [nesting(f.initializer) for c in program.classes for f in c.fields if f.initializer is not None]
+        assert max(counted, default=0) == parser.deepest, name

@@ -10,7 +10,8 @@ from leakward.errors import MaterializationFailure, StaleWarning
 from leakward.escape import EscapeAnalyzer
 from leakward.inference import infer_specs, write_specs
 from leakward.libspec import load_library_spec
-from leakward.parser import parse
+from leakward.parser import MAX_NESTING, parse
+from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 from leakward.repair import (
     CLOSE_IN_FINALLY,
@@ -163,6 +164,40 @@ def test_plan_close_in_finally_when_try_exists():
 """
     plan, _, _ = _plan_first(src)
     assert isinstance(plan, RepairPlan) and plan.template == CLOSE_IN_FINALLY
+
+
+def _leak_under_ifs(levels: int, in_try: bool) -> str:
+    """A leaked Socket `levels` ifs deep in main, in a try body when `in_try`."""
+    leak = "Socket s = new Socket();\n"
+    if in_try:
+        leak = f"try {{\n{leak}}} catch (Exception e) {{\n}}\n"
+    opens = "if (x == null) {\n" * levels
+    return f"class A {{\n static void main() {{\n Socket x = null;\n{opens}{leak}{'}' * levels}\n}}\n}}\n"
+
+
+@pytest.mark.parametrize("in_try", [False, True], ids=["TryFinallyWrap", "CloseInFinally"])
+def test_a_wrap_past_the_nesting_limit_is_planned_unfixable(in_try):
+    # the method body is one level, each if's block one more; the guarded
+    # close is four below the block that holds the try
+    deepest_fixable = MAX_NESTING - 5
+    for levels, expected in ((deepest_fixable, "fixed"), (deepest_fixable + 1, "unfixable")):
+        src = _leak_under_ifs(levels, in_try)
+        plan, _prog, _w = _plan_first(src)
+        report = run_pipeline([("deep.mj", src)], LIB)
+        (status,) = report.files["deep.mj"].fix_status.values()
+        if expected == "fixed":
+            assert isinstance(plan, RepairPlan) and plan.template == (CLOSE_IN_FINALLY if in_try else TRY_FINALLY_WRAP)
+            assert status == ("fixed", plan.template) and report.exit_code == 0
+        else:
+            assert isinstance(plan, Unfixable) and (plan.reason, plan.detail) == ("NoIrMatch", "nesting limit")
+            assert status == ("unfixable", "NoIrMatch") and report.exit_code == 2
+
+
+def test_a_wrap_of_sixty_one_nested_ifs_is_unfixable_not_failed_validation():
+    report = run_pipeline([("deep.mj", _leak_under_ifs(61, in_try=False))], LIB)
+    fr = report.files["deep.mj"]
+    assert list(fr.fix_status.values()) == [("unfixable", "NoIrMatch")]
+    assert fr.verdict.ok and report.exit_code == 2
 
 
 def test_plan_unfixable_on_return_escape():
