@@ -703,11 +703,9 @@ class _TryFrame:
         lowerer.frames = saved
 
 
-def lower(
-    program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, libspec: Optional[LibrarySpec] = None
-) -> Cfg:
+def lower(program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, libspec: LibrarySpec) -> Cfg:
     """Lower one method body to a Cfg satisfying the module invariants."""
-    return Lowerer(program, cls, method, libspec or LibrarySpec()).lower()
+    return Lowerer(program, cls, method, libspec).lower()
 
 
 # --- dataflow solver ----------------------------------------------------------

@@ -775,7 +775,7 @@ def _first_write_conditions_hold(w: Warning, program: sx.Program) -> bool:
 # --- final-field write checking ----------------------------------------------
 
 
-def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = None) -> list[CompileError]:
+def reject_final_writes(program: sx.Program, libspec: LibrarySpec) -> list[CompileError]:
     """One error per write to a final field beyond its single initialization site.
 
     Per constructor, one write along any normal path is legal (each constructor
@@ -783,7 +783,7 @@ def reject_final_writes(program: sx.Program, libspec: Optional[LibrarySpec] = No
     writes on a path, and any write when the declaration carries an initializer
     are errors. Used as the recompile-cleanly gate for patch validation.
     """
-    version = ProgramVersion(program, libspec or LibrarySpec())
+    version = ProgramVersion(program, libspec)
     errors: list[CompileError] = []
     for cls in program.classes:
         final_fields = [f for f in cls.fields if f.has("final")]

@@ -44,9 +44,6 @@ class Route:
     kind: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class WrapperClassification:

@@ -18,7 +18,6 @@ Declared annotations always win; inference never overwrites them.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from . import syntax as sx
@@ -127,14 +126,13 @@ def _select_finalizer(disposals: list[_Disposal]) -> _Disposal:
     return sorted(disposals, key=rank)[0]
 
 
-def write_specs(program: sx.Program, specs: SpecSet) -> sx.Program:
-    """Insert inferred annotations into a copy of the AST.
+def write_specs(program: sx.Program, specs: SpecSet) -> None:
+    """Insert inferred annotations into `program` itself.
 
     Already-declared annotations are left untouched; a contradiction raises
     AnnotationConflict. Idempotent: re-writing the same specs changes nothing.
     """
-    out = copy.deepcopy(program)
-    for cls in out.classes:
+    for cls in program.classes:
         mc = specs.class_mustcall.get(cls.name)
         declared = sx.annotation_named(cls.annotations, sx.MUST_CALL)
         if mc is not None and mc.methods:
@@ -145,7 +143,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> sx.Program:
                     )
             else:
                 ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)), provenance=mc.source)
-                out.inherit_pos(ann, cls)
+                program.inherit_pos(ann, cls)
                 cls.annotations.append(ann)
         for fld in cls.fields:
             own = specs.field_ownership.get((cls.name, fld.name))
@@ -160,7 +158,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> sx.Program:
                     ann = sx.Annotation(
                         kind=sx.OWNING, provenance=specs.field_provenance.get((cls.name, fld.name), "inferred")
                     )
-                    out.inherit_pos(ann, fld)
+                    program.inherit_pos(ann, fld)
                     fld.annotations.insert(0, ann)
         for meth in cls.methods:
             entries = specs.method_ensures.get((cls.name, meth.name), [])
@@ -182,6 +180,5 @@ def write_specs(program: sx.Program, specs: SpecSet) -> sx.Program:
                     target_field=entry.field_name,
                     provenance=entry.provenance,
                 )
-                out.inherit_pos(ann, meth)
+                program.inherit_pos(ann, meth)
                 meth.annotations.append(ann)
-    return out

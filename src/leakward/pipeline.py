@@ -312,14 +312,12 @@ def check_stage(program: sx.Program, specs: SpecSet, libspec: LibrarySpec, confi
     return warnings
 
 
-def transform_stage(
-    program: sx.Program, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec
-) -> tuple[sx.Program, EditLog]:
-    """finalize_fields -> field_to_local -> inject_finalizers, on copies."""
-    current, log1 = finalize_fields(program, libspec)
-    current, log2 = field_to_local(current, libspec)
-    current, log3 = inject_finalizers(current, warnings, specs, libspec)
-    return current, EditLog(log1.entries + log2.entries + log3.entries)
+def transform_stage(program: sx.Program, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec) -> EditLog:
+    """finalize_fields -> field_to_local -> inject_finalizers, on `program` itself."""
+    _, log1 = finalize_fields(program, libspec)
+    _, log2 = field_to_local(program)
+    _, log3 = inject_finalizers(program, warnings, specs, libspec)
+    return EditLog(log1.entries + log2.entries + log3.entries)
 
 
 def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig) -> FixOutcome:
@@ -397,24 +395,27 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
 
 
 def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: PipelineConfig) -> FileResult:
+    """The eight steps on one file's parse, which the transforms and
+    `write_specs` edit in place and which ends as `FileResult.transformed`;
+    `fix_stage` patches a copy of it."""
     # w_orig: the checker alone, no inferred specifications
     w_orig = check_stage(program, SpecSet.from_declared(program), libspec, config)
 
     # stages 1-4: inference and a first check drive the code transformations
-    current, edit_log = program, EditLog()
+    edit_log = EditLog()
     if config.enable_transforms:
         specs1 = infer_specs(program, libspec)
-        current, edit_log = transform_stage(program, check_stage(program, specs1, libspec, config), specs1, libspec)
+        edit_log = transform_stage(program, check_stage(program, specs1, libspec, config), specs1, libspec)
 
     # stages 5-6: re-infer, write annotations, updated warnings
-    specs2 = infer_specs(current, libspec)
-    annotated = write_specs(current, specs2)
-    w_xform = check_stage(annotated, specs2, libspec, config)
+    specs2 = infer_specs(program, libspec)
+    write_specs(program, specs2)
+    w_xform = check_stage(program, specs2, libspec, config)
 
     # stages 7-8: plan, apply, validate
-    fixed = fix_stage(annotated, w_xform, libspec, config)
+    fixed = fix_stage(program, w_xform, libspec, config)
     return FileResult(
-        **vars(fixed), name=program.source_name, transformed=annotated, w_orig=w_orig, w_xform=w_xform,
+        **vars(fixed), name=program.source_name, transformed=program, w_orig=w_orig, w_xform=w_xform,
         edit_log=edit_log, specs=specs2,
     )
 
@@ -454,19 +455,18 @@ def run_pipeline(
     for fr in files.values():
         for w in fr.w_xform:
             dispositions_xform[w.id] = fr.fix_status.get(w.id, ("unfixable", "unplanned"))
+    # each root's shifted warnings' dispositions, grouped once
+    shifted: dict[str, list[tuple[str, str]]] = {}
+    for wid, root in shift_map.pairs.items():
+        shifted.setdefault(root, []).append(dispositions_xform.get(wid, ("", "")))
     for root in shift_map.multiplicity:
-        shift_map.fixed_counts[root] = sum(
-            1
-            for wid, r in shift_map.pairs.items()
-            if r == root and dispositions_xform.get(wid, ("", ""))[0] == "fixed"
-        )
+        shift_map.fixed_counts[root] = sum(1 for st, _d in shifted.get(root, ()) if st == "fixed")
     metrics = compute_metrics(WarningSetPair(w_orig_all, w_xform_all), shift_map, dispositions_xform)
 
     # per-original-warning dispositions: fixed / resolved-by-transform / unfixable
-    roots = set(shift_map.pairs.values())
     dispositions_orig: dict[str, tuple[str, str]] = {}
     for w in w_orig_all:
-        if w.id not in roots:
+        if w.id not in shifted:
             dispositions_orig[w.id] = ("resolved-by-transform", "")
             continue
         n = shift_map.multiplicity.get(w.id, 0)
@@ -474,11 +474,7 @@ def run_pipeline(
         if n > 0 and k == n:
             dispositions_orig[w.id] = ("fixed", f"{k}/{n}")
         else:
-            reasons = sorted(
-                dispositions_xform.get(wid, ("", ""))[1]
-                for wid, r in shift_map.pairs.items()
-                if r == w.id and dispositions_xform.get(wid, ("", ""))[0] != "fixed"
-            )
+            reasons = sorted(d for st, d in shifted[w.id] if st != "fixed")
             dispositions_orig[w.id] = ("unfixable", reasons[0] if reasons else "unknown")
 
     any_validation_failure = any(not fr.verdict.ok for fr in files.values())

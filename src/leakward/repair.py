@@ -22,6 +22,8 @@ Template selection per warning:
       -> PreCloseInsertion: a guarded try/close/catch(printStackTrace) block
          immediately before the overwriting store.
   anything else -> Unfixable with the failing route or condition.
+A template that would nest the method past `parser.MAX_NESTING` is
+Unfixable(NoIrMatch, "nesting limit").
 
 With `enhancements` off (the classic close-only repair) no class is a
 resource alias or accessor, so a resource passed into a wrapper escapes and
@@ -78,18 +80,12 @@ class RepairPlan:
     class_name: str = ""
     method_name: str = ""
 
-    def to_json(self) -> dict:
-        return {"warningId": self.warning_id, "template": self.template, "finalizer": self.finalizer_method}
-
 
 @dataclass
 class Unfixable:
     warning_id: str
     reason: str
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"warningId": self.warning_id, "unfixableReason": self.reason, "detail": self.detail}
 
 
 # --- anchor lookup -----------------------------------------------------------
@@ -195,11 +191,14 @@ def plan_fix(
     anchor = locate_anchor(warning, program)
     if isinstance(screened, Unfixable):
         return screened
+    method = program.class_named(warning.class_name).member(warning.method_name)
     if warning.kind == OWNING_FIELD_OVERWRITE:
         template, anchors = PRE_CLOSE_INSERTION, {"store": anchor.nid}
+        path = sx.stmt_path(method.body, anchor)
+        if path is not None and _pre_close_nesting(path, anchor, screened) > MAX_NESTING:
+            return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     else:
         assert warning.kind == UNSATISFIED_OBLIGATION
-        method = program.class_named(warning.class_name).member(warning.method_name)
         path = _template_path(method.body, anchor)
         if path is None:
             return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
@@ -240,6 +239,15 @@ def _wrap_nesting(path: sx.StmtPath, tries: sx.StmtPath) -> int:
     block, idx = path[-1]
     depth = len(path)  # blocks open around the anchor statement
     return max(depth + _GUARD_NESTING, depth + 1 + max(nesting(s) for s in block.stmts[idx:]))
+
+
+def _pre_close_nesting(path: sx.StmtPath, store: sx.Assign, finalizers: tuple[str, ...]) -> int:
+    """How deep, in the parser's levels, a PreCloseInsertion's guard nests:
+    its block and the try body's, opened in the store's block, around a
+    finalizer call on the store's target (a catch block and a null test
+    nest less)."""
+    close = sx.Call(receiver=store.target, method=finalizers[0], args=[])
+    return len(path) + 2 + nesting(close)
 
 
 def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -> tuple[str, ...]:
@@ -358,14 +366,7 @@ def _already_pre_closed(block: sx.Block, idx: int, store: sx.Assign) -> bool:
     if not isinstance(prev, sx.If) or prev.else_block is not None or not isinstance(prev.cond, sx.Eq):
         return False
     cond = prev.cond
-    return cond.negated and isinstance(cond.rhs, sx.NullLit) and _expr_matches(cond.lhs, store.target)
-
-
-def _expr_matches(a: sx.Expr, b: sx.Expr) -> bool:
-    stripped_a, stripped_b = copy.deepcopy(a), copy.deepcopy(b)
-    _strip_nids(stripped_a)
-    _strip_nids(stripped_b)
-    return stripped_a == stripped_b
+    return cond.negated and isinstance(cond.rhs, sx.NullLit) and cond.lhs == store.target
 
 
 def _strip_nids(root: sx.Expr) -> None:

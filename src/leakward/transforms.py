@@ -13,15 +13,14 @@ Three rewrites reshape code so inference and repair see clearer ownership:
                     in a constructor, store it in a field, and never dispose
                     it.
 
-Each returns a fresh Program plus an EditLog of the edits it made. The
-analyses read CFGs and checker runs from a `ProgramVersion` of the output,
-taken again after each edit: a version is valid only while its program is
-unedited.
+Each edits the program it is given and returns that program with an
+EditLog of the edits it made. The analyses read CFGs and checker runs from a
+`ProgramVersion` of the program, taken again after each edit: a version is
+valid only while its program is unedited.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -95,21 +94,19 @@ class FreshNames:
 # --- finalize_fields ---------------------------------------------------------
 
 
-def finalize_fields(program: sx.Program, libspec: Optional[LibrarySpec] = None) -> tuple[sx.Program, EditLog]:
-    libspec = libspec or LibrarySpec()
-    out = copy.deepcopy(program)
+def finalize_fields(program: sx.Program, libspec: LibrarySpec) -> tuple[sx.Program, EditLog]:
     log = EditLog()
-    fresh = FreshNames(out)
-    version = ProgramVersion(out, libspec)
-    for cls in out.classes:
+    fresh = FreshNames(program)
+    version = ProgramVersion(program, libspec)
+    for cls in program.classes:
         for fld in cls.fields:
             if fld.has("final") or not fld.has("private"):
                 continue
             if not _finalize_eligible(version, cls, fld):
                 continue
-            _apply_finalize(out, cls, fld, fresh, log)
-            version = ProgramVersion(out, libspec)
-    return out, log
+            _apply_finalize(program, cls, fld, fresh, log)
+            version = ProgramVersion(program, libspec)
+    return program, log
 
 
 def _finalize_eligible(version: ProgramVersion, cls: sx.ClassDecl, fld: sx.FieldDecl) -> bool:
@@ -201,17 +198,15 @@ def _temp_rewrite(
 # --- field_to_local ----------------------------------------------------------
 
 
-def field_to_local(program: sx.Program, libspec: Optional[LibrarySpec] = None) -> tuple[sx.Program, EditLog]:
-    libspec = libspec or LibrarySpec()
-    out = copy.deepcopy(program)
+def field_to_local(program: sx.Program) -> tuple[sx.Program, EditLog]:
     log = EditLog()
-    for cls in out.classes:
+    for cls in program.classes:
         for fld in list(cls.fields):
             target = _demote_target(cls, fld)
             if target is None:
                 continue
-            _apply_demote(out, cls, fld, target, log)
-    return out, log
+            _apply_demote(program, cls, fld, target, log)
+    return program, log
 
 
 def _is_this_ref(e: sx.Expr, field_name: str) -> bool:
@@ -286,18 +281,15 @@ def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, met
 def inject_finalizers(
     program: sx.Program,
     warnings: list[Warning],
-    specs: Optional[SpecSet] = None,
-    libspec: Optional[LibrarySpec] = None,
+    specs: SpecSet,
+    libspec: LibrarySpec,
 ) -> tuple[sx.Program, EditLog]:
     """Add `implements AutoCloseable` and a close() method to classes where a
     first-pass warning flags a constructor allocation stored into an instance
     field no method disposes. Warning-driven by design."""
-    libspec = libspec or LibrarySpec()
-    specs = specs or SpecSet.from_declared(program)
-    out = copy.deepcopy(program)
     log = EditLog()
-    version = ProgramVersion(out, libspec)
-    for cls in out.classes:
+    version = ProgramVersion(program, libspec)
+    for cls in program.classes:
         if cls.method_named("close") is not None:
             continue
         flagged = _warned_ctor_fields(version, cls, warnings)
@@ -309,8 +301,8 @@ def inject_finalizers(
         if not undisposed:
             continue
         _apply_inject(version, cls, undisposed, specs, log)
-        version = ProgramVersion(out, libspec)
-    return out, log
+        version = ProgramVersion(program, libspec)
+    return program, log
 
 
 def _warned_ctor_fields(

@@ -19,21 +19,23 @@ SEED_COUNT = 260  # yields well over 200 programs that complete normally
 
 
 @pytest.fixture(scope="module")
-def fuzz_programs():
-    programs = []
-    for seed in range(SEED_COUNT):
-        src = generate_source(seed)
-        prog = parse(src, f"fuzz{seed}.mj")
-        programs.append((seed, prog))
-    return programs
+def fuzz_sources():
+    """(seed, source) pairs; each test parses its own programs, since the
+    pipeline edits the parse it is given."""
+    return [(seed, generate_source(seed)) for seed in range(SEED_COUNT)]
 
 
-def test_fuzz_soundness_vs_oracle(fuzz_programs):
+def _parse(seed, src):
+    return parse(src, f"fuzz{seed}.mj")
+
+
+def test_fuzz_soundness_vs_oracle(fuzz_sources):
     """Every interpreter-leaked allocation site is covered by a spec-free
     checker warning (acceptance criterion 3 core property)."""
     completed = 0
     violations = []
-    for seed, prog in fuzz_programs:
+    for seed, src in fuzz_sources:
+        prog = _parse(seed, src)
         report = run(prog, LIB)
         if report.status != "Completed":
             continue
@@ -47,11 +49,12 @@ def test_fuzz_soundness_vs_oracle(fuzz_programs):
     assert violations == []
 
 
-def test_fuzz_soundness_after_inference(fuzz_programs):
+def test_fuzz_soundness_after_inference(fuzz_sources):
     """Inference never loses oracle coverage: leaked sites stay attributable
     to post-inference warnings."""
     violations = []
-    for seed, prog in fuzz_programs[:120]:
+    for seed, src in fuzz_sources[:120]:
+        prog = _parse(seed, src)
         report = run(prog, LIB)
         if report.status != "Completed":
             continue
@@ -64,14 +67,14 @@ def test_fuzz_soundness_after_inference(fuzz_programs):
     assert violations == []
 
 
-def test_fuzz_repair_safety(fuzz_programs):
+def test_fuzz_repair_safety(fuzz_sources):
     """Full pipeline per program: every file-level patch validates; failures
     carry a materialization reason (acceptance criterion 4 core property)."""
     attempted = 0
     failures = []
     unexplained = []
-    for seed, prog in fuzz_programs[:210]:
-        fr = run_file_pipeline(prog, LIB, CONFIG)
+    for seed, src in fuzz_sources[:210]:
+        fr = run_file_pipeline(_parse(seed, src), LIB, CONFIG)
         if not any(st == "fixed" for st, _ in fr.fix_status.values()):
             continue
         attempted += 1
@@ -88,19 +91,20 @@ def test_fuzz_repair_safety(fuzz_programs):
     assert not unexplained, unexplained[:5]
 
 
-def test_fuzz_pipeline_determinism_sample(fuzz_programs):
-    for seed, prog in fuzz_programs[:12]:
-        a = run_file_pipeline(prog, LIB, CONFIG)
-        b = run_file_pipeline(prog, LIB, CONFIG)
+def test_fuzz_pipeline_determinism_sample(fuzz_sources):
+    for seed, src in fuzz_sources[:12]:
+        a = run_file_pipeline(_parse(seed, src), LIB, CONFIG)
+        b = run_file_pipeline(_parse(seed, src), LIB, CONFIG)
         assert {k: v for k, v in a.fix_status.items()} == {k: v for k, v in b.fix_status.items()}
         from leakward.printer import pretty_print
 
         assert pretty_print(a.patched) == pretty_print(b.patched)
 
 
-def test_fuzz_patched_programs_never_regress(fuzz_programs):
+def test_fuzz_patched_programs_never_regress(fuzz_sources):
     """Leaked sites never increase and no use-after-close appears post-repair."""
-    for seed, prog in fuzz_programs[:100]:
+    for seed, src in fuzz_sources[:100]:
+        prog = _parse(seed, src)
         before = run(prog, LIB)
         if before.status != "Completed":
             continue

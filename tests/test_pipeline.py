@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakward
+from leakward import syntax as sx
 from leakward.checker import Warning
+from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.parser import parse
 from leakward.pipeline import (
     MetricsReport,
@@ -263,24 +265,53 @@ def test_pipeline_does_not_compute_must_alias(monkeypatch, corpus_dir, libspec):
 
 
 def test_transforms_off_runs_no_first_inference_or_check(monkeypatch, corpus_dir, libspec):
-    # with transforms off the original program is inferred once (the stage
-    # re-inference, which reads it unchanged) and checked once (w_orig); the
-    # first inference and check only ever fed inject_finalizers
+    # the pipeline carries the parse through every stage: it is checked for
+    # w_orig, then inferred and checked for w_xform; with transforms on, a
+    # first inference and check in between feed inject_finalizers (the fix
+    # stage's own inferences and checks read its copy)
     import leakward.pipeline as pipeline
 
-    program = parse((corpus_dir / "writer_wrapper.mj").read_text(), "writer_wrapper.mj")
-    calls = {"infer_specs": 0, "check_program": 0}
-    for name in calls:
+    text = (corpus_dir / "writer_wrapper.mj").read_text()
+    calls: list[str] = []
+    for name in ("infer_specs", "check_program"):
         real = getattr(pipeline, name)
 
-        def counted(prog, *args, _real=real, _name=name):
-            calls[_name] += prog is program
+        def recorded(prog, *args, _real=real, _name=name):
+            if prog is program:
+                calls.append(_name)
             return _real(prog, *args)
 
-        monkeypatch.setattr(pipeline, name, counted)
-    fr = run_file_pipeline(program, libspec, PipelineConfig(enable_transforms=False))
-    assert fr.w_xform and fr.edit_log.entries == []
-    assert calls == {"infer_specs": 1, "check_program": 1}
+        monkeypatch.setattr(pipeline, name, recorded)
+    on_parse = {}
+    for transforms in (True, False):
+        program = parse(text, "writer_wrapper.mj")
+        calls.clear()
+        fr = run_file_pipeline(program, libspec, PipelineConfig(enable_transforms=transforms))
+        assert fr.transformed is program and fr.w_xform
+        on_parse[transforms] = list(calls)
+    assert fr.edit_log.entries == []
+    w_orig, w_xform = ["check_program"], ["infer_specs", "check_program"]
+    assert on_parse == {True: w_orig + ["infer_specs", "check_program"] + w_xform, False: w_orig + w_xform}
+
+
+@pytest.mark.parametrize("transforms", [True, False])
+def test_a_pipeline_run_copies_each_files_program_once(monkeypatch, corpus_sources, libspec, transforms):
+    # the stages edit the file's parse; only the fix stage patches a copy
+    copied: list[str] = []
+    real = sx.Program.__deepcopy__
+
+    def counted(self, memo):
+        copied.append(self.source_name)
+        return real(self, memo)
+
+    monkeypatch.setattr(sx.Program, "__deepcopy__", counted)
+    config = PipelineConfig(enable_transforms=transforms)
+    report = run_pipeline(corpus_sources, libspec, config)
+    assert report.errors == [] and copied == sorted(name for name, _text in corpus_sources)
+    for seed in range(6):
+        copied.clear()
+        run_pipeline([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec(), config)
+        assert copied == [f"fuzz{seed}.mj"]
 
 
 REOPEN = """class R {

@@ -41,12 +41,12 @@ resource List { must_call: []; method List() -> void; method add(notowning) -> v
 def _plan_first(src, kind=None):
     prog = parse(src, "r.mj")
     specs = infer_specs(prog, LIB)
-    annotated = write_specs(prog, specs)
-    warnings = filter_constructor_first_writes(check_program(annotated, specs, LIB), annotated)
+    write_specs(prog, specs)
+    warnings = filter_constructor_first_writes(check_program(prog, specs, LIB), prog)
     if kind:
         warnings = [w for w in warnings if w.kind == kind]
     w = warnings[0]
-    return _plan(w, annotated, specs), annotated, w
+    return _plan(w, prog, specs), prog, w
 
 
 def _plan(w, prog, specs, lib=LIB, enhancements=True):
@@ -198,6 +198,35 @@ def test_a_wrap_of_sixty_one_nested_ifs_is_unfixable_not_failed_validation():
     fr = report.files["deep.mj"]
     assert list(fr.fix_status.values()) == [("unfixable", "NoIrMatch")]
     assert fr.verdict.ok and report.exit_code == 2
+
+
+def _overwrite_under_ifs(levels, target):
+    """An owning field Socket overwritten `levels` ifs deep in W.reset."""
+    opens = "if (p == null) {\n" * levels
+    return (
+        f"class W {{\n private Socket f;\n void reset(String p) {{\n{opens}{target} = new Socket();\n{'}' * levels}\n}}\n"
+        " void close() {\n if (f != null) {\n f.close();\n }\n }\n}\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["f", "this.f"])
+def test_a_pre_close_past_the_nesting_limit_is_planned_unfixable(target):
+    # the guard's block and its try body's open below the store's block, then
+    # `f.close()` takes two levels and `this.f.close()` three
+    deepest_fixable = MAX_NESTING - 5 - target.count(".")
+    for levels, expected in ((deepest_fixable, "fixed"), (deepest_fixable + 1, "unfixable")):
+        src = _overwrite_under_ifs(levels, target)
+        plan, _prog, _w = _plan_first(src, kind="OwningFieldOverwrite")
+        report = run_pipeline([("deep.mj", src)], LIB)
+        fr = report.files["deep.mj"]
+        (status,) = fr.fix_status.values()
+        assert fr.verdict.ok
+        if expected == "fixed":
+            assert isinstance(plan, RepairPlan) and plan.template == PRE_CLOSE_INSERTION
+            assert status == ("fixed", PRE_CLOSE_INSERTION) and report.exit_code == 0
+        else:
+            assert isinstance(plan, Unfixable) and (plan.reason, plan.detail) == ("NoIrMatch", "nesting limit")
+            assert status == ("unfixable", "NoIrMatch") and report.exit_code == 2
 
 
 def test_plan_unfixable_on_return_escape():

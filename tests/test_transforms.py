@@ -1,5 +1,7 @@
 """The three code transformations and their semantic-preservation guarantees."""
 
+import copy
+
 from leakward.checker import check_program, reject_final_writes
 from leakward import syntax as sx
 from leakward.interp import has_main, run
@@ -32,12 +34,13 @@ FINAL_TRY = """class SocketHolder {
 
 
 def test_finalize_try_catch_temp_rewrite():
-    out, log = finalize_fields(parse(FINAL_TRY, "f.mj"), LIB)
-    text = pretty_print(out)
+    prog = parse(FINAL_TRY, "f.mj")
+    _, log = finalize_fields(prog, LIB)
+    text = pretty_print(prog)
     assert "private final ServerSocket serverSocket;" in text
     assert "= null;" in text and "} finally {" in text
     assert "serverSocket = " in text.split("finally")[1]
-    assert reject_final_writes(out, LIB) == []
+    assert reject_final_writes(prog, LIB) == []
     assert [e.transform for e in log.entries] == ["finalize_field"]
 
 
@@ -50,9 +53,10 @@ def test_finalize_simple_ctor_assignment():
   }
 }
 """
-    out, log = finalize_fields(parse(src), LIB)
-    assert "private final PrintStream s;" in pretty_print(out)
-    assert "finally" not in pretty_print(out)
+    prog = parse(src)
+    finalize_fields(prog, LIB)
+    assert "private final PrintStream s;" in pretty_print(prog)
+    assert "finally" not in pretty_print(prog)
 
 
 def test_finalize_skips_field_written_twice():
@@ -68,8 +72,9 @@ def test_finalize_skips_field_written_twice():
 }
 """
     prog = parse(src)
-    out, log = finalize_fields(prog, LIB)
-    assert pretty_print(out) == pretty_print(prog) and not log.entries
+    before = pretty_print(prog)
+    _, log = finalize_fields(prog, LIB)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_finalize_skips_conditional_ctor_write():
@@ -84,8 +89,9 @@ def test_finalize_skips_conditional_ctor_write():
 }
 """
     prog = parse(src)
-    out, _ = finalize_fields(prog, LIB)
-    assert pretty_print(out) == pretty_print(prog)
+    before = pretty_print(prog)
+    _, log = finalize_fields(prog, LIB)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_finalize_skips_ctor_that_never_writes():
@@ -100,15 +106,17 @@ def test_finalize_skips_ctor_that_never_writes():
 }
 """
     prog = parse(src)
-    out, _ = finalize_fields(prog, LIB)
-    assert pretty_print(out) == pretty_print(prog)
+    before = pretty_print(prog)
+    _, log = finalize_fields(prog, LIB)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_finalize_idempotent():
     prog = parse(FINAL_TRY, "f.mj")
-    once, _log = finalize_fields(prog, LIB)
-    twice, log2 = finalize_fields(once, LIB)
-    assert pretty_print(once) == pretty_print(twice) and not log2.entries
+    _, log1 = finalize_fields(prog, LIB)
+    once = pretty_print(prog)
+    _, log2 = finalize_fields(prog, LIB)
+    assert log1.entries and pretty_print(prog) == once and not log2.entries
 
 
 def test_finalize_ignores_a_store_to_another_class_field_of_the_same_name(libspec):
@@ -133,9 +141,10 @@ class A {
 """
     without_m = src.replace("  void m(B b) {\n    b.f = null;\n  }\n", "")
     for text in (src, without_m):
-        out, log = finalize_fields(parse(text), libspec)
+        prog = parse(text)
+        _, log = finalize_fields(prog, libspec)
         assert [(e.transform, e.class_name, e.member) for e in log.entries] == [("finalize_field", "A", "f")]
-        assert "private final FileInputStream f;" in pretty_print(out)
+        assert "private final FileInputStream f;" in pretty_print(prog)
     a = parse(src).classes[1]
     m = a.method_named("m")
     assert sx.stores_to_field(a, m, "A", "f") == [] and sx.stores_to_field(a, m, "B", "f") == m.body.stmts
@@ -160,8 +169,9 @@ class JournalMain {
 
 
 def test_field_to_local_demotes_single_method_field():
-    out, log = field_to_local(parse(DEMOTE, "d.mj"), LIB)
-    text = pretty_print(out)
+    prog = parse(DEMOTE, "d.mj")
+    _, log = field_to_local(prog)
+    text = pretty_print(prog)
     assert "private PrintStream sink;" not in text
     assert 'PrintStream sink = new PrintStream("journal.log");' in text
     assert [e.transform for e in log.entries] == ["field_to_local"]
@@ -173,8 +183,9 @@ def test_field_to_local_skips_two_readers():
         "  void echo() {\n    sink.println(\"again\");\n  }\n}\nclass JournalMain",
     )
     prog = parse(src)
-    out, log = field_to_local(prog, LIB)
-    assert pretty_print(out) == pretty_print(prog) and not log.entries
+    before = pretty_print(prog)
+    _, log = field_to_local(prog)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_field_to_local_requires_write_before_reads():
@@ -188,8 +199,9 @@ def test_field_to_local_requires_write_before_reads():
 }
 """
     prog = parse(src)
-    out, _ = field_to_local(prog, LIB)
-    assert pretty_print(out) == pretty_print(prog)
+    before = pretty_print(prog)
+    _, log = field_to_local(prog)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_field_to_local_rewrites_this_references():
@@ -202,8 +214,9 @@ def test_field_to_local_rewrites_this_references():
   }
 }
 """
-    out, log = field_to_local(parse(src), LIB)
-    text = pretty_print(out)
+    prog = parse(src)
+    _, log = field_to_local(prog)
+    text = pretty_print(prog)
     assert "this.sink" not in text and "sink.println" in text
     assert log.entries
 
@@ -211,8 +224,8 @@ def test_field_to_local_rewrites_this_references():
 def test_transform_semantic_preservation_on_demote():
     prog = parse(DEMOTE, "d.mj")
     before = run(prog, LIB)
-    after = run(field_to_local(prog, LIB)[0], LIB)
-    assert before == after
+    field_to_local(prog)
+    assert run(prog, LIB) == before
 
 
 def test_transform_semantic_preservation_on_finalize():
@@ -224,8 +237,8 @@ def test_transform_semantic_preservation_on_finalize():
 """
     prog = parse(src, "f.mj")
     before = run(prog, LIB)
-    out, _ = finalize_fields(prog, LIB)
-    assert run(out, LIB) == before
+    finalize_fields(prog, LIB)
+    assert run(prog, LIB) == before
 
 
 
@@ -245,9 +258,10 @@ def test_field_to_local_skips_field_whose_first_store_is_nested(libspec):
 }
 """
     prog = parse(src, "nested_store.mj")
-    out, log = field_to_local(prog, libspec)
-    assert not log.entries and pretty_print(out) == pretty_print(prog)
-    check_program(out, SpecSet.from_declared(out), libspec)  # still lowers: f resolves
+    before = pretty_print(prog)
+    _, log = field_to_local(prog)
+    assert not log.entries and pretty_print(prog) == before
+    check_program(prog, SpecSet.from_declared(prog), libspec)  # still lowers: f resolves
     assert run_pipeline([("nested_store.mj", src)], libspec).errors == []
 
 
@@ -276,17 +290,18 @@ def test_finalize_temp_rewrite_in_nested_try(libspec):
 }
 """
     prog = parse(src + main, "nested_try.mj")
-    out, log = finalize_fields(prog, libspec)
-    assert "private final FileInputStream f;" in pretty_print(out)
+    before = run(prog, libspec)
+    _, log = finalize_fields(prog, libspec)
+    assert "private final FileInputStream f;" in pretty_print(prog)
     assert [e.meta for e in log.entries] == [{"temp_rewrites": 1}]
     # the temp is declared in the try's own block, the then branch
-    then_block = out.class_named("Holder").constructors[0].body.stmts[0].then_block
+    then_block = prog.class_named("Holder").constructors[0].body.stmts[0].then_block
     temp, try_stmt = then_block.stmts
     assert isinstance(temp, sx.LocalDecl) and isinstance(try_stmt, sx.Try)
     copy_back = try_stmt.finally_block.stmts[-1]
     assert copy_back == sx.Assign(target=sx.VarRef(name="f"), value=sx.VarRef(name=temp.name))
-    assert reject_final_writes(out, libspec) == []
-    assert run(out, libspec) == run(prog, libspec)
+    assert reject_final_writes(prog, libspec) == []
+    assert run(prog, libspec) == before
     report = run_pipeline([("nested_try.mj", src)], libspec)
     assert report.errors == [] and report.exit_code == 0
 
@@ -320,8 +335,8 @@ def test_inject_finalizer_on_tempfile_writer():
     prog = parse(TEMPFILE_SRC, "tempfile.mj")
     specs = SpecSet.from_declared(prog)
     warnings = check_program(prog, specs, LIB)
-    out, log = inject_finalizers(prog, warnings, specs, LIB)
-    text = pretty_print(out)
+    _, log = inject_finalizers(prog, warnings, specs, LIB)
+    text = pretty_print(prog)
     assert "class TempFileWriter implements AutoCloseable {" in text
     assert "public void close() {" in text
     assert "stream.close();" in text
@@ -338,8 +353,9 @@ def test_inject_skips_class_with_existing_close():
     prog = parse(src, "tempfile.mj")
     specs = SpecSet.from_declared(prog)
     warnings = check_program(prog, specs, LIB)
-    out, log = inject_finalizers(prog, warnings, specs, LIB)
-    assert pretty_print(out) == pretty_print(prog) and not log.entries
+    before = pretty_print(prog)
+    _, log = inject_finalizers(prog, warnings, specs, LIB)
+    assert pretty_print(prog) == before and not log.entries
 
 
 def test_inject_requires_a_warning():
@@ -361,7 +377,7 @@ class M {
     prog = parse(src)
     specs = SpecSet.from_declared(prog)
     warnings = check_program(prog, specs, LIB)
-    out, log = inject_finalizers(prog, warnings, specs, LIB)
+    _, log = inject_finalizers(prog, warnings, specs, LIB)
     assert not log.entries
 
 
@@ -387,8 +403,8 @@ class M {
     prog = parse(src)
     specs = SpecSet.from_declared(prog)
     warnings = check_program(prog, specs, LIB)
-    out, log = inject_finalizers(prog, warnings, specs, LIB)
-    text = pretty_print(out)
+    _, log = inject_finalizers(prog, warnings, specs, LIB)
+    text = pretty_print(prog)
     assert "if (stream != null) {" in text
     assert log.entries and log.entries[0].meta["guarded"] == ["stream"]
 
@@ -422,8 +438,9 @@ def test_injection_is_behavior_neutral_until_called():
     prog = parse(TEMPFILE_SRC, "tempfile.mj")
     specs = SpecSet.from_declared(prog)
     warnings = check_program(prog, specs, LIB)
-    out, _ = inject_finalizers(prog, warnings, specs, LIB)
-    assert run(out, LIB) == run(prog, LIB)
+    before = run(prog, LIB)
+    _, log = inject_finalizers(prog, warnings, specs, LIB)
+    assert log.entries and run(prog, LIB) == before
 
 
 def test_corpus_transforms_preserve_interpreter_reports(corpus_sources, libspec):
@@ -432,8 +449,22 @@ def test_corpus_transforms_preserve_interpreter_reports(corpus_sources, libspec)
         if not has_main(prog):
             continue
         baseline = run(prog, libspec)
-        t1, _ = finalize_fields(prog, libspec)
-        t2, _ = field_to_local(t1, libspec)
-        assert run(t1, libspec) == baseline, name
-        assert run(t2, libspec) == baseline, name
-        assert reject_final_writes(t2, libspec) == [], name
+        finalize_fields(prog, libspec)
+        finalized = copy.deepcopy(prog)  # the finalize-only state, kept from field_to_local's edits
+        field_to_local(prog)
+        assert run(finalized, libspec) == baseline, name
+        assert run(prog, libspec) == baseline, name
+        assert reject_final_writes(prog, libspec) == [], name
+
+
+def test_the_transforms_edit_the_program_they_are_given():
+    # each returns the program it was given, edited, with its edit log
+    def inject(prog):
+        specs = SpecSet.from_declared(prog)
+        return inject_finalizers(prog, check_program(prog, specs, LIB), specs, LIB)
+
+    for text, transform in ((FINAL_TRY, lambda p: finalize_fields(p, LIB)), (DEMOTE, field_to_local), (TEMPFILE_SRC, inject)):
+        prog = parse(text, "t.mj")
+        out, log = transform(prog)
+        assert out is prog and log.entries
+        assert pretty_print(prog) != pretty_print(parse(text, "t.mj"))
