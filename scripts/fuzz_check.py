@@ -8,6 +8,7 @@ Usage: python scripts/fuzz_check.py [count] [--seed-base N]
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -30,11 +31,11 @@ def main() -> int:
     lib = fuzz_libspec()
     completed = 0
     leaky = 0
-    seed = args.seed_base
     violations = []
-    while completed < args.count:
+    for seed in itertools.count(args.seed_base):
+        if completed == args.count:
+            break
         src = generate_source(seed)
-        seed += 1
         prog = parse(src, f"fuzz{seed}.mj")
         report = run(prog, lib)
         if report.status != "Completed":
@@ -46,8 +47,8 @@ def main() -> int:
         covered = build_coverage(prog, lib, warnings)
         for site in set(report.leaked_sites):
             if not covered(site):
-                violations.append((seed - 1, site))
-                print(f"VIOLATION seed={seed - 1} site={site}")
+                violations.append((seed, site))
+                print(f"VIOLATION seed={seed} site={site}")
                 print(src)
     print(f"{completed} programs completed ({leaky} with runtime leaks); {len(violations)} violations")
     return 1 if violations else 0

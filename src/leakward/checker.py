@@ -55,7 +55,7 @@ from typing import Optional
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
-from .memo import ProgramVersion
+from .memo import ProgramOrVersion, ProgramVersion, version_of
 from .specs import (
     NOT_OWNING,
     OWNING,
@@ -713,9 +713,10 @@ def method_run(
     return version.remember(cls, meth, specs, run)
 
 
-def check_program(program: sx.Program, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
+def check_program(program: ProgramOrVersion, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:
     """Check every method; merged deterministically by (file, line, id)."""
-    version = ProgramVersion(program, libspec)
+    version = version_of(program, libspec)
+    program = version.program
     out: list[Warning] = []
     for cls in program.classes:
         for meth in cls.all_methods():
@@ -775,7 +776,7 @@ def _first_write_conditions_hold(w: Warning, program: sx.Program) -> bool:
 # --- final-field write checking ----------------------------------------------
 
 
-def reject_final_writes(program: sx.Program, libspec: LibrarySpec) -> list[CompileError]:
+def reject_final_writes(program: ProgramOrVersion, libspec: LibrarySpec) -> list[CompileError]:
     """One error per write to a final field beyond its single initialization site.
 
     Per constructor, one write along any normal path is legal (each constructor
@@ -783,7 +784,8 @@ def reject_final_writes(program: sx.Program, libspec: LibrarySpec) -> list[Compi
     writes on a path, and any write when the declaration carries an initializer
     are errors. Used as the recompile-cleanly gate for patch validation.
     """
-    version = ProgramVersion(program, libspec)
+    version = version_of(program, libspec)
+    program = version.program
     errors: list[CompileError] = []
     for cls in program.classes:
         final_fields = [f for f in cls.fields if f.has("final")]

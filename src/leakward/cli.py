@@ -140,7 +140,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     def transform(program):
         warnings, _stale = _rebind(warnings_data, program)
         _lower_all(program, libspec)
-        log = transform_stage(program, warnings, infer_specs(program, libspec), libspec)
+        _, log = transform_stage(program, warnings, infer_specs(program, libspec), libspec)
         (outdir / program.source_name).write_text(pretty_print(program))
         (outdir / f"{program.source_name}.editlog.json").write_text(json.dumps(log.to_json(), indent=2) + "\n")
         print(f"transformed {program.source_name}: {len(log.entries)} edit(s)")

@@ -14,8 +14,8 @@ from every load of f inside C.
 `EscapeAnalyzer` is the one surface: `escapes_at` answers for a warned
 allocation or call, `field_containment` for a field, and both share the
 analyzer's wrapper classifications. It reads every CFG from one
-`memo.ProgramVersion` of its program, so it shares the CFGs the checker
-lowered for that version.
+`memo.ProgramVersion` of its program, the one it is handed or one taken of a
+bare program, so it shares the CFGs the checker lowered for that version.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
-from .memo import ProgramVersion
+from .memo import ProgramOrVersion, version_of
 from .specs import SpecSet, is_resource_type, method_return_ownership
 
 TO_FIELD = "ToField"
@@ -112,15 +112,15 @@ class EscapeAnalyzer:
     constructor is an escape.
     """
 
-    def __init__(self, program: sx.Program, specs: SpecSet, libspec: LibrarySpec, enhancements: bool = True):
-        self.program = program
+    def __init__(self, program: ProgramOrVersion, specs: SpecSet, libspec: LibrarySpec, enhancements: bool = True):
+        self.version = version_of(program, libspec)
+        self.program = self.version.program
         self.specs = specs
         self.libspec = libspec
         self.enhancements = enhancements
         self._classify_cache: dict[str, WrapperClassification] = {}
         self._containment_cache: dict[tuple[str, str], bool] = {}
         self._containment_in_progress: set[tuple[str, str]] = set()
-        self.version = ProgramVersion(program, libspec)
 
     # --- field containment (Def. 1) ---
 

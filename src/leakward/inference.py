@@ -24,7 +24,7 @@ from . import syntax as sx
 from .checker import method_run
 from .errors import AnnotationConflict
 from .libspec import LibrarySpec
-from .memo import ProgramVersion
+from .memo import ProgramOrVersion, ProgramVersion, version_of
 from .specs import (
     NOT_OWNING,
     OWNING,
@@ -51,9 +51,10 @@ class _Disposal:
     fields: set[str]
 
 
-def infer_specs(program: sx.Program, libspec: LibrarySpec) -> SpecSet:
+def infer_specs(program: ProgramOrVersion, libspec: LibrarySpec) -> SpecSet:
     """Fixed point of R1-R3 over the whole program."""
-    version = ProgramVersion(program, libspec)
+    version = version_of(program, libspec)
+    program = version.program
     specs = SpecSet.from_declared(program)
     changed = True
     while changed:
@@ -126,12 +127,18 @@ def _select_finalizer(disposals: list[_Disposal]) -> _Disposal:
     return sorted(disposals, key=rank)[0]
 
 
-def write_specs(program: sx.Program, specs: SpecSet) -> None:
-    """Insert inferred annotations into `program` itself.
+def write_specs(program: ProgramOrVersion, specs: SpecSet) -> ProgramOrVersion:
+    """Insert inferred annotations into `program` itself, and hand it back:
+    given a version, the given one when no annotation was added, else a new
+    version of its program.
 
     Already-declared annotations are left untouched; a contradiction raises
     AnnotationConflict. Idempotent: re-writing the same specs changes nothing.
     """
+    given = program
+    if isinstance(program, ProgramVersion):
+        program = program.program
+    added = False
     for cls in program.classes:
         mc = specs.class_mustcall.get(cls.name)
         declared = sx.annotation_named(cls.annotations, sx.MUST_CALL)
@@ -145,6 +152,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                 ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)), provenance=mc.source)
                 program.inherit_pos(ann, cls)
                 cls.annotations.append(ann)
+                added = True
         for fld in cls.fields:
             own = specs.field_ownership.get((cls.name, fld.name))
             if own is None:
@@ -160,6 +168,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                     )
                     program.inherit_pos(ann, fld)
                     fld.annotations.insert(0, ann)
+                    added = True
         for meth in cls.methods:
             entries = specs.method_ensures.get((cls.name, meth.name), [])
             for entry in sorted(entries, key=lambda e: e.field_name):
@@ -182,3 +191,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                 )
                 program.inherit_pos(ann, meth)
                 meth.annotations.append(ann)
+                added = True
+    if isinstance(given, ProgramVersion):
+        return given.edited() if added else given
+    return program

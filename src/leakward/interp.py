@@ -27,6 +27,7 @@ from .checker import check_program, filter_constructor_first_writes, reject_fina
 from .errors import NoSingleMain
 from .inference import infer_specs
 from .libspec import LibrarySpec
+from .memo import ProgramOrVersion, version_of
 from .parser import parse
 from .printer import pretty_print
 
@@ -514,7 +515,7 @@ class ValidationVerdict:
 
 def validate_patch(
     original: sx.Program,
-    patched: sx.Program,
+    patched: ProgramOrVersion,
     libspec: LibrarySpec,
     fixed_ids: tuple[str, ...] = (),
     step_limit: int = DEFAULT_STEP_LIMIT,
@@ -532,9 +533,12 @@ def validate_patch(
 
     The reparse is the parse and printer-fixpoint gate: a patch that passes it
     is the program its text describes, so the static checks read `patched`
-    itself, the version the fix loop has already analysed, and their results
+    itself, the version the fix loop has already analysed (handed in as a
+    `ProgramVersion`, or taken here of a bare program), and their results
     come from the memo of its program family.
     """
+    version = version_of(patched, libspec)
+    patched = version.program
     text = pretty_print(patched) if patched_text is None else patched_text
     try:
         reparsed = parse(text, patched.source_name)
@@ -543,11 +547,11 @@ def validate_patch(
     if pretty_print(reparsed) != text:
         return ValidationVerdict(ok=False, failures=("Reparse:the printed patch does not print back to itself",))
     failures: list[str] = []
-    errs = reject_final_writes(patched, libspec)
+    errs = reject_final_writes(version, libspec)
     if errs:
         failures.append(f"FinalWrites:{len(errs)}")
-    specs = infer_specs(patched, libspec)
-    warnings = filter_constructor_first_writes(check_program(patched, specs, libspec), patched)
+    specs = infer_specs(version, libspec)
+    warnings = filter_constructor_first_writes(check_program(version, specs, libspec), patched)
     surviving = {w.id for w in warnings} & set(fixed_ids)
     if surviving:
         failures.append(f"WarningSurvives:{','.join(sorted(surviving))}")

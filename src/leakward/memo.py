@@ -3,8 +3,18 @@
 Every module gets a method's CFG, and runs the checker on a method, through
 a `ProgramVersion(program, libspec)`: `ProgramVersion.cfg` is the one caller
 of `cfg.lower`, and `checker.method_run` the one checker entry point below
-`check_program`. A version is valid only while its program is unedited; a
-caller that edits a program takes a new version of it.
+`check_program`. A version is valid only while its program is unedited.
+
+Who takes a version, and when: each entry point (`check_program`,
+`infer_specs`, `reject_final_writes`, `EscapeAnalyzer`, the transforms,
+`validate_patch`, the pipeline's stages) accepts a program or a version and
+reads it through `version_of`. A bare program gets a fresh version per call,
+so an edit between two calls is seen. The pipeline takes one version per
+program state and hands it from stage to stage, so each state is hashed
+once: a stage that edits (a transform, `write_specs`, a fix round that
+applied a plan) hands back a new version, or the one it was given when it
+edited nothing, and a deep copy of a program gets its original's key
+(`ProgramVersion.copied`).
 
 The memo holds one program family's entries under one library spec. A
 family is the copies of one parse: they share `Program.nid`, which
@@ -38,7 +48,7 @@ import hashlib
 import json
 import pickle
 from functools import cached_property
-from typing import Callable, TypeVar
+from typing import Callable, TypeVar, Union
 
 from . import cfg as C
 from . import syntax as sx
@@ -68,6 +78,19 @@ class ProgramVersion:
         """Taken at the first lookup; the program is unedited since the version was taken."""
         return digest(self.program)
 
+    def edited(self) -> "ProgramVersion":
+        """A new version of this version's program, after an edit to it."""
+        return ProgramVersion(self.program, self.libspec)
+
+    def copied(self, program: sx.Program) -> "ProgramVersion":
+        """A version of `program`, a deep copy of this version's program.
+        `Program.__deepcopy__` is a pickle round trip of exactly the state
+        the key hashes, so the copy has this version's key (taken now if it
+        was not yet)."""
+        twin = ProgramVersion(program, self.libspec)
+        twin._key = self._key
+        return twin
+
     def _entries(self) -> dict[tuple, object]:
         """Its family's table, which replaces another family's."""
         global _family
@@ -95,3 +118,22 @@ class ProgramVersion:
         if key not in entries:
             entries[key] = compute()
         return entries[key]
+
+
+ProgramOrVersion = Union[sx.Program, ProgramVersion]
+
+
+def version_of(program: ProgramOrVersion, libspec: LibrarySpec) -> ProgramVersion:
+    """The version a reader analyses: the one it is handed, or a fresh
+    version of a bare program (or of a version under another libspec)."""
+    if isinstance(program, ProgramVersion):
+        if program.libspec is libspec:
+            return program
+        program = program.program
+    return ProgramVersion(program, libspec)
+
+
+def handed_back(given: ProgramOrVersion, version: ProgramVersion) -> ProgramOrVersion:
+    """What an editing stage returns: `version`, the program's version as it
+    now is, when it was given a version; its program when given a program."""
+    return version if isinstance(given, ProgramVersion) else version.program

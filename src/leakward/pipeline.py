@@ -155,31 +155,33 @@ def build_shift_map(
     w_orig: list[Warning],
     w_xform: list[Warning],
     specs_by_file: dict[str, SpecSet],
-    programs_by_file: dict[str, sx.Program],
+    programs_by_file: dict[str, memo.ProgramOrVersion],
     libspec: LibrarySpec,
 ) -> ShiftMap:
     """Map each w_xform warning to its root: a wrapper-allocation warning maps
     to the w_orig warning at the library allocation its @Owning field chain
     reaches inside the wrapper's constructors; overwrite warnings and library
-    warnings map to themselves."""
+    warnings map to themselves. Each file's transformed program is read
+    through one version: the one handed in, or one taken here of a bare
+    program."""
     orig_ids = {w.id for w in w_orig}
+    versions = {name: memo.version_of(program, libspec) for name, program in programs_by_file.items()}
     pairs: dict[str, str] = {}
     mult: dict[str, int] = {}
     for w in w_xform:
         root = w.id
         if w.kind == UNSATISFIED_OBLIGATION:
-            program = programs_by_file.get(w.file)
+            version = versions.get(w.file)
             specs = specs_by_file.get(w.file)
-            if program is not None and specs is not None and program.class_named(w.resource_class) is not None:
+            if version is not None and specs is not None and version.program.class_named(w.resource_class):
                 arity: Optional[int] = None
                 if w.anchor_kind == "new":
                     try:
-                        node = locate_anchor(w, program)
+                        node = locate_anchor(w, version.program)
                         if isinstance(node, sx.New):
                             arity = len(node.args)
                     except StaleWarning:
                         arity = None
-                version = memo.ProgramVersion(program, libspec)
                 found = _chain_roots(w.resource_class, arity, w.file, version, specs, orig_ids, set())
                 if len(found) > 1:
                     raise AmbiguousMapping(
@@ -268,6 +270,7 @@ class FileResult(FixOutcome):
 
     name: str
     transformed: sx.Program
+    version: memo.ProgramVersion = dc_field(repr=False, compare=False)  # of `transformed`, read for w_xform
     w_orig: list[Warning]
     w_xform: list[Warning]
     edit_log: EditLog
@@ -304,26 +307,41 @@ class PipelineReport:
         }
 
 
-def check_stage(program: sx.Program, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig) -> list[Warning]:
+def check_stage(
+    program: memo.ProgramOrVersion, specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig
+) -> list[Warning]:
     """The checker's warnings, less constructor first writes when overwrite handling is on."""
-    warnings = check_program(program, specs, libspec)
+    version = memo.version_of(program, libspec)
+    warnings = check_program(version, specs, libspec)
     if config.enable_overwrite_handling:
-        warnings = filter_constructor_first_writes(warnings, program)
+        warnings = filter_constructor_first_writes(warnings, version.program)
     return warnings
 
 
-def transform_stage(program: sx.Program, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec) -> EditLog:
-    """finalize_fields -> field_to_local -> inject_finalizers, on `program` itself."""
-    _, log1 = finalize_fields(program, libspec)
-    _, log2 = field_to_local(program)
-    _, log3 = inject_finalizers(program, warnings, specs, libspec)
-    return EditLog(log1.entries + log2.entries + log3.entries)
+def transform_stage(
+    program: memo.ProgramOrVersion, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec
+) -> tuple[memo.ProgramOrVersion, EditLog]:
+    """finalize_fields -> field_to_local -> inject_finalizers, on `program`
+    itself; hands back what it was given, as the transforms do, with the
+    edits made."""
+    version, log1 = finalize_fields(memo.version_of(program, libspec), libspec)
+    _, log2 = field_to_local(version.program)
+    if log2.entries:
+        version = version.edited()
+    version, log3 = inject_finalizers(version, warnings, specs, libspec)
+    return memo.handed_back(program, version), EditLog(log1.entries + log2.entries + log3.entries)
 
 
-def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig) -> FixOutcome:
+def fix_stage(
+    program: memo.ProgramOrVersion, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig
+) -> FixOutcome:
     """Repair `warnings` on a copy of `program`, `patched`, in rounds; re-check
     after each round that fixed something, retry deferred plans, then validate
     the patch.
+
+    `patched` is read through one version per state: the copy gets the key of
+    `program`'s version, and a round that applied a plan takes a new one,
+    which the next round, the re-check and validation read.
 
     A round screens each of its warnings (`screen_fix`) with one
     `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
@@ -338,19 +356,22 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
     last round's re-check has already analysed. Its reparse of the one print
     of `patched`, which the diff also uses, is the parse and printer-fixpoint
     gate."""
+    version = memo.version_of(program, libspec)
+    program = version.program
     patched = copy.deepcopy(program)
+    now = version.copied(patched)  # `patched` as it is now
     fix_status: dict[str, tuple[str, str]] = {}
     pending = list(warnings)
     iterations = 0
     if pending:
-        specs_now = infer_specs(patched, libspec)  # redone only when a fix changes `patched`
+        specs_now = infer_specs(now, libspec)  # redone only when a fix changes `patched`
     while pending and iterations < MAX_FIX_ITERATIONS:
         iterations += 1
         progressed = False
         deferred: list[Warning] = []
         ordered = sorted(pending, key=lambda w: (w.line, w.id))
         # every lookup of the round's analyzer happens here, before the round's first edit
-        analyzer = EscapeAnalyzer(patched, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
+        analyzer = EscapeAnalyzer(now, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
         disabled = not config.enable_overwrite_handling
         screened = [None if disabled and w.kind == OWNING_FIELD_OVERWRITE else screen_fix(w, analyzer) for w in ordered]
         for w, screen in zip(ordered, screened):
@@ -374,8 +395,9 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
                 deferred.append(w)
         fresh = []  # warnings of the patched code not seen before (every given one has a status)
         if progressed:
-            specs_now = infer_specs(patched, libspec)
-            fresh = [w for w in check_stage(patched, specs_now, libspec, config) if w.id not in fix_status]
+            now = now.edited()
+            specs_now = infer_specs(now, libspec)
+            fresh = [w for w in check_stage(now, specs_now, libspec, config) if w.id not in fix_status]
         pending = deferred + fresh
         if not progressed and not fresh:
             break
@@ -386,7 +408,7 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
     patched_text = pretty_print(patched)
-    verdict = validate_patch(program, patched, libspec, fixed_ids=fixed_ids, patched_text=patched_text)
+    verdict = validate_patch(program, now, libspec, fixed_ids=fixed_ids, patched_text=patched_text)
     if not verdict.ok:
         for wid in fixed_ids:
             fix_status[wid] = ("validation-failed", verdict.label)
@@ -397,26 +419,29 @@ def fix_stage(program: sx.Program, warnings: list[Warning], libspec: LibrarySpec
 def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: PipelineConfig) -> FileResult:
     """The eight steps on one file's parse, which the transforms and
     `write_specs` edit in place and which ends as `FileResult.transformed`;
-    `fix_stage` patches a copy of it."""
+    `fix_stage` patches a copy of it. The stages read the parse through one
+    `ProgramVersion` per state, so each state is hashed once: the transforms
+    and `write_specs` hand back a new version only when they edited."""
+    version = memo.ProgramVersion(program, libspec)
     # w_orig: the checker alone, no inferred specifications
-    w_orig = check_stage(program, SpecSet.from_declared(program), libspec, config)
+    w_orig = check_stage(version, SpecSet.from_declared(program), libspec, config)
 
     # stages 1-4: inference and a first check drive the code transformations
     edit_log = EditLog()
     if config.enable_transforms:
-        specs1 = infer_specs(program, libspec)
-        edit_log = transform_stage(program, check_stage(program, specs1, libspec, config), specs1, libspec)
+        specs1 = infer_specs(version, libspec)
+        version, edit_log = transform_stage(version, check_stage(version, specs1, libspec, config), specs1, libspec)
 
     # stages 5-6: re-infer, write annotations, updated warnings
-    specs2 = infer_specs(program, libspec)
-    write_specs(program, specs2)
-    w_xform = check_stage(program, specs2, libspec, config)
+    specs2 = infer_specs(version, libspec)
+    version = write_specs(version, specs2)
+    w_xform = check_stage(version, specs2, libspec, config)
 
     # stages 7-8: plan, apply, validate
-    fixed = fix_stage(program, w_xform, libspec, config)
+    fixed = fix_stage(version, w_xform, libspec, config)
     return FileResult(
-        **vars(fixed), name=program.source_name, transformed=program, w_orig=w_orig, w_xform=w_xform,
-        edit_log=edit_log, specs=specs2,
+        **vars(fixed), name=program.source_name, transformed=program, version=version, w_orig=w_orig,
+        w_xform=w_xform, edit_log=edit_log, specs=specs2,
     )
 
 
@@ -442,7 +467,7 @@ def run_pipeline(
     w_xform_all = [w for fr in files.values() for w in fr.w_xform]
 
     specs_by_file = {fr.name: fr.specs for fr in files.values()}
-    programs_by_file = {fr.name: fr.transformed for fr in files.values()}
+    programs_by_file = {fr.name: fr.version for fr in files.values()}
     try:
         shift_map = build_shift_map(w_orig_all, w_xform_all, specs_by_file, programs_by_file, libspec)
     except AmbiguousMapping as e:

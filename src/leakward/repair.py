@@ -200,8 +200,8 @@ def plan_fix(
     else:
         assert warning.kind == UNSATISFIED_OBLIGATION
         path = _template_path(method.body, anchor)
-        if path is None:
-            return Unfixable(warning.id, NO_IR_MATCH, detail="allocation is not inside a statement list")
+        if isinstance(path, str):
+            return Unfixable(warning.id, NO_IR_MATCH, detail=path)
         block, idx = path[-1]
         tries = sx.try_slots(path)
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
@@ -261,16 +261,21 @@ def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -
     return tuple(names)
 
 
-def _template_path(body: sx.Block, anchor: sx.Node) -> Optional[sx.StmtPath]:
-    """`stmt_path` to the statement holding an allocation, or None when no
-    statement slot takes a template: a loop on the path (loop-allocated values
-    need a template we do not provide), or the anchor in an if/while condition."""
+def _template_path(body: sx.Block, anchor: sx.Node) -> Union[sx.StmtPath, str]:
+    """`stmt_path` to the statement holding an allocation, or why no
+    statement slot takes a template: the anchor is in no statement list, in
+    an if or while condition, or has a loop on its path (loop-allocated
+    values need a template we do not provide)."""
     path = sx.stmt_path(body, anchor)
     if path is None:
-        return None
+        return "allocation is not inside a statement list"
     stmts = [block.stmts[i] for block, i in path]
-    if isinstance(stmts[-1], sx.If) or any(isinstance(s, sx.While) for s in stmts):
-        return None
+    if isinstance(stmts[-1], sx.If):
+        return "allocation is in an if condition"
+    if isinstance(stmts[-1], sx.While):
+        return "allocation is in a while condition"
+    if any(isinstance(s, sx.While) for s in stmts):
+        return "allocation is inside a loop"
     return path
 
 
@@ -279,7 +284,8 @@ def _template_path(body: sx.Block, anchor: sx.Node) -> Optional[sx.StmtPath]:
 
 def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> list[dict]:
     """Apply a plan's template to `program` itself; the structured edits made.
-    Raises MaterializationFailure when the anchors no longer admit it."""
+    Raises MaterializationFailure, before any edit, when the anchors no longer
+    admit it, so a version of `program` stays valid after a failed plan."""
     if plan.template == PRE_CLOSE_INSERTION:
         return _apply_pre_close(program, plan)
     if plan.template in (TRY_FINALLY_WRAP, CLOSE_IN_FINALLY):
@@ -398,8 +404,8 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     if method is None:
         raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
     path = _template_path(method.body, expr)
-    if path is None:
-        raise MaterializationFailure("StaleAnchor", "allocation is not inside a statement list")
+    if isinstance(path, str):
+        raise MaterializationFailure("StaleAnchor", path)
     block, idx = path[-1]
     stmt = block.stmts[idx]
     fresh = FreshNames(program)
@@ -424,11 +430,11 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
         plan.fresh_names.append(var)
         decl = sx.LocalDecl(type_name=plan.resource_class, name=var, init=sx.NullLit())
         assign = sx.Assign(target=sx.VarRef(name=var), value=expr)
-        program.adopt(decl, stmt)
-        program.adopt(assign, stmt)
         ref = sx.VarRef(name=var)
         if not sx.map_exprs(stmt, lambda e: ref if e is expr else None):
             raise MaterializationFailure("StaleAnchor", "could not extract the allocation")
+        program.adopt(decl, stmt)
+        program.adopt(assign, stmt)
         if isinstance(stmt, sx.ExprStmt) and isinstance(stmt.expr, sx.VarRef):
             block.stmts[idx] = assign  # the statement was just the extracted expression
         else:

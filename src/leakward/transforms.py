@@ -13,10 +13,11 @@ Three rewrites reshape code so inference and repair see clearer ownership:
                     in a constructor, store it in a field, and never dispose
                     it.
 
-Each edits the program it is given and returns that program with an
-EditLog of the edits it made. The analyses read CFGs and checker runs from a
-`ProgramVersion` of the program, taken again after each edit: a version is
-valid only while its program is unedited.
+Each edits the program it is given and returns what it was given with an
+EditLog of the edits it made: the program, or, given a `ProgramVersion`, the
+version of the program as it now is (the given one when it edited nothing).
+The analyses read CFGs and checker runs from that version, taken again after
+each edit: a version is valid only while its program is unedited.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .checker import Warning
 from .escape import tainted_stores
 from .inference import disposes
 from .libspec import LibrarySpec
-from .memo import ProgramVersion
+from .memo import ProgramOrVersion, ProgramVersion, handed_back, version_of
 from .specs import SpecSet, resource_must_call
 
 
@@ -94,19 +95,19 @@ class FreshNames:
 # --- finalize_fields ---------------------------------------------------------
 
 
-def finalize_fields(program: sx.Program, libspec: LibrarySpec) -> tuple[sx.Program, EditLog]:
+def finalize_fields(program: ProgramOrVersion, libspec: LibrarySpec) -> tuple[ProgramOrVersion, EditLog]:
     log = EditLog()
-    fresh = FreshNames(program)
-    version = ProgramVersion(program, libspec)
-    for cls in program.classes:
+    version = version_of(program, libspec)
+    fresh = FreshNames(version.program)
+    for cls in version.program.classes:
         for fld in cls.fields:
             if fld.has("final") or not fld.has("private"):
                 continue
             if not _finalize_eligible(version, cls, fld):
                 continue
-            _apply_finalize(program, cls, fld, fresh, log)
-            version = ProgramVersion(program, libspec)
-    return program, log
+            _apply_finalize(version.program, cls, fld, fresh, log)
+            version = version.edited()
+    return handed_back(program, version), log
 
 
 def _finalize_eligible(version: ProgramVersion, cls: sx.ClassDecl, fld: sx.FieldDecl) -> bool:
@@ -279,17 +280,17 @@ def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, met
 
 
 def inject_finalizers(
-    program: sx.Program,
+    program: ProgramOrVersion,
     warnings: list[Warning],
     specs: SpecSet,
     libspec: LibrarySpec,
-) -> tuple[sx.Program, EditLog]:
+) -> tuple[ProgramOrVersion, EditLog]:
     """Add `implements AutoCloseable` and a close() method to classes where a
     first-pass warning flags a constructor allocation stored into an instance
     field no method disposes. Warning-driven by design."""
     log = EditLog()
-    version = ProgramVersion(program, libspec)
-    for cls in program.classes:
+    version = version_of(program, libspec)
+    for cls in version.program.classes:
         if cls.method_named("close") is not None:
             continue
         flagged = _warned_ctor_fields(version, cls, warnings)
@@ -301,8 +302,8 @@ def inject_finalizers(
         if not undisposed:
             continue
         _apply_inject(version, cls, undisposed, specs, log)
-        version = ProgramVersion(program, libspec)
-    return program, log
+        version = version.edited()
+    return handed_back(program, version), log
 
 
 def _warned_ctor_fields(

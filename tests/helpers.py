@@ -1,9 +1,11 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
 structural AST comparison modulo local-variable names, the corpus-plus-fuzz
-program list, simple-path enumeration over a CFG, and a memo bypass."""
+program list, seeded one-line corpus mutants, simple-path enumeration over a
+CFG, and a memo bypass."""
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -28,6 +30,28 @@ def corpus_and_fuzz_programs():
     programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
     programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
     return programs
+
+
+def corpus_mutants(count: int = 600, seed: int = 1) -> list[tuple[str, str]]:
+    """`count` seeded one-line mutants of the corpus files, as (name, text):
+    one line deleted, duplicated, or swapped with the next. A name such as
+    `clean_close.swap3.mj` gives the file, the edit and the line (0-based)."""
+    rng = random.Random(seed)
+    files = sorted(CORPUS.glob("*.mj"))
+    mutants = []
+    for _ in range(count):
+        path = rng.choice(files)
+        lines = path.read_text().splitlines(keepends=True)
+        edit = rng.choice(("delete", "duplicate", "swap"))
+        k = rng.randrange(len(lines) - 1 if edit == "swap" else len(lines))
+        if edit == "delete":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        mutants.append((f"{path.stem}.{edit}{k}.mj", "".join(lines)))
+    return mutants
 
 
 @contextmanager

@@ -4,7 +4,9 @@ specs stay apart, and a CFG served from the memo is bound to the caller's AST.
 Every lowering goes through it, and it needs no scope: no version of a method
 is lowered twice in one pipeline run, a read-only check lowers each member
 once, a second parse replaces the first one's entries, and liveness is solved
-at most once per lowering."""
+at most once per lowering. The pipeline hands versions from stage to stage:
+no version is read after an edit to its program, and a run hashes each
+program state once."""
 
 import copy
 from collections import Counter
@@ -12,7 +14,7 @@ from contextlib import nullcontext
 
 import pytest
 
-from helpers import memo_bypassed
+from helpers import corpus_mutants, memo_bypassed
 from leakward import cfg as C
 from leakward import memo
 from leakward import syntax as sx
@@ -216,3 +218,56 @@ def test_a_cfg_is_bound_to_the_callers_program(libspec, memoised):
     assert g1.program is prog
     # a hit shares the lowered graph; with the memo bypassed each call lowers afresh
     assert (g2.nodes is g1.nodes) == memoised
+
+
+CONFIGS = [
+    PipelineConfig(),
+    PipelineConfig(enable_transforms=False),
+    PipelineConfig(enable_fixer_enhancements=False),
+    PipelineConfig(enable_overwrite_handling=False),
+]
+
+
+def _handoff_runs(corpus_sources, libspec):
+    """(sources, libspec, config) of pipeline runs: the corpus as one batch
+    under each configuration, and each of generate_source(0..99) and the
+    corpus mutants alone."""
+    runs = [(corpus_sources, libspec, config) for config in CONFIGS]
+    runs += [([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec(), CONFIGS[0]) for seed in range(100)]
+    runs += [([mutant], libspec, CONFIGS[0]) for mutant in corpus_mutants()]
+    return runs
+
+
+def test_no_version_is_read_after_an_edit_to_its_program(corpus_sources, libspec, monkeypatch):
+    lookups = 0
+    for name in ("cfg", "remember"):
+        real = getattr(memo.ProgramVersion, name)
+
+        def rehashed(self, *args, _real=real):
+            nonlocal lookups
+            lookups += 1
+            assert memo.digest(self.program) == self._key, "a version outlived an edit to its program"
+            return _real(self, *args)
+
+        monkeypatch.setattr(memo.ProgramVersion, name, rehashed)
+    for sources, lib, config in _handoff_runs(corpus_sources, libspec):
+        run_pipeline(sources, lib, config)
+    assert lookups > 0
+
+
+def test_a_pipeline_run_hashes_each_program_state_once(corpus_sources, libspec, monkeypatch):
+    hashed: list[bytes] = []
+    real = memo.digest
+
+    def recorded(program):
+        hashed.append(real(program))
+        return hashed[-1]
+
+    monkeypatch.setattr(memo, "digest", recorded)
+    total = 0
+    for sources, lib, config in _handoff_runs(corpus_sources, libspec):
+        hashed.clear()
+        run_pipeline(sources, lib, config)
+        assert len(set(hashed)) == len(hashed), [name for name, _text in sources]
+        total += len(hashed)
+    assert total > 0

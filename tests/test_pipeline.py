@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakward
+from leakward import memo
 from leakward import syntax as sx
 from leakward.checker import Warning
 from leakward.fuzz import fuzz_libspec, generate_source
@@ -268,7 +269,8 @@ def test_transforms_off_runs_no_first_inference_or_check(monkeypatch, corpus_dir
     # the pipeline carries the parse through every stage: it is checked for
     # w_orig, then inferred and checked for w_xform; with transforms on, a
     # first inference and check in between feed inject_finalizers (the fix
-    # stage's own inferences and checks read its copy)
+    # stage's own inferences and checks read its copy); a stage may hand
+    # them the parse's version rather than the parse
     import leakward.pipeline as pipeline
 
     text = (corpus_dir / "writer_wrapper.mj").read_text()
@@ -277,7 +279,7 @@ def test_transforms_off_runs_no_first_inference_or_check(monkeypatch, corpus_dir
         real = getattr(pipeline, name)
 
         def recorded(prog, *args, _real=real, _name=name):
-            if prog is program:
+            if (prog.program if isinstance(prog, memo.ProgramVersion) else prog) is program:
                 calls.append(_name)
             return _real(prog, *args)
 

@@ -229,6 +229,42 @@ def test_a_pre_close_past_the_nesting_limit_is_planned_unfixable(target):
             assert status == ("unfixable", "NoIrMatch") and report.exit_code == 2
 
 
+def test_a_corpus_loop_allocation_is_unfixable_for_its_loop(corpus_dir, libspec):
+    prog = parse((corpus_dir / "loop_alloc.mj").read_text(), "loop_alloc.mj")
+    specs = infer_specs(prog, libspec)
+    (w,) = check_program(prog, specs, libspec)
+    plan = _plan(w, prog, specs, lib=libspec)
+    assert isinstance(plan, Unfixable)
+    assert (plan.reason, plan.detail) == ("NoIrMatch", "allocation is inside a loop")
+
+
+NO_SLOT = {
+    "allocation is inside a loop": "Socket k = null; while (k == null) { Socket s = new Socket(); s.send(\"x\"); }",
+    "allocation is in an if condition": "if (new Socket() != null) { }",
+    "allocation is in a while condition": "while (new Socket() == null) { }",
+}
+
+
+@pytest.mark.parametrize("detail", sorted(NO_SLOT))
+def test_a_wrap_without_a_statement_slot_names_the_cause(detail):
+    plan, prog, w = _plan_first(f"class A {{ static void main() {{ {NO_SLOT[detail]} }} }}")
+    assert isinstance(plan, Unfixable) and (plan.reason, plan.detail) == ("NoIrMatch", detail)
+    # a wrap anchored there anyway fails with the same cause
+    wrap = RepairPlan(
+        warning_id=w.id,
+        template=TRY_FINALLY_WRAP,
+        anchors={"expr": w.ast_nid},
+        finalizer_method="close",
+        finalizer_methods=("close",),
+        resource_class="Socket",
+        class_name=w.class_name,
+        method_name=w.method_name,
+    )
+    with pytest.raises(MaterializationFailure) as err:
+        apply_plan_in_place(prog, wrap)
+    assert (err.value.reason, err.value.detail) == ("StaleAnchor", detail)
+
+
 def test_plan_unfixable_on_return_escape():
     src = """class A {
   static Socket partial(String m) {
