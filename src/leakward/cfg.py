@@ -18,8 +18,9 @@ checker's obligation dataflow and the escape taint each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index and the reverse postorder when the CFG is built, liveness on first use
-(`Cfg.live_in`). The memo's copies of a stored CFG share all three.
+index, the reverse postorder and `solve`'s ranks and in-edge keys when the
+CFG is built, liveness on first use (`Cfg.live_in`). The memo's copies of a
+stored CFG share them all.
 """
 
 from __future__ import annotations
@@ -141,13 +142,19 @@ class Cfg:
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # `solve`'s setup per direction (backward?): each node's rank in the
+    # visiting order, and the (source, target) keys of the edges it meets
+    _ranks: dict[bool, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _in_keys: dict[bool, list[tuple[tuple[int, int], ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # liveness, solved on first use; a one-slot list, so that the shallow
     # copies the memo hands out share it with the stored CFG
     _live: list[tuple[frozenset[str], ...]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def index_edges(self) -> None:
-        """Build the adjacency index and the reverse postorder; lowering calls
-        it once `edges` is final."""
+        """Build the adjacency index, the reverse postorder and `solve`'s
+        ranks and in-edge keys; lowering calls it once `edges` is final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
@@ -158,6 +165,15 @@ class Cfg:
             pred[k][t].append(f)
         self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
         self._rpo = self._reverse_postorder()
+        for backward in (False, True):
+            rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # nodes unreachable from entry go last
+            for i, n in enumerate(reversed(self._rpo) if backward else self._rpo):
+                rank[n] = i
+            self._ranks[backward] = rank
+        keys: dict[tuple[int, int], tuple[int, int]] = {}  # one key per edge, shared by both directions
+        preds, succs = self._pred[None], self._succ[None]
+        self._in_keys[False] = [tuple(keys.setdefault((m, n), (m, n)) for m in ms) for n, ms in enumerate(preds)]
+        self._in_keys[True] = [tuple(keys[(n, m)] for m in ms) for n, ms in enumerate(succs)]
 
     def succs(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
         """Successors of `n` along edges of `kind` (any kind when None), in `edges` order."""
@@ -734,14 +750,7 @@ def solve(
     fact of every edge, keyed (source, target) in CFG direction. Raises
     RuntimeError when the flow does not converge.
     """
-    order = reversed(cfg._rpo) if backward else cfg._rpo
-    rank = [len(cfg._rpo) + n for n in range(len(cfg.nodes))]  # nodes unreachable from entry go last
-    for i, n in enumerate(order):
-        rank[n] = i
-    if backward:
-        in_keys = [tuple((n, m) for m in ms) for n, ms in enumerate(cfg._succ[None])]
-    else:
-        in_keys = [tuple((m, n) for m in ms) for n, ms in enumerate(cfg._pred[None])]
+    rank, in_keys = cfg._ranks[backward], cfg._in_keys[backward]
     heap = sorted((rank[n], n) for n in seeds)
     queued = set(seeds)
     facts: dict[int, Fact] = {}

@@ -41,6 +41,13 @@ dies. Its dicts make a `CheckFact` unhashable.
 Warning ordinals come from a table built once per (kind, token) per checker
 run, not from a walk of the method per emitted warning.
 
+A run reads its specs only through a `SpecReader`: must-call sets
+(`must_call_for`, `tracked`) and the ownership of stored fields. From the
+AST it reads field types and `final`, callees' parameters with their
+`@Owning`, and the `@NotOwning` of callees and of the method itself, and
+positions only for `Warning.line`. The memo keys a run on exactly these
+(`memo`).
+
 Warning ids hash a structural descriptor (class, method, resource, ordinal),
 never line numbers, so inserting blank lines changes no ids.
 """
@@ -56,15 +63,7 @@ from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, ProgramVersion, version_of
-from .specs import (
-    NOT_OWNING,
-    OWNING,
-    SpecSet,
-    is_resource_type,
-    method_return_ownership,
-    param_ownership,
-    resource_must_call,
-)
+from .specs import NOT_OWNING, OWNING, SpecReader, SpecSet, method_return_ownership, param_ownership
 
 UNSATISFIED_OBLIGATION = "UnsatisfiedObligation"
 OWNING_FIELD_OVERWRITE = "OwningFieldOverwrite"
@@ -308,11 +307,11 @@ class _OutFact:
 
 
 class _MethodChecker:
-    def __init__(self, cfg: C.Cfg, specs: SpecSet, libspec: LibrarySpec):
+    def __init__(self, cfg: C.Cfg, specs: SpecReader):
         assert cfg.program is not None, "Cfg must carry its program"
         self.cfg = cfg
         self.specs = specs
-        self.libspec = libspec
+        self.libspec = specs.libspec
         self.program = cfg.program
         self.cls = cfg.class_ast
         self.method = cfg.method_ast
@@ -340,10 +339,10 @@ class _MethodChecker:
         return self.call_ret_class.get(origin[1], "?")
 
     def must_call_for(self, class_name: str) -> frozenset[str]:
-        return resource_must_call(class_name, self.specs, self.libspec)
+        return self.specs.must_call(class_name)
 
     def tracked(self, class_name: str) -> bool:
-        return is_resource_type(class_name, self.specs, self.libspec)
+        return bool(self.specs.must_call(class_name))  # `is_resource_type`
 
     def insufficient(self, origin: Origin, st: SiteState) -> bool:
         return not st.resolved and not st.called >= self.must_call_for(self.origin_class(origin))
@@ -704,13 +703,21 @@ def method_run(
 ) -> tuple[list[Warning], Optional[CheckFact]]:
     """One checker run of a method of `version`: its warnings, and the meet of
     its facts on the exit node's normal in-edges (None if no normal path
-    completes). Run once per version and specs."""
+    completes). The memo reuses a run of the same member under specs that
+    give each of its spec reads the same value; a warning's line is read
+    from `version`'s program, since a reused run may have been made where
+    positions differ."""
 
-    def run() -> tuple[list[Warning], Optional[CheckFact]]:
-        checker = _MethodChecker(version.cfg(cls, meth), specs, version.libspec)
+    def run(reader: SpecReader) -> tuple[list[Warning], Optional[CheckFact]]:
+        checker = _MethodChecker(version.cfg(cls, meth), reader)
         return checker.run(), checker.exit_fact
 
-    return version.remember(cls, meth, specs, run)
+    warnings, exit_fact = version.remember(cls, meth, specs, run)
+    pos_of = version.program.pos_of
+    if any(w.line != pos_of(w.ast_nid)[0] for w in warnings):
+        moved = (replace(w, line=pos_of(w.ast_nid)[0]) for w in warnings)
+        warnings = sorted(moved, key=lambda w: (w.file, w.line, w.kind, w.id))
+    return warnings, exit_fact
 
 
 def check_program(program: ProgramOrVersion, specs: SpecSet, libspec: LibrarySpec) -> list[Warning]:

@@ -1,4 +1,5 @@
-"""A memo of CFGs and checker runs for one program family.
+"""A memo of CFGs and checker runs for one program family, keyed on what
+each entry reads.
 
 Every module gets a method's CFG, and runs the checker on a method, through
 a `ProgramVersion(program, libspec)`: `ProgramVersion.cfg` is the one caller
@@ -10,10 +11,10 @@ Who takes a version, and when: each entry point (`check_program`,
 `validate_patch`, the pipeline's stages) accepts a program or a version and
 reads it through `version_of`. A bare program gets a fresh version per call,
 so an edit between two calls is seen. The pipeline takes one version per
-program state and hands it from stage to stage, so each state is hashed
-once: a stage that edits (a transform, `write_specs`, a fix round that
+program state and hands it from stage to stage, so each state's keys are
+taken once: a stage that edits (a transform, `write_specs`, a fix round that
 applied a plan) hands back a new version, or the one it was given when it
-edited nothing, and a deep copy of a program gets its original's key
+edited nothing, and a deep copy of a program gets its original's keys
 (`ProgramVersion.copied`).
 
 The memo holds one program family's entries under one library spec. A
@@ -21,20 +22,44 @@ family is the copies of one parse: they share `Program.nid`, which
 `Program.__deepcopy__` keeps and a reparse renews. A lookup on another
 family, or under another libspec object, replaces the table.
 
-A version's key is a blake2b digest of the pickled program, taken at the
-version's first lookup, which covers every AST field: nids, annotations with
-their provenance, `line_index` and `source_name`. Equal digests therefore
-mean equal inputs, so an in-place edit is seen and no result depends on
-when the table is replaced. The table holds two kinds of entries:
+What an entry reads. The checker is intraprocedural and modular, so a
+member's lowering and checker run read its own body and signature, the
+shapes of the classes it names, the library spec, and, for a run, some spec
+entries:
 
-  (digest, class, member key) -> Cfg. A hit is a shallow copy of the stored
-      Cfg, rebound to the caller's program, class and method. It shares the
-      graph facts kept with the stored Cfg: its adjacency index and reverse
-      postorder, built at lowering, and its liveness, solved at the first
+  - the lowering reads the body, the class of each bare name, the declared
+    type and `static` of fields, and callees' return types;
+  - a run reads the CFG, the declared type and `final` of fields, callees'
+    parameters with their `@Owning`, callees' and its own `@NotOwning`, and
+    the must-call sets and field ownership of its specs.
+
+So a version's keys (`member_keys`), taken in one pass at its first lookup
+from pickles alone, are a digest of each member's body (nids and allocation
+sites included) and one digest of the file name and the class shapes: class
+names, `implements`, fields with their types and modifiers, and every
+member's signature, with each parameter's `@Owning` and the member's
+`@NotOwning`, which the checker reads from callee ASTs. Positions are out of
+the keys: lowering reads them only to raise an error, which is never
+stored, and a run only for `Warning.line`, which `method_run` reads from the
+caller's program. Every other annotation is out as well: the checker reads
+`@MustCall`, field `@Owning` and `@EnsuresCalledMethods` only as specs. So
+an annotation from `write_specs`, a fix in another method, or a moved line
+leaves an entry valid, and an entry outlives the version that made it.
+
+The table holds two kinds of entries, under (class shapes, class, member
+key, body):
+
+  ("cfg", ...) -> Cfg. A hit is a shallow copy of the stored Cfg, rebound
+      to the caller's program, class and method. It shares the graph facts
+      kept with the stored Cfg: its adjacency index, reverse postorder and
+      solver ranks, built at lowering, and its liveness, solved at the first
       `Cfg.live_in` on the stored Cfg or any hit.
-  (digest, class, member key, spec key) -> a checker run's result. The spec
-      key is `SpecSet.to_json()`: must-call sets, field ownership and
-      ensures, without provenance, which the checker does not read.
+  ("run", ...) -> [(SpecReads, result)]. A run reads its specs only through
+      a `SpecReader`, which records the must-call set of each class and the
+      ownership of each field it asks for. A lookup hits the first stored
+      run whose every read gives the same value under the caller's specs:
+      a run is deterministic, so under such specs it would make the same
+      reads and compute the same result.
 
 A miss calls the module-level `cfg.lower`, and the first `Cfg.live_in` of a
 lowering calls the module-level `cfg.liveness`, so counts of those calls
@@ -45,15 +70,15 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 import pickle
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, TypeVar, Union
 
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
-from .specs import SpecSet
+from .specs import SpecReader, SpecReads, SpecSet, method_return_ownership, param_ownership
 
 T = TypeVar("T")
 
@@ -61,12 +86,36 @@ T = TypeVar("T")
 _family: tuple[int, LibrarySpec, dict[tuple, object]] = (0, LibrarySpec(), {})
 
 
-def digest(program: sx.Program) -> bytes:
-    return hashlib.blake2b(pickle.dumps(program, pickle.HIGHEST_PROTOCOL)).digest()
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+@dataclass(frozen=True)
+class MemberKeys:
+    """What a program state's entries are keyed on."""
+
+    shapes: bytes  # digest of the file name and the class shapes
+    bodies: dict[tuple[str, str], bytes]  # (class, member key) -> digest of the member's body
+
+
+def member_keys(program: sx.Program) -> MemberKeys:
+    """The keys of `program` as it is now: one pickle per member body and one
+    of the class shapes, with no walk of a body."""
+    bodies: dict[tuple[str, str], bytes] = {}
+    shapes = []
+    for cls in program.classes:
+        members = []
+        for meth in cls.all_methods():
+            bodies[(cls.name, sx.member_key(meth))] = _digest(pickle.dumps(meth.body, pickle.HIGHEST_PROTOCOL))
+            params = tuple((p.type_name, p.name, param_ownership(p)) for p in meth.params)
+            members.append((meth.name, meth.return_type, meth.modifiers, params, method_return_ownership(meth)))
+        fields = tuple((f.name, f.declared_type, f.modifiers) for f in cls.fields)
+        shapes.append((cls.name, cls.implements, fields, tuple(members)))
+    return MemberKeys(_digest(pickle.dumps((program.source_name, shapes), pickle.HIGHEST_PROTOCOL)), bodies)
 
 
 class ProgramVersion:
-    """A program as it is now, analysed under one library spec: the key of
+    """A program as it is now, analysed under one library spec: the keys of
     its entries in its family's table."""
 
     def __init__(self, program: sx.Program, libspec: LibrarySpec):
@@ -74,9 +123,9 @@ class ProgramVersion:
         self.libspec = libspec
 
     @cached_property
-    def _key(self) -> bytes:
+    def keys(self) -> MemberKeys:
         """Taken at the first lookup; the program is unedited since the version was taken."""
-        return digest(self.program)
+        return member_keys(self.program)
 
     def edited(self) -> "ProgramVersion":
         """A new version of this version's program, after an edit to it."""
@@ -84,11 +133,11 @@ class ProgramVersion:
 
     def copied(self, program: sx.Program) -> "ProgramVersion":
         """A version of `program`, a deep copy of this version's program.
-        `Program.__deepcopy__` is a pickle round trip of exactly the state
-        the key hashes, so the copy has this version's key (taken now if it
-        was not yet)."""
+        `Program.__deepcopy__` is a pickle round trip, which keeps every
+        state the keys read, so the copy has this version's keys (taken now
+        if they were not yet)."""
         twin = ProgramVersion(program, self.libspec)
-        twin._key = self._key
+        twin.keys = self.keys
         return twin
 
     def _entries(self) -> dict[tuple, object]:
@@ -99,10 +148,15 @@ class ProgramVersion:
             _family = (self.program.nid, self.libspec, entries := {})
         return entries
 
+    def _key(self, kind: str, cls: sx.ClassDecl, meth: sx.MethodDecl) -> tuple:
+        keys = self.keys
+        member = (cls.name, sx.member_key(meth))
+        return (kind, keys.shapes, *member, keys.bodies[member])
+
     def cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
-        """`cfg.lower(program, cls, meth, libspec)`, lowered once per version."""
+        """`cfg.lower(program, cls, meth, libspec)`, lowered once per member key."""
         entries = self._entries()
-        key = ("cfg", self._key, cls.name, sx.member_key(meth))
+        key = self._key("cfg", cls, meth)
         stored = entries.get(key)
         if stored is None:
             entries[key] = stored = C.lower(self.program, cls, meth, self.libspec)
@@ -111,13 +165,21 @@ class ProgramVersion:
         hit.program, hit.class_ast, hit.method_ast = self.program, cls, meth
         return hit
 
-    def remember(self, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet, compute: Callable[[], T]) -> T:
-        """compute(), a pure function of this version's `meth` and `specs`, run once per version."""
-        key = ("run", self._key, cls.name, sx.member_key(meth), json.dumps(specs.to_json(), sort_keys=True))
-        entries = self._entries()
-        if key not in entries:
-            entries[key] = compute()
-        return entries[key]
+    def remember(
+        self, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet, compute: Callable[[SpecReader], T]
+    ) -> T:
+        """compute(reader), a pure function of this version's `meth` and of
+        what it reads through `reader`, a `SpecReader` of `specs`; run once
+        per member key and set of read values."""
+        key = self._key("run", cls, meth)
+        runs: list[tuple[SpecReads, T]] = self._entries().setdefault(key, [])  # type: ignore[assignment]
+        for reads, result in runs:
+            if reads.hold_under(specs, self.libspec):
+                return result
+        reader = SpecReader(specs, self.libspec)
+        result = compute(reader)
+        runs.append((reader.reads, result))
+        return result
 
 
 ProgramOrVersion = Union[sx.Program, ProgramVersion]

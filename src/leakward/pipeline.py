@@ -270,11 +270,14 @@ class FileResult(FixOutcome):
 
     name: str
     transformed: sx.Program
-    version: memo.ProgramVersion = dc_field(repr=False, compare=False)  # of `transformed`, read for w_xform
     w_orig: list[Warning]
     w_xform: list[Warning]
     edit_log: EditLog
     specs: SpecSet
+    # the version of `transformed` that w_xform was checked on; `run_pipeline`
+    # reads it for the file's shift map and then drops it, so that a report
+    # holds no memo keys
+    version: Optional[memo.ProgramVersion] = dc_field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -440,8 +443,8 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     # stages 7-8: plan, apply, validate
     fixed = fix_stage(version, w_xform, libspec, config)
     return FileResult(
-        **vars(fixed), name=program.source_name, transformed=program, version=version, w_orig=w_orig,
-        w_xform=w_xform, edit_log=edit_log, specs=specs2,
+        **vars(fixed), name=program.source_name, transformed=program, w_orig=w_orig, w_xform=w_xform,
+        edit_log=edit_log, specs=specs2, version=version,
     )
 
 
@@ -452,29 +455,39 @@ def run_pipeline(
     stages share the memo of its program family (`memo`), whose entries the
     next file's parse replaces. A file that does not parse,
     lower or annotate is left out with an entry in `errors` and exit code 4
-    (unless a validation failure makes it 3)."""
+    (unless a validation failure makes it 3). A file whose shift map is
+    ambiguous keeps its results and gets an entry in `errors`; each of its
+    `w_xform` warnings is its own root, and the other files' maps are
+    unchanged."""
     config = config or PipelineConfig()
     files: dict[str, FileResult] = {}
     errors: list[str] = []
+    shift_errors: list[str] = []
+    # roots never cross files, so each file's shift map is built on its own,
+    # right after its run, while its family's entries are current; an
+    # ambiguous one maps only that file's warnings to themselves
+    shift_map = ShiftMap(pairs={}, multiplicity={}, fixed_counts={})
     for name, text in sorted(sources):
         try:
-            files[name] = run_file_pipeline(parse(text, name), libspec, config)
+            fr = files[name] = run_file_pipeline(parse(text, name), libspec, config)
         except FILE_ERRORS as e:
             errors.append(f"{name}: {type(e).__name__}: {e}")
+            continue
+        version, fr.version = fr.version, None
+        try:
+            part = build_shift_map(fr.w_orig, fr.w_xform, {name: fr.specs}, {name: version}, libspec)
+        except AmbiguousMapping as e:
+            shift_errors.append(f"shift-map: {name}: {e}")  # an entry "{name}: ..." marks a file left out
+            part = ShiftMap(pairs={w.id: w.id for w in fr.w_xform}, multiplicity={}, fixed_counts={})
+            for w in fr.w_xform:
+                part.multiplicity[w.id] = part.multiplicity.get(w.id, 0) + 1
+        shift_map.pairs.update(part.pairs)
+        shift_map.multiplicity.update(part.multiplicity)
     bad_files = bool(errors)
+    errors += shift_errors
 
     w_orig_all = [w for fr in files.values() for w in fr.w_orig]
     w_xform_all = [w for fr in files.values() for w in fr.w_xform]
-
-    specs_by_file = {fr.name: fr.specs for fr in files.values()}
-    programs_by_file = {fr.name: fr.version for fr in files.values()}
-    try:
-        shift_map = build_shift_map(w_orig_all, w_xform_all, specs_by_file, programs_by_file, libspec)
-    except AmbiguousMapping as e:
-        errors.append(f"shift-map: {e}")
-        shift_map = ShiftMap(pairs={w.id: w.id for w in w_xform_all}, multiplicity={}, fixed_counts={})
-        for w in w_xform_all:
-            shift_map.multiplicity[w.id] = shift_map.multiplicity.get(w.id, 0) + 1
 
     dispositions_xform: dict[str, tuple[str, str]] = {}
     for fr in files.values():

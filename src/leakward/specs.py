@@ -3,6 +3,10 @@
 A SpecSet aggregates @MustCall, field ownership, and @EnsuresCalledMethods
 facts for user classes, whether declared in source, inferred, or injected.
 Library classes are covered by LibrarySpec, not by SpecSet.
+
+A checker run reads its SpecSet through a `SpecReader`, which records each
+read (`SpecReads`), so that the memo can reuse the run under any SpecSet
+that gives every one of those reads the same value.
 """
 
 from __future__ import annotations
@@ -132,6 +136,43 @@ def resource_must_call(class_name: str, specs: SpecSet, libspec: LibrarySpec) ->
     if libspec.has_class(class_name):
         return libspec.must_call(class_name)
     return specs.class_mustcall.get(class_name, EMPTY_MUST_CALL).methods
+
+
+@dataclass
+class SpecReads:
+    """The spec entries one checker run read, with the value it got for each."""
+
+    must_call: dict[str, frozenset[str]] = field(default_factory=dict)  # class -> resource_must_call
+    ownership: dict[tuple[str, str], str] = field(default_factory=dict)  # (class, field) -> SpecSet.ownership
+
+    def hold_under(self, specs: SpecSet, libspec: LibrarySpec) -> bool:
+        """Whether `specs` gives every read the value it got."""
+        return all(resource_must_call(c, specs, libspec) == mc for c, mc in self.must_call.items()) and all(
+            specs.ownership(c, f) == own for (c, f), own in self.ownership.items()
+        )
+
+
+class SpecReader:
+    """A checker run's one way into its SpecSet: must-call sets and field
+    ownership, each read once and recorded in `reads`."""
+
+    def __init__(self, specs: SpecSet, libspec: LibrarySpec):
+        self.libspec = libspec
+        self._specs = specs
+        self.reads = SpecReads()
+
+    def must_call(self, class_name: str) -> frozenset[str]:
+        methods = self.reads.must_call.get(class_name)
+        if methods is None:
+            methods = self.reads.must_call[class_name] = resource_must_call(class_name, self._specs, self.libspec)
+        return methods
+
+    def ownership(self, class_name: str, field_name: str) -> str:
+        key = (class_name, field_name)
+        own = self.reads.ownership.get(key)
+        if own is None:
+            own = self.reads.ownership[key] = self._specs.ownership(class_name, field_name)
+        return own
 
 
 def method_return_ownership(method: sx.MethodDecl) -> str:

@@ -17,7 +17,7 @@ from leakward.escape import taint_fixpoint
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.libspec import LibrarySpec, load_library_spec
 from leakward.parser import parse
-from leakward.specs import OWNING, SpecSet, method_return_ownership, param_ownership
+from leakward.specs import OWNING, SpecReader, SpecSet, method_return_ownership, param_ownership
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -57,10 +57,11 @@ def corpus_mutants(count: int = 600, seed: int = 1) -> list[tuple[str, str]]:
 @contextmanager
 def memo_bypassed() -> Iterator[None]:
     """Every `ProgramVersion.cfg` lowers afresh and every `remember` computes
-    afresh until the block ends: the memo-free reference the memo must equal."""
+    afresh, with a fresh spec reader, until the block ends: the memo-free
+    reference the memo must equal."""
     saved = ProgramVersion.cfg, ProgramVersion.remember
     ProgramVersion.cfg = lambda self, cls, meth: C.lower(self.program, cls, meth, self.libspec)
-    ProgramVersion.remember = lambda self, cls, meth, specs, compute: compute()
+    ProgramVersion.remember = lambda self, cls, meth, specs, compute: compute(SpecReader(specs, self.libspec))
     try:
         yield
     finally:

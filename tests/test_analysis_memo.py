@@ -5,10 +5,15 @@ Every lowering goes through it, and it needs no scope: no version of a method
 is lowered twice in one pipeline run, a read-only check lowers each member
 once, a second parse replaces the first one's entries, and liveness is solved
 at most once per lowering. The pipeline hands versions from stage to stage:
-no version is read after an edit to its program, and a run hashes each
-program state once."""
+no version is read after an edit to its program, and a run takes each
+program state's keys once. An entry is keyed on what it reads: an edit to
+one method, an annotation from `write_specs`, a spec change to a class a
+member never reads, and a moved position each leave the other entries hits,
+while a callee's ownership annotations and a field's `final` are read."""
 
 import copy
+import hashlib
+import pickle
 from collections import Counter
 from contextlib import nullcontext
 
@@ -16,16 +21,17 @@ import pytest
 
 from helpers import corpus_mutants, memo_bypassed
 from leakward import cfg as C
+from leakward import checker as K
 from leakward import memo
 from leakward import syntax as sx
 from leakward.checker import check_program
 from leakward.fuzz import fuzz_libspec, generate_source
-from leakward.inference import infer_specs
+from leakward.inference import infer_specs, write_specs
 from leakward.libspec import LibrarySpec
 from leakward.parser import parse
 from leakward.pipeline import FixOutcome, PipelineConfig, run_file_pipeline, run_pipeline
 from leakward.printer import pretty_print
-from leakward.specs import SpecSet
+from leakward.specs import MustCallSet, SpecSet
 
 LOWER = C.lower
 
@@ -84,13 +90,58 @@ def test_memoised_pipeline_equals_memo_free(corpus_sources, libspec, monkeypatch
     assert lowerings["memoised"] < lowerings["memo-free"]
 
 
+def _toggle(annotations: list, kind: str) -> None:
+    """Remove the annotation of `kind`, or add one when there is none."""
+    held = [a for a in annotations if a.kind == kind]
+    if held:
+        annotations.remove(held[0])
+    else:
+        annotations.append(sx.Annotation(kind=kind))
+
+
+def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sources, libspec):
+    """The checker reads a field's `final`, a callee's parameter `@Owning`
+    and its `@NotOwning` from the AST: toggled one after another in place,
+    each check still equals a memo-free one."""
+    toggled = 0
+    for name, text, lib in _sources(corpus_sources, libspec):
+        prog = parse(text, name)
+        specs = infer_specs(prog, lib)
+        check_program(prog, specs, lib)
+        edits = []
+        for cls in prog.classes:
+            edits += [(fld, "final") for fld in cls.fields]
+            for meth in cls.all_methods():
+                edits += [(p.annotations, sx.OWNING) for p in meth.params]
+                edits += [(meth.annotations, sx.NOT_OWNING)] if not meth.is_constructor else []
+        for target, kind in edits:
+            if kind == "final":
+                kept = tuple(m for m in target.modifiers if m != kind)
+                target.modifiers = kept if target.has(kind) else (*kept, kind)
+            else:
+                _toggle(target, kind)
+            with memo_bypassed():
+                memo_free = check_program(prog, specs, lib)
+            assert check_program(prog, specs, lib) == memo_free, (name, kind)
+            toggled += 1
+    assert toggled > 100
+
+
+def _member_key(program, cls, meth) -> tuple:
+    """The memo's key of a member of `program` as it is now: (class shapes,
+    class, member, body)."""
+    keys = memo.member_keys(program)
+    member = (cls.name, sx.member_key(meth))
+    return (keys.shapes, *member, keys.bodies[member])
+
+
 def _lowerings_by_member(monkeypatch) -> Counter:
-    """Counts of `cfg.lower` calls per (program digest, class, member) from
-    now on, until the next call starts a new count."""
+    """Counts of `cfg.lower` calls per member key from now on, until the
+    next call starts a new count."""
     lowered: Counter = Counter()
 
     def recording(program, cls, meth, *rest):
-        lowered[(memo.digest(program), cls.name, sx.member_key(meth))] += 1
+        lowered[_member_key(program, cls, meth)] += 1
         return LOWER(program, cls, meth, *rest)
 
     monkeypatch.setattr(C, "lower", recording)
@@ -98,13 +149,13 @@ def _lowerings_by_member(monkeypatch) -> Counter:
 
 
 def test_no_method_version_is_lowered_twice_in_a_pipeline_run(corpus_sources, libspec, monkeypatch):
-    runs: list[Counter] = []  # lowerings per (program digest, class, member), one per run_pipeline call
+    runs: list[Counter] = []  # lowerings per member key, one per run_pipeline call
     for name, text, lib in _sources(corpus_sources, libspec):
         lowered = _lowerings_by_member(monkeypatch)
         run_pipeline([(name, text)], lib)
         runs.append(lowered)
     assert len(runs) == len(corpus_sources) + 50 and all(runs)
-    twice = [(cls, member) for lowered in runs for (_d, cls, member), n in lowered.items() if n > 1]
+    twice = [(cls, member) for lowered in runs for (_s, cls, member, _b), n in lowered.items() if n > 1]
     assert twice == []
 
 
@@ -115,7 +166,7 @@ def test_a_read_only_check_lowers_each_member_once(corpus_sources, libspec, monk
         check_program(program, infer_specs(program, lib), lib)
         check_program(program, SpecSet.from_declared(program), lib)
         members = {(cls.name, sx.member_key(meth)) for cls in program.classes for meth in cls.all_methods()}
-        assert {(cls, member) for _d, cls, member in lowered} == members, name
+        assert {(cls, member) for _s, cls, member, _b in lowered} == members, name
         assert set(lowered.values()) == {1}, name
 
 
@@ -143,14 +194,14 @@ def test_one_program_under_two_library_specs_gets_each_ones_result(libspec):
 
 
 def test_liveness_is_solved_at_most_once_per_lowered_method_version(corpus_sources, libspec, monkeypatch):
-    lowered: dict[int, tuple] = {}  # id of a lowered CFG's node list -> (digest, class, member)
+    lowered: dict[int, tuple] = {}  # id of a lowered CFG's node list -> member key
     kept: list = []  # the node lists, so that no id is reused
     solved: Counter = Counter()
     original_lower, original_liveness = C.lower, C.liveness
 
     def recording_lower(program, cls, meth, *rest):
         g = original_lower(program, cls, meth, *rest)
-        lowered[id(g.nodes)] = (memo.digest(program), cls.name, sx.member_key(meth))
+        lowered[id(g.nodes)] = _member_key(program, cls, meth)
         kept.append(g.nodes)
         return g
 
@@ -246,7 +297,7 @@ def test_no_version_is_read_after_an_edit_to_its_program(corpus_sources, libspec
         def rehashed(self, *args, _real=real):
             nonlocal lookups
             lookups += 1
-            assert memo.digest(self.program) == self._key, "a version outlived an edit to its program"
+            assert memo.member_keys(self.program) == self.keys, "a version outlived an edit to its program"
             return _real(self, *args)
 
         monkeypatch.setattr(memo.ProgramVersion, name, rehashed)
@@ -255,19 +306,180 @@ def test_no_version_is_read_after_an_edit_to_its_program(corpus_sources, libspec
     assert lookups > 0
 
 
+def _state(program: sx.Program) -> bytes:
+    """A digest of everything a program holds: one per program state."""
+    return hashlib.blake2b(pickle.dumps(program, pickle.HIGHEST_PROTOCOL)).digest()
+
+
 def test_a_pipeline_run_hashes_each_program_state_once(corpus_sources, libspec, monkeypatch):
-    hashed: list[bytes] = []
-    real = memo.digest
+    keyed: list[bytes] = []  # the state of each program whose keys were taken
+    real = memo.member_keys
 
     def recorded(program):
-        hashed.append(real(program))
-        return hashed[-1]
+        keyed.append(_state(program))
+        return real(program)
 
-    monkeypatch.setattr(memo, "digest", recorded)
+    monkeypatch.setattr(memo, "member_keys", recorded)
     total = 0
     for sources, lib, config in _handoff_runs(corpus_sources, libspec):
-        hashed.clear()
+        keyed.clear()
         run_pipeline(sources, lib, config)
-        assert len(set(hashed)) == len(hashed), [name for name, _text in sources]
-        total += len(hashed)
+        assert len(set(keyed)) == len(keyed), [name for name, _text in sources]
+        total += len(keyed)
     assert total > 0
+
+
+# --- what an entry reads: member keys and spec reads --------------------------
+
+TWO_CLASSES = """class W {
+  private FileInputStream s;
+
+  W() {
+    s = new FileInputStream("p");
+  }
+  void close() {
+    s.close();
+  }
+  void read() {
+    s.read();
+  }
+}
+class M {
+  static void main() {
+    W w = new W();
+    w.read();
+    w.close();
+  }
+  static void other() {
+    FileInputStream f = new FileInputStream("q");
+  }
+}
+"""
+
+
+def _work_by_member(monkeypatch) -> tuple[Counter, Counter]:
+    """Counts of lowerings and of checker runs per (class, member) from now on."""
+    lowered: Counter = Counter()
+    ran: Counter = Counter()
+    real_run = K._MethodChecker.run
+
+    def lowering(program, cls, meth, *rest):
+        lowered[(cls.name, sx.member_key(meth))] += 1
+        return LOWER(program, cls, meth, *rest)
+
+    def running(self):
+        ran[(self.cfg.class_name, self.cfg.method_name)] += 1
+        return real_run(self)
+
+    monkeypatch.setattr(C, "lower", lowering)
+    monkeypatch.setattr(K._MethodChecker, "run", running)
+    return lowered, ran
+
+
+def _memo_free_check(prog, specs, libspec):
+    with memo_bypassed():
+        return check_program(prog, specs, libspec)
+
+
+def _call(receiver: str, method: str) -> sx.ExprStmt:
+    return sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=receiver), method=method, args=[]))
+
+
+def test_editing_one_method_leaves_every_other_members_cfg_and_run_a_hit(libspec, monkeypatch):
+    prog = parse(TWO_CLASSES, "two.mj")
+    specs = infer_specs(prog, libspec)
+    before = check_program(prog, specs, libspec)
+    assert [w.method_name for w in before] == ["<init>#0", "other"]  # an unfiltered first write, and `f`
+    other = prog.class_named("M").method_named("other")
+    other.body.stmts.append(close := _call("f", "close"))
+    prog.adopt(close, other.body.stmts[0])
+    lowered, ran = _work_by_member(monkeypatch)
+    after = check_program(prog, specs, libspec)
+    assert (lowered, ran) == (Counter({("M", "other"): 1}), Counter({("M", "other"): 1}))
+    assert after == _memo_free_check(prog, specs, libspec) == before[:1]
+
+
+def test_write_specs_alone_leaves_every_cfg_a_hit(libspec, monkeypatch):
+    prog = parse(TWO_CLASSES, "two.mj")
+    specs = infer_specs(prog, libspec)
+    warnings = check_program(prog, specs, libspec)
+    lowered, ran = _work_by_member(monkeypatch)
+    text = pretty_print(prog)
+    write_specs(prog, specs)
+    assert pretty_print(prog) != text  # @MustCall, @Owning and @EnsuresCalledMethods were written
+    assert infer_specs(prog, libspec).to_json() == specs.to_json()
+    assert check_program(prog, specs, libspec) == warnings
+    assert (lowered, ran) == (Counter(), Counter())
+
+
+OWNERSHIP_CALLS = """class Sink {
+  void take(FileInputStream f) {
+  }
+}
+class Maker {
+  FileInputStream open() {
+    return new FileInputStream("x");
+  }
+}
+class M {
+  static void main() {
+    Sink k = new Sink();
+    FileInputStream a = new FileInputStream("a");
+    k.take(a);
+    Maker m = new Maker();
+    FileInputStream b = m.open();
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("toggled", ["param @Owning", "method @NotOwning"])
+def test_toggling_a_callees_ownership_makes_its_callers_runs_miss(libspec, monkeypatch, toggled):
+    prog = parse(OWNERSHIP_CALLS, "own.mj")
+    specs = SpecSet.from_declared(prog)
+    if toggled == "param @Owning":
+        annotations, callee = prog.class_named("Sink").method_named("take").params[0].annotations, "a"
+    else:
+        annotations, callee = prog.class_named("Maker").method_named("open").annotations, "b"
+    seen = []
+    for _ in range(4):  # off, on, off, on: the last two are hits on the first two states' runs
+        lowered, ran = _work_by_member(monkeypatch)
+        warnings = check_program(prog, specs, libspec)
+        assert warnings == _memo_free_check(prog, specs, libspec)
+        seen.append(({(w.method_name, w.line) for w in warnings}, ran[("M", "main")]))
+        _toggle(annotations, sx.OWNING if toggled == "param @Owning" else sx.NOT_OWNING)
+    line = {"a": 13, "b": 16}[callee]
+    assert ("main", line) in seen[0][0] and ("main", line) not in seen[1][0]
+    # each check runs `main` once memo-free, and once more when the memo misses
+    assert [main_runs for _warned, main_runs in seen] == [2, 2, 1, 1]
+
+
+def test_a_spec_change_to_a_class_a_member_never_reads_leaves_its_run_a_hit(libspec, monkeypatch):
+    prog = parse(TWO_CLASSES, "two.mj")
+    declared = SpecSet.from_declared(prog)
+    check_program(prog, declared, libspec)
+    w_is_resource = SpecSet.from_declared(prog)
+    w_is_resource.class_mustcall["W"] = MustCallSet(frozenset({"close"}), "inferred")
+    lowered, ran = _work_by_member(monkeypatch)
+    assert check_program(prog, w_is_resource, libspec) == check_program(prog, declared, libspec)
+    # only `main` allocates a W; `W.<init>` reads W.s's ownership, which is unchanged
+    assert (lowered, ran) == (Counter(), Counter({("M", "main"): 1}))
+
+
+def test_a_moved_position_moves_the_warnings_line(libspec, monkeypatch):
+    src = "class A {\n  static void main() {\n    FileInputStream s = new FileInputStream(\"p\");\n"
+    src += "    FileInputStream t = new FileInputStream(\"q\");\n  }\n}\n"
+    prog = parse(src, "two_leaks.mj")
+    specs = SpecSet.from_declared(prog)
+    assert [w.line for w in check_program(prog, specs, libspec)] == [3, 4]
+    # the two allocations trade lines, and every other node moves down by 2
+    news = [e for s in prog.classes[0].methods[0].body.stmts for e in sx.walk_exprs(s) if isinstance(e, sx.New)]
+    first, second = (prog.pos_of(n.nid) for n in news)
+    prog.line_index = {nid: (line + 2, col) for nid, (line, col) in prog.line_index.items()}
+    prog.line_index[news[0].nid], prog.line_index[news[1].nid] = second, first
+    lowered, ran = _work_by_member(monkeypatch)
+    version = memo.ProgramVersion(prog, libspec)
+    warnings, _fact = K.method_run(version, prog.classes[0], prog.classes[0].methods[0], specs)
+    assert (lowered, ran) == (Counter(), Counter())
+    assert [(w.line, w.ast_nid) for w in warnings] == [(3, news[1].nid), (4, news[0].nid)]
+    assert warnings == _memo_free_check(prog, specs, libspec)

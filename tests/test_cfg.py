@@ -14,7 +14,7 @@ from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
-from leakward.specs import SpecSet
+from leakward.specs import SpecReader, SpecSet
 
 LIB = load_library_spec(
     "resource PrintStream { must_call: [close]; method PrintStream(notowning) -> void;"
@@ -290,7 +290,7 @@ def _round_robin_taint(cfg, start_node, start_local):
 
 
 def _round_robin_check(cfg, specs, lib):
-    chk = K._MethodChecker(cfg, specs, lib)
+    chk = K._MethodChecker(cfg, SpecReader(specs, lib))
     in_facts, out_facts = {}, {}
     order = cfg.rpo()
     changed = True

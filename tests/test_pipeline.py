@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakward
+from helpers import corpus_mutants
 from leakward import memo
 from leakward import syntax as sx
 from leakward.checker import Warning
@@ -242,6 +243,22 @@ def test_malformed_file_fails_alone(corpus_report, corpus_sources, libspec):
     assert rest == {k: v for k, v in corpus_report.to_json().items() if k not in ("errors", "exitCode")}
     assert report.errors == ["broken.mj: SyntaxError: 3:21: expected an expression, found ';'"]
     assert report.exit_code == 4
+
+
+def test_an_ambiguous_shift_map_stays_in_its_own_file(corpus_report, corpus_sources, libspec):
+    # `link = new Socket();` twice in `Channel()`: the Channel warning reaches two roots
+    name, text = next(m for m in corpus_mutants() if m[0] == "shutdown_wrapper.duplicate4.mj")
+    report = run_pipeline(corpus_sources + [(name, text)], libspec)
+    assert [e.split(": ")[:2] for e in report.errors] == [["shift-map", name]]
+    corpus = [fr for fr in report.files.values() if fr.name != name]
+    pair = WarningSetPair([w for fr in corpus for w in fr.w_orig], [w for fr in corpus for w in fr.w_xform])
+    dispositions = {w.id: fr.fix_status.get(w.id, ("unfixable", "unplanned")) for fr in corpus for w in fr.w_xform}
+    m = compute_metrics(pair, report.shift_map, dispositions)
+    assert (m.cl, m.xe, m.xr, m.f_cl, m.f_xe) == (18, 2, 5, 12, 2)
+    mutant_ids = {w.id for w in report.files[name].w_xform}
+    assert {s: t for s, t in report.shift_map.pairs.items() if s not in mutant_ids} == corpus_report.shift_map.pairs
+    # the mutant's own warnings are each their own root
+    assert mutant_ids and all(report.shift_map.pairs[wid] == wid for wid in mutant_ids)
 
 
 def test_two_mains_skip_the_interpreter_leg_of_validation(libspec):
