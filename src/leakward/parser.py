@@ -10,6 +10,21 @@ Grammar (see README for the full EBNF):
     unary     := primary ("." ID ("(" args ")")?)*
     primary   := "new" ID "(" args ")" | ID | "null" | INT | STRING
 
+Lexical rules: an ID starts with a letter (`str.isalpha`) or `_` and goes on
+with letters, digits (`str.isalnum`) and `_`; the words in KEYWORDS are KW
+tokens. An INT is ASCII digits; any other digit is an unexpected character.
+A STRING holds no raw newline. It reads `\\n`, `\\t`, `\\"` and `\\\\` as
+escapes, and a backslash before any other character as that character.
+`//` comments run to the end of the line, `/* */` comments to the first `*/`.
+Space, tab, CR and LF separate tokens. A column counts characters from the
+start of the line, so a tab is one column.
+
+`tokenize` matches one compiled pattern once per token. Newlines are matched
+too, so line and column come from where the last one ended; a word at the
+start of a line shares its newline's match. `Parser` reads the tokens by
+index from a list padded with EOF, and each production branches on the one
+token it peeks.
+
 Allocation sites are numbered from a deterministic counter in parse order, so
 site ids are stable across pretty-print round trips.
 
@@ -19,7 +34,7 @@ is a SyntaxError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from . import syntax as sx
 from .errors import DuplicateName, SyntaxError
@@ -53,114 +68,142 @@ PUNCT = ("==", "!=", "{", "}", "(", ")", ";", ",", ".", "=", "@")
 
 MODIFIER_WORDS = ("public", "private", "static", "final")
 
+# `Parser.toks` holds this many EOF tokens past the last one: the parser looks
+# at most two tokens ahead, so it indexes the list without a bounds check.
+LOOKAHEAD = 2
 
-@dataclass
+
 class Token:
-    kind: str  # ID, KW, INT, STRING, punct literal, EOF
-    text: str
-    line: int
-    col: int
+    """One lexeme and where it starts."""
+
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # ID, KW, INT, STRING, punct literal, EOF
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.line}, {self.col})"
+
+
+# A word or punctuation: the lexemes most tokens are, and the first on most lines.
+_WORD_LEXEME = r"(?:[A-Za-z_]\w*|==|!=|[{}();,.=@])"
+# what a string holds between its quotes: anything but a quote, a backslash or
+# a newline, or a backslash and any one character
+_STRING_BODY_LEXEME = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
+# One match per token. Blanks before it are skipped; then exactly one group
+# matches: WORD; FIRST a word first on its line, after the NEWLINE that ends
+# the line before; NL any other newline; STRING; INT; EOF the end, from where
+# a `//` comment on the last line starts (a line comment moves no column);
+# COMMENT; UWORD a word starting with a non-ASCII character, which may be a
+# digit or numeral rather than a letter; OPEN a comment or string that never
+# closes; BAD any other character.
+_LEXEME = re.compile(
+    r"[ \t\r]*"
+    r"(?:(?P<WORD>" + _WORD_LEXEME + r")"
+    r"|(?P<NEWLINE>\n)[ \t\r]*(?P<FIRST>" + _WORD_LEXEME + r")"
+    r"|(?P<NL>\n)"
+    r'|(?P<STRING>"' + _STRING_BODY_LEXEME + r'")'
+    r"|(?P<INT>[0-9]+)"
+    r"|(?P<EOF>(?://[^\n]*)?\Z)"
+    r"|(?P<COMMENT>//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<UWORD>[^\W\d]\w*)"
+    r'|(?P<OPEN>/\*|")'
+    r"|(?P<BAD>[\s\S]))"
+)
+_WORD, _NEWLINE, _FIRST, _NL, _STRING, _INT, _EOF, _COMMENT, _UWORD, _OPEN = map(
+    _LEXEME.groupindex.get, ("WORD", "NEWLINE", "FIRST", "NL", "STRING", "INT", "EOF", "COMMENT", "UWORD", "OPEN")
+)
+# the kind of each word that is not an ID
+_WORD_KINDS = {**dict.fromkeys(KEYWORDS, "KW"), **{p: p for p in PUNCT}}
+_STRING_BODY = re.compile(_STRING_BODY_LEXEME)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 def tokenize(source: str) -> list[Token]:
+    """One token per lexeme, then one EOF. A token's column counts characters
+    from the start of its line; a newline escaped inside a string starts no
+    line."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
+    append = toks.append
+    word_kind = _WORD_KINDS.get
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(source):
+        group = m.lastindex
+        if group == _FIRST:
             line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise SyntaxError("unterminated block comment", line, col)
-            skipped = source[i : end + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    if j + 1 >= n:
-                        raise SyntaxError("unterminated string", line, col)
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                elif source[j] == "\n":
-                    raise SyntaxError("newline in string literal", line, col)
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise SyntaxError("unterminated string", line, col)
-            toks.append(Token("STRING", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("INT", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            toks.append(Token("KW" if word in KEYWORDS else "ID", word, line, col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for p in PUNCT:
-            if source.startswith(p, i):
-                toks.append(Token(p, p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if not matched:
-            raise SyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            line_start = m.end(_NEWLINE)
+        if group == _WORD or group == _FIRST or group == _UWORD and m[group][0].isalpha():
+            text = m[group]
+            append(Token(word_kind(text, "ID"), text, line, m.start(group) - line_start + 1))
+        elif group == _NL:
+            line += 1
+            line_start = m.end()
+        elif group == _STRING:
+            start, end = m.span(group)
+            text = source[start + 1 : end - 1]
+            if "\\" in text:
+                text = _ESCAPE.sub(_unescape, text)
+            append(Token("STRING", text, line, start - line_start + 1))
+        elif group == _INT:
+            start, end = m.span(group)
+            append(Token("INT", source[start:end], line, start - line_start + 1))
+        elif group == _COMMENT:
+            start, end = m.span(group)
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", start, end) + 1
+        elif group == _EOF:
+            break
+        else:
+            start = m.start(group)
+            raise _lexical_error(source, group, start, line, start - line_start + 1)
+    append(Token("EOF", "", line, m.start(_EOF) - line_start + 1))  # the last match is always EOF
     return toks
+
+
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES.get(m[1], m[1])
+
+
+def _lexical_error(source: str, group: int, start: int, line: int, col: int) -> SyntaxError:
+    if group != _OPEN:
+        return SyntaxError(f"unexpected character {source[start]!r}", line, col)
+    if source[start] == "/":
+        return SyntaxError("unterminated block comment", line, col)
+    # the string stops at a raw newline, or at a backslash or nothing at the end
+    stop = _STRING_BODY.match(source, start + 1).end()
+    if source.startswith("\n", stop):
+        return SyntaxError("newline in string literal", line, col)
+    return SyntaxError("unterminated string", line, col)
 
 
 class Parser:
     def __init__(self, source: str, source_name: str = "<memory>"):
-        self.toks = tokenize(source)
+        toks = tokenize(source)
+        self.toks = toks + toks[-1:] * LOOKAHEAD
         self.pos = 0
         self.program = sx.Program(classes=[], source_name=source_name, source_text=source)
+        self.line_index = self.program.line_index
         self.site_counter = 0
         self.depth = 0  # blocks and expressions open around the current token
+        # the method being read, whether it returns a value, and its first
+        # `return` that does not fit: raised once its body has closed
+        self.method_name = ""
+        self.returns_value = False
+        self.bad_return: tuple[str, int, int] | None = None
 
     # --- token plumbing ---
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.toks[self.pos + ahead]
         return t.kind == kind and (text is None or t.text == text)
 
     def take(self) -> Token:
@@ -169,14 +212,15 @@ class Parser:
         return t
 
     def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != kind or (text is not None and t.text != text):
             want = text or kind
             raise SyntaxError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return self.take()
+        self.pos += 1
+        return t
 
     def note(self, node: sx.Node, tok: Token) -> None:
-        self.program.set_pos(node, tok.line, tok.col)
+        self.line_index[node.nid] = (tok.line, tok.col)
 
     def nest(self, tok: Token) -> None:
         self.depth += 1
@@ -187,7 +231,7 @@ class Parser:
 
     def parse_program(self) -> sx.Program:
         seen: set[str] = set()
-        while not self.at("EOF"):
+        while self.toks[self.pos].kind != "EOF":
             cls = self.parse_class()
             if cls.name in seen:
                 raise DuplicateName(f"duplicate class {cls.name}")
@@ -197,7 +241,7 @@ class Parser:
 
     def parse_annotations(self) -> list[sx.Annotation]:
         anns: list[sx.Annotation] = []
-        while self.at("@"):
+        while self.toks[self.pos].kind == "@":
             at = self.take()
             name_tok = self.expect("ID")
             kind = name_tok.text
@@ -257,27 +301,33 @@ class Parser:
         field_names: set[str] = set()
         method_names: set[str] = set()
         ctor_arities: set[int] = set()
-        while not self.at("}"):
+        toks = self.toks
+        while toks[self.pos].kind != "}":
             member_anns = self.parse_annotations()
-            start = self.peek()
+            start = t = toks[self.pos]
             modifiers: list[str] = []
-            while self.at("KW") and self.peek().text in MODIFIER_WORDS:
-                modifiers.append(self.take().text)
-            if self.at("ID", name) and self.at("(", ahead=1):
-                self.take()  # constructor name
+            while t.kind == "KW" and t.text in MODIFIER_WORDS:
+                modifiers.append(t.text)
+                self.pos += 1
+                t = toks[self.pos]
+            after = toks[self.pos + 1].kind
+            if t.kind == "ID" and t.text == name and after == "(":
+                self.pos += 1  # constructor name
                 ctor = self.parse_method_rest("", name, member_anns, tuple(modifiers), start)
                 if len(ctor.params) in ctor_arities:
                     raise DuplicateName(f"duplicate constructor arity {len(ctor.params)} in {name}")
                 ctor_arities.add(len(ctor.params))
                 cls.constructors.append(ctor)
                 continue
-            if self.at("KW", "void") or (self.at("ID") and self.at("ID", ahead=1) and self.at("(", ahead=2)):
-                ret = self.take().text
+            if (t.kind == "KW" and t.text == "void") or (
+                t.kind == "ID" and after == "ID" and toks[self.pos + 2].kind == "("
+            ):
+                self.pos += 1  # return type
                 mname = self.expect("ID").text
                 if mname in method_names:
                     raise DuplicateName(f"duplicate method {name}.{mname}")
                 method_names.add(mname)
-                cls.methods.append(self.parse_method_rest(ret, mname, member_anns, tuple(modifiers), start))
+                cls.methods.append(self.parse_method_rest(t.text, mname, member_anns, tuple(modifiers), start))
                 continue
             # fielddecl: type name ("=" expr)? ";"
             ftype = self.expect("ID").text
@@ -286,8 +336,8 @@ class Parser:
                 raise DuplicateName(f"duplicate field {name}.{fname}")
             field_names.add(fname)
             init = None
-            if self.at("="):
-                self.take()
+            if toks[self.pos].kind == "=":
+                self.pos += 1
                 init = self.parse_expr()
             self.expect(";")
             for a in member_anns:
@@ -304,7 +354,7 @@ class Parser:
             )
             self.note(fld, start)
             cls.fields.append(fld)
-        self.expect("}")
+        self.pos += 1
         return cls
 
     def parse_method_rest(
@@ -324,7 +374,8 @@ class Parser:
         self.expect("(")
         params: list[sx.Param] = []
         seen: set[str] = set()
-        while not self.at(")"):
+        toks = self.toks
+        while toks[self.pos].kind != ")":
             if params:
                 self.expect(",")
             p_anns = self.parse_annotations()
@@ -332,7 +383,7 @@ class Parser:
                 if a.kind not in (sx.OWNING, sx.NOT_OWNING):
                     t = self.peek()
                     raise SyntaxError(f"@{a.kind} is not legal on a parameter", t.line, t.col)
-            ptok = self.peek()
+            ptok = toks[self.pos]
             ptype = self.expect("ID").text
             pname = self.expect("ID").text
             if pname in seen:
@@ -341,195 +392,202 @@ class Parser:
             param = sx.Param(type_name=ptype, name=pname, annotations=p_anns)
             self.note(param, ptok)
             params.append(param)
-        self.expect(")")
+        self.pos += 1
+        self.method_name = name
+        self.returns_value = return_type not in ("void", "")
+        self.bad_return = None
         body = self.parse_block()
         meth = sx.MethodDecl(
             name=name, params=params, return_type=return_type, body=body, annotations=anns, modifiers=modifiers
         )
         self.note(meth, start)
-        self._check_returns(meth)
+        if self.bad_return is not None:
+            raise SyntaxError(*self.bad_return)
         return meth
-
-    def _check_returns(self, meth: sx.MethodDecl) -> None:
-        for s in sx.walk_stmts(meth.body):
-            if isinstance(s, sx.Return):
-                line, col = self.program.pos_of(s.nid)
-                if meth.return_type in ("void", "") and s.value is not None:
-                    raise SyntaxError(f"{meth.name} cannot return a value", line, col)
-                if meth.return_type not in ("void", "") and s.value is None:
-                    raise SyntaxError(f"method {meth.name} must return a value", line, col)
 
     def parse_block(self) -> sx.Block:
         open_tok = self.expect("{")
         self.nest(open_tok)
         stmts: list[sx.Stmt] = []
-        while not self.at("}"):
+        toks = self.toks
+        while toks[self.pos].kind != "}":
             stmts.append(self.parse_stmt())
-        self.expect("}")
+        self.pos += 1
         self.depth -= 1
         blk = sx.Block(stmts=stmts)
         self.note(blk, open_tok)
         return blk
 
     def parse_stmt(self) -> sx.Stmt:
-        t = self.peek()
-        if self.at("KW", "if"):
-            self.take()
-            self.expect("(")
-            cond = self.parse_expr(allow_eq=True)
-            self.expect(")")
-            then_block = self.parse_block()
-            else_block = None
-            if self.at("KW", "else"):
-                self.take()
-                else_block = self.parse_block()
-            node: sx.Stmt = sx.If(cond=cond, then_block=then_block, else_block=else_block)
-            self.note(node, t)
-            return node
-        if self.at("KW", "while"):
-            self.take()
-            self.expect("(")
-            cond = self.parse_expr(allow_eq=True)
-            self.expect(")")
-            body = self.parse_block()
-            node = sx.While(cond=cond, body=body)
-            self.note(node, t)
-            return node
-        if self.at("KW", "try"):
-            self.take()
-            body = self.parse_block()
-            catch_type = catch_name = None
-            catch_block = finally_block = None
-            if self.at("KW", "catch"):
-                self.take()
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t.kind
+        if kind == "ID":
+            # localdecl: ID ID ("=" expr)? ";"
+            name = toks[self.pos + 1]
+            after = toks[self.pos + 2].kind
+            if name.kind == "ID" and (after == "=" or after == ";"):
+                self.pos += 3
+                init = None
+                if after == "=":
+                    init = self.parse_expr()
+                    self.expect(";")
+                node: sx.Stmt = sx.LocalDecl(type_name=t.text, name=name.text, init=init)
+                self.note(node, t)
+                return node
+        elif kind == "KW":
+            word = t.text
+            if word == "if" or word == "while":
+                self.pos += 1
                 self.expect("(")
-                catch_type = self.expect("ID").text
-                catch_name = self.expect("ID").text
+                cond = self.parse_expr(allow_eq=True)
                 self.expect(")")
-                catch_block = self.parse_block()
-            if self.at("KW", "finally"):
-                self.take()
-                finally_block = self.parse_block()
-            if catch_block is None and finally_block is None:
-                raise SyntaxError("try needs a catch or a finally", t.line, t.col)
-            node = sx.Try(
-                body=body,
-                catch_type=catch_type,
-                catch_name=catch_name,
-                catch_block=catch_block,
-                finally_block=finally_block,
-            )
-            self.note(node, t)
-            return node
-        if self.at("KW", "return"):
-            self.take()
-            value = None
-            if not self.at(";"):
-                value = self.parse_expr()
-            self.expect(";")
-            node = sx.Return(value=value)
-            self.note(node, t)
-            return node
-        # localdecl: ID ID ("=" expr)? ";"
-        if self.at("ID") and self.at("ID", ahead=1) and (self.at("=", ahead=2) or self.at(";", ahead=2)):
-            type_name = self.take().text
-            name = self.take().text
-            init = None
-            if self.at("="):
-                self.take()
-                init = self.parse_expr()
-            self.expect(";")
-            node = sx.LocalDecl(type_name=type_name, name=name, init=init)
-            self.note(node, t)
-            return node
+                body = self.parse_block()
+                if word == "while":
+                    node = sx.While(cond=cond, body=body)
+                else:
+                    else_block = None
+                    if self.at("KW", "else"):
+                        self.pos += 1
+                        else_block = self.parse_block()
+                    node = sx.If(cond=cond, then_block=body, else_block=else_block)
+                self.note(node, t)
+                return node
+            if word == "try":
+                return self.parse_try(t)
+            if word == "return":
+                return self.parse_return(t)
         expr = self.parse_expr()
-        if self.at("="):
+        if toks[self.pos].kind == "=":
             if not isinstance(expr, (sx.VarRef, sx.FieldRef)):
                 raise SyntaxError("assignment target must be a variable or field", t.line, t.col)
-            self.take()
+            self.pos += 1
             value = self.parse_expr()
             self.expect(";")
             node = sx.Assign(target=expr, value=value)
-            self.note(node, t)
-            return node
+        else:
+            self.expect(";")
+            node = sx.ExprStmt(expr=expr)
+        self.note(node, t)
+        return node
+
+    def parse_try(self, t: Token) -> sx.Try:
+        self.pos += 1
+        body = self.parse_block()
+        catch_type = catch_name = None
+        catch_block = finally_block = None
+        if self.at("KW", "catch"):
+            self.pos += 1
+            self.expect("(")
+            catch_type = self.expect("ID").text
+            catch_name = self.expect("ID").text
+            self.expect(")")
+            catch_block = self.parse_block()
+        if self.at("KW", "finally"):
+            self.pos += 1
+            finally_block = self.parse_block()
+        if catch_block is None and finally_block is None:
+            raise SyntaxError("try needs a catch or a finally", t.line, t.col)
+        node = sx.Try(
+            body=body,
+            catch_type=catch_type,
+            catch_name=catch_name,
+            catch_block=catch_block,
+            finally_block=finally_block,
+        )
+        self.note(node, t)
+        return node
+
+    def parse_return(self, t: Token) -> sx.Return:
+        """A return statement; one whose value does not fit the method's
+        return type is noted, to be raised once the body closes."""
+        self.pos += 1
+        value = None
+        if self.toks[self.pos].kind != ";":
+            value = self.parse_expr()
         self.expect(";")
-        node = sx.ExprStmt(expr=expr)
+        if self.bad_return is None and (value is not None) != self.returns_value:
+            if value is None:
+                self.bad_return = (f"method {self.method_name} must return a value", t.line, t.col)
+            else:
+                self.bad_return = (f"{self.method_name} cannot return a value", t.line, t.col)
+        node = sx.Return(value=value)
         self.note(node, t)
         return node
 
     def parse_expr(self, allow_eq: bool = False) -> sx.Expr:
-        t = self.peek()
+        toks = self.toks
+        t = toks[self.pos]
         self.nest(t)
         expr = self.parse_unary()
-        if self.at("==") or self.at("!="):
+        op = toks[self.pos]
+        if op.kind in ("==", "!="):
             if not allow_eq:
-                op = self.peek()
                 raise SyntaxError("equality tests are only legal as if/while conditions", op.line, op.col)
-            negated = self.take().text == "!="
+            self.pos += 1
             rhs = self.parse_unary()
-            expr = sx.Eq(lhs=expr, rhs=rhs, negated=negated)
+            expr = sx.Eq(lhs=expr, rhs=rhs, negated=op.kind == "!=")
             self.note(expr, t)
         self.depth -= 1
         return expr
 
     def parse_unary(self) -> sx.Expr:
         expr = self.parse_primary()
+        toks = self.toks
         links = 0  # each `.` wraps the expression so far one level deeper
-        while self.at("."):
-            dot = self.take()
+        while toks[self.pos].kind == ".":
+            dot = toks[self.pos]
+            self.pos += 1
             self.nest(dot)
             links += 1
-            name = self.expect("ID").text
-            if self.at("("):
-                self.take()
-                args: list[sx.Expr] = []
-                while not self.at(")"):
-                    if args:
-                        self.expect(",")
-                    args.append(self.parse_expr())
-                self.expect(")")
-                node: sx.Expr = sx.Call(receiver=expr, method=name, args=args)
+            name = self.expect("ID")
+            if toks[self.pos].kind == "(":
+                self.pos += 1
+                node: sx.Expr = sx.Call(receiver=expr, method=name.text, args=self.parse_args())
             else:
-                node = sx.FieldRef(receiver=expr, name=name)
+                node = sx.FieldRef(receiver=expr, name=name.text)
             self.note(node, dot)
             expr = node
         self.depth -= links
         return expr
 
+    def parse_args(self) -> list[sx.Expr]:
+        """Arguments up to and including the `)`; the `(` is already consumed."""
+        toks = self.toks
+        args: list[sx.Expr] = []
+        while toks[self.pos].kind != ")":
+            if args:
+                self.expect(",")
+            args.append(self.parse_expr())
+        self.pos += 1
+        return args
+
     def parse_primary(self) -> sx.Expr:
-        t = self.peek()
-        if self.at("KW", "new"):
-            self.take()
+        t = self.toks[self.pos]
+        kind = t.kind
+        self.pos += 1
+        if kind == "ID":
+            node: sx.Expr = sx.VarRef(name=t.text)
+        elif kind == "STRING":
+            node = sx.StrLit(value=t.text)
+        elif kind == "KW" and t.text == "new":
             cname = self.expect("ID").text
             self.expect("(")
-            args: list[sx.Expr] = []
-            while not self.at(")"):
-                if args:
-                    self.expect(",")
-                args.append(self.parse_expr())
-            self.expect(")")
+            args = self.parse_args()
             self.site_counter += 1
-            node: sx.Expr = sx.New(class_name=cname, args=args, site=self.site_counter)
-            self.note(node, t)
-            return node
-        if self.at("KW", "null"):
-            self.take()
+            node = sx.New(class_name=cname, args=args, site=self.site_counter)
+        elif kind == "KW" and t.text == "null":
             node = sx.NullLit()
-            self.note(node, t)
-            return node
-        if self.at("INT"):
-            node = sx.IntLit(value=int(self.take().text))
-            self.note(node, t)
-            return node
-        if self.at("STRING"):
-            node = sx.StrLit(value=self.take().text)
-            self.note(node, t)
-            return node
-        if self.at("ID"):
-            node = sx.VarRef(name=self.take().text)
-            self.note(node, t)
-            return node
-        raise SyntaxError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
+        elif kind == "INT":
+            try:
+                value = int(t.text)
+            except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+                raise SyntaxError(f"integer literal of {len(t.text)} digits is too long", t.line, t.col) from None
+            node = sx.IntLit(value=value)
+        else:
+            raise SyntaxError(f"expected an expression, found {t.text or t.kind!r}", t.line, t.col)
+        self.note(node, t)
+        return node
 
 
 def nesting(node: sx.Node) -> int:

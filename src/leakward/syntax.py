@@ -276,9 +276,6 @@ class Program(Node):
     def pos_of(self, nid: int) -> tuple[int, int]:
         return self.line_index.get(nid, (0, 0))
 
-    def set_pos(self, node: Node, line: int, col: int) -> None:
-        self.line_index[node.nid] = (line, col)
-
     def inherit_pos(self, node: Node, anchor: Node) -> None:
         """Give a synthesized node the position of the original node it hangs off."""
         self.line_index[node.nid] = self.pos_of(anchor.nid)

@@ -1,15 +1,18 @@
 """Parsing, pretty-printing, and library-spec loading."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakward import syntax as sx
 from leakward.cli import main
-from leakward.errors import DuplicateName, SpecFormatError, SyntaxError, UnknownMethodInMustCall
+from leakward.errors import FILE_ERRORS, DuplicateName, SpecFormatError, SyntaxError, UnknownMethodInMustCall
 from leakward.fuzz import generate_source
 from leakward.libspec import load_library_spec
-from leakward.parser import MAX_NESTING, Parser, nesting, parse
+from leakward.parser import MAX_NESTING, Parser, nesting, parse, tokenize
 from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
 
@@ -278,3 +281,111 @@ def test_nesting_counts_the_levels_the_parser_opens(corpus_sources):
         counted = [nesting(m.body) for c in program.classes for m in c.all_methods()]
         counted += [nesting(f.initializer) for c in program.classes for f in c.fields if f.initializer is not None]
         assert max(counted, default=0) == parser.deepest, name
+
+
+# --- lexical rules ---
+
+
+def _main_with(line: str) -> str:
+    return f"class A {{\n  static void main() {{\n    {line}\n  }}\n}}\n"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on the digits `int()` converts, for this test."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("\u00b2", "3:13: unexpected character '\u00b2'"),  # superscript two: a digit, not a decimal
+        ("1\u0663", "3:14: unexpected character '\u0663'"),  # Arabic-Indic three: a decimal, not ASCII
+        ("\u00bd", "3:13: unexpected character '\u00bd'"),  # one half: a numeral
+    ],
+)
+def test_only_ascii_digits_make_an_int(literal, message):
+    with pytest.raises(SyntaxError) as info:
+        parse(_main_with(f"int x = {literal};"))
+    assert str(info.value) == message
+
+
+def test_identifiers_keep_their_unicode_letters_and_digits():
+    assert [(t.kind, t.text) for t in tokenize("\u00e9t\u00e9 x\u00b2 _\u0663 \u03bb1")] == [
+        ("ID", "\u00e9t\u00e9"),
+        ("ID", "x\u00b2"),
+        ("ID", "_\u0663"),
+        ("ID", "\u03bb1"),
+        ("EOF", ""),
+    ]
+
+
+def test_an_int_too_long_to_convert_is_a_syntax_error_at_the_literal(int_digit_limit):
+    parse(_main_with(f"int x = {'9' * int_digit_limit};"))
+    with pytest.raises(SyntaxError) as info:
+        parse(_main_with(f"int x = {'9' * (int_digit_limit + 1)};"))
+    assert str(info.value) == "3:13: integer literal of 4301 digits is too long"
+
+
+@pytest.mark.parametrize("literal", ["\u00b2", "1\u0663", "9" * 4301], ids=["superscript", "arabic-indic", "long"])
+def test_a_bad_integer_literal_fails_its_file_alone(literal, libspec, int_digit_limit, tmp_path, corpus_dir):
+    good, bad = ("ok.mj", WRITER_SRC), ("bad.mj", _main_with(f"int x = {literal};"))
+    report = run_pipeline([good, bad], libspec)
+    assert [e.split(":")[:2] for e in report.errors] == [["bad.mj", " SyntaxError"]]
+    assert report.to_json()["files"] == run_pipeline([good], libspec).to_json()["files"]
+    for name, text in (good, bad):
+        (tmp_path / name).write_text(text)
+    paths = [str(tmp_path / name) for name in ("ok.mj", "bad.mj")]
+    assert main(["check", *paths, "--libspec", str(corpus_dir / "minij.libspec")]) == 4
+
+
+# one-character edits: ASCII, and non-ASCII letters, digits, numerals and blanks
+EDIT_CHARS = [chr(c) for c in range(32, 127)] + list(
+    "\n\t\r\u00e9\u03bb\u00b2\u2460\u00bd\u0663\u096d\u216b\u00a0\u2028\u20ac"
+)
+
+
+def test_a_corrupted_program_fails_with_a_file_error_or_not_at_all():
+    rng = random.Random(3)
+    programs = [generate_source(seed) for seed in range(200)]
+    failures = 0
+    for _ in range(4000):
+        text = rng.choice(programs)
+        k = rng.randrange(len(text))
+        c = rng.choice(EDIT_CHARS)
+        text = rng.choice((text[:k] + c + text[k:], text[:k] + c + text[k + 1 :], text[:k] + text[k + 1 :]))
+        try:
+            parse(text, "corrupt.mj")
+        except FILE_ERRORS:
+            failures += 1
+    assert failures > 1000
+
+
+def test_each_parse_tokenizes_once_through_the_module_global(monkeypatch, corpus_sources, libspec):
+    """What perfbench's `parser.tokens` counter counts: one `parser.tokenize`
+    call per parse, with one token per lexeme and one EOF. A pipeline run
+    parses its file, and validation parses the patched file again."""
+    lengths, parses = [], []
+    parse_program = Parser.parse_program
+
+    def counted(source):
+        toks = tokenize(source)
+        assert [t.kind for t in toks].count("EOF") == 1 and toks[-1].kind == "EOF"
+        lengths.append(len(toks))
+        return toks
+
+    def counted_parse(self):
+        parses.append(self)
+        return parse_program(self)
+
+    monkeypatch.setattr("leakward.parser.tokenize", counted)
+    monkeypatch.setattr(Parser, "parse_program", counted_parse)
+    for name, text in corpus_sources:
+        parse(text, name)
+    assert len(lengths) == len(parses) == 22 and sum(lengths) == 1460
+    for name, text in corpus_sources:
+        run_pipeline([(name, text)], libspec)
+    assert len(lengths) == len(parses) == 22 + 44 and sum(lengths) == 1460 + 3485

@@ -10,11 +10,10 @@ import random
 
 import pytest
 
-from helpers import corpus_mutants
+from helpers import CORPUS, corpus_mutants
 from leakward.errors import SyntaxError
 from leakward.fuzz import generate_source
 from leakward.parser import parse, tokenize
-from conftest import CORPUS
 
 VOCABULARY = (
     "class", "implements", "new", "null", "if", "else", "while", "try", "catch", "finally", "return", "void",
@@ -128,6 +127,15 @@ def test_a_tab_and_a_carriage_return_count_one_column_each():
 
 def test_string_escapes_and_the_column_after_them():
     assert _tokens('"a\\n\\t\\"\\\\\\q" x') == [("STRING", 'a\n\t"\\q', 1, 1), ("ID", "x", 1, 15), ("EOF", "", 1, 16)]
+
+
+def test_a_newline_escaped_in_a_string_starts_no_line():
+    assert _tokens('"a\\\nb" c\nd') == [
+        ("STRING", "a\nb", 1, 1),
+        ("ID", "c", 1, 8),
+        ("ID", "d", 2, 1),
+        ("EOF", "", 2, 2),
+    ]
 
 
 def test_a_line_comment_runs_to_the_end_of_its_line_or_the_file():
