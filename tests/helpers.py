@@ -1,10 +1,12 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
 structural AST comparison modulo local-variable names, the corpus-plus-fuzz
 program list, seeded one-line corpus mutants, simple-path enumeration over a
-CFG, and a memo bypass."""
+CFG, a memo bypass, and the pinned digests of pipeline reports."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -21,6 +23,20 @@ from leakward.specs import OWNING, SpecReader, SpecSet, method_return_ownership,
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+REPORT_PINS = Path(__file__).resolve().parent / "report_pins.json"
+
+
+def report_digest(report) -> str:
+    """A pipeline report's pin: a blake2b of its JSON with sorted keys."""
+    text = json.dumps(report.to_json(), sort_keys=True)
+    return hashlib.blake2b(text.encode(), digest_size=8).hexdigest()
+
+
+def moved_reports(group: str, digests: dict[str, str]) -> list[str]:
+    """The names whose report digest differs from its pin in `group` of
+    `report_pins.json`, or that only one side has."""
+    pins = json.loads(REPORT_PINS.read_text())[group]
+    return sorted(name for name in pins.keys() | digests.keys() if pins.get(name) != digests.get(name))
 
 
 def corpus_and_fuzz_programs():

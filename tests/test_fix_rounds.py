@@ -12,13 +12,16 @@ results do not depend on the version they were read from:
   (2) on every patched program the warning ids and the final-write errors
       equal those on its reparse, and the printer is a fixpoint.
 
-Both are checked over the corpus and `generate_source(0..599)`.
+Both are checked over the corpus and `generate_source(0..599)`, whose
+reports, and those of `wide_method` at N = 20 and 40, are held to pinned
+digests.
 """
 
 from collections import Counter
 
 import pytest
 
+from helpers import moved_reports, report_digest
 from leakward import cfg as C
 from leakward import pipeline
 from leakward.checker import OWNING_FIELD_OVERWRITE, check_program, filter_constructor_first_writes, reject_final_writes
@@ -78,12 +81,13 @@ class _RoundSpy:
 
 @pytest.fixture(scope="module")
 def fix_runs(corpus_sources, libspec):
-    """Every input run through the pipeline under a `_RoundSpy`: the spy and
-    each file's result with its library spec."""
+    """Every input run through the pipeline under a `_RoundSpy`: the spy,
+    each file's result with its library spec, and each report's digest."""
     spy = _RoundSpy()
     inputs = [(name, text, libspec) for name, text in corpus_sources]
     inputs += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(FUZZ_SEEDS)]
     results = []
+    digests = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "screen_fix", spy.screening)
         mp.setattr(pipeline, "plan_fix", spy.planning)
@@ -91,18 +95,25 @@ def fix_runs(corpus_sources, libspec):
         for name, text, lib in inputs:
             report = pipeline.run_pipeline([(name, text)], lib)
             results += [(fr, lib) for fr in report.files.values()]
-    return spy, results
+            digests[name] = report_digest(report)
+    return spy, results, digests
+
+
+def test_the_reports_are_pinned(fix_runs):
+    _spy, _results, digests = fix_runs
+    assert len(digests) == 22 + FUZZ_SEEDS
+    assert moved_reports("fix_runs", digests) == []
 
 
 def test_a_rounds_screen_holds_at_each_of_its_plans(fix_runs):
-    spy, _results = fix_runs
+    spy, _results, _digests = fix_runs
     assert spy.mismatches == []
     # not vacuous: many plans follow an earlier edit of their round
     assert spy.compared > 300 and spy.compared_after_an_edit > 100
 
 
 def test_validation_reads_the_same_warnings_on_patched_as_on_its_reparse(fix_runs):
-    _spy, results = fix_runs
+    _spy, results, _digests = fix_runs
     differ = []
     for fr, lib in results:
         reparsed = parse(pretty_print(fr.patched), fr.patched.source_name)
@@ -131,7 +142,8 @@ def _wide_method(n: int) -> str:
 
 def test_lowerings_of_one_method_do_not_grow_with_its_warnings(libspec, monkeypatch):
     """Planning N/2 repairs in one method reads the CFGs of each round's one
-    version, so 20 and 40 allocations cost the same number of lowerings."""
+    version, so 20 and 40 allocations cost the same number of lowerings.
+    The two reports are pinned."""
     lowered = Counter()
     original = C.lower
 
@@ -140,7 +152,10 @@ def test_lowerings_of_one_method_do_not_grow_with_its_warnings(libspec, monkeypa
         return original(program, *rest)
 
     monkeypatch.setattr(C, "lower", counting)
+    digests = {}
     for n in (20, 40):
         report = pipeline.run_pipeline([(f"wide{n}.mj", _wide_method(n))], libspec)
         assert report.errors == [] and len(report.files[f"wide{n}.mj"].fix_status) >= n // 2
+        digests[f"wide{n}.mj"] = report_digest(report)
     assert lowered["wide20.mj"] == lowered["wide40.mj"]
+    assert moved_reports("wide_method", digests) == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leakward
-from helpers import corpus_mutants
+from helpers import corpus_mutants, moved_reports, report_digest
 from leakward import memo
 from leakward import syntax as sx
 from leakward.checker import Warning
@@ -438,11 +438,14 @@ def test_ablation_table(corpus_dir, corpus_sources, libspec):
     ablation = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ablation)
     table = {}
+    digests = {}
     for label, config in ablation.CONFIGS:
         report = run_pipeline(corpus_sources, libspec, config)
         assert report.errors == [], label
         table[label] = report.metrics.to_json()
+        digests[label] = report_digest(report)
     assert table == ABLATION_TABLE
+    assert moved_reports("ablation", digests) == []
 
 
 def test_pipeline_metrics_match_golden(corpus_report, golden_dir):
