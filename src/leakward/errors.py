@@ -31,16 +31,8 @@ class AnnotationConflict(Exception):
 
 
 class StaleWarning(Exception):
-    """A warning id no longer matches any allocation site in the program."""
-
-
-class MaterializationFailure(Exception):
-    """The anchor's surrounding structure does not admit the repair template."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-        self.reason = reason
-        self.detail = detail
+    """A warning names no node of the program: no node has its id, or (a
+    warning read back from JSON) no anchor matches its descriptor."""
 
 
 class AmbiguousMapping(Exception):

@@ -2,8 +2,8 @@
 
 Per file: infer -> check (plus a spec-free check recorded as w_orig) ->
 transform -> infer -> check (w_xform) -> plan+apply -> validate, with
-the fix+validate stage iterated (re-checking patched code can surface
-deferred plans and fresh warnings).
+the plan+apply step iterated while re-checking the patched code finds fresh
+warnings.
 
 `run_file_pipeline` is a sequence of stage calls, and the CLI calls the
 same stages: `check_stage`, `transform_stage` and `fix_stage`.
@@ -36,14 +36,14 @@ from .checker import (
     filter_constructor_first_writes,
     warning_id,
 )
-from .errors import FILE_ERRORS, AmbiguousMapping, MaterializationFailure, StaleWarning
+from .errors import FILE_ERRORS, AmbiguousMapping, StaleWarning
 from .escape import EscapeAnalyzer, tainted_stores
 from .inference import infer_specs, write_specs
 from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
 from .parser import parse
 from .printer import pretty_print
-from .repair import Unfixable, apply_plan_in_place, locate_anchor, plan_fix, screen_fix, unified_diff_text
+from .repair import Unfixable, apply_plan_in_place, find_anchor, plan_fix, screen_fix, unified_diff_text
 from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -177,7 +177,7 @@ def build_shift_map(
                 arity: Optional[int] = None
                 if w.anchor_kind == "new":
                     try:
-                        node = locate_anchor(w, version.program)
+                        _method, node, _path = find_anchor(w, version.program)
                         if isinstance(node, sx.New):
                             arity = len(node.args)
                     except StaleWarning:
@@ -339,8 +339,9 @@ def fix_stage(
     program: memo.ProgramOrVersion, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig
 ) -> FixOutcome:
     """Repair `warnings` on a copy of `program`, `patched`, in rounds; re-check
-    after each round that fixed something, retry deferred plans, then validate
-    the patch.
+    after each round that fixed something and repair the fresh warnings it
+    finds, then validate the patch. Fresh warnings still open after the last
+    round are unfixable with detail `IterationsExhausted`.
 
     `patched` is read through one version per state: the copy gets the key of
     `program`'s version, and a round that applied a plan takes a new one,
@@ -349,7 +350,8 @@ def fix_stage(
     A round screens each of its warnings (`screen_fix`) with one
     `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
     then it plans and applies each warning in turn against `patched` as it is
-    by then. The screen's results hold for the whole round, because a template
+    by then: `plan_fix` anchors each plan in `patched` as it is, and the plan
+    is applied at once. The screen's results hold for the whole round, because a template
     only adds finalizer calls on existing receivers, null declarations (moving
     an allocation into an assignment) and try/finally and catch blocks: no
     field write, and no return, argument pass or collection store of a
@@ -371,7 +373,6 @@ def fix_stage(
     while pending and iterations < MAX_FIX_ITERATIONS:
         iterations += 1
         progressed = False
-        deferred: list[Warning] = []
         ordered = sorted(pending, key=lambda w: (w.line, w.id))
         # every lookup of the round's analyzer happens here, before the round's first edit
         analyzer = EscapeAnalyzer(now, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
@@ -384,30 +385,21 @@ def fix_stage(
             try:
                 plan = plan_fix(w, patched, screen)
             except StaleWarning:
-                fix_status.setdefault(w.id, ("unfixable", "NoIrMatch"))
+                fix_status[w.id] = ("unfixable", "NoIrMatch")
                 continue
             if isinstance(plan, Unfixable):
                 fix_status[w.id] = ("unfixable", plan.reason)
                 continue
-            try:
-                apply_plan_in_place(patched, plan)
-                fix_status[w.id] = ("fixed", plan.template)
-                progressed = True
-            except MaterializationFailure as mf:
-                fix_status[w.id] = ("deferred", f"MaterializationFailure({mf.reason})")
-                deferred.append(w)
-        fresh = []  # warnings of the patched code not seen before (every given one has a status)
+            apply_plan_in_place(patched, plan)
+            fix_status[w.id] = ("fixed", plan.template)
+            progressed = True
+        pending = []  # warnings of the patched code not seen before (every given one has a status)
         if progressed:
             now = now.edited()
             specs_now = infer_specs(now, libspec)
-            fresh = [w for w in check_stage(now, specs_now, libspec, config) if w.id not in fix_status]
-        pending = deferred + fresh
-        if not progressed and not fresh:
-            break
+            pending = [w for w in check_stage(now, specs_now, libspec, config) if w.id not in fix_status]
     for w in pending:
-        state, detail = fix_status.get(w.id, ("deferred", "MaterializationFailure(iterations exhausted)"))
-        if state == "deferred":
-            fix_status[w.id] = ("unfixable", detail)
+        fix_status[w.id] = ("unfixable", "IterationsExhausted")
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
     patched_text = pretty_print(patched)

@@ -4,7 +4,9 @@ Planning a warning has two parts. `screen_fix` makes the decisions that read
 escape results, against an `EscapeAnalyzer` built with the run's
 `enhancements` flag: the escape of the warned value, the pre-close
 conditions, the finalizers and the classic close-only rule. `plan_fix` then
-anchors the template in the program as it is now. The fix stage screens a
+anchors the template in the program as it is now: it finds the warned node by
+the warning's `ast_nid`, in one walk of the member's body that also gives the
+node's statement path, and the plan holds those live nodes. The fix stage screens a
 whole round's warnings with one analyzer before the round's first edit, so
 the analyzer may be on an earlier version of the program than `plan_fix`'s;
 its results still hold, since no template writes a field or adds a return,
@@ -30,20 +32,25 @@ resource alias or accessor, so a resource passed into a wrapper escapes and
 a field read into one is not contained, and a plan whose first finalizer is
 not `close()` is Unfixable(NoIrMatch).
 
-`apply_plan_in_place` edits the program it is given; the caller copies first
-and diffs the canonical prints with `unified_diff_text`.
+`apply_plan_in_place` edits exactly the nodes its plan holds, so a plan is
+applied to the program it was made on, before any other edit; the caller
+copies first and diffs the canonical prints with `unified_diff_text`.
+Node ids stay valid through the fix stage: a `Program` deep copy keeps them,
+and every re-check reads the patched program itself. Only a warning that
+crosses a parse (`rebind_warning`) is found by its structural descriptor
+(`locate_anchor`).
 """
 
 from __future__ import annotations
 
 import copy
 import difflib
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import syntax as sx
 from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
-from .errors import MaterializationFailure, StaleWarning
+from .errors import StaleWarning
 from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
 from .libspec import LibrarySpec
 from .parser import MAX_NESTING, nesting
@@ -70,15 +77,15 @@ _ROUTE_TO_REASON = {
 
 @dataclass
 class RepairPlan:
+    """A template anchored in one program: the nodes its application edits."""
+
     warning_id: str
     template: str
-    anchors: dict[str, int]  # role -> ast node id
-    finalizer_method: str
+    method: sx.MethodDecl  # the warned member
+    anchor: sx.Node  # the allocation or call a wrap holds, or the store a pre-close precedes
+    path: sx.StmtPath  # `stmt_path` from the member's body to the anchor's statement
     finalizer_methods: tuple[str, ...]
-    fresh_names: list[str] = dc_field(default_factory=list)
-    resource_class: str = ""
-    class_name: str = ""
-    method_name: str = ""
+    resource_class: str
 
 
 @dataclass
@@ -123,6 +130,18 @@ def rebind_warning(data: dict, program: sx.Program) -> Warning:
     )
     node = locate_anchor(w, program)  # raises StaleWarning if unmatched
     return replace(w, ast_nid=node.nid, site=node.site if isinstance(node, sx.New) else -1)
+
+
+def find_anchor(warning: Warning, program: sx.Program) -> tuple[sx.MethodDecl, sx.Node, sx.StmtPath]:
+    """The warned member of `program`, the node with the warning's
+    `ast_nid` in its body, and that node's statement path. Raises
+    StaleWarning when no such node is there."""
+    cls = program.class_named(warning.class_name)
+    method = cls.member(warning.method_name) if cls else None
+    found = sx.node_path(method.body, warning.ast_nid) if method else None
+    if found is None:
+        raise StaleWarning(f"{warning.id}: no node {warning.ast_nid} in {warning.class_name}.{warning.method_name}")
+    return method, *found
 
 
 # --- eligibility -------------------------------------------------------------
@@ -186,40 +205,32 @@ def plan_fix(
 ) -> Union[RepairPlan, Unfixable]:
     """The repair of one warning on `program` as it is now, given its
     `screen_fix` result: the screen's Unfixable, or a template anchored in
-    `program`. Raises StaleWarning when the warning's anchor is gone from
-    `program`."""
-    anchor = locate_anchor(warning, program)
+    `program`. Raises StaleWarning when the warning's node is gone from
+    `program` (`find_anchor`)."""
+    method, anchor, path = find_anchor(warning, program)
     if isinstance(screened, Unfixable):
         return screened
-    method = program.class_named(warning.class_name).member(warning.method_name)
     if warning.kind == OWNING_FIELD_OVERWRITE:
-        template, anchors = PRE_CLOSE_INSERTION, {"store": anchor.nid}
-        path = sx.stmt_path(method.body, anchor)
-        if path is not None and _pre_close_nesting(path, anchor, screened) > MAX_NESTING:
+        template = PRE_CLOSE_INSERTION
+        if _pre_close_nesting(path, anchor, screened) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     else:
         assert warning.kind == UNSATISFIED_OBLIGATION
-        path = _template_path(method.body, anchor)
-        if isinstance(path, str):
-            return Unfixable(warning.id, NO_IR_MATCH, detail=path)
-        block, idx = path[-1]
+        no_slot = _no_slot(path)
+        if no_slot:
+            return Unfixable(warning.id, NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
-        anchors = {"expr": anchor.nid, "stmt": block.stmts[idx].nid, "block": block.nid}
-        if tries:
-            try_block, try_idx = tries[-1]
-            anchors["try"] = try_block.stmts[try_idx].nid
         if _wrap_nesting(path, tries) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
         warning_id=warning.id,
         template=template,
-        anchors=anchors,
-        finalizer_method=screened[0],
+        method=method,
+        anchor=anchor,
+        path=path,
         finalizer_methods=screened,
         resource_class=warning.resource_class,
-        class_name=warning.class_name,
-        method_name=warning.method_name,
     )
 
 
@@ -261,14 +272,11 @@ def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -
     return tuple(names)
 
 
-def _template_path(body: sx.Block, anchor: sx.Node) -> Union[sx.StmtPath, str]:
-    """`stmt_path` to the statement holding an allocation, or why no
-    statement slot takes a template: the anchor is in no statement list, in
-    an if or while condition, or has a loop on its path (loop-allocated
-    values need a template we do not provide)."""
-    path = sx.stmt_path(body, anchor)
-    if path is None:
-        return "allocation is not inside a statement list"
+def _no_slot(path: sx.StmtPath) -> str:
+    """Why no statement slot on an allocation's statement path takes a wrap
+    template, or "" when one does: the allocation is in an if or while
+    condition, or has a loop on its path (loop-allocated values need a
+    template we do not provide)."""
     stmts = [block.stmts[i] for block, i in path]
     if isinstance(stmts[-1], sx.If):
         return "allocation is in an if condition"
@@ -276,21 +284,18 @@ def _template_path(body: sx.Block, anchor: sx.Node) -> Union[sx.StmtPath, str]:
         return "allocation is in a while condition"
     if any(isinstance(s, sx.While) for s in stmts):
         return "allocation is inside a loop"
-    return path
+    return ""
 
 
 # --- plan application --------------------------------------------------------
 
 
 def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> list[dict]:
-    """Apply a plan's template to `program` itself; the structured edits made.
-    Raises MaterializationFailure, before any edit, when the anchors no longer
-    admit it, so a version of `program` stays valid after a failed plan."""
+    """Apply a plan's template to `program`, the program it was made on, as
+    it was then; the structured edits made."""
     if plan.template == PRE_CLOSE_INSERTION:
         return _apply_pre_close(program, plan)
-    if plan.template in (TRY_FINALLY_WRAP, CLOSE_IN_FINALLY):
-        return _apply_wrap(program, plan)
-    raise MaterializationFailure("UnknownTemplate", plan.template)
+    return _apply_wrap(program, plan)
 
 
 def unified_diff_text(before: str, after: str, name: str) -> str:
@@ -298,10 +303,6 @@ def unified_diff_text(before: str, after: str, name: str) -> str:
         before.splitlines(keepends=True), after.splitlines(keepends=True), fromfile=f"a/{name}", tofile=f"b/{name}"
     )
     return "".join(lines)
-
-
-def _find_node(program: sx.Program, nid: int) -> Optional[sx.Node]:
-    return next((n for n in sx.walk_nodes(program) if n.nid == nid), None)
 
 
 def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tuple[str, ...]) -> sx.If:
@@ -319,20 +320,9 @@ def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tupl
 
 
 def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
-    store = _find_node(program, plan.anchors["store"])
-    if store is None or not isinstance(store, sx.Assign):
-        raise MaterializationFailure("StaleAnchor", f"store anchor for {plan.warning_id}")
-    cls = program.class_named(plan.class_name)
-    method = cls.member(plan.method_name) if cls else None
-    if method is None:
-        raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
-    path = sx.stmt_path(method.body, store)
-    if path is None:
-        raise MaterializationFailure("StaleAnchor", "store not in a statement list")
-    block, idx = path[-1]
-    if _already_pre_closed(block, idx, store):
-        raise MaterializationFailure("StaleAnchor", "pre-close already present")
-    exc_name = _exception_name(method)
+    store = plan.anchor
+    block, idx = plan.path[-1]
+    exc_name = _exception_name(plan.method)
     calls: list[sx.Stmt] = []
     for m in plan.finalizer_methods:
         target = copy.deepcopy(store.target)
@@ -365,16 +355,6 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
     ]
 
 
-def _already_pre_closed(block: sx.Block, idx: int, store: sx.Assign) -> bool:
-    if idx == 0:
-        return False
-    prev = block.stmts[idx - 1]
-    if not isinstance(prev, sx.If) or prev.else_block is not None or not isinstance(prev.cond, sx.Eq):
-        return False
-    cond = prev.cond
-    return cond.negated and isinstance(cond.rhs, sx.NullLit) and cond.lhs == store.target
-
-
 def _strip_nids(root: sx.Expr) -> None:
     for e in sx.walk_exprs(root):
         e.nid = sx.fresh_nid()
@@ -396,19 +376,9 @@ def _exception_name(method: sx.MethodDecl) -> str:
 
 
 def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
-    expr = _find_node(program, plan.anchors["expr"])
-    if expr is None or not isinstance(expr, (sx.New, sx.Call)):
-        raise MaterializationFailure("StaleAnchor", f"expression anchor for {plan.warning_id}")
-    cls = program.class_named(plan.class_name)
-    method = cls.member(plan.method_name) if cls else None
-    if method is None:
-        raise MaterializationFailure("StaleAnchor", f"method for {plan.warning_id}")
-    path = _template_path(method.body, expr)
-    if isinstance(path, str):
-        raise MaterializationFailure("StaleAnchor", path)
-    block, idx = path[-1]
+    expr = plan.anchor
+    block, idx = plan.path[-1]
     stmt = block.stmts[idx]
-    fresh = FreshNames(program)
     edits: list[dict] = []
 
     # normalize the anchor statement so a named local holds the resource
@@ -426,13 +396,11 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
         hoisted = None
     else:
         # the allocation is nested: extract it into a fresh temporary
-        var = fresh.next(hint="tmp")
-        plan.fresh_names.append(var)
+        var = FreshNames(program).next(hint="tmp")
         decl = sx.LocalDecl(type_name=plan.resource_class, name=var, init=sx.NullLit())
         assign = sx.Assign(target=sx.VarRef(name=var), value=expr)
         ref = sx.VarRef(name=var)
-        if not sx.map_exprs(stmt, lambda e: ref if e is expr else None):
-            raise MaterializationFailure("StaleAnchor", "could not extract the allocation")
+        sx.map_exprs(stmt, lambda e: ref if e is expr else None)
         program.adopt(decl, stmt)
         program.adopt(assign, stmt)
         if isinstance(stmt, sx.ExprStmt) and isinstance(stmt.expr, sx.VarRef):
@@ -445,7 +413,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     guard = _guarded_close(program, stmt, var, plan.finalizer_methods)
 
     if plan.template == CLOSE_IN_FINALLY:
-        try_block, try_idx = sx.try_slots(path)[-1]
+        try_block, try_idx = sx.try_slots(plan.path)[-1]
         try_stmt = try_block.stmts[try_idx]
         if hoisted is not None:
             try_block.stmts.insert(try_idx, hoisted)

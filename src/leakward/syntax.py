@@ -11,7 +11,8 @@ the CFG lowering and ``stores_to_field`` alike.
 
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
 warnings do; ``anchors`` lists the nodes a warning ordinal counts;
-``stmt_path`` finds the statement holding a node; ``map_exprs`` swaps
+``stmt_path`` finds the statement holding a node, ``node_path`` the node
+with an id and that statement, in one walk; ``map_exprs`` swaps
 expressions; ``Program.adopt`` positions a synthesized subtree.
 """
 
@@ -496,17 +497,31 @@ def stmt_path(body: Block, node: Node) -> Optional[StmtPath]:
     """(block, index) pairs from `body` down to the innermost statement that
     is `node` or holds it in its own expressions (an `if` condition counts,
     a nested block does not), matched by identity; None if body lacks it."""
+    found = _find(body, lambda n: n is node)
+    return None if found is None else found[1]
+
+
+def node_path(body: Block, nid: int) -> Optional[tuple[Node, StmtPath]]:
+    """The first node under `body`, in statement order, whose id is `nid`,
+    and its `stmt_path`, found in one walk; None if body lacks it."""
+    return _find(body, lambda n: n.nid == nid)
+
+
+def _find(body: Block, hit: Callable[[Node], bool]) -> Optional[tuple[Node, StmtPath]]:
     for i, s in enumerate(body.stmts):
-        if s is node:
-            return [(body, i)]
+        if hit(s):
+            return s, [(body, i)]
         parts = [v for v in vars(s).values() if isinstance(v, (Expr, Block))]
-        if any(e is node for part in parts if isinstance(part, Expr) for e in walk_exprs(part)):
-            return [(body, i)]
+        for part in parts:
+            if isinstance(part, Expr):
+                e = next((e for e in walk_exprs(part) if hit(e)), None)
+                if e is not None:
+                    return e, [(body, i)]
         for part in parts:
             if isinstance(part, Block):
-                rest = stmt_path(part, node)
+                rest = _find(part, hit)
                 if rest is not None:
-                    return [(body, i), *rest]
+                    return rest[0], [(body, i), *rest[1]]
     return None
 
 

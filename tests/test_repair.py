@@ -6,7 +6,7 @@ import pytest
 
 from helpers import apply_unified_diff
 from leakward.checker import check_program, filter_constructor_first_writes
-from leakward.errors import MaterializationFailure, StaleWarning
+from leakward.errors import StaleWarning
 from leakward.escape import EscapeAnalyzer
 from leakward.inference import infer_specs, write_specs
 from leakward.libspec import load_library_spec
@@ -54,10 +54,11 @@ def _plan(w, prog, specs, lib=LIB, enhancements=True):
     return plan_fix(w, prog, screen_fix(w, EscapeAnalyzer(prog, specs, lib, enhancements=enhancements)))
 
 
-def _apply_to_copy(program, plan):
-    """`plan` applied to a deep copy of `program`: the copy, and its diff against `program`."""
+def _apply_to_copy(program, w, lib=LIB):
+    """`w`'s plan, made on a deep copy of `program` and applied there: the
+    copy, and its diff against `program`."""
     patched = copy.deepcopy(program)
-    apply_plan_in_place(patched, plan)
+    apply_plan_in_place(patched, _plan(w, patched, infer_specs(patched, lib), lib))
     return patched, unified_diff_text(pretty_print(program), pretty_print(patched), program.source_name)
 
 
@@ -147,7 +148,7 @@ def test_null_initializer_is_benign_for_freshness():
 def test_plan_try_finally_wrap_for_local_leak():
     plan, _, _ = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
     assert isinstance(plan, RepairPlan) and plan.template == TRY_FINALLY_WRAP
-    assert plan.finalizer_method == "close"
+    assert plan.finalizer_methods == ("close",)
 
 
 def test_plan_close_in_finally_when_try_exists():
@@ -247,22 +248,8 @@ NO_SLOT = {
 
 @pytest.mark.parametrize("detail", sorted(NO_SLOT))
 def test_a_wrap_without_a_statement_slot_names_the_cause(detail):
-    plan, prog, w = _plan_first(f"class A {{ static void main() {{ {NO_SLOT[detail]} }} }}")
+    plan, _prog, _w = _plan_first(f"class A {{ static void main() {{ {NO_SLOT[detail]} }} }}")
     assert isinstance(plan, Unfixable) and (plan.reason, plan.detail) == ("NoIrMatch", detail)
-    # a wrap anchored there anyway fails with the same cause
-    wrap = RepairPlan(
-        warning_id=w.id,
-        template=TRY_FINALLY_WRAP,
-        anchors={"expr": w.ast_nid},
-        finalizer_method="close",
-        finalizer_methods=("close",),
-        resource_class="Socket",
-        class_name=w.class_name,
-        method_name=w.method_name,
-    )
-    with pytest.raises(MaterializationFailure) as err:
-        apply_plan_in_place(prog, wrap)
-    assert (err.value.reason, err.value.detail) == ("StaleAnchor", detail)
 
 
 def test_plan_unfixable_on_return_escape():
@@ -344,8 +331,9 @@ class M {
   }
 }
 """
-    plan, annotated, _ = _plan_first(src, kind="OwningFieldOverwrite")
+    _, annotated, w = _plan_first(src, kind="OwningFieldOverwrite")
     patched = copy.deepcopy(annotated)
+    plan = _plan(w, patched, infer_specs(patched, LIB))
     assert [e["edit"] for e in apply_plan_in_place(patched, plan)] == ["pre-close"]
     text = pretty_print(patched)
     block = (
@@ -362,8 +350,8 @@ class M {
 
 
 def test_materialize_diff_applies_to_canonical_text():
-    plan, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
-    patched, diff = _apply_to_copy(annotated, plan)
+    _, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
+    patched, diff = _apply_to_copy(annotated, w)
     patched_text = apply_unified_diff(pretty_print(annotated), diff)
     assert patched_text == pretty_print(patched)
     # re-check: the fixed warning id is gone
@@ -374,40 +362,10 @@ def test_materialize_diff_applies_to_canonical_text():
 
 
 def test_materialize_is_deterministic():
-    plan, annotated, _ = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
-    _, diff1 = _apply_to_copy(annotated, plan)
-    _, diff2 = _apply_to_copy(annotated, plan)
+    _, annotated, w = _plan_first('class A { static void main() { Socket s = new Socket(); s.send("x"); } }')
+    _, diff1 = _apply_to_copy(annotated, w)
+    _, diff2 = _apply_to_copy(annotated, w)
     assert diff1 == diff2 and diff1
-
-
-def test_materialize_stale_anchor_on_already_patched_site():
-    plan, annotated, _ = _plan_first(
-        """class W {
-  private Socket f;
-
-  void reset() {
-    f = new Socket();
-  }
-  void close() {
-    if (f != null) {
-      f.close();
-    }
-  }
-}
-class M {
-  static void main() {
-    W w = new W();
-    w.reset();
-    w.close();
-  }
-}
-""",
-        kind="OwningFieldOverwrite",
-    )
-    patched, _ = _apply_to_copy(annotated, plan)
-    with pytest.raises(MaterializationFailure) as err:
-        _apply_to_copy(patched, plan)
-    assert err.value.reason == "StaleAnchor"
 
 
 def test_fresh_temp_extraction_for_nested_allocation():
@@ -417,12 +375,10 @@ def test_fresh_temp_extraction_for_nested_allocation():
   }
 }
 """
-    plan, annotated, _ = _plan_first(src)
+    plan, annotated, w = _plan_first(src)
     assert isinstance(plan, RepairPlan)
-    patched, _ = _apply_to_copy(annotated, plan)
-    text = pretty_print(patched)
-    assert "__lw_tmp1" in text and plan.fresh_names == ["__lw_tmp1"]
-    assert "Socket __lw_tmp1 = null;" in text
+    patched, _ = _apply_to_copy(annotated, w)
+    assert "Socket __lw_tmp1 = null;" in pretty_print(patched)
 
 
 def test_multi_mustcall_inserts_every_finalizer():
@@ -435,7 +391,7 @@ def test_multi_mustcall_inserts_every_finalizer():
     plan = _plan(w, prog, specs, lib2)
     assert isinstance(plan, RepairPlan)
     assert plan.finalizer_methods == ("close", "drain")
-    text = pretty_print(_apply_to_copy(prog, plan)[0])
+    text = pretty_print(_apply_to_copy(prog, w, lib2)[0])
     assert "p.close();" in text and "p.drain();" in text
 
 
@@ -446,7 +402,7 @@ def test_classic_mode_plans_only_close():
     prog = parse("class A { static void main() { Pipe p = new Pipe(); } }", "r.mj")
     specs = infer_specs(prog, lib2)
     w = check_program(prog, specs, lib2)[0]
-    assert _plan(w, prog, specs, lib2).finalizer_method == "drain"
+    assert _plan(w, prog, specs, lib2).finalizer_methods == ("drain",)
     unfixable = _plan(w, prog, specs, lib2, enhancements=False)
     assert isinstance(unfixable, Unfixable) and unfixable.reason == "NoIrMatch"
 
@@ -458,3 +414,71 @@ def test_rebind_warning_round_trip():
     back = rebind_warning(w.to_json(), prog)
     assert back.id == w.id and back.ast_nid == w.ast_nid and back.site == w.site
     assert locate_anchor(back, prog).nid == w.ast_nid
+
+
+# --- a plan holds the nodes it edits ---
+
+CALL_AFTER_A_CLOSE = """class Maker {
+  static PrintStream open(String p) {
+    PrintStream s = new PrintStream(p);
+    return s;
+  }
+}
+class Main {
+  static void main() {
+    try {
+      PrintStream out = new PrintStream("log.txt");
+      out.println("begin");
+    } catch (Exception e) {
+      e.printStackTrace();
+    }
+    PrintStream b = Maker.open("b.txt");
+    b.println("x");
+  }
+}
+"""
+
+
+def test_a_close_inserted_earlier_in_the_round_does_not_move_a_call_anchor(libspec):
+    # the `out.close()` the first fix inserts comes before `Maker.open(...)`
+    # in the method, so counting calls would anchor `b`'s wrap on it
+    report = run_pipeline([("calls.mj", CALL_AFTER_A_CLOSE)], libspec)
+    fr = report.files["calls.mj"]
+    out, b = fr.w_xform
+    assert fr.fix_status == {out.id: ("fixed", CLOSE_IN_FINALLY), b.id: ("fixed", TRY_FINALLY_WRAP)}
+    assert fr.iterations_used == 1 and fr.verdict.label == "Pass"
+    assert "+      b = Maker.open(\"b.txt\");" in fr.diff and "= out.close()" not in fr.diff
+
+
+GUARDED_USE_BEFORE_A_STORE = """class W {
+  private PrintStream f;
+  void reset(String p) {
+    if (f != null) {
+      f.println("bye");
+    }
+    f = new PrintStream(p);
+  }
+  void close() {
+    if (f != null) {
+      f.close();
+    }
+  }
+}
+class M {
+  static void main() {
+    W w = new W();
+    w.reset("a");
+    w.reset("b");
+    w.close();
+  }
+}
+"""
+
+
+def test_a_null_guard_of_the_users_own_before_a_store_gets_its_pre_close(libspec):
+    report = run_pipeline([("guard.mj", GUARDED_USE_BEFORE_A_STORE)], libspec)
+    fr = report.files["guard.mj"]
+    (w,) = fr.w_xform
+    assert w.kind == "OwningFieldOverwrite"
+    assert fr.fix_status == {w.id: ("fixed", PRE_CLOSE_INSERTION)}
+    assert fr.verdict.label == "Pass" and report.exit_code == 0

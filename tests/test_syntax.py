@@ -12,7 +12,7 @@ from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
 from leakward.printer import pretty_print
-from leakward.repair import locate_anchor
+from leakward.repair import find_anchor, locate_anchor
 from leakward.specs import SpecSet
 
 PROGRAMS = corpus_and_fuzz_programs()
@@ -166,11 +166,15 @@ def test_anchor_ordinal_indexes_every_new_call_and_field_store():
 
 
 def test_every_warning_locates_its_own_node():
+    # by its descriptor and by its node id alike
     seen = 0
     for prog, lib in PROGRAMS:
         for specs in (SpecSet.from_declared(prog), infer_specs(prog, lib)):
             for w in check_program(prog, specs, lib):
-                assert locate_anchor(w, prog).nid == w.ast_nid, w.descriptor()
+                node = locate_anchor(w, prog)
+                assert node.nid == w.ast_nid, w.descriptor()
+                method, by_nid, path = find_anchor(w, prog)
+                assert by_nid is node and path == sx.stmt_path(method.body, node), w.descriptor()
                 seen += 1
     assert seen > 100
 
@@ -184,9 +188,14 @@ def test_stmt_path_leads_to_every_statement_and_expression():
                 assert inner in [v for v in vars(block.stmts[i]).values() if isinstance(v, sx.Block)]
             block, i = path[-1]
             assert block.stmts[i] is stmt
+            found, by_nid = sx.node_path(meth.body, stmt.nid)
+            assert found is stmt and by_nid == path
             for e in _own_exprs(stmt):
                 assert sx.stmt_path(meth.body, e) == path
+                found, by_nid = sx.node_path(meth.body, e.nid)
+                assert found is e and by_nid == path
         assert sx.stmt_path(meth.body, sx.NullLit()) is None
+        assert sx.node_path(meth.body, sx.NullLit().nid) is None
 
 
 def test_try_slots_are_the_tries_whose_body_the_path_enters():
