@@ -157,6 +157,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
     def fix(program):
         warnings, stale = _rebind(warnings_data, program)
+        _lower_all(program, libspec)  # with no plan applied, no validation lowers it
         outcome = fix_stage(program, warnings, libspec, PipelineConfig())
         for wid in stale:
             outcome.fix_status.setdefault(wid, ("unfixable", "NoIrMatch"))

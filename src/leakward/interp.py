@@ -527,9 +527,10 @@ def validate_patch(
     here when not given), reparses and prints back to itself, and
     reject_final_writes on `patched` is clean, (b) re-checking `patched` (with
     fresh inference) no longer reports the fixed warning ids, and (c) when the
-    original has one static main, the reparsed patch's run has no
-    use-after-close, leaks no site the original did not leak, and prints the
-    same close-elided output.
+    original has one static main, the reparsed patch's run adds no
+    use-after-close (site, method) event and leaks no site beyond the
+    original's run (each a multiset subset), and prints the same
+    close-elided output.
 
     The reparse is the parse and printer-fixpoint gate: a patch that passes it
     is the program its text describes, so the static checks read `patched`
@@ -561,7 +562,7 @@ def validate_patch(
         if before.status == STEP_LIMIT_EXCEEDED or after.status == STEP_LIMIT_EXCEEDED:
             failures.append("StepLimit")
         else:
-            if after.use_after_close:
+            if not _multiset_subset(_uses(after), _uses(before)):
                 failures.append("UseAfterClose")
             if not _multiset_subset(after.leaked_sites, before.leaked_sites):
                 failures.append("LeaksIncreased")
@@ -572,6 +573,11 @@ def validate_patch(
     return ValidationVerdict(ok=not failures, failures=tuple(failures))
 
 
-def _multiset_subset(smaller: tuple[int, ...], larger: tuple[int, ...]) -> bool:
+def _uses(report: RuntimeReport) -> tuple[tuple[int, str], ...]:
+    """A run's use-after-close events as (site, method), without their step."""
+    return tuple((site, method) for site, method, _step in report.use_after_close)
+
+
+def _multiset_subset(smaller: tuple, larger: tuple) -> bool:
     cs, cl = Counter(smaller), Counter(larger)
     return all(cs[k] <= cl[k] for k in cs)

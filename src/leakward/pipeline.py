@@ -360,7 +360,8 @@ def fix_stage(
     `validate_patch` runs its static checks on `patched` itself, which the
     last round's re-check has already analysed. Its reparse of the one print
     of `patched`, which the diff also uses, is the parse and printer-fixpoint
-    gate."""
+    gate. When no plan was applied there is no patch to blame: the diff is
+    empty and the verdict is Pass, with no validation run."""
     version = memo.version_of(program, libspec)
     program = version.program
     patched = copy.deepcopy(program)
@@ -402,6 +403,8 @@ def fix_stage(
         fix_status[w.id] = ("unfixable", "IterationsExhausted")
 
     fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
+    if not fixed_ids:
+        return FixOutcome(patched, fix_status, iterations, ValidationVerdict(ok=True), "")
     patched_text = pretty_print(patched)
     verdict = validate_patch(program, now, libspec, fixed_ids=fixed_ids, patched_text=patched_text)
     if not verdict.ok:

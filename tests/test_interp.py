@@ -317,7 +317,20 @@ def test_validate_patch_fails_when_the_print_does_not_print_back():
 def test_validate_patch_fails_on_use_after_close():
     original = parse(GOOD, "g.mj")
     verdict = validate_patch(original, parse(BAD_PATCHED, "g.mj"), LIB)
-    assert not verdict.ok and "UseAfterClose" in verdict.label
+    assert verdict.failures == ("UseAfterClose",)
+
+
+def test_validate_patch_blames_only_the_use_after_close_events_a_patch_adds():
+    # the original already prints once after its close; a patch that keeps
+    # that use passes, and one that closes earlier and so adds a second
+    # (site, method) event fails
+    body = 'class A {\n  static void main() {\n    PrintStream s = new PrintStream("f");\n    BODY\n  }\n}\n'
+    used_once = body.replace("BODY", 's.println("x");\n    s.close();\n    s.println("y");')
+    used_twice = body.replace("BODY", 's.close();\n    s.println("x");\n    s.println("y");')
+    assert len(run(parse(used_once), LIB).use_after_close) == 1
+    assert validate_patch(parse(used_once, "g.mj"), parse(used_once, "g.mj"), LIB).ok
+    verdict = validate_patch(parse(used_once, "g.mj"), parse(used_twice, "g.mj"), LIB)
+    assert verdict.failures == ("UseAfterClose",)
 
 
 def test_validate_patch_fails_on_output_change():

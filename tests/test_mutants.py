@@ -2,7 +2,9 @@
 corpus (a line deleted, duplicated, or swapped with the next): a run never
 raises, each mutant ends as a file result or as an error entry, and the
 interpreter gives every mutant that parses a status. Each mutant's report is
-held to a pinned digest. Validation verdicts are not asserted here."""
+held to a pinned digest. Of the validation verdicts only one is asserted: a
+mutant with no patch (an empty diff) validates, since there is nothing to
+blame."""
 
 import re
 
@@ -24,6 +26,7 @@ def test_the_pipeline_ends_every_mutant_as_a_result_or_an_error(libspec):
         errors = [e for e in report.errors if e.startswith(f"{name}: ")]
         assert (name in report.files) != bool(errors), name
         assert report.exit_code in (0, 2, 3, 4), name
+        assert all(fr.verdict.ok for fr in report.files.values() if not fr.diff), name
         digests[name] = report_digest(report)  # a name drawn twice is the same text
     assert moved_reports("mutants", digests) == []
 
