@@ -3,8 +3,8 @@
 Subcommands: check, infer, transform, fix, run, explain-escape, pipeline.
 `check`, `transform` and `fix` call the pipeline's own stages (`check_stage`,
 `transform_stage`, `fix_stage`), so `fix` infers specs, re-checks, repairs
-fresh warnings and validates as `pipeline` does. Exit codes: 0 = done, every patch validated;
-1 = `check` reports warnings, `run` ends in another status than Completed,
+fresh warnings and validates as `pipeline` does. Exit codes: 0 = done, every
+patch validated; 1 = `check` reports warnings, `run` ends in another status than Completed,
 `explain-escape` finds no such site; 2 = unfixable warnings remain
 (`pipeline`); 3 = a patch failed validation (`fix`, `pipeline`); 4 = a file
 that does not parse, lower or annotate was left out, named on stderr

@@ -349,13 +349,12 @@ def fix_stage(
 
     A round screens each of its warnings (`screen_fix`) with one
     `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
-    then it plans and applies each warning in turn against `patched` as it is
-    by then: `plan_fix` anchors each plan in `patched` as it is, and the plan
-    is applied at once. The screen's results hold for the whole round, because a template
-    only adds finalizer calls on existing receivers, null declarations (moving
-    an allocation into an assignment) and try/finally and catch blocks: no
-    field write, and no return, argument pass or collection store of a
-    tracked value.
+    then it plans each warning in turn on `patched` as it is by then and
+    applies the plan at once. The screen's results hold for the whole round,
+    because a template only adds finalizer calls on existing receivers, null
+    declarations (moving an allocation into an assignment) and try/finally
+    and catch blocks: no field write, and no return, argument pass or
+    collection store of a tracked value.
 
     `validate_patch` runs its static checks on `patched` itself, which the
     last round's re-check has already analysed. Its reparse of the one print

@@ -6,11 +6,11 @@ escape results, against an `EscapeAnalyzer` built with the run's
 conditions, the finalizers and the classic close-only rule. `plan_fix` then
 anchors the template in the program as it is now: it finds the warned node by
 the warning's `ast_nid`, in one walk of the member's body that also gives the
-node's statement path, and the plan holds those live nodes. The fix stage screens a
-whole round's warnings with one analyzer before the round's first edit, so
-the analyzer may be on an earlier version of the program than `plan_fix`'s;
-its results still hold, since no template writes a field or adds a return,
-an argument pass or a collection store of a tracked value.
+node's statement path, and the plan holds those live nodes. The fix stage
+screens a whole round's warnings with one analyzer before the round's first
+edit, so the analyzer may be on an earlier version of the program than
+`plan_fix`'s; its results still hold, since no template writes a field or
+adds a return, an argument pass or a collection store of a tracked value.
 Template selection per warning:
 
   UnsatisfiedObligation, value does not escape
