@@ -196,6 +196,23 @@ class Cfg:
                 work.extend(t for t in succ[n] if t not in blocked)
         return seen
 
+    def field_stores(self, field_class: str, field_name: str) -> tuple[list[int], set[int]]:
+        """The nodes that store the field `field_name` of `field_class`, in
+        node order, and those of them a path may run twice: each store that
+        reaches a store (itself, round a cycle, included) and each store it
+        reaches."""
+        stores = [
+            i
+            for i, ins in enumerate(self.nodes)
+            if isinstance(ins, StoreField) and ins.field == field_name and ins.field_class == field_class
+        ]
+        doubled: set[int] = set()
+        for a in stores:
+            reached = self.reachable(self.succs(a)).intersection(stores)
+            if reached:
+                doubled |= reached | {a}
+        return stores, doubled
+
     def rpo(self) -> list[int]:
         """Nodes reachable from entry in reverse postorder (successors taken by id); a fresh list."""
         return list(self._rpo)

@@ -350,8 +350,9 @@ class _MethodChecker:
     # warning emission
 
     def ordinal(self, kind: str, token: str, nid: int) -> int:
-        """`sx.anchor_ordinal(self.cls, self.method, kind, token, nid)`, read off a table
-        built on first use: one walk of the method per (kind, token) per run."""
+        """The index of node `nid` in `sx.anchors(self.cls, self.method, kind,
+        token)`, 0 if it is not there, read off a table built on first use:
+        one walk of the method per (kind, token) per run."""
         table = self._ordinals.get((kind, token))
         if table is None:
             table = self._ordinals[(kind, token)] = {}
@@ -771,13 +772,11 @@ def _first_write_conditions_hold(w: Warning, program: sx.Program) -> bool:
     stores = sx.stores_to_field(cls, ctor, field_class, field_name)
     if len(stores) != 1 or w.ordinal != 0:
         return False  # condition 5
-    path = sx.stmt_path(ctor.body, stores[0])
-    if len(path) != 1:
+    before = sx.evaluated_before(ctor.body, stores[0])
+    if before is None:
         return False  # condition 4: nested inside if/while/try
     # condition 6: no calls before (or within) the assignment
-    _body, idx = path[0]
-    before = [e for s in ctor.body.stmts[:idx] for e in sx.walk_exprs(s)]
-    return not any(isinstance(e, sx.Call) for e in before + list(sx.walk_exprs(stores[0].value)))
+    return not any(isinstance(e, sx.Call) for e in before)
 
 
 # --- final-field write checking ----------------------------------------------
@@ -801,44 +800,13 @@ def reject_final_writes(program: ProgramOrVersion, libspec: LibrarySpec) -> list
         for meth in cls.all_methods():
             cfg = version.cfg(cls, meth)
             for fld in final_fields:
-                store_nodes = [
-                    i
-                    for i, ins in enumerate(cfg.nodes)
-                    if isinstance(ins, C.StoreField) and ins.field == fld.name and ins.field_class == cls.name
-                ]
-                if not store_nodes:
-                    continue
-                store_nids = sorted({cfg.nodes[i].ast_nid for i in store_nodes})  # type: ignore[union-attr]
+                stores, doubled = cfg.field_stores(cls.name, fld.name)
                 if not meth.is_constructor or fld.has("static") or fld.initializer is not None:
-                    for nid in store_nids:
-                        line, _ = program.pos_of(nid)
-                        errors.append(
-                            CompileError(
-                                program.source_name,
-                                line,
-                                f"final field {cls.name}.{fld.name} is assigned outside its initialization",
-                            )
-                        )
-                    continue
-                for nid in sorted(_doubled_store_nids(cfg, store_nodes)):
+                    bad, message = stores, "is assigned outside its initialization"
+                else:
+                    bad, message = doubled, "may be assigned twice in a constructor"
+                for nid in sorted({cfg.nodes[i].ast_nid for i in bad}):  # type: ignore[union-attr]
                     line, _ = program.pos_of(nid)
-                    errors.append(
-                        CompileError(
-                            program.source_name,
-                            line,
-                            f"final field {cls.name}.{fld.name} may be assigned twice in a constructor",
-                        )
-                    )
+                    errors.append(CompileError(program.source_name, line, f"final field {cls.name}.{fld.name} {message}"))
     return sorted(errors, key=lambda e: (e.file, e.line, e.message))
 
-
-def _doubled_store_nids(cfg: C.Cfg, store_nodes: list[int]) -> set[int]:
-    """Ast nids of stores reachable from another store (same nid via a cycle counts)."""
-    doubled: set[int] = set()
-    for a in store_nodes:
-        reach = cfg.reachable(cfg.succs(a))
-        for b in store_nodes:
-            if b in reach:
-                doubled.add(cfg.nodes[b].ast_nid)  # type: ignore[union-attr]
-                doubled.add(cfg.nodes[a].ast_nid)  # type: ignore[union-attr]
-    return doubled

@@ -34,7 +34,6 @@ from .checker import (
     Warning,
     check_program,
     filter_constructor_first_writes,
-    warning_id,
 )
 from .errors import FILE_ERRORS, AmbiguousMapping, StaleWarning
 from .escape import EscapeAnalyzer, tainted_stores
@@ -43,7 +42,7 @@ from .interp import ValidationVerdict, validate_patch
 from .libspec import LibrarySpec
 from .parser import parse
 from .printer import pretty_print
-from .repair import Unfixable, apply_plan_in_place, find_anchor, plan_fix, screen_fix, unified_diff_text
+from .repair import Unfixable, apply_plan_in_place, plan_fix, screen_fix, unified_diff_text
 from .specs import OWNING, SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
@@ -154,41 +153,34 @@ def compute_metrics(
 def build_shift_map(
     w_orig: list[Warning],
     w_xform: list[Warning],
-    specs_by_file: dict[str, SpecSet],
-    programs_by_file: dict[str, memo.ProgramOrVersion],
+    specs: SpecSet,
+    program: memo.ProgramOrVersion,
     libspec: LibrarySpec,
 ) -> ShiftMap:
-    """Map each w_xform warning to its root: a wrapper-allocation warning maps
-    to the w_orig warning at the library allocation its @Owning field chain
-    reaches inside the wrapper's constructors; overwrite warnings and library
-    warnings map to themselves. Each file's transformed program is read
-    through one version: the one handed in, or one taken here of a bare
-    program."""
-    orig_ids = {w.id for w in w_orig}
-    versions = {name: memo.version_of(program, libspec) for name, program in programs_by_file.items()}
+    """Map each of one file's w_xform warnings to its root: a
+    wrapper-allocation warning maps to the w_orig warning at the library
+    allocation its @Owning field chain reaches inside the wrapper's
+    constructors; overwrite warnings and library warnings map to themselves.
+    The file's transformed program is read through one version: the one
+    handed in, or one taken here of a bare program."""
+    version = memo.version_of(program, libspec)
+    # the transforms edit in place, so an allocation keeps its site from w_orig to w_xform
+    root_at_site = {w.site: w.id for w in w_orig if w.kind == UNSATISFIED_OBLIGATION and w.anchor_kind == "new"}
     pairs: dict[str, str] = {}
     mult: dict[str, int] = {}
     for w in w_xform:
         root = w.id
-        if w.kind == UNSATISFIED_OBLIGATION:
-            version = versions.get(w.file)
-            specs = specs_by_file.get(w.file)
-            if version is not None and specs is not None and version.program.class_named(w.resource_class):
-                arity: Optional[int] = None
-                if w.anchor_kind == "new":
-                    try:
-                        _method, node, _path = find_anchor(w, version.program)
-                        if isinstance(node, sx.New):
-                            arity = len(node.args)
-                    except StaleWarning:
-                        arity = None
-                found = _chain_roots(w.resource_class, arity, w.file, version, specs, orig_ids, set())
-                if len(found) > 1:
-                    raise AmbiguousMapping(
-                        f"warning {w.id} on {w.resource_class} reaches roots {sorted(found)}"
-                    )
-                if len(found) == 1:
-                    root = next(iter(found))
+        if w.kind == UNSATISFIED_OBLIGATION and version.program.class_named(w.resource_class):
+            arity: Optional[int] = None
+            if w.anchor_kind == "new":
+                cls = version.program.class_named(w.class_name)
+                cfg = version.cfg(cls, cls.member(w.method_name))
+                arity = next(len(ins.args) for ins in cfg.nodes if isinstance(ins, C.Alloc) and ins.site == w.site)
+            found = _chain_roots(w.resource_class, arity, version, specs, root_at_site, set())
+            if len(found) > 1:
+                raise AmbiguousMapping(f"warning {w.id} on {w.resource_class} reaches roots {sorted(found)}")
+            if len(found) == 1:
+                root = next(iter(found))
         pairs[w.id] = root
         mult[root] = mult.get(root, 0) + 1
     return ShiftMap(pairs=pairs, multiplicity=mult, fixed_counts={})
@@ -197,16 +189,14 @@ def build_shift_map(
 def _chain_roots(
     wrapper: str,
     arity: Optional[int],
-    file: str,
     version: memo.ProgramVersion,
     specs: SpecSet,
-    orig_ids: set[str],
+    root_at_site: dict[int, str],
     seen: set[str],
 ) -> set[str]:
     """w_orig ids of library allocations reachable from the wrapper's @Owning
-    field assignments in the constructor of the given arity (transformed
-    coordinates share ordinals with the original program, so descriptors line
-    up)."""
+    field assignments in the constructor of the given arity (any arity when
+    None), found by the allocation's site."""
     if wrapper in seen:
         return set()
     seen.add(wrapper)
@@ -230,16 +220,9 @@ def _chain_roots(
             if not any(s.field in owning_fields and s.field_class == wrapper for s in stores):
                 continue
             if program.class_named(alloc.class_name) is not None:
-                roots |= _chain_roots(
-                    alloc.class_name, len(alloc.args), file, version, specs, orig_ids, seen
-                )
-                continue
-            ordinal = sx.anchor_ordinal(cls, ctor, "new", alloc.class_name, alloc.ast_nid)
-            wid = warning_id(
-                UNSATISFIED_OBLIGATION, file, wrapper, cfg.method_name, "new", alloc.class_name, ordinal
-            )
-            if wid in orig_ids:
-                roots.add(wid)
+                roots |= _chain_roots(alloc.class_name, len(alloc.args), version, specs, root_at_site, seen)
+            elif alloc.site in root_at_site:
+                roots.add(root_at_site[alloc.site])
     return roots
 
 
@@ -469,7 +452,7 @@ def run_pipeline(
             continue
         version, fr.version = fr.version, None
         try:
-            part = build_shift_map(fr.w_orig, fr.w_xform, {name: fr.specs}, {name: version}, libspec)
+            part = build_shift_map(fr.w_orig, fr.w_xform, fr.specs, version, libspec)
         except AmbiguousMapping as e:
             shift_errors.append(f"shift-map: {name}: {e}")  # an entry "{name}: ..." marks a file left out
             part = ShiftMap(pairs={w.id: w.id for w in fr.w_xform}, multiplicity={}, fixed_counts={})

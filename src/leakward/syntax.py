@@ -12,8 +12,10 @@ the CFG lowering and ``stores_to_field`` alike.
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
 warnings do; ``anchors`` lists the nodes a warning ordinal counts;
 ``stmt_path`` finds the statement holding a node, ``node_path`` the node
-with an id and that statement, in one walk; ``map_exprs`` swaps
-expressions; ``Program.adopt`` positions a synthesized subtree.
+with an id and that statement, in one walk; ``evaluated_before`` tells a
+statement of a body itself and what runs before it completes (a
+constructor's first write); ``map_exprs`` swaps expressions;
+``Program.adopt`` positions a synthesized subtree.
 """
 
 from __future__ import annotations
@@ -482,12 +484,14 @@ def anchors(cls: ClassDecl, method: MethodDecl, kind: str, token: str) -> Iterat
             yield e
 
 
-def anchor_ordinal(cls: ClassDecl, method: MethodDecl, kind: str, token: str, nid: int) -> int:
-    """Index of node `nid` in `anchors(cls, method, kind, token)`, 0 if it is not there."""
-    for i, node in enumerate(anchors(cls, method, kind, token)):
-        if node.nid == nid:
-            return i
-    return 0
+def evaluated_before(body: Block, stmt: Stmt) -> Optional[list[Expr]]:
+    """When `stmt` is a statement of `body` itself (not of a nested block),
+    the expressions evaluated before it completes: those of the statements
+    before it and its own, in order; None when it is not."""
+    for i, s in enumerate(body.stmts):
+        if s is stmt:
+            return [e for before in body.stmts[: i + 1] for e in walk_exprs(before)]
+    return None
 
 
 StmtPath = list[tuple[Block, int]]

@@ -131,16 +131,9 @@ def _writes_exactly_once_per_normal_path(
     version: ProgramVersion, cls: sx.ClassDecl, ctor: sx.MethodDecl, field_name: str
 ) -> bool:
     cfg = version.cfg(cls, ctor)
-    stores = [
-        i
-        for i, ins in enumerate(cfg.nodes)
-        if isinstance(ins, C.StoreField) and ins.field == field_name and ins.field_class == cls.name
-    ]
-    if not stores:
-        return False
-    # max <= 1: no store reaches another store (or itself through a cycle)
-    if any(cfg.reachable(cfg.succs(a)).intersection(stores) for a in stores):
-        return False
+    stores, doubled = cfg.field_stores(cls.name, field_name)
+    if not stores or doubled:
+        return False  # max <= 1: no store reaches another store (or itself through a cycle)
     # min >= 1 along pure-normal paths: exit unreachable once stores are removed
     return cfg.exit not in cfg.reachable([cfg.entry], C.NORMAL, blocked=set(stores))
 
@@ -206,7 +199,7 @@ def field_to_local(program: sx.Program) -> tuple[sx.Program, EditLog]:
             target = _demote_target(cls, fld)
             if target is None:
                 continue
-            _apply_demote(program, cls, fld, target, log)
+            _apply_demote(program, cls, fld, *target, log)
     return program, log
 
 
@@ -225,34 +218,34 @@ def _reads_of_field(method: sx.MethodDecl, field_name: str) -> list[sx.Expr]:
     ]
 
 
-def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[sx.MethodDecl]:
+def _demote_target(cls: sx.ClassDecl, fld: sx.FieldDecl) -> Optional[tuple[sx.MethodDecl, sx.Assign]]:
+    """The one member that writes `fld`, when no other member reads it, and
+    its first write, when that write is a statement of the member's own body
+    that no read of `fld` is evaluated before."""
     if not fld.has("private") or fld.initializer is not None:
         return None
-    readers = [m for m in cls.all_methods() if _reads_of_field(m, fld.name)]
-    writers = [m for m in cls.all_methods() if sx.stores_to_field(cls, m, cls.name, fld.name)]
+    readers = [(m, reads) for m in cls.all_methods() if (reads := _reads_of_field(m, fld.name))]
+    writers = [(m, stores) for m in cls.all_methods() if (stores := sx.stores_to_field(cls, m, cls.name, fld.name))]
     if len(readers) > 1 or len(writers) != 1:
         return None
-    if readers and readers[0] is not writers[0]:
+    m, stores = writers[0]
+    if readers and readers[0][0] is not m:
         return None
-    m = writers[0]
-    # the first write must be a top-level statement preceding every read
-    anchor = sx.stores_to_field(cls, m, cls.name, fld.name)[0]
-    path = sx.stmt_path(m.body, anchor)
-    if len(path) != 1:
+    before = sx.evaluated_before(m.body, stores[0])
+    if before is None:
         return None
-    _body, anchor_idx = path[0]
-    read_nids = {e.nid for e in _reads_of_field(m, fld.name)}
-    before = [e for s in m.body.stmts[:anchor_idx] for e in sx.walk_exprs(s)]
-    if any(e.nid in read_nids for e in before + list(sx.walk_exprs(anchor.value))):
+    read_ids = {id(e) for _m, reads in readers for e in reads}
+    if any(id(e) in read_ids for e in before):
         return None
-    return m
+    return m, stores[0]
 
 
-def _apply_demote(program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, method: sx.MethodDecl, log: EditLog) -> None:
-    anchor = sx.stores_to_field(cls, method, cls.name, fld.name)[0]
-    decl = sx.LocalDecl(type_name=fld.declared_type, name=fld.name, init=anchor.value)
-    program.inherit_pos(decl, anchor)
-    [(_body, idx)] = sx.stmt_path(method.body, anchor)
+def _apply_demote(
+    program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, method: sx.MethodDecl, store: sx.Assign, log: EditLog
+) -> None:
+    decl = sx.LocalDecl(type_name=fld.declared_type, name=fld.name, init=store.value)
+    program.inherit_pos(decl, store)
+    idx = next(i for i, s in enumerate(method.body.stmts) if s is store)
     method.body.stmts[idx] = decl
 
     def local_ref(e: sx.Expr) -> Optional[sx.Expr]:

@@ -216,6 +216,23 @@ def test_rpo_is_a_fresh_list_each_call():
     assert g.rpo() == list(reversed(order[:-1]))
 
 
+def test_field_stores_finds_the_stores_a_path_may_run_twice():
+    src = (
+        "class A { private PrintStream f; private PrintStream g;"
+        " A(String p) { g = null; while (p != null) { f = null; } }"
+        " void m(String p) { f = null; if (p != null) { f = null; } g = null; } }"
+    )
+    for meth, f_stores in (("<init>", 1), ("m", 2)):
+        g = lower_method(src, "A", meth)
+        stores, doubled = g.field_stores("A", "f")
+        assert all(isinstance(g.nodes[n], C.StoreField) and g.nodes[n].field == "f" for n in stores)
+        # in `<init>` the store inside the `while` reaches itself; in `m` the first store reaches the second
+        assert len(stores) == f_stores and doubled == set(stores)
+        stores, doubled = g.field_stores("A", "g")
+        assert len(stores) == 1 and doubled == set()
+        assert g.field_stores("B", "f") == ([], set())
+
+
 # --- the worklist solver against the round-robin loops it replaced ---
 
 

@@ -154,9 +154,7 @@ def test_tempfile_file_resolves_fully(corpus_report):
     pair = WarningSetPair(w_orig=fr.w_orig, w_xform=fr.w_xform)
     from leakward.pipeline import build_shift_map
 
-    shift = build_shift_map(
-        fr.w_orig, fr.w_xform, {fr.name: fr.specs}, {fr.name: fr.transformed}, corpus_report_libspec(corpus_report)
-    )
+    shift = build_shift_map(fr.w_orig, fr.w_xform, fr.specs, fr.transformed, corpus_report_libspec(corpus_report))
     dispositions = {w.id: fr.fix_status[w.id] for w in fr.w_xform}
     m = compute_metrics(pair, shift, dispositions)
     assert m.resolution_rate == 1

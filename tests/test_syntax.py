@@ -146,7 +146,7 @@ def test_member_key_names_the_cfg_and_finds_the_member():
     assert sx.member_key(parse("class A { A(int a, int b) { } }").classes[0].constructors[0]) == "<init>#2"
 
 
-def test_anchor_ordinal_indexes_every_new_call_and_field_store():
+def test_anchors_list_every_new_call_and_field_store():
     for prog, lib, cls, meth in _methods(PROGRAMS + SHADOWING_PROGRAMS):
         for e in sx.walk_exprs(meth.body):
             if isinstance(e, sx.New):
@@ -155,14 +155,26 @@ def test_anchor_ordinal_indexes_every_new_call_and_field_store():
                 kind, token = "call", ""
             else:
                 continue
-            assert list(sx.anchors(cls, meth, kind, token))[sx.anchor_ordinal(cls, meth, kind, token, e.nid)] is e
+            assert any(node is e for node in sx.anchors(cls, meth, kind, token))
         # field stores as the checker sees them: the lowered StoreFields
         for ins in C.lower(prog, cls, meth, lib).nodes:
             if isinstance(ins, C.StoreField):
                 token = f"{ins.field_class}.{ins.field}"
-                stores = list(sx.anchors(cls, meth, "store", token))
-                node = stores[sx.anchor_ordinal(cls, meth, "store", token, ins.ast_nid)]
-                assert node.nid == ins.ast_nid
+                assert ins.ast_nid in {node.nid for node in sx.anchors(cls, meth, "store", token)}
+
+
+def test_evaluated_before_lists_a_body_statement_and_what_runs_before_it():
+    cls = parse(
+        "class A { private PrintStream f; A(String p) { p.length(); f = new PrintStream(p);"
+        " if (p != null) { f = null; } } }"
+    ).classes[0]
+    body = cls.constructors[0].body
+    first, nested = sx.stores_to_field(cls, cls.constructors[0], "A", "f")
+    before = sx.evaluated_before(body, first)
+    assert before == list(sx.walk_exprs(body.stmts[0])) + list(sx.walk_exprs(first))
+    assert isinstance(before[0], sx.Call) and any(e is first.value for e in before)
+    assert sx.evaluated_before(body, nested) is None  # a store nested in an `if` is not a statement of the body
+    assert sx.evaluated_before(body, body.stmts[0]) == list(sx.walk_exprs(body.stmts[0]))
 
 
 def test_every_warning_locates_its_own_node():
