@@ -24,7 +24,9 @@ Template selection per warning:
       -> PreCloseInsertion: a guarded try/close/catch(printStackTrace) block
          immediately before the overwriting store.
   anything else -> Unfixable with the failing route or condition.
-A template that would nest the method past `parser.MAX_NESTING` is
+A wrap whose holder local is assigned again before its finally runs is
+Unfixable(NoIrMatch, "holder reassigned before the finally"), and a template
+that would nest the method past `parser.MAX_NESTING` is
 Unfixable(NoIrMatch, "nesting limit").
 
 With `enhancements` off (the classic close-only repair) no class is a
@@ -221,6 +223,8 @@ def plan_fix(
             return Unfixable(warning.id, NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
+        if _holder_reassigned(path, tries, anchor):
+            return Unfixable(warning.id, NO_IR_MATCH, detail="holder reassigned before the finally")
         if _wrap_nesting(path, tries) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
@@ -270,6 +274,29 @@ def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -
         names.remove("close")
         names.insert(0, "close")
     return tuple(names)
+
+
+def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
+    """Is the local a wrap closes in its finally assigned again before the
+    finally runs, so that the finally would close a later value instead?
+    That is the rest of the anchor's block for a TryFinallyWrap, and the rest
+    of each block from the innermost try body down to the anchor for a
+    CloseInFinally. A nested allocation gets a fresh holder."""
+    block, idx = path[-1]
+    stmt = block.stmts[idx]
+    if isinstance(stmt, sx.LocalDecl) and stmt.init is anchor:
+        var = stmt.name
+    elif isinstance(stmt, sx.Assign) and isinstance(stmt.target, sx.VarRef) and stmt.value is anchor:
+        var = stmt.target.name
+    else:
+        return False
+    start = 1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0]) if tries else len(path) - 1
+    return any(
+        isinstance(s, sx.Assign) and isinstance(s.target, sx.VarRef) and s.target.name == var
+        for b, i in path[start:]
+        for rest in b.stmts[i + 1 :]
+        for s in sx.walk_stmts(rest)
+    )
 
 
 def _no_slot(path: sx.StmtPath) -> str:

@@ -482,3 +482,45 @@ def test_a_null_guard_of_the_users_own_before_a_store_gets_its_pre_close(libspec
     assert w.kind == "OwningFieldOverwrite"
     assert fr.fix_status == {w.id: ("fixed", PRE_CLOSE_INSERTION)}
     assert fr.verdict.label == "Pass" and report.exit_code == 0
+
+
+# the first PrintStream's holder is assigned the second before the finally
+# that would close it runs: a wrap would close only the second
+HOLDER_REASSIGNED = {
+    TRY_FINALLY_WRAP: """class A {
+  static void main() {
+    PrintStream s = new PrintStream("a");
+    s = new PrintStream("b");
+    s.println("x");
+  }
+}
+""",
+    CLOSE_IN_FINALLY: """class A {
+  static void main(String p) {
+    PrintStream s = null;
+    try {
+      if (p == null) {
+        s = new PrintStream("a");
+      }
+      s = new PrintStream("b");
+      s.println("x");
+    } catch (Exception e) {
+      e.printStackTrace();
+    }
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("template", sorted(HOLDER_REASSIGNED))
+def test_a_wrap_whose_holder_is_reassigned_before_the_finally_is_unfixable(template):
+    src = HOLDER_REASSIGNED[template]
+    plan, _prog, _w = _plan_first(src)
+    assert isinstance(plan, Unfixable)
+    assert (plan.reason, plan.detail) == ("NoIrMatch", "holder reassigned before the finally")
+    report = run_pipeline([("holder.mj", src)], LIB)
+    fr = report.files["holder.mj"]
+    first, second = sorted(fr.w_xform, key=lambda w: w.line)
+    assert fr.fix_status == {first.id: ("unfixable", "NoIrMatch"), second.id: ("fixed", template)}
+    assert fr.verdict.label == "Pass"
