@@ -20,14 +20,14 @@ bare program, so it shares the CFGs the checker lowered for that version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, version_of
-from .specs import SpecSet, is_resource_type, method_return_ownership
+from .specs import SpecSet, finalizer_order, is_resource_type, method_return_ownership
 
 TO_FIELD = "ToField"
 RETURNED = "Returned"
@@ -198,8 +198,7 @@ class EscapeAnalyzer:
     def _finalizer_of(self, cls: sx.ClassDecl) -> Optional[str]:
         mc = self.specs.class_mustcall.get(cls.name)
         if mc is not None and mc.methods:
-            names = sorted(mc.methods)
-            return "close" if "close" in mc.methods else names[0]
+            return finalizer_order(mc.methods)[0]
         if cls.method_named("close") is not None:
             return "close"
         return None
@@ -284,11 +283,8 @@ class EscapeAnalyzer:
                 add(STORED_IN_COLLECTION, f"{owner}.{instr.method}")
                 continue
             lm = self.libspec.method(owner, instr.method)
-            if lm is not None and i < len(lm.param_ownership):
-                if lm.param_ownership[i] == "notowning":
-                    continue  # notowning-and-non-retaining: safe borrow
-                add(PASSED_AS_ARG, f"{owner}.{instr.method}#{i}")
-                continue
+            if lm is not None and i < len(lm.param_ownership) and lm.param_ownership[i] == "notowning":
+                continue  # notowning-and-non-retaining: safe borrow
             add(PASSED_AS_ARG, f"{owner}.{instr.method}#{i}")
 
     def _route_library_ctor(self, instr: C.Alloc, position: int, add) -> None:

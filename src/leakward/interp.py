@@ -19,7 +19,7 @@ repairs add close calls by design.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as sx

@@ -54,9 +54,8 @@ from . import syntax as sx
 from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
 from .errors import StaleWarning
 from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
-from .libspec import LibrarySpec
 from .parser import MAX_NESTING, nesting
-from .specs import SpecSet, resource_must_call
+from .specs import finalizer_order, resource_must_call
 from .transforms import FreshNames
 
 TRY_FINALLY_WRAP = "TryFinallyWrap"
@@ -194,7 +193,7 @@ def screen_fix(warning: Warning, analyzer: EscapeAnalyzer) -> Union[tuple[str, .
             route = escape.primary_route()
             reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
             return Unfixable(warning.id, reason, detail=route.detail if route else "")
-    finalizers = _finalizers_for(warning.resource_class, analyzer.specs, analyzer.libspec)
+    finalizers = finalizer_order(resource_must_call(warning.resource_class, analyzer.specs, analyzer.libspec))
     if not finalizers:
         return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
     if not analyzer.enhancements and finalizers[0] != "close":
@@ -263,17 +262,6 @@ def _pre_close_nesting(path: sx.StmtPath, store: sx.Assign, finalizers: tuple[st
     nest less)."""
     close = sx.Call(receiver=store.target, method=finalizers[0], args=[])
     return len(path) + 2 + nesting(close)
-
-
-def _finalizers_for(resource_class: str, specs: SpecSet, libspec: LibrarySpec) -> tuple[str, ...]:
-    mc = resource_must_call(resource_class, specs, libspec)
-    if not mc:
-        return ()
-    names = sorted(mc)
-    if "close" in mc:
-        names.remove("close")
-        names.insert(0, "close")
-    return tuple(names)
 
 
 def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:

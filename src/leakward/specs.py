@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import syntax as sx
 from .libspec import LibrarySpec
@@ -136,6 +137,12 @@ def resource_must_call(class_name: str, specs: SpecSet, libspec: LibrarySpec) ->
     if libspec.has_class(class_name):
         return libspec.must_call(class_name)
     return specs.class_mustcall.get(class_name, EMPTY_MUST_CALL).methods
+
+
+def finalizer_order(methods: Iterable[str]) -> tuple[str, ...]:
+    """Must-call methods in the order a repair or an injected close() calls
+    them: `close` first, then by name."""
+    return tuple(sorted(methods, key=lambda m: (m != "close", m)))
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .escape import tainted_stores
 from .inference import disposes
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, ProgramVersion, handed_back, version_of
-from .specs import SpecSet, resource_must_call
+from .specs import SpecSet, finalizer_order, resource_must_call
 
 
 @dataclass
@@ -353,7 +353,7 @@ def _apply_inject(
         )
         calls: list[sx.Stmt] = [
             sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
-            for d in sorted(resource_must_call(fld.declared_type, specs, version.libspec))
+            for d in finalizer_order(resource_must_call(fld.declared_type, specs, version.libspec))
         ]
         if never_null:
             stmts.extend(calls)

@@ -345,6 +345,18 @@ def test_inject_finalizer_on_tempfile_writer():
     assert entry.meta["warning_ids"]["stream"]  # driving warning recorded for the shift map
 
 
+def test_an_injected_close_calls_close_first_then_the_rest_by_name():
+    # the order a repair calls finalizers in, also when a method sorts before close
+    lib = load_library_spec(
+        "resource Recorder { must_call: [close, abort, flush]; method Recorder(notowning) -> void;"
+        " method close() -> void; method abort() -> void; method flush() -> void; }"
+    )
+    prog = parse(TEMPFILE_SRC.replace("PrintStream", "Recorder").replace('stream.println("hello")', "stream.flush()"), "t.mj")
+    specs = SpecSet.from_declared(prog)
+    _, log = inject_finalizers(prog, check_program(prog, specs, lib), specs, lib)
+    assert log.entries and "stream.close();\n    stream.abort();\n    stream.flush();" in pretty_print(prog)
+
+
 def test_inject_skips_class_with_existing_close():
     src = TEMPFILE_SRC.replace(
         "  void printSomething() {",
