@@ -278,7 +278,7 @@ def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -
         var = stmt.target.name
     else:
         return False
-    start = 1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0]) if tries else len(path) - 1
+    start = (1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0])) if tries else len(path) - 1
     return any(
         isinstance(s, sx.Assign) and isinstance(s.target, sx.VarRef) and s.target.name == var
         for b, i in path[start:]
