@@ -1,4 +1,4 @@
-"""CFG lowering, its name errors, try/finally duplication, the adjacency index, the dataflow solver, and must-alias analysis."""
+"""CFG lowering, its name errors, try/finally duplication, the adjacency index, field stores, the dataflow solver, and must-alias analysis."""
 
 import pytest
 from hypothesis import given, settings

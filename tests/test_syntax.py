@@ -1,6 +1,6 @@
 """AST navigation in `syntax`: name resolution, member keys, warning anchors,
-statement paths, the expression rewriter and subtree positions, over every
-method of the corpus and generate_source(0..59)."""
+statement paths, first writes, the expression rewriter and subtree
+positions, over every method of the corpus and generate_source(0..59)."""
 
 import copy
 
