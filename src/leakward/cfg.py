@@ -126,17 +126,17 @@ class Branch(Instr):
 class Cfg:
     class_name: str
     method_name: str  # syntax.member_key of the method
-    source_name: str
     nodes: list[Instr] = field(default_factory=list)
     edges: list[tuple[int, int, str]] = field(default_factory=list)
     entry: int = -1
     exit: int = -1
     local_types: dict[str, str] = field(default_factory=dict)
-    is_constructor: bool = False
-    arity: int = 0
     program: Optional[sx.Program] = None
     class_ast: Optional[sx.ClassDecl] = None
     method_ast: Optional[sx.MethodDecl] = None
+    # the method's `sx.local_refs`, taken once by the lowering: its name
+    # resolution and its anchor lists, which warning ordinals read by node id
+    names: Optional[sx.LocalRefs] = field(default=None, repr=False, compare=False)
     # adjacency index over `edges`: kind (None for any) -> per-node neighbour
     # tuples, in `edges` order so meets and warnings keep a fixed order
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -302,17 +302,15 @@ class Lowerer:
         self.cls = cls
         self.method = method
         self.libspec = libspec
+        self.names = sx.local_refs(method)
         self.cfg = Cfg(
             class_name=cls.name,
             method_name=sx.member_key(method),
-            source_name=program.source_name,
-            is_constructor=method.is_constructor,
-            arity=len(method.params),
             program=program,
             class_ast=cls,
             method_ast=method,
+            names=self.names,
         )
-        self.names = sx.local_refs(method)
         self.temp_counter = 0
         # finally-duplicate continuations, keyed per active Try frame
         self.frames: list[_TryFrame] = []

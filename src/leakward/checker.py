@@ -39,7 +39,8 @@ test refines, and `_prune` returns its input when no local and no origin
 dies. Its dicts make a `CheckFact` unhashable.
 
 Warning ordinals come from a table built once per (kind, token) per checker
-run, not from a walk of the method per emitted warning.
+run from the anchor lists the lowering keeps on the CFG (`Cfg.names`): a
+run makes no walk of the method.
 
 A run reads its specs only through a `SpecReader`: must-call sets
 (`must_call_for`, `tracked`) and the ownership of stored fields. From the
@@ -90,6 +91,7 @@ class Warning:
     site: int = field(compare=False, default=-1)
 
     def descriptor(self) -> str:
+        """What the id hashes: the structural anchor, never a line."""
         return "|".join(
             [
                 self.kind,
@@ -119,44 +121,6 @@ class CompileError:
     file: str
     line: int
     message: str
-
-
-def warning_id(
-    kind: str, file: str, class_name: str, method_name: str, anchor_kind: str, anchor_token: str, ordinal: int
-) -> str:
-    text = "|".join([kind, file, class_name, method_name, anchor_kind, anchor_token, str(ordinal)])
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def make_warning(
-    kind: str,
-    program: sx.Program,
-    class_name: str,
-    method_name: str,
-    anchor_kind: str,
-    anchor_token: str,
-    ordinal: int,
-    ast_nid: int,
-    resource_class: str,
-    message: str,
-    site: int = -1,
-) -> Warning:
-    line, _col = program.pos_of(ast_nid)
-    return Warning(
-        id=warning_id(kind, program.source_name, class_name, method_name, anchor_kind, anchor_token, ordinal),
-        kind=kind,
-        file=program.source_name,
-        line=line,
-        resource_class=resource_class,
-        message=message,
-        class_name=class_name,
-        method_name=method_name,
-        anchor_kind=anchor_kind,
-        anchor_token=anchor_token,
-        ordinal=ordinal,
-        ast_nid=ast_nid,
-        site=site,
-    )
 
 
 # --- per-method obligation dataflow -----------------------------------------
@@ -351,67 +315,56 @@ class _MethodChecker:
 
     def ordinal(self, kind: str, token: str, nid: int) -> int:
         """The index of node `nid` in `sx.anchors(self.cls, self.method, kind,
-        token)`, 0 if it is not there, read off a table built on first use:
-        one walk of the method per (kind, token) per run."""
+        token)`, 0 if it is not there, read off a table built on first use
+        from the anchor lists the lowering keeps (`Cfg.names`): no walk of
+        the method. A memo hit's lists are the stored lowering's, whose
+        nodes have the ids of this method's, as the body key covers them."""
         table = self._ordinals.get((kind, token))
         if table is None:
             table = self._ordinals[(kind, token)] = {}
-            for i, node in enumerate(sx.anchors(self.cls, self.method, kind, token)):
+            for i, node in enumerate(sx.anchors(self.cls, self.method, kind, token, self.cfg.names)):
                 table.setdefault(node.nid, i)
         return table.get(nid, 0)
 
+    def warn(
+        self, kind: str, anchor_kind: str, token: str, nid: int, rclass: str, message: str, site: int = -1
+    ) -> None:
+        """Emit a warning anchored at node `nid`; its id hashes its `Warning.descriptor()`."""
+        w = Warning(
+            id="",
+            kind=kind,
+            file=self.program.source_name,
+            line=self.program.pos_of(nid)[0],
+            resource_class=rclass,
+            message=message,
+            class_name=self.cfg.class_name,
+            method_name=self.cfg.method_name,
+            anchor_kind=anchor_kind,
+            anchor_token=token,
+            ordinal=self.ordinal(anchor_kind, token, nid),
+            ast_nid=nid,
+            site=site,
+        )
+        w = replace(w, id=hashlib.sha256(w.descriptor().encode()).hexdigest()[:12])
+        self.warnings.setdefault(w.id, w)
+
     def warn_unsatisfied(self, origin: Origin) -> None:
         rclass = self.origin_class(origin)
-        mc = sorted(self.must_call_for(rclass))
+        reach = f"may never reach {', '.join(sorted(self.must_call_for(rclass)))}()"
         if origin[0] == "new":
-            ast_nid = self.alloc_nid[origin[1]]
-            w = make_warning(
-                UNSATISFIED_OBLIGATION,
-                self.program,
-                self.cfg.class_name,
-                self.cfg.method_name,
-                "new",
-                rclass,
-                self.ordinal("new", rclass, ast_nid),
-                ast_nid,
-                rclass,
-                f"{rclass} allocated here may never reach {', '.join(mc)}()",
-                site=origin[1],
-            )
+            message = f"{rclass} allocated here {reach}"
+            self.warn(UNSATISFIED_OBLIGATION, "new", rclass, self.alloc_nid[origin[1]], rclass, message, origin[1])
         else:
-            ast_nid = origin[1]
-            w = make_warning(
-                UNSATISFIED_OBLIGATION,
-                self.program,
-                self.cfg.class_name,
-                self.cfg.method_name,
-                "call",
-                rclass,
-                self.ordinal("call", rclass, ast_nid),
-                ast_nid,
-                rclass,
-                f"{rclass} returned by this call may never reach {', '.join(mc)}()",
-            )
-        self.warnings.setdefault(w.id, w)
+            message = f"{rclass} returned by this call {reach}"
+            self.warn(UNSATISFIED_OBLIGATION, "call", rclass, origin[1], rclass, message)
 
     def warn_overwrite(self, store: C.StoreField) -> None:
         decl_cls = self.program.class_named(store.field_class)
         fld = decl_cls.field_named(store.field) if decl_cls else None
         ftype = fld.declared_type if fld else "?"
         token = f"{store.field_class}.{store.field}"
-        w = make_warning(
-            OWNING_FIELD_OVERWRITE,
-            self.program,
-            self.cfg.class_name,
-            self.cfg.method_name,
-            "store",
-            token,
-            self.ordinal("store", token, store.ast_nid),
-            store.ast_nid,
-            ftype,
-            f"overwriting @Owning field {store.field} may leak its current {ftype}",
-        )
-        self.warnings.setdefault(w.id, w)
+        message = f"overwriting @Owning field {store.field} may leak its current {ftype}"
+        self.warn(OWNING_FIELD_OVERWRITE, "store", token, store.ast_nid, ftype, message)
 
     # transfer function
 

@@ -127,18 +127,14 @@ def _select_finalizer(disposals: list[_Disposal]) -> _Disposal:
     return sorted(disposals, key=rank)[0]
 
 
-def write_specs(program: ProgramOrVersion, specs: SpecSet) -> ProgramOrVersion:
-    """Insert inferred annotations into `program` itself, and hand it back:
-    given a version, the given one when no annotation was added, else a new
-    version of its program.
+def write_specs(program: sx.Program, specs: SpecSet) -> None:
+    """Insert inferred annotations into `program` itself. No annotation it
+    writes is read by a memo key (`memo.member_keys`), so a version of
+    `program` stays valid.
 
     Already-declared annotations are left untouched; a contradiction raises
     AnnotationConflict. Idempotent: re-writing the same specs changes nothing.
     """
-    given = program
-    if isinstance(program, ProgramVersion):
-        program = program.program
-    added = False
     for cls in program.classes:
         mc = specs.class_mustcall.get(cls.name)
         declared = sx.annotation_named(cls.annotations, sx.MUST_CALL)
@@ -152,7 +148,6 @@ def write_specs(program: ProgramOrVersion, specs: SpecSet) -> ProgramOrVersion:
                 ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)), provenance=mc.source)
                 program.inherit_pos(ann, cls)
                 cls.annotations.append(ann)
-                added = True
         for fld in cls.fields:
             own = specs.field_ownership.get((cls.name, fld.name))
             if own is None:
@@ -168,7 +163,6 @@ def write_specs(program: ProgramOrVersion, specs: SpecSet) -> ProgramOrVersion:
                     )
                     program.inherit_pos(ann, fld)
                     fld.annotations.insert(0, ann)
-                    added = True
         for meth in cls.methods:
             entries = specs.method_ensures.get((cls.name, meth.name), [])
             for entry in sorted(entries, key=lambda e: e.field_name):
@@ -191,7 +185,3 @@ def write_specs(program: ProgramOrVersion, specs: SpecSet) -> ProgramOrVersion:
                 )
                 program.inherit_pos(ann, meth)
                 meth.annotations.append(ann)
-                added = True
-    if isinstance(given, ProgramVersion):
-        return given.edited() if added else given
-    return program

@@ -4,7 +4,8 @@ each entry reads.
 Every module gets a method's CFG, and runs the checker on a method, through
 a `ProgramVersion(program, libspec)`: `ProgramVersion.cfg` is the one caller
 of `cfg.lower`, and `checker.method_run` the one checker entry point below
-`check_program`. A version is valid only while its program is unedited.
+`check_program`. A version is valid only while nothing its keys read is
+edited.
 
 Who takes a version, and when: each entry point (`check_program`,
 `infer_specs`, `reject_final_writes`, `EscapeAnalyzer`, the transforms,
@@ -12,9 +13,10 @@ Who takes a version, and when: each entry point (`check_program`,
 reads it through `version_of`. A bare program gets a fresh version per call,
 so an edit between two calls is seen. The pipeline takes one version per
 program state and hands it from stage to stage, so each state's keys are
-taken once: a stage that edits (a transform, `write_specs`, a fix round that
-applied a plan) hands back a new version, or the one it was given when it
-edited nothing, and a deep copy of a program gets its original's keys
+taken once: a stage that edits what a key reads (a transform, a fix round
+that applied a plan) hands back a new version, or the one it was given when
+it edited nothing; `write_specs`, whose annotations no key reads, keeps the
+version; and a deep copy of a program gets its original's keys
 (`ProgramVersion.copied`).
 
 The memo holds one program family's entries under one library spec. A
@@ -53,7 +55,9 @@ key, body):
       to the caller's program, class and method. It shares the graph facts
       kept with the stored Cfg: its adjacency index, reverse postorder and
       solver ranks, built at lowering, and its liveness, solved at the first
-      `Cfg.live_in` on the stored Cfg or any hit.
+      `Cfg.live_in` on the stored Cfg or any hit. It shares the stored
+      lowering's `Cfg.names` too: the anchor lists a checker run reads its
+      warning ordinals from are read by node id, which the body key covers.
   ("run", ...) -> [(SpecReads, result)]. A run reads its specs only through
       a `SpecReader`, which records the must-call set of each class and the
       ownership of each field it asks for. A lookup hits the first stored
@@ -124,7 +128,7 @@ class ProgramVersion:
 
     @cached_property
     def keys(self) -> MemberKeys:
-        """Taken at the first lookup; the program is unedited since the version was taken."""
+        """Taken at the first lookup; nothing they read is edited since the version was taken."""
         return member_keys(self.program)
 
     def edited(self) -> "ProgramVersion":
@@ -194,8 +198,3 @@ def version_of(program: ProgramOrVersion, libspec: LibrarySpec) -> ProgramVersio
         program = program.program
     return ProgramVersion(program, libspec)
 
-
-def handed_back(given: ProgramOrVersion, version: ProgramVersion) -> ProgramOrVersion:
-    """What an editing stage returns: `version`, the program's version as it
-    now is, when it was given a version; its program when given a program."""
-    return version if isinstance(given, ProgramVersion) else version.program

@@ -187,7 +187,7 @@ class Parser:
         toks = tokenize(source)
         self.toks = toks + toks[-1:] * LOOKAHEAD
         self.pos = 0
-        self.program = sx.Program(classes=[], source_name=source_name, source_text=source)
+        self.program = sx.Program(classes=[], source_name=source_name)
         self.line_index = self.program.line_index
         self.site_counter = 0
         self.depth = 0  # blocks and expressions open around the current token
@@ -600,7 +600,7 @@ def nesting(node: sx.Node) -> int:
     if isinstance(node, sx.Expr):
         return 1 + _unary_nesting(node)[0]
     # a statement reads each of its blocks and expressions from its own level
-    return max((nesting(part) for part in vars(node).values() if isinstance(part, sx.Node)), default=0)
+    return max((nesting(part) for part in sx.children(node)), default=0)
 
 
 def _unary_nesting(expr: sx.Expr) -> tuple[int, int]:

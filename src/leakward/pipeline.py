@@ -306,16 +306,16 @@ def check_stage(
 
 def transform_stage(
     program: memo.ProgramOrVersion, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec
-) -> tuple[memo.ProgramOrVersion, EditLog]:
+) -> tuple[memo.ProgramVersion, EditLog]:
     """finalize_fields -> field_to_local -> inject_finalizers, on `program`
-    itself; hands back what it was given, as the transforms do, with the
-    edits made."""
+    itself; hands back the version it ends with, as the transforms do, with
+    the edits made."""
     version, log1 = finalize_fields(memo.version_of(program, libspec), libspec)
     _, log2 = field_to_local(version.program)
     if log2.entries:
         version = version.edited()
     version, log3 = inject_finalizers(version, warnings, specs, libspec)
-    return memo.handed_back(program, version), EditLog(log1.entries + log2.entries + log3.entries)
+    return version, EditLog(log1.entries + log2.entries + log3.entries)
 
 
 def fix_stage(
@@ -401,7 +401,8 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     `write_specs` edit in place and which ends as `FileResult.transformed`;
     `fix_stage` patches a copy of it. The stages read the parse through one
     `ProgramVersion` per state, so each state is hashed once: the transforms
-    and `write_specs` hand back a new version only when they edited."""
+    hand back a new version only when they edited, and `write_specs` keeps
+    the version, as no annotation it writes is read by a key."""
     version = memo.ProgramVersion(program, libspec)
     # w_orig: the checker alone, no inferred specifications
     w_orig = check_stage(version, SpecSet.from_declared(program), libspec, config)
@@ -414,7 +415,7 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
 
     # stages 5-6: re-infer, write annotations, updated warnings
     specs2 = infer_specs(version, libspec)
-    version = write_specs(version, specs2)
+    write_specs(program, specs2)
     w_xform = check_stage(version, specs2, libspec, config)
 
     # stages 7-8: plan, apply, validate

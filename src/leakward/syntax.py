@@ -6,8 +6,12 @@ equality, so ``parse(pretty_print(p)) == p`` holds position-free. Source
 positions live in ``Program.line_index`` keyed by node id, never on the nodes
 themselves.
 
+Shape: ``SHAPE`` is the only list of the fields that hold each node type's
+children; every walk, search and rewrite here reads it.
+
 Names: ``local_refs`` resolves a method's bare names by block scope, once for
-the CFG lowering and ``stores_to_field`` alike.
+the CFG lowering and ``stores_to_field`` alike, and in the same walk lists
+the ``New``s, ``Call``s and ``Assign``s that ``anchors`` reads.
 
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
 warnings do; ``anchors`` lists the nodes a warning ordinal counts;
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 _node_counter = itertools.count(1)
 
@@ -262,7 +266,6 @@ class Program(Node):
     classes: list[ClassDecl]
     source_name: str = field(default="<memory>", compare=False)
     line_index: dict[int, tuple[int, int]] = field(default_factory=dict, compare=False)
-    source_text: str = field(default="", compare=False)
 
     def __deepcopy__(self, memo: dict) -> "Program":
         """A pickle round trip: done in C, it keeps nids, positions and
@@ -290,70 +293,99 @@ class Program(Node):
             self.line_index[node.nid] = pos
 
 
-# --- traversal helpers -----------------------------------------------------
+# --- the AST's shape and the one walker over it ------------------------------
+
+# Each node type -> the fields that hold its child nodes (a node, a list of
+# nodes, or None), in field order: the one description of the AST's shape
+# that every walk, search and rewrite below reads.
+SHAPE: dict[type, tuple[str, ...]] = {
+    Annotation: (),
+    New: ("args",),
+    Call: ("receiver", "args"),
+    VarRef: (),
+    FieldRef: ("receiver",),
+    NullLit: (),
+    IntLit: (),
+    StrLit: (),
+    Eq: ("lhs", "rhs"),
+    Block: ("stmts",),
+    LocalDecl: ("init",),
+    Assign: ("target", "value"),
+    ExprStmt: ("expr",),
+    If: ("cond", "then_block", "else_block"),
+    While: ("cond", "body"),
+    Try: ("body", "catch_block", "finally_block"),
+    Return: ("value",),
+    Param: ("annotations",),
+    FieldDecl: ("initializer", "annotations"),
+    MethodDecl: ("params", "body", "annotations"),
+    ClassDecl: ("annotations", "fields", "constructors", "methods"),
+    Program: ("classes",),
+}
+
+
+_FIELD_TYPES = {t: get_type_hints(t) for t in SHAPE}
+
+
+def _slots(*kinds: type) -> dict[type, tuple[str, ...]]:
+    """`SHAPE` cut to the fields whose declared type can hold one of `kinds`,
+    each in reverse field order, the order `_walk` pushes them in."""
+
+    def holds(hint) -> bool:
+        if get_origin(hint) is None and isinstance(hint, type):
+            return issubclass(hint, kinds)
+        return any(holds(arg) for arg in get_args(hint))
+
+    return {t: tuple(f for f in reversed(fields) if holds(_FIELD_TYPES[t][f])) for t, fields in SHAPE.items()}
+
+
+_ALL_SLOTS = _slots(Node)
+_EXPR_SLOTS = _slots(Expr)  # a statement's own expressions, not its blocks
+_STMT_SLOTS = _slots(Stmt, Block)
+
+
+def _walk(root: Optional[Node], slots: dict[type, tuple[str, ...]], kind: type) -> Iterator[Node]:
+    """The nodes of type `kind` among root and the nodes under it that
+    `slots` leads to, preorder, children in field order."""
+    if root is None:
+        return
+    stack = [root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        if isinstance(node, kind):
+            yield node
+        for name in slots[node.__class__]:
+            child = getattr(node, name)
+            if child.__class__ is list:
+                extend(reversed(child))
+            elif child is not None:
+                push(child)
+
+
+def walk_nodes(root: Node) -> Iterator[Node]:
+    """root and every node under it, preorder, children in field order."""
+    return _walk(root, _ALL_SLOTS, Node)
 
 
 def walk_exprs(root: Union[Expr, Stmt, Block, None]) -> Iterator[Expr]:
     """All expression nodes under root, preorder."""
-    if root is None:
-        return
-    if isinstance(root, Block):
-        for s in root.stmts:
-            yield from walk_exprs(s)
-    elif isinstance(root, LocalDecl):
-        yield from walk_exprs(root.init)
-    elif isinstance(root, Assign):
-        yield from walk_exprs(root.target)
-        yield from walk_exprs(root.value)
-    elif isinstance(root, ExprStmt):
-        yield from walk_exprs(root.expr)
-    elif isinstance(root, If):
-        yield from walk_exprs(root.cond)
-        yield from walk_exprs(root.then_block)
-        yield from walk_exprs(root.else_block)
-    elif isinstance(root, While):
-        yield from walk_exprs(root.cond)
-        yield from walk_exprs(root.body)
-    elif isinstance(root, Try):
-        yield from walk_exprs(root.body)
-        yield from walk_exprs(root.catch_block)
-        yield from walk_exprs(root.finally_block)
-    elif isinstance(root, Return):
-        yield from walk_exprs(root.value)
-    elif isinstance(root, Expr):
-        yield root
-        if isinstance(root, New):
-            for a in root.args:
-                yield from walk_exprs(a)
-        elif isinstance(root, Call):
-            yield from walk_exprs(root.receiver)
-            for a in root.args:
-                yield from walk_exprs(a)
-        elif isinstance(root, FieldRef):
-            yield from walk_exprs(root.receiver)
-        elif isinstance(root, Eq):
-            yield from walk_exprs(root.lhs)
-            yield from walk_exprs(root.rhs)
+    return _walk(root, _ALL_SLOTS, Expr)  # type: ignore[return-value]
 
 
 def walk_stmts(root: Union[Block, Stmt, None]) -> Iterator[Stmt]:
     """All statement nodes under root, preorder."""
-    if root is None:
-        return
-    if isinstance(root, Block):
-        for s in root.stmts:
-            yield from walk_stmts(s)
-        return
-    yield root
-    if isinstance(root, If):
-        yield from walk_stmts(root.then_block)
-        yield from walk_stmts(root.else_block)
-    elif isinstance(root, While):
-        yield from walk_stmts(root.body)
-    elif isinstance(root, Try):
-        yield from walk_stmts(root.body)
-        yield from walk_stmts(root.catch_block)
-        yield from walk_stmts(root.finally_block)
+    return _walk(root, _STMT_SLOTS, Stmt)  # type: ignore[return-value]
+
+
+def children(node: Node) -> Iterator[Node]:
+    """The nodes directly under `node`, in field order."""
+    for name in SHAPE[node.__class__]:
+        child = getattr(node, name)
+        if child.__class__ is list:
+            yield from child
+        elif child is not None:
+            yield child
 
 
 def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annotation]:
@@ -363,28 +395,21 @@ def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annot
     return None
 
 
-def walk_nodes(root: Node) -> Iterator[Node]:
-    """root and every node under it, preorder, children in field order."""
-    yield root
-    for value in vars(root).values():
-        if isinstance(value, Node):
-            yield from walk_nodes(value)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield from walk_nodes(item)
-
-
 # --- naming, finding and rewriting ------------------------------------------
 
 
 @dataclass
 class LocalRefs:
-    """What `local_refs` resolved in one method, as `id`s of its nodes."""
+    """What `local_refs` found in one method, in its one walk: the names it
+    resolved, as `id`s of the method's nodes, and the anchors a warning
+    ordinal counts, in AST order."""
 
     # VarRefs naming `this`, a parameter or a local -> its declared type ("" for `this`)
     locals: dict[int, str] = field(default_factory=dict)
     redeclared: set[int] = field(default_factory=set)  # LocalDecls of a name their block declared
+    news: list[New] = field(default_factory=list)
+    calls: list[Call] = field(default_factory=list)
+    assigns: list[Assign] = field(default_factory=list)
 
     def is_local(self, ref: VarRef) -> bool:
         return id(ref) in self.locals
@@ -398,7 +423,8 @@ class LocalRefs:
 
 
 def local_refs(method: MethodDecl) -> LocalRefs:
-    """Resolve the bare names of a method by block scope, as lowering does.
+    """Resolve the bare names of a method by block scope, as lowering does,
+    and list its `New`s, `Call`s and `Assign`s, in one walk of its body.
 
     `this` (in an instance method) and the parameters are in scope
     throughout; a local from its declaration, its own initializer included,
@@ -409,44 +435,56 @@ def local_refs(method: MethodDecl) -> LocalRefs:
     out = LocalRefs()
 
     def visit(node: Node, scope: dict[str, str]) -> None:  # scope: name -> declared type
-        if isinstance(node, VarRef):
+        kind = node.__class__
+        if kind is VarRef:
             if node.name in scope:
                 out.locals[id(node)] = scope[node.name]
-        elif isinstance(node, Block):
+            return
+        if kind is Block:
             inner = dict(scope)
             declared: set[str] = set()
             for s in node.stmts:
-                if isinstance(s, LocalDecl):
+                if s.__class__ is LocalDecl:
                     if s.name in declared:
                         out.redeclared.add(id(s))
                     declared.add(s.name)
                     inner[s.name] = s.type_name
                 visit(s, inner)
-        else:
-            for part in vars(node).values():
-                if isinstance(part, Node):
-                    if isinstance(node, Try) and part is node.catch_block:
-                        visit(part, {**scope, node.catch_name or "e": node.catch_type or "Exception"})
-                    else:
-                        visit(part, scope)
-                elif isinstance(part, list):
-                    for child in part:
-                        visit(child, scope)
+            return
+        if kind is New:
+            out.news.append(node)
+        elif kind is Call:
+            out.calls.append(node)
+        elif kind is Assign:
+            out.assigns.append(node)
+        for name in SHAPE[kind]:
+            child = getattr(node, name)
+            if child.__class__ is list:
+                for item in child:
+                    visit(item, scope)
+            elif kind is Try and name == "catch_block" and child is not None:
+                visit(child, {**scope, node.catch_name or "e": node.catch_type or "Exception"})
+            elif child is not None:
+                visit(child, scope)
 
     scope = {} if method.is_static else {THIS: ""}
     visit(method.body, {**scope, **{p.name: p.type_name for p in method.params}})
     return out
 
 
-def stores_to_field(cls: ClassDecl, method: MethodDecl, field_class: str, field_name: str) -> list[Assign]:
+def stores_to_field(
+    cls: ClassDecl, method: MethodDecl, field_class: str, field_name: str, names: Optional[LocalRefs] = None
+) -> list[Assign]:
     """Assign statements of `method`, a member of `cls`, that write field
     `field_name` of class `field_class`, in AST order. The class written is
     `cls` for a bare `f = e;` whose `f` is not a local there (`local_refs`)
     and for `this.f = e;`. For `x.f = e;` it is the declared type of `x` when
     `x` is a local, of the field `x` of `cls` when it is one, and else the
     class `x` (a static store). A store through any other receiver, a call
-    or a field path, counts for every class."""
-    names = local_refs(method)
+    or a field path, counts for every class. `names` is the method's
+    `local_refs`, taken here when not given."""
+    if names is None:
+        names = local_refs(method)
 
     def writes_field_class(target: Union[VarRef, FieldRef]) -> bool:
         if isinstance(target, VarRef):
@@ -463,25 +501,25 @@ def stores_to_field(cls: ClassDecl, method: MethodDecl, field_class: str, field_
             owner = fld.declared_type if fld is not None else recv.name
         return owner == field_class
 
-    return [
-        s
-        for s in walk_stmts(method.body)
-        if isinstance(s, Assign) and s.target.name == field_name and writes_field_class(s.target)
-    ]
+    return [s for s in names.assigns if s.target.name == field_name and writes_field_class(s.target)]
 
 
-def anchors(cls: ClassDecl, method: MethodDecl, kind: str, token: str) -> Iterator[Node]:
+def anchors(
+    cls: ClassDecl, method: MethodDecl, kind: str, token: str, names: Optional[LocalRefs] = None
+) -> list[Node]:
     """The nodes a warning ordinal counts in `method`, a member of `cls`, in
     AST order: for `new` the `New`s of class `token`, for `call` every
     `Call`, for `store` the stores to the field `token` = `Class.field`
-    (`stores_to_field`); nothing for another kind."""
+    (`stores_to_field`); nothing for another kind. They are read off
+    `names`, the method's `local_refs`, taken here when not given."""
+    if names is None:
+        names = local_refs(method)
     if kind == "store":
         field_class, _, field_name = token.partition(".")
-        yield from stores_to_field(cls, method, field_class, field_name)
-        return
-    for e in walk_exprs(method.body):
-        if (kind == "call" and isinstance(e, Call)) or (kind == "new" and isinstance(e, New) and e.class_name == token):
-            yield e
+        return stores_to_field(cls, method, field_class, field_name, names)  # type: ignore[return-value]
+    if kind == "call":
+        return names.calls  # type: ignore[return-value]
+    return [e for e in names.news if e.class_name == token] if kind == "new" else []
 
 
 def evaluated_before(body: Block, stmt: Stmt) -> Optional[list[Expr]]:
@@ -513,17 +551,12 @@ def node_path(body: Block, nid: int) -> Optional[tuple[Node, StmtPath]]:
 
 def _find(body: Block, hit: Callable[[Node], bool]) -> Optional[tuple[Node, StmtPath]]:
     for i, s in enumerate(body.stmts):
-        if hit(s):
-            return s, [(body, i)]
-        parts = [v for v in vars(s).values() if isinstance(v, (Expr, Block))]
-        for part in parts:
-            if isinstance(part, Expr):
-                e = next((e for e in walk_exprs(part) if hit(e)), None)
-                if e is not None:
-                    return e, [(body, i)]
-        for part in parts:
-            if isinstance(part, Block):
-                rest = _find(part, hit)
+        for node in _walk(s, _EXPR_SLOTS, Node):  # the statement, then its own expressions
+            if hit(node):
+                return node, [(body, i)]
+        for block in children(s):
+            if block.__class__ is Block:
+                rest = _find(block, hit)
                 if rest is not None:
                     return rest[0], [(body, i), *rest[1]]
     return None
@@ -545,22 +578,22 @@ def map_exprs(root: Node, fn: Callable[[Expr], Optional[Expr]]) -> int:
     `e`) is searched on, a replacement is not. Returns the slots replaced."""
     replaced = 0
 
-    def slot(value):
+    def slot(value: Node) -> Node:
         nonlocal replaced
         if isinstance(value, Expr):
             new = fn(value)
             if new is not None and new is not value:
                 replaced += 1
                 return new
-        if isinstance(value, Node):
-            visit(value)
+        visit(value)
         return value
 
     def visit(node: Node) -> None:
-        for name, value in list(vars(node).items()):
-            if isinstance(value, list):
+        for name in SHAPE[node.__class__]:
+            value = getattr(node, name)
+            if value.__class__ is list:
                 value[:] = [slot(item) for item in value]
-            elif isinstance(value, Node):
+            elif value is not None:
                 setattr(node, name, slot(value))
 
     visit(root)

@@ -13,11 +13,13 @@ Three rewrites reshape code so inference and repair see clearer ownership:
                     in a constructor, store it in a field, and never dispose
                     it.
 
-Each edits the program it is given and returns what it was given with an
-EditLog of the edits it made: the program, or, given a `ProgramVersion`, the
-version of the program as it now is (the given one when it edited nothing).
-The analyses read CFGs and checker runs from that version, taken again after
-each edit: a version is valid only while its program is unedited.
+Each edits the program it is given and returns an EditLog of the edits it
+made. `finalize_fields` and `inject_finalizers`, which analyse, also return
+the version of the program as it now is (the given one, or a fresh one of a
+bare program, when they edited nothing); `field_to_local`, which does not,
+returns the program. The analyses read CFGs and checker runs from that
+version, taken again after each edit: a version is valid only while nothing
+its keys read is edited.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .checker import Warning
 from .escape import tainted_stores
 from .inference import disposes
 from .libspec import LibrarySpec
-from .memo import ProgramOrVersion, ProgramVersion, handed_back, version_of
+from .memo import ProgramOrVersion, ProgramVersion, version_of
 from .specs import SpecSet, finalizer_order, resource_must_call
 
 
@@ -95,7 +97,7 @@ class FreshNames:
 # --- finalize_fields ---------------------------------------------------------
 
 
-def finalize_fields(program: ProgramOrVersion, libspec: LibrarySpec) -> tuple[ProgramOrVersion, EditLog]:
+def finalize_fields(program: ProgramOrVersion, libspec: LibrarySpec) -> tuple[ProgramVersion, EditLog]:
     log = EditLog()
     version = version_of(program, libspec)
     fresh = FreshNames(version.program)
@@ -107,7 +109,7 @@ def finalize_fields(program: ProgramOrVersion, libspec: LibrarySpec) -> tuple[Pr
                 continue
             _apply_finalize(version.program, cls, fld, fresh, log)
             version = version.edited()
-    return handed_back(program, version), log
+    return version, log
 
 
 def _finalize_eligible(version: ProgramVersion, cls: sx.ClassDecl, fld: sx.FieldDecl) -> bool:
@@ -209,7 +211,7 @@ def _is_this_ref(e: sx.Expr, field_name: str) -> bool:
 
 def _reads_of_field(method: sx.MethodDecl, field_name: str) -> list[sx.Expr]:
     names = sx.local_refs(method)
-    targets = {id(s.target) for s in sx.walk_stmts(method.body) if isinstance(s, sx.Assign)}
+    targets = {id(s.target) for s in names.assigns}
     return [
         e
         for e in sx.walk_exprs(method.body)
@@ -277,7 +279,7 @@ def inject_finalizers(
     warnings: list[Warning],
     specs: SpecSet,
     libspec: LibrarySpec,
-) -> tuple[ProgramOrVersion, EditLog]:
+) -> tuple[ProgramVersion, EditLog]:
     """Add `implements AutoCloseable` and a close() method to classes where a
     first-pass warning flags a constructor allocation stored into an instance
     field no method disposes. Warning-driven by design."""
@@ -296,7 +298,7 @@ def inject_finalizers(
             continue
         _apply_inject(version, cls, undisposed, specs, log)
         version = version.edited()
-    return handed_back(program, version), log
+    return version, log
 
 
 def _warned_ctor_fields(

@@ -1,13 +1,20 @@
 """AST navigation in `syntax`: name resolution, member keys, warning anchors,
 statement paths, first writes, the expression rewriter and subtree
-positions, over every method of the corpus and generate_source(0..59)."""
+positions, over every method of the corpus and generate_source(0..59); the
+shape table's walkers against the hand-written ones they replaced, over the
+corpus, generate_source(0..599) and the 600 corpus mutants."""
 
 import copy
+import dataclasses
+from typing import get_args, get_origin, get_type_hints
 
-from helpers import CORPUS, corpus_and_fuzz_programs
+from helpers import CORPUS, corpus_and_fuzz_programs, corpus_mutants, memo_bypassed
 from leakward import cfg as C
+from leakward import checker as checker_module
 from leakward import syntax as sx
 from leakward.checker import check_program
+from leakward.errors import FILE_ERRORS
+from leakward.fuzz import generate_source
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
@@ -284,7 +291,7 @@ def _lists(root: sx.Node) -> list[list]:
 def test_deepcopy_is_equal_keeps_nids_and_positions_and_shares_nothing():
     for prog, _lib in PROGRAMS:
         dup = copy.deepcopy(prog)
-        assert dup == prog and dup.source_name == prog.source_name and dup.source_text == prog.source_text
+        assert dup == prog and dup.source_name == prog.source_name
         nodes, dup_nodes = list(sx.walk_nodes(prog)), list(sx.walk_nodes(dup))
         assert [n.nid for n in dup_nodes] == [n.nid for n in nodes]
         assert dup.line_index == prog.line_index and dup.line_index is not prog.line_index
@@ -314,3 +321,255 @@ def test_a_program_in_a_copied_container_is_copied_once():
     dup = copy.deepcopy(box)
     assert dup["first"] is dup["again"][0] is dup["again"][1][0]
     assert dup["first"] is not prog and dup["first"] == prog
+
+
+# --- the shape table and the walker that reads it --------------------------------
+#
+# The references below are the walkers `syntax` had before `SHAPE`: two
+# hand-written per-kind walkers and `vars()` scans. Each walker, search and
+# rewrite on the table must visit the same nodes in the same order.
+
+
+def _ref_walk_exprs(root):
+    if root is None:
+        return
+    if isinstance(root, sx.Block):
+        for s in root.stmts:
+            yield from _ref_walk_exprs(s)
+    elif isinstance(root, sx.LocalDecl):
+        yield from _ref_walk_exprs(root.init)
+    elif isinstance(root, sx.Assign):
+        yield from _ref_walk_exprs(root.target)
+        yield from _ref_walk_exprs(root.value)
+    elif isinstance(root, sx.ExprStmt):
+        yield from _ref_walk_exprs(root.expr)
+    elif isinstance(root, sx.If):
+        yield from _ref_walk_exprs(root.cond)
+        yield from _ref_walk_exprs(root.then_block)
+        yield from _ref_walk_exprs(root.else_block)
+    elif isinstance(root, sx.While):
+        yield from _ref_walk_exprs(root.cond)
+        yield from _ref_walk_exprs(root.body)
+    elif isinstance(root, sx.Try):
+        yield from _ref_walk_exprs(root.body)
+        yield from _ref_walk_exprs(root.catch_block)
+        yield from _ref_walk_exprs(root.finally_block)
+    elif isinstance(root, sx.Return):
+        yield from _ref_walk_exprs(root.value)
+    elif isinstance(root, sx.Expr):
+        yield root
+        if isinstance(root, sx.New):
+            for a in root.args:
+                yield from _ref_walk_exprs(a)
+        elif isinstance(root, sx.Call):
+            yield from _ref_walk_exprs(root.receiver)
+            for a in root.args:
+                yield from _ref_walk_exprs(a)
+        elif isinstance(root, sx.FieldRef):
+            yield from _ref_walk_exprs(root.receiver)
+        elif isinstance(root, sx.Eq):
+            yield from _ref_walk_exprs(root.lhs)
+            yield from _ref_walk_exprs(root.rhs)
+
+
+def _ref_walk_stmts(root):
+    if root is None:
+        return
+    if isinstance(root, sx.Block):
+        for s in root.stmts:
+            yield from _ref_walk_stmts(s)
+        return
+    yield root
+    if isinstance(root, sx.If):
+        yield from _ref_walk_stmts(root.then_block)
+        yield from _ref_walk_stmts(root.else_block)
+    elif isinstance(root, sx.While):
+        yield from _ref_walk_stmts(root.body)
+    elif isinstance(root, sx.Try):
+        yield from _ref_walk_stmts(root.body)
+        yield from _ref_walk_stmts(root.catch_block)
+        yield from _ref_walk_stmts(root.finally_block)
+
+
+def _ref_walk_nodes(root):
+    yield root
+    for value in vars(root).values():
+        if isinstance(value, sx.Node):
+            yield from _ref_walk_nodes(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, sx.Node):
+                    yield from _ref_walk_nodes(item)
+
+
+def _ref_find(body, hit):
+    for i, s in enumerate(body.stmts):
+        if hit(s):
+            return s, [(body, i)]
+        parts = [v for v in vars(s).values() if isinstance(v, (sx.Expr, sx.Block))]
+        for part in parts:
+            if isinstance(part, sx.Expr):
+                e = next((e for e in _ref_walk_exprs(part) if hit(e)), None)
+                if e is not None:
+                    return e, [(body, i)]
+        for part in parts:
+            if isinstance(part, sx.Block):
+                rest = _ref_find(part, hit)
+                if rest is not None:
+                    return rest[0], [(body, i), *rest[1]]
+    return None
+
+
+def _ref_map_exprs(root, fn):
+    replaced = 0
+
+    def slot(value):
+        nonlocal replaced
+        if isinstance(value, sx.Expr):
+            new = fn(value)
+            if new is not None and new is not value:
+                replaced += 1
+                return new
+        if isinstance(value, sx.Node):
+            visit(value)
+        return value
+
+    def visit(node):
+        for name, value in list(vars(node).items()):
+            if isinstance(value, list):
+                value[:] = [slot(item) for item in value]
+            elif isinstance(value, sx.Node):
+                setattr(node, name, slot(value))
+
+    visit(root)
+    return replaced
+
+
+# an annotation in every slot that can hold one, and an else block, which
+# no corpus file has
+ANNOTATED = """@MustCall("close")
+class W {
+  @Owning private PrintWriter pw;
+  @NotOwning private PrintWriter spare = null;
+  W(@Owning PrintWriter given) {
+    pw = given;
+  }
+  @EnsuresCalledMethods(value="pw", methods="close")
+  void close() {
+    if (pw != null) {
+      pw.close();
+    } else {
+      spare = null;
+    }
+  }
+}
+"""
+
+
+def _shape_programs():
+    """The corpus, generate_source(0..599), the 600 corpus mutants that
+    parse, the shadowing programs and one annotated in every slot."""
+    corpus = [(p.name, p.read_text()) for p in sorted(CORPUS.glob("*.mj"))]
+    fuzz = [(f"fuzz{seed}.mj", generate_source(seed)) for seed in range(600)]
+    extra = [("shadowing.mj", text) for text in SHADOWING] + [("annotated.mj", ANNOTATED)]
+    for name, text in corpus + fuzz + corpus_mutants() + extra:
+        try:
+            yield parse(text, name)
+        except FILE_ERRORS:
+            continue
+
+
+def _same(xs, ys) -> bool:
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+
+def test_the_walkers_on_the_shape_table_match_the_hand_written_ones():
+    programs = bodies = 0
+    for prog in _shape_programs():
+        programs += 1
+        assert _same(sx.walk_nodes(prog), _ref_walk_nodes(prog)), prog.source_name
+        for cls in prog.classes:
+            assert _same(sx.walk_nodes(cls), _ref_walk_nodes(cls)), prog.source_name
+            for init in [f.initializer for f in cls.fields]:
+                assert _same(sx.walk_exprs(init), _ref_walk_exprs(init)), prog.source_name
+                if init is not None:
+                    assert _same(sx.walk_nodes(init), _ref_walk_nodes(init)), prog.source_name
+            for meth in cls.all_methods():
+                bodies += 1
+                body = meth.body
+                assert _same(sx.walk_exprs(body), _ref_walk_exprs(body)), prog.source_name
+                assert _same(sx.walk_stmts(body), _ref_walk_stmts(body)), prog.source_name
+                assert _same(sx.walk_nodes(body), _ref_walk_nodes(body)), prog.source_name
+                for node in sx.walk_nodes(body):
+                    assert sx.node_path(body, node.nid) == _ref_find(body, lambda n: n.nid == node.nid)
+                    assert sx.stmt_path(body, node) == (_ref_find(body, lambda n: n is node) or (None, None))[1]
+        # the rewriter visits the same slots in the same order on two copies
+        seen, ref_seen = [], []
+
+        def fresh_refs(e, seen):
+            seen.append(e.nid)
+            return sx.VarRef(name=e.name) if isinstance(e, sx.VarRef) else None
+
+        dup, ref_dup = copy.deepcopy(prog), copy.deepcopy(prog)
+        count = sx.map_exprs(dup, lambda e: fresh_refs(e, seen))
+        assert count == _ref_map_exprs(ref_dup, lambda e: fresh_refs(e, ref_seen)) and seen == ref_seen
+        assert dup == ref_dup
+    assert programs > 800 and bodies > 2500
+
+
+def _node_types():
+    out, todo = [], [sx.Node]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        todo.extend(t.__subclasses__())
+    return out
+
+
+def _can_hold_a_node(hint) -> bool:
+    if get_origin(hint) is None and isinstance(hint, type):
+        return issubclass(hint, sx.Node)
+    return any(_can_hold_a_node(arg) for arg in get_args(hint))
+
+
+def test_the_shape_table_names_every_field_that_can_hold_a_node():
+    for t in _node_types():
+        hints = get_type_hints(t)
+        holding = tuple(f.name for f in dataclasses.fields(t) if _can_hold_a_node(hints[f.name]))
+        if t in (sx.Node, sx.Expr, sx.Stmt):
+            assert holding == () and t not in sx.SHAPE  # abstract: no node is of these types alone
+        else:
+            assert sx.SHAPE[t] == holding, t.__name__
+
+
+def test_a_checker_run_walks_no_ast(monkeypatch):
+    # every way `syntax` goes over a tree, counted while a run is on
+    state = {"in_run": False, "runs": 0, "warned": 0, "walks": []}
+    for name in ("_walk", "_find", "children", "local_refs", "map_exprs"):
+        original = getattr(sx, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            if state["in_run"]:
+                state["walks"].append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sx, name, counted)
+    run = checker_module._MethodChecker.run
+
+    def watched(self):
+        state["in_run"], state["runs"] = True, state["runs"] + 1
+        try:
+            warnings = run(self)
+        finally:
+            state["in_run"] = False
+        state["warned"] += bool(warnings)
+        return warnings
+
+    monkeypatch.setattr(checker_module._MethodChecker, "run", watched)
+    with memo_bypassed():
+        for prog, lib in PROGRAMS:
+            for specs in (SpecSet.from_declared(prog), infer_specs(prog, lib)):
+                check_program(prog, specs, lib)
+    assert state["walks"] == []
+    assert state["runs"] > 500 and state["warned"] > 100
