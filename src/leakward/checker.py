@@ -43,11 +43,13 @@ run from the anchor lists the lowering keeps on the CFG (`Cfg.names`): a
 run makes no walk of the method.
 
 A run reads its specs only through a `SpecReader`: must-call sets
-(`must_call_for`, `tracked`) and the ownership of stored fields. From the
-AST it reads field types and `final`, callees' parameters with their
-`@Owning`, and the `@NotOwning` of callees and of the method itself, and
-positions only for `Warning.line`. The memo keys a run on exactly these
-(`memo`).
+(`must_call_for`, `tracked`) and the ownership of stored fields. It reads
+the ownership facts of the AST through the same reader: a stored field's
+`final`, a user callee's parameter ownerships, and the `@NotOwning` of a
+callee and of the method itself. Beyond its CFG it reads field types from
+the AST, which the memo's lowering digest covers, and positions only for
+`Warning.line`. The memo keys a run on that digest and its member's body,
+and reuses it where the reader's reads give the same values (`memo`).
 
 Warning ids hash a structural descriptor (class, method, resource, ordinal),
 never line numbers, so inserting blank lines changes no ids.
@@ -64,7 +66,7 @@ from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, ProgramVersion, version_of
-from .specs import NOT_OWNING, OWNING, SpecReader, SpecSet, method_return_ownership, param_ownership
+from .specs import NOT_OWNING, OWNING, SpecReader, SpecSet
 
 UNSATISFIED_OBLIGATION = "UnsatisfiedObligation"
 OWNING_FIELD_OVERWRITE = "OwningFieldOverwrite"
@@ -435,7 +437,9 @@ class _MethodChecker:
         elif isinstance(instr, C.StoreField):
             ownership = self.specs.ownership(instr.field_class, instr.field)
             if ownership == OWNING:
-                if not self._field_is_final(instr):
+                # a final field's single store cannot overwrite a live
+                # resource: `reject_final_writes` enforces the single write
+                if not self.specs.field_is_final(instr.field_class, instr.field):
                     sat = instr.recv == C.THIS and instr.field in out.field_sat
                     if not sat:
                         self.warn_overwrite(instr)
@@ -491,7 +495,7 @@ class _MethodChecker:
                     out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
                 return self._split_out(node, out.pack(), pre_ret)
         elif isinstance(instr, C.ReturnVal):
-            if instr.src is not None and method_return_ownership(self.method) == OWNING:
+            if instr.src is not None and self.specs.return_ownership(self.cls.name, self.cfg.method_name) == OWNING:
                 discharge(instr.src)
         return dict.fromkeys(self.cfg.succs(node), out.pack())
 
@@ -561,13 +565,6 @@ class _MethodChecker:
             )
         return outs
 
-    def _field_is_final(self, store: C.StoreField) -> bool:
-        """A final field's single store cannot overwrite a live resource; the
-        compile gate (reject_final_writes) enforces the single write."""
-        decl_cls = self.program.class_named(store.field_class)
-        fld = decl_cls.field_named(store.field) if decl_cls else None
-        return fld is not None and fld.has("final")
-
     def _discharge_owning_args(
         self, callee_class: str, method: str, args: list[str], discharge, is_ctor: bool
     ) -> None:
@@ -577,11 +574,11 @@ class _MethodChecker:
                 discharge(op)
 
     def _param_ownerships(self, callee_class: str, method: str, arity: int, is_ctor: bool) -> list[str]:
-        cls = self.program.class_named(callee_class)
-        if cls is not None:
-            m = cls.constructor(arity) if is_ctor else cls.method_named(method)
-            if m is not None and len(m.params) == arity:
-                return [param_ownership(p) for p in m.params]
+        if self.program.class_named(callee_class) is not None:
+            member = f"{sx.CONSTRUCTOR}#{arity}" if is_ctor else method
+            owns = self.specs.param_ownerships(callee_class, member)
+            if owns is not None and len(owns) == arity:
+                return list(owns)
             return [NOT_OWNING] * arity
         lm = self.libspec.method(callee_class, callee_class if is_ctor else method)
         if lm is not None and len(lm.param_ownership) == arity:
@@ -597,7 +594,7 @@ class _MethodChecker:
             return None
         if not self.tracked(m.return_type):
             return None
-        if method_return_ownership(m) != OWNING:
+        if self.specs.return_ownership(instr.owner, instr.method) != OWNING:
             return None
         return m.return_type
 

@@ -129,8 +129,9 @@ def _select_finalizer(disposals: list[_Disposal]) -> _Disposal:
 
 def write_specs(program: sx.Program, specs: SpecSet) -> None:
     """Insert inferred annotations into `program` itself. No annotation it
-    writes is read by a memo key (`memo.member_keys`), so a version of
-    `program` stays valid.
+    writes is read by a memo key (`memo.member_keys`), nor from the AST by a
+    checker run's `SpecReader`, which reads them only as specs, so a version
+    of `program` stays valid.
 
     Already-declared annotations are left untouched; a contradiction raises
     AnnotationConflict. Idempotent: re-writing the same specs changes nothing.

@@ -30,26 +30,34 @@ shapes of the classes it names, the library spec, and, for a run, some spec
 entries:
 
   - the lowering reads the body, the class of each bare name, the declared
-    type and `static` of fields, and callees' return types;
+    type and `static` of fields, callees' return types, and its own
+    `static` and parameters;
   - a run reads the CFG, the declared type and `final` of fields, callees'
     parameters with their `@Owning`, callees' and its own `@NotOwning`, and
     the must-call sets and field ownership of its specs.
 
 So a version's keys (`member_keys`), taken in one pass at its first lookup
 from pickles alone, are a digest of each member's body (nids and allocation
-sites included) and one digest of the file name and the class shapes: class
-names, `implements`, fields with their types and modifiers, and every
-member's signature, with each parameter's `@Owning` and the member's
-`@NotOwning`, which the checker reads from callee ASTs. Positions are out of
-the keys: lowering reads them only to raise an error, which is never
-stored, and a run only for `Warning.line`, which `method_run` reads from the
-caller's program. Every other annotation is out as well: the checker reads
-`@MustCall`, field `@Owning` and `@EnsuresCalledMethods` only as specs. So
-an annotation from `write_specs`, a fix in another method, or a moved line
+sites included) and one lowering digest of what lowering reads of the
+shapes: the file name, class names, fields with their names, types and
+`static`, and every member's name, return type, `static` and parameter
+types and names. Left out of the keys:
+
+  - `implements`, every other modifier, and every annotation: lowering reads
+    none of them. A run reads a field's `final`, a callee's parameter
+    ownerships and the `@NotOwning` of a callee or of itself through its
+    `SpecReader`, as it reads its specs, and `@MustCall`, field `@Owning`
+    and `@EnsuresCalledMethods` only as specs;
+  - positions: lowering reads them only to raise an error, which is never
+    stored, and a run only for `Warning.line`, which `method_run` reads from
+    the caller's program.
+
+So `final` from `finalize_fields`, `implements` from `inject_finalizers`, an
+annotation from `write_specs`, a fix in another method, or a moved line
 leaves an entry valid, and an entry outlives the version that made it.
 
-The table holds two kinds of entries, under (class shapes, class, member
-key, body):
+The table holds two kinds of entries, under (kind, lowering digest, class,
+member key, body):
 
   ("cfg", ...) -> Cfg. A hit is a shallow copy of the stored Cfg, rebound
       to the caller's program, class and method. It shares the graph facts
@@ -58,12 +66,14 @@ key, body):
       `Cfg.live_in` on the stored Cfg or any hit. It shares the stored
       lowering's `Cfg.names` too: the anchor lists a checker run reads its
       warning ordinals from are read by node id, which the body key covers.
-  ("run", ...) -> [(SpecReads, result)]. A run reads its specs only through
-      a `SpecReader`, which records the must-call set of each class and the
-      ownership of each field it asks for. A lookup hits the first stored
-      run whose every read gives the same value under the caller's specs:
-      a run is deterministic, so under such specs it would make the same
-      reads and compute the same result.
+  ("run", ...) -> [(SpecReads, result)]. A run reads its specs and the
+      ownership facts the key leaves out only through a `SpecReader` of the
+      specs and the caller's program, which records each must-call set,
+      field ownership, field `final`, parameter ownerships and return
+      ownership it asks for. A lookup hits the first stored run whose every
+      read gives the same value under the caller's specs and program: a run
+      is deterministic, so there it would make the same reads and compute
+      the same result.
 
 A miss calls the module-level `cfg.lower`, and the first `Cfg.live_in` of a
 lowering calls the module-level `cfg.liveness`, so counts of those calls
@@ -82,7 +92,7 @@ from typing import Callable, TypeVar, Union
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
-from .specs import SpecReader, SpecReads, SpecSet, method_return_ownership, param_ownership
+from .specs import SpecReader, SpecReads, SpecSet
 
 T = TypeVar("T")
 
@@ -98,23 +108,23 @@ def _digest(data: bytes) -> bytes:
 class MemberKeys:
     """What a program state's entries are keyed on."""
 
-    shapes: bytes  # digest of the file name and the class shapes
+    lowering: bytes  # digest of the file name and the class shapes lowering reads
     bodies: dict[tuple[str, str], bytes]  # (class, member key) -> digest of the member's body
 
 
 def member_keys(program: sx.Program) -> MemberKeys:
     """The keys of `program` as it is now: one pickle per member body and one
-    of the class shapes, with no walk of a body."""
+    of the class shapes lowering reads, with no walk of a body."""
     bodies: dict[tuple[str, str], bytes] = {}
     shapes = []
     for cls in program.classes:
         members = []
         for meth in cls.all_methods():
             bodies[(cls.name, sx.member_key(meth))] = _digest(pickle.dumps(meth.body, pickle.HIGHEST_PROTOCOL))
-            params = tuple((p.type_name, p.name, param_ownership(p)) for p in meth.params)
-            members.append((meth.name, meth.return_type, meth.modifiers, params, method_return_ownership(meth)))
-        fields = tuple((f.name, f.declared_type, f.modifiers) for f in cls.fields)
-        shapes.append((cls.name, cls.implements, fields, tuple(members)))
+            params = tuple((p.type_name, p.name) for p in meth.params)
+            members.append((meth.name, meth.return_type, meth.is_static, params))
+        fields = tuple((f.name, f.declared_type, f.has("static")) for f in cls.fields)
+        shapes.append((cls.name, fields, tuple(members)))
     return MemberKeys(_digest(pickle.dumps((program.source_name, shapes), pickle.HIGHEST_PROTOCOL)), bodies)
 
 
@@ -155,7 +165,7 @@ class ProgramVersion:
     def _key(self, kind: str, cls: sx.ClassDecl, meth: sx.MethodDecl) -> tuple:
         keys = self.keys
         member = (cls.name, sx.member_key(meth))
-        return (kind, keys.shapes, *member, keys.bodies[member])
+        return (kind, keys.lowering, *member, keys.bodies[member])
 
     def cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
         """`cfg.lower(program, cls, meth, libspec)`, lowered once per member key."""
@@ -172,15 +182,16 @@ class ProgramVersion:
     def remember(
         self, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet, compute: Callable[[SpecReader], T]
     ) -> T:
-        """compute(reader), a pure function of this version's `meth` and of
-        what it reads through `reader`, a `SpecReader` of `specs`; run once
-        per member key and set of read values."""
+        """compute(reader), a pure function of this version's lowering of
+        `meth` and of what it reads through `reader`, a `SpecReader` of
+        `specs` and this version's program; run once per member key and set
+        of read values."""
         key = self._key("run", cls, meth)
         runs: list[tuple[SpecReads, T]] = self._entries().setdefault(key, [])  # type: ignore[assignment]
         for reads, result in runs:
-            if reads.hold_under(specs, self.libspec):
+            if reads.hold_under(specs, self.libspec, self.program):
                 return result
-        reader = SpecReader(specs, self.libspec)
+        reader = SpecReader(specs, self.libspec, self.program)
         result = compute(reader)
         runs.append((reader.reads, result))
         return result

@@ -4,16 +4,20 @@ A SpecSet aggregates @MustCall, field ownership, and @EnsuresCalledMethods
 facts for user classes, whether declared in source, inferred, or injected.
 Library classes are covered by LibrarySpec, not by SpecSet.
 
-A checker run reads its SpecSet through a `SpecReader`, which records each
-read (`SpecReads`), so that the memo can reuse the run under any SpecSet
-that gives every one of those reads the same value.
+A checker run reads its SpecSet through a `SpecReader`, and so does it the
+ownership facts of the AST that the memo's lowering digest leaves out: a
+stored field's `final`, a user callee's parameter ownerships and the
+`@NotOwning` of a callee or of the method itself. The reader records each
+read with the value it got (`SpecReads`), so that the memo can reuse the run
+under any SpecSet and program that give every one of those reads the same
+value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import syntax as sx
 from .libspec import LibrarySpec
@@ -147,25 +151,35 @@ def finalizer_order(methods: Iterable[str]) -> tuple[str, ...]:
 
 @dataclass
 class SpecReads:
-    """The spec entries one checker run read, with the value it got for each."""
+    """What one checker run read of its specs and of its program's ownership
+    facts, with the value it got for each."""
 
     must_call: dict[str, frozenset[str]] = field(default_factory=dict)  # class -> resource_must_call
     ownership: dict[tuple[str, str], str] = field(default_factory=dict)  # (class, field) -> SpecSet.ownership
+    final: dict[tuple[str, str], bool] = field(default_factory=dict)  # (class, field) -> field_is_final
+    # (class, member key) -> member_param_ownerships, member_return_ownership
+    params: dict[tuple[str, str], Optional[tuple[str, ...]]] = field(default_factory=dict)
+    returns: dict[tuple[str, str], str] = field(default_factory=dict)
 
-    def hold_under(self, specs: SpecSet, libspec: LibrarySpec) -> bool:
-        """Whether `specs` gives every read the value it got."""
-        return all(resource_must_call(c, specs, libspec) == mc for c, mc in self.must_call.items()) and all(
-            specs.ownership(c, f) == own for (c, f), own in self.ownership.items()
+    def hold_under(self, specs: SpecSet, libspec: LibrarySpec, program: sx.Program) -> bool:
+        """Whether `specs` and `program` give every read the value it got."""
+        return (
+            all(resource_must_call(c, specs, libspec) == mc for c, mc in self.must_call.items())
+            and all(specs.ownership(c, f) == own for (c, f), own in self.ownership.items())
+            and all(field_is_final(program, c, f) == final for (c, f), final in self.final.items())
+            and all(member_param_ownerships(program, c, m) == owns for (c, m), owns in self.params.items())
+            and all(member_return_ownership(program, c, m) == own for (c, m), own in self.returns.items())
         )
 
 
 class SpecReader:
-    """A checker run's one way into its SpecSet: must-call sets and field
-    ownership, each read once and recorded in `reads`."""
+    """A checker run's one way into its SpecSet, and into the ownership facts
+    of its program's AST: each read once and recorded in `reads`."""
 
-    def __init__(self, specs: SpecSet, libspec: LibrarySpec):
+    def __init__(self, specs: SpecSet, libspec: LibrarySpec, program: sx.Program):
         self.libspec = libspec
         self._specs = specs
+        self._program = program
         self.reads = SpecReads()
 
     def must_call(self, class_name: str) -> frozenset[str]:
@@ -180,6 +194,45 @@ class SpecReader:
         if own is None:
             own = self.reads.ownership[key] = self._specs.ownership(class_name, field_name)
         return own
+
+    def field_is_final(self, class_name: str, field_name: str) -> bool:
+        key = (class_name, field_name)
+        if key not in self.reads.final:
+            self.reads.final[key] = field_is_final(self._program, class_name, field_name)
+        return self.reads.final[key]
+
+    def param_ownerships(self, class_name: str, member: str) -> Optional[tuple[str, ...]]:
+        key = (class_name, member)
+        if key not in self.reads.params:
+            self.reads.params[key] = member_param_ownerships(self._program, class_name, member)
+        return self.reads.params[key]
+
+    def return_ownership(self, class_name: str, member: str) -> str:
+        key = (class_name, member)
+        own = self.reads.returns.get(key)
+        if own is None:
+            own = self.reads.returns[key] = member_return_ownership(self._program, class_name, member)
+        return own
+
+
+def field_is_final(program: sx.Program, class_name: str, field_name: str) -> bool:
+    cls = program.class_named(class_name)
+    fld = cls.field_named(field_name) if cls else None
+    return fld is not None and fld.has("final")
+
+
+def member_param_ownerships(program: sx.Program, class_name: str, member: str) -> Optional[tuple[str, ...]]:
+    """The ownership of each parameter of the member `sx.member_key` names
+    `member`, None when there is no such member."""
+    cls = program.class_named(class_name)
+    meth = cls.member(member) if cls else None
+    return None if meth is None else tuple(param_ownership(p) for p in meth.params)
+
+
+def member_return_ownership(program: sx.Program, class_name: str, member: str) -> str:
+    cls = program.class_named(class_name)
+    meth = cls.member(member) if cls else None
+    return OWNING if meth is None else method_return_ownership(meth)
 
 
 def method_return_ownership(method: sx.MethodDecl) -> str:

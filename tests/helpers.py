@@ -19,7 +19,7 @@ from leakward.escape import taint_fixpoint
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.libspec import LibrarySpec, load_library_spec
 from leakward.parser import parse
-from leakward.specs import OWNING, SpecReader, SpecSet, method_return_ownership, param_ownership
+from leakward.specs import OWNING, SpecReader, SpecReads, SpecSet, method_return_ownership, param_ownership
 
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -71,15 +71,24 @@ def corpus_mutants(count: int = 600, seed: int = 1) -> list[tuple[str, str]]:
 
 
 @contextmanager
-def memo_bypassed() -> Iterator[None]:
+def memo_bypassed() -> Iterator[dict[tuple[str, str], SpecReads]]:
     """Every `ProgramVersion.cfg` lowers afresh and every `remember` computes
     afresh, with a fresh spec reader, until the block ends: the memo-free
-    reference the memo must equal."""
+    reference the memo must equal. Yields the reads of each member's last
+    run, by (class, member key)."""
+    reads: dict[tuple[str, str], SpecReads] = {}
+
+    def remember(self, cls, meth, specs, compute):
+        reader = SpecReader(specs, self.libspec, self.program)
+        result = compute(reader)
+        reads[(cls.name, sx.member_key(meth))] = reader.reads
+        return result
+
     saved = ProgramVersion.cfg, ProgramVersion.remember
     ProgramVersion.cfg = lambda self, cls, meth: C.lower(self.program, cls, meth, self.libspec)
-    ProgramVersion.remember = lambda self, cls, meth, specs, compute: compute(SpecReader(specs, self.libspec))
+    ProgramVersion.remember = remember
     try:
-        yield
+        yield reads
     finally:
         ProgramVersion.cfg, ProgramVersion.remember = saved
 

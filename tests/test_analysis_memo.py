@@ -8,14 +8,19 @@ at most once per lowering. The pipeline hands versions from stage to stage:
 no version is read after an edit to its program, and a run takes each
 program state's keys once. An entry is keyed on what it reads: an edit to
 one method, an annotation from `write_specs`, a spec change to a class a
-member never reads, and a moved position each leave the other entries hits,
-while a callee's ownership annotations and a field's `final` are read."""
+member never reads, a moved position and a shape part lowering does not
+read (`final`, `private`, `implements`) each leave the other entries hits,
+while a run reads a callee's ownership annotations and a field's `final`
+as it reads its specs. A corpus run stays within its count of lowerings
+and checker runs."""
 
 import copy
 import hashlib
+import json
 import pickle
 from collections import Counter
 from contextlib import nullcontext
+from typing import Callable, Iterator, Optional
 
 import pytest
 
@@ -29,9 +34,9 @@ from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs, write_specs
 from leakward.libspec import LibrarySpec
 from leakward.parser import parse
-from leakward.pipeline import FixOutcome, PipelineConfig, run_file_pipeline, run_pipeline
+from leakward.pipeline import FixOutcome, PipelineConfig, check_stage, run_file_pipeline, run_pipeline, transform_stage
 from leakward.printer import pretty_print
-from leakward.specs import MustCallSet, SpecSet
+from leakward.specs import MustCallSet, SpecReader, SpecSet
 
 LOWER = C.lower
 
@@ -90,6 +95,49 @@ def test_memoised_pipeline_equals_memo_free(corpus_sources, libspec, monkeypatch
     assert lowerings["memoised"] < lowerings["memo-free"]
 
 
+def _report_text(sources, lib) -> str:
+    return json.dumps(run_pipeline(sources, lib).to_json(), sort_keys=True)
+
+
+def test_memoised_reports_are_byte_equal_to_memo_free_ones(libspec):
+    """`run_pipeline` alone on each of the 600 corpus mutants and of
+    generate_source(0..599): the memoised report and the memo-free one are
+    the same text."""
+    fuzz_lib = fuzz_libspec()
+    runs = [([mutant], libspec) for mutant in corpus_mutants()]
+    runs += [([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_lib) for seed in range(600)]
+    moved = []
+    for sources, lib in runs:
+        memoised = _report_text(sources, lib)
+        with memo_bypassed():
+            if _report_text(sources, lib) != memoised:
+                moved.append(sources[0][0])
+    assert moved == []
+
+
+def test_a_corpus_run_lowers_at_most_90_times_and_runs_the_checker_at_most_115_times(
+    corpus_sources, libspec, monkeypatch
+):
+    """The work bound of one `run_pipeline` of the corpus, counted through
+    public names: `cfg.lower` calls, and `SpecReader` constructions, one per
+    checker run the memo computes."""
+    counts = Counter()
+
+    def lowering(*args):
+        counts["lower"] += 1
+        return LOWER(*args)
+
+    class CountingReader(SpecReader):
+        def __init__(self, *args):
+            counts["run"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(C, "lower", lowering)
+    monkeypatch.setattr(memo, "SpecReader", CountingReader)
+    run_pipeline(corpus_sources, libspec)
+    assert counts["lower"] <= 90 and counts["run"] <= 115, counts
+
+
 def _toggle(annotations: list, kind: str) -> None:
     """Remove the annotation of `kind`, or add one when there is none."""
     held = [a for a in annotations if a.kind == kind]
@@ -99,40 +147,105 @@ def _toggle(annotations: list, kind: str) -> None:
         annotations.append(sx.Annotation(kind=kind))
 
 
-def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sources, libspec):
-    """The checker reads a field's `final`, a callee's parameter `@Owning`
-    and its `@NotOwning` from the AST: toggled one after another in place,
-    each check still equals a memo-free one."""
-    toggled = 0
-    for name, text, lib in _sources(corpus_sources, libspec):
+# shape parts that lowering reads: the lowering digest covers them
+LOWERED_PARTS = {"field type", "field static", "return type", "param type"}
+
+
+def _swap(obj, attr: str, other) -> Callable[[], None]:
+    """A toggle of `obj.attr` between its value now and `other`."""
+    original = getattr(obj, attr)
+    return lambda: setattr(obj, attr, other if getattr(obj, attr) == original else original)
+
+
+def _other_type(name: str) -> str:
+    return "Object" if name == "String" else "String"
+
+
+def _flipped(modifiers: tuple, modifier: str) -> tuple:
+    kept = tuple(m for m in modifiers if m != modifier)
+    return kept if modifier in modifiers else (*kept, modifier)
+
+
+def _shape_toggles(prog: sx.Program) -> Iterator[tuple[str, Optional[tuple[str, tuple]], Callable[[], None]]]:
+    """(part, fact, toggle) for each shape part of `prog`: `toggle()` flips
+    the part in place and a second call flips it back; `fact` is the
+    (`SpecReads` field, key) a checker run reads the part as, None when no
+    run reads it but through its lowering."""
+    for cls in prog.classes:
+        yield "implements", None, _swap(cls, "implements", None if cls.implements else "AutoCloseable")
+        for fld in cls.fields:
+            yield "field type", None, _swap(fld, "declared_type", _other_type(fld.declared_type))
+            for modifier in ("static", "final", "private"):
+                fact = ("final", (cls.name, fld.name)) if modifier == "final" else None
+                yield f"field {modifier}", fact, _swap(fld, "modifiers", _flipped(fld.modifiers, modifier))
+        for meth in cls.all_methods():
+            member = (cls.name, sx.member_key(meth))
+            for p in meth.params:
+                yield "param type", None, _swap(p, "type_name", _other_type(p.type_name))
+                yield "param @Owning", ("params", member), lambda p=p: _toggle(p.annotations, sx.OWNING)
+            yield "method private", None, _swap(meth, "modifiers", _flipped(meth.modifiers, "private"))
+            if not meth.is_constructor:
+                yield "return type", None, _swap(meth, "return_type", "String" if meth.return_type == "void" else "void")
+                yield "method @NotOwning", ("returns", member), lambda m=meth: _toggle(m.annotations, sx.NOT_OWNING)
+
+
+def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sources, libspec, monkeypatch):
+    """Each shape part toggled in place, one at a time. A part lowering reads
+    (a field's type or `static`, a return or parameter type) makes every CFG
+    and run of the file miss. Any other part (`final`, `private`,
+    `implements`, a parameter's `@Owning`, a method's `@NotOwning`) leaves
+    every CFG a hit, and a member's run misses exactly when its reads before
+    the toggle hold the toggled fact. Each check equals a memo-free one."""
+    lowered: set = set()
+    ran: set = set()
+
+    def lowering(program, cls, meth, *rest):
+        lowered.add((cls.name, sx.member_key(meth)))
+        return LOWER(program, cls, meth, *rest)
+
+    real_remember = memo.ProgramVersion.remember
+
+    def remember(self, cls, meth, specs, compute):
+        def computing(reader):
+            ran.add((cls.name, sx.member_key(meth)))
+            return compute(reader)
+
+        return real_remember(self, cls, meth, specs, computing)
+
+    monkeypatch.setattr(C, "lower", lowering)
+    monkeypatch.setattr(memo.ProgramVersion, "remember", remember)
+    fuzz = [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(100)]
+    toggled: Counter = Counter()
+    for name, text, lib in [(n, t, libspec) for n, t in corpus_sources] + fuzz:
         prog = parse(text, name)
         specs = infer_specs(prog, lib)
+        members = {(cls.name, sx.member_key(meth)) for cls in prog.classes for meth in cls.all_methods()}
         check_program(prog, specs, lib)
-        edits = []
-        for cls in prog.classes:
-            edits += [(fld, "final") for fld in cls.fields]
-            for meth in cls.all_methods():
-                edits += [(p.annotations, sx.OWNING) for p in meth.params]
-                edits += [(meth.annotations, sx.NOT_OWNING)] if not meth.is_constructor else []
-        for target, kind in edits:
-            if kind == "final":
-                kept = tuple(m for m in target.modifiers if m != kind)
-                target.modifiers = kept if target.has(kind) else (*kept, kind)
-            else:
-                _toggle(target, kind)
+        with memo_bypassed() as reads:
+            check_program(prog, specs, lib)
+        for part, fact, toggle in _shape_toggles(prog):
+            toggle()
+            lowered.clear(), ran.clear()
+            warnings = check_program(prog, specs, lib)
+            missed = (set(lowered), set(ran))
             with memo_bypassed():
-                memo_free = check_program(prog, specs, lib)
-            assert check_program(prog, specs, lib) == memo_free, (name, kind)
-            toggled += 1
-    assert toggled > 100
+                assert warnings == check_program(prog, specs, lib), (name, part)
+            if part in LOWERED_PARTS:
+                assert missed == (members, members), (name, part)
+            else:
+                read = {m for m, r in reads.items() if fact is not None and fact[1] in getattr(r, fact[0])}
+                assert missed == (set(), read), (name, part)
+            toggle()
+            toggled[part] += 1
+    assert min(toggled.values()) > 20 and len(toggled) == 10, toggled
 
 
 def _member_key(program, cls, meth) -> tuple:
-    """The memo's key of a member of `program` as it is now: (class shapes,
-    class, member, body)."""
+    """The memo's key of a member of `program` as it is now: (lowering
+    digest, class, member, body)."""
     keys = memo.member_keys(program)
     member = (cls.name, sx.member_key(meth))
-    return (keys.shapes, *member, keys.bodies[member])
+    return (keys.lowering, *member, keys.bodies[member])
 
 
 def _lowerings_by_member(monkeypatch) -> Counter:
@@ -409,6 +522,27 @@ def test_write_specs_alone_leaves_every_cfg_a_hit(libspec, monkeypatch):
     assert pretty_print(prog) != text  # @MustCall, @Owning and @EnsuresCalledMethods were written
     assert infer_specs(prog, libspec).to_json() == specs.to_json()
     assert check_program(prog, specs, libspec) == warnings
+    assert (lowered, ran) == (Counter(), Counter())
+
+
+def test_transform_stage_finds_every_cfg_and_run_it_reads_after_a_field_is_made_final(
+    corpus_sources, libspec, monkeypatch
+):
+    """tempfile_writer.mj less `resetStream`: `finalize_fields` makes
+    `TempFileWriter.stream` final, and then `inject_finalizers` reads the
+    constructor's CFG and the methods' runs to inject a close(). No key
+    reads `final`, and no run of the file reads the field's, so every
+    lookup hits: `transform_stage` lowers nothing and runs nothing."""
+    reset = "  void resetStream(String path) {\n    stream = new PrintStream(path);\n  }\n"
+    text = dict(corpus_sources)["tempfile_writer.mj"]
+    assert reset in text
+    prog = parse(text.replace(reset, ""), "tempfile_writer.mj")
+    version = memo.ProgramVersion(prog, libspec)
+    specs = infer_specs(version, libspec)
+    warnings = check_stage(version, specs, libspec, PipelineConfig())
+    lowered, ran = _work_by_member(monkeypatch)
+    _, log = transform_stage(version, warnings, specs, libspec)
+    assert [(e.transform, e.member) for e in log.entries] == [("finalize_field", "stream"), ("inject_finalizer", "close")]
     assert (lowered, ran) == (Counter(), Counter())
 
 

@@ -307,7 +307,7 @@ def _round_robin_taint(cfg, start_node, start_local):
 
 
 def _round_robin_check(cfg, specs, lib):
-    chk = K._MethodChecker(cfg, SpecReader(specs, lib))
+    chk = K._MethodChecker(cfg, SpecReader(specs, lib, cfg.program))
     in_facts, out_facts = {}, {}
     order = cfg.rpo()
     changed = True
