@@ -19,8 +19,8 @@ checker's obligation dataflow and the escape taint each give it a transfer
 
 What depends only on the graph is computed once per lowering: the adjacency
 index, the reverse postorder and `solve`'s ranks and in-edge keys when the
-CFG is built, liveness on first use (`Cfg.live_in`). The memo's copies of a
-stored CFG share them all.
+CFG is built, liveness on first use (`Cfg.live_in`). A CFG holds no AST, so
+the memo hands out the stored lowering itself on every hit.
 """
 
 from __future__ import annotations
@@ -131,9 +131,6 @@ class Cfg:
     entry: int = -1
     exit: int = -1
     local_types: dict[str, str] = field(default_factory=dict)
-    program: Optional[sx.Program] = None
-    class_ast: Optional[sx.ClassDecl] = None
-    method_ast: Optional[sx.MethodDecl] = None
     # the method's `sx.local_refs`, taken once by the lowering: its name
     # resolution and its anchor lists, which warning ordinals read by node id
     names: Optional[sx.LocalRefs] = field(default=None, repr=False, compare=False)
@@ -148,9 +145,8 @@ class Cfg:
     _in_keys: dict[bool, list[tuple[tuple[int, int], ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # liveness, solved on first use; a one-slot list, so that the shallow
-    # copies the memo hands out share it with the stored CFG
-    _live: list[tuple[frozenset[str], ...]] = field(default_factory=list, init=False, repr=False, compare=False)
+    # liveness by node id, solved on first use
+    _live: Optional[tuple[frozenset[str], ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def index_edges(self) -> None:
         """Build the adjacency index, the reverse postorder and `solve`'s
@@ -219,10 +215,10 @@ class Cfg:
 
     def live_in(self) -> tuple[frozenset[str], ...]:
         """`liveness(self)` by node id, solved once per lowering."""
-        if not self._live:
+        if self._live is None:
             live = liveness(self)
-            self._live.append(tuple(live[n] for n in range(len(self.nodes))))
-        return self._live[0]
+            self._live = tuple(live[n] for n in range(len(self.nodes)))
+        return self._live
 
     def _reverse_postorder(self) -> tuple[int, ...]:
         succ = self._succ[None]
@@ -255,10 +251,10 @@ class Cfg:
 
 
 def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
-    """Per-node neighbour tuples. The memo keeps every CFG of a program family
-    until another family replaces it, so a node whose edges are all of one
-    kind shares one tuple between that kind and the any-kind index (and an
-    empty one is `()`)."""
+    """Per-node neighbour tuples. The memo keeps every lowering of a program
+    family, handed out as stored, until another family replaces it, so a
+    node whose edges are all of one kind shares one tuple between that kind
+    and the any-kind index (and an empty one is `()`)."""
     any_kind = [tuple(ns) for ns in per_kind[None]]
     out = {None: any_kind}
     for k in (NORMAL, EXCEPTIONAL):
@@ -303,14 +299,7 @@ class Lowerer:
         self.method = method
         self.libspec = libspec
         self.names = sx.local_refs(method)
-        self.cfg = Cfg(
-            class_name=cls.name,
-            method_name=sx.member_key(method),
-            program=program,
-            class_ast=cls,
-            method_ast=method,
-            names=self.names,
-        )
+        self.cfg = Cfg(class_name=cls.name, method_name=sx.member_key(method), names=self.names)
         self.temp_counter = 0
         # finally-duplicate continuations, keyed per active Try frame
         self.frames: list[_TryFrame] = []

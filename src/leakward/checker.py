@@ -273,15 +273,13 @@ class _OutFact:
 
 
 class _MethodChecker:
-    def __init__(self, cfg: C.Cfg, specs: SpecReader):
-        assert cfg.program is not None, "Cfg must carry its program"
+    def __init__(self, program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, cfg: C.Cfg, specs: SpecReader):
         self.cfg = cfg
         self.specs = specs
         self.libspec = specs.libspec
-        self.program = cfg.program
-        self.cls = cfg.class_ast
-        self.method = cfg.method_ast
-        assert self.cls is not None and self.method is not None
+        self.program = program
+        self.cls = cls
+        self.method = method
         self.warnings: dict[str, Warning] = {}  # the visited node's during run(), then all
         self.alloc_class: dict[int, str] = {}
         self.alloc_nid: dict[int, int] = {}
@@ -660,7 +658,7 @@ def method_run(
     positions differ."""
 
     def run(reader: SpecReader) -> tuple[list[Warning], Optional[CheckFact]]:
-        checker = _MethodChecker(version.cfg(cls, meth), reader)
+        checker = _MethodChecker(version.program, cls, meth, version.cfg(cls, meth), reader)
         return checker.run(), checker.exit_fact
 
     warnings, exit_fact = version.remember(cls, meth, specs, run)

@@ -13,7 +13,9 @@ that does not parse, lower or annotate was left out, named on stderr
 from an earlier file's (`infer`), or a file without exactly one static
 main (`run`). `run` does not lower: the interpreter reports an unbound name
 as a status. 3 wins over 4.
-A file's analyses share its program family's memo (`memo.ProgramVersion`).
+Each subcommand but `run` and `pipeline` reads a file through one
+`memo.ProgramVersion`, taken by `_lower_all` and handed to each stage, as
+`run_file_pipeline` does, so each file state's keys are taken once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import cfg as C
 from . import memo
 from . import syntax as sx
 from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
@@ -79,21 +80,26 @@ def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
     return bound, stale
 
 
-def _lower_all(program, libspec) -> list[C.Cfg]:
-    """Every method's CFG, from the memo; a method that does not lower raises, so its file fails alone."""
+def _lower_all(program, libspec) -> memo.ProgramVersion:
+    """The version of `program` each stage reads, every method lowered; a
+    method that does not lower raises, so its file fails alone."""
     version = memo.ProgramVersion(program, libspec)
-    return [version.cfg(cls, meth) for cls in program.classes for meth in cls.all_methods()]
+    for cls in program.classes:
+        for meth in cls.all_methods():
+            version.cfg(cls, meth)
+    return version
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
 
     def check(program):
-        warnings = check_stage(program, _load_specs(args.specs, program), libspec, PipelineConfig())
+        version = _lower_all(program, libspec)
+        warnings = check_stage(version, _load_specs(args.specs, program), libspec, PipelineConfig())
         if args.dump_cfg:
             outdir = Path(args.dump_cfg)
             outdir.mkdir(parents=True, exist_ok=True)
-            for g in _lower_all(program, libspec):
+            for g in (version.cfg(cls, meth) for cls in program.classes for meth in cls.all_methods()):
                 name = g.method_name.replace("<init>#", "init")
                 (outdir / f"{program.source_name}.{g.class_name}.{name}.dot").write_text(g.to_dot())
         return warnings
@@ -115,8 +121,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     held: dict[str, tuple[str, dict]] = {}  # class name -> (file, its specs' JSON)
 
     def infer(program):
-        _lower_all(program, libspec)
-        specs = infer_specs(program, libspec)
+        specs = infer_specs(_lower_all(program, libspec), libspec)
         mine = {cls.name: specs.of_class(cls.name).to_json() for cls in program.classes}
         for name, entry in mine.items():
             if name in held and held[name][1] != entry:
@@ -139,8 +144,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
     def transform(program):
         warnings, _stale = _rebind(warnings_data, program)
-        _lower_all(program, libspec)
-        _, log = transform_stage(program, warnings, infer_specs(program, libspec), libspec)
+        version = _lower_all(program, libspec)
+        _, log = transform_stage(version, warnings, infer_specs(version, libspec), libspec)
         (outdir / program.source_name).write_text(pretty_print(program))
         (outdir / f"{program.source_name}.editlog.json").write_text(json.dumps(log.to_json(), indent=2) + "\n")
         print(f"transformed {program.source_name}: {len(log.entries)} edit(s)")
@@ -157,8 +162,8 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
     def fix(program):
         warnings, stale = _rebind(warnings_data, program)
-        _lower_all(program, libspec)  # with no plan applied, no validation lowers it
-        outcome = fix_stage(program, warnings, libspec, PipelineConfig())
+        # lowered first: with no plan applied, no validation lowers it
+        outcome = fix_stage(_lower_all(program, libspec), warnings, libspec, PipelineConfig())
         for wid in stale:
             outcome.fix_status.setdefault(wid, ("unfixable", "NoIrMatch"))
         (outdir / f"{program.source_name}.patch").write_text(outcome.diff)
@@ -193,8 +198,7 @@ def cmd_explain_escape(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
 
     def explain(program):
-        _lower_all(program, libspec)
-        analyzer = EscapeAnalyzer(program, _load_specs(args.specs, program), libspec)
+        analyzer = EscapeAnalyzer(_lower_all(program, libspec), _load_specs(args.specs, program), libspec)
         for cls in program.classes:
             for meth in cls.all_methods():
                 key = sx.member_key(meth)

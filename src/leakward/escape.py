@@ -27,7 +27,7 @@ from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, version_of
-from .specs import SpecSet, finalizer_order, is_resource_type, method_return_ownership
+from .specs import SpecSet, finalizer_order, is_resource_type, member_return_ownership
 
 TO_FIELD = "ToField"
 RETURNED = "Returned"
@@ -260,7 +260,7 @@ class EscapeAnalyzer:
             if isinstance(instr, C.StoreField) and instr.src in t:
                 add(TO_FIELD, f"{instr.field_class}.{instr.field}")
             elif isinstance(instr, C.ReturnVal) and instr.src in t:
-                if method_return_ownership(cfg.method_ast) != "notowning":
+                if member_return_ownership(self.program, cfg.class_name, cfg.method_name) != "notowning":
                     add(RETURNED, cfg.method_name)
             elif isinstance(instr, C.Invoke):
                 self._route_invoke(node, instr, t, add)

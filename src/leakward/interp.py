@@ -518,7 +518,6 @@ def validate_patch(
     patched: ProgramOrVersion,
     libspec: LibrarySpec,
     fixed_ids: tuple[str, ...] = (),
-    step_limit: int = DEFAULT_STEP_LIMIT,
     patched_text: Optional[str] = None,
 ) -> ValidationVerdict:
     """Static + dynamic patch gate.
@@ -530,7 +529,7 @@ def validate_patch(
     original has one static main, the reparsed patch's run adds no
     use-after-close (site, method) event and leaks no site beyond the
     original's run (each a multiset subset), and prints the same
-    close-elided output.
+    close-elided output, each run within `DEFAULT_STEP_LIMIT` steps.
 
     The reparse is the parse and printer-fixpoint gate: a patch that passes it
     is the program its text describes, so the static checks read `patched`
@@ -557,8 +556,8 @@ def validate_patch(
     if surviving:
         failures.append(f"WarningSurvives:{','.join(sorted(surviving))}")
     if has_main(original):
-        before = run(original, libspec, step_limit)
-        after = run(reparsed, libspec, step_limit)
+        before = run(original, libspec)
+        after = run(reparsed, libspec)
         if before.status == STEP_LIMIT_EXCEEDED or after.status == STEP_LIMIT_EXCEEDED:
             failures.append("StepLimit")
         else:

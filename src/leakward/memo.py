@@ -12,12 +12,13 @@ Who takes a version, and when: each entry point (`check_program`,
 `validate_patch`, the pipeline's stages) accepts a program or a version and
 reads it through `version_of`. A bare program gets a fresh version per call,
 so an edit between two calls is seen. The pipeline takes one version per
-program state and hands it from stage to stage, so each state's keys are
-taken once: a stage that edits what a key reads (a transform, a fix round
-that applied a plan) hands back a new version, or the one it was given when
-it edited nothing; `write_specs`, whose annotations no key reads, keeps the
-version; and a deep copy of a program gets its original's keys
-(`ProgramVersion.copied`).
+program state and hands it from stage to stage, and so does each CLI
+subcommand, so each state's keys are taken once: a stage that edits what a
+key reads (a transform that rewrote a body or added a member, a fix round
+that applied a plan) hands back a new version, and one that edited nothing a
+key reads hands back the one it was given: `finalize_fields` when it only
+added `final`, and `write_specs`, whose annotations no key reads. A deep
+copy of a program gets its original's keys (`ProgramVersion.copied`).
 
 The memo holds one program family's entries under one library spec. A
 family is the copies of one parse: they share `Program.nid`, which
@@ -59,13 +60,13 @@ leaves an entry valid, and an entry outlives the version that made it.
 The table holds two kinds of entries, under (kind, lowering digest, class,
 member key, body):
 
-  ("cfg", ...) -> Cfg. A hit is a shallow copy of the stored Cfg, rebound
-      to the caller's program, class and method. It shares the graph facts
-      kept with the stored Cfg: its adjacency index, reverse postorder and
-      solver ranks, built at lowering, and its liveness, solved at the first
-      `Cfg.live_in` on the stored Cfg or any hit. It shares the stored
-      lowering's `Cfg.names` too: the anchor lists a checker run reads its
-      warning ordinals from are read by node id, which the body key covers.
+  ("cfg", ...) -> Cfg. A hit is the stored lowering itself, which holds no
+      AST: the caller holds its program, class and member, and reads the
+      CFG with them. So every hit has the graph facts built at lowering (the
+      adjacency index, reverse postorder and solver ranks) and the liveness
+      solved at the first `Cfg.live_in` of any lookup. Its `Cfg.names`, the
+      anchor lists a checker run reads its warning ordinals from, are read
+      by node id, which the body key covers.
   ("run", ...) -> [(SpecReads, result)]. A run reads its specs and the
       ownership facts the key leaves out only through a `SpecReader` of the
       specs and the caller's program, which records each must-call set,
@@ -82,7 +83,6 @@ count real work: liveness runs at most once per lowering.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import pickle
 from dataclasses import dataclass
@@ -168,16 +168,14 @@ class ProgramVersion:
         return (kind, keys.lowering, *member, keys.bodies[member])
 
     def cfg(self, cls: sx.ClassDecl, meth: sx.MethodDecl) -> C.Cfg:
-        """`cfg.lower(program, cls, meth, libspec)`, lowered once per member key."""
+        """`cfg.lower(program, cls, meth, libspec)`, lowered once per member key
+        and handed out as stored."""
         entries = self._entries()
         key = self._key("cfg", cls, meth)
         stored = entries.get(key)
         if stored is None:
             entries[key] = stored = C.lower(self.program, cls, meth, self.libspec)
-            return stored
-        hit = copy.copy(stored)
-        hit.program, hit.class_ast, hit.method_ast = self.program, cls, meth
-        return hit
+        return stored
 
     def remember(
         self, cls: sx.ClassDecl, meth: sx.MethodDecl, specs: SpecSet, compute: Callable[[SpecReader], T]

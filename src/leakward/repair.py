@@ -80,7 +80,6 @@ _ROUTE_TO_REASON = {
 class RepairPlan:
     """A template anchored in one program: the nodes its application edits."""
 
-    warning_id: str
     template: str
     method: sx.MethodDecl  # the warned member
     anchor: sx.Node  # the allocation or call a wrap holds, or the store a pre-close precedes
@@ -227,7 +226,6 @@ def plan_fix(
         if _wrap_nesting(path, tries) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
-        warning_id=warning.id,
         template=template,
         method=method,
         anchor=anchor,
@@ -305,12 +303,13 @@ def _no_slot(path: sx.StmtPath) -> str:
 # --- plan application --------------------------------------------------------
 
 
-def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> list[dict]:
+def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> None:
     """Apply a plan's template to `program`, the program it was made on, as
-    it was then; the structured edits made."""
+    it was then."""
     if plan.template == PRE_CLOSE_INSERTION:
-        return _apply_pre_close(program, plan)
-    return _apply_wrap(program, plan)
+        _apply_pre_close(program, plan)
+    else:
+        _apply_wrap(program, plan)
 
 
 def unified_diff_text(before: str, after: str, name: str) -> str:
@@ -334,7 +333,7 @@ def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tupl
     return guard
 
 
-def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
+def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> None:
     store = plan.anchor
     block, idx = plan.path[-1]
     exc_name = _exception_name(plan.method)
@@ -360,14 +359,6 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> list[dict]:
     )
     program.adopt(guard, store)
     block.stmts.insert(idx, guard)
-    return [
-        {
-            "edit": "pre-close",
-            "warningId": plan.warning_id,
-            "before": store.nid,
-            "finalizers": list(plan.finalizer_methods),
-        }
-    ]
 
 
 def _strip_nids(root: sx.Expr) -> None:
@@ -390,11 +381,10 @@ def _exception_name(method: sx.MethodDecl) -> str:
     return f"e{i}"
 
 
-def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
+def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
     expr = plan.anchor
     block, idx = plan.path[-1]
     stmt = block.stmts[idx]
-    edits: list[dict] = []
 
     # normalize the anchor statement so a named local holds the resource
     var: str
@@ -437,8 +427,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
             program.inherit_pos(try_stmt.finally_block, try_stmt)
         else:
             try_stmt.finally_block.stmts.append(guard)
-        edits.append({"edit": "close-in-finally", "warningId": plan.warning_id, "var": var})
-        return edits
+        return
 
     # TryFinallyWrap: move the allocation statement and the rest of its block
     # into a new try, close in the finally
@@ -457,5 +446,3 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> list[dict]:
     if hoisted is not None:
         block.stmts.append(hoisted)
     block.stmts.append(try_stmt)
-    edits.append({"edit": "try-finally-wrap", "warningId": plan.warning_id, "var": var, "moved": len(suffix)})
-    return edits

@@ -14,12 +14,11 @@ Three rewrites reshape code so inference and repair see clearer ownership:
                     it.
 
 Each edits the program it is given and returns an EditLog of the edits it
-made. `finalize_fields` and `inject_finalizers`, which analyse, also return
-the version of the program as it now is (the given one, or a fresh one of a
-bare program, when they edited nothing); `field_to_local`, which does not,
-returns the program. The analyses read CFGs and checker runs from that
-version, taken again after each edit: a version is valid only while nothing
-its keys read is edited.
+made. `finalize_fields` and `inject_finalizers`, which analyse, read CFGs
+and checker runs from a version and return the version of the program as it
+now is: a new one after an edit a key reads (a temp rewrite, an injected
+close()), else the given one, or a fresh one of a bare program; `final`
+alone keeps it. `field_to_local`, which does not analyse, returns the program.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def finalize_fields(program: ProgramOrVersion, libspec: LibrarySpec) -> tuple[Pr
                 continue
             if not _finalize_eligible(version, cls, fld):
                 continue
-            _apply_finalize(version.program, cls, fld, fresh, log)
-            version = version.edited()
+            if _apply_finalize(version.program, cls, fld, fresh, log):
+                version = version.edited()
     return version, log
 
 
@@ -142,7 +141,9 @@ def _writes_exactly_once_per_normal_path(
 
 def _apply_finalize(
     program: sx.Program, cls: sx.ClassDecl, fld: sx.FieldDecl, fresh: FreshNames, log: EditLog
-) -> None:
+) -> bool:
+    """Add `final` to `fld`; whether a temp rewrite edited a constructor body,
+    the one part of the edit a key reads."""
     touched = [fld.nid]
     rewrites = []
     for ctor in cls.constructors:
@@ -167,6 +168,7 @@ def _apply_finalize(
             meta={"temp_rewrites": len(rewrites)},
         )
     )
+    return bool(rewrites)
 
 
 def _temp_rewrite(

@@ -1,7 +1,8 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
 structural AST comparison modulo local-variable names, the corpus-plus-fuzz
 program list, seeded one-line corpus mutants, simple-path enumeration over a
-CFG, a memo bypass, and the pinned digests of pipeline reports."""
+CFG, a memo bypass, a record of the memo's key passes, and the pinned digests
+of pipeline reports."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 from typing import Iterator
 
 from leakward import cfg as C
+from leakward import memo
 from leakward.memo import ProgramVersion
 from leakward import syntax as sx
 from leakward.escape import taint_fixpoint
@@ -91,6 +93,21 @@ def memo_bypassed() -> Iterator[dict[tuple[str, str], SpecReads]]:
         yield reads
     finally:
         ProgramVersion.cfg, ProgramVersion.remember = saved
+
+
+def keys_taken(monkeypatch) -> list[tuple]:
+    """The keys each `memo.member_keys` call returns from now on, as
+    comparable values."""
+    taken: list[tuple] = []
+    real = memo.member_keys
+
+    def recorded(program):
+        keys = real(program)
+        taken.append((keys.lowering, tuple(sorted(keys.bodies.items()))))
+        return keys
+
+    monkeypatch.setattr(memo, "member_keys", recorded)
+    return taken
 
 
 def acyclic_paths(cfg: C.Cfg, limit: int = 20000) -> Iterator[list[int]]:

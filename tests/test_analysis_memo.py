@@ -1,12 +1,13 @@
 """The memo of CFGs and checker runs changes no result: a memoised pipeline
 run equals a memo-free one, an in-place edit is seen, file names and library
-specs stay apart, and a CFG served from the memo is bound to the caller's AST.
-Every lowering goes through it, and it needs no scope: no version of a method
-is lowered twice in one pipeline run, a read-only check lowers each member
-once, a second parse replaces the first one's entries, and liveness is solved
-at most once per lowering. The pipeline hands versions from stage to stage:
-no version is read after an edit to its program, and a run takes each
-program state's keys once. An entry is keyed on what it reads: an edit to
+specs stay apart, and a CFG served from the memo is the stored lowering,
+which a checker run reads with the caller's AST. Every lowering goes through
+it, and it needs no scope: no version of a method is lowered twice in one
+pipeline run, a read-only check lowers each member once, a second parse
+replaces the first one's entries, and liveness is solved at most once per
+lowering. The pipeline hands versions from stage to stage: no version is
+read after an edit to its program, a run takes each program state's keys
+once, and no two of its key passes give the same keys. An entry is keyed on what it reads: an edit to
 one method, an annotation from `write_specs`, a spec change to a class a
 member never reads, a moved position and a shape part lowering does not
 read (`final`, `private`, `implements`) each leave the other entries hits,
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, Optional
 
 import pytest
 
-from helpers import corpus_mutants, memo_bypassed
+from helpers import corpus_mutants, keys_taken, memo_bypassed
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import memo
@@ -319,7 +320,7 @@ def test_liveness_is_solved_at_most_once_per_lowered_method_version(corpus_sourc
         return g
 
     def recording_liveness(g):
-        solved[lowered[id(g.nodes)]] += 1  # memo hits share the stored CFG's node list
+        solved[lowered[id(g.nodes)]] += 1  # a memo hit is the stored CFG, node list and all
         return original_liveness(g)
 
     monkeypatch.setattr(C, "lower", recording_lower)
@@ -371,17 +372,25 @@ def test_the_same_text_under_two_names_keeps_its_own_file_and_ids(libspec):
 
 
 @pytest.mark.parametrize("memoised", [True, False])
-def test_a_cfg_is_bound_to_the_callers_program(libspec, memoised):
-    prog = parse(WRAPPER, "w.mj")
+def test_a_hit_is_the_stored_lowering(libspec, memoised):
+    """A copy of a program whose every node sits two lines lower finds the
+    original's lowering and gets it as stored: a CFG holds no program, class
+    or member. A checker run reads the caller's, so its warning names the
+    caller's file and lines."""
+    prog = parse(LEAKY, "leaky.mj")
     dup = copy.deepcopy(prog)
+    dup.line_index = {nid: (line + 2, col) for nid, (line, col) in dup.line_index.items()}
+    specs = SpecSet.from_declared(prog)
+    cfgs, warned = [], []
     with nullcontext() if memoised else memo_bypassed():
-        g1 = memo.ProgramVersion(prog, libspec).cfg(prog.classes[0], prog.classes[0].constructors[0])
-        cls, ctor = dup.classes[0], dup.classes[0].constructors[0]
-        g2 = memo.ProgramVersion(dup, libspec).cfg(cls, ctor)
-    assert g2.program is dup and g2.class_ast is cls and g2.method_ast is ctor
-    assert g1.program is prog
-    # a hit shares the lowered graph; with the memo bypassed each call lowers afresh
-    assert (g2.nodes is g1.nodes) == memoised
+        for program in (prog, dup):
+            version, cls = memo.ProgramVersion(program, libspec), program.classes[0]
+            cfgs.append(version.cfg(cls, cls.methods[0]))
+            warned.append([(w.file, w.line) for w in K.method_run(version, cls, cls.methods[0], specs)[0]])
+    # a hit is the stored CFG itself; with the memo bypassed each call lowers afresh
+    assert (cfgs[1] is cfgs[0]) == memoised
+    assert not any(isinstance(v, (sx.Program, sx.ClassDecl, sx.MethodDecl)) for v in vars(cfgs[0]).values())
+    assert warned == [[("leaky.mj", 3)], [("leaky.mj", 5)]]
 
 
 CONFIGS = [
@@ -440,6 +449,21 @@ def test_a_pipeline_run_hashes_each_program_state_once(corpus_sources, libspec, 
         assert len(set(keyed)) == len(keyed), [name for name, _text in sources]
         total += len(keyed)
     assert total > 0
+
+
+def test_no_two_key_passes_of_a_pipeline_run_give_equal_keys(corpus_sources, libspec, monkeypatch):
+    """A version is taken again only after an edit to something its keys
+    read: a `final` that `finalize_fields` adds keeps the version."""
+    taken = keys_taken(monkeypatch)
+    repeated = []
+    total = 0
+    for sources, lib, config in _handoff_runs(corpus_sources, libspec):
+        taken.clear()
+        run_pipeline(sources, lib, config)
+        if len(set(taken)) != len(taken):
+            repeated.append(([name for name, _text in sources], config))
+        total += len(taken)
+    assert repeated == [] and total > 0
 
 
 # --- what an entry reads: member keys and spec reads --------------------------

@@ -189,14 +189,15 @@ def test_a_shadowing_local_types_its_own_uses():
 
 
 def _all_cfgs(prog, lib):
+    """(class, member, CFG) of every member of `prog`."""
     for cls in prog.classes:
         for meth in cls.all_methods():
-            yield C.lower(prog, cls, meth, lib)
+            yield cls, meth, C.lower(prog, cls, meth, lib)
 
 
 def test_adjacency_index_matches_edge_scan():
     for prog, lib in corpus_and_fuzz_programs():
-        for g in _all_cfgs(prog, lib):
+        for _cls, _meth, g in _all_cfgs(prog, lib):
             assert len(set(g.edges)) == len(g.edges), "duplicate edge"
             for n in range(len(g.nodes)):
                 for kind in (None, C.NORMAL, C.EXCEPTIONAL):
@@ -306,8 +307,8 @@ def _round_robin_taint(cfg, start_node, start_local):
     return before
 
 
-def _round_robin_check(cfg, specs, lib):
-    chk = K._MethodChecker(cfg, SpecReader(specs, lib, cfg.program))
+def _round_robin_check(prog, cls, meth, cfg, specs, lib):
+    chk = K._MethodChecker(prog, cls, meth, cfg, SpecReader(specs, lib, prog))
     in_facts, out_facts = {}, {}
     order = cfg.rpo()
     changed = True
@@ -351,7 +352,7 @@ def _round_robin_check(cfg, specs, lib):
 def test_solver_matches_round_robin_loops():
     for prog, lib in corpus_and_fuzz_programs():
         spec_sets = (SpecSet.from_declared(prog), infer_specs(prog, lib))
-        for g in _all_cfgs(prog, lib):
+        for cls, meth, g in _all_cfgs(prog, lib):
             assert C.liveness(g) == _round_robin_liveness(g)
             aliases = C.must_alias(g)
             assert (aliases.before, aliases.after) == _round_robin_must_alias(g)
@@ -360,8 +361,8 @@ def test_solver_matches_round_robin_loops():
                     expected = {k: v for k, v in _round_robin_taint(g, n, ins.dst).items() if v}
                     assert {k: v for k, v in E.taint_fixpoint(g, n, ins.dst).items() if v} == expected
             for specs in spec_sets:
-                warnings, exit_fact = _round_robin_check(g, specs, lib)
-                run = K.method_run(memo.ProgramVersion(prog, lib), g.class_ast, g.method_ast, specs)
+                warnings, exit_fact = _round_robin_check(prog, cls, meth, g, specs, lib)
+                run = K.method_run(memo.ProgramVersion(prog, lib), cls, meth, specs)
                 assert run == (warnings, exit_fact)
                 # `==` on a Warning ignores its site and AST node
                 assert [(w.id, w.site, w.ast_nid) for w in run[0]] == [(w.id, w.site, w.ast_nid) for w in warnings]

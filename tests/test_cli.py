@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import leakward.pipeline
+from helpers import keys_taken
 from leakward import cfg as C
 from leakward import syntax as sx
 from leakward.cli import main
@@ -343,6 +344,23 @@ def test_bad_file_fails_alone(workdir, capsys, command, kind):
         report = json.loads((workdir / "out" / "fixreport.json").read_text())
         assert list(report) == ["leaky.mj"] and report["leaky.mj"]["validation"]["ok"]
         assert "finally" in (workdir / "out" / "leaky.mj.patch").read_text()
+
+
+# key passes per subcommand on leaky.mj and a wrapper file (explain-escape:
+# leaky.mj alone): one per file, and one more for leaky.mj once `fix` patches it
+KEY_PASSES = {"check": 2, "infer": 2, "transform": 2, "fix": 3, "explain-escape": 1}
+
+
+@pytest.mark.parametrize("command", sorted(KEY_PASSES))
+def test_a_subcommand_takes_each_file_states_keys_once(workdir, capsys, monkeypatch, command):
+    (workdir / "wrap.mj").write_text(_wrapper_file("M", "close"))
+    rest = _subcommand(command, workdir, capsys)
+    if command == "check":
+        rest += ["--dump-cfg", str(workdir / "dots")]
+    files = ["leaky.mj"] if command == "explain-escape" else ["leaky.mj", "wrap.mj"]
+    taken = keys_taken(monkeypatch)
+    main([command, *(str(workdir / f) for f in files), *rest])
+    assert len(taken) == KEY_PASSES[command] and len(set(taken)) == len(taken)
 
 
 def test_fix_validation_failure_wins_over_a_bad_file(workdir, capsys, monkeypatch):

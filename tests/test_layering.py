@@ -1,5 +1,7 @@
 """Layering: no module of the package reaches another module's `_private`
-names, by `from .m import _name` or by `m._name` on an imported module."""
+names, by `from .m import _name` or by `m._name` on an imported module; the
+memo is the one caller of `cfg.lower`, and `checker.method_run` the one
+builder of a `_MethodChecker`."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,51 @@ def test_the_guard_sees_both_kinds_of_reach(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from . import syntax as sx\nfrom .checker import _meet, Warning\nx = sx._find\ny = sx.anchors\n")
     assert _private_reaches(bad) == ["bad.py:2 imports _meet from checker", "bad.py:3 reads sx._find"]
+
+
+def _callers(path: Path, module: str, name: str) -> list[str]:
+    """Where `path` calls `name` of the package's module `module`: by `m.name`
+    on the module bound as `m`, or by a bare name bound to it (in `module`
+    itself, or by `from .module import name`). Each call is named by its
+    module and its enclosing classes and functions."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, bare = set(), {name} if path.stem == module else set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").startswith("leakward")):
+            continue
+        for alias in node.names:
+            if node.module in (None, "leakward") and alias.name == module:
+                modules.add(alias.asname or alias.name)
+            elif (node.module or "").rpartition(".")[2] == module and alias.name == name:
+                bare.add(alias.asname or alias.name)
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        if isinstance(node, ast.Call):
+            f = node.func
+            by_module = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in modules
+            if (by_module and f.attr == name) or (isinstance(f, ast.Name) and f.id in bare):
+                found.append(".".join((path.stem, *scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_memo_lowers_and_only_method_run_builds_a_method_checker():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [c for path in modules for c in _callers(path, "cfg", "lower")] == ["memo.ProgramVersion.cfg"]
+    checkers = [c for path in modules for c in _callers(path, "checker", "_MethodChecker")]
+    assert checkers == ["checker.method_run.run"]
+
+
+def test_the_caller_guard_sees_each_kind_of_call(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import cfg as C\nfrom .cfg import lower as low\n"
+        "def f(s):\n    C.lower(1)\n    s.lower()\n    class K:\n        x = low(2)\n"
+    )
+    assert _callers(bad, "cfg", "lower") == ["bad.f", "bad.f.K"]

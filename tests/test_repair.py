@@ -334,7 +334,8 @@ class M {
     _, annotated, w = _plan_first(src, kind="OwningFieldOverwrite")
     patched = copy.deepcopy(annotated)
     plan = _plan(w, patched, infer_specs(patched, LIB))
-    assert [e["edit"] for e in apply_plan_in_place(patched, plan)] == ["pre-close"]
+    assert plan.template == PRE_CLOSE_INSERTION
+    apply_plan_in_place(patched, plan)
     text = pretty_print(patched)
     block = (
         "    if (f != null) {\n"
@@ -346,7 +347,7 @@ class M {
         "    }\n"
         "    f = new Socket();"
     )
-    assert block in text
+    assert block in text and text.count("try {") == 1  # one pre-close, and no other edit
 
 
 def test_materialize_diff_applies_to_canonical_text():
