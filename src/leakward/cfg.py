@@ -19,8 +19,10 @@ checker's obligation dataflow and the escape taint each give it a transfer
 
 What depends only on the graph is computed once per lowering: the adjacency
 index, the reverse postorder and `solve`'s ranks and in-edge keys when the
-CFG is built, liveness on first use (`Cfg.live_in`). A CFG holds no AST, so
-the memo hands out the stored lowering itself on every hit.
+CFG is built, liveness on first use (`Cfg.live_in`). A CFG holds no AST:
+a warning's `Anchor` instruction carries its AST node's id and the warning
+ordinal the lowering numbers from its one `local_refs` walk. So the memo
+hands out the stored lowering itself on every hit.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class Alloc(Instr):
     site: int
     args: list[str]
     ast_nid: int
+    ordinal: int
 
 
 @dataclass
@@ -92,7 +95,8 @@ class StoreField(Instr):
     field: str
     src: str
     field_class: str
-    ast_nid: int = -1
+    ast_nid: int
+    ordinal: int
 
 
 @dataclass
@@ -104,6 +108,10 @@ class Invoke(Instr):
     args: list[str]
     dst: Optional[str]
     ast_nid: int
+    ordinal: int
+
+
+Anchor = Union[Alloc, Invoke, StoreField]
 
 
 @dataclass
@@ -131,9 +139,6 @@ class Cfg:
     entry: int = -1
     exit: int = -1
     local_types: dict[str, str] = field(default_factory=dict)
-    # the method's `sx.local_refs`, taken once by the lowering: its name
-    # resolution and its anchor lists, which warning ordinals read by node id
-    names: Optional[sx.LocalRefs] = field(default=None, repr=False, compare=False)
     # adjacency index over `edges`: kind (None for any) -> per-node neighbour
     # tuples, in `edges` order so meets and warnings keep a fixed order
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -299,7 +304,13 @@ class Lowerer:
         self.method = method
         self.libspec = libspec
         self.names = sx.local_refs(method)
-        self.cfg = Cfg(class_name=cls.name, method_name=sx.member_key(method), names=self.names)
+        self.cfg = Cfg(class_name=cls.name, method_name=sx.member_key(method))
+        # warning ordinals by node id: a Call's index among all Calls, a New's among the News of its class
+        self.ordinals = {call.nid: i for i, call in enumerate(self.names.calls)}
+        per_class: dict[str, int] = {}
+        for e in self.names.news:
+            self.ordinals[e.nid] = per_class[e.class_name] = per_class.get(e.class_name, -1) + 1
+        self.store_ordinals: dict[tuple[str, str], dict[int, int]] = {}
         self.temp_counter = 0
         # finally-duplicate continuations, keyed per active Try frame
         self.frames: list[_TryFrame] = []
@@ -328,6 +339,15 @@ class Lowerer:
     def fail(self, node: sx.Node, message: str) -> SyntaxError:
         line, col = self.pos(node)
         return SyntaxError(message, line, col)
+
+    def store_ordinal(self, stmt: sx.Assign, field_class: str) -> int:
+        """The warning ordinal of a store to the field of `field_class` its
+        target names: its index among those `sx.stores_to_field` lists, or 0."""
+        key = (field_class, stmt.target.name)
+        if key not in self.store_ordinals:
+            stores = sx.stores_to_field(self.cls, self.method, *key, self.names)
+            self.store_ordinals[key] = {s.nid: i for i, s in enumerate(stores)}
+        return self.store_ordinals[key].get(stmt.nid, 0)
 
     # entry point
 
@@ -448,30 +468,26 @@ class Lowerer:
             kind, info = self.resolve_name(target)
             if kind == "local":
                 tails, src = self.lower_expr(stmt.value, tails)
-                n = self.node(CopyLocal(target.name, src))
-                return self.connect(tails, n)
+                return self.connect(tails, self.node(CopyLocal(target.name, src)))
             if kind == "field":
-                tails, src = self.lower_expr(stmt.value, tails)
-                n = self.node(StoreField(THIS, target.name, src, self.cls.name, ast_nid=stmt.nid))
-                return self.connect(tails, n)
+                return self.store_field(stmt, tails, THIS, self.cls.name)
             if kind == "static-field":
-                tails, src = self.lower_expr(stmt.value, tails)
-                n = self.node(StoreField(None, target.name, src, info, ast_nid=stmt.nid))
-                return self.connect(tails, n)
+                return self.store_field(stmt, tails, None, info)
             raise self.fail(target, f"cannot assign to {target.name}")
         # FieldRef target
         recv = target.receiver
         if isinstance(recv, sx.VarRef):
             kind, info = self.resolve_name(recv)
             if kind == "class":
-                tails, src = self.lower_expr(stmt.value, tails)
-                n = self.node(StoreField(None, target.name, src, info, ast_nid=stmt.nid))
-                return self.connect(tails, n)
+                return self.store_field(stmt, tails, None, info)
         tails, recv_op = self.lower_expr(recv, tails)
-        recv_type = self.operand_type(recv, recv_op)
+        return self.store_field(stmt, tails, recv_op, self.operand_type(recv, recv_op))
+
+    def store_field(self, stmt: sx.Assign, tails: list[int], recv: Optional[str], field_class: str) -> list[int]:
+        """Lower `stmt`'s value into its target's field of `field_class` through `recv` (None if static)."""
         tails, src = self.lower_expr(stmt.value, tails)
-        n = self.node(StoreField(recv_op, target.name, src, recv_type, ast_nid=stmt.nid))
-        return self.connect(tails, n)
+        ordinal = self.store_ordinal(stmt, field_class)
+        return self.connect(tails, self.node(StoreField(recv, stmt.target.name, src, field_class, stmt.nid, ordinal)))
 
     def lower_try(self, stmt: sx.Try, tails: list[int]) -> list[int]:
         body_frame = _TryFrame(self, stmt, catch_active=stmt.catch_block is not None)
@@ -593,7 +609,7 @@ class Lowerer:
                 tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
             t = self.temp(expr.class_name)
-            n = self.node(Alloc(t, expr.class_name, expr.site, arg_ops, ast_nid=expr.nid))
+            n = self.node(Alloc(t, expr.class_name, expr.site, arg_ops, expr.nid, self.ordinals[expr.nid]))
             tails = self.connect(tails, n)
             self.add_throw_edges(n)
             return tails, t
@@ -618,7 +634,7 @@ class Lowerer:
             ret_type = self.callee_return_type(owner, expr.method)
             if want_value or ret_type not in ("void", "?"):
                 dst = self.temp(ret_type if ret_type != "void" else "?")
-            n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, ast_nid=expr.nid))
+            n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, expr.nid, self.ordinals[expr.nid]))
             tails = self.connect(tails, n)
             self.add_throw_edges(n)
             return tails, dst if dst is not None else self.null_temp(tails)[1]

@@ -38,9 +38,9 @@ passes its in-fact on as it is, a branch shares all but the maps its null
 test refines, and `_prune` returns its input when no local and no origin
 dies. Its dicts make a `CheckFact` unhashable.
 
-Warning ordinals come from a table built once per (kind, token) per checker
-run from the anchor lists the lowering keeps on the CFG (`Cfg.names`): a
-run makes no walk of the method.
+A warning is built from its anchor instruction: its kind and token from
+`anchor_name`, its AST node id and ordinal as the lowering stamped them, so
+a run makes no walk of the method.
 
 A run reads its specs only through a `SpecReader`: must-call sets
 (`must_call_for`, `tracked`) and the ownership of stored fields. It reads
@@ -73,6 +73,19 @@ OWNING_FIELD_OVERWRITE = "OwningFieldOverwrite"
 
 # Obligation origins: ("new", allocation site) or ("call", invoke ast node).
 Origin = tuple
+
+
+def anchor_name(cfg: C.Cfg, instr: C.Instr) -> Optional[tuple[str, str]]:
+    """(anchor kind, token) of a warning anchored at `instr` of `cfg`: an
+    allocation's class, a call's returned class, a store's `Class.field`;
+    None where no warning anchors."""
+    if isinstance(instr, C.Alloc):
+        return "new", instr.class_name
+    if isinstance(instr, C.Invoke) and instr.dst is not None:
+        return "call", cfg.local_types[instr.dst]
+    if isinstance(instr, C.StoreField):
+        return "store", f"{instr.field_class}.{instr.field}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -273,24 +286,17 @@ class _OutFact:
 
 
 class _MethodChecker:
-    def __init__(self, program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, cfg: C.Cfg, specs: SpecReader):
+    def __init__(self, program: sx.Program, cls: sx.ClassDecl, cfg: C.Cfg, specs: SpecReader):
         self.cfg = cfg
         self.specs = specs
         self.libspec = specs.libspec
         self.program = program
         self.cls = cls
-        self.method = method
         self.warnings: dict[str, Warning] = {}  # the visited node's during run(), then all
-        self.alloc_class: dict[int, str] = {}
-        self.alloc_nid: dict[int, int] = {}
-        for instr in cfg.nodes:
-            if isinstance(instr, C.Alloc):
-                self.alloc_class[instr.site] = instr.class_name
-                self.alloc_nid[instr.site] = instr.ast_nid
-        self.call_ret_class: dict[int, str] = {}  # invoke ast nid -> returned class
+        self.allocs = {instr.site: instr for instr in cfg.nodes if isinstance(instr, C.Alloc)}
+        self.calls: dict[int, tuple[C.Invoke, str]] = {}  # invoke ast nid -> (the call, its returned class)
         self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
         self.live_in = cfg.live_in()
-        self._ordinals: dict[tuple[str, str], dict[int, int]] = {}  # (kind, token) -> anchor nid -> ordinal
 
     # origin helpers
 
@@ -298,9 +304,7 @@ class _MethodChecker:
         return fact.refs.get(op, (frozenset(), False))[0]
 
     def origin_class(self, origin: Origin) -> str:
-        if origin[0] == "new":
-            return self.alloc_class.get(origin[1], "?")
-        return self.call_ret_class.get(origin[1], "?")
+        return self.allocs[origin[1]].class_name if origin[0] == "new" else self.calls[origin[1]][1]
 
     def must_call_for(self, class_name: str) -> frozenset[str]:
         return self.specs.must_call(class_name)
@@ -313,37 +317,23 @@ class _MethodChecker:
 
     # warning emission
 
-    def ordinal(self, kind: str, token: str, nid: int) -> int:
-        """The index of node `nid` in `sx.anchors(self.cls, self.method, kind,
-        token)`, 0 if it is not there, read off a table built on first use
-        from the anchor lists the lowering keeps (`Cfg.names`): no walk of
-        the method. A memo hit's lists are the stored lowering's, whose
-        nodes have the ids of this method's, as the body key covers them."""
-        table = self._ordinals.get((kind, token))
-        if table is None:
-            table = self._ordinals[(kind, token)] = {}
-            for i, node in enumerate(sx.anchors(self.cls, self.method, kind, token, self.cfg.names)):
-                table.setdefault(node.nid, i)
-        return table.get(nid, 0)
-
-    def warn(
-        self, kind: str, anchor_kind: str, token: str, nid: int, rclass: str, message: str, site: int = -1
-    ) -> None:
-        """Emit a warning anchored at node `nid`; its id hashes its `Warning.descriptor()`."""
+    def warn(self, kind: str, anchor: C.Anchor, rclass: str, message: str) -> None:
+        """Emit a warning anchored at instruction `anchor`; its id hashes its `Warning.descriptor()`."""
+        anchor_kind, token = anchor_name(self.cfg, anchor)  # type: ignore[misc]
         w = Warning(
             id="",
             kind=kind,
             file=self.program.source_name,
-            line=self.program.pos_of(nid)[0],
+            line=self.program.pos_of(anchor.ast_nid)[0],
             resource_class=rclass,
             message=message,
             class_name=self.cfg.class_name,
             method_name=self.cfg.method_name,
             anchor_kind=anchor_kind,
             anchor_token=token,
-            ordinal=self.ordinal(anchor_kind, token, nid),
-            ast_nid=nid,
-            site=site,
+            ordinal=anchor.ordinal,
+            ast_nid=anchor.ast_nid,
+            site=anchor.site if isinstance(anchor, C.Alloc) else -1,
         )
         w = replace(w, id=hashlib.sha256(w.descriptor().encode()).hexdigest()[:12])
         self.warnings.setdefault(w.id, w)
@@ -352,19 +342,17 @@ class _MethodChecker:
         rclass = self.origin_class(origin)
         reach = f"may never reach {', '.join(sorted(self.must_call_for(rclass)))}()"
         if origin[0] == "new":
-            message = f"{rclass} allocated here {reach}"
-            self.warn(UNSATISFIED_OBLIGATION, "new", rclass, self.alloc_nid[origin[1]], rclass, message, origin[1])
+            anchor, message = self.allocs[origin[1]], f"{rclass} allocated here {reach}"
         else:
-            message = f"{rclass} returned by this call {reach}"
-            self.warn(UNSATISFIED_OBLIGATION, "call", rclass, origin[1], rclass, message)
+            anchor, message = self.calls[origin[1]][0], f"{rclass} returned by this call {reach}"
+        self.warn(UNSATISFIED_OBLIGATION, anchor, rclass, message)
 
     def warn_overwrite(self, store: C.StoreField) -> None:
         decl_cls = self.program.class_named(store.field_class)
         fld = decl_cls.field_named(store.field) if decl_cls else None
         ftype = fld.declared_type if fld else "?"
-        token = f"{store.field_class}.{store.field}"
         message = f"overwriting @Owning field {store.field} may leak its current {ftype}"
-        self.warn(OWNING_FIELD_OVERWRITE, "store", token, store.ast_nid, ftype, message)
+        self.warn(OWNING_FIELD_OVERWRITE, store, ftype, message)
 
     # transfer function
 
@@ -483,7 +471,7 @@ class _MethodChecker:
                 # the caller only owns the result on the normal edge; on the
                 # exceptional edge the call never returned a value
                 pre_ret = out.pack()
-                self.call_ret_class[instr.ast_nid] = ret_class
+                self.calls[instr.ast_nid] = (instr, ret_class)
                 origin = ("call", instr.ast_nid)
                 prior = out.origins.get(origin)
                 if prior is not None and self.insufficient(origin, prior):
@@ -658,7 +646,7 @@ def method_run(
     positions differ."""
 
     def run(reader: SpecReader) -> tuple[list[Warning], Optional[CheckFact]]:
-        checker = _MethodChecker(version.program, cls, meth, version.cfg(cls, meth), reader)
+        checker = _MethodChecker(version.program, cls, version.cfg(cls, meth), reader)
         return checker.run(), checker.exit_fact
 
     warnings, exit_fact = version.remember(cls, meth, specs, run)

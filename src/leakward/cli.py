@@ -25,8 +25,8 @@ import json
 import sys
 from pathlib import Path
 
+from . import cfg as C
 from . import memo
-from . import syntax as sx
 from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
@@ -67,14 +67,14 @@ def _each_file(paths: list[str], work) -> tuple[list, bool]:
     return results, failed
 
 
-def _rebind(warnings_data: list[dict], program) -> tuple[list, list[str]]:
-    """`program`'s JSON warnings bound to its AST, and the ids of those that match no node."""
+def _rebind(warnings_data: list[dict], version: memo.ProgramVersion) -> tuple[list, list[str]]:
+    """The file's JSON warnings bound to its CFGs, and the ids of those that match no anchor."""
     bound, stale = [], []
     for wd in warnings_data:
-        if wd["file"] != program.source_name:
+        if wd["file"] != version.program.source_name:
             continue
         try:
-            bound.append(rebind_warning(wd, program))
+            bound.append(rebind_warning(wd, version))
         except StaleWarning:
             stale.append(wd["id"])
     return bound, stale
@@ -143,8 +143,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def transform(program):
-        warnings, _stale = _rebind(warnings_data, program)
         version = _lower_all(program, libspec)
+        warnings, _stale = _rebind(warnings_data, version)
         _, log = transform_stage(version, warnings, infer_specs(version, libspec), libspec)
         (outdir / program.source_name).write_text(pretty_print(program))
         (outdir / f"{program.source_name}.editlog.json").write_text(json.dumps(log.to_json(), indent=2) + "\n")
@@ -161,9 +161,9 @@ def cmd_fix(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def fix(program):
-        warnings, stale = _rebind(warnings_data, program)
-        # lowered first: with no plan applied, no validation lowers it
-        outcome = fix_stage(_lower_all(program, libspec), warnings, libspec, PipelineConfig())
+        version = _lower_all(program, libspec)
+        warnings, stale = _rebind(warnings_data, version)
+        outcome = fix_stage(version, warnings, libspec, PipelineConfig())
         for wid in stale:
             outcome.fix_status.setdefault(wid, ("unfixable", "NoIrMatch"))
         (outdir / f"{program.source_name}.patch").write_text(outcome.diff)
@@ -198,23 +198,22 @@ def cmd_explain_escape(args: argparse.Namespace) -> int:
     libspec = _load_libspec(args.libspec)
 
     def explain(program):
-        analyzer = EscapeAnalyzer(_lower_all(program, libspec), _load_specs(args.specs, program), libspec)
+        version = _lower_all(program, libspec)
+        analyzer = EscapeAnalyzer(version, _load_specs(args.specs, program), libspec)
         for cls in program.classes:
             for meth in cls.all_methods():
-                key = sx.member_key(meth)
-                for node in sx.walk_nodes(meth):
-                    if not (isinstance(node, sx.New) and node.site == args.site):
-                        continue
-                    result = analyzer.escapes_at(cls.name, key, node.nid)
-                    if result is None:
-                        continue  # code after a return is not lowered
-                    print(f"site {args.site}: new {node.class_name} in {cls.name}.{key}")
-                    print(f"escapes: {result.escapes}")
-                    for r in result.routes:
-                        print(f"  route {r.kind}: {r.detail}")
-                    for sink, kind in result.wrapper_sinks:
-                        print(f"  wrapper sink {sink} ({kind})")
-                    return 0
+                cfg = version.cfg(cls, meth)
+                node = next((n for n, i in enumerate(cfg.nodes) if isinstance(i, C.Alloc) and i.site == args.site), None)
+                if node is None:
+                    continue
+                result = analyzer.escapes_from(cfg, node)
+                print(f"site {args.site}: new {cfg.nodes[node].class_name} in {cls.name}.{cfg.method_name}")
+                print(f"escapes: {result.escapes}")
+                for r in result.routes:
+                    print(f"  route {r.kind}: {r.detail}")
+                for sink, kind in result.wrapper_sinks:
+                    print(f"  wrapper sink {sink} ({kind})")
+                return 0
         print(f"site {args.site} not found", file=sys.stderr)
         return 1
 

@@ -30,32 +30,35 @@ member's lowering and checker run read its own body and signature, the
 shapes of the classes it names, the library spec, and, for a run, some spec
 entries:
 
-  - the lowering reads the body, the class of each bare name, the declared
-    type and `static` of fields, callees' return types, and its own
-    `static` and parameters;
-  - a run reads the CFG, the declared type and `final` of fields, callees'
-    parameters with their `@Owning`, callees' and its own `@NotOwning`, and
-    the must-call sets and field ownership of its specs.
+  - the lowering reads its own body, `static` and parameters, the class of
+    each bare name, the declared type and `static` of fields, and callees'
+    return types, where a `void` method and a missing one lower alike;
+  - a run reads the CFG, the declared type and `final` of fields, the
+    return types of callees, callees' parameters with their `@Owning`,
+    callees' and its own `@NotOwning`, and the must-call sets and field
+    ownership of its specs.
 
 So a version's keys (`member_keys`), taken in one pass at its first lookup
 from pickles alone, are a digest of each member's body (nids and allocation
-sites included) and one lowering digest of what lowering reads of the
-shapes: the file name, class names, fields with their names, types and
-`static`, and every member's name, return type, `static` and parameter
-types and names. Left out of the keys:
+sites included), `static` and parameter types and names, and one lowering
+digest of what lowering reads of the shapes: the file name, class names,
+fields with their names, types and `static`, and the name and return type
+of each method not `void` (method names are unique in a class). Left out:
 
-  - `implements`, every other modifier, and every annotation: lowering reads
-    none of them. A run reads a field's `final`, a callee's parameter
-    ownerships and the `@NotOwning` of a callee or of itself through its
+  - a `void` method, a constructor, `implements`, every other modifier,
+    and every annotation: lowering reads none of them. A run reads whether
+    a callee is there, a field's `final`, a callee's parameter ownerships
+    and the `@NotOwning` of a callee or of itself through its
     `SpecReader`, as it reads its specs, and `@MustCall`, field `@Owning`
     and `@EnsuresCalledMethods` only as specs;
   - positions: lowering reads them only to raise an error, which is never
     stored, and a run only for `Warning.line`, which `method_run` reads from
     the caller's program.
 
-So `final` from `finalize_fields`, `implements` from `inject_finalizers`, an
-annotation from `write_specs`, a fix in another method, or a moved line
-leaves an entry valid, and an entry outlives the version that made it.
+So `final` from `finalize_fields`, the `close()` and `implements` from
+`inject_finalizers`, an annotation from `write_specs`, a fix in another
+method, or a moved line leaves a CFG valid, and an entry outlives the
+version that made it.
 
 The table holds two kinds of entries, under (kind, lowering digest, class,
 member key, body):
@@ -64,9 +67,8 @@ member key, body):
       AST: the caller holds its program, class and member, and reads the
       CFG with them. So every hit has the graph facts built at lowering (the
       adjacency index, reverse postorder and solver ranks) and the liveness
-      solved at the first `Cfg.live_in` of any lookup. Its `Cfg.names`, the
-      anchor lists a checker run reads its warning ordinals from, are read
-      by node id, which the body key covers.
+      solved at the first `Cfg.live_in` of any lookup. Its anchors' node ids
+      and warning ordinals are the caller's, as the keys cover what they read.
   ("run", ...) -> [(SpecReads, result)]. A run reads its specs and the
       ownership facts the key leaves out only through a `SpecReader` of the
       specs and the caller's program, which records each must-call set,
@@ -109,22 +111,21 @@ class MemberKeys:
     """What a program state's entries are keyed on."""
 
     lowering: bytes  # digest of the file name and the class shapes lowering reads
-    bodies: dict[tuple[str, str], bytes]  # (class, member key) -> digest of the member's body
+    bodies: dict[tuple[str, str], bytes]  # (class, member key) -> digest of its body, `static` and params
 
 
 def member_keys(program: sx.Program) -> MemberKeys:
-    """The keys of `program` as it is now: one pickle per member body and one
-    of the class shapes lowering reads, with no walk of a body."""
+    """The keys of `program` as it is now: one pickle per member and one of
+    the class shapes lowering reads, with no walk of a body."""
     bodies: dict[tuple[str, str], bytes] = {}
     shapes = []
     for cls in program.classes:
-        members = []
         for meth in cls.all_methods():
-            bodies[(cls.name, sx.member_key(meth))] = _digest(pickle.dumps(meth.body, pickle.HIGHEST_PROTOCOL))
-            params = tuple((p.type_name, p.name) for p in meth.params)
-            members.append((meth.name, meth.return_type, meth.is_static, params))
+            own = (meth.is_static, tuple((p.type_name, p.name) for p in meth.params), meth.body)
+            bodies[(cls.name, sx.member_key(meth))] = _digest(pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
         fields = tuple((f.name, f.declared_type, f.has("static")) for f in cls.fields)
-        shapes.append((cls.name, fields, tuple(members)))
+        returns = tuple((m.name, m.return_type) for m in cls.methods if m.return_type != "void")
+        shapes.append((cls.name, fields, returns))
     return MemberKeys(_digest(pickle.dumps((program.source_name, shapes), pickle.HIGHEST_PROTOCOL)), bodies)
 
 

@@ -39,8 +39,8 @@ applied to the program it was made on, before any other edit; the caller
 copies first and diffs the canonical prints with `unified_diff_text`.
 Node ids stay valid through the fix stage: a `Program` deep copy keeps them,
 and every re-check reads the patched program itself. Only a warning that
-crosses a parse (`rebind_warning`) is found by its structural descriptor
-(`locate_anchor`).
+crosses a parse (`rebind_warning`) is found by its structural descriptor,
+on its member's CFG in a `ProgramVersion` of the new parse (`locate_anchor`).
 """
 
 from __future__ import annotations
@@ -50,10 +50,12 @@ import difflib
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+from . import cfg as C
 from . import syntax as sx
-from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning
+from .checker import UNSATISFIED_OBLIGATION, OWNING_FIELD_OVERWRITE, Warning, anchor_name
 from .errors import StaleWarning
 from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTION, TO_FIELD
+from .memo import ProgramVersion
 from .parser import MAX_NESTING, nesting
 from .specs import finalizer_order, resource_must_call
 from .transforms import FreshNames
@@ -98,22 +100,24 @@ class Unfixable:
 # --- anchor lookup -----------------------------------------------------------
 
 
-def locate_anchor(warning: Warning, program: sx.Program) -> sx.Node:
-    """Find the AST node a warning names, via its structural descriptor."""
-    cls = program.class_named(warning.class_name)
+def locate_anchor(warning: Warning, version: ProgramVersion) -> C.Anchor:
+    """The first anchor on the warned member's CFG in `version` whose kind,
+    token and ordinal are the warning's descriptor's."""
+    cls = version.program.class_named(warning.class_name)
     if cls is None:
         raise StaleWarning(f"{warning.id}: class {warning.class_name} is gone")
     method = cls.member(warning.method_name)
     if method is None:
         raise StaleWarning(f"{warning.id}: method {warning.method_name} is gone")
-    nodes = list(sx.anchors(cls, method, warning.anchor_kind, warning.anchor_token))
-    if 0 <= warning.ordinal < len(nodes):
-        return nodes[warning.ordinal]
+    cfg = version.cfg(cls, method)
+    for instr in cfg.nodes:
+        if anchor_name(cfg, instr) == (warning.anchor_kind, warning.anchor_token) and instr.ordinal == warning.ordinal:
+            return instr  # type: ignore[return-value]
     raise StaleWarning(f"{warning.id}: no anchor matches {warning.descriptor()}")
 
 
-def rebind_warning(data: dict, program: sx.Program) -> Warning:
-    """Reconstruct a Warning (with anchors) from its JSON form against a program."""
+def rebind_warning(data: dict, version: ProgramVersion) -> Warning:
+    """Reconstruct a Warning (with anchors) from its JSON form against a program version."""
     kind, file, class_name, method_name, anchor_kind, anchor_token, ordinal = data["descriptor"].split("|")
     w = Warning(
         id=data["id"],
@@ -128,8 +132,8 @@ def rebind_warning(data: dict, program: sx.Program) -> Warning:
         anchor_token=anchor_token,
         ordinal=int(ordinal),
     )
-    node = locate_anchor(w, program)  # raises StaleWarning if unmatched
-    return replace(w, ast_nid=node.nid, site=node.site if isinstance(node, sx.New) else -1)
+    anchor = locate_anchor(w, version)  # raises StaleWarning if unmatched
+    return replace(w, ast_nid=anchor.ast_nid, site=anchor.site if isinstance(anchor, C.Alloc) else -1)
 
 
 def find_anchor(warning: Warning, program: sx.Program) -> tuple[sx.MethodDecl, sx.Node, sx.StmtPath]:

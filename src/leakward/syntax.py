@@ -11,15 +11,15 @@ children; every walk, search and rewrite here reads it.
 
 Names: ``local_refs`` resolves a method's bare names by block scope, once for
 the CFG lowering and ``stores_to_field`` alike, and in the same walk lists
-the ``New``s, ``Call``s and ``Assign``s that ``anchors`` reads.
+the ``New``s, ``Call``s and ``Assign``s from which the lowering numbers
+warning ordinals.
 
-Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs and
-warnings do; ``anchors`` lists the nodes a warning ordinal counts;
-``stmt_path`` finds the statement holding a node, ``node_path`` the node
-with an id and that statement, in one walk; ``evaluated_before`` tells a
-statement of a body itself and what runs before it completes (a
-constructor's first write); ``map_exprs`` swaps expressions;
-``Program.adopt`` positions a synthesized subtree.
+Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs
+and warnings do; ``stmt_path`` finds the statement holding a node,
+``node_path`` the node with an id and that statement, in one walk;
+``evaluated_before`` tells a statement of a body itself and what runs before
+it completes (a constructor's first write); ``map_exprs`` swaps
+expressions; ``Program.adopt`` positions a synthesized subtree.
 """
 
 from __future__ import annotations
@@ -401,8 +401,8 @@ def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annot
 @dataclass
 class LocalRefs:
     """What `local_refs` found in one method, in its one walk: the names it
-    resolved, as `id`s of the method's nodes, and the anchors a warning
-    ordinal counts, in AST order."""
+    resolved, as `id`s of the method's nodes, and its `New`s, `Call`s and
+    `Assign`s in AST order, whence the lowering numbers warning ordinals."""
 
     # VarRefs naming `this`, a parameter or a local -> its declared type ("" for `this`)
     locals: dict[int, str] = field(default_factory=dict)
@@ -502,24 +502,6 @@ def stores_to_field(
         return owner == field_class
 
     return [s for s in names.assigns if s.target.name == field_name and writes_field_class(s.target)]
-
-
-def anchors(
-    cls: ClassDecl, method: MethodDecl, kind: str, token: str, names: Optional[LocalRefs] = None
-) -> list[Node]:
-    """The nodes a warning ordinal counts in `method`, a member of `cls`, in
-    AST order: for `new` the `New`s of class `token`, for `call` every
-    `Call`, for `store` the stores to the field `token` = `Class.field`
-    (`stores_to_field`); nothing for another kind. They are read off
-    `names`, the method's `local_refs`, taken here when not given."""
-    if names is None:
-        names = local_refs(method)
-    if kind == "store":
-        field_class, _, field_name = token.partition(".")
-        return stores_to_field(cls, method, field_class, field_name, names)  # type: ignore[return-value]
-    if kind == "call":
-        return names.calls  # type: ignore[return-value]
-    return [e for e in names.news if e.class_name == token] if kind == "new" else []
 
 
 def evaluated_before(body: Block, stmt: Stmt) -> Optional[list[Expr]]:

@@ -1,7 +1,8 @@
 """The memo of CFGs and checker runs changes no result: a memoised pipeline
 run equals a memo-free one, an in-place edit is seen, file names and library
 specs stay apart, and a CFG served from the memo is the stored lowering,
-which a checker run reads with the caller's AST. Every lowering goes through
+which a checker run reads with the caller's AST; no stored CFG or run
+result reaches an AST node. Every lowering goes through
 it, and it needs no scope: no version of a method is lowered twice in one
 pipeline run, a read-only check lowers each member once, a second parse
 replaces the first one's entries, and liveness is solved at most once per
@@ -9,14 +10,16 @@ lowering. The pipeline hands versions from stage to stage: no version is
 read after an edit to its program, a run takes each program state's keys
 once, and no two of its key passes give the same keys. An entry is keyed on what it reads: an edit to
 one method, an annotation from `write_specs`, a spec change to a class a
-member never reads, a moved position and a shape part lowering does not
-read (`final`, `private`, `implements`) each leave the other entries hits,
+member never reads, a moved position, an injected `close()` and a shape
+part lowering does not read (`final`, `private`, `implements`, another
+member's parameter types) each leave the other entries hits,
 while a run reads a callee's ownership annotations and a field's `final`
 as it reads its specs. A corpus run stays within its count of lowerings
 and checker runs."""
 
 import copy
 import hashlib
+import io
 import json
 import pickle
 from collections import Counter
@@ -149,7 +152,7 @@ def _toggle(annotations: list, kind: str) -> None:
 
 
 # shape parts that lowering reads: the lowering digest covers them
-LOWERED_PARTS = {"field type", "field static", "return type", "param type"}
+LOWERED_PARTS = {"field type", "field static", "return type"}
 
 
 def _swap(obj, attr: str, other) -> Callable[[], None]:
@@ -170,7 +173,8 @@ def _flipped(modifiers: tuple, modifier: str) -> tuple:
 def _shape_toggles(prog: sx.Program) -> Iterator[tuple[str, Optional[tuple[str, tuple]], Callable[[], None]]]:
     """(part, fact, toggle) for each shape part of `prog`: `toggle()` flips
     the part in place and a second call flips it back; `fact` is the
-    (`SpecReads` field, key) a checker run reads the part as, None when no
+    (`SpecReads` field, key) a checker run reads the part as, ("own",
+    member) for a part only its member's lowering reads, and None when no
     run reads it but through its lowering."""
     for cls in prog.classes:
         yield "implements", None, _swap(cls, "implements", None if cls.implements else "AutoCloseable")
@@ -182,7 +186,7 @@ def _shape_toggles(prog: sx.Program) -> Iterator[tuple[str, Optional[tuple[str, 
         for meth in cls.all_methods():
             member = (cls.name, sx.member_key(meth))
             for p in meth.params:
-                yield "param type", None, _swap(p, "type_name", _other_type(p.type_name))
+                yield "param type", ("own", member), _swap(p, "type_name", _other_type(p.type_name))
                 yield "param @Owning", ("params", member), lambda p=p: _toggle(p.annotations, sx.OWNING)
             yield "method private", None, _swap(meth, "modifiers", _flipped(meth.modifiers, "private"))
             if not meth.is_constructor:
@@ -191,9 +195,11 @@ def _shape_toggles(prog: sx.Program) -> Iterator[tuple[str, Optional[tuple[str, 
 
 
 def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sources, libspec, monkeypatch):
-    """Each shape part toggled in place, one at a time. A part lowering reads
-    (a field's type or `static`, a return or parameter type) makes every CFG
-    and run of the file miss. Any other part (`final`, `private`,
+    """Each shape part toggled in place, one at a time. A part every
+    lowering may read (a field's type or `static`, a return type, each
+    toggle of which adds or removes a method that returns a value) makes
+    every CFG and run of the file miss; a parameter type makes exactly its
+    own member's CFG and run miss. Any other part (`final`, `private`,
     `implements`, a parameter's `@Owning`, a method's `@NotOwning`) leaves
     every CFG a hit, and a member's run misses exactly when its reads before
     the toggle hold the toggled fact. Each check equals a memo-free one."""
@@ -233,6 +239,8 @@ def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sour
                 assert warnings == check_program(prog, specs, lib), (name, part)
             if part in LOWERED_PARTS:
                 assert missed == (members, members), (name, part)
+            elif part == "param type":
+                assert missed == ({fact[1]}, {fact[1]}), (name, part)
             else:
                 read = {m for m, r in reads.items() if fact is not None and fact[1] in getattr(r, fact[0])}
                 assert missed == (set(), read), (name, part)
@@ -391,6 +399,52 @@ def test_a_hit_is_the_stored_lowering(libspec, memoised):
     assert (cfgs[1] is cfgs[0]) == memoised
     assert not any(isinstance(v, (sx.Program, sx.ClassDecl, sx.MethodDecl)) for v in vars(cfgs[0]).values())
     assert warned == [[("leaky.mj", 3)], [("leaky.mj", 5)]]
+
+
+def _ast_nodes_reached(value) -> int:
+    """How many AST nodes a pickle of `value` reaches: a `persistent_id` hook
+    counts each one it meets instead of pickling it."""
+    reached = 0
+
+    class Counting(pickle.Pickler):
+        def persistent_id(self, obj):
+            nonlocal reached
+            if isinstance(obj, sx.Node):
+                reached += 1
+                return reached
+            return None
+
+    Counting(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(value)
+    return reached
+
+
+def test_no_stored_cfg_or_run_reaches_an_ast_node(corpus_sources, libspec, monkeypatch):
+    """Every entry the memo stores, each lowering and each checker run's
+    result, over `run_pipeline` of the corpus and of each of
+    generate_source(0..99), pickles without meeting an `sx.Node`."""
+    stored: list = []
+
+    def lowering(*args):
+        stored.append(cfg := LOWER(*args))
+        return cfg
+
+    real_remember = memo.ProgramVersion.remember
+
+    def remember(self, cls, meth, specs, compute):
+        def computing(reader):
+            stored.append(result := compute(reader))
+            return result
+
+        return real_remember(self, cls, meth, specs, computing)
+
+    monkeypatch.setattr(C, "lower", lowering)
+    monkeypatch.setattr(memo.ProgramVersion, "remember", remember)
+    run_pipeline(corpus_sources, libspec)
+    for seed in range(100):
+        run_pipeline([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec())
+    assert sum(isinstance(entry, C.Cfg) for entry in stored) > 500 and len(stored) > 1000
+    reaching = [entry for entry in stored if _ast_nodes_reached(entry)]
+    assert reaching == [], f"{len(reaching)} entries reach the AST, the first a {type(reaching[0]).__name__}"
 
 
 CONFIGS = [
@@ -568,6 +622,24 @@ def test_transform_stage_finds_every_cfg_and_run_it_reads_after_a_field_is_made_
     _, log = transform_stage(version, warnings, specs, libspec)
     assert [(e.transform, e.member) for e in log.entries] == [("finalize_field", "stream"), ("inject_finalizer", "close")]
     assert (lowered, ran) == (Counter(), Counter())
+
+
+def test_an_injected_close_re_lowers_no_member_of_its_file(corpus_sources, libspec, monkeypatch):
+    """One `run_pipeline` of tempfile_writer.mj: `inject_finalizers` adds
+    `TempFileWriter.close()`, a `void` method, whose name no lowering reads.
+    So the members that no transform and no fix edits are lowered once each."""
+    lowered: Counter = Counter()
+
+    def lowering(program, cls, meth, *rest):
+        lowered[(cls.name, sx.member_key(meth))] += 1
+        return LOWER(program, cls, meth, *rest)
+
+    monkeypatch.setattr(C, "lower", lowering)
+    name = "tempfile_writer.mj"
+    fr = run_pipeline([(name, dict(corpus_sources)[name])], libspec).files[name]
+    assert ("inject_finalizer", "close") in [(e.transform, e.member) for e in fr.edit_log.entries]
+    unedited = [("Client", "main"), ("TempFileWriter", "<init>#1"), ("TempFileWriter", "printSomething")]
+    assert [lowered[member] for member in unedited] == [1, 1, 1], lowered
 
 
 OWNERSHIP_CALLS = """class Sink {

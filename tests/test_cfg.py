@@ -308,7 +308,7 @@ def _round_robin_taint(cfg, start_node, start_local):
 
 
 def _round_robin_check(prog, cls, meth, cfg, specs, lib):
-    chk = K._MethodChecker(prog, cls, meth, cfg, SpecReader(specs, lib, prog))
+    chk = K._MethodChecker(prog, cls, cfg, SpecReader(specs, lib, prog))
     in_facts, out_facts = {}, {}
     order = cfg.rpo()
     changed = True

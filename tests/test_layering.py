@@ -1,12 +1,16 @@
 """Layering: no module of the package reaches another module's `_private`
 names, by `from .m import _name` or by `m._name` on an imported module; the
 memo is the one caller of `cfg.lower`, and `checker.method_run` the one
-builder of a `_MethodChecker`."""
+builder of a `_MethodChecker`; no field of a CFG or of an instruction is
+typed with an AST type."""
 
 import ast
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import leakward
+from leakward import cfg as C
+from leakward import syntax as sx
 
 PACKAGE = Path(leakward.__file__).parent
 
@@ -92,3 +96,25 @@ def test_the_caller_guard_sees_each_kind_of_call(tmp_path):
         "def f(s):\n    C.lower(1)\n    s.lower()\n    class K:\n        x = low(2)\n"
     )
     assert _callers(bad, "cfg", "lower") == ["bad.f", "bad.f.K"]
+
+
+def _syntax_types(hint) -> list[type]:
+    """The classes of `syntax` that a type hint names, at any depth."""
+    if get_origin(hint) is None:
+        return [hint] if isinstance(hint, type) and hint.__module__ == sx.__name__ else []
+    return [t for arg in get_args(hint) for t in _syntax_types(arg)]
+
+
+def test_no_cfg_or_instruction_field_is_typed_with_a_syntax_type():
+    """A CFG holds no AST: the memo hands a stored lowering to every version
+    of its family, so a field that held a node would hold one program's."""
+    classes = [C.Cfg, C.Instr, *C.Instr.__subclasses__()]
+    assert len(classes) > 10
+    typed = {
+        f"{cls.__name__}.{name}": hint
+        for cls in classes
+        for name, hint in get_type_hints(cls).items()
+        if _syntax_types(hint)
+    }
+    assert typed == {}
+    assert _syntax_types(list[sx.New]) == [sx.New] and _syntax_types(dict[str, int]) == []

@@ -10,6 +10,7 @@ from leakward.errors import StaleWarning
 from leakward.escape import EscapeAnalyzer
 from leakward.inference import infer_specs, write_specs
 from leakward.libspec import load_library_spec
+from leakward.memo import ProgramVersion
 from leakward.parser import MAX_NESTING, parse
 from leakward.pipeline import run_pipeline
 from leakward.printer import pretty_print
@@ -410,11 +411,12 @@ def test_classic_mode_plans_only_close():
 
 def test_rebind_warning_round_trip():
     prog = parse('class A { static void main() { Socket s = new Socket(); } }', "r.mj")
+    version = ProgramVersion(prog, LIB)
     specs = SpecSet.from_declared(prog)
-    w = check_program(prog, specs, LIB)[0]
-    back = rebind_warning(w.to_json(), prog)
+    w = check_program(version, specs, LIB)[0]
+    back = rebind_warning(w.to_json(), version)
     assert back.id == w.id and back.ast_nid == w.ast_nid and back.site == w.site
-    assert locate_anchor(back, prog).nid == w.ast_nid
+    assert locate_anchor(back, version).ast_nid == w.ast_nid
 
 
 # --- a plan holds the nodes it edits ---

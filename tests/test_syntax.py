@@ -1,8 +1,9 @@
-"""AST navigation in `syntax`: name resolution, member keys, warning anchors,
-statement paths, first writes, the expression rewriter and subtree
-positions, over every method of the corpus and generate_source(0..59); the
-shape table's walkers against the hand-written ones they replaced, over the
-corpus, generate_source(0..599) and the 600 corpus mutants."""
+"""AST navigation in `syntax`: name resolution, member keys, warning
+ordinals and anchors, statement paths, first writes, the expression
+rewriter and subtree positions, over every method of the corpus and
+generate_source(0..59); the shape table's walkers against the hand-written
+ones they replaced, over the corpus, generate_source(0..599) and the 600
+corpus mutants."""
 
 import copy
 import dataclasses
@@ -17,6 +18,7 @@ from leakward.errors import FILE_ERRORS
 from leakward.fuzz import generate_source
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
+from leakward.memo import ProgramVersion
 from leakward.parser import parse
 from leakward.printer import pretty_print
 from leakward.repair import find_anchor, locate_anchor
@@ -153,21 +155,28 @@ def test_member_key_names_the_cfg_and_finds_the_member():
     assert sx.member_key(parse("class A { A(int a, int b) { } }").classes[0].constructors[0]) == "<init>#2"
 
 
-def test_anchors_list_every_new_call_and_field_store():
+def test_each_anchor_carries_its_nodes_ordinal():
+    """The lowering stamps an allocation with its node's index among the
+    member's `New`s of its class, a call with its index among all the
+    member's `Call`s (both in `walk_exprs` order), and a field store with its
+    index among the stores `stores_to_field` lists for its field."""
+    stamped = 0
     for prog, lib, cls, meth in _methods(PROGRAMS + SHADOWING_PROGRAMS):
-        for e in sx.walk_exprs(meth.body):
-            if isinstance(e, sx.New):
-                kind, token = "new", e.class_name
-            elif isinstance(e, sx.Call):
-                kind, token = "call", ""
+        exprs = list(sx.walk_exprs(meth.body))
+        calls = [e.nid for e in exprs if isinstance(e, sx.Call)]
+        for ins in C.lower(prog, cls, meth, lib).nodes:
+            if isinstance(ins, C.Alloc):
+                news = [e.nid for e in exprs if isinstance(e, sx.New) and e.class_name == ins.class_name]
+                assert news.index(ins.ast_nid) == ins.ordinal
+            elif isinstance(ins, C.Invoke):
+                assert calls.index(ins.ast_nid) == ins.ordinal
+            elif isinstance(ins, C.StoreField):
+                stores = [s.nid for s in sx.stores_to_field(cls, meth, ins.field_class, ins.field)]
+                assert stores.index(ins.ast_nid) == ins.ordinal
             else:
                 continue
-            assert any(node is e for node in sx.anchors(cls, meth, kind, token))
-        # field stores as the checker sees them: the lowered StoreFields
-        for ins in C.lower(prog, cls, meth, lib).nodes:
-            if isinstance(ins, C.StoreField):
-                token = f"{ins.field_class}.{ins.field}"
-                assert ins.ast_nid in {node.nid for node in sx.anchors(cls, meth, "store", token)}
+            stamped += 1
+    assert stamped > 500
 
 
 def test_evaluated_before_lists_a_body_statement_and_what_runs_before_it():
@@ -185,15 +194,16 @@ def test_evaluated_before_lists_a_body_statement_and_what_runs_before_it():
 
 
 def test_every_warning_locates_its_own_node():
-    # by its descriptor and by its node id alike
+    # by its descriptor on its member's CFG, and by its node id in the AST, alike
     seen = 0
     for prog, lib in PROGRAMS:
-        for specs in (SpecSet.from_declared(prog), infer_specs(prog, lib)):
-            for w in check_program(prog, specs, lib):
-                node = locate_anchor(w, prog)
-                assert node.nid == w.ast_nid, w.descriptor()
+        version = ProgramVersion(prog, lib)
+        for specs in (SpecSet.from_declared(prog), infer_specs(version, lib)):
+            for w in check_program(version, specs, lib):
+                anchor = locate_anchor(w, version)
+                assert anchor.ast_nid == w.ast_nid, w.descriptor()
                 method, by_nid, path = find_anchor(w, prog)
-                assert by_nid is node and path == sx.stmt_path(method.body, node), w.descriptor()
+                assert by_nid.nid == anchor.ast_nid and path == sx.stmt_path(method.body, by_nid), w.descriptor()
                 seen += 1
     assert seen > 100
 
