@@ -13,13 +13,14 @@ Edges that continue exception propagation carry kind "exceptional"; the
 normal-exit state of a method is therefore the meet over the exit node's
 normal-kind in-edges.
 
-`solve` is the one dataflow engine: liveness and must-alias here, the
-checker's obligation dataflow and the escape taint each give it a transfer
+`solve` is the one dataflow engine: liveness, must-alias and the escape
+taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
 index, the reverse postorder and `solve`'s ranks and in-edge keys when the
-CFG is built, liveness on first use (`Cfg.live_in`). A CFG holds no AST:
+CFG is built, liveness and the taint of the values the escape analysis asks
+about on first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST:
 a warning's `Anchor` instruction carries its AST node's id and the warning
 ordinal the lowering numbers from its one `local_refs` walk. So the memo
 hands out the stored lowering itself on every hit.
@@ -139,6 +140,7 @@ class Cfg:
     entry: int = -1
     exit: int = -1
     local_types: dict[str, str] = field(default_factory=dict)
+    params: list[str] = field(default_factory=list)  # the member's parameter names, in order
     # adjacency index over `edges`: kind (None for any) -> per-node neighbour
     # tuples, in `edges` order so meets and warnings keep a fixed order
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -152,6 +154,10 @@ class Cfg:
     )
     # liveness by node id, solved on first use
     _live: Optional[tuple[frozenset[str], ...]] = field(default=None, init=False, repr=False, compare=False)
+    # the taint of `taint_starts` by node id and each start's bit, solved on first use
+    _taint: Optional[tuple[tuple[TaintFact, ...], dict[TaintStart, int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def index_edges(self) -> None:
         """Build the adjacency index, the reverse postorder and `solve`'s
@@ -224,6 +230,21 @@ class Cfg:
             live = liveness(self)
             self._live = tuple(live[n] for n in range(len(self.nodes)))
         return self._live
+
+    def taint_of(self, node: int, local: str) -> tuple[tuple[TaintFact, ...], int]:
+        """The taint of the value `local` gets at `node`: per node id, the
+        locals that may hold it are those whose mask has the returned bit.
+        A value of `taint_starts` is read off one solve of them all, done
+        once per lowering; any other is solved alone, by the same solver,
+        and not kept."""
+        if self._taint is None:
+            starts = taint_starts(self)
+            self._taint = (taint(self, starts), {start: 1 << i for i, start in enumerate(starts)})
+        facts, bits = self._taint
+        bit = bits.get((node, local))
+        if bit is None:
+            return taint(self, [(node, local)]), 1
+        return facts, bit
 
     def _reverse_postorder(self) -> tuple[int, ...]:
         succ = self._succ[None]
@@ -360,6 +381,7 @@ class Lowerer:
             self.cfg.local_types[THIS] = self.cls.name
         for p in self.method.params:
             self.cfg.local_types[p.name] = p.type_name
+            self.cfg.params.append(p.name)
         tails = self.lower_block(self.method.body, [entry])
         for t in tails:
             self.edge(t, exit_)
@@ -798,6 +820,85 @@ def solve(
                 queued.add(m)
                 heapq.heappush(heap, (rank[m], m))
     return facts, edges
+
+
+# --- escape taint ------------------------------------------------------------
+
+# (node, local): the value `local` gets at `node`
+TaintStart = tuple[int, str]
+# local -> the bits of the starts whose value it may hold; never mutated once built
+TaintFact = dict[str, int]
+
+_NO_TAINT: TaintFact = {}
+
+
+def taint_starts(cfg: Cfg) -> list[TaintStart]:
+    """The values the escape analysis asks about: the parameters at entry,
+    then, in node order, each allocation, each call's result and each field
+    load."""
+    starts = [(cfg.entry, p) for p in cfg.params]
+    for n, instr in enumerate(cfg.nodes):
+        if isinstance(instr, (Alloc, Invoke, LoadField)) and instr.dst:
+            starts.append((n, instr.dst))
+    return starts
+
+
+def taint(cfg: Cfg, starts: list[TaintStart]) -> tuple[TaintFact, ...]:
+    """May-alias taint of the values `starts` name, by node id (state before
+    the node), start i as bit i: one forward union fixpoint in which each
+    bit flows on its own (`_taint_transfer`), so a start's bit is where its
+    value would reach when solved alone."""
+    gen: dict[int, list[tuple[str, int]]] = {}
+    for i, (node, local) in enumerate(starts):
+        gen.setdefault(node, []).append((local, 1 << i))
+
+    def flow(n: int, fact: TaintFact) -> dict[int, TaintFact]:
+        out = _taint_transfer(cfg.nodes[n], fact)
+        if n in gen:
+            out = dict(out)
+            for local, bit in gen[n]:
+                out[local] = out.get(local, 0) | bit
+        return dict.fromkeys(cfg.succs(n), out)
+
+    before, _edges = solve(cfg, dict.fromkeys(gen, _NO_TAINT), flow, _taint_meet)
+    return tuple(before.get(n, _NO_TAINT) for n in range(len(cfg.nodes)))
+
+
+def _taint_transfer(instr: Instr, fact: TaintFact) -> TaintFact:
+    """A copy gives its target exactly the values its source may hold; any
+    other definition of a local (allocation, constant, load, call result)
+    drops the values it held."""
+    if isinstance(instr, CopyLocal):
+        held = fact.get(instr.src, 0)
+        if fact.get(instr.dst, 0) == held:
+            return fact
+        out = dict(fact)
+        if held:
+            out[instr.dst] = held
+        else:
+            del out[instr.dst]
+        return out
+    if isinstance(instr, (Alloc, Const, LoadField, Invoke)) and instr.dst in fact:
+        out = dict(fact)
+        del out[instr.dst]
+        return out
+    return fact
+
+
+def _taint_meet(a: TaintFact, b: TaintFact) -> TaintFact:
+    """Union, sharing `a` when `b` adds nothing to it."""
+    if not a:
+        return b
+    if a is b:
+        return a
+    out = a
+    for local, bits in b.items():
+        held = a.get(local, 0)
+        if held | bits != held:
+            if out is a:
+                out = dict(a)
+            out[local] = held | bits
+    return out
 
 
 # --- must-alias analysis ----------------------------------------------------

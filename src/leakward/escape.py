@@ -16,6 +16,12 @@ allocation or call, `field_containment` for a field, and both share the
 analyzer's wrapper classifications. It reads every CFG from one
 `memo.ProgramVersion` of its program, the one it is handed or one taken of a
 bare program, so it shares the CFGs the checker lowered for that version.
+
+Taint (which locals may hold a value, node by node) is solved once per
+lowering for every value a query here asks about (`Cfg.taint_of`), and
+each query reads its value's bit off that one solve: a route is a use
+whose local may hold the value there. `taint_fixpoint` and
+`tainted_stores` are projections of the same solve.
 """
 
 from __future__ import annotations
@@ -63,43 +69,25 @@ class EscapeResult:
 
 
 def taint_fixpoint(cfg: C.Cfg, start_node: int, start_local: str) -> dict[int, frozenset[str]]:
-    """May-alias taint of the value defined at start_node, per node (state
-    before the node). Union at joins; nodes the taint never reaches may be
-    absent."""
-
-    def flow(n: int, taint: frozenset[str]) -> dict[int, frozenset[str]]:
-        out = _taint_transfer(cfg.nodes[n], taint)
-        if n == start_node:
-            out = out | {start_local}
-        return dict.fromkeys(cfg.succs(n), out)
-
-    before, _edges = C.solve(cfg, {start_node: frozenset()}, flow, frozenset.union)
-    return before
+    """May-alias taint of the value `start_local` gets at `start_node`, per
+    node (state before the node): the locals that may hold it, read off
+    `Cfg.taint_of`. Nodes where no local holds it are absent."""
+    facts, bit = cfg.taint_of(start_node, start_local)
+    out = {}
+    for n, fact in enumerate(facts):
+        held = frozenset(local for local, bits in fact.items() if bits & bit)
+        if held:
+            out[n] = held
+    return out
 
 
 def tainted_stores(cfg: C.Cfg, node: int, local: str) -> list[C.StoreField]:
     """Field stores whose source may hold the value `local` gets at `node`
-    (per `taint_fixpoint`), in node order."""
-    taint = taint_fixpoint(cfg, node, local)
+    (per `Cfg.taint_of`), in node order."""
+    facts, bit = cfg.taint_of(node, local)
     return [
-        ins for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.StoreField) and ins.src in taint.get(i, frozenset())
+        ins for ins, fact in zip(cfg.nodes, facts) if isinstance(ins, C.StoreField) and fact.get(ins.src, 0) & bit
     ]
-
-
-def _taint_transfer(instr: C.Instr, taint: frozenset[str]) -> frozenset[str]:
-    if isinstance(instr, C.CopyLocal):
-        if instr.src in taint:
-            return taint | {instr.dst}
-        return taint - {instr.dst}
-    if isinstance(instr, C.Alloc):
-        return taint - {instr.dst}
-    if isinstance(instr, C.Const):
-        return taint - {instr.dst}
-    if isinstance(instr, C.LoadField) and instr.dst:
-        return taint - {instr.dst}
-    if isinstance(instr, C.Invoke) and instr.dst:
-        return taint - {instr.dst}
-    return taint
 
 
 class EscapeAnalyzer:
@@ -242,7 +230,7 @@ class EscapeAnalyzer:
     def _collect_routes(
         self, cfg: C.Cfg, start_node: int, start_local: str, visited_wrappers: set[str]
     ) -> tuple[list[Route], list[tuple[str, str]]]:
-        taint = taint_fixpoint(cfg, start_node, start_local)
+        facts, bit = cfg.taint_of(start_node, start_local)
         routes: list[Route] = []
         sinks: list[tuple[str, str]] = []
         seen_routes: set[Route] = set()
@@ -253,32 +241,30 @@ class EscapeAnalyzer:
                 seen_routes.add(r)
                 routes.append(r)
 
+        # each use asks whether its local may hold the value there
         for node, instr in enumerate(cfg.nodes):
-            t = taint.get(node, frozenset())
-            if not t:
+            fact = facts[node]
+            if not fact:
                 continue
-            if isinstance(instr, C.StoreField) and instr.src in t:
+            if isinstance(instr, C.StoreField) and fact.get(instr.src, 0) & bit:
                 add(TO_FIELD, f"{instr.field_class}.{instr.field}")
-            elif isinstance(instr, C.ReturnVal) and instr.src in t:
+            elif isinstance(instr, C.ReturnVal) and fact.get(instr.src, 0) & bit:
                 if member_return_ownership(self.program, cfg.class_name, cfg.method_name) != "notowning":
                     add(RETURNED, cfg.method_name)
-            elif isinstance(instr, C.Invoke):
-                self._route_invoke(node, instr, t, add)
-            elif isinstance(instr, C.Alloc):
-                tainted_positions = [i for i, a in enumerate(instr.args) if a in t]
-                if not tainted_positions:
+            elif isinstance(instr, (C.Invoke, C.Alloc)):
+                positions = [i for i, a in enumerate(instr.args) if fact.get(a, 0) & bit]
+                if not positions:
                     continue
-                handled = self._wrapper_sink(cfg, node, instr, tainted_positions, visited_wrappers, sinks, add)
-                if not handled:
-                    for i in tainted_positions:
+                if isinstance(instr, C.Invoke):
+                    self._route_invoke(instr, positions, add)
+                elif not self._wrapper_sink(cfg, node, instr, positions, visited_wrappers, sinks, add):
+                    for i in positions:
                         self._route_library_ctor(instr, i, add)
         return routes, sinks
 
-    def _route_invoke(self, node: int, instr: C.Invoke, taint: frozenset[str], add) -> None:
+    def _route_invoke(self, instr: C.Invoke, positions: list[int], add) -> None:
         owner = instr.owner
-        for i, a in enumerate(instr.args):
-            if a not in taint:
-                continue
+        for i in positions:
             if self.libspec.is_retaining_sink(owner, instr.method):
                 add(STORED_IN_COLLECTION, f"{owner}.{instr.method}")
                 continue

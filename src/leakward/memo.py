@@ -66,8 +66,9 @@ member key, body):
   ("cfg", ...) -> Cfg. A hit is the stored lowering itself, which holds no
       AST: the caller holds its program, class and member, and reads the
       CFG with them. So every hit has the graph facts built at lowering (the
-      adjacency index, reverse postorder and solver ranks) and the liveness
-      solved at the first `Cfg.live_in` of any lookup. Its anchors' node ids
+      adjacency index, reverse postorder and solver ranks), the liveness
+      solved at the first `Cfg.live_in` of any lookup, and the taint
+      solved at the first `Cfg.taint_of`. Its anchors' node ids
       and warning ordinals are the caller's, as the keys cover what they read.
   ("run", ...) -> [(SpecReads, result)]. A run reads its specs and the
       ownership facts the key leaves out only through a `SpecReader` of the
@@ -78,9 +79,10 @@ member key, body):
       is deterministic, so there it would make the same reads and compute
       the same result.
 
-A miss calls the module-level `cfg.lower`, and the first `Cfg.live_in` of a
-lowering calls the module-level `cfg.liveness`, so counts of those calls
-count real work: liveness runs at most once per lowering.
+A miss calls the module-level `cfg.lower`, the first `Cfg.live_in` of a
+lowering the module-level `cfg.liveness`, and its first `Cfg.taint_of` the
+module-level `cfg.taint` over `cfg.taint_starts`, so counts of those calls
+count real work: liveness and taint run at most once per lowering.
 """
 
 from __future__ import annotations

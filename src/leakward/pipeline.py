@@ -333,7 +333,9 @@ def fix_stage(
     A round screens each of its warnings (`screen_fix`) with one
     `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
     then it plans each warning in turn on `patched` as it is by then and
-    applies the plan at once. The screen's results hold for the whole round,
+    applies the plan at once. The round's plans find their nodes in one
+    `syntax.AstIndex` of `patched`, built as the round starts, which each
+    application keeps current. The screen's results hold for the whole round,
     because a template only adds finalizer calls on existing receivers, null
     declarations (moving an allocation into an assignment) and try/finally
     and catch blocks: no field write, and no return, argument pass or
@@ -361,12 +363,13 @@ def fix_stage(
         analyzer = EscapeAnalyzer(now, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
         disabled = not config.enable_overwrite_handling
         screened = [None if disabled and w.kind == OWNING_FIELD_OVERWRITE else screen_fix(w, analyzer) for w in ordered]
+        index = sx.AstIndex(patched)  # each plan finds its nodes here, and each application keeps it current
         for w, screen in zip(ordered, screened):
             if screen is None:
                 fix_status[w.id] = ("unfixable", "PreCloseConditionsFail(disabled)")
                 continue
             try:
-                plan = plan_fix(w, patched, screen)
+                plan = plan_fix(w, patched, screen, index)
             except StaleWarning:
                 fix_status[w.id] = ("unfixable", "NoIrMatch")
                 continue

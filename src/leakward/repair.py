@@ -4,9 +4,10 @@ Planning a warning has two parts. `screen_fix` makes the decisions that read
 escape results, against an `EscapeAnalyzer` built with the run's
 `enhancements` flag: the escape of the warned value, the pre-close
 conditions, the finalizers and the classic close-only rule. `plan_fix` then
-anchors the template in the program as it is now: it finds the warned node by
-the warning's `ast_nid`, in one walk of the member's body that also gives the
-node's statement path, and the plan holds those live nodes. The fix stage
+anchors the template in the program as it is now: it reads the warned node
+and its statement path off a `syntax.AstIndex` of the program by the
+warning's `ast_nid`, and the plan holds those live nodes and the index,
+which applying the plan keeps current. The fix stage
 screens a whole round's warnings with one analyzer before the round's first
 edit, so the analyzer may be on an earlier version of the program than
 `plan_fix`'s; its results still hold, since no template writes a field or
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import copy
 import difflib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import cfg as C
@@ -88,6 +89,8 @@ class RepairPlan:
     path: sx.StmtPath  # `stmt_path` from the member's body to the anchor's statement
     finalizer_methods: tuple[str, ...]
     resource_class: str
+    # the index the plan was found in, which applying it keeps current
+    index: sx.AstIndex = field(compare=False, repr=False)
 
 
 @dataclass
@@ -136,14 +139,17 @@ def rebind_warning(data: dict, version: ProgramVersion) -> Warning:
     return replace(w, ast_nid=anchor.ast_nid, site=anchor.site if isinstance(anchor, C.Alloc) else -1)
 
 
-def find_anchor(warning: Warning, program: sx.Program) -> tuple[sx.MethodDecl, sx.Node, sx.StmtPath]:
+def find_anchor(
+    warning: Warning, program: sx.Program, index: sx.AstIndex
+) -> tuple[sx.MethodDecl, sx.Node, sx.StmtPath]:
     """The warned member of `program`, the node with the warning's
-    `ast_nid` in its body, and that node's statement path. Raises
-    StaleWarning when no such node is there."""
+    `ast_nid` in its body, and that node's statement path, read off
+    `index`, a current `AstIndex` of `program`. Raises StaleWarning when no
+    such node is there."""
     cls = program.class_named(warning.class_name)
     method = cls.member(warning.method_name) if cls else None
-    found = sx.node_path(method.body, warning.ast_nid) if method else None
-    if found is None:
+    found = index.find(warning.ast_nid) if method is not None else None
+    if found is None or found[1][0][0] is not method.body:  # its path starts in another member
         raise StaleWarning(f"{warning.id}: no node {warning.ast_nid} in {warning.class_name}.{warning.method_name}")
     return method, *found
 
@@ -205,13 +211,14 @@ def screen_fix(warning: Warning, analyzer: EscapeAnalyzer) -> Union[tuple[str, .
 
 
 def plan_fix(
-    warning: Warning, program: sx.Program, screened: Union[tuple[str, ...], Unfixable]
+    warning: Warning, program: sx.Program, screened: Union[tuple[str, ...], Unfixable], index: sx.AstIndex
 ) -> Union[RepairPlan, Unfixable]:
     """The repair of one warning on `program` as it is now, given its
     `screen_fix` result: the screen's Unfixable, or a template anchored in
-    `program`. Raises StaleWarning when the warning's node is gone from
-    `program` (`find_anchor`)."""
-    method, anchor, path = find_anchor(warning, program)
+    `program`. `index` is a current `AstIndex` of `program`, which the plan
+    keeps and its application updates. Raises StaleWarning when the
+    warning's node is gone from `program` (`find_anchor`)."""
+    method, anchor, path = find_anchor(warning, program, index)
     if isinstance(screened, Unfixable):
         return screened
     if warning.kind == OWNING_FIELD_OVERWRITE:
@@ -225,7 +232,7 @@ def plan_fix(
             return Unfixable(warning.id, NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
-        if _holder_reassigned(path, tries, anchor):
+        if _holder_reassigned(path, tries, anchor, index):
             return Unfixable(warning.id, NO_IR_MATCH, detail="holder reassigned before the finally")
         if _wrap_nesting(path, tries) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
@@ -236,6 +243,7 @@ def plan_fix(
         path=path,
         finalizer_methods=screened,
         resource_class=warning.resource_class,
+        index=index,
     )
 
 
@@ -266,12 +274,16 @@ def _pre_close_nesting(path: sx.StmtPath, store: sx.Assign, finalizers: tuple[st
     return len(path) + 2 + nesting(close)
 
 
-def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
+def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, index: sx.AstIndex) -> bool:
     """Is the local a wrap closes in its finally assigned again before the
     finally runs, so that the finally would close a later value instead?
     That is the rest of the anchor's block for a TryFinallyWrap, and the rest
     of each block from the innermost try body down to the anchor for a
-    CloseInFinally. A nested allocation gets a fresh holder."""
+    CloseInFinally. A nested allocation gets a fresh holder.
+
+    Each assignment to the local in `index` is placed by its parents: the
+    innermost block of `path` that holds it decides, by whether it comes
+    after the path's statement there."""
     block, idx = path[-1]
     stmt = block.stmts[idx]
     if isinstance(stmt, sx.LocalDecl) and stmt.init is anchor:
@@ -281,12 +293,17 @@ def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -
     else:
         return False
     start = (1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0])) if tries else len(path) - 1
-    return any(
-        isinstance(s, sx.Assign) and isinstance(s.target, sx.VarRef) and s.target.name == var
-        for b, i in path[start:]
-        for rest in b.stmts[i + 1 :]
-        for s in sx.walk_stmts(rest)
-    )
+    levels = {id(b): k for k, (b, _i) in enumerate(path)}
+    for assign in index.assigns.get(var, ()):
+        node = assign
+        holder = index.parents.get(node.nid)
+        while holder is not None and id(holder) not in levels:
+            node, holder = holder, index.parents.get(holder.nid)
+        if holder is None or levels[id(holder)] < start:
+            continue  # in another member, or outside the blocks the finally covers
+        if index.slot(node)[1] > path[levels[id(holder)]][1]:
+            return True
+    return False
 
 
 def _no_slot(path: sx.StmtPath) -> str:
@@ -309,7 +326,8 @@ def _no_slot(path: sx.StmtPath) -> str:
 
 def apply_plan_in_place(program: sx.Program, plan: RepairPlan) -> None:
     """Apply a plan's template to `program`, the program it was made on, as
-    it was then."""
+    it was then, and keep the plan's index current: the nodes the template
+    adds are indexed, and the statements it moves get their new parent."""
     if plan.template == PRE_CLOSE_INSERTION:
         _apply_pre_close(program, plan)
     else:
@@ -363,6 +381,7 @@ def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> None:
     )
     program.adopt(guard, store)
     block.stmts.insert(idx, guard)
+    plan.index.add(guard, block)
 
 
 def _strip_nids(root: sx.Expr) -> None:
@@ -386,6 +405,7 @@ def _exception_name(method: sx.MethodDecl) -> str:
 
 
 def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
+    index = plan.index
     expr = plan.anchor
     block, idx = plan.path[-1]
     stmt = block.stmts[idx]
@@ -399,6 +419,8 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
         program.adopt(assign, stmt)
         program.adopt(decl, stmt)
         block.stmts[idx] = assign
+        index.drop(stmt)
+        index.add(assign, block)
         hoisted: Optional[sx.LocalDecl] = decl
     elif isinstance(stmt, sx.Assign) and isinstance(stmt.target, sx.VarRef) and stmt.value.nid == expr.nid:
         var = stmt.target.name
@@ -409,13 +431,17 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
         decl = sx.LocalDecl(type_name=plan.resource_class, name=var, init=sx.NullLit())
         assign = sx.Assign(target=sx.VarRef(name=var), value=expr)
         ref = sx.VarRef(name=var)
+        holder = index.parents[expr.nid]
         sx.map_exprs(stmt, lambda e: ref if e is expr else None)
         program.adopt(decl, stmt)
         program.adopt(assign, stmt)
         if isinstance(stmt, sx.ExprStmt) and isinstance(stmt.expr, sx.VarRef):
             block.stmts[idx] = assign  # the statement was just the extracted expression
+            index.drop(stmt)
         else:
             block.stmts.insert(idx, assign)
+            index.add(ref, holder)
+        index.add(assign, block)
         hoisted = decl
         stmt = assign
 
@@ -426,11 +452,14 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
         try_stmt = try_block.stmts[try_idx]
         if hoisted is not None:
             try_block.stmts.insert(try_idx, hoisted)
+            index.add(hoisted, try_block)
         if try_stmt.finally_block is None:
             try_stmt.finally_block = sx.Block(stmts=[guard])
             program.inherit_pos(try_stmt.finally_block, try_stmt)
+            index.add(try_stmt.finally_block, try_stmt)
         else:
             try_stmt.finally_block.stmts.append(guard)
+            index.add(guard, try_stmt.finally_block)
         return
 
     # TryFinallyWrap: move the allocation statement and the rest of its block
@@ -438,7 +467,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
     suffix = block.stmts[idx:]
     del block.stmts[idx:]
     try_stmt = sx.Try(
-        body=sx.Block(stmts=suffix),
+        body=sx.Block(stmts=[]),
         catch_type=None,
         catch_name=None,
         catch_block=None,
@@ -449,4 +478,8 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
     program.inherit_pos(try_stmt.finally_block, stmt)
     if hoisted is not None:
         block.stmts.append(hoisted)
+        index.add(hoisted, block)
     block.stmts.append(try_stmt)
+    index.add(try_stmt, block)  # with its body still empty: the moved statements are indexed already
+    try_stmt.body.stmts = suffix
+    index.move(suffix, try_stmt.body)

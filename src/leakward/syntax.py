@@ -15,11 +15,12 @@ the ``New``s, ``Call``s and ``Assign``s from which the lowering numbers
 warning ordinals.
 
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs
-and warnings do; ``stmt_path`` finds the statement holding a node,
-``node_path`` the node with an id and that statement, in one walk;
-``evaluated_before`` tells a statement of a body itself and what runs before
-it completes (a constructor's first write); ``map_exprs`` swaps
-expressions; ``Program.adopt`` positions a synthesized subtree.
+and warnings do; an ``AstIndex`` maps each node id to its node and the node
+holding it, so it gives a node by id and the statement holding it
+(``stmt_path``) without a walk, and the edits that add or move nodes keep
+it current; ``evaluated_before`` tells a statement of a body itself and
+what runs before it completes (a constructor's first write); ``map_exprs``
+swaps expressions; ``Program.adopt`` positions a synthesized subtree.
 """
 
 from __future__ import annotations
@@ -340,7 +341,6 @@ def _slots(*kinds: type) -> dict[type, tuple[str, ...]]:
 
 
 _ALL_SLOTS = _slots(Node)
-_EXPR_SLOTS = _slots(Expr)  # a statement's own expressions, not its blocks
 _STMT_SLOTS = _slots(Stmt, Block)
 
 
@@ -517,31 +517,96 @@ def evaluated_before(body: Block, stmt: Stmt) -> Optional[list[Expr]]:
 StmtPath = list[tuple[Block, int]]
 
 
+class AstIndex:
+    """Each node under a root by its id, with the node that holds it, and
+    the assignments to each bare name: built in one pass over `SHAPE`, and
+    kept current by whoever edits the tree through `add`, `move` and
+    `drop`. A node's statement path is read off its parents (`stmt_path`),
+    so finding a node and its statement walks no tree. Node ids are unique
+    in a program: a deep copy keeps them, and a new node takes a fresh one."""
+
+    def __init__(self, root: Node):
+        self.nodes: dict[int, Node] = {}
+        self.parents: dict[int, Node] = {}  # nid -> the node holding it; the root has none
+        self.assigns: dict[str, list[Assign]] = {}  # name -> the Assigns whose target is that bare name
+        self.add(root, None)
+
+    def add(self, root: Node, parent: Optional[Node]) -> None:
+        """Index `root` and every node under it, `root` as held by `parent`."""
+        nodes, parents = self.nodes, self.parents
+        if parent is not None:
+            parents[root.nid] = parent
+        stack = [root]
+        while stack:  # the order of visits does not matter: each node is indexed once
+            node = stack.pop()
+            nodes[node.nid] = node
+            for name in SHAPE[node.__class__]:
+                child = getattr(node, name)
+                if child.__class__ is list:
+                    for item in child:
+                        parents[item.nid] = node
+                    stack.extend(child)
+                elif child is not None:
+                    parents[child.nid] = node
+                    stack.append(child)
+            if node.__class__ is Assign and node.target.__class__ is VarRef:
+                self.assigns.setdefault(node.target.name, []).append(node)
+
+    def move(self, nodes: list[Node], parent: Node) -> None:
+        """`nodes`, already indexed, are now held by `parent`."""
+        for node in nodes:
+            self.parents[node.nid] = parent
+
+    def drop(self, node: Node) -> None:
+        """`node` itself has left the tree (what it held is indexed apart)."""
+        del self.nodes[node.nid]
+        self.parents.pop(node.nid, None)
+        if node.__class__ is Assign and node.target.__class__ is VarRef:
+            self.assigns[node.target.name].remove(node)
+
+    def slot(self, stmt: Stmt) -> tuple[Block, int]:
+        """The block that holds `stmt`, and its index there."""
+        block = self.parents[stmt.nid]
+        return block, next(i for i, s in enumerate(block.stmts) if s is stmt)  # type: ignore[attr-defined]
+
+    def stmt_path(self, node: Node) -> Optional[StmtPath]:
+        """(block, index) pairs from the outermost block that holds `node`
+        (its member's body, or the root) down to the innermost statement
+        that is `node` or holds it in its own expressions (an `if`
+        condition counts, a nested block does not); None when `node` is not
+        a statement or an expression of one."""
+        while not isinstance(node, Stmt):
+            if not isinstance(node, Expr):
+                return None
+            node = self.parents.get(node.nid)  # type: ignore[assignment]
+            if node is None:
+                return None
+        path = []
+        while True:
+            block, i = self.slot(node)
+            path.append((block, i))
+            owner = self.parents.get(block.nid)
+            if not isinstance(owner, Stmt):
+                break
+            node = owner
+        path.reverse()
+        return path
+
+    def find(self, nid: int) -> Optional[tuple[Node, StmtPath]]:
+        """The node with id `nid` and its `stmt_path`; None when no
+        statement or expression of the tree has that id."""
+        node = self.nodes.get(nid)
+        path = self.stmt_path(node) if node is not None else None
+        return None if path is None else (node, path)  # type: ignore[return-value]
+
+
 def stmt_path(body: Block, node: Node) -> Optional[StmtPath]:
     """(block, index) pairs from `body` down to the innermost statement that
     is `node` or holds it in its own expressions (an `if` condition counts,
-    a nested block does not), matched by identity; None if body lacks it."""
-    found = _find(body, lambda n: n is node)
-    return None if found is None else found[1]
-
-
-def node_path(body: Block, nid: int) -> Optional[tuple[Node, StmtPath]]:
-    """The first node under `body`, in statement order, whose id is `nid`,
-    and its `stmt_path`, found in one walk; None if body lacks it."""
-    return _find(body, lambda n: n.nid == nid)
-
-
-def _find(body: Block, hit: Callable[[Node], bool]) -> Optional[tuple[Node, StmtPath]]:
-    for i, s in enumerate(body.stmts):
-        for node in _walk(s, _EXPR_SLOTS, Node):  # the statement, then its own expressions
-            if hit(node):
-                return node, [(body, i)]
-        for block in children(s):
-            if block.__class__ is Block:
-                rest = _find(block, hit)
-                if rest is not None:
-                    return rest[0], [(body, i), *rest[1]]
-    return None
+    a nested block does not), matched by identity; None if body lacks it.
+    Builds a one-off `AstIndex` of `body`."""
+    index = AstIndex(body)
+    return index.stmt_path(node) if index.nodes.get(node.nid) is node else None
 
 
 def try_slots(path: StmtPath) -> StmtPath:

@@ -72,6 +72,18 @@ def corpus_mutants(count: int = 600, seed: int = 1) -> list[tuple[str, str]]:
     return mutants
 
 
+def wide_method_source(n: int) -> str:
+    """One `main` with n FileInputStream allocations; every even-numbered one
+    is read and closed under a null guard, so n/2 of them leak."""
+    lines = ["class Main {", "  static void main() {"]
+    for k in range(n):
+        lines.append(f'    FileInputStream s{k} = new FileInputStream("f{k}");')
+        if k % 2 == 0:
+            lines.append(f"    if (s{k} != null) {{ s{k}.read(); s{k}.close(); }}")
+    lines += ["  }", "}"]
+    return "\n".join(lines) + "\n"
+
+
 @contextmanager
 def memo_bypassed() -> Iterator[dict[tuple[str, str], SpecReads]]:
     """Every `ProgramVersion.cfg` lowers afresh and every `remember` computes

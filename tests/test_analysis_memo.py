@@ -5,7 +5,8 @@ which a checker run reads with the caller's AST; no stored CFG or run
 result reaches an AST node. Every lowering goes through
 it, and it needs no scope: no version of a method is lowered twice in one
 pipeline run, a read-only check lowers each member once, a second parse
-replaces the first one's entries, and liveness is solved at most once per
+replaces the first one's entries, and liveness, like the taint of the
+values the escape analysis asks about, is solved at most once per
 lowering. The pipeline hands versions from stage to stage: no version is
 read after an edit to its program, a run takes each program state's keys
 once, and no two of its key passes give the same keys. An entry is keyed on what it reads: an edit to
@@ -336,6 +337,31 @@ def test_liveness_is_solved_at_most_once_per_lowered_method_version(corpus_sourc
     for name, text in corpus_sources:
         run_pipeline([(name, text)], libspec)
     assert set(solved.values()) == {1}
+
+
+def test_taint_is_solved_at_most_once_per_lowered_method_version(corpus_sources, libspec, monkeypatch):
+    """Over its start set: a value outside it is solved alone, unkept."""
+    lowered: dict[int, tuple] = {}  # id of a lowered CFG's node list -> member key
+    kept: list = []  # the node lists, so that no id is reused
+    solved: Counter = Counter()
+    original_lower, original_taint = C.lower, C.taint
+
+    def recording_lower(program, cls, meth, *rest):
+        g = original_lower(program, cls, meth, *rest)
+        lowered[id(g.nodes)] = _member_key(program, cls, meth)
+        kept.append(g.nodes)
+        return g
+
+    def recording_taint(g, starts):
+        if starts == C.taint_starts(g):
+            solved[lowered[id(g.nodes)]] += 1
+        return original_taint(g, starts)
+
+    monkeypatch.setattr(C, "lower", recording_lower)
+    monkeypatch.setattr(C, "taint", recording_taint)
+    for name, text in corpus_sources:
+        run_pipeline([(name, text)], libspec)
+    assert set(solved.values()) == {1} and len(solved) > 20
 
 
 def test_an_in_place_edit_between_two_checks_is_seen(libspec):

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import acyclic_paths, corpus_and_fuzz_programs
+from helpers import CORPUS, acyclic_paths, corpus_and_fuzz_programs, corpus_mutants, wide_method_source
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
 from leakward import memo
+from leakward.errors import FILE_ERRORS
 from leakward.errors import SyntaxError as MiniJSyntaxError
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
@@ -285,6 +286,17 @@ def _round_robin_must_alias(cfg):
     return before, after
 
 
+def _taint_step(instr, taint):
+    """One start's taint through one instruction, written out on sets: a copy
+    gives its target the source's membership, any other definition drops
+    the target."""
+    if isinstance(instr, C.CopyLocal):
+        return taint | {instr.dst} if instr.src in taint else taint - {instr.dst}
+    if isinstance(instr, (C.Alloc, C.Const, C.LoadField, C.Invoke)) and instr.dst:
+        return taint - {instr.dst}
+    return taint
+
+
 def _round_robin_taint(cfg, start_node, start_local):
     before = {}
     after = {start_node: frozenset({start_local})}
@@ -298,7 +310,7 @@ def _round_robin_taint(cfg, start_node, start_local):
             if before.get(n) != fact:
                 before[n] = fact
                 changed = True
-            out = E._taint_transfer(cfg.nodes[n], fact)
+            out = _taint_step(cfg.nodes[n], fact)
             if n == start_node:
                 out = out | {start_local}
             if after.get(n) != out:
@@ -366,6 +378,69 @@ def test_solver_matches_round_robin_loops():
                 assert run == (warnings, exit_fact)
                 # `==` on a Warning ignores its site and AST node
                 assert [(w.id, w.site, w.ast_nid) for w in run[0]] == [(w.id, w.site, w.ast_nid) for w in warnings]
+
+
+# locals that may hold several values at once, through joins, a loop and a
+# parameter, which the corpus and the generator seldom make
+TAINT_JOINS = """class M {
+  private FileInputStream f;
+  M(FileInputStream p, String c) {
+    FileInputStream a = new FileInputStream("a");
+    FileInputStream b = p;
+    FileInputStream s = a;
+    if (c != null) {
+      s = b;
+    } else {
+      s = new FileInputStream("e");
+    }
+    FileInputStream t = s;
+    while (c != null) {
+      t = a;
+      a = b;
+      b = t;
+    }
+    f = t;
+    t.read();
+  }
+}
+"""
+
+
+def _taint_programs():
+    """(program, libspec) for the corpus, generate_source(0..599), the 600
+    corpus mutants that parse, wide_method at N = 20, 40, 80 and 160, and
+    `TAINT_JOINS`."""
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    sources = [(p.name, p.read_text(), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
+    sources.append(("joins.mj", TAINT_JOINS, corpus_lib))
+    sources += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(600)]
+    sources += [(name, text, corpus_lib) for name, text in corpus_mutants()]
+    sources += [(f"wide{n}.mj", wide_method_source(n), corpus_lib) for n in (20, 40, 80, 160)]
+    for name, text, lib in sources:
+        try:
+            yield parse(text, name), lib
+        except FILE_ERRORS:
+            continue
+
+
+def test_one_taint_solve_per_lowering_matches_each_start_solved_alone():
+    """Every value of `taint_starts` is read off one solve of the CFG, and
+    its projection is the round-robin taint of that value alone."""
+    served = 0
+    for prog, lib in _taint_programs():
+        for cls in prog.classes:
+            for meth in cls.all_methods():
+                try:
+                    g = C.lower(prog, cls, meth, lib)
+                except FILE_ERRORS:
+                    continue
+                starts = C.taint_starts(g)
+                assert len({id(g.taint_of(n, local)[0]) for n, local in starts}) <= 1
+                for n, local in starts:
+                    expected = {k: v for k, v in _round_robin_taint(g, n, local).items() if v}
+                    assert E.taint_fixpoint(g, n, local) == expected, (prog.source_name, g.method_name, n)
+                served += len(starts)
+    assert served > 4000
 
 
 def test_solver_divergence_guard_raises():

@@ -205,7 +205,8 @@ class Main {
     (w,) = [w for w in check_program(prog, specs, LIB) if w.anchor_kind == "call"]
     assert EscapeAnalyzer(prog, specs, LIB).escapes_at("Main", "main", w.ast_nid) == result
     screened = screen_fix(w, EscapeAnalyzer(prog, specs, LIB))
-    assert plan_fix(w, prog, screened) == screened == Unfixable(w.id, "EscapesToField", detail="Box.kept")
+    plan = plan_fix(w, prog, screened, sx.AstIndex(prog))
+    assert plan == screened == Unfixable(w.id, "EscapesToField", detail="Box.kept")
 
 
 def test_escape_returned_route():

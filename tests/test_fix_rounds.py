@@ -15,15 +15,21 @@ results do not depend on the version they were read from:
 Both are checked over the corpus and `generate_source(0..599)`, whose
 reports, and those of `wide_method` at N = 20 and 40, are held to pinned
 digests.
+
+A round's plans find their nodes in one `AstIndex`, which each application
+keeps equal to an index built afresh; so planning a warning goes over no
+tree, and, with one taint solve per lowering, `wide_method`'s solves do
+not grow with its warnings.
 """
 
 from collections import Counter
 
 import pytest
 
-from helpers import moved_reports, report_digest
+from helpers import corpus_mutants, moved_reports, report_digest, wide_method_source
 from leakward import cfg as C
-from leakward import pipeline
+from leakward import pipeline, repair
+from leakward import syntax as sx
 from leakward.checker import OWNING_FIELD_OVERWRITE, check_program, filter_constructor_first_writes, reject_final_writes
 from leakward.escape import EscapeAnalyzer
 from leakward.fuzz import fuzz_libspec, generate_source
@@ -63,8 +69,8 @@ class _RoundSpy:
         self.at_screen[w.file, w.id] = (analyzer, _escape_decision(w, analyzer), result)
         return result
 
-    def planning(self, w, program, screened):
-        plan = self.plan(w, program, screened)  # a stale anchor raises: the warning is not planned
+    def planning(self, w, program, screened, index):
+        plan = self.plan(w, program, screened, index)  # a stale anchor raises: the warning is not planned
         analyzer, decision, result = self.at_screen[w.file, w.id]
         now = EscapeAnalyzer(program, analyzer.specs, analyzer.libspec, enhancements=analyzer.enhancements)
         if (_escape_decision(w, now), self.screen(w, now)) != (decision, result):
@@ -128,18 +134,6 @@ def test_validation_reads_the_same_warnings_on_patched_as_on_its_reparse(fix_run
     assert differ == []
 
 
-def _wide_method(n: int) -> str:
-    """One `main` with n FileInputStream allocations; every even-numbered one
-    is read and closed under a null guard, so n/2 of them leak."""
-    lines = ["class Main {", "  static void main() {"]
-    for k in range(n):
-        lines.append(f'    FileInputStream s{k} = new FileInputStream("f{k}");')
-        if k % 2 == 0:
-            lines.append(f"    if (s{k} != null) {{ s{k}.read(); s{k}.close(); }}")
-    lines += ["  }", "}"]
-    return "\n".join(lines) + "\n"
-
-
 def test_lowerings_of_one_method_do_not_grow_with_its_warnings(libspec, monkeypatch):
     """Planning N/2 repairs in one method reads the CFGs of each round's one
     version, so 20 and 40 allocations cost the same number of lowerings.
@@ -154,8 +148,110 @@ def test_lowerings_of_one_method_do_not_grow_with_its_warnings(libspec, monkeypa
     monkeypatch.setattr(C, "lower", counting)
     digests = {}
     for n in (20, 40):
-        report = pipeline.run_pipeline([(f"wide{n}.mj", _wide_method(n))], libspec)
+        report = pipeline.run_pipeline([(f"wide{n}.mj", wide_method_source(n))], libspec)
         assert report.errors == [] and len(report.files[f"wide{n}.mj"].fix_status) >= n // 2
         digests[f"wide{n}.mj"] = report_digest(report)
     assert lowered["wide20.mj"] == lowered["wide40.mj"]
     assert moved_reports("wide_method", digests) == []
+
+
+def _index_view(index):
+    """What an `AstIndex` says, as comparable values: the node and the
+    parent of each id, and the assignments to each name."""
+    return (
+        {nid: id(node) for nid, node in index.nodes.items()},
+        {nid: id(parent) for nid, parent in index.parents.items()},
+        {name: sorted(map(id, assigns)) for name, assigns in index.assigns.items() if assigns},
+    )
+
+
+# wraps the corpus has few of: a nested allocation extracted into a fresh
+# local before its statement, a holder already declared, and a finally
+# that is there already
+EDGE_WRAPS = """class A {
+  static void main() {
+    new FileInputStream("a").read();
+    int k = 1;
+  }
+  static void second() {
+    FileInputStream s = null;
+    s = new FileInputStream("b");
+    s.read();
+  }
+  static void third() {
+    try {
+      FileInputStream t = new FileInputStream("d");
+      t.read();
+    } finally {
+      int x = 2;
+    }
+  }
+}
+"""
+
+
+def test_a_rounds_index_stays_the_index_of_patched(corpus_sources, libspec, monkeypatch):
+    """The round's `AstIndex`, which each application keeps current, equals
+    one built afresh on the patched program after every applied plan: over
+    the corpus, its 600 mutants, wide_method at N = 20, 40 and 80, and the
+    rarer wraps of `EDGE_WRAPS`."""
+    applied, differ = Counter(), []
+    apply = pipeline.apply_plan_in_place
+
+    def applying(program, plan):
+        apply(program, plan)
+        applied[plan.template] += 1
+        if _index_view(plan.index) != _index_view(sx.AstIndex(program)):
+            differ.append((program.source_name, plan.template))
+
+    monkeypatch.setattr(pipeline, "apply_plan_in_place", applying)
+    inputs = corpus_sources + corpus_mutants() + [(f"wide{n}.mj", wide_method_source(n)) for n in (20, 40, 80)]
+    for name, text in inputs + [("edge_wraps.mj", EDGE_WRAPS)]:
+        pipeline.run_pipeline([(name, text)], libspec)
+    assert differ == []
+    assert len(applied) == 3 and min(applied.values()) > 10 and sum(applied.values()) > 250, applied
+
+
+def test_repair_work_per_warning_does_not_grow_with_the_method(libspec, monkeypatch):
+    """Taint is solved once per lowering, not once per warning, so wide_method
+    makes as many `cfg.solve` calls at N = 20 as at N = 40; `find_anchor`
+    and `_holder_reassigned` read the round's index and go over no tree:
+    they start no `syntax` walk and index nothing."""
+    solves = Counter()
+    state = {"n": 0, "in": None}
+    walks_in = Counter()
+    solve = C.solve
+
+    def counting_solve(*args, **kwargs):
+        solves[state["n"]] += 1
+        return solve(*args, **kwargs)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            if state["in"]:
+                walks_in[state["in"], name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    def inside(name, function):
+        def watched(*args, **kwargs):
+            outer, state["in"] = state["in"], name
+            try:
+                return function(*args, **kwargs)
+            finally:
+                state["in"] = outer
+
+        return watched
+
+    monkeypatch.setattr(C, "solve", counting_solve)
+    monkeypatch.setattr(sx, "_walk", counting("_walk", sx._walk))
+    monkeypatch.setattr(sx.AstIndex, "add", counting("AstIndex.add", sx.AstIndex.add))
+    for name in ("find_anchor", "_holder_reassigned"):
+        monkeypatch.setattr(repair, name, inside(name, getattr(repair, name)))
+    for n in (20, 40):
+        state["n"] = n
+        report = pipeline.run_pipeline([(f"wide{n}.mj", wide_method_source(n))], libspec)
+        assert len(report.files[f"wide{n}.mj"].fix_status) >= n // 2
+    assert solves[20] == solves[40] < 20
+    assert walks_in == Counter()

@@ -1,7 +1,8 @@
 """Layering: no module of the package reaches another module's `_private`
 names, by `from .m import _name` or by `m._name` on an imported module; the
-memo is the one caller of `cfg.lower`, and `checker.method_run` the one
-builder of a `_MethodChecker`; no field of a CFG or of an instruction is
+memo is the one caller of `cfg.lower`, `checker.method_run` the one
+builder of a `_MethodChecker`, and `Cfg.taint_of` the one solver of taint,
+over the start set it keeps; no field of a CFG or of an instruction is
 typed with an AST type."""
 
 import ast
@@ -87,6 +88,14 @@ def test_only_the_memo_lowers_and_only_method_run_builds_a_method_checker():
     assert [c for path in modules for c in _callers(path, "cfg", "lower")] == ["memo.ProgramVersion.cfg"]
     checkers = [c for path in modules for c in _callers(path, "checker", "_MethodChecker")]
     assert checkers == ["checker.method_run.run"]
+
+
+def test_only_the_cfg_cache_solves_taint():
+    """`Cfg.taint_of` solves `taint_starts` once per lowering and keeps it;
+    a solve anywhere else would be a second, unkept one."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [c for path in modules for c in _callers(path, "cfg", "taint_starts")] == ["cfg.Cfg.taint_of"]
+    assert {c for path in modules for c in _callers(path, "cfg", "taint")} == {"cfg.Cfg.taint_of"}
 
 
 def test_the_caller_guard_sees_each_kind_of_call(tmp_path):

@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from helpers import apply_unified_diff
+from leakward import syntax as sx
 from leakward.checker import check_program, filter_constructor_first_writes
 from leakward.errors import StaleWarning
 from leakward.escape import EscapeAnalyzer
@@ -52,7 +53,8 @@ def _plan_first(src, kind=None):
 
 def _plan(w, prog, specs, lib=LIB, enhancements=True):
     """`plan_fix` on `prog`, screened by an analyzer of `prog` itself."""
-    return plan_fix(w, prog, screen_fix(w, EscapeAnalyzer(prog, specs, lib, enhancements=enhancements)))
+    screened = screen_fix(w, EscapeAnalyzer(prog, specs, lib, enhancements=enhancements))
+    return plan_fix(w, prog, screened, sx.AstIndex(prog))
 
 
 def _apply_to_copy(program, w, lib=LIB):
@@ -305,7 +307,7 @@ def test_plan_stale_warning_raises():
     stripped = parse("class A { static void main() { } }", "r.mj")
     screened = screen_fix(w, EscapeAnalyzer(annotated, SpecSet(), LIB))
     with pytest.raises(StaleWarning):
-        plan_fix(w, stripped, screened)
+        plan_fix(w, stripped, screened, sx.AstIndex(stripped))
 
 
 # --- materialization ---

@@ -202,7 +202,7 @@ def test_every_warning_locates_its_own_node():
             for w in check_program(version, specs, lib):
                 anchor = locate_anchor(w, version)
                 assert anchor.ast_nid == w.ast_nid, w.descriptor()
-                method, by_nid, path = find_anchor(w, prog)
+                method, by_nid, path = find_anchor(w, prog, sx.AstIndex(prog))
                 assert by_nid.nid == anchor.ast_nid and path == sx.stmt_path(method.body, by_nid), w.descriptor()
                 seen += 1
     assert seen > 100
@@ -210,6 +210,7 @@ def test_every_warning_locates_its_own_node():
 
 def test_stmt_path_leads_to_every_statement_and_expression():
     for _prog, _lib, _cls, meth in _methods():
+        index = sx.AstIndex(meth.body)
         for stmt in sx.walk_stmts(meth.body):
             path = sx.stmt_path(meth.body, stmt)
             assert path[0][0] is meth.body
@@ -217,14 +218,14 @@ def test_stmt_path_leads_to_every_statement_and_expression():
                 assert inner in [v for v in vars(block.stmts[i]).values() if isinstance(v, sx.Block)]
             block, i = path[-1]
             assert block.stmts[i] is stmt
-            found, by_nid = sx.node_path(meth.body, stmt.nid)
+            found, by_nid = index.find(stmt.nid)
             assert found is stmt and by_nid == path
             for e in _own_exprs(stmt):
                 assert sx.stmt_path(meth.body, e) == path
-                found, by_nid = sx.node_path(meth.body, e.nid)
+                found, by_nid = index.find(e.nid)
                 assert found is e and by_nid == path
         assert sx.stmt_path(meth.body, sx.NullLit()) is None
-        assert sx.node_path(meth.body, sx.NullLit().nid) is None
+        assert index.find(sx.NullLit().nid) is None
 
 
 def test_try_slots_are_the_tries_whose_body_the_path_enters():
@@ -511,8 +512,9 @@ def test_the_walkers_on_the_shape_table_match_the_hand_written_ones():
                 assert _same(sx.walk_exprs(body), _ref_walk_exprs(body)), prog.source_name
                 assert _same(sx.walk_stmts(body), _ref_walk_stmts(body)), prog.source_name
                 assert _same(sx.walk_nodes(body), _ref_walk_nodes(body)), prog.source_name
+                index = sx.AstIndex(body)
                 for node in sx.walk_nodes(body):
-                    assert sx.node_path(body, node.nid) == _ref_find(body, lambda n: n.nid == node.nid)
+                    assert index.find(node.nid) == _ref_find(body, lambda n: n.nid == node.nid)
                     assert sx.stmt_path(body, node) == (_ref_find(body, lambda n: n is node) or (None, None))[1]
         # the rewriter visits the same slots in the same order on two copies
         seen, ref_seen = [], []
@@ -556,7 +558,7 @@ def test_the_shape_table_names_every_field_that_can_hold_a_node():
 def test_a_checker_run_walks_no_ast(monkeypatch):
     # every way `syntax` goes over a tree, counted while a run is on
     state = {"in_run": False, "runs": 0, "warned": 0, "walks": []}
-    for name in ("_walk", "_find", "children", "local_refs", "map_exprs"):
+    for name in ("_walk", "children", "local_refs", "map_exprs"):
         original = getattr(sx, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
