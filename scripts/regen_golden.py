@@ -51,8 +51,8 @@ def main() -> int:
                     "kind": w.kind,
                     "line": w.line,
                     "resourceClass": w.resource_class,
-                    "state": fr.fix_status.get(w.id, ("unfixable", "unplanned"))[0],
-                    "detail": fr.fix_status.get(w.id, ("unfixable", "unplanned"))[1],
+                    "state": fr.fix_status[w.id][0],
+                    "detail": fr.fix_status[w.id][1],
                 }
                 for w in fr.w_xform
             ],

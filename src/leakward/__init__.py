@@ -19,10 +19,9 @@ from .pipeline import (
     PipelineConfig,
     PipelineReport,
     ShiftMap,
-    WarningSetPair,
     build_shift_map,
-    compute_metrics,
     run_pipeline,
+    score,
 )
 from .printer import pretty_print
 from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix, screen_fix
@@ -48,12 +47,10 @@ __all__ = [
     "Unfixable",
     "ValidationVerdict",
     "Warning",
-    "WarningSetPair",
     "WrapperClassification",
     "apply_plan_in_place",
     "build_shift_map",
     "check_program",
-    "compute_metrics",
     "field_to_local",
     "filter_constructor_first_writes",
     "finalize_fields",
@@ -68,6 +65,7 @@ __all__ = [
     "reject_final_writes",
     "run",
     "run_pipeline",
+    "score",
     "screen_fix",
     "validate_patch",
     "write_specs",

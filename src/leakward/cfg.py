@@ -597,34 +597,18 @@ class Lowerer:
             if kind == "local":
                 return tails, expr.name
             if kind == "field":
-                fld = self.cls.field_named(expr.name)
-                t = self.temp(fld.declared_type if fld else "?")
-                n = self.node(LoadField(t, THIS, expr.name, self.cls.name, ast_nid=expr.nid))
-                return self.connect(tails, n), t
+                return self.load_field(expr, tails, THIS, self.cls.name)
             if kind == "static-field":
-                decl_cls = self.program.class_named(info)
-                fld = decl_cls.field_named(expr.name) if decl_cls else None
-                t = self.temp(fld.declared_type if fld else "?")
-                n = self.node(LoadField(t, None, expr.name, info, ast_nid=expr.nid))
-                return self.connect(tails, n), t
+                return self.load_field(expr, tails, None, info)
             raise self.fail(expr, f"unresolved name {expr.name}")
         if isinstance(expr, sx.FieldRef):
             recv = expr.receiver
             if isinstance(recv, sx.VarRef):
                 kind, info = self.resolve_name(recv)
                 if kind == "class":
-                    decl_cls = self.program.class_named(info)
-                    fld = decl_cls.field_named(expr.name) if decl_cls else None
-                    t = self.temp(fld.declared_type if fld else "?")
-                    n = self.node(LoadField(t, None, expr.name, info, ast_nid=expr.nid))
-                    return self.connect(tails, n), t
+                    return self.load_field(expr, tails, None, info)
             tails, recv_op = self.lower_expr(recv, tails)
-            recv_type = self.operand_type(recv, recv_op)
-            decl_cls = self.program.class_named(recv_type)
-            fld = decl_cls.field_named(expr.name) if decl_cls else None
-            t = self.temp(fld.declared_type if fld else "?")
-            n = self.node(LoadField(t, recv_op, expr.name, recv_type, ast_nid=expr.nid))
-            return self.connect(tails, n), t
+            return self.load_field(expr, tails, recv_op, self.operand_type(recv, recv_op))
         if isinstance(expr, sx.New):
             arg_ops: list[str] = []
             for a in expr.args:
@@ -659,14 +643,20 @@ class Lowerer:
             n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, expr.nid, self.ordinals[expr.nid]))
             tails = self.connect(tails, n)
             self.add_throw_edges(n)
-            return tails, dst if dst is not None else self.null_temp(tails)[1]
+            return tails, dst if dst is not None else self.temp("?")
         if isinstance(expr, sx.Eq):
             raise self.fail(expr, "equality tests are only legal as conditions")
         raise AssertionError(f"unlowerable expression {expr!r}")  # pragma: no cover
 
-    def null_temp(self, tails: list[int]) -> tuple[list[int], str]:
-        t = self.temp("?")
-        return tails, t
+    def load_field(
+        self, expr: Union[sx.VarRef, sx.FieldRef], tails: list[int], recv: Optional[str], field_class: str
+    ) -> tuple[list[int], str]:
+        """Load `expr`'s field of `field_class` through `recv` (None if static)
+        into a temporary of the field's declared type ("?" when unknown)."""
+        decl_cls = self.program.class_named(field_class)
+        fld = decl_cls.field_named(expr.name) if decl_cls else None
+        t = self.temp(fld.declared_type if fld else "?")
+        return self.connect(tails, self.node(LoadField(t, recv, expr.name, field_class, ast_nid=expr.nid))), t
 
     def operand_type(self, expr: sx.Expr, op: str) -> str:
         """The declared type of `expr`, lowered to `op`: a local's by block

@@ -30,7 +30,7 @@ from . import memo
 from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
-from .interp import run as interp_run
+from .interp import DEFAULT_STEP_LIMIT, run as interp_run
 from .libspec import LibrarySpec, load_library_spec
 from .parser import parse
 from .pipeline import PipelineConfig, check_stage, fix_stage, run_pipeline, transform_stage
@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("file")
     p.add_argument("--libspec", required=True)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--step-limit", type=int, default=100_000)
+    p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("explain-escape", help="print escape routes for an allocation site")

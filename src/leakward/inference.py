@@ -79,7 +79,7 @@ def infer_specs(program: ProgramOrVersion, libspec: LibrarySpec) -> SpecSet:
                     methods = tuple(sorted(resource_must_call(fld.declared_type, specs, libspec)))
                     entries = specs.method_ensures.setdefault((cls.name, d.method.name), [])
                     if not any(e.field_name == fname for e in entries):
-                        entries.append(EnsuresEntry(field_name=fname, methods=methods, provenance="inferred"))
+                        entries.append(EnsuresEntry(field_name=fname, methods=methods))
                         changed = True
             # the class-level finalizer set: declared wins, else the best disposer
             declared_mc = specs.class_mustcall.get(cls.name)
@@ -146,7 +146,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                         f"{cls.name}: declared @MustCall{tuple(declared.methods)} vs {sorted(mc.methods)}"
                     )
             else:
-                ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)), provenance=mc.source)
+                ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)))
                 program.inherit_pos(ann, cls)
                 cls.annotations.append(ann)
         for fld in cls.fields:
@@ -159,9 +159,7 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                 if has_notowning:
                     raise AnnotationConflict(f"{cls.name}.{fld.name}: declared @NotOwning vs inferred @Owning")
                 if not has_owning:
-                    ann = sx.Annotation(
-                        kind=sx.OWNING, provenance=specs.field_provenance.get((cls.name, fld.name), "inferred")
-                    )
+                    ann = sx.Annotation(kind=sx.OWNING)
                     program.inherit_pos(ann, fld)
                     fld.annotations.insert(0, ann)
         for meth in cls.methods:
@@ -182,7 +180,6 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
                     kind=sx.ENSURES_CALLED_METHODS,
                     methods=tuple(sorted(entry.methods)),
                     target_field=entry.field_name,
-                    provenance=entry.provenance,
                 )
                 program.inherit_pos(ann, meth)
                 meth.annotations.append(ann)

@@ -9,8 +9,10 @@ warnings.
 same stages: `check_stage`, `transform_stage` and `fix_stage`.
 
 Metrics: shifted warnings in w_xform are mapped back to their root library
-warnings by following @Owning field assignment chains through constructors.
-Roots present in both sets are core leaks (CL); new roots are
+warnings by following @Owning field assignment chains through constructors
+(`build_shift_map`, per file); `score` groups a batch's w_xform warnings by
+root once, for the shift map, the metrics and the original warnings'
+dispositions. Roots present in both sets are core leaks (CL); new roots are
 transformation-exposed (XE); original warnings with no surviving root are
 transformation-resolved (XR). Each root with n shifted warnings of which k
 were fixed contributes k/n, in exact rational arithmetic, and the resolution
@@ -55,12 +57,6 @@ class PipelineConfig:
     enable_transforms: bool = True
     enable_fixer_enhancements: bool = True
     enable_overwrite_handling: bool = True
-
-
-@dataclass
-class WarningSetPair:
-    w_orig: list[Warning]
-    w_xform: list[Warning]
 
 
 @dataclass
@@ -124,27 +120,35 @@ class MetricsReport:
         return "\n".join([head, rule, row]) + "\n"
 
 
-def compute_metrics(
-    pair: WarningSetPair, shift_map: ShiftMap, dispositions: dict[str, tuple[str, str]]
-) -> MetricsReport:
-    """Weighted scoring: each root contributes k/n; XR counts resolved
-    originals. `dispositions` maps each w_xform warning id to
-    ("fixed", template) or ("unfixable", reason)."""
-    orig_ids = {w.id for w in pair.w_orig}
-    roots: dict[str, int] = {}
-    fixed: dict[str, int] = {}
-    for w in pair.w_xform:
-        root = shift_map.pairs.get(w.id, w.id)
-        roots[root] = roots.get(root, 0) + 1
-        state = dispositions.get(w.id, ("unfixable", "unplanned"))[0]
-        if state == "fixed":
-            fixed[root] = fixed.get(root, 0) + 1
-    cl_roots = sorted(r for r in roots if r in orig_ids)
-    xe_roots = sorted(r for r in roots if r not in orig_ids)
-    xr = len([i for i in orig_ids if i not in roots])
-    f_cl = sum((Fraction(fixed.get(r, 0), roots[r]) for r in cl_roots), Fraction(0))
-    f_xe = sum((Fraction(fixed.get(r, 0), roots[r]) for r in xe_roots), Fraction(0))
-    return MetricsReport(cl=len(cl_roots), xe=len(xe_roots), xr=xr, f_cl=f_cl, f_xe=f_xe)
+def score(
+    w_orig: list[Warning], w_xform: list[Warning], roots: dict[str, str], fix_status: dict[str, tuple[str, str]]
+) -> tuple[ShiftMap, MetricsReport, dict[str, tuple[str, str]]]:
+    """Weighted scoring of a batch: `roots` maps each w_xform warning id to
+    its root, and `fix_status` each to (state, detail). Groups each w_xform
+    warning's state under its root once; a root with n of them, k "fixed",
+    contributes k/n. Returns the shift map, the metrics, and each original
+    warning's disposition: ("fixed", "k/n") when all n were fixed, else
+    ("unfixable", the least detail of one not fixed), or
+    ("resolved-by-transform", "") when no w_xform warning has it as root."""
+    shifted: dict[str, list[tuple[str, str]]] = {}
+    for w in w_xform:
+        shifted.setdefault(roots[w.id], []).append(fix_status[w.id])
+    mult = {root: len(states) for root, states in shifted.items()}
+    fixed = {root: sum(st == "fixed" for st, _d in states) for root, states in shifted.items()}
+    orig_ids = {w.id for w in w_orig}
+    cl = len(orig_ids & mult.keys())
+    f_cl = sum((Fraction(fixed[r], n) for r, n in mult.items() if r in orig_ids), Fraction(0))
+    f_xe = sum((Fraction(fixed[r], n) for r, n in mult.items() if r not in orig_ids), Fraction(0))
+    metrics = MetricsReport(cl=cl, xe=len(mult) - cl, xr=len(orig_ids) - cl, f_cl=f_cl, f_xe=f_xe)
+    dispositions: dict[str, tuple[str, str]] = {}
+    for w in w_orig:
+        if w.id not in shifted:
+            dispositions[w.id] = ("resolved-by-transform", "")
+        elif fixed[w.id] == mult[w.id]:
+            dispositions[w.id] = ("fixed", f"{fixed[w.id]}/{mult[w.id]}")
+        else:
+            dispositions[w.id] = ("unfixable", min(d for st, d in shifted[w.id] if st != "fixed"))
+    return ShiftMap(pairs=roots, multiplicity=mult, fixed_counts=fixed), metrics, dispositions
 
 
 # --- shift map ---------------------------------------------------------------
@@ -156,8 +160,8 @@ def build_shift_map(
     specs: SpecSet,
     program: memo.ProgramOrVersion,
     libspec: LibrarySpec,
-) -> ShiftMap:
-    """Map each of one file's w_xform warnings to its root: a
+) -> dict[str, str]:
+    """Map each of one file's w_xform warning ids to its root's: a
     wrapper-allocation warning maps to the w_orig warning at the library
     allocation its @Owning field chain reaches inside the wrapper's
     constructors; overwrite warnings and library warnings map to themselves.
@@ -167,7 +171,6 @@ def build_shift_map(
     # the transforms edit in place, so an allocation keeps its site from w_orig to w_xform
     root_at_site = {w.site: w.id for w in w_orig if w.kind == UNSATISFIED_OBLIGATION and w.anchor_kind == "new"}
     pairs: dict[str, str] = {}
-    mult: dict[str, int] = {}
     for w in w_xform:
         root = w.id
         if w.kind == UNSATISFIED_OBLIGATION and version.program.class_named(w.resource_class):
@@ -182,8 +185,7 @@ def build_shift_map(
             if len(found) == 1:
                 root = next(iter(found))
         pairs[w.id] = root
-        mult[root] = mult.get(root, 0) + 1
-    return ShiftMap(pairs=pairs, multiplicity=mult, fixed_counts={})
+    return pairs
 
 
 def _chain_roots(
@@ -257,10 +259,8 @@ class FileResult(FixOutcome):
     w_xform: list[Warning]
     edit_log: EditLog
     specs: SpecSet
-    # the version of `transformed` that w_xform was checked on; `run_pipeline`
-    # reads it for the file's shift map and then drops it, so that a report
-    # holds no memo keys
-    version: Optional[memo.ProgramVersion] = dc_field(default=None, repr=False, compare=False)
+    roots: dict[str, str]  # w_xform warning id -> root id (`build_shift_map`)
+    shift_error: str = ""  # why the shift map was ambiguous, in which case each warning is its own root
 
 
 @dataclass
@@ -405,7 +405,10 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     `fix_stage` patches a copy of it. The stages read the parse through one
     `ProgramVersion` per state, so each state is hashed once: the transforms
     hand back a new version only when they edited, and `write_specs` keeps
-    the version, as no annotation it writes is read by a key."""
+    the version, as no annotation it writes is read by a key. The shift map
+    reads the last version, while its entries are current; when it is
+    ambiguous, each w_xform warning is its own root and `shift_error` says
+    why."""
     version = memo.ProgramVersion(program, libspec)
     # w_orig: the checker alone, no inferred specifications
     w_orig = check_stage(version, SpecSet.from_declared(program), libspec, config)
@@ -423,9 +426,13 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
 
     # stages 7-8: plan, apply, validate
     fixed = fix_stage(version, w_xform, libspec, config)
+    try:
+        roots, shift_error = build_shift_map(w_orig, w_xform, specs2, version, libspec), ""
+    except AmbiguousMapping as e:
+        roots, shift_error = {w.id: w.id for w in w_xform}, str(e)
     return FileResult(
         **vars(fixed), name=program.source_name, transformed=program, w_orig=w_orig, w_xform=w_xform,
-        edit_log=edit_log, specs=specs2, version=version,
+        edit_log=edit_log, specs=specs2, roots=roots, shift_error=shift_error,
     )
 
 
@@ -443,63 +450,28 @@ def run_pipeline(
     config = config or PipelineConfig()
     files: dict[str, FileResult] = {}
     errors: list[str] = []
-    shift_errors: list[str] = []
-    # roots never cross files, so each file's shift map is built on its own,
-    # right after its run, while its family's entries are current; an
-    # ambiguous one maps only that file's warnings to themselves
-    shift_map = ShiftMap(pairs={}, multiplicity={}, fixed_counts={})
     for name, text in sorted(sources):
         try:
-            fr = files[name] = run_file_pipeline(parse(text, name), libspec, config)
+            files[name] = run_file_pipeline(parse(text, name), libspec, config)
         except FILE_ERRORS as e:
             errors.append(f"{name}: {type(e).__name__}: {e}")
-            continue
-        version, fr.version = fr.version, None
-        try:
-            part = build_shift_map(fr.w_orig, fr.w_xform, fr.specs, version, libspec)
-        except AmbiguousMapping as e:
-            shift_errors.append(f"shift-map: {name}: {e}")  # an entry "{name}: ..." marks a file left out
-            part = ShiftMap(pairs={w.id: w.id for w in fr.w_xform}, multiplicity={}, fixed_counts={})
-            for w in fr.w_xform:
-                part.multiplicity[w.id] = part.multiplicity.get(w.id, 0) + 1
-        shift_map.pairs.update(part.pairs)
-        shift_map.multiplicity.update(part.multiplicity)
     bad_files = bool(errors)
-    errors += shift_errors
+    # prefixed, as an entry "{name}: ..." marks a file left out
+    errors += [f"shift-map: {name}: {fr.shift_error}" for name, fr in files.items() if fr.shift_error]
 
-    w_orig_all = [w for fr in files.values() for w in fr.w_orig]
-    w_xform_all = [w for fr in files.values() for w in fr.w_xform]
-
-    dispositions_xform: dict[str, tuple[str, str]] = {}
-    for fr in files.values():
-        for w in fr.w_xform:
-            dispositions_xform[w.id] = fr.fix_status.get(w.id, ("unfixable", "unplanned"))
-    # each root's shifted warnings' dispositions, grouped once
-    shifted: dict[str, list[tuple[str, str]]] = {}
-    for wid, root in shift_map.pairs.items():
-        shifted.setdefault(root, []).append(dispositions_xform.get(wid, ("", "")))
-    for root in shift_map.multiplicity:
-        shift_map.fixed_counts[root] = sum(1 for st, _d in shifted.get(root, ()) if st == "fixed")
-    metrics = compute_metrics(WarningSetPair(w_orig_all, w_xform_all), shift_map, dispositions_xform)
-
-    # per-original-warning dispositions: fixed / resolved-by-transform / unfixable
-    dispositions_orig: dict[str, tuple[str, str]] = {}
-    for w in w_orig_all:
-        if w.id not in shifted:
-            dispositions_orig[w.id] = ("resolved-by-transform", "")
-            continue
-        n = shift_map.multiplicity.get(w.id, 0)
-        k = shift_map.fixed_counts.get(w.id, 0)
-        if n > 0 and k == n:
-            dispositions_orig[w.id] = ("fixed", f"{k}/{n}")
-        else:
-            reasons = sorted(d for st, d in shifted[w.id] if st != "fixed")
-            dispositions_orig[w.id] = ("unfixable", reasons[0] if reasons else "unknown")
-
-    any_validation_failure = any(not fr.verdict.ok for fr in files.values())
-    any_unfixable = any(st in ("unfixable",) for fr in files.values() for st, _ in fr.fix_status.values()) or any(
-        st == "unfixable" for st, _ in dispositions_orig.values()
+    # roots never cross files, so one score of the batch is the per-file scores together
+    fix_status = {wid: status for fr in files.values() for wid, status in fr.fix_status.items()}
+    shift_map, metrics, dispositions_orig = score(
+        [w for fr in files.values() for w in fr.w_orig],
+        [w for fr in files.values() for w in fr.w_xform],
+        {wid: root for fr in files.values() for wid, root in fr.roots.items()},
+        fix_status,
     )
+
+    # an original not fully fixed has a shifted warning that is unfixable or
+    # failed validation, so the file statuses decide
+    any_validation_failure = any(not fr.verdict.ok for fr in files.values())
+    any_unfixable = any(st == "unfixable" for st, _d in fix_status.values())
     exit_code = 3 if any_validation_failure else 4 if bad_files else 2 if any_unfixable else 0
     return PipelineReport(
         files=files,

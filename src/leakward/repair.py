@@ -231,6 +231,8 @@ def plan_fix(
         if no_slot:
             return Unfixable(warning.id, NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
+        if tries and _holder_declared_in_try(path, tries, anchor):
+            tries = []  # the try's finally cannot name the holder: wrap the rest of its block instead
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
         if _holder_reassigned(path, tries, anchor, index):
             return Unfixable(warning.id, NO_IR_MATCH, detail="holder reassigned before the finally")
@@ -274,25 +276,51 @@ def _pre_close_nesting(path: sx.StmtPath, store: sx.Assign, finalizers: tuple[st
     return len(path) + 2 + nesting(close)
 
 
+def _holder(path: sx.StmtPath, anchor: sx.Node) -> Optional[str]:
+    """The local that the anchor's statement stores the allocation in, or
+    None when the allocation is nested (a wrap gives it a fresh holder)."""
+    block, idx = path[-1]
+    stmt = block.stmts[idx]
+    if isinstance(stmt, sx.LocalDecl) and stmt.init is anchor:
+        return stmt.name
+    if isinstance(stmt, sx.Assign) and isinstance(stmt.target, sx.VarRef) and stmt.value is anchor:
+        return stmt.target.name
+    return None
+
+
+def _covered_from(path: sx.StmtPath, tries: sx.StmtPath) -> int:
+    """Where on `path` the blocks a wrap's finally covers start: the
+    innermost try body for a CloseInFinally, the anchor's block for a
+    TryFinallyWrap."""
+    return (1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0])) if tries else len(path) - 1
+
+
+def _holder_declared_in_try(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
+    """Is the local a CloseInFinally would close declared inside the try
+    body, out of the finally's scope? A declaration at the anchor itself is
+    hoisted before the try; an earlier one is not, and a TryFinallyWrap
+    closes the local in its own block instead."""
+    var = _holder(path, anchor)
+    if var is None:
+        return False
+    earlier = [s for b, i in path[_covered_from(path, tries) :] for s in b.stmts[:i]]
+    return any(isinstance(s, sx.LocalDecl) and s.name == var for s in earlier)
+
+
 def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, index: sx.AstIndex) -> bool:
     """Is the local a wrap closes in its finally assigned again before the
     finally runs, so that the finally would close a later value instead?
     That is the rest of the anchor's block for a TryFinallyWrap, and the rest
     of each block from the innermost try body down to the anchor for a
-    CloseInFinally. A nested allocation gets a fresh holder.
+    CloseInFinally (`_covered_from`).
 
     Each assignment to the local in `index` is placed by its parents: the
     innermost block of `path` that holds it decides, by whether it comes
     after the path's statement there."""
-    block, idx = path[-1]
-    stmt = block.stmts[idx]
-    if isinstance(stmt, sx.LocalDecl) and stmt.init is anchor:
-        var = stmt.name
-    elif isinstance(stmt, sx.Assign) and isinstance(stmt.target, sx.VarRef) and stmt.value is anchor:
-        var = stmt.target.name
-    else:
+    var = _holder(path, anchor)
+    if var is None:
         return False
-    start = (1 + next(k for k, (b, _i) in enumerate(path) if b is tries[-1][0])) if tries else len(path) - 1
+    start = _covered_from(path, tries)
     levels = {id(b): k for k, (b, _i) in enumerate(path)}
     for assign in index.assigns.get(var, ()):
         node = assign

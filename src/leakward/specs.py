@@ -42,7 +42,6 @@ EMPTY_MUST_CALL = MustCallSet(methods=frozenset(), source="declared")
 class EnsuresEntry:
     field_name: str
     methods: tuple[str, ...]
-    provenance: str = "declared"
 
 
 @dataclass
@@ -71,7 +70,7 @@ class SpecSet:
                 for a in m.annotations:
                     if a.kind == sx.ENSURES_CALLED_METHODS:
                         specs.method_ensures.setdefault((c.name, m.name), []).append(
-                            EnsuresEntry(field_name=a.target_field or "", methods=a.methods, provenance="declared")
+                            EnsuresEntry(field_name=a.target_field or "", methods=a.methods)
                         )
         return specs
 
@@ -125,7 +124,7 @@ class SpecSet:
         for key, entries in data.get("ensures", {}).items():
             c, m = key.split(".", 1)
             specs.method_ensures[(c, m)] = [
-                EnsuresEntry(field_name=e["field"], methods=tuple(e["methods"]), provenance="inferred")
+                EnsuresEntry(field_name=e["field"], methods=tuple(e["methods"]))
                 for e in entries
             ]
         return specs

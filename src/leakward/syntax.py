@@ -64,7 +64,6 @@ class Annotation(Node):
     kind: str
     methods: tuple[str, ...] = ()
     target_field: Optional[str] = None
-    provenance: str = field(default="declared", compare=False)
 
 
 # --- expressions -----------------------------------------------------------

@@ -2,8 +2,9 @@
 names, by `from .m import _name` or by `m._name` on an imported module; the
 memo is the one caller of `cfg.lower`, `checker.method_run` the one
 builder of a `_MethodChecker`, and `Cfg.taint_of` the one solver of taint,
-over the start set it keeps; no field of a CFG or of an instruction is
-typed with an AST type."""
+over the start set it keeps; `run_file_pipeline` builds each file's shift
+map and `run_pipeline` makes the one `score` of a batch; no field of a CFG
+or of an instruction is typed with an AST type."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,15 @@ def test_only_the_cfg_cache_solves_taint():
     modules = sorted(PACKAGE.glob("*.py"))
     assert [c for path in modules for c in _callers(path, "cfg", "taint_starts")] == ["cfg.Cfg.taint_of"]
     assert {c for path in modules for c in _callers(path, "cfg", "taint")} == {"cfg.Cfg.taint_of"}
+
+
+def test_one_shift_map_per_file_and_one_score_per_batch():
+    """Warnings are grouped by root in `score` alone, over the roots each
+    file's run maps while its version is current."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    shift_maps = [c for path in modules for c in _callers(path, "pipeline", "build_shift_map")]
+    assert shift_maps == ["pipeline.run_file_pipeline"]
+    assert [c for path in modules for c in _callers(path, "pipeline", "score")] == ["pipeline.run_pipeline"]
 
 
 def test_the_caller_guard_sees_each_kind_of_call(tmp_path):

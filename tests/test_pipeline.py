@@ -22,11 +22,10 @@ from leakward.parser import parse
 from leakward.pipeline import (
     MetricsReport,
     PipelineConfig,
-    ShiftMap,
-    WarningSetPair,
-    compute_metrics,
+    build_shift_map,
     run_file_pipeline,
     run_pipeline,
+    score,
 )
 from leakward.printer import pretty_print
 
@@ -92,38 +91,54 @@ def test_empty_warning_universe_is_success():
 def test_weighted_fix_count_one_root_n4_k1():
     # one root with four shifted warnings (one fixed) plus one untouched
     # library warning in both sets: F_CL = 0.25, CL = 2, R = 0.125
-    pair = WarningSetPair(
-        w_orig=[_w("root"), _w("plain")],
-        w_xform=[_w("s1"), _w("s2"), _w("s3"), _w("s4"), _w("plain")],
-    )
-    shift = ShiftMap(
-        pairs={"s1": "root", "s2": "root", "s3": "root", "s4": "root", "plain": "plain"},
-        multiplicity={"root": 4, "plain": 1},
-        fixed_counts={},
-    )
-    dispositions = {
+    roots = {"s1": "root", "s2": "root", "s3": "root", "s4": "root", "plain": "plain"}
+    fix_status = {
         "s1": ("fixed", "TryFinallyWrap"),
         "s2": ("unfixable", "EscapesToField"),
-        "s3": ("unfixable", "EscapesToField"),
+        "s3": ("unfixable", "NoIrMatch"),
         "s4": ("unfixable", "EscapesToField"),
         "plain": ("unfixable", "EscapesToField"),
     }
-    m = compute_metrics(pair, shift, dispositions)
+    shift, m, dispositions = score(
+        [_w("root"), _w("plain")], [_w("s1"), _w("s2"), _w("s3"), _w("s4"), _w("plain")], roots, fix_status
+    )
     assert (m.cl, m.xe, m.xr) == (2, 0, 0)
     assert m.f_cl == Fraction(1, 4)
     assert m.resolution_rate == Fraction(1, 8)
+    assert shift.pairs == roots
+    assert shift.multiplicity == {"root": 4, "plain": 1}
+    assert shift.fixed_counts == {"root": 1, "plain": 0}
+    # the least detail of a shifted warning not fixed
+    assert dispositions == {"root": ("unfixable", "EscapesToField"), "plain": ("unfixable", "EscapesToField")}
 
 
 def test_half_credit_example():
     # a wrapper root with ten shifted warnings, five fixed: credit 0.5
     shifted = [f"s{i}" for i in range(10)]
-    pair = WarningSetPair(w_orig=[_w("root")], w_xform=[_w(s) for s in shifted])
-    shift = ShiftMap(
-        pairs={s: "root" for s in shifted}, multiplicity={"root": 10}, fixed_counts={}
-    )
-    dispositions = {s: ("fixed", "t") if i < 5 else ("unfixable", "r") for i, s in enumerate(shifted)}
-    m = compute_metrics(pair, shift, dispositions)
+    fix_status = {s: ("fixed", "t") if i < 5 else ("unfixable", "r") for i, s in enumerate(shifted)}
+    shift, m, dispositions = score([_w("root")], [_w(s) for s in shifted], {s: "root" for s in shifted}, fix_status)
     assert m.f_cl == Fraction(1, 2) and m.cl == 1
+    assert shift.multiplicity == {"root": 10} and shift.fixed_counts == {"root": 5}
+    assert dispositions == {"root": ("unfixable", "r")}
+
+
+def test_score_credits_fixed_exposed_and_resolved_roots():
+    # "root": both shifted warnings fixed; "new": a root only w_xform has
+    # (XE), its one warning failed validation; "gone": an original no
+    # w_xform warning maps to (XR)
+    roots = {"a": "root", "b": "root", "new": "new"}
+    fix_status = {
+        "a": ("fixed", "TryFinallyWrap"),
+        "b": ("fixed", "CloseInFinally"),
+        "new": ("validation-failed", "WarningSurvives"),
+        "fresh": ("unfixable", "IterationsExhausted"),  # a later round's warning, not in w_xform
+    }
+    shift, m, dispositions = score([_w("root"), _w("gone")], [_w("a"), _w("b"), _w("new")], roots, fix_status)
+    assert shift.multiplicity == {"root": 2, "new": 1}
+    assert shift.fixed_counts == {"root": 2, "new": 0}
+    assert (m.cl, m.xe, m.xr, m.f_cl, m.f_xe) == (1, 1, 1, 1, 0)
+    assert m.resolution_rate == Fraction(2, 3)
+    assert dispositions == {"root": ("fixed", "2/2"), "gone": ("resolved-by-transform", "")}
 
 
 def test_summary_table_layout():
@@ -151,13 +166,12 @@ def test_tempfile_file_resolves_fully(corpus_report):
     # 2 original warnings; one resolved by injection+shift, then the
     # shifted warning and the overwrite warning both fixed
     assert len(fr.w_orig) == 2
-    pair = WarningSetPair(w_orig=fr.w_orig, w_xform=fr.w_xform)
-    from leakward.pipeline import build_shift_map
-
-    shift = build_shift_map(fr.w_orig, fr.w_xform, fr.specs, fr.transformed, corpus_report_libspec(corpus_report))
-    dispositions = {w.id: fr.fix_status[w.id] for w in fr.w_xform}
-    m = compute_metrics(pair, shift, dispositions)
+    roots = build_shift_map(fr.w_orig, fr.w_xform, fr.specs, fr.transformed, corpus_report_libspec(corpus_report))
+    assert roots == fr.roots and fr.shift_error == ""
+    shift, m, dispositions = score(fr.w_orig, fr.w_xform, roots, fr.fix_status)
     assert m.resolution_rate == 1
+    assert shift.fixed_counts == shift.multiplicity
+    assert {st for st, _d in dispositions.values()} <= {"fixed", "resolved-by-transform"}
 
 
 def corpus_report_libspec(report):
@@ -248,11 +262,13 @@ def test_an_ambiguous_shift_map_stays_in_its_own_file(corpus_report, corpus_sour
     name, text = next(m for m in corpus_mutants() if m[0] == "shutdown_wrapper.duplicate4.mj")
     report = run_pipeline(corpus_sources + [(name, text)], libspec)
     assert [e.split(": ")[:2] for e in report.errors] == [["shift-map", name]]
+    assert report.errors == [f"shift-map: {name}: {report.files[name].shift_error}"]
     corpus = [fr for fr in report.files.values() if fr.name != name]
-    pair = WarningSetPair([w for fr in corpus for w in fr.w_orig], [w for fr in corpus for w in fr.w_xform])
-    dispositions = {w.id: fr.fix_status.get(w.id, ("unfixable", "unplanned")) for fr in corpus for w in fr.w_xform}
-    m = compute_metrics(pair, report.shift_map, dispositions)
+    fix_status = {wid: status for fr in corpus for wid, status in fr.fix_status.items()}
+    w_orig, w_xform = [w for fr in corpus for w in fr.w_orig], [w for fr in corpus for w in fr.w_xform]
+    shift, m, dispositions = score(w_orig, w_xform, report.shift_map.pairs, fix_status)
     assert (m.cl, m.xe, m.xr, m.f_cl, m.f_xe) == (18, 2, 5, 12, 2)
+    assert dispositions == {w.id: report.dispositions_orig[w.id] for w in w_orig}
     mutant_ids = {w.id for w in report.files[name].w_xform}
     assert {s: t for s, t in report.shift_map.pairs.items() if s not in mutant_ids} == corpus_report.shift_map.pairs
     # the mutant's own warnings are each their own root

@@ -204,6 +204,45 @@ def test_a_wrap_of_sixty_one_nested_ifs_is_unfixable_not_failed_validation():
     assert fr.verdict.ok and report.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ('try { FileInputStream s = null; s = new FileInputStream("b"); s.read(); }', TRY_FINALLY_WRAP),
+        (
+            'try { FileInputStream s = null; int c = 1; if (c == 1) { s = new FileInputStream("b"); s.read(); } }',
+            TRY_FINALLY_WRAP,
+        ),
+        ('FileInputStream s = null; try { s = new FileInputStream("b"); s.read(); }', CLOSE_IN_FINALLY),
+    ],
+    ids=["same-block", "enclosing-block", "before-the-try"],
+)
+def test_a_holder_declared_inside_the_try_is_closed_in_its_own_block(libspec, body, expected):
+    # the try's finally cannot name a `s` declared inside the try, so the
+    # repair wraps the rest of the assignment's block instead of closing there
+    src = f"class Main {{ static void main() {{ {body} finally {{ int x = 1; }} }} }}"
+    prog = parse(src, "h.mj")
+    specs = infer_specs(prog, libspec)
+    (w,) = check_program(prog, specs, libspec)
+    plan = _plan(w, prog, specs, lib=libspec)
+    assert isinstance(plan, RepairPlan) and plan.template == expected
+    report = run_pipeline([("h.mj", src)], libspec)
+    assert report.errors == [] and report.files["h.mj"].verdict.ok
+    assert report.files["h.mj"].fix_status == {w.id: ("fixed", expected)} and report.exit_code == 0
+
+
+def test_a_wrap_that_moves_a_holders_declaration_into_its_try_leaves_a_fixable_file(libspec):
+    # the first wrap moves `s`'s declaration into its try body; `s`'s own
+    # repair, planned after it in the same round, must not close it there
+    src = (
+        "class Main {\n static void main() {\n FileInputStream a = new FileInputStream(\"a\");\n"
+        ' FileInputStream s = null;\n s = new FileInputStream("b");\n a.read();\n s.read();\n }\n}\n'
+    )
+    report = run_pipeline([("h.mj", src)], libspec)
+    fr = report.files["h.mj"]
+    assert report.errors == [] and fr.verdict.ok and report.exit_code == 0
+    assert sorted(fr.fix_status.values()) == [("fixed", TRY_FINALLY_WRAP)] * 2
+
+
 def _overwrite_under_ifs(levels, target):
     """An owning field Socket overwritten `levels` ifs deep in W.reset."""
     opens = "if (p == null) {\n" * levels
