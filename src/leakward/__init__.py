@@ -25,7 +25,7 @@ from .pipeline import (
 )
 from .printer import pretty_print
 from .repair import RepairPlan, Unfixable, apply_plan_in_place, plan_fix, screen_fix
-from .specs import MustCallSet, SpecSet
+from .specs import SpecSet
 from .transforms import EditLog, field_to_local, finalize_fields, inject_finalizers
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "EscapeResult",
     "LibrarySpec",
     "MetricsReport",
-    "MustCallSet",
     "PipelineConfig",
     "PipelineReport",
     "RepairPlan",

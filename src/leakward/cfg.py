@@ -18,9 +18,10 @@ taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index, the reverse postorder and `solve`'s ranks and in-edge keys when the
-CFG is built, liveness and the taint of the values the escape analysis asks
-about on first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST:
+index, the reverse postorder, `solve`'s ranks and in-edge keys and the
+anchors lowered from each AST node (`Cfg.copies`) when the CFG is built,
+liveness and the taint of the values the escape analysis asks about on
+first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST:
 a warning's `Anchor` instruction carries its AST node's id and the warning
 ordinal the lowering numbers from its one `local_refs` walk. So the memo
 hands out the stored lowering itself on every hit.
@@ -146,6 +147,8 @@ class Cfg:
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # AST node id -> the anchors lowered from it, in node order
+    _copies: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
     # `solve`'s setup per direction (backward?): each node's rank in the
     # visiting order, and the (source, target) keys of the edges it meets
     _ranks: dict[bool, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -160,8 +163,9 @@ class Cfg:
     )
 
     def index_edges(self) -> None:
-        """Build the adjacency index, the reverse postorder and `solve`'s
-        ranks and in-edge keys; lowering calls it once `edges` is final."""
+        """Build the adjacency index, the reverse postorder, `solve`'s ranks
+        and in-edge keys, and the copies of each anchor (`copies`);
+        lowering calls it once `nodes` and `edges` are final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
@@ -181,6 +185,17 @@ class Cfg:
         preds, succs = self._pred[None], self._succ[None]
         self._in_keys[False] = [tuple(keys.setdefault((m, n), (m, n)) for m in ms) for n, ms in enumerate(preds)]
         self._in_keys[True] = [tuple(keys[(n, m)] for m in ms) for n, ms in enumerate(succs)]
+        copies: dict[int, list[int]] = {}
+        for n, ins in enumerate(self.nodes):
+            if isinstance(ins, (Alloc, Invoke, StoreField)):
+                copies.setdefault(ins.ast_nid, []).append(n)
+        self._copies = {nid: tuple(ns) for nid, ns in copies.items()}
+
+    def copies(self, ast_nid: int) -> tuple[int, ...]:
+        """The `Anchor` nodes lowered from the AST node `ast_nid`, in node
+        order; `()` when none is. A node inside a finally block has one copy
+        for each way out of its try (normal completion, exception, return)."""
+        return self._copies.get(ast_nid, ())
 
     def succs(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
         """Successors of `n` along edges of `kind` (any kind when None), in `edges` order."""

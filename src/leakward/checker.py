@@ -310,7 +310,7 @@ class _MethodChecker:
         return self.specs.must_call(class_name)
 
     def tracked(self, class_name: str) -> bool:
-        return bool(self.specs.must_call(class_name))  # `is_resource_type`
+        return bool(self.specs.must_call(class_name))  # a resource type: a nonempty must-call set
 
     def insufficient(self, origin: Origin, st: SiteState) -> bool:
         return not st.resolved and not st.called >= self.must_call_for(self.origin_class(origin))

@@ -25,8 +25,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import cfg as C
 from . import memo
+from . import syntax as sx
 from .errors import FILE_ERRORS, AnnotationConflict, StaleWarning
 from .escape import EscapeAnalyzer
 from .inference import infer_specs
@@ -202,12 +202,11 @@ def cmd_explain_escape(args: argparse.Namespace) -> int:
         analyzer = EscapeAnalyzer(version, _load_specs(args.specs, program), libspec)
         for cls in program.classes:
             for meth in cls.all_methods():
-                cfg = version.cfg(cls, meth)
-                node = next((n for n, i in enumerate(cfg.nodes) if isinstance(i, C.Alloc) and i.site == args.site), None)
-                if node is None:
-                    continue
-                result = analyzer.escapes_from(cfg, node)
-                print(f"site {args.site}: new {cfg.nodes[node].class_name} in {cls.name}.{cfg.method_name}")
+                new = next((e for e in sx.walk_exprs(meth.body) if isinstance(e, sx.New) and e.site == args.site), None)
+                result = analyzer.escapes_at(cls.name, sx.member_key(meth), new.nid) if new else None
+                if result is None:
+                    continue  # not in this member, or on no path from its entry
+                print(f"site {args.site}: new {new.class_name} in {cls.name}.{sx.member_key(meth)}")
                 print(f"escapes: {result.escapes}")
                 for r in result.routes:
                     print(f"  route {r.kind}: {r.detail}")

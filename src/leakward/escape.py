@@ -12,10 +12,12 @@ return, or non-wrapper-sink argument. Computed by running the escape engine
 from every load of f inside C.
 
 `EscapeAnalyzer` is the one surface: `escapes_at` answers for a warned
-allocation or call, `field_containment` for a field, and both share the
-analyzer's wrapper classifications. It reads every CFG from one
-`memo.ProgramVersion` of its program, the one it is handed or one taken of a
-bare program, so it shares the CFGs the checker lowered for that version.
+allocation or call, from every CFG node lowered from it (`Cfg.copies`: a
+finally block is lowered once per way out of its try), `field_containment`
+for a field, and both share the analyzer's wrapper classifications. It
+reads every CFG from one `memo.ProgramVersion` of its program, the one it
+is handed or one taken of a bare program, so it shares the CFGs the checker
+lowered for that version.
 
 Taint (which locals may hold a value, node by node) is solved once per
 lowering for every value a query here asks about (`Cfg.taint_of`), and
@@ -33,7 +35,7 @@ from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, version_of
-from .specs import SpecSet, finalizer_order, is_resource_type, member_return_ownership
+from .specs import SpecSet, finalizer_order, member_return_ownership, resource_must_call
 
 TO_FIELD = "ToField"
 RETURNED = "Returned"
@@ -165,7 +167,7 @@ class EscapeAnalyzer:
         for fld in cls.fields:
             if not fld.has("private") or fld.has("static"):
                 continue
-            if not is_resource_type(fld.declared_type, self.specs, self.libspec):
+            if not resource_must_call(fld.declared_type, self.specs, self.libspec):
                 continue
             if not self._assigned_in_some_ctor(cls, fld.name):
                 continue
@@ -185,8 +187,8 @@ class EscapeAnalyzer:
 
     def _finalizer_of(self, cls: sx.ClassDecl) -> Optional[str]:
         mc = self.specs.class_mustcall.get(cls.name)
-        if mc is not None and mc.methods:
-            return finalizer_order(mc.methods)[0]
+        if mc:
+            return finalizer_order(mc)[0]
         if cls.method_named("close") is not None:
             return "close"
         return None
@@ -208,16 +210,26 @@ class EscapeAnalyzer:
 
     def escapes_at(self, class_name: str, method_key: str, ast_nid: int) -> Optional[EscapeResult]:
         """Escape result for the value the allocation or call `ast_nid` defines
-        in member `method_key` of `class_name`; None when no such node defines one."""
+        in member `method_key` of `class_name`; None when no node defines one.
+        It reads every copy of the node (`Cfg.copies`): the routes and wrapper
+        sinks of all copies, each once, in first-seen order."""
         cls = self.program.class_named(class_name)
         meth = cls.member(method_key) if cls else None
         if meth is None:
             return None
         cfg = self.version.cfg(cls, meth)
-        for node, instr in enumerate(cfg.nodes):
-            if isinstance(instr, (C.Alloc, C.Invoke)) and instr.ast_nid == ast_nid and instr.dst:
-                return self.escapes_from(cfg, node)
-        return None
+        results = [
+            self.escapes_from(cfg, n)
+            for n in cfg.copies(ast_nid)
+            if isinstance(cfg.nodes[n], (C.Alloc, C.Invoke)) and cfg.nodes[n].dst  # type: ignore[union-attr]
+        ]
+        if not results:
+            return None
+        if len(results) == 1:
+            return results[0]
+        routes = list(dict.fromkeys(r for res in results for r in res.routes))
+        sinks = list(dict.fromkeys(s for res in results for s in res.wrapper_sinks))
+        return EscapeResult(escapes=bool(routes), routes=routes, wrapper_sinks=sinks)
 
     def escapes_from(self, cfg: C.Cfg, node: int) -> EscapeResult:
         """Escape result for the value node defines: an allocation, or the

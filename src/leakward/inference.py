@@ -29,9 +29,7 @@ from .specs import (
     NOT_OWNING,
     OWNING,
     EnsuresEntry,
-    MustCallSet,
     SpecSet,
-    is_resource_type,
     resource_must_call,
 )
 
@@ -52,15 +50,17 @@ class _Disposal:
 
 
 def infer_specs(program: ProgramOrVersion, libspec: LibrarySpec) -> SpecSet:
-    """Fixed point of R1-R3 over the whole program."""
+    """Fixed point of R1-R3 over the whole program, from the specs its
+    source declares, which no rule overwrites."""
     version = version_of(program, libspec)
     program = version.program
+    declared = SpecSet.from_declared(program)
     specs = SpecSet.from_declared(program)
     changed = True
     while changed:
         changed = False
         for cls in program.classes:
-            candidates = _resource_fields(cls, specs, libspec)
+            candidates = _resource_fields(cls, specs, declared, libspec)
             if not candidates:
                 continue
             disposals: list[_Disposal] = []
@@ -82,14 +82,12 @@ def infer_specs(program: ProgramOrVersion, libspec: LibrarySpec) -> SpecSet:
                         entries.append(EnsuresEntry(field_name=fname, methods=methods))
                         changed = True
             # the class-level finalizer set: declared wins, else the best disposer
-            declared_mc = specs.class_mustcall.get(cls.name)
-            if declared_mc is not None and declared_mc.source == "declared":
-                finalizers = set(declared_mc.methods)
+            if cls.name in declared.class_mustcall:
+                finalizers = declared.class_mustcall[cls.name]
             else:
-                best = _select_finalizer(disposals)
-                finalizers = {best.method.name}
-                if specs.class_mustcall.get(cls.name) != MustCallSet(frozenset(finalizers), "inferred"):
-                    specs.class_mustcall[cls.name] = MustCallSet(frozenset(finalizers), "inferred")
+                finalizers = frozenset({_select_finalizer(disposals).method.name})
+                if specs.class_mustcall.get(cls.name) != finalizers:
+                    specs.class_mustcall[cls.name] = finalizers
                     changed = True
             owned = set()
             for d in disposals:
@@ -97,25 +95,24 @@ def infer_specs(program: ProgramOrVersion, libspec: LibrarySpec) -> SpecSet:
                     owned |= d.fields
             for fname in sorted(owned):
                 key = (cls.name, fname)
-                if specs.field_provenance.get(key) == "declared":
+                if key in declared.field_ownership:
                     continue  # declared @Owning/@NotOwning wins
                 if specs.field_ownership.get(key) != OWNING:
                     specs.field_ownership[key] = OWNING
-                    specs.field_provenance[key] = "inferred"
                     changed = True
     return specs
 
 
-def _resource_fields(cls: sx.ClassDecl, specs: SpecSet, libspec: LibrarySpec) -> list[sx.FieldDecl]:
+def _resource_fields(
+    cls: sx.ClassDecl, specs: SpecSet, declared: SpecSet, libspec: LibrarySpec
+) -> list[sx.FieldDecl]:
     out = []
     for f in cls.fields:
         if not f.has("private"):
             continue  # only private fields are inference-eligible
-        if specs.field_provenance.get((cls.name, f.name)) == "declared" and specs.ownership(
-            cls.name, f.name
-        ) == NOT_OWNING:
+        if declared.field_ownership.get((cls.name, f.name)) == NOT_OWNING:
             continue
-        if is_resource_type(f.declared_type, specs, libspec):
+        if resource_must_call(f.declared_type, specs, libspec):
             out.append(f)
     return out
 
@@ -139,14 +136,14 @@ def write_specs(program: sx.Program, specs: SpecSet) -> None:
     for cls in program.classes:
         mc = specs.class_mustcall.get(cls.name)
         declared = sx.annotation_named(cls.annotations, sx.MUST_CALL)
-        if mc is not None and mc.methods:
+        if mc:
             if declared is not None:
-                if frozenset(declared.methods) != mc.methods:
+                if frozenset(declared.methods) != mc:
                     raise AnnotationConflict(
-                        f"{cls.name}: declared @MustCall{tuple(declared.methods)} vs {sorted(mc.methods)}"
+                        f"{cls.name}: declared @MustCall{tuple(declared.methods)} vs {sorted(mc)}"
                     )
             else:
-                ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc.methods)))
+                ann = sx.Annotation(kind=sx.MUST_CALL, methods=tuple(sorted(mc)))
                 program.inherit_pos(ann, cls)
                 cls.annotations.append(ann)
         for fld in cls.fields:

@@ -152,12 +152,6 @@ class _Env:
         env, _ = self.lookup(name)
         return env is not None
 
-    def get(self, name: str):
-        env, v = self.lookup(name)
-        if env is None:
-            raise MiniJRuntimeError("UnboundName", name)
-        return v
-
     def set_existing(self, name: str, value) -> bool:
         env: Optional[_Env] = self
         while env is not None:

@@ -178,7 +178,7 @@ def build_shift_map(
             if w.anchor_kind == "new":
                 cls = version.program.class_named(w.class_name)
                 cfg = version.cfg(cls, cls.member(w.method_name))
-                arity = next(len(ins.args) for ins in cfg.nodes if isinstance(ins, C.Alloc) and ins.site == w.site)
+                arity = len(cfg.nodes[cfg.copies(w.ast_nid)[0]].args)  # type: ignore[union-attr]
             found = _chain_roots(w.resource_class, arity, version, specs, root_at_site, set())
             if len(found) > 1:
                 raise AmbiguousMapping(f"warning {w.id} on {w.resource_class} reaches roots {sorted(found)}")
@@ -198,7 +198,8 @@ def _chain_roots(
 ) -> set[str]:
     """w_orig ids of library allocations reachable from the wrapper's @Owning
     field assignments in the constructor of the given arity (any arity when
-    None), found by the allocation's site."""
+    None), found by the allocation's site. An allocation's stores are those
+    of every copy of it (`Cfg.copies`)."""
     if wrapper in seen:
         return set()
     seen.add(wrapper)
@@ -212,13 +213,13 @@ def _chain_roots(
         if arity is not None and len(ctor.params) != arity:
             continue
         cfg = version.cfg(cls, ctor)
-        allocs = [(i, ins) for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.Alloc)]
-        seen_nids: set[int] = set()
-        for node, alloc in allocs:
-            if alloc.ast_nid in seen_nids:
-                continue  # finally duplication repeats instructions
-            seen_nids.add(alloc.ast_nid)
-            stores = tainted_stores(cfg, node, alloc.dst)
+        for node, alloc in enumerate(cfg.nodes):
+            if not isinstance(alloc, C.Alloc):
+                continue
+            copies = cfg.copies(alloc.ast_nid)
+            if copies[0] != node:
+                continue  # an allocation in a finally block is read once, over all its copies
+            stores = [s for n in copies for s in tainted_stores(cfg, n, cfg.nodes[n].dst)]  # type: ignore[union-attr]
             if not any(s.field in owning_fields and s.field_class == wrapper for s in stores):
                 continue
             if program.class_named(alloc.class_name) is not None:

@@ -59,7 +59,7 @@ from .escape import EscapeAnalyzer, PASSED_AS_ARG, RETURNED, STORED_IN_COLLECTIO
 from .memo import ProgramVersion
 from .parser import MAX_NESTING, nesting
 from .specs import finalizer_order, resource_must_call
-from .transforms import FreshNames
+from .transforms import FreshNames, finalizer_calls
 
 TRY_FINALLY_WRAP = "TryFinallyWrap"
 CLOSE_IN_FINALLY = "CloseInFinally"
@@ -369,20 +369,6 @@ def unified_diff_text(before: str, after: str, name: str) -> str:
     return "".join(lines)
 
 
-def _guarded_close(program: sx.Program, anchor: sx.Node, var: str, methods: tuple[str, ...]) -> sx.If:
-    calls: list[sx.Stmt] = []
-    for m in methods:
-        call = sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=var), method=m, args=[]))
-        calls.append(call)
-    guard = sx.If(
-        cond=sx.Eq(lhs=sx.VarRef(name=var), rhs=sx.NullLit(), negated=True),
-        then_block=sx.Block(stmts=calls),
-        else_block=None,
-    )
-    program.adopt(guard, anchor)
-    return guard
-
-
 def _apply_pre_close(program: sx.Program, plan: RepairPlan) -> None:
     store = plan.anchor
     block, idx = plan.path[-1]
@@ -473,7 +459,8 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
         hoisted = decl
         stmt = assign
 
-    guard = _guarded_close(program, stmt, var, plan.finalizer_methods)
+    (guard,) = finalizer_calls(var, plan.finalizer_methods, guarded=True)
+    program.adopt(guard, stmt)
 
     if plan.template == CLOSE_IN_FINALLY:
         try_block, try_idx = sx.try_slots(plan.path)[-1]

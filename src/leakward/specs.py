@@ -2,7 +2,10 @@
 
 A SpecSet aggregates @MustCall, field ownership, and @EnsuresCalledMethods
 facts for user classes, whether declared in source, inferred, or injected.
-Library classes are covered by LibrarySpec, not by SpecSet.
+Library classes are covered by LibrarySpec, not by SpecSet. An entry does
+not record where it came from: what the source declares is read from the
+program itself (`SpecSet.from_declared`). A class is a resource type when
+its must-call set (`resource_must_call`) is nonempty.
 
 A checker run reads its SpecSet through a `SpecReader`, and so does it the
 ownership facts of the AST that the memo's lowering digest leaves out: a
@@ -26,18 +29,6 @@ OWNING = "owning"
 NOT_OWNING = "notowning"
 
 
-@dataclass(frozen=True)
-class MustCallSet:
-    methods: frozenset[str]
-    source: str  # library | declared | inferred | injected
-
-    def __bool__(self) -> bool:
-        return bool(self.methods)
-
-
-EMPTY_MUST_CALL = MustCallSet(methods=frozenset(), source="declared")
-
-
 @dataclass
 class EnsuresEntry:
     field_name: str
@@ -46,9 +37,8 @@ class EnsuresEntry:
 
 @dataclass
 class SpecSet:
-    class_mustcall: dict[str, MustCallSet] = field(default_factory=dict)
+    class_mustcall: dict[str, frozenset[str]] = field(default_factory=dict)
     field_ownership: dict[tuple[str, str], str] = field(default_factory=dict)
-    field_provenance: dict[tuple[str, str], str] = field(default_factory=dict)
     method_ensures: dict[tuple[str, str], list[EnsuresEntry]] = field(default_factory=dict)
 
     @classmethod
@@ -58,14 +48,12 @@ class SpecSet:
         for c in program.classes:
             ann = sx.annotation_named(c.annotations, sx.MUST_CALL)
             if ann is not None:
-                specs.class_mustcall[c.name] = MustCallSet(frozenset(ann.methods), source="declared")
+                specs.class_mustcall[c.name] = frozenset(ann.methods)
             for f in c.fields:
                 if sx.annotation_named(f.annotations, sx.OWNING):
                     specs.field_ownership[(c.name, f.name)] = OWNING
-                    specs.field_provenance[(c.name, f.name)] = "declared"
                 elif sx.annotation_named(f.annotations, sx.NOT_OWNING):
                     specs.field_ownership[(c.name, f.name)] = NOT_OWNING
-                    specs.field_provenance[(c.name, f.name)] = "declared"
             for m in c.all_methods():
                 for a in m.annotations:
                     if a.kind == sx.ENSURES_CALLED_METHODS:
@@ -82,7 +70,6 @@ class SpecSet:
         return SpecSet(
             class_mustcall={c: mc for c, mc in self.class_mustcall.items() if c == name},
             field_ownership={k: v for k, v in self.field_ownership.items() if k[0] == name},
-            field_provenance={k: v for k, v in self.field_provenance.items() if k[0] == name},
             method_ensures={k: v for k, v in self.method_ensures.items() if k[0] == name},
         )
 
@@ -90,16 +77,15 @@ class SpecSet:
         """Take every entry of `other`, replacing those of the same class and member."""
         self.class_mustcall.update(other.class_mustcall)
         self.field_ownership.update(other.field_ownership)
-        self.field_provenance.update(other.field_provenance)
         self.method_ensures.update(other.method_ensures)
 
     # --- JSON wire format (External Interfaces) ---
 
     def to_json(self) -> dict:
         classes = {
-            name: {"mustCall": sorted(mc.methods)}
+            name: {"mustCall": sorted(mc)}
             for name, mc in sorted(self.class_mustcall.items())
-            if mc.methods
+            if mc
         }
         fields = {
             f"{c}.{f}": own for (c, f), own in sorted(self.field_ownership.items())
@@ -116,11 +102,10 @@ class SpecSet:
     def from_json(cls, data: dict) -> "SpecSet":
         specs = cls()
         for name, entry in data.get("classes", {}).items():
-            specs.class_mustcall[name] = MustCallSet(frozenset(entry.get("mustCall", [])), source="inferred")
+            specs.class_mustcall[name] = frozenset(entry.get("mustCall", []))
         for key, own in data.get("fields", {}).items():
             c, f = key.split(".", 1)
             specs.field_ownership[(c, f)] = own
-            specs.field_provenance[(c, f)] = "inferred"
         for key, entries in data.get("ensures", {}).items():
             c, m = key.split(".", 1)
             specs.method_ensures[(c, m)] = [
@@ -130,16 +115,12 @@ class SpecSet:
         return specs
 
 
-def is_resource_type(class_name: str, specs: SpecSet, libspec: LibrarySpec) -> bool:
-    if libspec.has_class(class_name):
-        return bool(libspec.must_call(class_name))
-    return bool(specs.class_mustcall.get(class_name, EMPTY_MUST_CALL).methods)
-
-
 def resource_must_call(class_name: str, specs: SpecSet, libspec: LibrarySpec) -> frozenset[str]:
+    """The must-call methods of `class_name`; a class is a resource type
+    when this is nonempty."""
     if libspec.has_class(class_name):
         return libspec.must_call(class_name)
-    return specs.class_mustcall.get(class_name, EMPTY_MUST_CALL).methods
+    return specs.class_mustcall.get(class_name, frozenset())
 
 
 def finalizer_order(methods: Iterable[str]) -> tuple[str, ...]:

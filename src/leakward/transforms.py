@@ -24,7 +24,7 @@ alone keeps it. `field_to_local`, which does not analyse, returns the program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import cfg as C
 from . import syntax as sx
@@ -307,26 +307,16 @@ def _warned_ctor_fields(
     version: ProgramVersion, cls: sx.ClassDecl, warnings: list[Warning]
 ) -> list[tuple[str, list[str]]]:
     """Instance fields of cls receiving a warned constructor allocation, in
-    field declaration order, with the driving warning ids."""
-    ctor_keys = {sx.member_key(c) for c in cls.constructors}
-    ws = [
-        w
-        for w in warnings
-        if w.kind == "UnsatisfiedObligation"
-        and w.class_name == cls.name
-        and w.method_name in ctor_keys
-        and w.anchor_kind == "new"
-    ]
-    if not ws:
-        return []
+    field declaration order, with the driving warning ids. Each warning is
+    read in its own constructor's CFG, at every copy of its allocation."""
+    ctors = {sx.member_key(c): c for c in cls.constructors}
     hits: dict[str, list[str]] = {}
-    for ctor in cls.constructors:
+    for w in warnings:
+        ctor = ctors.get(w.method_name)
+        if w.kind != "UnsatisfiedObligation" or w.class_name != cls.name or ctor is None or w.anchor_kind != "new":
+            continue
         cfg = version.cfg(cls, ctor)
-        sites = {ins.site: i for i, ins in enumerate(cfg.nodes) if isinstance(ins, C.Alloc)}
-        for w in ws:
-            if w.site not in sites:
-                continue
-            node = sites[w.site]
+        for node in cfg.copies(w.ast_nid):
             for ins in tainted_stores(cfg, node, cfg.nodes[node].dst):  # type: ignore[union-attr]
                 if ins.recv == C.THIS and ins.field_class == cls.name:
                     fld = cls.field_named(ins.field)
@@ -334,6 +324,19 @@ def _warned_ctor_fields(
                         hits.setdefault(ins.field, []).append(w.id)
     order = {f.name: i for i, f in enumerate(cls.fields)}
     return sorted(((f, sorted(set(ids))) for f, ids in hits.items()), key=lambda kv: order.get(kv[0], 99))
+
+
+def finalizer_calls(var: str, methods: Iterable[str], guarded: bool) -> list[sx.Stmt]:
+    """`var.m();` for each of `methods`, in order; when `guarded`, one
+    `if (var != null) { … }` around them. An injected close() and a
+    repair's close build their calls here."""
+    calls: list[sx.Stmt] = [
+        sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=var), method=m, args=[])) for m in methods
+    ]
+    if not guarded:
+        return calls
+    cond = sx.Eq(lhs=sx.VarRef(name=var), rhs=sx.NullLit(), negated=True)
+    return [sx.If(cond=cond, then_block=sx.Block(stmts=calls), else_block=None)]
 
 
 def _apply_inject(
@@ -355,20 +358,10 @@ def _apply_inject(
             and all(isinstance(st.value, sx.New) for st in sx.stores_to_field(cls, ctor, cls.name, fname))
             for ctor in cls.constructors
         )
-        calls: list[sx.Stmt] = [
-            sx.ExprStmt(expr=sx.Call(receiver=sx.VarRef(name=fname), method=d, args=[]))
-            for d in finalizer_order(resource_must_call(fld.declared_type, specs, version.libspec))
-        ]
-        if never_null:
-            stmts.extend(calls)
-        else:
+        methods = finalizer_order(resource_must_call(fld.declared_type, specs, version.libspec))
+        stmts.extend(finalizer_calls(fname, methods, guarded=not never_null))
+        if not never_null:
             guarded.append(fname)
-            guard = sx.If(
-                cond=sx.Eq(lhs=sx.VarRef(name=fname), rhs=sx.NullLit(), negated=True),
-                then_block=sx.Block(stmts=calls),
-                else_block=None,
-            )
-            stmts.append(guard)
     body = sx.Block(stmts=stmts)
     close = sx.MethodDecl(
         name="close", params=[], return_type="void", body=body, annotations=[], modifiers=("public",)

@@ -265,8 +265,8 @@ def test_acceptance_9_end_to_end_dispositions(corpus_sources, libspec, golden_di
                 "kind": w.kind,
                 "line": w.line,
                 "resourceClass": w.resource_class,
-                "state": fr.fix_status.get(w.id, ("unfixable", "unplanned"))[0],
-                "detail": fr.fix_status.get(w.id, ("unfixable", "unplanned"))[1],
+                "state": fr.fix_status[w.id][0],
+                "detail": fr.fix_status[w.id][1],
             }
             for w in fr.w_xform
         ]

@@ -41,7 +41,7 @@ from leakward.libspec import LibrarySpec
 from leakward.parser import parse
 from leakward.pipeline import FixOutcome, PipelineConfig, check_stage, run_file_pipeline, run_pipeline, transform_stage
 from leakward.printer import pretty_print
-from leakward.specs import MustCallSet, SpecReader, SpecSet
+from leakward.specs import SpecReader, SpecSet
 
 LOWER = C.lower
 
@@ -715,7 +715,7 @@ def test_a_spec_change_to_a_class_a_member_never_reads_leaves_its_run_a_hit(libs
     declared = SpecSet.from_declared(prog)
     check_program(prog, declared, libspec)
     w_is_resource = SpecSet.from_declared(prog)
-    w_is_resource.class_mustcall["W"] = MustCallSet(frozenset({"close"}), "inferred")
+    w_is_resource.class_mustcall["W"] = frozenset({"close"})
     lowered, ran = _work_by_member(monkeypatch)
     assert check_program(prog, w_is_resource, libspec) == check_program(prog, declared, libspec)
     # only `main` allocates a W; `W.<init>` reads W.s's ownership, which is unchanged

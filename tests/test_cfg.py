@@ -9,6 +9,7 @@ from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
 from leakward import memo
+from leakward import syntax as sx
 from leakward.errors import FILE_ERRORS
 from leakward.errors import SyntaxError as MiniJSyntaxError
 from leakward.fuzz import fuzz_libspec, generate_source
@@ -114,6 +115,44 @@ def test_finally_removal_disconnects_exit():
         reach.add(n)
         work.extend(g.succs(n))
     assert g.exit not in reach
+
+
+TRY_FINALLY_COPIES = """class A {
+  static PrintStream keep;
+  static int m(int c) {
+    PrintStream s = null;
+    try {
+      if (c == 1) {
+        return 1;
+      }
+      keep.println("x");
+    } finally {
+      s = new PrintStream("a");
+    }
+    keep = s;
+    return 0;
+  }
+}
+"""
+
+
+def test_copies_lists_every_lowering_of_a_finally_allocation_in_node_order():
+    prog = parse(TRY_FINALLY_COPIES, "t.mj")
+    cls = prog.class_named("A")
+    meth = cls.method_named("m")
+    g = C.lower(prog, cls, meth, LIB)
+    (new,) = [e for e in sx.walk_exprs(meth.body) if isinstance(e, sx.New)]
+    copies = g.copies(new.nid)
+    assert copies == tuple(n for n, ins in enumerate(g.nodes) if isinstance(ins, C.Alloc))
+    assert len(copies) == 3 and list(copies) == sorted(copies)
+    (store,) = [n for n, ins in enumerate(g.nodes) if isinstance(ins, C.StoreField)]
+
+    def way_out(n):
+        after = g.reachable(g.succs(n, C.NORMAL), C.NORMAL)
+        return "normal" if store in after else "return" if g.exit in after else "exceptional"
+
+    assert sorted(map(way_out, copies)) == ["exceptional", "normal", "return"]
+    assert g.copies(-2) == () and g.copies(meth.nid) == ()
 
 
 def test_exit_has_no_successors():

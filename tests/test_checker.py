@@ -11,7 +11,7 @@ from leakward.checker import (
 )
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
-from leakward.specs import MustCallSet, SpecSet, resource_must_call
+from leakward.specs import SpecSet, resource_must_call
 
 LIB = load_library_spec(
     """
@@ -307,7 +307,7 @@ def _overwrite_case(
     prog = parse(src, "w.mj")
     specs = SpecSet.from_declared(prog)
     specs.field_ownership[("W", "f")] = "owning"
-    specs.class_mustcall["W"] = MustCallSet(frozenset({"close"}), "inferred")
+    specs.class_mustcall["W"] = frozenset({"close"})
     warnings = check_program(prog, specs, LIB)
     ctor_overwrites = [
         w for w in warnings if w.kind == OWNING_FIELD_OVERWRITE and w.method_name.startswith("<init>")
@@ -400,7 +400,7 @@ def test_filter_never_drops_non_constructor_overwrites():
 """
     prog = parse(src, "w.mj")
     specs = SpecSet.from_declared(prog)
-    specs.class_mustcall["W"] = MustCallSet(frozenset({"close"}), "inferred")
+    specs.class_mustcall["W"] = frozenset({"close"})
     ws = check_program(prog, specs, LIB)
     overwrites = [w for w in ws if w.kind == OWNING_FIELD_OVERWRITE]
     assert overwrites

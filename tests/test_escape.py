@@ -224,6 +224,41 @@ def test_escape_returned_route():
     assert result.escapes and result.routes[0].kind == "Returned"
 
 
+def test_escape_reads_every_copy_of_an_allocation_in_a_finally():
+    # the finally is lowered once per way out of the try (here normal
+    # completion and the return): only one copy reaches the store and the
+    # return after the try
+    src = """class Box {
+  static Socket kept;
+}
+class Main {
+  static Socket m(int c) {
+    Socket s = null;
+    try {
+      if (c == 1) {
+        return null;
+      }
+    } finally {
+      s = new Socket();
+    }
+    Box.kept = s;
+    return s;
+  }
+  static void main() {
+  }
+}
+"""
+    prog = parse(src, "e.mj")
+    analyzer = _analyzer(prog)
+    meth = prog.class_named("Main").member("m")
+    (new,) = [n for n in sx.walk_nodes(meth) if isinstance(n, sx.New)]
+    result = analyzer.escapes_at("Main", "m", new.nid)
+    assert result.escapes and [(r.kind, r.detail) for r in result.routes] == [("ToField", "Box.kept"), ("Returned", "m")]
+    g = analyzer.version.cfg(prog.class_named("Main"), meth)
+    per_copy = [analyzer.escapes_from(g, n).routes for n in g.copies(new.nid)]
+    assert len(per_copy) == 2 and per_copy[0] == []  # the return path's copy comes first
+
+
 def test_escape_collection_route():
     src = """class Main {
   static void main() {

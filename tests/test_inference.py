@@ -43,7 +43,7 @@ def test_writer_inference_results():
     prog = parse(WRITER_SRC, "writer_wrapper.mj")
     specs = infer_specs(prog, LIB)
     assert specs.field_ownership[("MyWriter", "pw")] == "owning"
-    assert specs.class_mustcall["MyWriter"].methods == frozenset({"close"})
+    assert specs.class_mustcall["MyWriter"] == frozenset({"close"})
     entries = specs.method_ensures[("MyWriter", "close")]
     assert [(e.field_name, e.methods) for e in entries] == [("pw", ("close",))]
 
@@ -77,7 +77,7 @@ def test_shutdown_named_finalizer():
 }
 """
     specs = infer_specs(parse(src), LIB)
-    assert specs.class_mustcall["Channel"].methods == frozenset({"shutdown"})
+    assert specs.class_mustcall["Channel"] == frozenset({"shutdown"})
     assert specs.field_ownership[("Channel", "link")] == "owning"
 
 
@@ -181,7 +181,7 @@ def test_finalizer_selection_prefers_largest_then_close():
 }
 """
     specs = infer_specs(parse(src), LIB)
-    assert specs.class_mustcall["Two"].methods == frozenset({"close"})
+    assert specs.class_mustcall["Two"] == frozenset({"close"})
     assert specs.field_ownership[("Two", "a")] == "owning"
     assert specs.field_ownership[("Two", "b")] == "owning"
 
@@ -209,8 +209,8 @@ class Outer {
 }
 """
     specs = infer_specs(parse(src), LIB)
-    assert specs.class_mustcall["Inner"].methods == frozenset({"shutdown"})
-    assert specs.class_mustcall["Outer"].methods == frozenset({"close"})
+    assert specs.class_mustcall["Inner"] == frozenset({"shutdown"})
+    assert specs.class_mustcall["Outer"] == frozenset({"close"})
     assert specs.field_ownership[("Outer", "inner")] == "owning"
 
 
@@ -232,7 +232,7 @@ class Fixed {
 """
     prog = parse(src)
     specs = infer_specs(prog, LIB)
-    assert specs.class_mustcall["Fixed"].methods == frozenset({"shutdown"})
+    assert specs.class_mustcall["Fixed"] == frozenset({"shutdown"})
     assert specs.ownership("Fixed", "s") == "notowning"
     # and write_specs must keep the declared text verbatim
     write_specs(prog, specs)
@@ -256,9 +256,7 @@ def test_write_specs_idempotent_and_empty_noop():
 def test_write_specs_conflict_detected():
     prog = parse('@MustCall("close")\nclass W { void close() { } }')
     foreign = SpecSet()
-    from leakward.specs import MustCallSet
-
-    foreign.class_mustcall["W"] = MustCallSet(frozenset({"shutdown"}), "inferred")
+    foreign.class_mustcall["W"] = frozenset({"shutdown"})
     with pytest.raises(AnnotationConflict):
         write_specs(prog, foreign)
 

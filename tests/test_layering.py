@@ -4,7 +4,8 @@ memo is the one caller of `cfg.lower`, `checker.method_run` the one
 builder of a `_MethodChecker`, and `Cfg.taint_of` the one solver of taint,
 over the start set it keeps; `run_file_pipeline` builds each file's shift
 map and `run_pipeline` makes the one `score` of a batch; no field of a CFG
-or of an instruction is typed with an AST type."""
+or of an instruction is typed with an AST type; `Cfg.copies` is the one way
+from an AST node to the CFG nodes lowered from it."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,33 @@ def test_the_guard_sees_both_kinds_of_reach(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from . import syntax as sx\nfrom .checker import _meet, Warning\nx = sx._find\ny = sx.anchors\n")
     assert _private_reaches(bad) == ["bad.py:2 imports _meet from checker", "bad.py:3 reads sx._find"]
+
+
+def _ast_nid_tests(path: Path) -> list[str]:
+    """Where `path` compares an `ast_nid` (`==`, `!=`, `in`, `not in`), each
+    named by file and line."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ast.Attribute) and op.attr == "ast_nid" for op in (node.left, *node.comparators))
+    ]
+
+
+def test_only_the_cfg_finds_the_nodes_lowered_from_an_ast_node():
+    """A `new` in a finally block has one CFG node per way out of the try;
+    a caller that scans for the first or the last of them reads one path
+    only, so each reads them all through `Cfg.copies`."""
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "cfg.py"]
+    assert len(modules) > 10
+    assert [hit for path in modules for hit in _ast_nid_tests(path)] == []
+
+
+def test_the_ast_nid_guard_sees_each_kind_of_test(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("a = i.ast_nid == n\nb = n != i.ast_nid\nc = i.ast_nid in seen\nd = f(i.ast_nid) == 1\n")
+    assert _ast_nid_tests(bad) == ["bad.py:1", "bad.py:2", "bad.py:3"]
 
 
 def _callers(path: Path, module: str, name: str) -> list[str]:

@@ -375,6 +375,75 @@ def test_store_to_field_beside_a_shadowing_local_is_pre_closed(libspec, transfor
     assert fr.verdict.ok and report.metrics.xr == 0
 
 
+# A `new` in a finally block is lowered once for each way out of the try;
+# these read every copy (`Cfg.copies`), not only the first or the last.
+ESCAPES_FROM_A_FINALLY = """class P {
+  static FileInputStream keep;
+  static int pick(int c) {
+    FileInputStream s = null;
+    try {
+      if (c == 1) {
+        return 1;
+      }
+    } finally {
+      s = new FileInputStream("a");
+    }
+    keep = s;
+    return 0;
+  }
+  static void main() {
+    P.pick(1);
+    P.pick(0);
+    keep.read();
+  }
+}
+"""
+
+WRAPPER_FILLED_IN_A_FINALLY = """class W {
+  private FileInputStream s;
+
+  W(FileInputStream x) {
+    FileInputStream t = null;
+    try {
+      x.read();
+    } finally {
+      t = new FileInputStream("a");
+    }
+    s = t;
+  }
+  void use() {
+    s.read();
+  }
+}
+class M {
+  static void main() {
+    FileInputStream f = new FileInputStream("b");
+    W w = new W(f);
+    w.use();
+    f.close();
+  }
+}
+"""
+
+
+def test_an_allocation_in_a_finally_that_escapes_on_one_path_is_unfixable(libspec):
+    # the return path's copy does not reach `keep = s`; the normal path's does
+    report = run_pipeline([("pick.mj", ESCAPES_FROM_A_FINALLY)], libspec)
+    fr = report.files["pick.mj"]
+    (w,) = fr.w_xform
+    assert fr.fix_status == {w.id: ("unfixable", "EscapesToField")}
+    assert fr.verdict.ok and fr.diff == "" and report.exit_code == 2
+
+
+def test_a_wrapper_field_filled_in_a_finally_gets_an_injected_close(libspec):
+    # the exceptional path's copy never reaches `s = t`; the normal path's does
+    report = run_pipeline([("w.mj", WRAPPER_FILLED_IN_A_FINALLY)], libspec)
+    fr = report.files["w.mj"]
+    (inject,) = [e for e in fr.edit_log.entries if e.transform == "inject_finalizer"]
+    assert inject.class_name == "W" and inject.meta["fields"] == ["s"]
+    assert fr.verdict.ok and report.metrics.percent == 100
+
+
 # --- ablation flags exist and change behavior ---
 
 
