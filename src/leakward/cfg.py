@@ -18,13 +18,14 @@ taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index, the reverse postorder, `solve`'s ranks and in-edge keys and the
-anchors lowered from each AST node (`Cfg.copies`) when the CFG is built,
-liveness and the taint of the values the escape analysis asks about on
-first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST:
-a warning's `Anchor` instruction carries its AST node's id and the warning
-ordinal the lowering numbers from its one `local_refs` walk. So the memo
-hands out the stored lowering itself on every hit.
+index, the reverse postorder, `solve`'s ranks and in-edge keys, the join
+nodes, the anchors lowered from each AST node (`Cfg.copies`) and the nodes a
+value can escape through (`Cfg.sinks`) when the CFG is built, liveness and
+the taint of the values the escape analysis asks about on first use
+(`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor`
+instruction carries its AST node's id and the warning ordinal the lowering
+numbers from its one `local_refs` walk. So the memo hands out the stored
+lowering itself on every hit.
 """
 
 from __future__ import annotations
@@ -149,6 +150,10 @@ class Cfg:
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order
     _copies: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the nodes that store, return or pass a local, in node order
+    sinks: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # the nodes with in-edges from more than one node, where a forward solve meets facts
+    joins: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
     # `solve`'s setup per direction (backward?): each node's rank in the
     # visiting order, and the (source, target) keys of the edges it meets
     _ranks: dict[bool, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -163,9 +168,9 @@ class Cfg:
     )
 
     def index_edges(self) -> None:
-        """Build the adjacency index, the reverse postorder, `solve`'s ranks
-        and in-edge keys, and the copies of each anchor (`copies`);
-        lowering calls it once `nodes` and `edges` are final."""
+        """Build the adjacency index, the reverse postorder, the joins,
+        `solve`'s ranks and in-edge keys, `copies` and `sinks`; lowering
+        calls it once `nodes` and `edges` are final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
@@ -176,6 +181,7 @@ class Cfg:
             pred[k][t].append(f)
         self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
         self._rpo = self._reverse_postorder()
+        self.joins = frozenset(n for n, ps in enumerate(self._pred[None]) if len(set(ps)) > 1)
         for backward in (False, True):
             rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # nodes unreachable from entry go last
             for i, n in enumerate(reversed(self._rpo) if backward else self._rpo):
@@ -186,10 +192,14 @@ class Cfg:
         self._in_keys[False] = [tuple(keys.setdefault((m, n), (m, n)) for m in ms) for n, ms in enumerate(preds)]
         self._in_keys[True] = [tuple(keys[(n, m)] for m in ms) for n, ms in enumerate(succs)]
         copies: dict[int, list[int]] = {}
+        sinks: list[int] = []
         for n, ins in enumerate(self.nodes):
             if isinstance(ins, (Alloc, Invoke, StoreField)):
                 copies.setdefault(ins.ast_nid, []).append(n)
+            if isinstance(ins, (StoreField, ReturnVal)) or (isinstance(ins, (Alloc, Invoke)) and ins.args):
+                sinks.append(n)
         self._copies = {nid: tuple(ns) for nid, ns in copies.items()}
+        self.sinks = tuple(sinks)
 
     def copies(self, ast_nid: int) -> tuple[int, ...]:
         """The `Anchor` nodes lowered from the AST node `ast_nid`, in node

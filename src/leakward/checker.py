@@ -15,7 +15,9 @@ be overwritten (the compile gate enforces the single write), so their stores
 never raise overwrite warnings.
 
 Obligation states live in a lattice per allocation origin: (called-set,
-resolved-flag) with meet = (intersection, and). Each local carries the set of
+resolved-flag) with meet = (intersection, and). Crediting resolves an origin
+once its called-set covers the must-call set, so "unresolved" is the whole
+leak test. Each local carries the set of
 origins whose value it may hold plus a definitely-non-null flag; crediting a
 call or discharge to every origin a receiver may hold is path-wise sound
 because obligations whose last live reference disappears are warned at that
@@ -23,8 +25,9 @@ death point (liveness-driven), mirroring the lifetime-end rule ("scope exit
 or variable overwrite"). A method invocation registers on both the normal and
 exceptional out-edges (the call happened even if it threw); a failed
 allocation registers on neither. Values dying on an uncaught-exception edge
-out of the method are not leak-reported; only the exit node's normal in-edges
-feed the final check.
+out of the method are not leak-reported: the flow puts no fact on an
+exceptional edge into exit, so exit's in-fact is the meet of its normal
+in-edges, and it alone feeds the final check.
 
 A fact (`CheckFact`) holds the maps and sets the transfer function works on:
 dicts from origins to states, from locals to the frozenset of origins they
@@ -36,7 +39,8 @@ facts. So a transfer builds its out-fact copy-on-write (`_OutFact`): it
 shares with the in-fact every map the instruction does not write, a `Nop`
 passes its in-fact on as it is, a branch shares all but the maps its null
 test refines, and `_prune` returns its input when no local and no origin
-dies. Its dicts make a `CheckFact` unhashable.
+dies; it looks for deaths only among the origins that lost a holder, except
+at joins. Its dicts make a `CheckFact` unhashable.
 
 A warning is built from its anchor instruction: its kind and token from
 `anchor_name`, its AST node id and ordinal as the lowering stamped them, so
@@ -59,7 +63,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Optional
 
 from . import cfg as C
@@ -148,6 +151,7 @@ class SiteState:
 
 
 RefInfo = tuple[frozenset[Origin], bool]  # (possible origins, definitely non-null)
+_UNBOUND: RefInfo = (frozenset(), False)  # what a local bound to no origin holds
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,8 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
     else:
         origins = dict(f2.origins)  # absent = not allocated on that path
         for k, st in f1.origins.items():
-            other = origins.get(k)
-            origins[k] = st if other is None else SiteState(st.called & other.called, st.resolved and other.resolved)
+            s2 = origins.get(k)  # kept when both sides hold the same state
+            origins[k] = st if s2 is None or s2 is st else SiteState(st.called & s2.called, st.resolved and s2.resolved)
     if f1.refs is f2.refs and f1.nulls is f2.nulls:
         refs, nulls = f1.refs, f1.nulls
     else:
@@ -204,10 +208,14 @@ def _meet_refs(f1: CheckFact, f2: CheckFact) -> tuple[dict[str, RefInfo], frozen
     refs: dict[str, RefInfo] = {}
     nulls: set[str] = set()
     for x in r1.keys() | r2.keys() | f1.nulls | f2.nulls:
+        info = r1.get(x)
+        if info is not None and info is r2.get(x):  # bound to the same entry on both sides, so null on neither
+            refs[x] = info
+            continue
         in1, in2 = x in r1 or x in f1.nulls, x in r2 or x in f2.nulls
         null1, null2 = x in f1.nulls, x in f2.nulls
-        s1, nn1 = r1.get(x, (frozenset(), False))
-        s2, nn2 = r2.get(x, (frozenset(), False))
+        s1, nn1 = r1.get(x, _UNBOUND)
+        s2, nn2 = r2.get(x, _UNBOUND)
         if not in1:  # unbound on side 1: unreadable on those paths, keep side 2
             s, nn, isnull = s2, nn2, null2
         elif not in2:
@@ -227,11 +235,14 @@ class _OutFact:
     instruction leaves alone. `pack` hands the maps over without a copy;
     a write after it copies again, so a packed fact never changes."""
 
-    __slots__ = ("_fact", "_owned", "origins", "refs", "nulls", "field_called", "field_sat", "bindings", "field_origins")
+    __slots__ = (
+        "_fact", "_owned", "lost", "origins", "refs", "nulls", "field_called", "field_sat", "bindings", "field_origins"
+    )
 
-    def __init__(self, fact: CheckFact):
+    def __init__(self, fact: CheckFact, lost: set[Origin]):
         self._fact = fact
         self._owned: set[str] = set()  # dict fields copied since the last pack
+        self.lost = lost  # origins that lost a holder or are new: where `_prune` looks for deaths
         self.origins = fact.origins
         self.refs = fact.refs
         self.nulls = fact.nulls  # frozensets: written by replacing them
@@ -249,6 +260,7 @@ class _OutFact:
 
     def kill_local(self, name: str) -> None:
         if name in self.refs:
+            self.lost.update(self.refs[name][0])
             del self.write("refs")[name]
         if name in self.nulls:
             self.nulls = self.nulls - {name}
@@ -257,6 +269,7 @@ class _OutFact:
 
     def touch_field_contents(self) -> None:
         """A self-call (or passing `this` away) may rewrite any field."""
+        self.lost.update(*self.field_origins.values())
         self.field_called, self.field_sat, self.bindings, self.field_origins = {}, frozenset(), {}, {}
         self._owned.update(("field_called", "bindings", "field_origins"))
 
@@ -297,11 +310,12 @@ class _MethodChecker:
         self.calls: dict[int, tuple[C.Invoke, str]] = {}  # invoke ast nid -> (the call, its returned class)
         self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
         self.live_in = cfg.live_in()
+        self.lost: set[Origin] = set()  # the origins the last transfer took a holder from or made
 
     # origin helpers
 
     def origins_of_operand(self, op: str, fact: CheckFact) -> frozenset[Origin]:
-        return fact.refs.get(op, (frozenset(), False))[0]
+        return fact.refs.get(op, _UNBOUND)[0]
 
     def origin_class(self, origin: Origin) -> str:
         return self.allocs[origin[1]].class_name if origin[0] == "new" else self.calls[origin[1]][1]
@@ -311,9 +325,6 @@ class _MethodChecker:
 
     def tracked(self, class_name: str) -> bool:
         return bool(self.specs.must_call(class_name))  # a resource type: a nonempty must-call set
-
-    def insufficient(self, origin: Origin, st: SiteState) -> bool:
-        return not st.resolved and not st.called >= self.must_call_for(self.origin_class(origin))
 
     # warning emission
 
@@ -360,11 +371,12 @@ class _MethodChecker:
         """Out-facts per successor; branches refine null knowledge per edge and
         a throwing allocation registers nothing on its exceptional edge."""
         instr = self.cfg.nodes[node]
+        self.lost = set()
         if isinstance(instr, C.Nop):
             return dict.fromkeys(self.cfg.succs(node), fact)
         if isinstance(instr, C.Branch):
             return self._branch_out(instr, fact, node)
-        out = _OutFact(fact)
+        out = _OutFact(fact, self.lost)
 
         def credit_origin(origin: Origin, method: str) -> None:
             st = out.origins.get(origin)
@@ -390,9 +402,10 @@ class _MethodChecker:
             if self.tracked(instr.class_name):
                 origin: Origin = ("new", instr.site)
                 prior = out.origins.get(origin)
-                if prior is not None and self.insufficient(origin, prior):
+                if prior is not None and not prior.resolved:
                     self.warn_unsatisfied(origin)  # looped re-allocation rolls over a pending instance
                 out.write("origins")[origin] = SiteState(frozenset(), False)
+                out.lost.add(origin)
                 out.write("refs")[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
                 out.touch_field_contents()
@@ -437,6 +450,7 @@ class _MethodChecker:
                     out.field_sat = out.field_sat | {instr.field}
                 elif instr.field in out.field_sat:
                     out.field_sat = out.field_sat - {instr.field}
+                out.lost.update(out.field_origins.get(instr.field, ()))
                 stored = self.origins_of_operand(instr.src, fact)
                 if stored:
                     out.write("field_origins")[instr.field] = stored
@@ -474,9 +488,10 @@ class _MethodChecker:
                 self.calls[instr.ast_nid] = (instr, ret_class)
                 origin = ("call", instr.ast_nid)
                 prior = out.origins.get(origin)
-                if prior is not None and self.insufficient(origin, prior):
+                if prior is not None and not prior.resolved:
                     self.warn_unsatisfied(origin)
                 out.write("origins")[origin] = SiteState(frozenset(), False)
+                out.lost.add(origin)
                 if instr.dst:
                     out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
                 return self._split_out(node, out.pack(), pre_ret)
@@ -497,57 +512,45 @@ class _MethodChecker:
         eq_edge = instr.false_succ if instr.negated else instr.true_succ  # taken when lhs == rhs
         ne_edge = instr.true_succ if instr.negated else instr.false_succ
         refs = fact.refs
-
-        def nonnull(op: str) -> bool:
-            return op in refs and refs[op][1]
-
-        def isnull(op: str) -> bool:
-            return op in fact.nulls
-
+        lhs_null, rhs_null = instr.lhs in fact.nulls, instr.rhs in fact.nulls
         infeasible: set[int] = set()
-        if (isnull(instr.rhs) and nonnull(instr.lhs)) or (isnull(instr.lhs) and nonnull(instr.rhs)):
+        if (rhs_null and refs.get(instr.lhs, _UNBOUND)[1]) or (lhs_null and refs.get(instr.rhs, _UNBOUND)[1]):
             infeasible.add(eq_edge)
-        if isnull(instr.rhs) and isnull(instr.lhs):
+        if rhs_null and lhs_null:
             infeasible.add(ne_edge)
         outs = {s: fact for s in self.cfg.succs(node) if s not in infeasible}
-
-        tested: Optional[str] = None
-        if isnull(instr.rhs) and not isnull(instr.lhs):
-            tested = instr.lhs
-        elif isnull(instr.lhs) and not isnull(instr.rhs):
-            tested = instr.rhs
-        if tested is None:
+        if lhs_null == rhs_null:
             return outs
+        tested = instr.rhs if lhs_null else instr.lhs  # the side not known null
         if ne_edge in outs and tested in refs:
             # the tested local is non-null here
-            outs[ne_edge] = replace(fact, refs={**refs, tested: (refs[tested][0], True)})
+            ne_refs = {**refs, tested: (refs[tested][0], True)}
+            outs[ne_edge] = CheckFact(
+                fact.origins, ne_refs, fact.nulls, fact.field_called, fact.field_sat, fact.bindings, fact.field_origins
+            )
         if eq_edge in outs:
             # the tested local is null here: its origins are vacuous when no
             # other live reference can still reach them
             origins_eq = dict(fact.origins)
             refs_eq = dict(refs)
-            tested_origins = refs_eq.pop(tested, (frozenset(), False))[0]
+            tested_origins = refs_eq.pop(tested, _UNBOUND)[0]
             live = self.live_in[eq_edge]
             field_referenced = {o for held in fact.field_origins.values() for o in held}
             for origin in tested_origins:
-                others = [
-                    x for x, (oset, _nn) in refs_eq.items() if origin in oset and x in live
-                ]
+                others = [x for x, (oset, _nn) in refs_eq.items() if origin in oset and x in live]
                 st = origins_eq.get(origin)
                 if not others and origin not in field_referenced and st is not None:
-                    origins_eq[origin] = replace(st, resolved=True)
+                    origins_eq[origin] = SiteState(st.called, True)
             field_sat_eq, field_origins_eq = fact.field_sat, fact.field_origins
             bound = fact.bindings.get(tested)
             if bound is not None:
                 field_sat_eq = field_sat_eq | {bound}  # the field content itself is proven null
+                # the tested local's origins are resolved above or still held; only this field's can die
+                self.lost.update(field_origins_eq.get(bound, ()))
                 field_origins_eq = {k: v for k, v in field_origins_eq.items() if k != bound}
-            outs[eq_edge] = replace(
-                fact,
-                origins=origins_eq,
-                refs=refs_eq,
-                nulls=fact.nulls | {tested},
-                field_sat=field_sat_eq,
-                field_origins=field_origins_eq,
+            nulls_eq = fact.nulls | {tested}
+            outs[eq_edge] = CheckFact(
+                origins_eq, refs_eq, nulls_eq, fact.field_called, field_sat_eq, fact.bindings, field_origins_eq
             )
         return outs
 
@@ -584,25 +587,29 @@ class _MethodChecker:
             return None
         return m.return_type
 
-    def _prune(self, fact: CheckFact, succ: int) -> CheckFact:
+    def _prune(self, fact: CheckFact, succ: int, lost: Optional[set[Origin]]) -> CheckFact:
         """Drop dead locals entering succ; an obligation losing its last live
-        reference while unsatisfied is a leak at that point (unless the value
-        is leaving through an uncaught exception, which is not checked).
-        Emission order never shows: an origin is one allocation or call AST
-        node, and its warning id comes from that node's anchor ordinal, so
-        origins and warning ids map one to one."""
+        reference while unsatisfied is a leak at that point. Every unresolved
+        origin of a pruned fact has a holder, so only one in `lost` or held by
+        a dropped local can die; `lost` is None at a join, whose meet can drop
+        field holders. Emission order never shows: an origin is one
+        allocation or call AST node, and its warning id comes from that
+        node's anchor ordinal, so origins and warning ids map one to one."""
         live = self.live_in[succ]
         refs, nulls, bindings, origins = fact.refs, fact.nulls, fact.bindings, fact.origins
         if not refs.keys() <= live:
+            if lost is not None:
+                lost = lost.union(*(oset for x, (oset, _nn) in refs.items() if x not in live))
             refs = {x: info for x, info in refs.items() if x in live}
         if not nulls <= live:
             nulls = nulls & live
         if not bindings.keys() <= live:
             bindings = {k: v for k, v in bindings.items() if k in live}
-        pending = [o for o, st in origins.items() if not st.resolved] if succ != self.cfg.exit else []
+        candidates = origins if lost is None else [o for o in lost if o in origins]
+        pending = [o for o in candidates if not origins[o].resolved] if succ != self.cfg.exit else []
         if pending:
             referenced = set().union(*(oset for oset, _nn in refs.values()), *fact.field_origins.values())
-            dying = [o for o in pending if o not in referenced and self.insufficient(o, origins[o])]
+            dying = [o for o in pending if o not in referenced]
             if dying:
                 origins = dict(origins)
                 for origin in dying:
@@ -616,21 +623,23 @@ class _MethodChecker:
 
     def run(self) -> list[Warning]:
         """Warnings of the method; a node's are those of its last visit, which
-        saw the converged in-fact. Also sets `exit_fact`."""
+        saw the converged in-fact. Also sets `exit_fact`, exit's in-fact."""
         cfg = self.cfg
         emitted: dict[int, dict[str, Warning]] = {}
+        to_exit = set(cfg.preds(cfg.exit, C.NORMAL))
 
         def flow(n: int, fact: CheckFact) -> dict[int, CheckFact]:
             self.warnings = emitted[n] = {}
-            return {succ: self._prune(of, succ) for succ, of in self.transfer(n, fact).items()}
+            outs = self.transfer(n, fact)
+            lost = None if n in cfg.joins else self.lost
+            return {s: self._prune(of, s, lost) for s, of in outs.items() if s != cfg.exit or n in to_exit}
 
-        _in_facts, edge_facts = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
+        in_facts, _edge_facts = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
         self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
-        normal_in = [edge_facts[(p, cfg.exit)] for p in cfg.preds(cfg.exit, C.NORMAL) if (p, cfg.exit) in edge_facts]
-        if normal_in:
-            self.exit_fact = reduce(_meet, normal_in)
+        self.exit_fact = in_facts.get(cfg.exit)
+        if self.exit_fact is not None:
             for origin, st in self.exit_fact.origins.items():
-                if self.insufficient(origin, st):
+                if not st.resolved:
                     self.warn_unsatisfied(origin)
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
 

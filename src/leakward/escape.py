@@ -22,8 +22,10 @@ lowered for that version.
 Taint (which locals may hold a value, node by node) is solved once per
 lowering for every value a query here asks about (`Cfg.taint_of`), and
 each query reads its value's bit off that one solve: a route is a use
-whose local may hold the value there. `taint_fixpoint` and
-`tainted_stores` are projections of the same solve.
+whose local may hold the value there, at one of the CFG's sink nodes
+(`Cfg.sinks`: stores, returns, and allocations and calls with arguments,
+listed once per lowering). `taint_fixpoint` and `tainted_stores` are
+projections of the same solve.
 """
 
 from __future__ import annotations
@@ -253,15 +255,16 @@ class EscapeAnalyzer:
                 seen_routes.add(r)
                 routes.append(r)
 
+        returns_owned = member_return_ownership(self.program, cfg.class_name, cfg.method_name) != "notowning"
         # each use asks whether its local may hold the value there
-        for node, instr in enumerate(cfg.nodes):
-            fact = facts[node]
+        for node in cfg.sinks:
+            fact, instr = facts[node], cfg.nodes[node]
             if not fact:
                 continue
             if isinstance(instr, C.StoreField) and fact.get(instr.src, 0) & bit:
                 add(TO_FIELD, f"{instr.field_class}.{instr.field}")
             elif isinstance(instr, C.ReturnVal) and fact.get(instr.src, 0) & bit:
-                if member_return_ownership(self.program, cfg.class_name, cfg.method_name) != "notowning":
+                if returns_owned:
                     add(RETURNED, cfg.method_name)
             elif isinstance(instr, (C.Invoke, C.Alloc)):
                 positions = [i for i, a in enumerate(instr.args) if fact.get(a, 0) & bit]

@@ -26,9 +26,10 @@ Template selection per warning:
          immediately before the overwriting store.
   anything else -> Unfixable with the failing route or condition.
 A wrap whose holder local is assigned again before its finally runs is
-Unfixable(NoIrMatch, "holder reassigned before the finally"), and a template
-that would nest the method past `parser.MAX_NESTING` is
-Unfixable(NoIrMatch, "nesting limit").
+Unfixable(NoIrMatch, "holder reassigned before the finally"), one whose
+holder a later statement of an enclosing block names is Unfixable(NoIrMatch,
+"holder used after the wrapped block"), and a template that would nest the
+method past `parser.MAX_NESTING` is Unfixable(NoIrMatch, "nesting limit").
 
 With `enhancements` off (the classic close-only repair) no class is a
 resource alias or accessor, so a resource passed into a wrapper escapes and
@@ -236,6 +237,8 @@ def plan_fix(
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
         if _holder_reassigned(path, tries, anchor, index):
             return Unfixable(warning.id, NO_IR_MATCH, detail="holder reassigned before the finally")
+        if _holder_used_after(path, tries, anchor):
+            return Unfixable(warning.id, NO_IR_MATCH, detail="holder used after the wrapped block")
         if _wrap_nesting(path, tries) > MAX_NESTING:
             return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
@@ -331,6 +334,20 @@ def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, i
             continue  # in another member, or outside the blocks the finally covers
         if index.slot(node)[1] > path[levels[id(holder)]][1]:
             return True
+    return False
+
+
+def _holder_used_after(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
+    """Does a statement after the blocks a wrap's finally covers name its
+    holder, in the holder's scope? It would use the closed value."""
+    var, start = _holder(path, anchor), _covered_from(path, tries)
+    for k in reversed(range(len(path) if var else 0)):
+        block, i = path[k]
+        later = block.stmts[i + 1 :] if k < start else []
+        if any(isinstance(e, sx.VarRef) and e.name == var for s in later for e in sx.walk_exprs(s)):
+            return True
+        if any(isinstance(s, sx.LocalDecl) and s.name == var for s in block.stmts[: i + 1]):
+            return False  # declared here: out of scope further out
     return False
 
 

@@ -13,6 +13,8 @@ import hashlib
 from itertools import islice
 from pathlib import Path
 
+from helpers import corpus_and_fuzz_programs
+from leakward import cfg as C
 from leakward import checker as K
 from leakward import syntax as sx
 from leakward.checker import CheckFact, SiteState, check_program, method_run
@@ -140,9 +142,9 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
         record(*outs.values())
         return outs
 
-    def recording_prune(self, fact, succ):
+    def recording_prune(self, fact, succ, lost):
         record(fact)
-        out = prune(self, fact, succ)
+        out = prune(self, fact, succ, lost)
         record(out)
         return out
 
@@ -173,3 +175,73 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
         check_program(program, infer_specs(program, libspec), libspec)
     assert checked > 0
 
+
+
+def test_an_unresolved_origin_is_short_of_its_must_call_set(monkeypatch):
+    """What lets the checker read `not resolved` as "may leak": crediting
+    resolves an origin once its called-set covers the must-call set, and
+    the meet intersects the called-sets and ands the flags. Checked on every
+    fact that enters or leaves a transfer or `_prune`."""
+    transfer, prune = K._MethodChecker.transfer, K._MethodChecker._prune
+    checked = 0
+
+    def check(checker, *facts):
+        nonlocal checked
+        for fact in facts:
+            for origin, st in fact.origins.items():
+                if not st.resolved:
+                    need = checker.must_call_for(checker.origin_class(origin))
+                    assert not st.called >= need, (checker.cfg.class_name, checker.cfg.method_name, origin)
+                    checked += 1
+
+    def checking_transfer(self, node, fact):
+        outs = transfer(self, node, fact)
+        check(self, fact, *outs.values())
+        return outs
+
+    def checking_prune(self, fact, succ, lost):
+        out = prune(self, fact, succ, lost)
+        check(self, fact, out)
+        return out
+
+    monkeypatch.setattr(K._MethodChecker, "transfer", checking_transfer)
+    monkeypatch.setattr(K._MethodChecker, "_prune", checking_prune)
+    for program, libspec in corpus_and_fuzz_programs():
+        for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+            check_program(ProgramVersion(program, libspec), specs, libspec)
+    assert checked > 1000
+
+
+# exit is reached only on exceptional edges: the loop test is null == null,
+# so its exit edge is infeasible
+NO_NORMAL_EXIT = """class A {
+  static void main() {
+    String x = null;
+    while (x == null) {
+      FileInputStream f = new FileInputStream("a");
+      f.close();
+    }
+  }
+}
+"""
+
+
+def test_a_method_with_no_normal_path_to_exit_has_no_exit_fact(monkeypatch):
+    program = parse(NO_NORMAL_EXIT, "loop.mj")
+    libspec = load_library_spec((CORPUS / "minij.libspec").read_text())
+    version = ProgramVersion(program, libspec)
+    cls = program.class_named("A")
+    meth = cls.member("main")
+    cfg = version.cfg(cls, meth)
+    assert cfg.preds(cfg.exit, C.EXCEPTIONAL) and cfg.preds(cfg.exit, C.NORMAL)
+    visited = []
+    transfer = K._MethodChecker.transfer
+
+    def recording_transfer(self, node, fact):
+        visited.append(node)
+        return transfer(self, node, fact)
+
+    monkeypatch.setattr(K._MethodChecker, "transfer", recording_transfer)
+    warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
+    assert warnings == [] and exit_fact is None
+    assert visited and cfg.exit not in visited

@@ -1,6 +1,10 @@
 """Escape routes, field containment, and wrapper classification."""
 
+import types
+
+from helpers import corpus_and_fuzz_programs
 from leakward import cfg as C
+from leakward import escape as E
 from leakward import syntax as sx
 from leakward.checker import check_program
 from leakward.escape import (
@@ -13,7 +17,7 @@ from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
 from leakward.repair import Unfixable, plan_fix, screen_fix
-from leakward.specs import SpecSet
+from leakward.specs import SpecSet, member_return_ownership
 
 LIB = load_library_spec(
     """
@@ -333,3 +337,63 @@ def test_unknown_node_has_no_escape_result():
     assert analyzer.escapes_at("Main", "main", 10**9) is None
     assert analyzer.escapes_at("Main", "ghost", 1) is None
     assert analyzer.escapes_at("Ghost", "main", 1) is None
+
+
+def _full_scan_routes(self, cfg, start_node, start_local, visited_wrappers):
+    """`EscapeAnalyzer._collect_routes` as a scan of every node of the CFG,
+    with the method's return ownership read at each tainted return."""
+    facts, bit = cfg.taint_of(start_node, start_local)
+    routes, sinks, seen = [], [], set()
+
+    def add(kind, detail):
+        r = E.Route(kind, detail)
+        if r not in seen:
+            seen.add(r)
+            routes.append(r)
+
+    for node, instr in enumerate(cfg.nodes):
+        fact = facts[node]
+        if isinstance(instr, C.StoreField) and fact.get(instr.src, 0) & bit:
+            add(E.TO_FIELD, f"{instr.field_class}.{instr.field}")
+        elif isinstance(instr, C.ReturnVal) and fact.get(instr.src, 0) & bit:
+            if member_return_ownership(self.program, cfg.class_name, cfg.method_name) != "notowning":
+                add(E.RETURNED, cfg.method_name)
+        elif isinstance(instr, (C.Invoke, C.Alloc)):
+            positions = [i for i, a in enumerate(instr.args) if fact.get(a, 0) & bit]
+            if not positions:
+                continue
+            if isinstance(instr, C.Invoke):
+                self._route_invoke(instr, positions, add)
+            elif not self._wrapper_sink(cfg, node, instr, positions, visited_wrappers, sinks, add):
+                for i in positions:
+                    self._route_library_ctor(instr, i, add)
+    return routes, sinks
+
+
+def test_the_sink_list_scan_finds_the_routes_a_full_node_scan_finds():
+    """Every allocation and call result of the corpus and generate_source(0..59),
+    wrapper recursion and containment included: the reference analyzer scans
+    every node at every level."""
+    queries, wrapped = 0, 0
+    for prog, lib in corpus_and_fuzz_programs():
+        specs = infer_specs(prog, lib)
+        fast = EscapeAnalyzer(prog, specs, lib)
+        full = EscapeAnalyzer(prog, specs, lib)
+        full._collect_routes = types.MethodType(_full_scan_routes, full)
+        for cls in prog.classes:
+            for meth in cls.all_methods():
+                cfg = fast.version.cfg(cls, meth)
+                assert full.version.cfg(cls, meth) is cfg
+                stores_and_returns = (C.StoreField, C.ReturnVal)
+                assert list(cfg.sinks) == [
+                    n
+                    for n, ins in enumerate(cfg.nodes)
+                    if isinstance(ins, stores_and_returns) or (isinstance(ins, (C.Alloc, C.Invoke)) and ins.args)
+                ]
+                for n, ins in enumerate(cfg.nodes):
+                    if isinstance(ins, (C.Alloc, C.Invoke)) and ins.dst:
+                        result = fast.escapes_from(cfg, n)
+                        assert result == full.escapes_from(cfg, n), (prog.source_name, n)
+                        queries += 1
+                        wrapped += bool(result.wrapper_sinks)
+    assert queries > 250 and wrapped > 0

@@ -568,3 +568,67 @@ def test_a_wrap_whose_holder_is_reassigned_before_the_finally_is_unfixable(templ
     first, second = sorted(fr.w_xform, key=lambda w: w.line)
     assert fr.fix_status == {first.id: ("unfixable", "NoIrMatch"), second.id: ("fixed", template)}
     assert fr.verdict.label == "Pass"
+
+
+# the holder is declared before, and used after, the block a wrap would
+# close it in: the finally would run before `s.println`
+HOLDER_USED_AFTER = {
+    TRY_FINALLY_WRAP: """class A {
+  static void main() {
+    PrintStream s = null;
+    int c = 1;
+    if (c == 1) {
+      s = new PrintStream("b");
+    }
+    s.println("x");
+  }
+}
+""",
+    CLOSE_IN_FINALLY: """class A {
+  static void main(String p) {
+    PrintStream s = null;
+    try {
+      if (p == null) {
+        s = new PrintStream("a");
+      }
+    } catch (Exception e) {
+      e.printStackTrace();
+    }
+    s.println("x");
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("template", sorted(HOLDER_USED_AFTER))
+def test_a_wrap_whose_holder_is_used_after_the_wrapped_block_is_unfixable(template):
+    src = HOLDER_USED_AFTER[template]
+    plan, _prog, _w = _plan_first(src)
+    assert isinstance(plan, Unfixable)
+    assert (plan.reason, plan.detail) == ("NoIrMatch", "holder used after the wrapped block")
+    report = run_pipeline([("used.mj", src)], LIB)
+    fr = report.files["used.mj"]
+    (w,) = fr.w_xform
+    assert fr.fix_status == {w.id: ("unfixable", "NoIrMatch")}
+    assert fr.verdict.label == "Pass" and fr.diff == "" and report.exit_code == 2
+
+
+def test_a_wrap_leaves_a_later_local_of_the_same_name_alone():
+    # the later `s` is another local: the wrapped one goes out of scope with its block
+    src = """class A {
+  static void main() {
+    int c = 1;
+    if (c == 1) {
+      PrintStream s = null;
+      s = new PrintStream("a");
+      s.println("x");
+    }
+    PrintStream s = new PrintStream("b");
+    s.println("y");
+    s.close();
+  }
+}
+"""
+    plan, _prog, _w = _plan_first(src)
+    assert not isinstance(plan, Unfixable) and plan.template == TRY_FINALLY_WRAP
