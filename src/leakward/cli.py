@@ -163,7 +163,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
     def fix(program):
         version = _lower_all(program, libspec)
         warnings, stale = _rebind(warnings_data, version)
-        outcome = fix_stage(version, warnings, libspec, PipelineConfig())
+        outcome = fix_stage(version, warnings, infer_specs(version, libspec), libspec, PipelineConfig())
         for wid in stale:
             outcome.fix_status.setdefault(wid, ("unfixable", "NoIrMatch"))
         (outdir / f"{program.source_name}.patch").write_text(outcome.diff)

@@ -1,4 +1,4 @@
-"""Tree-walking MiniJ interpreter and dynamic patch validation.
+"""Tree-walking MiniJ interpreter and patch validation.
 
 Library resources have synthetic observable behavior: constructors open,
 must-call methods close (idempotently, cascading into absorbed pass-through
@@ -19,13 +19,13 @@ repairs add close calls by design.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as sx
-from .checker import check_program, filter_constructor_first_writes, reject_final_writes
+from .checker import reject_final_writes
 from .errors import NoSingleMain
-from .inference import infer_specs
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, version_of
 from .parser import parse
@@ -511,25 +511,24 @@ def validate_patch(
     original: sx.Program,
     patched: ProgramOrVersion,
     libspec: LibrarySpec,
-    fixed_ids: tuple[str, ...] = (),
+    surviving: Collection[str] = (),
     patched_text: Optional[str] = None,
 ) -> ValidationVerdict:
-    """Static + dynamic patch gate.
+    """Static + dynamic patch gate; it judges, and analyses only final writes.
 
     Pass iff (a) `patched_text`, the canonical print of `patched` (printed
     here when not given), reparses and prints back to itself, and
-    reject_final_writes on `patched` is clean, (b) re-checking `patched` (with
-    fresh inference) no longer reports the fixed warning ids, and (c) when the
-    original has one static main, the reparsed patch's run adds no
-    use-after-close (site, method) event and leaks no site beyond the
-    original's run (each a multiset subset), and prints the same
-    close-elided output, each run within `DEFAULT_STEP_LIMIT` steps.
+    reject_final_writes on `patched` is clean, (b) `surviving`, the fixed
+    warning ids the fix loop's re-check of `patched` still reports, is
+    empty, and (c) when the original has one static main, the reparsed
+    patch's run adds no use-after-close (site, method) event and leaks no
+    site beyond the original's run (each a multiset subset), and prints the
+    same close-elided output, each run within `DEFAULT_STEP_LIMIT` steps.
 
-    The reparse is the parse and printer-fixpoint gate: a patch that passes it
-    is the program its text describes, so the static checks read `patched`
-    itself, the version the fix loop has already analysed (handed in as a
-    `ProgramVersion`, or taken here of a bare program), and their results
-    come from the memo of its program family.
+    The reparse is the parse and printer-fixpoint gate: a patch that passes
+    it is the program its text describes, so the re-check and the final-write
+    gate hold for `patched` itself, the version the fix loop analysed (handed
+    in as a `ProgramVersion`, or taken here of a bare program).
     """
     version = version_of(patched, libspec)
     patched = version.program
@@ -544,9 +543,6 @@ def validate_patch(
     errs = reject_final_writes(version, libspec)
     if errs:
         failures.append(f"FinalWrites:{len(errs)}")
-    specs = infer_specs(version, libspec)
-    warnings = filter_constructor_first_writes(check_program(version, specs, libspec), patched)
-    surviving = {w.id for w in warnings} & set(fixed_ids)
     if surviving:
         failures.append(f"WarningSurvives:{','.join(sorted(surviving))}")
     if has_main(original):

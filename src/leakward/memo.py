@@ -19,6 +19,7 @@ that applied a plan) hands back a new version, and one that edited nothing a
 key reads hands back the one it was given: `finalize_fields` when it only
 added `final`, and `write_specs`, whose annotations no key reads. A deep
 copy of a program gets its original's keys (`ProgramVersion.copied`).
+Validation judges the fix loop's re-check of a patch and does not redo it.
 
 The memo holds one program family's entries under one library spec. A
 family is the copies of one parse: they share `Program.nid`, which

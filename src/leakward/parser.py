@@ -125,8 +125,8 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 
 def tokenize(source: str) -> list[Token]:
     """One token per lexeme, then one EOF. A token's column counts characters
-    from the start of its line; a newline escaped inside a string starts no
-    line."""
+    from the start of its line; a newline escaped inside a string starts a
+    line, as any other newline does."""
     toks: list[Token] = []
     append = toks.append
     word_kind = _WORD_KINDS.get
@@ -144,10 +144,12 @@ def tokenize(source: str) -> list[Token]:
             line_start = m.end()
         elif group == _STRING:
             start, end = m.span(group)
-            text = source[start + 1 : end - 1]
-            if "\\" in text:
-                text = _ESCAPE.sub(_unescape, text)
+            raw = source[start + 1 : end - 1]
+            text = _ESCAPE.sub(_unescape, raw) if "\\" in raw else raw
             append(Token("STRING", text, line, start - line_start + 1))
+            if "\n" in raw:  # escaped: a string holds no other newline
+                line += raw.count("\n")
+                line_start = start + raw.rfind("\n") + 2
         elif group == _INT:
             start, end = m.span(group)
             append(Token("INT", source[start:end], line, start - line_start + 1))

@@ -320,16 +320,17 @@ def transform_stage(
 
 
 def fix_stage(
-    program: memo.ProgramOrVersion, warnings: list[Warning], libspec: LibrarySpec, config: PipelineConfig
+    program: memo.ProgramOrVersion, warnings: list[Warning], specs: SpecSet, libspec: LibrarySpec, config: PipelineConfig
 ) -> FixOutcome:
-    """Repair `warnings` on a copy of `program`, `patched`, in rounds; re-check
-    after each round that fixed something and repair the fresh warnings it
-    finds, then validate the patch. Fresh warnings still open after the last
-    round are unfixable with detail `IterationsExhausted`.
+    """Repair `warnings`, found on `program` under `specs`, on a copy of it,
+    `patched`, in rounds, re-inferring and re-checking after each round that
+    fixed something to repair the fresh warnings (unfixable with detail
+    `IterationsExhausted` after the last round); then validate the patch.
 
-    `patched` is read through one version per state: the copy gets the key of
-    `program`'s version, and a round that applied a plan takes a new one,
-    which the next round, the re-check and validation read.
+    `patched` is read through one version per state, each analysed once: the
+    copy gets the key of `program`'s version and is repaired under `specs`,
+    and a round that applied a plan takes a new version, which the re-check,
+    the next round and validation read.
 
     A round screens each of its warnings (`screen_fix`) with one
     `EscapeAnalyzer` on `patched` as the round starts, before its first edit;
@@ -342,11 +343,11 @@ def fix_stage(
     and catch blocks: no field write, and no return, argument pass or
     collection store of a tracked value.
 
-    `validate_patch` runs its static checks on `patched` itself, which the
-    last round's re-check has already analysed. Its reparse of the one print
-    of `patched`, which the diff also uses, is the parse and printer-fixpoint
-    gate. When no plan was applied there is no patch to blame: the diff is
-    empty and the verdict is Pass, with no validation run."""
+    Validation gets the fixed ids the last re-check still reports. Its
+    reparse of the one print of `patched`, which the diff also uses, is the
+    parse and printer-fixpoint gate. When no plan was applied there is no
+    patch to blame: the diff is empty and the verdict is Pass, with no
+    validation run."""
     version = memo.version_of(program, libspec)
     program = version.program
     patched = copy.deepcopy(program)
@@ -354,14 +355,12 @@ def fix_stage(
     fix_status: dict[str, tuple[str, str]] = {}
     pending = list(warnings)
     iterations = 0
-    if pending:
-        specs_now = infer_specs(now, libspec)  # redone only when a fix changes `patched`
     while pending and iterations < MAX_FIX_ITERATIONS:
         iterations += 1
         progressed = False
         ordered = sorted(pending, key=lambda w: (w.line, w.id))
         # every lookup of the round's analyzer happens here, before the round's first edit
-        analyzer = EscapeAnalyzer(now, specs_now, libspec, enhancements=config.enable_fixer_enhancements)
+        analyzer = EscapeAnalyzer(now, specs, libspec, enhancements=config.enable_fixer_enhancements)
         disabled = not config.enable_overwrite_handling
         screened = [None if disabled and w.kind == OWNING_FIELD_OVERWRITE else screen_fix(w, analyzer) for w in ordered]
         index = sx.AstIndex(patched)  # each plan finds its nodes here, and each application keeps it current
@@ -383,16 +382,18 @@ def fix_stage(
         pending = []  # warnings of the patched code not seen before (every given one has a status)
         if progressed:
             now = now.edited()
-            specs_now = infer_specs(now, libspec)
-            pending = [w for w in check_stage(now, specs_now, libspec, config) if w.id not in fix_status]
+            specs = infer_specs(now, libspec)
+            warnings = check_stage(now, specs, libspec, config)  # `now`'s under `specs`, as the given ones
+            pending = [w for w in warnings if w.id not in fix_status]
     for w in pending:
         fix_status[w.id] = ("unfixable", "IterationsExhausted")
 
-    fixed_ids = tuple(sorted(wid for wid, (st, _d) in fix_status.items() if st == "fixed"))
+    fixed_ids = {wid for wid, (st, _d) in fix_status.items() if st == "fixed"}
     if not fixed_ids:
         return FixOutcome(patched, fix_status, iterations, ValidationVerdict(ok=True), "")
+    surviving = {w.id for w in warnings} & fixed_ids
     patched_text = pretty_print(patched)
-    verdict = validate_patch(program, now, libspec, fixed_ids=fixed_ids, patched_text=patched_text)
+    verdict = validate_patch(program, now, libspec, surviving=surviving, patched_text=patched_text)
     if not verdict.ok:
         for wid in fixed_ids:
             fix_status[wid] = ("validation-failed", verdict.label)
@@ -426,7 +427,7 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     w_xform = check_stage(version, specs2, libspec, config)
 
     # stages 7-8: plan, apply, validate
-    fixed = fix_stage(version, w_xform, libspec, config)
+    fixed = fix_stage(version, w_xform, specs2, libspec, config)
     try:
         roots, shift_error = build_shift_map(w_orig, w_xform, specs2, version, libspec), ""
     except AmbiguousMapping as e:

@@ -96,7 +96,6 @@ class RepairPlan:
 
 @dataclass
 class Unfixable:
-    warning_id: str
     reason: str
     detail: str = ""
 
@@ -196,18 +195,18 @@ def screen_fix(warning: Warning, analyzer: EscapeAnalyzer) -> Union[tuple[str, .
         owner, _, fname = warning.anchor_token.partition(".")
         ok, which = pre_close_check(owner, fname, analyzer)
         if not ok:
-            return Unfixable(warning.id, f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
+            return Unfixable(f"{PRE_CLOSE_CONDITIONS_FAIL}({which})", detail=which)
     else:
         escape = analyzer.escapes_at(warning.class_name, warning.method_name, warning.ast_nid)
         if escape is not None and escape.escapes:
             route = escape.primary_route()
             reason = _ROUTE_TO_REASON.get(route.kind, ESCAPES_ARG) if route else ESCAPES_ARG
-            return Unfixable(warning.id, reason, detail=route.detail if route else "")
+            return Unfixable(reason, detail=route.detail if route else "")
     finalizers = finalizer_order(resource_must_call(warning.resource_class, analyzer.specs, analyzer.libspec))
     if not finalizers:
-        return Unfixable(warning.id, NO_IR_MATCH, detail="resource has no finalizer")
+        return Unfixable(NO_IR_MATCH, detail="resource has no finalizer")
     if not analyzer.enhancements and finalizers[0] != "close":
-        return Unfixable(warning.id, NO_IR_MATCH, detail="classic repair inserts only close()")
+        return Unfixable(NO_IR_MATCH, detail="classic repair inserts only close()")
     return finalizers
 
 
@@ -225,22 +224,22 @@ def plan_fix(
     if warning.kind == OWNING_FIELD_OVERWRITE:
         template = PRE_CLOSE_INSERTION
         if _pre_close_nesting(path, anchor, screened) > MAX_NESTING:
-            return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
+            return Unfixable(NO_IR_MATCH, detail="nesting limit")
     else:
         assert warning.kind == UNSATISFIED_OBLIGATION
         no_slot = _no_slot(path)
         if no_slot:
-            return Unfixable(warning.id, NO_IR_MATCH, detail=no_slot)
+            return Unfixable(NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
         if tries and _holder_declared_in_try(path, tries, anchor):
             tries = []  # the try's finally cannot name the holder: wrap the rest of its block instead
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
         if _holder_reassigned(path, tries, anchor, index):
-            return Unfixable(warning.id, NO_IR_MATCH, detail="holder reassigned before the finally")
+            return Unfixable(NO_IR_MATCH, detail="holder reassigned before the finally")
         if _holder_used_after(path, tries, anchor):
-            return Unfixable(warning.id, NO_IR_MATCH, detail="holder used after the wrapped block")
+            return Unfixable(NO_IR_MATCH, detail="holder used after the wrapped block")
         if _wrap_nesting(path, tries) > MAX_NESTING:
-            return Unfixable(warning.id, NO_IR_MATCH, detail="nesting limit")
+            return Unfixable(NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
         template=template,
         method=method,

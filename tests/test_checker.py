@@ -232,6 +232,12 @@ def test_warning_ids_survive_blank_lines():
     assert ws1[0].line != ws2[0].line
 
 
+def test_a_warning_after_a_newline_escaped_in_a_string_has_its_own_line():
+    src = 'class A {\n  static void main() {\n    String s = "a\\\nb";\n    Socket t = new Socket();\n  }\n}\n'
+    _, (w,) = check(src)
+    assert (w.kind, w.line) == (UNSATISFIED_OBLIGATION, 5)
+
+
 def test_monotone_in_library_spec():
     src = 'class A { static void main() { Pipe p = new Pipe(); p.close(); } }'
     weaker = load_library_spec(

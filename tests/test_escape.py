@@ -210,7 +210,7 @@ class Main {
     assert EscapeAnalyzer(prog, specs, LIB).escapes_at("Main", "main", w.ast_nid) == result
     screened = screen_fix(w, EscapeAnalyzer(prog, specs, LIB))
     plan = plan_fix(w, prog, screened, sx.AstIndex(prog))
-    assert plan == screened == Unfixable(w.id, "EscapesToField", detail="Box.kept")
+    assert plan == screened == Unfixable("EscapesToField", detail="Box.kept")
 
 
 def test_escape_returned_route():

@@ -1,9 +1,11 @@
 """The fix stage analyses each program version once.
 
 A fix round screens its warnings with one `EscapeAnalyzer`, built on
-`patched` before the round's first edit, and `validate_patch` runs its static
-checks on `patched` rather than on the reparse. Both are sound only if the
-results do not depend on the version they were read from:
+`patched` before the round's first edit. Validation infers and checks
+nothing again: it judges the warnings the last round's re-check of `patched`
+reported, and runs its final-write gate on `patched`, not on the reparse.
+Both are sound only if the results do not depend on the version they were
+read from:
 
   (1) for every warning a round plans, the screen's decision on the round's
       version equals the one on the program as patched just before that plan

@@ -297,13 +297,23 @@ BAD_PATCHED = """class A {
 """
 
 
-def test_validate_patch_pass():
+def _surviving(original, patched):
+    """The original's warning ids that a check of `patched` still reports,
+    as the fix loop's re-check hands them to validation."""
     from leakward.checker import check_program
+    from leakward.inference import infer_specs
     from leakward.specs import SpecSet
 
-    original = parse(GOOD, "g.mj")
-    wid = check_program(original, SpecSet.from_declared(original), LIB)[0].id
-    verdict = validate_patch(original, parse(GOOD_PATCHED, "g.mj"), LIB, fixed_ids=(wid,))
+    fixed = {w.id for w in check_program(original, SpecSet.from_declared(original), LIB)}
+    assert fixed
+    return {w.id for w in check_program(patched, infer_specs(patched, LIB), LIB)} & fixed
+
+
+def test_validate_patch_pass():
+    original, patched = parse(GOOD, "g.mj"), parse(GOOD_PATCHED, "g.mj")
+    surviving = _surviving(original, patched)
+    assert surviving == set()
+    verdict = validate_patch(original, patched, LIB, surviving=surviving)
     assert verdict.ok and verdict.label == "Pass"
 
 
@@ -340,13 +350,14 @@ def test_validate_patch_fails_on_output_change():
 
 
 def test_validate_patch_fails_on_surviving_warning():
-    from leakward.checker import check_program
-    from leakward.specs import SpecSet
-
-    original = parse(GOOD, "g.mj")
-    wid = check_program(original, SpecSet.from_declared(original), LIB)[0].id
-    verdict = validate_patch(original, parse(GOOD, "g.mj"), LIB, fixed_ids=(wid,))
-    assert not verdict.ok and "WarningSurvives" in verdict.label
+    original, patched = parse(GOOD, "g.mj"), parse(GOOD, "g.mj")
+    (wid,) = surviving = _surviving(original, patched)
+    verdict = validate_patch(original, patched, LIB, surviving=surviving)
+    assert verdict.failures == (f"WarningSurvives:{wid}",)
+    # the static failures come before the interpreter oracle's
+    changed = parse(GOOD.replace('s.println("x");', 's.println("y");'), "g.mj")
+    verdict = validate_patch(original, changed, LIB, surviving=surviving)
+    assert verdict.failures == (f"WarningSurvives:{wid}", "OutputChanged")
 
 
 def test_validate_patch_fails_on_final_write_violation():

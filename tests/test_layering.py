@@ -5,7 +5,8 @@ builder of a `_MethodChecker`, and `Cfg.taint_of` the one solver of taint,
 over the start set it keeps; `run_file_pipeline` builds each file's shift
 map and `run_pipeline` makes the one `score` of a batch; no field of a CFG
 or of an instruction is typed with an AST type; `Cfg.copies` is the one way
-from an AST node to the CFG nodes lowered from it."""
+from an AST node to the CFG nodes lowered from it; patch validation reads
+the analysis only for its final-write gate."""
 
 import ast
 from pathlib import Path
@@ -143,6 +144,41 @@ def test_the_caller_guard_sees_each_kind_of_call(tmp_path):
         "def f(s):\n    C.lower(1)\n    s.lower()\n    class K:\n        x = low(2)\n"
     )
     assert _callers(bad, "cfg", "lower") == ["bad.f", "bad.f.K"]
+
+
+def _imports_from(path: Path, module: str) -> set[str]:
+    """The names `path` imports from the package's module `module`
+    (`from .module import name`), and `module` itself when it imports the
+    module (`from . import module`, `import leakward.module`), at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("leakward")):
+            if (node.module or "").rpartition(".")[2] == module:
+                found |= {alias.name for alias in node.names}
+            elif node.module in (None, "leakward"):
+                found |= {module for alias in node.names if alias.name == module}
+        elif isinstance(node, ast.Import):
+            found |= {module for alias in node.names if alias.name == f"leakward.{module}"}
+    return found
+
+
+def test_validation_reads_the_analysis_only_for_its_final_write_gate():
+    """`validate_patch` judges the fix loop's re-check of a patch and
+    analyses nothing again: the oracle module infers no specs and runs no
+    checker."""
+    interp = PACKAGE / "interp.py"
+    assert _imports_from(interp, "inference") == set()
+    assert _imports_from(interp, "checker") == {"reject_final_writes"}
+
+
+def test_the_import_guard_sees_each_kind_of_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .checker import check_program, reject_final_writes\nfrom . import inference as inf\n"
+        "def f():\n    import leakward.inference\n    from leakward.checker import Warning\n"
+    )
+    assert _imports_from(bad, "checker") == {"check_program", "reject_final_writes", "Warning"}
+    assert _imports_from(bad, "inference") == {"inference"}
 
 
 def _syntax_types(hint) -> list[type]:

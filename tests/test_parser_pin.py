@@ -129,12 +129,12 @@ def test_string_escapes_and_the_column_after_them():
     assert _tokens('"a\\n\\t\\"\\\\\\q" x') == [("STRING", 'a\n\t"\\q', 1, 1), ("ID", "x", 1, 15), ("EOF", "", 1, 16)]
 
 
-def test_a_newline_escaped_in_a_string_starts_no_line():
+def test_a_newline_escaped_in_a_string_starts_a_line():
     assert _tokens('"a\\\nb" c\nd') == [
         ("STRING", "a\nb", 1, 1),
-        ("ID", "c", 1, 8),
-        ("ID", "d", 2, 1),
-        ("EOF", "", 2, 2),
+        ("ID", "c", 2, 4),
+        ("ID", "d", 3, 1),
+        ("EOF", "", 3, 2),
     ]
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import leakward
 from helpers import corpus_mutants, moved_reports, report_digest
-from leakward import memo
+from leakward import checker, inference, interp, memo, pipeline
 from leakward import syntax as sx
 from leakward.checker import Warning
 from leakward.fuzz import fuzz_libspec, generate_source
@@ -345,6 +346,64 @@ def test_a_pipeline_run_copies_each_files_program_once(monkeypatch, corpus_sourc
         copied.clear()
         run_pipeline([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec(), config)
         assert copied == [f"fuzz{seed}.mj"]
+
+
+def _bind_everywhere(monkeypatch, fn, wrapper):
+    """Bind `wrapper` at every name a leakward module binds `fn` to, the
+    defining module's included, so an import made at call time gets it too."""
+    for name, module in list(sys.modules.items()):
+        if name == "leakward" or name.startswith("leakward."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("transforms", [True, False])
+def test_a_pipeline_run_analyses_each_state_once(monkeypatch, corpus_sources, libspec, transforms):
+    # one inference per analysed state: the original (with transforms on),
+    # the transformed version and each fix round that applied a plan; one
+    # check per inference, besides the spec-free check for w_orig; validation
+    # judges the last round's re-check and makes neither
+    calls: Counter = Counter()
+    validating: list[bool] = []
+
+    def counting(fn, kind):
+        def counted(*args, **kwargs):
+            calls[kind, bool(validating)] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    def validated(*args, **kwargs):
+        calls["validate"] += 1
+        validating.append(True)
+        try:
+            return validate(*args, **kwargs)
+        finally:
+            validating.pop()
+
+    applied = []  # each applied plan's index: one index per round
+
+    def applying(program, plan):
+        applied.append(plan.index)
+        return apply(program, plan)
+
+    validate, apply = interp.validate_patch, pipeline.apply_plan_in_place
+    _bind_everywhere(monkeypatch, inference.infer_specs, counting(inference.infer_specs, "infer"))
+    _bind_everywhere(monkeypatch, checker.check_program, counting(checker.check_program, "check"))
+    _bind_everywhere(monkeypatch, validate, validated)
+    monkeypatch.setattr(pipeline, "apply_plan_in_place", applying)
+    inputs = [(name, text, libspec) for name, text in corpus_sources]
+    inputs += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(6)]
+    validations = 0
+    for name, text, lib in inputs:
+        calls.clear()
+        applied.clear()
+        run_file_pipeline(parse(text, name), lib, PipelineConfig(enable_transforms=transforms))
+        validations += calls.pop("validate", 0)
+        inferences = transforms + 1 + len({id(index) for index in applied})
+        assert calls == {("infer", False): inferences, ("check", False): 1 + inferences}, name
+    assert validations > 10
 
 
 REOPEN = """class R {
