@@ -143,10 +143,11 @@ class Cfg:
     exit: int = -1
     local_types: dict[str, str] = field(default_factory=dict)
     params: list[str] = field(default_factory=list)  # the member's parameter names, in order
-    # adjacency index over `edges`: kind (None for any) -> per-node neighbour
-    # tuples, in `edges` order so meets and warnings keep a fixed order
+    # adjacency index over `edges`, in `edges` order so meets and warnings
+    # keep a fixed order: successors per kind (None for any) and node, and
+    # predecessors of any kind per node
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pred: list[tuple[int, ...]] = field(default_factory=list, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order
     _copies: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -173,22 +174,21 @@ class Cfg:
         calls it once `nodes` and `edges` are final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
-        pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
+        pred: list[list[int]] = [[] for _ in self.nodes]
         for f, t, k in self.edges:
             succ[None][f].append(t)
             succ[k][f].append(t)
-            pred[None][t].append(f)
-            pred[k][t].append(f)
-        self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
+            pred[t].append(f)
+        self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
         self._rpo = self._reverse_postorder()
-        self.joins = frozenset(n for n, ps in enumerate(self._pred[None]) if len(set(ps)) > 1)
+        self.joins = frozenset(n for n, ps in enumerate(self._pred) if len(set(ps)) > 1)
         for backward in (False, True):
             rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # nodes unreachable from entry go last
             for i, n in enumerate(reversed(self._rpo) if backward else self._rpo):
                 rank[n] = i
             self._ranks[backward] = rank
         keys: dict[tuple[int, int], tuple[int, int]] = {}  # one key per edge, shared by both directions
-        preds, succs = self._pred[None], self._succ[None]
+        preds, succs = self._pred, self._succ[None]
         self._in_keys[False] = [tuple(keys.setdefault((m, n), (m, n)) for m in ms) for n, ms in enumerate(preds)]
         self._in_keys[True] = [tuple(keys[(n, m)] for m in ms) for n, ms in enumerate(succs)]
         copies: dict[int, list[int]] = {}
@@ -212,8 +212,12 @@ class Cfg:
         return self._succ[kind][n]
 
     def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
-        """Predecessors of `n` along edges of `kind` (any kind when None), in `edges` order."""
-        return self._pred[kind][n]
+        """Predecessors of `n` along edges of `kind` (any kind when None), in
+        `edges` order. Only the any-kind ones are indexed: a kind is a scan
+        of `edges`, which one exit check per checker run makes."""
+        if kind is None:
+            return self._pred[n]
+        return tuple(f for f, t, k in self.edges if t == n and k == kind)
 
     def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
         """Nodes reachable from `starts` (themselves included) along edges of
@@ -302,7 +306,7 @@ class Cfg:
 
 
 def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
-    """Per-node neighbour tuples. The memo keeps every lowering of a program
+    """Per-node successor tuples. The memo keeps every lowering of a program
     family, handed out as stored, until another family replaces it, so a
     node whose edges are all of one kind shares one tuple between that kind
     and the any-kind index (and an empty one is `()`)."""

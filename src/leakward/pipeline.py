@@ -407,10 +407,11 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     `fix_stage` patches a copy of it. The stages read the parse through one
     `ProgramVersion` per state, so each state is hashed once: the transforms
     hand back a new version only when they edited, and `write_specs` keeps
-    the version, as no annotation it writes is read by a key. The shift map
-    reads the last version, while its entries are current; when it is
-    ambiguous, each w_xform warning is its own root and `shift_error` says
-    why."""
+    the version, as no annotation it writes is read by a key. When the
+    transforms edit nothing, the first inference and check are `specs` and
+    `w_xform`, so that state is analysed once. The shift map reads the last
+    version, while its entries are current; when it is ambiguous, each
+    w_xform warning is its own root and `shift_error` says why."""
     version = memo.ProgramVersion(program, libspec)
     # w_orig: the checker alone, no inferred specifications
     w_orig = check_stage(version, SpecSet.from_declared(program), libspec, config)
@@ -418,13 +419,16 @@ def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: Pipelin
     # stages 1-4: inference and a first check drive the code transformations
     edit_log = EditLog()
     if config.enable_transforms:
-        specs1 = infer_specs(version, libspec)
-        version, edit_log = transform_stage(version, check_stage(version, specs1, libspec, config), specs1, libspec)
+        specs2 = infer_specs(version, libspec)
+        w_xform = check_stage(version, specs2, libspec, config)
+        version, edit_log = transform_stage(version, w_xform, specs2, libspec)
 
-    # stages 5-6: re-infer, write annotations, updated warnings
-    specs2 = infer_specs(version, libspec)
+    # stages 5-6: re-infer and re-check the state the transforms edited (an
+    # unedited one was analysed above), write annotations
+    if edit_log.entries or not config.enable_transforms:
+        specs2 = infer_specs(version, libspec)
+        w_xform = check_stage(version, specs2, libspec, config)
     write_specs(program, specs2)
-    w_xform = check_stage(version, specs2, libspec, config)
 
     # stages 7-8: plan, apply, validate
     fixed = fix_stage(version, w_xform, specs2, libspec, config)

@@ -16,8 +16,9 @@ Template selection per warning:
 
   UnsatisfiedObligation, value does not escape
       -> TryFinallyWrap: declare the holder null before a try, move the
-         allocation and everything after it inside, close in a finally under
-         a null guard;
+         allocation's range inside (`_wrap_range`: from the allocation to
+         the last statement of its block that names a local the range
+         declares or assigns), close in a finally under a null guard;
       -> CloseInFinally when the allocation already sits in a try body: hoist
          the declaration if needed and add the guarded close to that try's
          finally.
@@ -88,6 +89,9 @@ class RepairPlan:
     method: sx.MethodDecl  # the warned member
     anchor: sx.Node  # the allocation or call a wrap holds, or the store a pre-close precedes
     path: sx.StmtPath  # `stmt_path` from the member's body to the anchor's statement
+    # a wrap's range ends before this index of the anchor's block: `_wrap_range`
+    # for a TryFinallyWrap, the block's end for a CloseInFinally
+    stop: int
     finalizer_methods: tuple[str, ...]
     resource_class: str
     # the index the plan was found in, which applying it keeps current
@@ -221,6 +225,7 @@ def plan_fix(
     method, anchor, path = find_anchor(warning, program, index)
     if isinstance(screened, Unfixable):
         return screened
+    stop = 0
     if warning.kind == OWNING_FIELD_OVERWRITE:
         template = PRE_CLOSE_INSERTION
         if _pre_close_nesting(path, anchor, screened) > MAX_NESTING:
@@ -232,19 +237,22 @@ def plan_fix(
             return Unfixable(NO_IR_MATCH, detail=no_slot)
         tries = sx.try_slots(path)
         if tries and _holder_declared_in_try(path, tries, anchor):
-            tries = []  # the try's finally cannot name the holder: wrap the rest of its block instead
+            tries = []  # the try's finally cannot name the holder: wrap it in its own block instead
         template = CLOSE_IN_FINALLY if tries else TRY_FINALLY_WRAP
-        if _holder_reassigned(path, tries, anchor, index):
+        block, idx = path[-1]
+        stop = len(block.stmts) if tries else _wrap_range(block, idx, index)
+        if _holder_reassigned(path, tries, anchor, stop, index):
             return Unfixable(NO_IR_MATCH, detail="holder reassigned before the finally")
         if _holder_used_after(path, tries, anchor):
             return Unfixable(NO_IR_MATCH, detail="holder used after the wrapped block")
-        if _wrap_nesting(path, tries) > MAX_NESTING:
+        if _wrap_nesting(path, tries, stop) > MAX_NESTING:
             return Unfixable(NO_IR_MATCH, detail="nesting limit")
     return RepairPlan(
         template=template,
         method=method,
         anchor=anchor,
         path=path,
+        stop=stop,
         finalizer_methods=screened,
         resource_class=warning.resource_class,
         index=index,
@@ -256,17 +264,47 @@ def plan_fix(
 _GUARD_NESTING = 4
 
 
-def _wrap_nesting(path: sx.StmtPath, tries: sx.StmtPath) -> int:
+def _wrap_range(block: sx.Block, idx: int, index: sx.AstIndex) -> int:
+    """Where a TryFinallyWrap of the allocation at `block.stmts[idx]` ends:
+    the index after the last statement of `block` that names a local
+    written (declared or assigned) in the range, grown until no later
+    statement of `block` names one. So nothing the try body writes (the
+    holder, an alias such as `t = s`, a later holder whose fix joins this
+    finally) is read after the try, and the finally closes the holder once
+    its block is done with it. The names' references come from `index`."""
+    stop, done, written, here = idx + 1, idx, set(), {id(block): 0}
+    while done < stop:
+        new = {name for s in block.stmts[done:stop] for name in _written(s)} - written
+        written |= new
+        done = stop
+        for ref in (ref for name in new for ref in index.refs.get(name, ())):
+            placed = _placed(ref, here, index)
+            if placed is not None:
+                stop = max(stop, placed[1] + 1)
+    return stop
+
+
+def _written(stmt: sx.Stmt) -> set[str]:
+    """The locals declared or assigned in `stmt`, nested blocks included."""
+    return {
+        s.name if isinstance(s, sx.LocalDecl) else s.target.name
+        for s in sx.walk_stmts(stmt)
+        if isinstance(s, sx.LocalDecl) or (isinstance(s, sx.Assign) and isinstance(s.target, sx.VarRef))
+    }
+
+
+def _wrap_nesting(path: sx.StmtPath, tries: sx.StmtPath, stop: int) -> int:
     """How deep, in the parser's levels, the method's blocks and expressions
     nest where a wrap template edits them: the guarded close in a finally
-    and, for a TryFinallyWrap, the statements it moves into the try body."""
+    and, for a TryFinallyWrap, the statements of its range, which it moves
+    into the try body."""
     if tries:  # CloseInFinally: the guard joins the innermost try's finally
         try_block = tries[-1][0]
         depth = 1 + next(j for j, (b, _i) in enumerate(path) if b is try_block)
         return depth + _GUARD_NESTING
     block, idx = path[-1]
     depth = len(path)  # blocks open around the anchor statement
-    return max(depth + _GUARD_NESTING, depth + 1 + max(nesting(s) for s in block.stmts[idx:]))
+    return max(depth + _GUARD_NESTING, depth + 1 + max(nesting(s) for s in block.stmts[idx:stop]))
 
 
 def _pre_close_nesting(path: sx.StmtPath, store: sx.Assign, finalizers: tuple[str, ...]) -> int:
@@ -309,31 +347,43 @@ def _holder_declared_in_try(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.No
     return any(isinstance(s, sx.LocalDecl) and s.name == var for s in earlier)
 
 
-def _holder_reassigned(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, index: sx.AstIndex) -> bool:
+def _holder_reassigned(
+    path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, stop: int, index: sx.AstIndex
+) -> bool:
     """Is the local a wrap closes in its finally assigned again before the
     finally runs, so that the finally would close a later value instead?
-    That is the rest of the anchor's block for a TryFinallyWrap, and the rest
-    of each block from the innermost try body down to the anchor for a
-    CloseInFinally (`_covered_from`).
+    That is the wrap's range for a TryFinallyWrap, and the rest of each block
+    from the innermost try body down to the anchor for a CloseInFinally
+    (`_covered_from`); in the anchor's block, the statements before `stop`.
 
     Each assignment to the local in `index` is placed by its parents: the
     innermost block of `path` that holds it decides, by whether it comes
-    after the path's statement there."""
+    after the path's statement there (and, in the anchor's block, before
+    `stop`)."""
     var = _holder(path, anchor)
     if var is None:
         return False
     start = _covered_from(path, tries)
     levels = {id(b): k for k, (b, _i) in enumerate(path)}
     for assign in index.assigns.get(var, ()):
-        node = assign
-        holder = index.parents.get(node.nid)
-        while holder is not None and id(holder) not in levels:
-            node, holder = holder, index.parents.get(holder.nid)
-        if holder is None or levels[id(holder)] < start:
+        placed = _placed(assign, levels, index)
+        if placed is None or placed[0] < start:
             continue  # in another member, or outside the blocks the finally covers
-        if index.slot(node)[1] > path[levels[id(holder)]][1]:
+        level, at = placed
+        if path[level][1] < at and (level < len(path) - 1 or at < stop):
             return True
     return False
+
+
+def _placed(node: sx.Node, blocks: dict[int, int], index: sx.AstIndex) -> Optional[tuple[int, int]]:
+    """Where the innermost of `blocks` (a block's id -> its level) that holds
+    `node` holds it: that block's level, and the index there of the
+    statement that is or holds `node`; None when none of them does. Read
+    off `index`'s parents."""
+    holder = index.parents.get(node.nid)
+    while holder is not None and id(holder) not in blocks:
+        node, holder = holder, index.parents.get(holder.nid)
+    return None if holder is None else (blocks[id(holder)], index.slot(node)[1])
 
 
 def _holder_used_after(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
@@ -439,6 +489,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
     expr = plan.anchor
     block, idx = plan.path[-1]
     stmt = block.stmts[idx]
+    stop = plan.stop
 
     # normalize the anchor statement so a named local holds the resource
     var: str
@@ -470,6 +521,7 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
             index.drop(stmt)
         else:
             block.stmts.insert(idx, assign)
+            stop += 1
             index.add(ref, holder)
         index.add(assign, block)
         hoisted = decl
@@ -493,10 +545,9 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
             index.add(guard, try_stmt.finally_block)
         return
 
-    # TryFinallyWrap: move the allocation statement and the rest of its block
-    # into a new try, close in the finally
-    suffix = block.stmts[idx:]
-    del block.stmts[idx:]
+    # TryFinallyWrap: move the allocation's range (`_wrap_range`) into a new
+    # try, close in the finally; the block's later statements follow the try
+    moved = block.stmts[idx:stop]
     try_stmt = sx.Try(
         body=sx.Block(stmts=[]),
         catch_type=None,
@@ -507,10 +558,9 @@ def _apply_wrap(program: sx.Program, plan: RepairPlan) -> None:
     program.inherit_pos(try_stmt, stmt)
     program.inherit_pos(try_stmt.body, stmt)
     program.inherit_pos(try_stmt.finally_block, stmt)
+    block.stmts[idx:stop] = [try_stmt] if hoisted is None else [hoisted, try_stmt]
     if hoisted is not None:
-        block.stmts.append(hoisted)
         index.add(hoisted, block)
-    block.stmts.append(try_stmt)
     index.add(try_stmt, block)  # with its body still empty: the moved statements are indexed already
-    try_stmt.body.stmts = suffix
-    index.move(suffix, try_stmt.body)
+    try_stmt.body.stmts = moved
+    index.move(moved, try_stmt.body)

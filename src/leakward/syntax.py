@@ -16,11 +16,13 @@ warning ordinals.
 
 Navigation: ``member_key``/``ClassDecl.member`` name a method the way CFGs
 and warnings do; an ``AstIndex`` maps each node id to its node and the node
-holding it, so it gives a node by id and the statement holding it
-(``stmt_path``) without a walk, and the edits that add or move nodes keep
-it current; ``evaluated_before`` tells a statement of a body itself and
-what runs before it completes (a constructor's first write); ``map_exprs``
-swaps expressions; ``Program.adopt`` positions a synthesized subtree.
+holding it, and each bare name to its references and assignments, so it
+gives a node by id and the statement holding it (``stmt_path``), or the
+statements naming a local, without a walk, and the edits that add or move
+nodes keep it current; ``evaluated_before`` tells a statement of a body
+itself and what runs before it completes (a constructor's first write);
+``map_exprs`` swaps expressions; ``Program.adopt`` positions a synthesized
+subtree.
 """
 
 from __future__ import annotations
@@ -518,26 +520,31 @@ StmtPath = list[tuple[Block, int]]
 
 class AstIndex:
     """Each node under a root by its id, with the node that holds it, and
-    the assignments to each bare name: built in one pass over `SHAPE`, and
-    kept current by whoever edits the tree through `add`, `move` and
-    `drop`. A node's statement path is read off its parents (`stmt_path`),
+    the references and assignments to each bare name: built in one pass over
+    `SHAPE`, and kept current by whoever edits the tree through `add`, `move`
+    and `drop`. A node's statement path is read off its parents (`stmt_path`),
     so finding a node and its statement walks no tree. Node ids are unique
     in a program: a deep copy keeps them, and a new node takes a fresh one."""
 
     def __init__(self, root: Node):
         self.nodes: dict[int, Node] = {}
         self.parents: dict[int, Node] = {}  # nid -> the node holding it; the root has none
+        self.refs: dict[str, list[VarRef]] = {}  # name -> the VarRefs naming it
         self.assigns: dict[str, list[Assign]] = {}  # name -> the Assigns whose target is that bare name
         self.add(root, None)
 
     def add(self, root: Node, parent: Optional[Node]) -> None:
-        """Index `root` and every node under it, `root` as held by `parent`."""
+        """Index `root` and every node under it, `root` as held by `parent`.
+        A node indexed already (one an edit moved under `root`) keeps its
+        entries and those of the nodes it holds."""
         nodes, parents = self.nodes, self.parents
         if parent is not None:
             parents[root.nid] = parent
         stack = [root]
         while stack:  # the order of visits does not matter: each node is indexed once
             node = stack.pop()
+            if nodes.get(node.nid) is node:
+                continue
             nodes[node.nid] = node
             for name in SHAPE[node.__class__]:
                 child = getattr(node, name)
@@ -548,7 +555,9 @@ class AstIndex:
                 elif child is not None:
                     parents[child.nid] = node
                     stack.append(child)
-            if node.__class__ is Assign and node.target.__class__ is VarRef:
+            if node.__class__ is VarRef:
+                self.refs.setdefault(node.name, []).append(node)
+            elif node.__class__ is Assign and node.target.__class__ is VarRef:
                 self.assigns.setdefault(node.target.name, []).append(node)
 
     def move(self, nodes: list[Node], parent: Node) -> None:
@@ -560,7 +569,9 @@ class AstIndex:
         """`node` itself has left the tree (what it held is indexed apart)."""
         del self.nodes[node.nid]
         self.parents.pop(node.nid, None)
-        if node.__class__ is Assign and node.target.__class__ is VarRef:
+        if node.__class__ is VarRef:
+            self.refs[node.name].remove(node)
+        elif node.__class__ is Assign and node.target.__class__ is VarRef:
             self.assigns[node.target.name].remove(node)
 
     def slot(self, stmt: Stmt) -> tuple[Block, int]:

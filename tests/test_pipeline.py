@@ -360,8 +360,8 @@ def _bind_everywhere(monkeypatch, fn, wrapper):
 
 @pytest.mark.parametrize("transforms", [True, False])
 def test_a_pipeline_run_analyses_each_state_once(monkeypatch, corpus_sources, libspec, transforms):
-    # one inference per analysed state: the original (with transforms on),
-    # the transformed version and each fix round that applied a plan; one
+    # one inference per analysed state: the original, the transformed version
+    # when the transforms edited it, and each fix round that applied a plan; one
     # check per inference, besides the spec-free check for w_orig; validation
     # judges the last round's re-check and makes neither
     calls: Counter = Counter()
@@ -395,15 +395,17 @@ def test_a_pipeline_run_analyses_each_state_once(monkeypatch, corpus_sources, li
     monkeypatch.setattr(pipeline, "apply_plan_in_place", applying)
     inputs = [(name, text, libspec) for name, text in corpus_sources]
     inputs += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(6)]
-    validations = 0
+    validations = edited = 0
     for name, text, lib in inputs:
         calls.clear()
         applied.clear()
-        run_file_pipeline(parse(text, name), lib, PipelineConfig(enable_transforms=transforms))
+        fr = run_file_pipeline(parse(text, name), lib, PipelineConfig(enable_transforms=transforms))
         validations += calls.pop("validate", 0)
-        inferences = transforms + 1 + len({id(index) for index in applied})
+        edited += bool(fr.edit_log.entries)
+        inferences = 1 + bool(fr.edit_log.entries) + len({id(index) for index in applied})
         assert calls == {("infer", False): inferences, ("check", False): 1 + inferences}, name
     assert validations > 10
+    assert (edited > 10) == transforms and len(inputs) - edited > 5  # both ways through stages 5-6
 
 
 REOPEN = """class R {

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from helpers import apply_unified_diff
+from helpers import apply_unified_diff, wide_method_source
 from leakward import syntax as sx
 from leakward.checker import check_program, filter_constructor_first_writes
 from leakward.errors import StaleWarning
@@ -218,7 +218,7 @@ def test_a_wrap_of_sixty_one_nested_ifs_is_unfixable_not_failed_validation():
 )
 def test_a_holder_declared_inside_the_try_is_closed_in_its_own_block(libspec, body, expected):
     # the try's finally cannot name a `s` declared inside the try, so the
-    # repair wraps the rest of the assignment's block instead of closing there
+    # repair wraps the assignment's range in its own block instead of closing there
     src = f"class Main {{ static void main() {{ {body} finally {{ int x = 1; }} }} }}"
     prog = parse(src, "h.mj")
     specs = infer_specs(prog, libspec)
@@ -632,3 +632,103 @@ def test_a_wrap_leaves_a_later_local_of_the_same_name_alone():
 """
     plan, _prog, _w = _plan_first(src)
     assert not isinstance(plan, Unfixable) and plan.template == TRY_FINALLY_WRAP
+
+
+# --- a wrap's range ---
+
+
+def _main_body(program):
+    return program.class_named("Main").method_named("main").body
+
+
+def _plans_in_line_order(src, lib):
+    prog = parse(src, "range.mj")
+    specs = infer_specs(prog, lib)
+    warnings = sorted(check_program(prog, specs, lib), key=lambda w: w.line)
+    return [_plan(w, prog, specs, lib=lib) for w in warnings], prog
+
+
+def test_each_leaked_holder_of_wide_method_is_wrapped_over_its_allocation_alone(libspec):
+    report = run_pipeline([("wide6.mj", wide_method_source(6))], libspec)
+    fr = report.files["wide6.mj"]
+    assert fr.iterations_used == 1 and fr.verdict.label == "Pass"
+    assert list(fr.fix_status.values()) == [("fixed", TRY_FINALLY_WRAP)] * 3
+    tries = [s for s in _main_body(fr.patched).stmts if isinstance(s, sx.Try)]
+    assert [[type(s) for s in t.body.stmts] for t in tries] == [[sx.Assign]] * 3
+    assert [t.body.stmts[0].target.name for t in tries] == ["s1", "s3", "s5"]
+
+
+# `b` is declared inside `a`'s range, so the range reaches `b.read()` and
+# `b`'s fix joins `a`'s finally
+TWO_HOLDERS = """class Main {
+  static void main() {
+    FileInputStream a = new FileInputStream("a");
+    FileInputStream b = new FileInputStream("b");
+    a.read();
+    b.read();
+  }
+}
+"""
+
+
+def test_a_holder_declared_in_a_range_extends_it_and_joins_its_finally(libspec):
+    (plan_a, _plan_b), _prog = _plans_in_line_order(TWO_HOLDERS, libspec)
+    assert plan_a.template == TRY_FINALLY_WRAP and plan_a.stop == 4
+    report = run_pipeline([("two.mj", TWO_HOLDERS)], libspec)
+    fr = report.files["two.mj"]
+    assert fr.iterations_used == 1 and fr.verdict.label == "Pass"
+    assert [fr.fix_status[w.id] for w in sorted(fr.w_xform, key=lambda w: w.line)] == [
+        ("fixed", TRY_FINALLY_WRAP),
+        ("fixed", CLOSE_IN_FINALLY),
+    ]
+    decl_a, decl_b, wrap = _main_body(fr.patched).stmts
+    assert (decl_a.name, decl_b.name) == ("a", "b") and len(wrap.body.stmts) == 4
+    assert [g.cond.lhs.name for g in wrap.finally_block.stmts] == ["a", "b"]
+
+
+# `t` is assigned `s` inside `s`'s range, so the range reaches `t.read()`,
+# after `s`'s last use; `int m` reads nothing the range writes and stays out
+ALIAS_IN_RANGE = """class Main {
+  static void main() {
+    FileInputStream s = new FileInputStream("a");
+    FileInputStream t = null;
+    t = s;
+    s.read();
+    int k = 1;
+    t.read();
+    int m = 2;
+  }
+}
+"""
+
+
+def test_an_alias_assigned_in_a_range_keeps_its_later_uses_inside_it(libspec):
+    (plan,), _prog = _plans_in_line_order(ALIAS_IN_RANGE, libspec)
+    assert plan.template == TRY_FINALLY_WRAP and plan.stop == 6
+    report = run_pipeline([("alias.mj", ALIAS_IN_RANGE)], libspec)
+    fr = report.files["alias.mj"]
+    assert fr.iterations_used == 1 and fr.verdict.label == "Pass"
+    decl, wrap, after = _main_body(fr.patched).stmts
+    assert isinstance(wrap, sx.Try) and len(wrap.body.stmts) == 6
+    assert isinstance(after, sx.LocalDecl) and after.name == "m"
+
+
+# the first stream's holder is assigned again inside its range, before the
+# later statement that ends it
+REASSIGNED_IN_RANGE = """class Main {
+  static void main() {
+    FileInputStream s = new FileInputStream("a");
+    s.read();
+    s = new FileInputStream("b");
+    s.read();
+    s.close();
+    int k = 1;
+  }
+}
+"""
+
+
+def test_a_holder_reassigned_inside_its_range_is_unfixable(libspec):
+    (plan,), _prog = _plans_in_line_order(REASSIGNED_IN_RANGE, libspec)
+    assert isinstance(plan, Unfixable)
+    assert (plan.reason, plan.detail) == ("NoIrMatch", "holder reassigned before the finally")
