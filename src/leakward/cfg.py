@@ -2,32 +2,49 @@
 
 Lowering flattens nested expressions through fresh temporaries (``%tN``) into
 three-address instructions; a bare name is a local where ``syntax.local_refs``
-says so, else a field or a class. Only Invoke and Alloc nodes can throw; they
-get an exceptional edge to the innermost enclosing catch head, or else toward
-method exit through every enclosing finally block. Finally blocks are
-duplicated per entry path (normal completion, exception propagation, return),
-so the analyses stay path-insensitive without losing the finally-always-runs
-guarantee.
+says so, else a field or a class. A string or int literal is an operand
+itself, spelled as in the source (``3``, ``"abc"``): it is not a local, not
+a liveness use, and `literal_type` reads its type off it. Only `null` is
+lowered to a node (`Const`), as the checker tracks which locals hold it.
+Only Invoke and Alloc nodes can throw; they get an exceptional edge to the
+innermost enclosing catch block, or else toward method exit through every
+enclosing finally block. Finally blocks are duplicated per entry path
+(normal completion, exception propagation, return), so the analyses stay
+path-insensitive without losing the finally-always-runs guarantee.
 
 Edges that continue exception propagation carry kind "exceptional"; the
 normal-exit state of a method is therefore the meet over the exit node's
-normal-kind in-edges.
+normal-kind in-edges. An edge out of a node is exceptional when its path
+takes an exceptional step before the next node.
+
+A lowering emits only nodes some analysis reads. A block's tails (the
+nodes that fall through its end, and the pending edges of a block that
+lowered none: an empty branch, a loop's exit, a catch or finally head)
+connect straight to the next node lowered, so every node but exit has a
+path from entry. Three kinds of `Nop` stay:
+- "entry" and "exit";
+- "to-exit", where pending edges of a block that lowered no node reach
+  exit: a death there is pruned on the edge into the Nop, which is not
+  exit's, so the checker still finds it and exit facts stay as they are;
+- "split", on one of two out-edges of a node that would otherwise reach the
+  same node (a branch with nothing on either side before its join, a call's
+  normal and exceptional edges past an empty catch): `solve` keeps one
+  out-fact per successor, and each edge carries its own.
 
 `solve` is the one dataflow engine: liveness, must-alias and the escape
 taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index, the reverse postorder, `solve`'s ranks and in-edge keys, the join
-nodes, the anchors lowered from each AST node (`Cfg.copies`) and the nodes a
-value can escape through (`Cfg.sinks`) when the CFG is built, liveness and
-the taint of the values the escape analysis asks about on first use
-(`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor`
-instruction carries its AST node's id and the warning ordinal the lowering
-numbers from its one `local_refs` walk. So the memo hands out the stored
-lowering itself on every hit.
+index, the reverse postorder, `solve`'s ranks, the join nodes, the anchors
+lowered from each AST node (`Cfg.copies`) and the nodes a value can escape
+through (`Cfg.sinks`) when the CFG is built, liveness and the taint of the
+values the escape analysis asks about on first use (`Cfg.live_in`,
+`Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor` instruction
+carries its AST node's id and the warning ordinal the lowering numbers from
+its one `local_refs` walk. So the memo hands out the stored lowering itself
+on every hit.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -38,13 +55,19 @@ from typing import Callable, Collection, Iterable, Optional, TypeVar, Union
 from . import syntax as sx
 from .errors import SyntaxError
 from .libspec import LibrarySpec
+from .printer import expr_text
 
 NORMAL = "normal"
 EXCEPTIONAL = "exceptional"
 
 THIS = sx.THIS
 
-Value = Union[None, int, str]  # Const payload; None encodes the null literal
+
+def literal_type(op: str) -> Optional[str]:
+    """The type of operand `op` when it is a literal, spelled as in the
+    source ("int" for `3`, "String" for `"abc"`); None for a local."""
+    first = op[:1]
+    return "String" if first == '"' else "int" if first.isdigit() else None
 
 
 # --- instructions ----------------------------------------------------------
@@ -78,9 +101,9 @@ class CopyLocal(Instr):
 
 @dataclass
 class Const(Instr):
+    """`dst = null`; a string or int literal is an operand, with no node."""
+
     dst: str
-    value: Value
-    is_null: bool
 
 
 @dataclass
@@ -151,16 +174,12 @@ class Cfg:
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order
     _copies: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the nodes that store, return or pass a local, in node order
+    # the nodes that store, return or pass an operand, in node order
     sinks: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # the nodes with in-edges from more than one node, where a forward solve meets facts
     joins: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
-    # `solve`'s setup per direction (backward?): each node's rank in the
-    # visiting order, and the (source, target) keys of the edges it meets
+    # `solve`'s setup per direction (backward?): each node's rank in the visiting order
     _ranks: dict[bool, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _in_keys: dict[bool, list[tuple[tuple[int, int], ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     # liveness by node id, solved on first use
     _live: Optional[tuple[frozenset[str], ...]] = field(default=None, init=False, repr=False, compare=False)
     # the taint of `taint_starts` by node id and each start's bit, solved on first use
@@ -170,8 +189,8 @@ class Cfg:
 
     def index_edges(self) -> None:
         """Build the adjacency index, the reverse postorder, the joins,
-        `solve`'s ranks and in-edge keys, `copies` and `sinks`; lowering
-        calls it once `nodes` and `edges` are final."""
+        `solve`'s ranks, `copies` and `sinks`; lowering calls it once
+        `nodes` and `edges` are final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: list[list[int]] = [[] for _ in self.nodes]
@@ -183,14 +202,10 @@ class Cfg:
         self._rpo = self._reverse_postorder()
         self.joins = frozenset(n for n, ps in enumerate(self._pred) if len(set(ps)) > 1)
         for backward in (False, True):
-            rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # nodes unreachable from entry go last
+            rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # exit goes last if no path reaches it
             for i, n in enumerate(reversed(self._rpo) if backward else self._rpo):
                 rank[n] = i
             self._ranks[backward] = rank
-        keys: dict[tuple[int, int], tuple[int, int]] = {}  # one key per edge, shared by both directions
-        preds, succs = self._pred, self._succ[None]
-        self._in_keys[False] = [tuple(keys.setdefault((m, n), (m, n)) for m in ms) for n, ms in enumerate(preds)]
-        self._in_keys[True] = [tuple(keys[(n, m)] for m in ms) for n, ms in enumerate(succs)]
         copies: dict[int, list[int]] = {}
         sinks: list[int] = []
         for n, ins in enumerate(self.nodes):
@@ -325,7 +340,7 @@ def _instr_text(i: Instr) -> str:
     if isinstance(i, CopyLocal):
         return f"{i.dst} = {i.src}"
     if isinstance(i, Const):
-        return f"{i.dst} = {'null' if i.is_null else repr(i.value)}"
+        return f"{i.dst} = null"
     if isinstance(i, LoadField):
         recv = i.recv if i.recv else i.field_class
         return f"{i.dst} = {recv}.{i.field}"
@@ -346,6 +361,30 @@ def _instr_text(i: Instr) -> str:
 
 # --- lowering --------------------------------------------------------------
 
+# An edge still waiting for its target, the next node lowered on its path:
+# (source, kind, side), where side is the Branch slot it fills (True, False)
+# or None. A block's tails are the nodes that fall through its end, each with
+# a normal edge to come, and the pending edges of a block that lowered no
+# node (a `Group`), which keep their own kinds and sides.
+Pending = tuple[int, str, Optional[bool]]
+Group = list[Pending]
+Tails = list[Union[int, Group]]
+
+
+def _pending(tails: Tails, kind: str = NORMAL) -> Group:
+    """The pending edges of `tails`: a node's leave it with `kind`, and a
+    group's are exceptional when `kind` is (one exceptional step makes the
+    whole path exceptional)."""
+    out: Group = []
+    for t in tails:
+        if isinstance(t, int):
+            out.append((t, kind, None))
+        elif kind == NORMAL:
+            out.extend(t)
+        else:
+            out.extend((src, kind, side) for src, _k, side in t)
+    return out
+
 
 class Lowerer:
     def __init__(self, program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, libspec: LibrarySpec):
@@ -362,9 +401,9 @@ class Lowerer:
             self.ordinals[e.nid] = per_class[e.class_name] = per_class.get(e.class_name, -1) + 1
         self.store_ordinals: dict[tuple[str, str], dict[int, int]] = {}
         self.temp_counter = 0
-        # finally-duplicate continuations, keyed per active Try frame
-        self.frames: list[_TryFrame] = []
-        self.edge_set: set[tuple[int, int, str]] = set()
+        self.frames: list[_TryFrame] = []  # the try statements the lowering is inside, outermost first
+        self.linked: set[tuple[int, int, str, Optional[bool]]] = set()  # each (source, target, kind, side) linked
+        self.pairs: set[tuple[int, int]] = set()  # each (source, target) with an edge
 
     # graph plumbing
 
@@ -372,10 +411,38 @@ class Lowerer:
         self.cfg.nodes.append(instr)
         return len(self.cfg.nodes) - 1
 
-    def edge(self, a: int, b: int, kind: str = NORMAL) -> None:
-        if (a, b, kind) not in self.edge_set:
-            self.edge_set.add((a, b, kind))
-            self.cfg.edges.append((a, b, kind))
+    def link(self, src: int, dst: int, kind: str = NORMAL, side: Optional[bool] = None) -> None:
+        """The edge `src` -> `dst`, filling Branch slot `side`. When another
+        out-edge of `src` already reaches `dst` on a different way, this one
+        goes through a `split` Nop, as a solve keeps one out-fact per
+        successor. Into exit a call's normal and exceptional edges stay
+        apart by their kinds: exit's in-fact is the meet of its normal ones."""
+        if (src, dst, kind, side) in self.linked:
+            return
+        self.linked.add((src, dst, kind, side))
+        if (src, dst) in self.pairs and (side is not None or dst != self.cfg.exit):
+            split = self.node(Nop("split"))
+            self.link(src, split, kind, side)
+            self.link(split, dst, kind)
+            return
+        self.pairs.add((src, dst))
+        self.cfg.edges.append((src, dst, kind))
+        if side is not None:
+            branch: Branch = self.cfg.nodes[src]  # type: ignore[assignment]
+            if side:
+                branch.true_succ = dst
+            else:
+                branch.false_succ = dst
+
+    def connect(self, tails: Tails, n: int) -> list[int]:
+        """Link `tails` to `n`, the next node on their paths; `[n]` is the new tails."""
+        for t in tails:
+            if isinstance(t, int):
+                self.link(t, n)
+            else:
+                for src, kind, side in t:
+                    self.link(src, n, kind, side)
+        return [n]
 
     def temp(self, type_name: str) -> str:
         self.temp_counter += 1
@@ -411,90 +478,53 @@ class Lowerer:
         for p in self.method.params:
             self.cfg.local_types[p.name] = p.type_name
             self.cfg.params.append(p.name)
-        tails = self.lower_block(self.method.body, [entry])
-        for t in tails:
-            self.edge(t, exit_)
-        self._prune_unreachable()
+        for t in self.lower_block(self.method.body, [entry]):
+            if isinstance(t, int):
+                self.link(t, exit_)
+            else:
+                # a block that lowered no node ends the body: its Nop keeps a
+                # death there on an edge that does not enter exit
+                to_exit = self.node(Nop("to-exit"))
+                self.connect([t], to_exit)
+                self.link(to_exit, exit_)
         self.cfg.index_edges()
         return self.cfg
 
-    def _prune_unreachable(self) -> None:
-        succs: dict[int, list[int]] = {}
-        for a, b, _k in self.cfg.edges:
-            succs.setdefault(a, []).append(b)
-        reach = {self.cfg.entry}
-        work = [self.cfg.entry]
-        while work:
-            n = work.pop()
-            for s in succs.get(n, ()):
-                if s not in reach:
-                    reach.add(s)
-                    work.append(s)
-        reach.add(self.cfg.exit)
-        keep = sorted(reach)
-        remap = {old: new for new, old in enumerate(keep)}
-        self.cfg.nodes = [self.cfg.nodes[i] for i in keep]
-        self.cfg.edges = [(remap[a], remap[b], k) for (a, b, k) in self.cfg.edges if a in reach and b in reach]
-        self.cfg.entry = remap[self.cfg.entry]
-        self.cfg.exit = remap[self.cfg.exit]
-        for instr in self.cfg.nodes:
-            if isinstance(instr, Branch):
-                instr.true_succ = remap.get(instr.true_succ, -1)
-                instr.false_succ = remap.get(instr.false_succ, -1)
+    # statements; every lower_* takes the current tails and returns the new ones
 
-    # statements; every lower_* takes the current dangling tails and returns the new ones
-
-    def lower_block(self, block: sx.Block, tails: list[int]) -> list[int]:
+    def lower_block(self, block: sx.Block, tails: Tails) -> Tails:
         for stmt in block.stmts:
             if not tails:
                 break  # unreachable trailing code is not lowered
             tails = self.lower_stmt(stmt, tails)
         return tails
 
-    def lower_stmt(self, stmt: sx.Stmt, tails: list[int]) -> list[int]:
+    def lower_stmt(self, stmt: sx.Stmt, tails: Tails) -> Tails:
         if isinstance(stmt, sx.LocalDecl):
             if self.names.redeclares(stmt):
                 raise self.fail(stmt, f"duplicate local {stmt.name}")
             self.cfg.local_types.setdefault(stmt.name, stmt.type_name)
             if stmt.init is not None:
                 tails, src = self.lower_expr(stmt.init, tails)
-                n = self.node(CopyLocal(stmt.name, src))
-                return self.connect(tails, n)
-            n = self.node(Const(stmt.name, None, is_null=True))
-            return self.connect(tails, n)
+                return self.connect(tails, self.node(CopyLocal(stmt.name, src)))
+            return self.connect(tails, self.node(Const(stmt.name)))
         if isinstance(stmt, sx.Assign):
             return self.lower_assign(stmt, tails)
         if isinstance(stmt, sx.ExprStmt):
             tails, _ = self.lower_expr(stmt.expr, tails, want_value=False)
             return tails
         if isinstance(stmt, sx.If):
-            tails, branch = self.lower_cond(stmt.cond, tails)
-            then_head = self.node(Nop("then"))
-            self.edge(branch, then_head)
-            self.cfg.nodes[branch].true_succ = then_head  # type: ignore[attr-defined]
-            then_tails = self.lower_block(stmt.then_block, [then_head])
-            else_head = self.node(Nop("else"))
-            self.edge(branch, else_head)
-            self.cfg.nodes[branch].false_succ = else_head  # type: ignore[attr-defined]
+            branch = self.lower_cond(stmt.cond, tails)
+            then_tails = self.lower_block(stmt.then_block, [[(branch, NORMAL, True)]])
+            else_tails: Tails = [[(branch, NORMAL, False)]]
             if stmt.else_block is not None:
-                else_tails = self.lower_block(stmt.else_block, [else_head])
-            else:
-                else_tails = [else_head]
+                else_tails = self.lower_block(stmt.else_block, else_tails)
             return then_tails + else_tails
         if isinstance(stmt, sx.While):
-            head = self.node(Nop("loop-head"))
-            tails = self.connect(tails, head)
-            cond_tails, branch = self.lower_cond(stmt.cond, tails)
-            body_head = self.node(Nop("loop-body"))
-            self.edge(branch, body_head)
-            self.cfg.nodes[branch].true_succ = body_head  # type: ignore[attr-defined]
-            body_tails = self.lower_block(stmt.body, [body_head])
-            for t in body_tails:
-                self.edge(t, head)
-            after = self.node(Nop("loop-exit"))
-            self.edge(branch, after)
-            self.cfg.nodes[branch].false_succ = after  # type: ignore[attr-defined]
-            return [after]
+            head = len(self.cfg.nodes)  # the condition's first node, where the body loops back
+            branch = self.lower_cond(stmt.cond, tails)
+            self.connect(self.lower_block(stmt.body, [[(branch, NORMAL, True)]]), head)
+            return [[(branch, NORMAL, False)]]
         if isinstance(stmt, sx.Try):
             return self.lower_try(stmt, tails)
         if isinstance(stmt, sx.Return):
@@ -502,18 +532,14 @@ class Lowerer:
             if stmt.value is not None:
                 tails, src = self.lower_expr(stmt.value, tails)
             tails = self.run_finallies_for_return(tails)
-            ret = self.node(ReturnVal(src))
-            tails = self.connect(tails, ret)
-            self.edge(ret, self.cfg.exit)
+            if tails:  # else a finally block returned first
+                ret = self.node(ReturnVal(src))
+                self.connect(tails, ret)
+                self.link(ret, self.cfg.exit)
             return []
         raise AssertionError(f"unloweredable statement {stmt!r}")  # pragma: no cover
 
-    def connect(self, tails: list[int], n: int) -> list[int]:
-        for t in tails:
-            self.edge(t, n)
-        return [n]
-
-    def lower_assign(self, stmt: sx.Assign, tails: list[int]) -> list[int]:
+    def lower_assign(self, stmt: sx.Assign, tails: Tails) -> Tails:
         target = stmt.target
         if isinstance(target, sx.VarRef):
             kind, info = self.resolve_name(target)
@@ -534,51 +560,41 @@ class Lowerer:
         tails, recv_op = self.lower_expr(recv, tails)
         return self.store_field(stmt, tails, recv_op, self.operand_type(recv, recv_op))
 
-    def store_field(self, stmt: sx.Assign, tails: list[int], recv: Optional[str], field_class: str) -> list[int]:
+    def store_field(self, stmt: sx.Assign, tails: Tails, recv: Optional[str], field_class: str) -> Tails:
         """Lower `stmt`'s value into its target's field of `field_class` through `recv` (None if static)."""
         tails, src = self.lower_expr(stmt.value, tails)
         ordinal = self.store_ordinal(stmt, field_class)
         return self.connect(tails, self.node(StoreField(recv, stmt.target.name, src, field_class, stmt.nid, ordinal)))
 
-    def lower_try(self, stmt: sx.Try, tails: list[int]) -> list[int]:
-        body_frame = _TryFrame(self, stmt, catch_active=stmt.catch_block is not None)
+    def lower_try(self, stmt: sx.Try, tails: Tails) -> Tails:
+        body_frame = _TryFrame(stmt, catch_active=stmt.catch_block is not None)
         self.frames.append(body_frame)
-        body_tails = self.lower_block(stmt.body, tails)
+        out = self.lower_block(stmt.body, tails)
         self.frames.pop()
-        catch_tails: list[int] = []
         catch_frame: Optional[_TryFrame] = None
-        if stmt.catch_block is not None and body_frame.catch_created():
+        if body_frame.caught:
             # while inside the catch block, this try's catch no longer applies
             # but its finally (if any) still must run on every exit path
-            catch_frame = _TryFrame(self, stmt, catch_active=False)
+            catch_frame = _TryFrame(stmt, catch_active=False)
             self.frames.append(catch_frame)
             self.cfg.local_types.setdefault(stmt.catch_name or "e", stmt.catch_type or "Exception")
-            catch_tails = self.lower_block(stmt.catch_block, [body_frame.catch_head()])
+            out = out + self.lower_block(stmt.catch_block, [body_frame.caught])
             self.frames.pop()
-        if stmt.finally_block is not None:
-            # normal completion duplicate
-            fin_head = self.node(Nop("finally"))
-            joined = body_tails + catch_tails
-            out: list[int] = []
-            if joined:
-                for t in joined:
-                    self.edge(t, fin_head)
-                out = self.lower_block(stmt.finally_block, [fin_head])
-        else:
-            out = body_tails + catch_tails
+        if stmt.finally_block is not None and out:
+            # the normal-completion duplicate, entered by everything that
+            # completes the body or the catch
+            out = self.lower_block(stmt.finally_block, [_pending(out)])
         body_frame.seal(self)
         if catch_frame is not None:
             catch_frame.seal(self)
         return out
 
-    def run_finallies_for_return(self, tails: list[int]) -> list[int]:
+    def run_finallies_for_return(self, tails: Tails) -> Tails:
         """Duplicate every enclosing finally block (innermost first) on a return path."""
         active = self.frames
         for idx in range(len(active) - 1, -1, -1):
             frame = active[idx]
             if frame.stmt.finally_block is not None:
-                head = self.node(Nop("finally-return"))
-                tails = self.connect(tails, head)
                 # exceptions thrown inside a finally propagate outward, never
                 # back into the same finally
                 self.frames = active[:idx]
@@ -586,41 +602,32 @@ class Lowerer:
                 self.frames = active
         return tails
 
-    def exception_target(self, level: int) -> tuple[int, bool]:
-        """Handler node for an exception raised while `level` frames are active.
-
-        Returns (node, handled): handled is False when the exception leaves the
-        method, in which case the node is the exit and the edge is exceptional.
-        """
+    def throw(self, tails: Tails, level: int) -> None:
+        """Send `tails` on exceptional edges to the handler of an exception
+        raised while `level` frames are active: the innermost active catch,
+        else the innermost finally's exception-propagation duplicate, which
+        then keeps unwinding outward, else method exit."""
+        edges = _pending(tails, EXCEPTIONAL)
         for idx in range(level - 1, -1, -1):
             frame = self.frames[idx]
             if frame.catch_active:
-                return frame.catch_head(), True
+                frame.caught.extend(edges)
+                return
             if frame.stmt.finally_block is not None:
-                # try-finally without an applicable catch: run the finally
-                # duplicate, which then keeps unwinding outward
-                return frame.exc_chain_head(idx), True
-        return self.cfg.exit, False
-
-    def add_throw_edges(self, thrower: int) -> None:
-        target, _handled = self.exception_target(len(self.frames))
-        self.edge(thrower, target, EXCEPTIONAL)
+                frame.unwinding.extend(edges)
+                frame.level = idx
+                return
+        for src, kind, side in edges:
+            self.link(src, self.cfg.exit, kind, side)
 
     # expressions; return (tails, operand)
 
-    def lower_expr(self, expr: sx.Expr, tails: list[int], want_value: bool = True) -> tuple[list[int], str]:
+    def lower_expr(self, expr: sx.Expr, tails: Tails, want_value: bool = True) -> tuple[Tails, str]:
         if isinstance(expr, sx.NullLit):
             t = self.temp("?")
-            n = self.node(Const(t, None, is_null=True))
-            return self.connect(tails, n), t
-        if isinstance(expr, sx.IntLit):
-            t = self.temp("int")
-            n = self.node(Const(t, expr.value, is_null=False))
-            return self.connect(tails, n), t
-        if isinstance(expr, sx.StrLit):
-            t = self.temp("String")
-            n = self.node(Const(t, expr.value, is_null=False))
-            return self.connect(tails, n), t
+            return self.connect(tails, self.node(Const(t))), t
+        if isinstance(expr, (sx.IntLit, sx.StrLit)):
+            return tails, expr_text(expr)  # a literal operand: no node, no local
         if isinstance(expr, sx.VarRef):
             kind, info = self.resolve_name(expr)
             if kind == "local":
@@ -646,7 +653,7 @@ class Lowerer:
             t = self.temp(expr.class_name)
             n = self.node(Alloc(t, expr.class_name, expr.site, arg_ops, expr.nid, self.ordinals[expr.nid]))
             tails = self.connect(tails, n)
-            self.add_throw_edges(n)
+            self.throw([n], len(self.frames))
             return tails, t
         if isinstance(expr, sx.Call):
             recv = expr.receiver
@@ -671,15 +678,15 @@ class Lowerer:
                 dst = self.temp(ret_type if ret_type != "void" else "?")
             n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, expr.nid, self.ordinals[expr.nid]))
             tails = self.connect(tails, n)
-            self.add_throw_edges(n)
+            self.throw([n], len(self.frames))
             return tails, dst if dst is not None else self.temp("?")
         if isinstance(expr, sx.Eq):
             raise self.fail(expr, "equality tests are only legal as conditions")
         raise AssertionError(f"unlowerable expression {expr!r}")  # pragma: no cover
 
     def load_field(
-        self, expr: Union[sx.VarRef, sx.FieldRef], tails: list[int], recv: Optional[str], field_class: str
-    ) -> tuple[list[int], str]:
+        self, expr: Union[sx.VarRef, sx.FieldRef], tails: Tails, recv: Optional[str], field_class: str
+    ) -> tuple[Tails, str]:
         """Load `expr`'s field of `field_class` through `recv` (None if static)
         into a temporary of the field's declared type ("?" when unknown)."""
         decl_cls = self.program.class_named(field_class)
@@ -689,10 +696,11 @@ class Lowerer:
 
     def operand_type(self, expr: sx.Expr, op: str) -> str:
         """The declared type of `expr`, lowered to `op`: a local's by block
-        scope (`sx.local_refs`), a temporary's as it was made."""
+        scope (`sx.local_refs`), a literal's read off it, a temporary's as
+        it was made."""
         if isinstance(expr, sx.VarRef) and self.names.is_local(expr):
             return self.names.local_type(expr) or self.cls.name  # `this` has type ""
-        return self.cfg.local_types.get(op, "?")
+        return literal_type(op) or self.cfg.local_types.get(op, "?")
 
     def callee_return_type(self, owner: str, method: str) -> str:
         cls = self.program.class_named(owner)
@@ -705,22 +713,21 @@ class Lowerer:
                 return "void" if lm.return_ownership == "void" else "?"
         return "?"
 
-    def lower_cond(self, cond: sx.Expr, tails: list[int]) -> tuple[list[int], int]:
-        """Lower a condition to a Branch node; returns (tails-unused, branch node id)."""
+    def lower_cond(self, cond: sx.Expr, tails: Tails) -> int:
+        """Lower a condition to a Branch node, its last; returns the branch's id."""
         if isinstance(cond, sx.Eq):
             tails, lhs = self.lower_expr(cond.lhs, tails)
             tails, rhs = self.lower_expr(cond.rhs, tails)
-            branch = self.node(Branch(lhs, rhs, cond.negated))
+            branch = Branch(lhs, rhs, cond.negated)
         else:
             # bare condition: truthy means non-null
             tails, op = self.lower_expr(cond, tails)
             t = self.temp("?")
-            null_node = self.node(Const(t, None, is_null=True))
-            tails = self.connect(tails, null_node)
-            branch = self.node(Branch(op, t, negated=True))
-        for t_ in tails:
-            self.edge(t_, branch)
-        return [branch], branch
+            tails = self.connect(tails, self.node(Const(t)))
+            branch = Branch(op, t, negated=True)
+        n = self.node(branch)
+        self.connect(tails, n)
+        return n
 
     def resolve_name(self, ref: sx.VarRef) -> tuple[str, str]:
         """Classify a bare name: local (per `sx.local_refs`), field (of this), static-field, or class."""
@@ -741,42 +748,26 @@ class Lowerer:
 
 
 class _TryFrame:
-    """Bookkeeping for one active try statement during lowering."""
+    """Bookkeeping for one active try statement during lowering: the
+    exceptional edges into its catch block and into its finally block's
+    exception-propagation duplicate, pending until that block is lowered."""
 
-    def __init__(self, lowerer: Lowerer, stmt: sx.Try, catch_active: bool):
+    def __init__(self, stmt: sx.Try, catch_active: bool):
         self.stmt = stmt
         self.catch_active = catch_active
-        self._lowerer = lowerer
-        self._catch_head: Optional[int] = None
-        self._exc_head: Optional[int] = None
-        self._exc_pending_level: Optional[int] = None
-
-    def catch_head(self) -> int:
-        if self._catch_head is None:
-            self._catch_head = self._lowerer.node(Nop("catch"))
-        return self._catch_head
-
-    def catch_created(self) -> bool:
-        return self._catch_head is not None
-
-    def exc_chain_head(self, my_level: int) -> int:
-        """Head of the exception-propagation finally duplicate (built lazily, sealed later)."""
-        if self._exc_head is None:
-            self._exc_head = self._lowerer.node(Nop("finally-exc"))
-            self._exc_pending_level = my_level
-        return self._exc_head
+        self.caught: Group = []
+        self.unwinding: Group = []
+        self.level = 0  # the frame's index in the active frames
 
     def seal(self, lowerer: Lowerer) -> None:
-        """Finish the exception-propagation duplicate once the try has been lowered."""
-        if self._exc_head is None:
+        """Lower the exception-propagation duplicate once the try has been
+        lowered, outside this frame, and unwind from its end."""
+        if not self.unwinding:
             return
-        level = self._exc_pending_level or 0
         saved = lowerer.frames
-        lowerer.frames = saved[:level]
-        tails = lowerer.lower_block(self.stmt.finally_block, [self._exc_head])  # type: ignore[arg-type]
-        target, _handled = lowerer.exception_target(level)
-        for t in tails:
-            lowerer.edge(t, target, EXCEPTIONAL)
+        lowerer.frames = saved[: self.level]
+        tails = lowerer.lower_block(self.stmt.finally_block, [self.unwinding])  # type: ignore[arg-type]
+        lowerer.throw(tails, self.level)
         lowerer.frames = saved
 
 
@@ -799,28 +790,30 @@ def solve(
     flow: Callable[[int, Fact], dict[int, Fact]],
     meet: Callable[[Fact, Fact], Fact],
     backward: bool = False,
-) -> tuple[dict[int, Fact], dict[tuple[int, int], Fact]]:
-    """Worklist fixpoint over `cfg` (Kildall 1973) keeping one fact per edge.
+) -> tuple[dict[int, Fact], dict[int, dict[int, Fact]]]:
+    """Worklist fixpoint over `cfg` (Kildall 1973) keeping each node's out-facts.
 
-    A node's in-fact is the meet of its seed and the facts on its in-edges
-    (out-edges when `backward`) that carry one; it is computed when the node
-    is popped, in reverse postorder (postorder when `backward`), and a node
-    whose in-fact has not changed is skipped. `flow(node, in_fact)` maps
-    successors (predecessors when `backward`) to out-facts; an edge it leaves
-    out keeps its fact. Returns the in-fact of every visited node and the
-    fact of every edge, keyed (source, target) in CFG direction. Raises
-    RuntimeError when the flow does not converge.
+    `flow(node, in_fact)` maps successors (predecessors when `backward`) to
+    out-facts, and the dict it returns is the node's out-facts until its
+    next visit: an edge it leaves out carries no fact. A node's in-fact is
+    the meet of its seed and what its predecessors' out-facts (successors'
+    when `backward`) hold for it; it is computed when the node is popped,
+    in reverse postorder (postorder when `backward`), and a node whose
+    in-fact has not changed is skipped. Returns the in-fact and the
+    out-facts of every visited node. Raises RuntimeError when the flow
+    does not converge.
     """
-    rank, in_keys = cfg._ranks[backward], cfg._in_keys[backward]
+    rank = cfg._ranks[backward]
+    sources = cfg._succ[None] if backward else cfg._pred
     heap = sorted((rank[n], n) for n in seeds)
     queued = set(seeds)
     facts: dict[int, Fact] = {}
-    edges: dict[tuple[int, int], Fact] = {}
+    outs: list[dict[int, Fact]] = [_NO_FACTS] * len(cfg.nodes)
     visits_left = MAX_VISITS_PER_NODE * len(cfg.nodes)
     while heap:
         _rank, n = heapq.heappop(heap)
         queued.discard(n)
-        incoming = [edges[k] for k in in_keys[n] if k in edges]
+        incoming = [o[n] for m in sources[n] if n in (o := outs[m])]
         if n in seeds:
             incoming.insert(0, seeds[n])
         fact = incoming[0] if len(incoming) == 1 else reduce(meet, incoming)
@@ -830,15 +823,20 @@ def solve(
         if visits_left < 0:
             raise RuntimeError(f"dataflow fixpoint diverged in {cfg.class_name}.{cfg.method_name}")
         facts[n] = fact
-        for m, out in flow(n, fact).items():
-            key = (m, n) if backward else (n, m)
-            if key in edges and edges[key] == out:
-                continue
-            edges[key] = out
-            if m not in queued:
+        old = outs[n]
+        outs[n] = new = flow(n, fact)
+        for m, out in new.items():
+            if m not in queued and (m not in old or old[m] != out):
                 queued.add(m)
                 heapq.heappush(heap, (rank[m], m))
-    return facts, edges
+        for m in old:
+            if m not in new and m not in queued:
+                queued.add(m)
+                heapq.heappush(heap, (rank[m], m))
+    return facts, {n: outs[n] for n in facts}
+
+
+_NO_FACTS: dict = {}  # the out-facts of a node not yet visited; never written
 
 
 # --- escape taint ------------------------------------------------------------
@@ -879,7 +877,7 @@ def taint(cfg: Cfg, starts: list[TaintStart]) -> tuple[TaintFact, ...]:
                 out[local] = out.get(local, 0) | bit
         return dict.fromkeys(cfg.succs(n), out)
 
-    before, _edges = solve(cfg, dict.fromkeys(gen, _NO_TAINT), flow, _taint_meet)
+    before, _outs = solve(cfg, dict.fromkeys(gen, _NO_TAINT), flow, _taint_meet)
     return tuple(before.get(n, _NO_TAINT) for n in range(len(cfg.nodes)))
 
 
@@ -1003,15 +1001,15 @@ def _alias_transfer(fact: AliasFact, instr: Instr, locals_: list[str], node_id: 
         gid = kill(instr.dst)
         tags[gid] = ("site", instr.site)
     elif isinstance(instr, CopyLocal):
-        if instr.dst != instr.src:
+        if literal_type(instr.src) is not None:
+            kill(instr.dst)  # a value no other local holds
+        elif instr.dst != instr.src:
             src_gid = parts.get(instr.src)
             if src_gid is None:
                 src_gid = kill(instr.src)
             parts[instr.dst] = src_gid
     elif isinstance(instr, Const):
-        gid = kill(instr.dst)
-        if instr.is_null:
-            tags[gid] = ("null",)
+        tags[kill(instr.dst)] = ("null",)
     elif isinstance(instr, Invoke) and instr.dst:
         gid = kill(instr.dst)
         tags[gid] = ("callret", node_id)
@@ -1055,7 +1053,7 @@ def must_alias(cfg: Cfg) -> AliasSets:
         after[n] = _alias_transfer(fact, cfg.nodes[n], locals_, n)
         return dict.fromkeys(cfg.succs(n), after[n])
 
-    before, _edges = solve(cfg, {cfg.entry: init}, flow, lambda f1, f2: _alias_meet(f1, f2, locals_))
+    before, _outs = solve(cfg, {cfg.entry: init}, flow, lambda f1, f2: _alias_meet(f1, f2, locals_))
     return AliasSets(before, after)
 
 
@@ -1063,27 +1061,24 @@ def must_alias(cfg: Cfg) -> AliasSets:
 
 
 def instr_uses(instr: Instr) -> set[str]:
+    """The locals `instr` reads; a literal operand is none."""
     if isinstance(instr, Alloc):
-        return set(instr.args)
-    if isinstance(instr, CopyLocal):
-        return {instr.src}
-    if isinstance(instr, LoadField):
-        return {instr.recv} if instr.recv else set()
-    if isinstance(instr, StoreField):
-        out = {instr.src}
-        if instr.recv:
-            out.add(instr.recv)
-        return out
-    if isinstance(instr, Invoke):
-        out = set(instr.args)
-        if instr.recv:
-            out.add(instr.recv)
-        return out
-    if isinstance(instr, ReturnVal):
-        return {instr.src} if instr.src else set()
-    if isinstance(instr, Branch):
-        return {instr.lhs, instr.rhs}
-    return set()
+        ops: list[Optional[str]] = instr.args
+    elif isinstance(instr, CopyLocal):
+        ops = [instr.src]
+    elif isinstance(instr, LoadField):
+        ops = [instr.recv]
+    elif isinstance(instr, StoreField):
+        ops = [instr.src, instr.recv]
+    elif isinstance(instr, Invoke):
+        ops = [*instr.args, instr.recv]
+    elif isinstance(instr, ReturnVal):
+        ops = [instr.src]
+    elif isinstance(instr, Branch):
+        ops = [instr.lhs, instr.rhs]
+    else:
+        return set()
+    return {op for op in ops if op and literal_type(op) is None}
 
 
 def instr_defs(instr: Instr) -> set[str]:

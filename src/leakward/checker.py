@@ -424,8 +424,7 @@ class _MethodChecker:
                     out.write("bindings")[instr.dst] = src_binding
         elif isinstance(instr, C.Const):
             out.kill_local(instr.dst)
-            if instr.is_null:
-                out.nulls = out.nulls | {instr.dst}
+            out.nulls = out.nulls | {instr.dst}
         elif isinstance(instr, C.LoadField):
             out.kill_local(instr.dst)
             if instr.recv == C.THIS:
@@ -634,7 +633,7 @@ class _MethodChecker:
             lost = None if n in cfg.joins else self.lost
             return {s: self._prune(of, s, lost) for s, of in outs.items() if s != cfg.exit or n in to_exit}
 
-        in_facts, _edge_facts = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
+        in_facts, _outs = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
         self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
         self.exit_fact = in_facts.get(cfg.exit)
         if self.exit_fact is not None:

@@ -1,4 +1,7 @@
-"""CFG lowering, its name errors, try/finally duplication, the adjacency index, field stores, the dataflow solver, and must-alias analysis."""
+"""CFG lowering, its name errors, try/finally duplication, the lean node set, literal operands, the adjacency index, field stores, the dataflow solver, and must-alias analysis."""
+
+import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from leakward.errors import FILE_ERRORS
 from leakward.errors import SyntaxError as MiniJSyntaxError
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
+from leakward.interp import run as interp_run
 from leakward.libspec import load_library_spec
 from leakward.parser import parse
 from leakward.specs import SpecReader, SpecSet
@@ -493,10 +497,10 @@ TAINT_JOINS = """class M {
 """
 
 
-def _taint_programs():
+def _lowering_programs():
     """(program, libspec) for the corpus, generate_source(0..599), the 600
     corpus mutants that parse, wide_method at N = 20, 40, 80 and 160, and
-    `TAINT_JOINS`."""
+    `TAINT_JOINS`; a member that does not lower is the caller's to skip."""
     corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
     sources = [(p.name, p.read_text(), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
     sources.append(("joins.mj", TAINT_JOINS, corpus_lib))
@@ -514,7 +518,7 @@ def test_one_taint_solve_per_lowering_matches_each_start_solved_alone():
     """Every value of `taint_starts` is read off one solve of the CFG, and
     its projection is the round-robin taint of that value alone."""
     served = 0
-    for prog, lib in _taint_programs():
+    for prog, lib in _lowering_programs():
         for cls in prog.classes:
             for meth in cls.all_methods():
                 try:
@@ -528,6 +532,187 @@ def test_one_taint_solve_per_lowering_matches_each_start_solved_alone():
                     assert E.taint_fixpoint(g, n, local) == expected, (prog.source_name, g.method_name, n)
                 served += len(starts)
     assert served > 4000
+
+
+# --- lean lowerings: only nodes some analysis reads ---
+
+
+# tries whose every way out returns, where a lowering can make a node no
+# path reaches (a normal-completion finally nothing completes into, a return
+# after a finally that returns), and the kinds of the nodes each lowers
+# after entry and exit
+RETURNING_TRIES = [
+    ("void m(PrintStream s) {\n try { return; } finally { s.close(); }\n}", ["Invoke", "ReturnVal"]),
+    ("int m() {\n try { return 1; } finally { return 2; }\n}", ["ReturnVal"]),
+    (
+        "int m(PrintStream s) {\n try { s.close(); return 1; } catch (Exception e) { return 2; } finally { s.close(); }\n}",
+        ["Invoke", "Invoke", "ReturnVal", "Invoke", "ReturnVal"],
+    ),
+]
+
+
+def _unreachable(g):
+    return set(range(len(g.nodes))) - g.reachable([g.entry]) - {g.exit}
+
+
+@pytest.mark.parametrize("method, kinds", RETURNING_TRIES)
+def test_a_try_that_returns_on_every_way_out_lowers_only_reachable_nodes(method, kinds):
+    g = lower_method("class A {\n" + method + "\n}", "A", "m")
+    assert _unreachable(g) == set()
+    assert [type(ins).__name__ for ins in g.nodes] == ["Nop", "Nop"] + kinds
+
+
+def _kept_nop(g, n):
+    """Why the Nop `n` is in the lowering, or None: entry and exit; a Nop
+    whose one edge is a normal edge into exit, so a death before exit is
+    pruned on an edge that does not enter it; or one of two out-edges of a
+    node (a branch's sides, or a call's normal and exceptional edges past an
+    empty catch) that would otherwise reach the same node."""
+    if n in (g.entry, g.exit):
+        return "entry-exit"
+    succs, preds = g.succs(n), g.preds(n)
+    if succs == (g.exit,) and g.succs(n, C.NORMAL) == succs:
+        return "to-exit"
+    if len(succs) == 1 and len(preds) == 1 and succs[0] in g.succs(preds[0]):
+        return "split"
+    return None
+
+
+def test_a_lowering_emits_only_nodes_some_analysis_reads():
+    nops, lowerings = Counter(), 0
+    for prog, lib in _lowering_programs():
+        for cls in prog.classes:
+            for meth in cls.all_methods():
+                try:
+                    g = C.lower(prog, cls, meth, lib)
+                except FILE_ERRORS:
+                    continue
+                lowerings += 1
+                where = (prog.source_name, g.method_name)
+                assert _unreachable(g) == set(), where
+                for n, ins in enumerate(g.nodes):
+                    if isinstance(ins, C.Nop):
+                        nops[_kept_nop(g, n)] += 1
+                    elif isinstance(ins, C.Const):
+                        # a temporary a Const defines holds a null literal, typed "?"
+                        assert not ins.dst.startswith("%t") or g.local_types[ins.dst] == "?", where
+                    elif isinstance(ins, C.Branch):
+                        assert ins.true_succ != ins.false_succ, where
+                        assert {ins.true_succ, ins.false_succ} == set(g.succs(n)), where
+                    for op in C.instr_uses(ins):
+                        assert C.literal_type(op) is None and op in g.local_types, where
+                # one edge per (source, target), but a call's normal and exceptional edges into exit
+                pairs = Counter((f, t) for f, t, _k in g.edges)
+                assert all(t == g.exit and c == 2 for (f, t), c in pairs.items() if c > 1), where
+    assert lowerings > 2000 and None not in nops, nops
+
+
+def test_a_calls_exceptional_edge_past_an_empty_catch_keeps_its_own_fact():
+    """Both out-edges of the call reach `s.close()`: the exceptional one goes
+    through a split Nop, so the close meets the facts of both ways."""
+    g = lower_method(
+        'class A { void m(PrintStream s) { try { s.println("x"); } catch (Exception e) { } s.close(); } }', "A", "m"
+    )
+    (call,) = [n for n, ins in enumerate(g.nodes) if isinstance(ins, C.Invoke) and ins.method == "println"]
+    (normal,), (split,) = g.succs(call, C.NORMAL), g.succs(call, C.EXCEPTIONAL)
+    assert g.nodes[split] == C.Nop("split") and g.succs(split) == (normal,)
+
+
+def _anchor_lines(prog, lib):
+    """Per lowering, the anchors `Cfg.sinks` and `Cfg.copies` list: each
+    node's kind, AST node (by rank among the program's ids) and ordinal."""
+    ranked = sorted(node.nid for cls in prog.classes for node in sx.walk_nodes(cls))
+    rank = {nid: i for i, nid in enumerate(ranked)}
+    for cls in prog.classes:
+        for meth in cls.all_methods():
+            try:
+                g = C.lower(prog, cls, meth, lib)
+            except FILE_ERRORS:
+                continue
+
+            def sig(n):
+                ins = g.nodes[n]
+                return (type(ins).__name__, rank.get(getattr(ins, "ast_nid", None)), getattr(ins, "ordinal", None))
+
+            nids = sorted({ins.ast_nid for ins in g.nodes if isinstance(ins, (C.Alloc, C.Invoke, C.StoreField))}, key=rank.get)
+            copies = [(rank[nid], [sig(n) for n in g.copies(nid)]) for nid in nids]
+            yield f"{prog.source_name}|{cls.name}|{sx.member_key(meth)}|{[sig(n) for n in g.sinks]}|{copies}"
+
+
+# recorded on the lowering that gave each literal a Const node and each
+# block head a Nop, and pruned the nodes no path reached
+ANCHORS_SHA256 = "1570fbb7ecdbbc48d1a3f841edcca13f4e3791f6c60453620252d6a536297d47"
+
+
+def test_sinks_and_copies_list_the_anchors_they_listed_before_the_lean_lowering():
+    digest = hashlib.sha256()
+    for prog, lib in _lowering_programs():
+        for line in _anchor_lines(prog, lib):
+            digest.update((line + "\n").encode())
+    assert digest.hexdigest() == ANCHORS_SHA256
+
+
+# a string or int literal in each position an operand takes, with what the
+# lowering that gave each literal a Const node made of it: the warnings
+# (kind, line, id), each call's owner, and the interpreter's status
+LITERAL_OPERANDS = {
+    "receiver": (
+        'class Main {\n  static void main() {\n    FileInputStream s = new FileInputStream("a");\n'
+        '    int n = "abc".length();\n    s.read();\n  }\n}\n',
+        [("UnsatisfiedObligation", 3, "18bfd0e74ef3")],
+        [("main", "length", "String"), ("main", "read", "FileInputStream")],
+        "RuntimeError(TypeError)",
+    ),
+    "argument": (
+        'class Main {\n  static void main() {\n    PrintStream p = new PrintStream("out.txt");\n    p.println(42);\n'
+        '    p.println("done");\n    Main.take(7, "x", p);\n  }\n'
+        "  static void take(int k, String t, PrintStream q) {\n    q.close();\n  }\n}\n",
+        [("UnsatisfiedObligation", 3, "bcafaf85b8fe")],
+        [("main", "println", "PrintStream"), ("main", "println", "PrintStream"), ("main", "take", "Main"), ("take", "close", "PrintStream")],
+        "Completed",
+    ),
+    "condition": (
+        "class Main {\n  static void main() {\n    int c = 3;\n    FileInputStream s = null;\n    while (c == 3) {\n"
+        '      s = new FileInputStream("b");\n      c = 4;\n    }\n    if ("x" != s) {\n      s.close();\n    }\n  }\n}\n',
+        [("UnsatisfiedObligation", 6, "8ea8394a7d89")],
+        [("main", "close", "FileInputStream")],
+        "Completed",
+    ),
+    "assigned": (
+        'class Main {\n  private String name;\n  private int size;\n  Main() {\n    name = "n";\n    size = 1;\n  }\n'
+        '  static void main() {\n    String t = "f";\n    t = "g";\n    FileInputStream s = new FileInputStream(t);\n'
+        "    int k = 0;\n    k = 5;\n    if (k == 5) {\n      s.close();\n    }\n  }\n}\n",
+        [("UnsatisfiedObligation", 11, "bd26d9f4ef66")],
+        [("main", "close", "FileInputStream")],
+        "Completed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_OPERANDS))
+def test_a_literal_operand_is_typed_and_lowers_as_a_literal_node_did(name):
+    src, warnings, owners, status = LITERAL_OPERANDS[name]
+    lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    prog = parse(src, f"{name}.mj")
+    found = K.check_program(prog, infer_specs(prog, lib), lib)
+    assert [(w.kind, w.line, w.id) for w in found] == warnings
+    calls, literals = [], set()
+    for _cls, meth, g in _all_cfgs(prog, lib):
+        calls += [(meth.name, ins.method, ins.owner) for ins in g.nodes if isinstance(ins, C.Invoke)]
+        for ins in g.nodes:
+            ops = [getattr(ins, f, None) for f in ("src", "recv", "lhs", "rhs")] + list(getattr(ins, "args", ()))
+            lits = {op for op in ops if op and C.literal_type(op)}
+            # a literal is no local: no liveness use, no type entry, no node
+            assert lits.isdisjoint(C.instr_uses(ins)) and lits.isdisjoint(g.local_types)
+            literals |= {(op, C.literal_type(op)) for op in lits}
+    assert calls == owners
+    assert literals == {
+        (f'"{e.value}"' if isinstance(e, sx.StrLit) else str(e.value), "String" if isinstance(e, sx.StrLit) else "int")
+        for cls in prog.classes
+        for e in sx.walk_exprs(cls)
+        if isinstance(e, (sx.StrLit, sx.IntLit))
+    }
+    assert interp_run(prog, lib).status == status
 
 
 def test_solver_divergence_guard_raises():
@@ -548,9 +733,9 @@ def test_solver_never_visits_a_node_reached_only_by_edges_the_flow_leaves_out():
         visits.append(n)
         return {s: steps + 1 for s in g.succs(n) if s != g.exit}
 
-    facts, edges = C.solve(g, {g.entry: 0}, flow, max)
+    facts, outs = C.solve(g, {g.entry: 0}, flow, max)
     assert g.preds(g.exit) and g.exit not in visits and g.exit not in facts
-    assert not any(t == g.exit for _f, t in edges)
+    assert set(outs) == set(facts) and not any(g.exit in out for out in outs.values())
     assert set(facts) == set(g.rpo()) - {g.exit}
 
 
@@ -562,9 +747,10 @@ def test_solver_backward_visits_every_seeded_node_once_on_acyclic_cfg():
         visits.append(n)
         return dict.fromkeys(g.preds(n), steps_to_exit + 1)
 
-    facts, edges = C.solve(g, dict.fromkeys(range(len(g.nodes)), 0), flow, max, backward=True)
+    facts, outs = C.solve(g, dict.fromkeys(range(len(g.nodes)), 0), flow, max, backward=True)
     assert sorted(visits) == list(range(len(g.nodes)))  # postorder: successors settle first
-    assert set(edges) == {(f, t) for f, t, _k in g.edges}
+    # a node's out-facts are keyed by its predecessors: one per edge, in CFG direction (m, n)
+    assert {(m, n) for n, out in outs.items() for m in out} == {(f, t) for f, t, _k in g.edges}
     assert facts[g.entry] == max(len(path) - 1 for path in acyclic_paths(g))
 
 
@@ -632,7 +818,7 @@ def _enumerate_path_tags(g, local):
             elif isinstance(ins, C.CopyLocal):
                 env[ins.dst] = env.get(ins.src)
             elif isinstance(ins, C.Const):
-                env[ins.dst] = ("null",) if ins.is_null else None
+                env[ins.dst] = ("null",)
             elif isinstance(ins, (C.LoadField, C.Invoke)) and getattr(ins, "dst", None):
                 env[ins.dst] = None
         tags.append(env.get(local))
