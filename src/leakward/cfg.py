@@ -24,8 +24,10 @@ connect straight to the next node lowered, so every node but exit has a
 path from entry. Three kinds of `Nop` stay:
 - "entry" and "exit";
 - "to-exit", where pending edges of a block that lowered no node reach
-  exit: a death there is pruned on the edge into the Nop, which is not
-  exit's, so the checker still finds it and exit facts stay as they are;
+  exit, normally at the body's end or exceptionally at the end of an
+  exception path: a death there is pruned on the edge into the Nop, which
+  is not exit's, so the checker still finds it and exit facts stay as they
+  are;
 - "split", on one of two out-edges of a node that would otherwise reach the
   same node (a branch with nothing on either side before its join, a call's
   normal and exceptional edges past an empty catch): `solve` keeps one
@@ -187,10 +189,11 @@ class Cfg:
         default=None, init=False, repr=False, compare=False
     )
 
-    def index_edges(self) -> None:
+    def index_edges(self, places: Optional[dict[tuple[int, int], Place]] = None) -> None:
         """Build the adjacency index, the reverse postorder, the joins,
         `solve`'s ranks, `copies` and `sinks`; lowering calls it once
-        `nodes` and `edges` are final."""
+        `nodes` and `edges` are final. The postorder walk takes a node's
+        out-edges by their `places` (see `Pending`), (target, 0) by default."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: list[list[int]] = [[] for _ in self.nodes]
@@ -199,7 +202,7 @@ class Cfg:
             succ[k][f].append(t)
             pred[t].append(f)
         self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
-        self._rpo = self._reverse_postorder()
+        self._rpo = self._reverse_postorder(places or {})
         self.joins = frozenset(n for n, ps in enumerate(self._pred) if len(set(ps)) > 1)
         for backward in (False, True):
             rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # exit goes last if no path reaches it
@@ -290,17 +293,21 @@ class Cfg:
             return taint(self, [(node, local)]), 1
         return facts, bit
 
-    def _reverse_postorder(self) -> tuple[int, ...]:
+    def _reverse_postorder(self, places: dict[tuple[int, int], Place]) -> tuple[int, ...]:
         succ = self._succ[None]
+
+        def visiting_order(n: int) -> Iterable[int]:
+            return iter(sorted(succ[n], key=lambda s: places.get((n, s), (s, 0))))
+
         seen = {self.entry}
         order: list[int] = []
-        stack = [(self.entry, iter(sorted(succ[self.entry])))]
+        stack = [(self.entry, visiting_order(self.entry))]
         while stack:
             node, it = stack[-1]
             for s in it:
                 if s not in seen:
                     seen.add(s)
-                    stack.append((s, iter(sorted(succ[s]))))
+                    stack.append((s, visiting_order(s)))
                     break
             else:
                 order.append(node)
@@ -362,27 +369,38 @@ def _instr_text(i: Instr) -> str:
 # --- lowering --------------------------------------------------------------
 
 # An edge still waiting for its target, the next node lowered on its path:
-# (source, kind, side), where side is the Branch slot it fills (True, False)
-# or None. A block's tails are the nodes that fall through its end, each with
-# a normal edge to come, and the pending edges of a block that lowered no
-# node (a `Group`), which keep their own kinds and sides.
-Pending = tuple[int, str, Optional[bool]]
+# (source, kind, side, place), where side is the Branch slot it fills (True,
+# False) or None, and place is where the block the edge enters began among
+# the nodes (`Lowerer.here`). A block's tails are the nodes that fall through
+# its end, each with a normal edge to come, and the pending edges of a block
+# that lowered no node (a `Group`), which keep their own kinds, sides and
+# places.
+#
+# `solve` visits nodes by rank, and the checker's facts can depend on that
+# order (a branch side the checker finds infeasible keeps the fact an earlier
+# visit gave it). So the walk that ranks the nodes takes an edge by its place,
+# not by its target's id: the ranks are those of a lowering that began every
+# block with a node of its own, and neither an empty block nor a handler
+# block lowered after its try body moves them.
+Place = tuple[int, int]  # (the last node lowered before, the count of blocks begun)
+Pending = tuple[int, str, Optional[bool], Place]
 Group = list[Pending]
 Tails = list[Union[int, Group]]
 
 
-def _pending(tails: Tails, kind: str = NORMAL) -> Group:
-    """The pending edges of `tails`: a node's leave it with `kind`, and a
-    group's are exceptional when `kind` is (one exceptional step makes the
-    whole path exceptional)."""
+def _pending(tails: Tails, place: Place, kind: str = NORMAL) -> Group:
+    """The pending edges of `tails` into a block that began at `place`: a
+    node's leave it with `kind`, and a group's keep their places and are
+    exceptional when `kind` is (one exceptional step makes the whole path
+    exceptional)."""
     out: Group = []
     for t in tails:
         if isinstance(t, int):
-            out.append((t, kind, None))
+            out.append((t, kind, None, place))
         elif kind == NORMAL:
             out.extend(t)
         else:
-            out.extend((src, kind, side) for src, _k, side in t)
+            out.extend((src, kind, side, pl) for src, _k, side, pl in t)
     return out
 
 
@@ -404,6 +422,8 @@ class Lowerer:
         self.frames: list[_TryFrame] = []  # the try statements the lowering is inside, outermost first
         self.linked: set[tuple[int, int, str, Optional[bool]]] = set()  # each (source, target, kind, side) linked
         self.pairs: set[tuple[int, int]] = set()  # each (source, target) with an edge
+        self.places: dict[tuple[int, int], Place] = {}  # each (source, target) entering a block at its place
+        self.blocks_begun = 0
 
     # graph plumbing
 
@@ -411,8 +431,17 @@ class Lowerer:
         self.cfg.nodes.append(instr)
         return len(self.cfg.nodes) - 1
 
-    def link(self, src: int, dst: int, kind: str = NORMAL, side: Optional[bool] = None) -> None:
-        """The edge `src` -> `dst`, filling Branch slot `side`. When another
+    def here(self) -> Place:
+        """The place of a block that begins now: after every node lowered so
+        far and every block begun so far."""
+        self.blocks_begun += 1
+        return (len(self.cfg.nodes) - 1, self.blocks_begun)
+
+    def link(
+        self, src: int, dst: int, kind: str = NORMAL, side: Optional[bool] = None, place: Optional[Place] = None
+    ) -> None:
+        """The edge `src` -> `dst`, filling Branch slot `side`, at `place` when
+        it enters a block that began there. When another
         out-edge of `src` already reaches `dst` on a different way, this one
         goes through a `split` Nop, as a solve keeps one out-fact per
         successor. Into exit a call's normal and exceptional edges stay
@@ -422,10 +451,12 @@ class Lowerer:
         self.linked.add((src, dst, kind, side))
         if (src, dst) in self.pairs and (side is not None or dst != self.cfg.exit):
             split = self.node(Nop("split"))
-            self.link(src, split, kind, side)
+            self.link(src, split, kind, side, place)
             self.link(split, dst, kind)
             return
         self.pairs.add((src, dst))
+        if place is not None:
+            self.places[(src, dst)] = place
         self.cfg.edges.append((src, dst, kind))
         if side is not None:
             branch: Branch = self.cfg.nodes[src]  # type: ignore[assignment]
@@ -440,8 +471,8 @@ class Lowerer:
             if isinstance(t, int):
                 self.link(t, n)
             else:
-                for src, kind, side in t:
-                    self.link(src, n, kind, side)
+                for src, kind, side, place in t:
+                    self.link(src, n, kind, side, place)
         return [n]
 
     def temp(self, type_name: str) -> str:
@@ -478,17 +509,21 @@ class Lowerer:
         for p in self.method.params:
             self.cfg.local_types[p.name] = p.type_name
             self.cfg.params.append(p.name)
-        for t in self.lower_block(self.method.body, [entry]):
-            if isinstance(t, int):
-                self.link(t, exit_)
-            else:
-                # a block that lowered no node ends the body: its Nop keeps a
-                # death there on an edge that does not enter exit
-                to_exit = self.node(Nop("to-exit"))
-                self.connect([t], to_exit)
-                self.link(to_exit, exit_)
-        self.cfg.index_edges()
+        self.to_exit(self.lower_block(self.method.body, [entry]), NORMAL)
+        self.cfg.index_edges(self.places)
         return self.cfg
+
+    def to_exit(self, tails: Tails, kind: str) -> None:
+        """Link `tails` into exit on edges of `kind`. A block that lowered no
+        node reaches exit through its own `to-exit` Nop, which keeps a death
+        there on an edge that does not enter exit."""
+        for t in tails:
+            if isinstance(t, int):
+                self.link(t, self.cfg.exit, kind)
+            else:
+                nop = self.node(Nop("to-exit"))
+                self.connect([t], nop)
+                self.link(nop, self.cfg.exit, kind)
 
     # statements; every lower_* takes the current tails and returns the new ones
 
@@ -515,16 +550,16 @@ class Lowerer:
             return tails
         if isinstance(stmt, sx.If):
             branch = self.lower_cond(stmt.cond, tails)
-            then_tails = self.lower_block(stmt.then_block, [[(branch, NORMAL, True)]])
-            else_tails: Tails = [[(branch, NORMAL, False)]]
+            then_tails = self.lower_block(stmt.then_block, [[(branch, NORMAL, True, self.here())]])
+            else_tails: Tails = [[(branch, NORMAL, False, self.here())]]
             if stmt.else_block is not None:
                 else_tails = self.lower_block(stmt.else_block, else_tails)
             return then_tails + else_tails
         if isinstance(stmt, sx.While):
             head = len(self.cfg.nodes)  # the condition's first node, where the body loops back
             branch = self.lower_cond(stmt.cond, tails)
-            self.connect(self.lower_block(stmt.body, [[(branch, NORMAL, True)]]), head)
-            return [[(branch, NORMAL, False)]]
+            self.connect(self.lower_block(stmt.body, [[(branch, NORMAL, True, self.here())]]), head)
+            return [[(branch, NORMAL, False, self.here())]]
         if isinstance(stmt, sx.Try):
             return self.lower_try(stmt, tails)
         if isinstance(stmt, sx.Return):
@@ -583,7 +618,7 @@ class Lowerer:
         if stmt.finally_block is not None and out:
             # the normal-completion duplicate, entered by everything that
             # completes the body or the catch
-            out = self.lower_block(stmt.finally_block, [_pending(out)])
+            out = self.lower_block(stmt.finally_block, [_pending(out, self.here())])
         body_frame.seal(self)
         if catch_frame is not None:
             catch_frame.seal(self)
@@ -598,7 +633,8 @@ class Lowerer:
                 # exceptions thrown inside a finally propagate outward, never
                 # back into the same finally
                 self.frames = active[:idx]
-                tails = self.lower_block(frame.stmt.finally_block, tails)
+                if tails:
+                    tails = self.lower_block(frame.stmt.finally_block, [_pending(tails, self.here())])
                 self.frames = active
         return tails
 
@@ -607,18 +643,19 @@ class Lowerer:
         raised while `level` frames are active: the innermost active catch,
         else the innermost finally's exception-propagation duplicate, which
         then keeps unwinding outward, else method exit."""
-        edges = _pending(tails, EXCEPTIONAL)
         for idx in range(level - 1, -1, -1):
             frame = self.frames[idx]
-            if frame.catch_active:
-                frame.caught.extend(edges)
+            if frame.catch_active or frame.stmt.finally_block is not None:
+                if frame.place is None:
+                    frame.place = self.here()  # the handler block begins at the first throw into it
+                edges = _pending(tails, frame.place, EXCEPTIONAL)
+                if frame.catch_active:
+                    frame.caught.extend(edges)
+                else:
+                    frame.unwinding.extend(edges)
+                    frame.level = idx
                 return
-            if frame.stmt.finally_block is not None:
-                frame.unwinding.extend(edges)
-                frame.level = idx
-                return
-        for src, kind, side in edges:
-            self.link(src, self.cfg.exit, kind, side)
+        self.to_exit(tails, EXCEPTIONAL)
 
     # expressions; return (tails, operand)
 
@@ -757,6 +794,7 @@ class _TryFrame:
         self.catch_active = catch_active
         self.caught: Group = []
         self.unwinding: Group = []
+        self.place: Optional[Place] = None  # where its handler block began
         self.level = 0  # the frame's index in the active frames
 
     def seal(self, lowerer: Lowerer) -> None:
@@ -795,7 +833,8 @@ def solve(
 
     `flow(node, in_fact)` maps successors (predecessors when `backward`) to
     out-facts, and the dict it returns is the node's out-facts until its
-    next visit: an edge it leaves out carries no fact. A node's in-fact is
+    next visit; an edge it leaves out keeps the fact an earlier visit gave
+    it (a branch side the checker finds infeasible). A node's in-fact is
     the meet of its seed and what its predecessors' out-facts (successors'
     when `backward`) hold for it; it is computed when the node is popped,
     in reverse postorder (postorder when `backward`), and a node whose
@@ -824,15 +863,12 @@ def solve(
             raise RuntimeError(f"dataflow fixpoint diverged in {cfg.class_name}.{cfg.method_name}")
         facts[n] = fact
         old = outs[n]
-        outs[n] = new = flow(n, fact)
+        new = flow(n, fact)
         for m, out in new.items():
             if m not in queued and (m not in old or old[m] != out):
                 queued.add(m)
                 heapq.heappush(heap, (rank[m], m))
-        for m in old:
-            if m not in new and m not in queued:
-                queued.add(m)
-                heapq.heappush(heap, (rank[m], m))
+        outs[n] = new if old.keys() <= new.keys() else {**old, **new}
     return facts, {n: outs[n] for n in facts}
 
 

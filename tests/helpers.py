@@ -1,8 +1,8 @@
 """Shared test machinery: the leak-coverage oracle, a unified-diff applier,
 structural AST comparison modulo local-variable names, the corpus-plus-fuzz
 program list, seeded one-line corpus mutants, simple-path enumeration over a
-CFG, a memo bypass, a record of the memo's key passes, and the pinned digests
-of pipeline reports."""
+CFG, a memo bypass, a record of the memo's key passes, the pinned digests
+of pipeline reports, and a generator of nested try/loop/branch shapes."""
 
 from __future__ import annotations
 
@@ -82,6 +82,53 @@ def wide_method_source(n: int) -> str:
             lines.append(f"    if (s{k} != null) {{ s{k}.read(); s{k}.close(); }}")
     lines += ["  }", "}"]
     return "\n".join(lines) + "\n"
+
+
+NESTING_LIBSPEC = (
+    "resource PrintStream { must_call: [close]; method PrintStream(notowning) -> void; "
+    "method close() -> void; method println(notowning) -> void; }"
+)
+
+
+def nesting_source(seed: int) -> str:
+    """One method `m` of up to four statements drawn from a grammar of
+    try/catch/finally, loops and branches nested three deep over the
+    PrintStream locals `s`, `t` and `u`: blocks are often empty or end in a
+    return or a throwing call, so a handler block can lower no node, return,
+    or begin at a call inside a finally. Parse with `NESTING_LIBSPEC`."""
+    rng = random.Random(seed)
+
+    def block(depth: int) -> str:
+        return "{ " + " ".join(stmt(depth + 1) for _ in range(rng.randrange(3))) + " }"
+
+    def stmt(depth: int) -> str:
+        k = rng.randrange(9 if depth < 3 else 5)
+        v = rng.choice(["s", "u", "t"])
+        if k == 0:
+            return f'{v}.println("x");'
+        if k == 1:
+            return f"{v}.close();"
+        if k == 2:
+            return f'{v} = new PrintStream("a");'
+        if k == 3:
+            return rng.choice(["return;", "x = 3;", f"{v} = null;", "x = x;"])
+        if k == 4:
+            return ""
+        if k == 5:
+            cond = f'if ({v} == {rng.choice(["u", "null", "t"])}) {block(depth)}'
+            return cond + (f" else {block(depth)}" if rng.random() < 0.5 else "")
+        if k == 6:
+            return f'while ({v} != {rng.choice(["u", "null"])}) {block(depth)}'
+        if k == 7:
+            return f"try {block(depth)} finally {block(depth)}"
+        handler = f"try {block(depth)} catch (Exception e) {block(depth)}"
+        return handler + (f" finally {block(depth)}" if rng.random() < 0.5 else "")
+
+    body = " ".join(stmt(0) for _ in range(rng.randrange(1, 5)))
+    return (
+        "class A { void m(PrintStream u) { int x = 1; PrintStream t = null; "
+        f'PrintStream s = new PrintStream("a"); {body} }} }}'
+    )
 
 
 @contextmanager

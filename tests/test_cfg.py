@@ -564,14 +564,15 @@ def test_a_try_that_returns_on_every_way_out_lowers_only_reachable_nodes(method,
 
 def _kept_nop(g, n):
     """Why the Nop `n` is in the lowering, or None: entry and exit; a Nop
-    whose one edge is a normal edge into exit, so a death before exit is
-    pruned on an edge that does not enter it; or one of two out-edges of a
-    node (a branch's sides, or a call's normal and exceptional edges past an
-    empty catch) that would otherwise reach the same node."""
+    whose one edge enters exit (normal at the body's end, exceptional at the
+    end of an exception path), so a death before exit is pruned on an edge
+    that does not enter it; or one of two out-edges of a node (a branch's
+    sides, or a call's normal and exceptional edges past an empty catch)
+    that would otherwise reach the same node."""
     if n in (g.entry, g.exit):
         return "entry-exit"
     succs, preds = g.succs(n), g.preds(n)
-    if succs == (g.exit,) and g.succs(n, C.NORMAL) == succs:
+    if succs == (g.exit,) and g.nodes[n] == C.Nop("to-exit"):
         return "to-exit"
     if len(succs) == 1 and len(preds) == 1 and succs[0] in g.succs(preds[0]):
         return "split"

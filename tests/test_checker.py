@@ -224,6 +224,30 @@ def test_caught_exception_leak_warns():
     assert len(ws) == 1
 
 
+@pytest.mark.parametrize(
+    "finally_body",
+    ["", "if (s == u) { }", "if (s == u) { } else { }", "while (s == u) { u = null; }"],
+    ids=["empty", "empty-then", "empty-branches", "loop"],
+)
+def test_a_death_at_the_end_of_the_exception_path_finally_warns(finally_body):
+    # println's throw runs the finally and leaves the method; `s` dies on
+    # the way, and the close after the try is on the normal path only
+    src = f"""class A {{
+  void m(PrintStream u) {{
+    PrintStream s = new PrintStream("a");
+    try {{
+      s.println("x");
+    }} finally {{
+      {finally_body}
+    }}
+    s.close();
+  }}
+}}
+"""
+    _, ws = check(src)
+    assert [(w.kind, w.line) for w in ws] == [(UNSATISFIED_OBLIGATION, 3)]
+
+
 def test_warning_ids_survive_blank_lines():
     src = 'class A { static void main() { Socket s = new Socket(); } }'
     _, ws1 = check(src)

@@ -13,7 +13,7 @@ import hashlib
 from itertools import islice
 from pathlib import Path
 
-from helpers import corpus_and_fuzz_programs
+from helpers import NESTING_LIBSPEC, corpus_and_fuzz_programs, nesting_source
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import syntax as sx
@@ -98,6 +98,33 @@ def test_method_runs_match_the_pinned_hash():
                     key = f"{program.source_name}|{cls.name}|{sx.member_key(meth)}"
                     digest.update(f"{key}|{runs!r}|{_canon(exit_fact, nids)}\n".encode())
     assert digest.hexdigest() == PINNED_SHA256
+
+
+# recorded on the lowering that began every block with a Nop of its own
+NESTING_SHA256 = "f736b874baa36b13fd95405666e03bd23fe66a9f7e26eedfbf4bcb4b0d014f1e"
+
+
+def test_nesting_shapes_match_the_pinned_hash():
+    """Over `nesting_source(0..1999)`, where handler and branch blocks are
+    empty, return, or begin at a call inside a finally (shapes the corpus and
+    generated programs rarely reach): each method's warnings, whether a
+    normal path reaches exit, and the rank order `solve` visits its non-Nop
+    nodes in, as a death at an empty block's end and the visiting order (an
+    infeasible branch side keeps an earlier visit's fact) both show in
+    warnings."""
+    libspec = load_library_spec(NESTING_LIBSPEC)
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        program = parse(nesting_source(seed), f"nest{seed}.mj")
+        version = ProgramVersion(program, libspec)
+        (cls,) = program.classes
+        (meth,) = cls.all_methods()
+        warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
+        g = version.cfg(cls, meth)
+        index = {n: i for i, n in enumerate(n for n, ins in enumerate(g.nodes) if not isinstance(ins, C.Nop))}
+        order = [index[n] for n in g.rpo() if n in index]
+        digest.update(f"{seed}|{[(w.id, w.kind, w.site) for w in warnings]}|{exit_fact is None}|{order}\n".encode())
+    assert digest.hexdigest() == NESTING_SHA256
 
 
 def _snapshot(fact: CheckFact) -> tuple:
