@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Census of CFG lowerings: how many nodes of each instruction kind (a `Nop`
-by its tag) and how many edges of each kind the lowerings of the corpus and
-of `generate_source(0..N-1)` hold, one lowering per member.
+by its tag), how many edges of each kind and how many temporaries (`%tN`
+locals) the lowerings of the corpus and of `generate_source(0..N-1)` hold,
+one lowering per member.
 
 Usage: python scripts/cfg_census.py [N]    (N defaults to 600)
 """
@@ -22,10 +23,10 @@ from leakward.libspec import load_library_spec
 from leakward.parser import parse
 
 
-def census(programs) -> tuple[int, Counter, Counter]:
-    """(lowerings, nodes by kind, edges by kind) over `programs`, a list of
-    (program, libspec)."""
-    lowerings, nodes, edges = 0, Counter(), Counter()
+def census(programs) -> tuple[int, Counter, Counter, int]:
+    """(lowerings, nodes by kind, edges by kind, temporaries) over
+    `programs`, a list of (program, libspec)."""
+    lowerings, nodes, edges, temporaries = 0, Counter(), Counter(), 0
     for prog, lib in programs:
         for cls in prog.classes:
             for meth in cls.all_methods():
@@ -33,7 +34,8 @@ def census(programs) -> tuple[int, Counter, Counter]:
                 lowerings += 1
                 nodes.update(f"Nop({ins.tag})" if isinstance(ins, C.Nop) else type(ins).__name__ for ins in g.nodes)
                 edges.update(kind for _f, _t, kind in g.edges)
-    return lowerings, nodes, edges
+                temporaries += sum(local.startswith("%t") for local in g.local_types)
+    return lowerings, nodes, edges, temporaries
 
 
 def main() -> int:
@@ -48,8 +50,11 @@ def main() -> int:
         ],
     }
     for name, programs in groups.items():
-        lowerings, nodes, edges = census(programs)
-        print(f"{name}: {lowerings} lowerings, {sum(nodes.values())} nodes, {sum(edges.values())} edges")
+        lowerings, nodes, edges, temporaries = census(programs)
+        print(
+            f"{name}: {lowerings} lowerings, {sum(nodes.values())} nodes, {sum(edges.values())} edges,"
+            f" {temporaries} temporaries"
+        )
         for kind, count in sorted(nodes.items()):
             print(f"  node {kind:18} {count:7}")
         for kind, count in sorted(edges.items()):

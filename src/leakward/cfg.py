@@ -1,16 +1,27 @@
 """Control-flow graphs for MiniJ method bodies.
 
-Lowering flattens nested expressions through fresh temporaries (``%tN``) into
-three-address instructions; a bare name is a local where ``syntax.local_refs``
-says so, else a field or a class. A string or int literal is an operand
-itself, spelled as in the source (``3``, ``"abc"``): it is not a local, not
-a liveness use, and `literal_type` reads its type off it. Only `null` is
-lowered to a node (`Const`), as the checker tracks which locals hold it.
+Lowering flattens nested expressions into three-address instructions; a
+bare name is a local where ``syntax.local_refs`` says so, else a field or a
+class. A value a local takes (a new, a call, a field load, null) is
+defined by its own node with the local as its `dst`; only a value nested in
+another instruction (an argument, a receiver, a stored or returned value)
+goes through a fresh temporary (``%tN``). A string or int literal is an
+operand itself, spelled as in the source (``3``, ``"abc"``): it is not a
+local, not a liveness use, and `literal_type` reads its type off it. So is
+the `null` a condition compares (`NULL`); any other `null` is lowered to a
+node (`Const`), as the checker tracks which locals hold it.
+
 Only Invoke and Alloc nodes can throw; they get an exceptional edge to the
 innermost enclosing catch block, or else toward method exit through every
-enclosing finally block. Finally blocks are duplicated per entry path
-(normal completion, exception propagation, return), so the analyses stay
-path-insensitive without losing the finally-always-runs guarantee.
+enclosing finally block. A throwing node writes its `dst` on its normal
+out-edges only: on an exceptional one the local keeps what it held, and
+every analysis here and the checker read it so. Where the completion of a
+node that defines a named local would end the body or an exception path,
+or reach the node its own throw reaches, the node defines a temporary
+instead, which a `CopyLocal` after it copies into the local
+(`Lowerer.unfold`). Finally blocks are duplicated per entry
+path (normal completion, exception propagation, return), so the analyses
+stay path-insensitive without losing the finally-always-runs guarantee.
 
 Edges that continue exception propagation carry kind "exceptional"; the
 normal-exit state of a method is therefore the meet over the exit node's
@@ -64,12 +75,18 @@ EXCEPTIONAL = "exceptional"
 
 THIS = sx.THIS
 
+Fact = TypeVar("Fact")
+
+
+NULL = "null"  # the null literal as a Branch operand
+
 
 def literal_type(op: str) -> Optional[str]:
     """The type of operand `op` when it is a literal, spelled as in the
-    source ("int" for `3`, "String" for `"abc"`); None for a local."""
+    source ("int" for `3`, "String" for `"abc"`, "?" for `null`); None for
+    a local."""
     first = op[:1]
-    return "String" if first == '"' else "int" if first.isdigit() else None
+    return "String" if first == '"' else "int" if first.isdigit() else "?" if op == NULL else None
 
 
 # --- instructions ----------------------------------------------------------
@@ -103,7 +120,8 @@ class CopyLocal(Instr):
 
 @dataclass
 class Const(Instr):
-    """`dst = null`; a string or int literal is an operand, with no node."""
+    """`dst = null`; a string or int literal is an operand, with no node, and
+    so is a `null` a condition compares (`NULL`)."""
 
     dst: str
 
@@ -135,6 +153,7 @@ class Invoke(Instr):
     method: str
     args: list[str]
     dst: Optional[str]
+    ret_type: str  # the type of its result: the callee's return type, "?" when void or unknown
     ast_nid: int
     ordinal: int
 
@@ -228,6 +247,15 @@ class Cfg:
     def succs(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
         """Successors of `n` along edges of `kind` (any kind when None), in `edges` order."""
         return self._succ[kind][n]
+
+    def split_out(self, n: int, normal: Fact, thrown: Fact) -> dict[int, Fact]:
+        """Out-facts of the throwing node `n`, whose write happens on its
+        normal edges only: `normal` on those, `thrown` on the exceptional
+        ones; a successor reached both ways (exit) gets `normal`."""
+        outs = dict.fromkeys(self._succ[NORMAL][n], normal)
+        for s in self._succ[EXCEPTIONAL][n]:
+            outs.setdefault(s, thrown)
+        return outs
 
     def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
         """Predecessors of `n` along edges of `kind` (any kind when None), in
@@ -424,6 +452,8 @@ class Lowerer:
         self.pairs: set[tuple[int, int]] = set()  # each (source, target) with an edge
         self.places: dict[tuple[int, int], Place] = {}  # each (source, target) entering a block at its place
         self.blocks_begun = 0
+        # each node that defines a named local itself, with the type of the temporary `unfold` gives it
+        self.folded: dict[int, str] = {}
 
     # graph plumbing
 
@@ -466,7 +496,12 @@ class Lowerer:
                 branch.false_succ = dst
 
     def connect(self, tails: Tails, n: int) -> list[int]:
-        """Link `tails` to `n`, the next node on their paths; `[n]` is the new tails."""
+        """Link `tails` to `n`, the next node on their paths; `[n]` is the new
+        tails. A node that reaches `n` both by its own throw and by
+        completing is unfolded first."""
+        thrown = [src for t in tails if not isinstance(t, int) for src, kind, _s, _p in t if kind == EXCEPTIONAL]
+        if thrown and self.folded.keys() & thrown:
+            tails = self.unfold(tails, thrown)
         for t in tails:
             if isinstance(t, int):
                 self.link(t, n)
@@ -509,7 +544,7 @@ class Lowerer:
         for p in self.method.params:
             self.cfg.local_types[p.name] = p.type_name
             self.cfg.params.append(p.name)
-        self.to_exit(self.lower_block(self.method.body, [entry]), NORMAL)
+        self.to_exit(self.unfold(self.lower_block(self.method.body, [entry])), NORMAL)
         self.cfg.index_edges(self.places)
         return self.cfg
 
@@ -540,8 +575,7 @@ class Lowerer:
                 raise self.fail(stmt, f"duplicate local {stmt.name}")
             self.cfg.local_types.setdefault(stmt.name, stmt.type_name)
             if stmt.init is not None:
-                tails, src = self.lower_expr(stmt.init, tails)
-                return self.connect(tails, self.node(CopyLocal(stmt.name, src)))
+                return self.assign_local(stmt.name, stmt.init, tails)
             return self.connect(tails, self.node(Const(stmt.name)))
         if isinstance(stmt, sx.Assign):
             return self.lower_assign(stmt, tails)
@@ -579,8 +613,7 @@ class Lowerer:
         if isinstance(target, sx.VarRef):
             kind, info = self.resolve_name(target)
             if kind == "local":
-                tails, src = self.lower_expr(stmt.value, tails)
-                return self.connect(tails, self.node(CopyLocal(target.name, src)))
+                return self.assign_local(target.name, stmt.value, tails)
             if kind == "field":
                 return self.store_field(stmt, tails, THIS, self.cls.name)
             if kind == "static-field":
@@ -594,6 +627,14 @@ class Lowerer:
                 return self.store_field(stmt, tails, None, info)
         tails, recv_op = self.lower_expr(recv, tails)
         return self.store_field(stmt, tails, recv_op, self.operand_type(recv, recv_op))
+
+    def assign_local(self, name: str, value: sx.Expr, tails: Tails) -> Tails:
+        """`name = value`: a new, a call, a field load or null defines `name`
+        itself, and any other value (a local, a literal) is copied into it."""
+        tails, src = self.lower_expr(value, tails, into=name)
+        if src is None:
+            return tails
+        return self.connect(tails, self.node(CopyLocal(name, src)))
 
     def store_field(self, stmt: sx.Assign, tails: Tails, recv: Optional[str], field_class: str) -> Tails:
         """Lower `stmt`'s value into its target's field of `field_class` through `recv` (None if static)."""
@@ -657,12 +698,66 @@ class Lowerer:
                 return
         self.to_exit(tails, EXCEPTIONAL)
 
+    def unfold(self, tails: Tails, which: Optional[Collection[int]] = None) -> Tails:
+        """`tails` with each node among them that defines a named local
+        itself (of `which`; any when None) given a temporary again, and a
+        copy into the local after it on its way on. A throwing node writes
+        its local on its normal out-edges only, so the copy keeps the shape
+        the lowering had before the fold where the node's completion
+        - ends the body, so that a death there is pruned on an edge that
+          does not enter exit;
+        - ends an exception path, whose exceptional edge carries no write,
+          nor, into exit, any fact;
+        - reaches the node its own throw reaches: the copy, not a `split`
+          Nop, keeps the two edges apart, and the solve visits them in the
+          order it did."""
+
+        def unfolds(n: int) -> bool:
+            return n in self.folded and (which is None or n in which)
+
+        out: Tails = []
+        for t in tails:
+            if isinstance(t, int):
+                out.append(self.copy_after(t) if unfolds(t) else t)
+            else:
+                out.append([(self.copy_after(p[0]), *p[1:]) if p[1] == NORMAL and unfolds(p[0]) else p for p in t])
+        return out
+
+    def copy_after(self, n: int) -> int:
+        """Give the node `n` that defines a named local a temporary instead,
+        and copy it into the local in a node after `n`; returns the copy."""
+        ins = self.cfg.nodes[n]
+        local, ins.dst = ins.dst, self.temp(self.folded.pop(n))  # type: ignore[attr-defined]
+        copy = self.node(CopyLocal(local, ins.dst))  # type: ignore[attr-defined]
+        self.link(n, copy)
+        return copy
+
     # expressions; return (tails, operand)
 
-    def lower_expr(self, expr: sx.Expr, tails: Tails, want_value: bool = True) -> tuple[Tails, str]:
+    def define(self, make: Callable[[str], Instr], type_name: str, into: Optional[str]) -> tuple[int, Optional[str]]:
+        """The node `make(dst)` defining the local `into`, or a fresh
+        temporary of `type_name` when `into` is None: its id, and the
+        temporary (None when it defines `into`)."""
+        if into is None:
+            t = self.temp(type_name)
+            return self.node(make(t)), t
+        n = self.node(make(into))
+        self.folded[n] = type_name
+        return n, None
+
+    def lower_expr(
+        self, expr: sx.Expr, tails: Tails, into: Optional[str] = None, want_value: bool = True
+    ) -> tuple[Tails, Optional[str]]:
+        """Lower `expr`; returns the tails and the operand that holds its
+        value: a local, a literal or a temporary. Given a local `into`, a
+        new, a call, a field load or null defines it, and the operand is
+        None. So it is for a call whose value is not wanted (`want_value`
+        false), which defines a temporary only when its callee's return
+        type is known and not void, as the checker may track what it
+        returns."""
         if isinstance(expr, sx.NullLit):
-            t = self.temp("?")
-            return self.connect(tails, self.node(Const(t))), t
+            n, t = self.define(Const, "?", into)
+            return self.connect(tails, n), t
         if isinstance(expr, (sx.IntLit, sx.StrLit)):
             return tails, expr_text(expr)  # a literal operand: no node, no local
         if isinstance(expr, sx.VarRef):
@@ -670,25 +765,28 @@ class Lowerer:
             if kind == "local":
                 return tails, expr.name
             if kind == "field":
-                return self.load_field(expr, tails, THIS, self.cls.name)
+                return self.load_field(expr, tails, THIS, self.cls.name, into)
             if kind == "static-field":
-                return self.load_field(expr, tails, None, info)
+                return self.load_field(expr, tails, None, info, into)
             raise self.fail(expr, f"unresolved name {expr.name}")
         if isinstance(expr, sx.FieldRef):
             recv = expr.receiver
             if isinstance(recv, sx.VarRef):
                 kind, info = self.resolve_name(recv)
                 if kind == "class":
-                    return self.load_field(expr, tails, None, info)
+                    return self.load_field(expr, tails, None, info, into)
             tails, recv_op = self.lower_expr(recv, tails)
-            return self.load_field(expr, tails, recv_op, self.operand_type(recv, recv_op))
+            return self.load_field(expr, tails, recv_op, self.operand_type(recv, recv_op), into)
         if isinstance(expr, sx.New):
             arg_ops: list[str] = []
             for a in expr.args:
                 tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
-            t = self.temp(expr.class_name)
-            n = self.node(Alloc(t, expr.class_name, expr.site, arg_ops, expr.nid, self.ordinals[expr.nid]))
+            n, t = self.define(
+                lambda dst: Alloc(dst, expr.class_name, expr.site, arg_ops, expr.nid, self.ordinals[expr.nid]),
+                expr.class_name,
+                into,
+            )
             tails = self.connect(tails, n)
             self.throw([n], len(self.frames))
             return tails, t
@@ -708,28 +806,44 @@ class Lowerer:
             for a in expr.args:
                 tails, op = self.lower_expr(a, tails)
                 arg_ops.append(op)
-            dst = None
             owner = static_class or self.operand_type(recv, recv_op or "")
             ret_type = self.callee_return_type(owner, expr.method)
+            result_type = ret_type if ret_type != "void" else "?"
+
+            def invoke(dst: Optional[str]) -> Invoke:
+                ordinal = self.ordinals[expr.nid]
+                return Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, result_type, expr.nid, ordinal)
+
             if want_value or ret_type not in ("void", "?"):
-                dst = self.temp(ret_type if ret_type != "void" else "?")
-            n = self.node(Invoke(recv_op, static_class, owner, expr.method, arg_ops, dst, expr.nid, self.ordinals[expr.nid]))
+                n, t = self.define(invoke, result_type, into)
+            else:
+                n, t = self.node(invoke(None)), None
             tails = self.connect(tails, n)
             self.throw([n], len(self.frames))
-            return tails, dst if dst is not None else self.temp("?")
+            return tails, t
         if isinstance(expr, sx.Eq):
             raise self.fail(expr, "equality tests are only legal as conditions")
         raise AssertionError(f"unlowerable expression {expr!r}")  # pragma: no cover
 
     def load_field(
-        self, expr: Union[sx.VarRef, sx.FieldRef], tails: Tails, recv: Optional[str], field_class: str
-    ) -> tuple[Tails, str]:
+        self,
+        expr: Union[sx.VarRef, sx.FieldRef],
+        tails: Tails,
+        recv: Optional[str],
+        field_class: str,
+        into: Optional[str],
+    ) -> tuple[Tails, Optional[str]]:
         """Load `expr`'s field of `field_class` through `recv` (None if static)
-        into a temporary of the field's declared type ("?" when unknown)."""
+        into the local `into`, or else a temporary of the field's declared
+        type ("?" when unknown)."""
         decl_cls = self.program.class_named(field_class)
         fld = decl_cls.field_named(expr.name) if decl_cls else None
-        t = self.temp(fld.declared_type if fld else "?")
-        return self.connect(tails, self.node(LoadField(t, recv, expr.name, field_class, ast_nid=expr.nid))), t
+        n, t = self.define(
+            lambda dst: LoadField(dst, recv, expr.name, field_class, ast_nid=expr.nid),
+            fld.declared_type if fld else "?",
+            into,
+        )
+        return self.connect(tails, n), t
 
     def operand_type(self, expr: sx.Expr, op: str) -> str:
         """The declared type of `expr`, lowered to `op`: a local's by block
@@ -753,18 +867,22 @@ class Lowerer:
     def lower_cond(self, cond: sx.Expr, tails: Tails) -> int:
         """Lower a condition to a Branch node, its last; returns the branch's id."""
         if isinstance(cond, sx.Eq):
-            tails, lhs = self.lower_expr(cond.lhs, tails)
-            tails, rhs = self.lower_expr(cond.rhs, tails)
+            tails, lhs = self.cond_operand(cond.lhs, tails)
+            tails, rhs = self.cond_operand(cond.rhs, tails)
             branch = Branch(lhs, rhs, cond.negated)
         else:
             # bare condition: truthy means non-null
-            tails, op = self.lower_expr(cond, tails)
-            t = self.temp("?")
-            tails = self.connect(tails, self.node(Const(t)))
-            branch = Branch(op, t, negated=True)
+            tails, op = self.cond_operand(cond, tails)
+            branch = Branch(op, NULL, negated=True)
         n = self.node(branch)
         self.connect(tails, n)
         return n
+
+    def cond_operand(self, expr: sx.Expr, tails: Tails) -> tuple[Tails, str]:
+        """A Branch operand: `NULL` for a null literal, no node."""
+        if isinstance(expr, sx.NullLit):
+            return tails, NULL
+        return self.lower_expr(expr, tails)  # type: ignore[return-value]
 
     def resolve_name(self, ref: sx.VarRef) -> tuple[str, str]:
         """Classify a bare name: local (per `sx.local_refs`), field (of this), static-field, or class."""
@@ -805,7 +923,7 @@ class _TryFrame:
         saved = lowerer.frames
         lowerer.frames = saved[: self.level]
         tails = lowerer.lower_block(self.stmt.finally_block, [self.unwinding])  # type: ignore[arg-type]
-        lowerer.throw(tails, self.level)
+        lowerer.throw(lowerer.unfold(tails), self.level)
         lowerer.frames = saved
 
 
@@ -815,8 +933,6 @@ def lower(program: sx.Program, cls: sx.ClassDecl, method: sx.MethodDecl, libspec
 
 
 # --- dataflow solver ----------------------------------------------------------
-
-Fact = TypeVar("Fact")
 
 # a node visited this many times per CFG node means the flow does not converge
 MAX_VISITS_PER_NODE = 500
@@ -906,12 +1022,15 @@ def taint(cfg: Cfg, starts: list[TaintStart]) -> tuple[TaintFact, ...]:
         gen.setdefault(node, []).append((local, 1 << i))
 
     def flow(n: int, fact: TaintFact) -> dict[int, TaintFact]:
-        out = _taint_transfer(cfg.nodes[n], fact)
+        instr = cfg.nodes[n]
+        out = _taint_transfer(instr, fact)
         if n in gen:
             out = dict(out)
             for local, bit in gen[n]:
                 out[local] = out.get(local, 0) | bit
-        return dict.fromkeys(cfg.succs(n), out)
+        if out is fact or not isinstance(instr, (Alloc, Invoke)):
+            return dict.fromkeys(cfg.succs(n), out)
+        return cfg.split_out(n, out, fact)
 
     before, _outs = solve(cfg, dict.fromkeys(gen, _NO_TAINT), flow, _taint_meet)
     return tuple(before.get(n, _NO_TAINT) for n in range(len(cfg.nodes)))
@@ -997,7 +1116,8 @@ def _fact_from_parts(parts: dict[str, int], tags: dict[int, SiteTag]) -> AliasFa
 
 
 class AliasSets:
-    """Per-program-point must-alias partitions (facts before each node)."""
+    """Per-program-point must-alias partitions (facts before each node, and
+    after it on its normal edges)."""
 
     def __init__(self, before: dict[int, AliasFact], after: dict[int, AliasFact]):
         self.before = before
@@ -1086,7 +1206,10 @@ def must_alias(cfg: Cfg) -> AliasSets:
     after: dict[int, AliasFact] = {}
 
     def flow(n: int, fact: AliasFact) -> dict[int, AliasFact]:
-        after[n] = _alias_transfer(fact, cfg.nodes[n], locals_, n)
+        instr = cfg.nodes[n]
+        after[n] = _alias_transfer(fact, instr, locals_, n)
+        if isinstance(instr, (Alloc, Invoke)):
+            return cfg.split_out(n, after[n], fact)
         return dict.fromkeys(cfg.succs(n), after[n])
 
     before, _outs = solve(cfg, {cfg.entry: init}, flow, lambda f1, f2: _alias_meet(f1, f2, locals_))
@@ -1118,20 +1241,30 @@ def instr_uses(instr: Instr) -> set[str]:
 
 
 def instr_defs(instr: Instr) -> set[str]:
+    """The local `instr` writes, its `dst`: a temporary, or a named local an
+    allocation, call, field load or null defines itself. A throwing node
+    (Alloc, Invoke) writes it on its normal out-edges only: on an
+    exceptional one the local keeps the value it held."""
     dst = getattr(instr, "dst", None)
     return {dst} if dst else set()
 
 
 def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
     """May-liveness of locals before each node (backward union fixpoint).
-    `Cfg.live_in` keeps the result with the CFG."""
+    A node sends each predecessor its live-in minus what that predecessor
+    defines, but whole along a throwing node's exceptional edge, where its
+    def does not happen. `Cfg.live_in` keeps the result with the CFG."""
     live_in: dict[int, frozenset[str]] = {n: frozenset() for n in range(len(cfg.nodes))}
     uses = [frozenset(instr_uses(instr)) for instr in cfg.nodes]
     defs = [frozenset(instr_defs(instr)) for instr in cfg.nodes]
+    # the exceptional edges of throwing nodes that define a local
+    thrown = {
+        (f, t) for f, t, k in cfg.edges if k == EXCEPTIONAL and defs[f] and isinstance(cfg.nodes[f], (Alloc, Invoke))
+    }
 
     def flow(n: int, live_out: frozenset[str]) -> dict[int, frozenset[str]]:
-        live_in[n] = uses[n] | (live_out - defs[n])
-        return dict.fromkeys(cfg.preds(n), live_in[n])
+        live = live_in[n] = uses[n] | live_out
+        return {m: live - defs[m] if defs[m] and (m, n) not in thrown else live for m in cfg.preds(n)}
 
     solve(cfg, dict.fromkeys(live_in, frozenset()), flow, frozenset.union, backward=True)
     return live_in

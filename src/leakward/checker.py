@@ -23,8 +23,9 @@ call or discharge to every origin a receiver may hold is path-wise sound
 because obligations whose last live reference disappears are warned at that
 death point (liveness-driven), mirroring the lifetime-end rule ("scope exit
 or variable overwrite"). A method invocation registers on both the normal and
-exceptional out-edges (the call happened even if it threw); a failed
-allocation registers on neither. Values dying on an uncaught-exception edge
+exceptional out-edges (the call happened even if it threw), but its result,
+and the write of the local it goes into, only on the normal ones; a failed
+allocation registers on neither, and its local keeps what it held. Values dying on an uncaught-exception edge
 out of the method are not leak-reported: the flow puts no fact on an
 exceptional edge into exit, so exit's in-fact is the meet of its normal
 in-edges, and it alone feeds the final check.
@@ -85,7 +86,7 @@ def anchor_name(cfg: C.Cfg, instr: C.Instr) -> Optional[tuple[str, str]]:
     if isinstance(instr, C.Alloc):
         return "new", instr.class_name
     if isinstance(instr, C.Invoke) and instr.dst is not None:
-        return "call", cfg.local_types[instr.dst]
+        return "call", instr.ret_type
     if isinstance(instr, C.StoreField):
         return "store", f"{instr.field_class}.{instr.field}"
     return None
@@ -409,7 +410,7 @@ class _MethodChecker:
                 out.write("refs")[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
                 out.touch_field_contents()
-            return self._split_out(node, out.pack(), fact)  # the allocation never happened on the exceptional edge
+            return self.cfg.split_out(node, out.pack(), fact)  # no allocation on the exceptional edge
         if isinstance(instr, C.CopyLocal):
             if instr.src != instr.dst:
                 src_ref = out.refs.get(instr.src)
@@ -475,43 +476,36 @@ class _MethodChecker:
                         if need and called >= need:
                             out.field_sat = out.field_sat | {bound}
             self._discharge_owning_args(instr.owner, instr.method, instr.args, discharge, is_ctor=False)
-            if instr.dst:
-                out.kill_local(instr.dst)
             if instr.recv == C.THIS or C.THIS in instr.args:
                 out.touch_field_contents()
-            ret_class = self._tracked_return_class(instr)
-            if ret_class is not None:
-                # the caller only owns the result on the normal edge; on the
-                # exceptional edge the call never returned a value
-                pre_ret = out.pack()
-                self.calls[instr.ast_nid] = (instr, ret_class)
-                origin = ("call", instr.ast_nid)
-                prior = out.origins.get(origin)
-                if prior is not None and not prior.resolved:
-                    self.warn_unsatisfied(origin)
-                out.write("origins")[origin] = SiteState(frozenset(), False)
-                out.lost.add(origin)
-                if instr.dst:
+            if instr.dst:
+                # the call returns a value on its normal edges only: on the
+                # exceptional ones `dst` keeps what it held, and the caller
+                # owns no result
+                thrown = out.pack()
+                out.kill_local(instr.dst)
+                ret_class = self._tracked_return_class(instr)
+                if ret_class is not None:
+                    self.calls[instr.ast_nid] = (instr, ret_class)
+                    origin = ("call", instr.ast_nid)
+                    prior = out.origins.get(origin)
+                    if prior is not None and not prior.resolved:
+                        self.warn_unsatisfied(origin)
+                    out.write("origins")[origin] = SiteState(frozenset(), False)
+                    out.lost.add(origin)
                     out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
-                return self._split_out(node, out.pack(), pre_ret)
+                return self.cfg.split_out(node, out.pack(), thrown)
         elif isinstance(instr, C.ReturnVal):
             if instr.src is not None and self.specs.return_ownership(self.cls.name, self.cfg.method_name) == OWNING:
                 discharge(instr.src)
         return dict.fromkeys(self.cfg.succs(node), out.pack())
 
-    def _split_out(self, node: int, normal: CheckFact, exceptional: CheckFact) -> dict[int, CheckFact]:
-        """`normal` on the normal out-edges, `exceptional` on the others; a
-        successor reached both ways gets `normal`."""
-        outs = dict.fromkeys(self.cfg.succs(node, C.NORMAL), normal)
-        for s in self.cfg.succs(node, C.EXCEPTIONAL):
-            outs.setdefault(s, exceptional)
-        return outs
-
     def _branch_out(self, instr: C.Branch, fact: CheckFact, node: int) -> dict[int, CheckFact]:
         eq_edge = instr.false_succ if instr.negated else instr.true_succ  # taken when lhs == rhs
         ne_edge = instr.true_succ if instr.negated else instr.false_succ
         refs = fact.refs
-        lhs_null, rhs_null = instr.lhs in fact.nulls, instr.rhs in fact.nulls
+        lhs_null = instr.lhs == C.NULL or instr.lhs in fact.nulls
+        rhs_null = instr.rhs == C.NULL or instr.rhs in fact.nulls
         infeasible: set[int] = set()
         if (rhs_null and refs.get(instr.lhs, _UNBOUND)[1]) or (lhs_null and refs.get(instr.rhs, _UNBOUND)[1]):
             infeasible.add(eq_edge)

@@ -41,12 +41,12 @@ def moved_reports(group: str, digests: dict[str, str]) -> list[str]:
     return sorted(name for name in pins.keys() | digests.keys() if pins.get(name) != digests.get(name))
 
 
-def corpus_and_fuzz_programs():
-    """(program, libspec) for every corpus file and generate_source(0..59);
+def corpus_and_fuzz_programs(count: int = 60):
+    """(program, libspec) for every corpus file and generate_source(0..count-1);
     both have while loops, so back edges are exercised."""
     corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
     programs = [(parse(p.read_text(), p.name), corpus_lib) for p in sorted(CORPUS.glob("*.mj"))]
-    programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(60)]
+    programs += [(parse(generate_source(seed), "fuzz.mj"), fuzz_libspec()) for seed in range(count)]
     return programs
 
 

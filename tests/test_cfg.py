@@ -1,13 +1,22 @@
 """CFG lowering, its name errors, try/finally duplication, the lean node set, literal operands, the adjacency index, field stores, the dataflow solver, and must-alias analysis."""
 
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import CORPUS, acyclic_paths, corpus_and_fuzz_programs, corpus_mutants, wide_method_source
+from helpers import (
+    CORPUS,
+    NESTING_LIBSPEC,
+    acyclic_paths,
+    corpus_and_fuzz_programs,
+    corpus_mutants,
+    nesting_source,
+    wide_method_source,
+)
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import escape as E
@@ -95,8 +104,11 @@ TRY_FINALLY_RETURN = """class A {
 
 
 def _finally_marker_nodes(g):
-    # the finally body is `cleanup = null;`, duplicated per entry path
-    return {i for i, ins in enumerate(g.nodes) if isinstance(ins, C.CopyLocal) and ins.dst == "cleanup"}
+    # the finally body is `cleanup = null;`, duplicated per entry path: each
+    # duplicate defines `cleanup`, by a null Const or, at the end of an
+    # exception path, by a copy of a null temporary
+    defs = [i for i, ins in enumerate(g.nodes) if "cleanup" in C.instr_defs(ins)]
+    return {i for i in defs if getattr(g.nodes[i], "src", "") != '"pending"'}
 
 
 def test_finally_runs_on_every_path():
@@ -282,15 +294,18 @@ def test_field_stores_finds_the_stores_a_path_may_run_twice():
 
 
 def _round_robin_liveness(cfg):
+    """Liveness where a throwing node's def happens on its normal edges only."""
     live_in = {n: frozenset() for n in range(len(cfg.nodes))}
     changed = True
     while changed:
         changed = False
         for n in range(len(cfg.nodes) - 1, -1, -1):
-            out = frozenset()
-            for s in cfg.succs(n):
-                out |= live_in[s]
-            new_in = frozenset(C.instr_uses(cfg.nodes[n])) | (out - frozenset(C.instr_defs(cfg.nodes[n])))
+            ins = cfg.nodes[n]
+            out = frozenset().union(*(live_in[s] for s in cfg.succs(n, C.NORMAL)))
+            thrown = frozenset().union(*(live_in[s] for s in cfg.succs(n, C.EXCEPTIONAL)))
+            if not isinstance(ins, (C.Alloc, C.Invoke)):
+                out, thrown = out | thrown, frozenset()
+            new_in = frozenset(C.instr_uses(ins)) | (out - frozenset(C.instr_defs(ins))) | thrown
             if new_in != live_in[n]:
                 live_in[n] = new_in
                 changed = True
@@ -298,10 +313,12 @@ def _round_robin_liveness(cfg):
 
 
 def _round_robin_must_alias(cfg):
+    """Must-alias where a throwing node's def happens on its normal edges only."""
     locals_ = sorted(cfg.local_types)
     init = C._fact_from_parts({name: i for i, name in enumerate(locals_)}, {})
     before = {cfg.entry: init}
     after = {}
+    edges = {}  # (node, successor) -> the fact on that edge
     order = cfg.rpo()
     changed = True
     while changed:
@@ -309,7 +326,7 @@ def _round_robin_must_alias(cfg):
         for n in order:
             preds = cfg.preds(n)
             if preds:
-                facts = [after[p] for p in preds if p in after]
+                facts = [edges[(p, n)] for p in preds if (p, n) in edges]
                 if not facts:
                     continue
                 fact = facts[0]
@@ -322,10 +339,17 @@ def _round_robin_must_alias(cfg):
             if before.get(n) != fact:
                 before[n] = fact
                 changed = True
-            out = C._alias_transfer(fact, cfg.nodes[n], locals_, n)
+            ins = cfg.nodes[n]
+            out = C._alias_transfer(fact, ins, locals_, n)
             if after.get(n) != out:
                 after[n] = out
                 changed = True
+            normal = cfg.succs(n, C.NORMAL)
+            for s in cfg.succs(n):
+                edge = fact if isinstance(ins, (C.Alloc, C.Invoke)) and s not in normal else out
+                if edges.get((n, s)) != edge:
+                    edges[(n, s)] = edge
+                    changed = True
     return before, after
 
 
@@ -341,24 +365,30 @@ def _taint_step(instr, taint):
 
 
 def _round_robin_taint(cfg, start_node, start_local):
+    """Taint per edge: a throwing node defines its local (and a start there
+    begins) on its normal edges only; into exit the normal edge's taint."""
     before = {}
-    after = {start_node: frozenset({start_local})}
+    after = {}  # (node, successor) -> the taint on that edge
     order = cfg.rpo()
     changed = True
     while changed:
         changed = False
         for n in order:
-            inc = [after[p] for p in cfg.preds(n) if p in after]
+            inc = [after[(p, n)] for p in cfg.preds(n) if (p, n) in after]
             fact = frozenset().union(*inc) if inc else frozenset()
             if before.get(n) != fact:
                 before[n] = fact
                 changed = True
-            out = _taint_step(cfg.nodes[n], fact)
+            ins = cfg.nodes[n]
+            out = _taint_step(ins, fact)
             if n == start_node:
                 out = out | {start_local}
-            if after.get(n) != out:
-                after[n] = out
-                changed = True
+            normal = cfg.succs(n, C.NORMAL)
+            for s in cfg.succs(n):
+                edge = fact if isinstance(ins, (C.Alloc, C.Invoke)) and s not in normal else out
+                if after.get((n, s)) != edge:
+                    after[(n, s)] = edge
+                    changed = True
     return before
 
 
@@ -608,6 +638,126 @@ def test_a_lowering_emits_only_nodes_some_analysis_reads():
     assert lowerings > 2000 and None not in nops, nops
 
 
+def _temporary_defs(g):
+    """Each temporary's defining node, by name."""
+    return {ins.dst: n for n, ins in enumerate(g.nodes) if getattr(ins, "dst", None) and ins.dst.startswith("%t")}
+
+
+def test_every_temporary_is_named_by_some_instruction():
+    """A call whose value is dropped makes no temporary, so each one a
+    lowering types is an instruction's operand or dst."""
+    temporaries = 0
+    for prog, lib in corpus_and_fuzz_programs(600):
+        for _cls, _meth, g in _all_cfgs(prog, lib):
+            named = set(_temporary_defs(g)).union(*(C.instr_uses(ins) for ins in g.nodes))
+            made = {local for local in g.local_types if local.startswith("%t")}
+            assert made <= named, (prog.source_name, g.method_name, made - named)
+            temporaries += len(made)
+    assert temporaries > 1000
+
+
+def test_a_value_goes_straight_into_its_local():
+    """A new, a call, a field load or null assigned to a local defines it in
+    its own node: a copy from a temporary is left only where the defining
+    node's completion ends the body or an exception path, or reaches the
+    node its own throw does. A null a condition compares is a Branch
+    operand, never a Const's temporary."""
+    copies = 0
+    nesting_lib = load_library_spec(NESTING_LIBSPEC)
+    nesting = ((parse(nesting_source(seed), f"nest{seed}.mj"), nesting_lib) for seed in range(2000))
+    for prog, lib in itertools.chain(_lowering_programs(), nesting):
+        for cls in prog.classes:
+            for meth in cls.all_methods():
+                try:
+                    g = C.lower(prog, cls, meth, lib)
+                except FILE_ERRORS:
+                    continue
+                where = (prog.source_name, g.method_name)
+                temporaries = _temporary_defs(g)
+                nulls = {t for t, d in temporaries.items() if isinstance(g.nodes[d], C.Const)}
+                for n, ins in enumerate(g.nodes):
+                    if isinstance(ins, C.Branch):
+                        assert not nulls & {ins.lhs, ins.rhs}, where
+                    if not (isinstance(ins, C.CopyLocal) and ins.src in temporaries):
+                        continue
+                    copies += 1
+                    (d,), (succ,) = g.preds(n), g.succs(n)
+                    assert d == temporaries[ins.src], where
+                    ends = succ == g.exit or g.nodes[succ] == C.Nop("to-exit") or (n, succ, C.EXCEPTIONAL) in g.edges
+                    assert ends or succ in g.succs(d, C.EXCEPTIONAL), where
+    assert copies > 100
+
+
+# the normal-edge rule: a throwing node that defines a named local writes it
+# on its normal out-edges only
+ALLOC_IN_A_TRY = """class A {
+  void m() {
+    FileInputStream s = null;
+    try {
+      s = new FileInputStream("a");
+    } catch (Exception e) {
+      if (s != null) {
+        s.close();
+      }
+      return;
+    }
+    s.close();
+  }
+}
+"""
+
+# `r` still holds its first value in the catch, which closes it; the normal
+# path closes the call's value and, through `keep`, the first
+CALL_IN_A_TRY = """@MustCall("close")
+class R {
+  void close() {
+  }
+  R make() {
+    return new R();
+  }
+  static void main() {
+    R q = new R();
+    R r = new R();
+    R keep = r;
+    try {
+      r = q.make();
+    } catch (Exception e) {
+      r.close();
+      q.close();
+      return;
+    }
+    r.close();
+    keep.close();
+    q.close();
+  }
+}
+"""
+
+
+def test_a_local_an_allocation_defines_stays_live_before_it_for_its_catch():
+    lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    prog = parse(ALLOC_IN_A_TRY, "t.mj")
+    cls = prog.classes[0]
+    g = C.lower(prog, cls, cls.methods[0], lib)
+    (alloc,) = [n for n, ins in enumerate(g.nodes) if isinstance(ins, C.Alloc)]
+    assert g.nodes[alloc].dst == "s" and "s" in g.live_in()[alloc]
+    (catch,) = g.succs(alloc, C.EXCEPTIONAL)
+    assert isinstance(g.nodes[catch], C.Branch) and g.nodes[catch].rhs == C.NULL
+    # the catch sees the null `s` held before: not the allocation's value
+    assert catch not in E.taint_fixpoint(g, alloc, "s")
+    assert C.must_alias(g).tag_before(catch, "s") == ("null",)
+
+
+def test_a_call_into_a_local_leaves_its_old_value_on_the_catch_edge():
+    lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    prog = parse(CALL_IN_A_TRY, "t.mj")
+    cls = prog.class_named("R")
+    g = C.lower(prog, cls, cls.method_named("main"), lib)
+    (call,) = [n for n, ins in enumerate(g.nodes) if isinstance(ins, C.Invoke) and ins.method == "make"]
+    assert g.nodes[call].dst == "r" and "r" in g.live_in()[call]
+    assert K.check_program(prog, SpecSet.from_declared(prog), lib) == []
+
+
 def test_a_calls_exceptional_edge_past_an_empty_catch_keeps_its_own_fact():
     """Both out-edges of the call reach `s.close()`: the exceptional one goes
     through a split Nop, so the close meets the facts of both ways."""
@@ -812,8 +962,10 @@ def _enumerate_path_tags(g, local):
     for path in acyclic_paths(g):
         value = ("unset",)
         env = {}
-        for n in path:
+        for n, succ in zip(path, path[1:]):
             ins = g.nodes[n]
+            if isinstance(ins, (C.Alloc, C.Invoke)) and succ not in g.succs(n, C.NORMAL):
+                continue  # thrown: the def happens on normal edges only
             if isinstance(ins, C.Alloc):
                 env[ins.dst] = ("site", ins.site)
             elif isinstance(ins, C.CopyLocal):
