@@ -49,11 +49,10 @@ taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index, the reverse postorder, `solve`'s ranks, the join nodes, the anchors
-lowered from each AST node (`Cfg.copies`) and the nodes a value can escape
-through (`Cfg.sinks`) when the CFG is built, liveness and the taint of the
-values the escape analysis asks about on first use (`Cfg.live_in`,
-`Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor` instruction
+index, the reverse postorder and `solve`'s ranks when the CFG is built;
+liveness, the anchors lowered from each AST node (`Cfg.copies`), the nodes
+a value can escape through (`Cfg.sinks`) and the taint of the values the
+escape analysis asks about on first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor` instruction
 carries its AST node's id and the warning ordinal the lowering numbers from
 its one `local_refs` walk. So the memo hands out the stored lowering itself
 on every hit.
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Collection, Iterable, Optional, TypeVar, Union
 
 from . import syntax as sx
@@ -92,17 +90,17 @@ def literal_type(op: str) -> Optional[str]:
 # --- instructions ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Instr:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Nop(Instr):
     tag: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Alloc(Instr):
     dst: str
     class_name: str
@@ -112,13 +110,13 @@ class Alloc(Instr):
     ordinal: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CopyLocal(Instr):
     dst: str
     src: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Const(Instr):
     """`dst = null`; a string or int literal is an operand, with no node, and
     so is a `null` a condition compares (`NULL`)."""
@@ -126,7 +124,7 @@ class Const(Instr):
     dst: str
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadField(Instr):
     dst: str
     recv: Optional[str]  # local or "this"; None for static loads
@@ -135,7 +133,7 @@ class LoadField(Instr):
     ast_nid: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreField(Instr):
     recv: Optional[str]
     field: str
@@ -145,7 +143,7 @@ class StoreField(Instr):
     ordinal: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Invoke(Instr):
     recv: Optional[str]  # receiver local; None for static calls
     static_class: Optional[str]
@@ -161,12 +159,12 @@ class Invoke(Instr):
 Anchor = Union[Alloc, Invoke, StoreField]
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnVal(Instr):
     src: Optional[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch(Instr):
     """Two-way branch on lhs ==/!= rhs; successors recorded by node id."""
 
@@ -188,17 +186,15 @@ class Cfg:
     local_types: dict[str, str] = field(default_factory=dict)
     params: list[str] = field(default_factory=list)  # the member's parameter names, in order
     # adjacency index over `edges`, in `edges` order so meets and warnings
-    # keep a fixed order: successors per kind (None for any) and node, and
-    # predecessors of any kind per node
+    # keep a fixed order: successors and predecessors per kind (None for
+    # any) and node
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pred: list[tuple[int, ...]] = field(default_factory=list, init=False, repr=False, compare=False)
+    _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    # AST node id -> the anchors lowered from it, in node order
-    _copies: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the nodes that store, return or pass an operand, in node order
-    sinks: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-    # the nodes with in-edges from more than one node, where a forward solve meets facts
-    joins: frozenset[int] = field(default=frozenset(), init=False, repr=False, compare=False)
+    # AST node id -> the anchors lowered from it, in node order, and the
+    # nodes that store, return or pass an operand: built on first use
+    _copies: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
+    _sinks: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # `solve`'s setup per direction (backward?): each node's rank in the visiting order
     _ranks: dict[bool, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
     # liveness by node id, solved on first use
@@ -209,25 +205,30 @@ class Cfg:
     )
 
     def index_edges(self, places: Optional[dict[tuple[int, int], Place]] = None) -> None:
-        """Build the adjacency index, the reverse postorder, the joins,
-        `solve`'s ranks, `copies` and `sinks`; lowering calls it once
-        `nodes` and `edges` are final. The postorder walk takes a node's
-        out-edges by their `places` (see `Pending`), (target, 0) by default."""
+        """Build the adjacency index, the reverse postorder and `solve`'s
+        ranks; lowering calls it once `nodes` and `edges` are final. The
+        postorder walk takes a node's out-edges by their `places` (see
+        `Pending`), (target, 0) by default."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
-        pred: list[list[int]] = [[] for _ in self.nodes]
+        pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
+        succ_any, pred_any = succ[None], pred[None]
         for f, t, k in self.edges:
-            succ[None][f].append(t)
+            succ_any[f].append(t)
             succ[k][f].append(t)
-            pred[t].append(f)
-        self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
-        self._rpo = self._reverse_postorder(places or {})
-        self.joins = frozenset(n for n, ps in enumerate(self._pred) if len(set(ps)) > 1)
-        for backward in (False, True):
-            rank = [len(self._rpo) + n for n in range(len(self.nodes))]  # exit goes last if no path reaches it
-            for i, n in enumerate(reversed(self._rpo) if backward else self._rpo):
-                rank[n] = i
-            self._ranks[backward] = rank
+            pred_any[t].append(f)
+            pred[k][t].append(f)
+        self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
+        self._rpo = rpo = self._reverse_postorder(places or {})
+        forward = list(range(len(rpo), len(rpo) + len(self.nodes)))  # exit goes last if no path reaches it
+        backward = forward.copy()
+        for i, n in enumerate(rpo):
+            forward[n], backward[n] = i, len(rpo) - 1 - i
+        self._ranks = {False: forward, True: backward}
+
+    def _index_anchors(self) -> None:
+        """Build `copies` and `sinks`, which only the escape analysis and
+        repair read, in one walk of the nodes."""
         copies: dict[int, list[int]] = {}
         sinks: list[int] = []
         for n, ins in enumerate(self.nodes):
@@ -236,13 +237,22 @@ class Cfg:
             if isinstance(ins, (StoreField, ReturnVal)) or (isinstance(ins, (Alloc, Invoke)) and ins.args):
                 sinks.append(n)
         self._copies = {nid: tuple(ns) for nid, ns in copies.items()}
-        self.sinks = tuple(sinks)
+        self._sinks = tuple(sinks)
 
     def copies(self, ast_nid: int) -> tuple[int, ...]:
         """The `Anchor` nodes lowered from the AST node `ast_nid`, in node
         order; `()` when none is. A node inside a finally block has one copy
         for each way out of its try (normal completion, exception, return)."""
-        return self._copies.get(ast_nid, ())
+        if self._copies is None:
+            self._index_anchors()
+        return self._copies.get(ast_nid, ())  # type: ignore[union-attr]
+
+    @property
+    def sinks(self) -> tuple[int, ...]:
+        """The nodes that store, return or pass an operand, in node order."""
+        if self._copies is None:
+            self._index_anchors()
+        return self._sinks
 
     def succs(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
         """Successors of `n` along edges of `kind` (any kind when None), in `edges` order."""
@@ -258,12 +268,8 @@ class Cfg:
         return outs
 
     def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
-        """Predecessors of `n` along edges of `kind` (any kind when None), in
-        `edges` order. Only the any-kind ones are indexed: a kind is a scan
-        of `edges`, which one exit check per checker run makes."""
-        if kind is None:
-            return self._pred[n]
-        return tuple(f for f, t, k in self.edges if t == n and k == kind)
+        """Predecessors of `n` along edges of `kind` (any kind when None), in `edges` order."""
+        return self._pred[kind][n]
 
     def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
         """Nodes reachable from `starts` (themselves included) along edges of
@@ -325,6 +331,8 @@ class Cfg:
         succ = self._succ[None]
 
         def visiting_order(n: int) -> Iterable[int]:
+            if len(succ[n]) < 2:
+                return iter(succ[n])
             return iter(sorted(succ[n], key=lambda s: places.get((n, s), (s, 0))))
 
         seen = {self.entry}
@@ -356,7 +364,7 @@ class Cfg:
 
 
 def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
-    """Per-node successor tuples. The memo keeps every lowering of a program
+    """Per-node neighbour tuples. The memo keeps every lowering of a program
     family, handed out as stored, until another family replaces it, so a
     node whose edges are all of one kind shares one tuple between that kind
     and the any-kind index (and an empty one is `()`)."""
@@ -959,7 +967,7 @@ def solve(
     does not converge.
     """
     rank = cfg._ranks[backward]
-    sources = cfg._succ[None] if backward else cfg._pred
+    sources = cfg._succ[None] if backward else cfg._pred[None]
     heap = sorted((rank[n], n) for n in seeds)
     queued = set(seeds)
     facts: dict[int, Fact] = {}
@@ -968,10 +976,11 @@ def solve(
     while heap:
         _rank, n = heapq.heappop(heap)
         queued.discard(n)
-        incoming = [o[n] for m in sources[n] if n in (o := outs[m])]
-        if n in seeds:
-            incoming.insert(0, seeds[n])
-        fact = incoming[0] if len(incoming) == 1 else reduce(meet, incoming)
+        fact = seeds.get(n, _UNSET)  # then met, in order, with what each source holds for n
+        for m in sources[n]:
+            o = outs[m]
+            if n in o:
+                fact = o[n] if fact is _UNSET else meet(fact, o[n])
         if n in facts and facts[n] == fact:
             continue
         visits_left -= 1
@@ -989,6 +998,7 @@ def solve(
 
 
 _NO_FACTS: dict = {}  # the out-facts of a node not yet visited; never written
+_UNSET = object()  # no in-fact yet
 
 
 # --- escape taint ------------------------------------------------------------
@@ -1259,7 +1269,10 @@ def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
     defs = [frozenset(instr_defs(instr)) for instr in cfg.nodes]
     # the exceptional edges of throwing nodes that define a local
     thrown = {
-        (f, t) for f, t, k in cfg.edges if k == EXCEPTIONAL and defs[f] and isinstance(cfg.nodes[f], (Alloc, Invoke))
+        (f, t)
+        for f, instr in enumerate(cfg.nodes)
+        if defs[f] and isinstance(instr, (Alloc, Invoke))
+        for t in cfg._succ[EXCEPTIONAL][f]
     }
 
     def flow(n: int, live_out: frozenset[str]) -> dict[int, frozenset[str]]:

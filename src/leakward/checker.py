@@ -33,19 +33,28 @@ in-edges, and it alone feeds the final check.
 A fact (`CheckFact`) holds the maps and sets the transfer function works on:
 dicts from origins to states, from locals to the frozenset of origins they
 may hold, and from this-fields to what was called on or stored in them, plus
-frozensets of null locals and satisfied fields. Facts compare as maps, with
-no regard to order. Once built a fact is never mutated, nor is any map it
-holds: out-edges share facts, facts share maps, and the memo keeps exit
-facts. So a transfer builds its out-fact copy-on-write (`_OutFact`): it
-shares with the in-fact every map the instruction does not write, a `Nop`
-passes its in-fact on as it is, a branch shares all but the maps its null
-test refines, and `_prune` returns its input when no local and no origin
-dies; it looks for deaths only among the origins that lost a holder, except
-at joins. Its dicts make a `CheckFact` unhashable.
+frozensets of null locals and satisfied fields. A fact and an origin's state
+(`SiteState`) are immutable records, named tuples built and compared in C;
+facts compare as maps, with no regard to order. Once built a fact is never
+mutated, nor is any map it holds: out-edges share facts, facts share maps,
+and the memo keeps exit facts. So a transfer builds its out-fact
+copy-on-write (`_OutFact`): it shares with the in-fact every map the
+instruction does not write, a `Nop` passes its in-fact on as it is, and a
+branch shares all but the maps its null test refines. Its dicts make a
+`CheckFact` unhashable.
 
-A warning is built from its anchor instruction: its kind and token from
-`anchor_name`, its AST node id and ordinal as the lowering stamped them, so
-a run makes no walk of the method.
+`_prune` drops the locals that die on an edge and warns the origins that
+lose their last holder there. Every unresolved origin of a pruned fact has
+a holder, so it looks for deaths only among the origins the transfer took a
+holder from and those of the dying locals. At a join it also looks at the
+origins whose field holders the meet dropped (`_meet` reports them: a local
+keeps on the meet every origin it holds on either side). An out-fact on an
+edge where no origin lost a holder and no local dies passes through without
+`_prune`, which would return it as it is.
+
+A warning is built once, from its anchor instruction: its kind and token
+from `anchor_name`, its AST node id and ordinal as the lowering stamped
+them, so a run makes no walk of the method.
 
 A run reads its specs only through a `SpecReader`: must-call sets
 (`must_call_for`, `tracked`) and the ownership of stored fields. It reads
@@ -64,13 +73,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import cfg as C
 from . import syntax as sx
 from .libspec import LibrarySpec
 from .memo import ProgramOrVersion, ProgramVersion, version_of
-from .specs import NOT_OWNING, OWNING, SpecReader, SpecSet
+from .specs import OWNING, SpecReader, SpecSet
 
 UNSATISFIED_OBLIGATION = "UnsatisfiedObligation"
 OWNING_FIELD_OVERWRITE = "OwningFieldOverwrite"
@@ -111,16 +120,8 @@ class Warning:
 
     def descriptor(self) -> str:
         """What the id hashes: the structural anchor, never a line."""
-        return "|".join(
-            [
-                self.kind,
-                self.file,
-                self.class_name,
-                self.method_name,
-                self.anchor_kind,
-                self.anchor_token,
-                str(self.ordinal),
-            ]
+        return _descriptor(
+            self.kind, self.file, self.class_name, self.method_name, self.anchor_kind, self.anchor_token, self.ordinal
         )
 
     def to_json(self) -> dict:
@@ -135,6 +136,12 @@ class Warning:
         }
 
 
+def _descriptor(
+    kind: str, file: str, class_name: str, method_name: str, anchor_kind: str, anchor_token: str, ordinal: int
+) -> str:
+    return "|".join([kind, file, class_name, method_name, anchor_kind, anchor_token, str(ordinal)])
+
+
 @dataclass(frozen=True)
 class CompileError:
     file: str
@@ -145,8 +152,7 @@ class CompileError:
 # --- per-method obligation dataflow -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteState:
+class SiteState(NamedTuple):
     called: frozenset[str]
     resolved: bool
 
@@ -155,8 +161,7 @@ RefInfo = tuple[frozenset[Origin], bool]  # (possible origins, definitely non-nu
 _UNBOUND: RefInfo = (frozenset(), False)  # what a local bound to no origin holds
 
 
-@dataclass(frozen=True)
-class CheckFact:
+class CheckFact(NamedTuple):
     origins: dict[Origin, SiteState]
     refs: dict[str, RefInfo]  # local -> origins it may hold
     nulls: frozenset[str]  # locals definitely holding null
@@ -171,10 +176,13 @@ EMPTY_FACT = CheckFact(
 )
 
 
-def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
+def _meet(f1: CheckFact, f2: CheckFact, dropped: Optional[set[Origin]] = None) -> CheckFact:
     """The meet of two facts. It is idempotent, since `refs` and `nulls` are
     disjoint and no `refs` or `field_origins` entry is empty, so a fact met
-    with itself is that fact, and a map both sides share is the result's."""
+    with itself is that fact, and a map both sides share is the result's.
+    A local that holds an origin on one side holds it in the meet, so only a
+    field can lose a holder: its origins that the meet drops go into
+    `dropped`, when given."""
     if f1 is f2:
         return f1
     if f1.origins is f2.origins:
@@ -193,14 +201,22 @@ def _meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
     # field-content origins meet by intersection: crediting a close through a
     # field is only sound when the field holds the origin on every path
     fo1, fo2 = f1.field_origins, f2.field_origins
+    if fo1 is fo2:
+        field_origins = fo1
+    else:
+        field_origins = {k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])}
+        if dropped is not None:
+            for fo in (fo1, fo2):
+                for k, held in fo.items():
+                    dropped.update(held.difference(field_origins.get(k, ())))
     return CheckFact(
-        origins=origins,
-        refs=refs,
-        nulls=nulls,
-        field_called=fc1 if fc1 is fc2 else {k: fc1[k] & fc2[k] for k in fc1.keys() & fc2.keys()},
-        field_sat=f1.field_sat if f1.field_sat is f2.field_sat else f1.field_sat & f2.field_sat,
-        bindings=b1 if b1 is b2 else {k: v for k, v in b1.items() if b2.get(k) == v},
-        field_origins=fo1 if fo1 is fo2 else {k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])},
+        origins,
+        refs,
+        nulls,
+        fc1 if fc1 is fc2 else {k: fc1[k] & fc2[k] for k in fc1.keys() & fc2.keys()},
+        f1.field_sat if f1.field_sat is f2.field_sat else f1.field_sat & f2.field_sat,
+        b1 if b1 is b2 else {k: v for k, v in b1.items() if b2.get(k) == v},
+        field_origins,
     )
 
 
@@ -243,14 +259,11 @@ class _OutFact:
     def __init__(self, fact: CheckFact, lost: set[Origin]):
         self._fact = fact
         self._owned: set[str] = set()  # dict fields copied since the last pack
-        self.lost = lost  # origins that lost a holder or are new: where `_prune` looks for deaths
-        self.origins = fact.origins
-        self.refs = fact.refs
-        self.nulls = fact.nulls  # frozensets: written by replacing them
-        self.field_called = fact.field_called
-        self.field_sat = fact.field_sat
-        self.bindings = fact.bindings
-        self.field_origins = fact.field_origins
+        # origins that lost a holder: where `_prune` looks for deaths. A fresh
+        # origin's one holder is its `dst`, which `_prune` scans if it dies.
+        self.lost = lost
+        # `nulls` and `field_sat` are frozensets, written by replacing them
+        self.origins, self.refs, self.nulls, self.field_called, self.field_sat, self.bindings, self.field_origins = fact
 
     def write(self, name: str) -> dict:
         """The dict field `name`, ready to be written."""
@@ -311,7 +324,7 @@ class _MethodChecker:
         self.calls: dict[int, tuple[C.Invoke, str]] = {}  # invoke ast nid -> (the call, its returned class)
         self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
         self.live_in = cfg.live_in()
-        self.lost: set[Origin] = set()  # the origins the last transfer took a holder from or made
+        self.lost: set[Origin] = set()  # the origins the last transfer took a holder from
 
     # origin helpers
 
@@ -332,23 +345,25 @@ class _MethodChecker:
     def warn(self, kind: str, anchor: C.Anchor, rclass: str, message: str) -> None:
         """Emit a warning anchored at instruction `anchor`; its id hashes its `Warning.descriptor()`."""
         anchor_kind, token = anchor_name(self.cfg, anchor)  # type: ignore[misc]
-        w = Warning(
-            id="",
-            kind=kind,
-            file=self.program.source_name,
-            line=self.program.pos_of(anchor.ast_nid)[0],
-            resource_class=rclass,
-            message=message,
-            class_name=self.cfg.class_name,
-            method_name=self.cfg.method_name,
-            anchor_kind=anchor_kind,
-            anchor_token=token,
-            ordinal=anchor.ordinal,
-            ast_nid=anchor.ast_nid,
-            site=anchor.site if isinstance(anchor, C.Alloc) else -1,
-        )
-        w = replace(w, id=hashlib.sha256(w.descriptor().encode()).hexdigest()[:12])
-        self.warnings.setdefault(w.id, w)
+        file, class_name, method_name = self.program.source_name, self.cfg.class_name, self.cfg.method_name
+        descriptor = _descriptor(kind, file, class_name, method_name, anchor_kind, token, anchor.ordinal)
+        wid = hashlib.sha256(descriptor.encode()).hexdigest()[:12]
+        if wid not in self.warnings:
+            self.warnings[wid] = Warning(
+                id=wid,
+                kind=kind,
+                file=file,
+                line=self.program.pos_of(anchor.ast_nid)[0],
+                resource_class=rclass,
+                message=message,
+                class_name=class_name,
+                method_name=method_name,
+                anchor_kind=anchor_kind,
+                anchor_token=token,
+                ordinal=anchor.ordinal,
+                ast_nid=anchor.ast_nid,
+                site=anchor.site if isinstance(anchor, C.Alloc) else -1,
+            )
 
     def warn_unsatisfied(self, origin: Origin) -> None:
         rclass = self.origin_class(origin)
@@ -378,27 +393,8 @@ class _MethodChecker:
         if isinstance(instr, C.Branch):
             return self._branch_out(instr, fact, node)
         out = _OutFact(fact, self.lost)
-
-        def credit_origin(origin: Origin, method: str) -> None:
-            st = out.origins.get(origin)
-            if st is None:
-                return
-            called = st.called | {method}
-            resolved = st.resolved or called >= self.must_call_for(self.origin_class(origin))
-            out.write("origins")[origin] = SiteState(called, resolved)
-
-        def credit(op: str, method: str) -> None:
-            for origin in self.origins_of_operand(op, fact):
-                credit_origin(origin, method)
-
-        def discharge(op: str) -> None:
-            for origin in self.origins_of_operand(op, fact):
-                st = out.origins.get(origin)
-                if st is not None and not st.resolved:
-                    out.write("origins")[origin] = SiteState(st.called, True)
-
         if isinstance(instr, C.Alloc):
-            self._discharge_owning_args(instr.class_name, instr.class_name, instr.args, discharge, is_ctor=True)
+            self._discharge_owning_args(out, fact, instr.class_name, instr.class_name, instr.args, is_ctor=True)
             out.kill_local(instr.dst)
             if self.tracked(instr.class_name):
                 origin: Origin = ("new", instr.site)
@@ -406,7 +402,6 @@ class _MethodChecker:
                 if prior is not None and not prior.resolved:
                     self.warn_unsatisfied(origin)  # looped re-allocation rolls over a pending instance
                 out.write("origins")[origin] = SiteState(frozenset(), False)
-                out.lost.add(origin)
                 out.write("refs")[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
                 out.touch_field_contents()
@@ -442,7 +437,7 @@ class _MethodChecker:
                     sat = instr.recv == C.THIS and instr.field in out.field_sat
                     if not sat:
                         self.warn_overwrite(instr)
-                discharge(instr.src)
+                self._discharge(out, instr.src, fact)
             if instr.recv == C.THIS or instr.recv is None:
                 if instr.field in out.field_called:
                     del out.write("field_called")[instr.field]
@@ -463,19 +458,20 @@ class _MethodChecker:
                         del bindings[k]
         elif isinstance(instr, C.Invoke):
             if instr.recv is not None:
-                credit(instr.recv, instr.method)
+                for origin in self.origins_of_operand(instr.recv, fact):
+                    self._credit(out, origin, instr.method)
                 bound = out.bindings.get(instr.recv)
                 if bound is not None:
                     called = out.field_called.get(bound, frozenset()) | {instr.method}
                     out.write("field_called")[bound] = called
                     for origin in out.field_origins.get(bound, ()):
-                        credit_origin(origin, instr.method)
+                        self._credit(out, origin, instr.method)
                     fld = self.cls.field_named(bound)
                     if fld is not None:
                         need = self.must_call_for(fld.declared_type)
                         if need and called >= need:
                             out.field_sat = out.field_sat | {bound}
-            self._discharge_owning_args(instr.owner, instr.method, instr.args, discharge, is_ctor=False)
+            self._discharge_owning_args(out, fact, instr.owner, instr.method, instr.args, is_ctor=False)
             if instr.recv == C.THIS or C.THIS in instr.args:
                 out.touch_field_contents()
             if instr.dst:
@@ -492,12 +488,11 @@ class _MethodChecker:
                     if prior is not None and not prior.resolved:
                         self.warn_unsatisfied(origin)
                     out.write("origins")[origin] = SiteState(frozenset(), False)
-                    out.lost.add(origin)
                     out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
                 return self.cfg.split_out(node, out.pack(), thrown)
         elif isinstance(instr, C.ReturnVal):
             if instr.src is not None and self.specs.return_ownership(self.cls.name, self.cfg.method_name) == OWNING:
-                discharge(instr.src)
+                self._discharge(out, instr.src, fact)
         return dict.fromkeys(self.cfg.succs(node), out.pack())
 
     def _branch_out(self, instr: C.Branch, fact: CheckFact, node: int) -> dict[int, CheckFact]:
@@ -547,25 +542,40 @@ class _MethodChecker:
             )
         return outs
 
+    def _credit(self, out: _OutFact, origin: Origin, method: str) -> None:
+        """A call of `method` on `origin`, which resolves it once its
+        called-set covers the must-call set."""
+        st = out.origins.get(origin)
+        if st is None:
+            return
+        called = st.called | {method}
+        resolved = st.resolved or called >= self.must_call_for(self.origin_class(origin))
+        out.write("origins")[origin] = SiteState(called, resolved)
+
+    def _discharge(self, out: _OutFact, op: str, fact: CheckFact) -> None:
+        """Resolve every origin the operand `op` may hold in the in-fact `fact`."""
+        for origin in self.origins_of_operand(op, fact):
+            st = out.origins.get(origin)
+            if st is not None and not st.resolved:
+                out.write("origins")[origin] = SiteState(st.called, True)
+
     def _discharge_owning_args(
-        self, callee_class: str, method: str, args: list[str], discharge, is_ctor: bool
+        self, out: _OutFact, fact: CheckFact, callee_class: str, method: str, args: list[str], is_ctor: bool
     ) -> None:
         ownerships = self._param_ownerships(callee_class, method, len(args), is_ctor)
         for op, own in zip(args, ownerships):
             if own == OWNING:
-                discharge(op)
+                self._discharge(out, op, fact)
 
-    def _param_ownerships(self, callee_class: str, method: str, arity: int, is_ctor: bool) -> list[str]:
+    def _param_ownerships(self, callee_class: str, method: str, arity: int, is_ctor: bool) -> Sequence[str]:
+        """The callee's parameter ownerships; none (all not owning) when its
+        arity does not match."""
         if self.program.class_named(callee_class) is not None:
             member = f"{sx.CONSTRUCTOR}#{arity}" if is_ctor else method
             owns = self.specs.param_ownerships(callee_class, member)
-            if owns is not None and len(owns) == arity:
-                return list(owns)
-            return [NOT_OWNING] * arity
+            return owns if owns is not None and len(owns) == arity else ()
         lm = self.libspec.method(callee_class, callee_class if is_ctor else method)
-        if lm is not None and len(lm.param_ownership) == arity:
-            return list(lm.param_ownership)
-        return [NOT_OWNING] * arity
+        return lm.param_ownership if lm is not None and len(lm.param_ownership) == arity else ()
 
     def _tracked_return_class(self, instr: C.Invoke) -> Optional[str]:
         cls = self.program.class_named(instr.owner)
@@ -580,26 +590,25 @@ class _MethodChecker:
             return None
         return m.return_type
 
-    def _prune(self, fact: CheckFact, succ: int, lost: Optional[set[Origin]]) -> CheckFact:
+    def _prune(self, fact: CheckFact, succ: int, lost: set[Origin]) -> CheckFact:
         """Drop dead locals entering succ; an obligation losing its last live
         reference while unsatisfied is a leak at that point. Every unresolved
         origin of a pruned fact has a holder, so only one in `lost` or held by
-        a dropped local can die; `lost` is None at a join, whose meet can drop
-        field holders. Emission order never shows: an origin is one
-        allocation or call AST node, and its warning id comes from that
-        node's anchor ordinal, so origins and warning ids map one to one."""
+        a dropped local can die; at a join `lost` also holds the origins whose
+        field holders the meet dropped. Emission order never shows: an origin
+        is one allocation or call AST node, and its warning id comes from
+        that node's anchor ordinal, so origins and warning ids map one to
+        one."""
         live = self.live_in[succ]
         refs, nulls, bindings, origins = fact.refs, fact.nulls, fact.bindings, fact.origins
         if not refs.keys() <= live:
-            if lost is not None:
-                lost = lost.union(*(oset for x, (oset, _nn) in refs.items() if x not in live))
+            lost = lost.union(*(oset for x, (oset, _nn) in refs.items() if x not in live))
             refs = {x: info for x, info in refs.items() if x in live}
         if not nulls <= live:
             nulls = nulls & live
         if not bindings.keys() <= live:
             bindings = {k: v for k, v in bindings.items() if k in live}
-        candidates = origins if lost is None else [o for o in lost if o in origins]
-        pending = [o for o in candidates if not origins[o].resolved] if succ != self.cfg.exit else []
+        pending = [] if succ == self.cfg.exit else [o for o in lost if o in origins and not origins[o].resolved]
         if pending:
             referenced = set().union(*(oset for oset, _nn in refs.values()), *fact.field_origins.values())
             dying = [o for o in pending if o not in referenced]
@@ -617,17 +626,33 @@ class _MethodChecker:
     def run(self) -> list[Warning]:
         """Warnings of the method; a node's are those of its last visit, which
         saw the converged in-fact. Also sets `exit_fact`, exit's in-fact."""
-        cfg = self.cfg
+        cfg, exit_, live_in = self.cfg, self.cfg.exit, self.live_in
         emitted: dict[int, dict[str, Warning]] = {}
-        to_exit = set(cfg.preds(cfg.exit, C.NORMAL))
+        to_exit = set(cfg.preds(exit_, C.NORMAL))
+        # the origins whose field holders the meets since the last visit dropped;
+        # those of a node the solve then skipped only widen the next look
+        dropped: set[Origin] = set()
+
+        def meet(f1: CheckFact, f2: CheckFact) -> CheckFact:
+            return _meet(f1, f2, dropped)
 
         def flow(n: int, fact: CheckFact) -> dict[int, CheckFact]:
             self.warnings = emitted[n] = {}
             outs = self.transfer(n, fact)
-            lost = None if n in cfg.joins else self.lost
-            return {s: self._prune(of, s, lost) for s, of in outs.items() if s != cfg.exit or n in to_exit}
+            lost = self.lost
+            if dropped:
+                lost |= dropped
+                dropped.clear()
+            if exit_ in outs and n not in to_exit:
+                del outs[exit_]
+            for s, out in outs.items():  # a transfer's dict is the flow's to edit
+                live = live_in[s]
+                # no origin lost a holder and no local dies: `_prune` would return `out`
+                if lost or not (out.refs.keys() <= live and out.nulls <= live and out.bindings.keys() <= live):
+                    outs[s] = self._prune(out, s, lost)
+            return outs
 
-        in_facts, _outs = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, _meet)
+        in_facts, _outs = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, meet)
         self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
         self.exit_fact = in_facts.get(cfg.exit)
         if self.exit_fact is not None:

@@ -67,12 +67,12 @@ member key, body):
   ("cfg", ...) -> Cfg. A hit is the stored lowering itself, which holds no
       AST: the caller holds its program, class and member, and reads the
       CFG with them. So every hit has the graph facts built at lowering (the
-      adjacency index, reverse postorder, joins, solver ranks, `copies`
-      and `sinks`; no in-edge keys, as a solve reads a node's in-facts off
-      its predecessors' out-facts), the liveness
-      solved at the first `Cfg.live_in` of any lookup, and the taint
-      solved at the first `Cfg.taint_of`. Its anchors' node ids
-      and warning ordinals are the caller's, as the keys cover what they read.
+      adjacency index, reverse postorder and solver ranks; no in-edge keys,
+      as a solve reads a node's in-facts off its predecessors' out-facts),
+      the liveness solved at the first `Cfg.live_in` of any lookup, `copies`
+      and `sinks` built at the first read of either, and the taint solved
+      at the first `Cfg.taint_of`. Its anchors' node ids and warning
+      ordinals are the caller's, as the keys cover what they read.
   ("run", ...) -> [(SpecReads, result)]. A run reads its specs and the
       ownership facts the key leaves out only through a `SpecReader` of the
       specs and the caller's program, which records each must-call set,

@@ -95,8 +95,8 @@ _WORD_LEXEME = r"(?:[A-Za-z_]\w*|==|!=|[{}();,.=@])"
 _STRING_BODY_LEXEME = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
 # One match per token. Blanks before it are skipped; then exactly one group
 # matches: WORD; FIRST a word first on its line, after the NEWLINE that ends
-# the line before; NL any other newline; STRING; INT; EOF the end, from where
-# a `//` comment on the last line starts (a line comment moves no column);
+# the line before; NL any other newline; STRING; INT; EOF the end, with any
+# `//` comment on the last line, so its token takes the column after it;
 # COMMENT; UWORD a word starting with a non-ASCII character, which may be a
 # digit or numeral rather than a letter; OPEN a comment or string that never
 # closes; BAD any other character.
@@ -164,7 +164,7 @@ def tokenize(source: str) -> list[Token]:
         else:
             start = m.start(group)
             raise _lexical_error(source, group, start, line, start - line_start + 1)
-    append(Token("EOF", "", line, m.start(_EOF) - line_start + 1))  # the last match is always EOF
+    append(Token("EOF", "", line, m.end(_EOF) - line_start + 1))  # the last match is always EOF
     return toks
 
 

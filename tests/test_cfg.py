@@ -417,7 +417,7 @@ def _round_robin_check(prog, cls, meth, cfg, specs, lib):
                 in_facts[n] = fact
                 changed = True
             for succ, of in chk.transfer(n, fact).items():
-                of = chk._prune(of, succ, None)  # every unresolved origin looked at, on every edge
+                of = chk._prune(of, succ, set(of.origins))  # every unresolved origin looked at, on every edge
                 if out_facts.get((n, succ)) != of:
                     out_facts[(n, succ)] = of
                     changed = True

@@ -4,7 +4,8 @@ idempotent.
 
 A SHA-256 pins every `method_run` result: its warnings and its normal-exit
 fact, over the corpus and `generate_source(0..599)`, under declared and under
-inferred specs. The round-robin reference in test_cfg.py calls the same
+inferred specs; a second pins them over nested handler shapes, corpus
+mutants and wide methods (`KERNEL_SHA256`). The round-robin reference in test_cfg.py calls the same
 transfer function, so only a recorded result can catch a change there, such
 as a copy-on-write transfer that writes into a map an out-edge shares.
 """
@@ -13,11 +14,12 @@ import hashlib
 from itertools import islice
 from pathlib import Path
 
-from helpers import NESTING_LIBSPEC, corpus_and_fuzz_programs, nesting_source
+from helpers import NESTING_LIBSPEC, corpus_and_fuzz_programs, corpus_mutants, nesting_source, wide_method_source
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import syntax as sx
 from leakward.checker import CheckFact, SiteState, check_program, method_run
+from leakward.errors import FILE_ERRORS
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
@@ -64,14 +66,14 @@ def _canon(value, nids: dict[int, int]) -> str:
         return "{" + ", ".join(sorted(f"{_canon(k, nids)}: {_canon(v, nids)}" for k, v in value.items())) + "}"
     if isinstance(value, (set, frozenset)):
         return "{" + ", ".join(sorted(_canon(v, nids) for v in value)) + "}"
+    if isinstance(value, SiteState):
+        return f"SiteState({_canon(value.called, nids)}, {value.resolved})"
+    if isinstance(value, CheckFact):
+        return "CheckFact(" + ", ".join(_canon(getattr(value, f), nids) for f in CheckFact._fields) + ")"
     if isinstance(value, tuple):
         if len(value) == 2 and value[0] == "call":
             return f"('call', {nids[value[1]]})"
         return "(" + ", ".join(_canon(v, nids) for v in value) + ")"
-    if isinstance(value, SiteState):
-        return f"SiteState({_canon(value.called, nids)}, {value.resolved})"
-    if isinstance(value, CheckFact):
-        return "CheckFact(" + ", ".join(_canon(getattr(value, f), nids) for f in CheckFact.__dataclass_fields__) + ")"
     return repr(value)
 
 
@@ -134,9 +136,62 @@ def test_nesting_shapes_match_the_pinned_hash():
     assert (digest.hexdigest(), order_digest.hexdigest()) == (NESTING_SHA256, NESTING_ORDER_SHA256)
 
 
+# recorded on the checker whose facts and states were frozen dataclasses
+KERNEL_SHA256 = "deaa9cc52db412346d79c70a2918af469c08f2eaa4db95629fb83a665d445f6a"
+
+
+def _kernel_sources():
+    """(name, text, libspec) of the shapes the kernel's visits differ most
+    on: nested handler and branch blocks, one-line mutants of the corpus, and
+    one method with many allocations."""
+    nesting_lib = load_library_spec(NESTING_LIBSPEC)
+    corpus_lib = load_library_spec((CORPUS / "minij.libspec").read_text())
+    for seed in range(2000):
+        yield f"nest{seed}.mj", nesting_source(seed), nesting_lib
+    for name, text in corpus_mutants(600):
+        yield name, text, corpus_lib
+    for n in (20, 40, 80, 160):
+        yield f"wide{n}.mj", wide_method_source(n), corpus_lib
+
+
+def test_kernel_runs_match_the_pinned_hash():
+    """Each method's warnings (id, kind, site, line) and its canonical exit
+    fact, under declared and inferred specs, over `_kernel_sources`; a file
+    or method that does not parse, infer or lower pins its error's type."""
+    digest = hashlib.sha256()
+    for name, text, libspec in _kernel_sources():
+        try:
+            program = parse(text, name)
+        except FILE_ERRORS as e:
+            digest.update(f"{name}|{type(e).__name__}\n".encode())
+            continue
+        ranked = sorted(node.nid for cls in program.classes for node in sx.walk_nodes(cls))
+        nids = {nid: rank for rank, nid in enumerate(ranked)}
+        try:
+            inferred = infer_specs(program, libspec)
+        except FILE_ERRORS as e:
+            inferred = None
+            digest.update(f"{name}|infer|{type(e).__name__}\n".encode())
+        for specs in (SpecSet.from_declared(program), inferred):
+            if specs is None:
+                continue
+            version = ProgramVersion(program, libspec)
+            for cls in program.classes:
+                for meth in cls.all_methods():
+                    key = f"{name}|{cls.name}|{sx.member_key(meth)}"
+                    try:
+                        warnings, exit_fact = method_run(version, cls, meth, specs)
+                    except FILE_ERRORS as e:
+                        digest.update(f"{key}|{type(e).__name__}\n".encode())
+                        continue
+                    runs = [(w.id, w.kind, w.site, w.line) for w in warnings]
+                    digest.update(f"{key}|{runs!r}|{_canon(exit_fact, nids)}\n".encode())
+    assert digest.hexdigest() == KERNEL_SHA256
+
+
 def _snapshot(fact: CheckFact) -> tuple:
     """The fact's maps, copied; what they hold (frozensets, tuples, SiteStates) is immutable."""
-    maps = (getattr(fact, name) for name in CheckFact.__dataclass_fields__)
+    maps = (getattr(fact, name) for name in CheckFact._fields)
     return tuple(dict(m) if isinstance(m, dict) else m for m in maps)
 
 
@@ -182,9 +237,9 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
         record(out)
         return out
 
-    def recording_meet(f1, f2):
+    def recording_meet(f1, f2, dropped=None):
         record(f1, f2)
-        out = meet(f1, f2)
+        out = meet(f1, f2, dropped)
         record(out)
         return out
 

@@ -139,8 +139,10 @@ def test_a_newline_escaped_in_a_string_starts_a_line():
 
 
 def test_a_line_comment_runs_to_the_end_of_its_line_or_the_file():
-    # the comment does not move the column: only an EOF right after one shows it
-    assert _tokens("a // b /* c\nd // e") == [("ID", "a", 1, 1), ("ID", "d", 2, 1), ("EOF", "", 2, 3)]
+    # an EOF right after one takes the column after it, at the end of the line
+    assert _tokens("a // b /* c\nd // e") == [("ID", "a", 1, 1), ("ID", "d", 2, 1), ("EOF", "", 2, 7)]
+    with pytest.raises(SyntaxError, match="^1:28: expected 'ID', found 'EOF'$"):
+        parse("class A { void m() { } // x", "a.mj")
 
 
 def test_words_numbers_and_punctuation():
