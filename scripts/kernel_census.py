@@ -3,10 +3,10 @@
 lowerings of the corpus and of `generate_source(0..N-1)` have it (one per
 member), and the median microseconds of one lowering, one liveness solve
 and one checker run (under inferred specs) of those members. Each time is a
-member's best of --repeat runs, each on a fresh parse of its file, so the
+member's best of REPEAT runs, each on a fresh parse of its file, so the
 memo holds none of its entries.
 
-Usage: python scripts/kernel_census.py [N] [--repeat K]    (N defaults to 600, K to 3)
+Usage: python scripts/kernel_census.py [N]    (N defaults to 600)
 """
 
 from __future__ import annotations
@@ -31,13 +31,14 @@ from leakward.memo import ProgramVersion
 from leakward.parser import parse
 
 Times = tuple[float, float, float]  # lowering, liveness, checker run; seconds
+REPEAT = 5  # runs per member, of which each time takes the best
 
 
-def measure(name: str, text: str, libspec, repeat: int) -> dict[tuple[str, str], tuple[int, Times]]:
+def measure(name: str, text: str, libspec) -> dict[tuple[str, str], tuple[int, Times]]:
     """(node count, best times) per member of the file, by (class, member key)."""
     specs = infer_specs(parse(text, name), libspec)
     best: dict[tuple[str, str], tuple[int, Times]] = {}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         version = ProgramVersion(parse(text, name), libspec)  # a fresh program: no memo entry is reused
         version.keys  # taken at the first lookup; not part of any time
         for cls in version.program.classes:
@@ -60,7 +61,6 @@ def measure(name: str, text: str, libspec, repeat: int) -> dict[tuple[str, str],
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("count", nargs="?", type=int, default=600)
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     corpus_lib = load_library_spec((ROOT / "corpus" / "minij.libspec").read_text())
     files = [(p.name, p.read_text(), corpus_lib) for p in sorted((ROOT / "corpus").glob("*.mj"))]
@@ -69,7 +69,7 @@ def main() -> int:
     skipped = 0
     for name, text, libspec in files:
         try:
-            runs = measure(name, text, libspec, args.repeat)
+            runs = measure(name, text, libspec)
         except FILE_ERRORS:
             skipped += 1
             continue

@@ -186,10 +186,10 @@ class Cfg:
     local_types: dict[str, str] = field(default_factory=dict)
     params: list[str] = field(default_factory=list)  # the member's parameter names, in order
     # adjacency index over `edges`, in `edges` order so meets and warnings
-    # keep a fixed order: successors and predecessors per kind (None for
-    # any) and node
+    # keep a fixed order: successors per kind (None for any) and node, and
+    # predecessors of any kind per node
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pred: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pred: list[tuple[int, ...]] = field(default_factory=list, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order, and the
     # nodes that store, return or pass an operand: built on first use
@@ -211,14 +211,13 @@ class Cfg:
         `Pending`), (target, 0) by default."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
-        pred: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
-        succ_any, pred_any = succ[None], pred[None]
+        pred: list[list[int]] = [[] for _ in self.nodes]
+        succ_any = succ[None]
         for f, t, k in self.edges:
             succ_any[f].append(t)
             succ[k][f].append(t)
-            pred_any[t].append(f)
-            pred[k][t].append(f)
-        self._succ, self._pred = _neighbour_tuples(succ), _neighbour_tuples(pred)
+            pred[t].append(f)
+        self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
         self._rpo = rpo = self._reverse_postorder(places or {})
         forward = list(range(len(rpo), len(rpo) + len(self.nodes)))  # exit goes last if no path reaches it
         backward = forward.copy()
@@ -268,8 +267,12 @@ class Cfg:
         return outs
 
     def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
-        """Predecessors of `n` along edges of `kind` (any kind when None), in `edges` order."""
-        return self._pred[kind][n]
+        """Predecessors of `n` along edges of `kind` (any kind when None), in
+        `edges` order. Only the any-kind ones are indexed: a kind is a scan
+        of `edges`, which one exit check per checker run makes."""
+        if kind is None:
+            return self._pred[n]
+        return tuple(f for f, t, k in self.edges if t == n and k == kind)
 
     def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
         """Nodes reachable from `starts` (themselves included) along edges of
@@ -967,7 +970,7 @@ def solve(
     does not converge.
     """
     rank = cfg._ranks[backward]
-    sources = cfg._succ[None] if backward else cfg._pred[None]
+    sources = cfg._succ[None] if backward else cfg._pred
     heap = sorted((rank[n], n) for n in seeds)
     queued = set(seeds)
     facts: dict[int, Fact] = {}

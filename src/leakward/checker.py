@@ -49,8 +49,8 @@ a holder, so it looks for deaths only among the origins the transfer took a
 holder from and those of the dying locals. At a join it also looks at the
 origins whose field holders the meet dropped (`_meet` reports them: a local
 keeps on the meet every origin it holds on either side). An out-fact on an
-edge where no origin lost a holder and no local dies passes through without
-`_prune`, which would return it as it is.
+edge where no origin lost a holder and no local dies passes through: `_prune`
+returns it as it is before any other work.
 
 A warning is built once, from its anchor instruction: its kind and token
 from `anchor_name`, its AST node id and ordinal as the lowering stamped
@@ -176,13 +176,13 @@ EMPTY_FACT = CheckFact(
 )
 
 
-def _meet(f1: CheckFact, f2: CheckFact, dropped: Optional[set[Origin]] = None) -> CheckFact:
+def _meet(f1: CheckFact, f2: CheckFact, dropped: set[Origin]) -> CheckFact:
     """The meet of two facts. It is idempotent, since `refs` and `nulls` are
     disjoint and no `refs` or `field_origins` entry is empty, so a fact met
     with itself is that fact, and a map both sides share is the result's.
     A local that holds an origin on one side holds it in the meet, so only a
     field can lose a holder: its origins that the meet drops go into
-    `dropped`, when given."""
+    `dropped`."""
     if f1 is f2:
         return f1
     if f1.origins is f2.origins:
@@ -205,10 +205,9 @@ def _meet(f1: CheckFact, f2: CheckFact, dropped: Optional[set[Origin]] = None) -
         field_origins = fo1
     else:
         field_origins = {k: held for k in fo1.keys() & fo2.keys() if (held := fo1[k] & fo2[k])}
-        if dropped is not None:
-            for fo in (fo1, fo2):
-                for k, held in fo.items():
-                    dropped.update(held.difference(field_origins.get(k, ())))
+        for fo in (fo1, fo2):
+            for k, held in fo.items():
+                dropped.update(held.difference(field_origins.get(k, ())))
     return CheckFact(
         origins,
         refs,
@@ -598,9 +597,12 @@ class _MethodChecker:
         field holders the meet dropped. Emission order never shows: an origin
         is one allocation or call AST node, and its warning id comes from
         that node's anchor ordinal, so origins and warning ids map one to
-        one."""
+        one. A fact where no origin lost a holder and no local dies is
+        returned as it is."""
         live = self.live_in[succ]
         refs, nulls, bindings, origins = fact.refs, fact.nulls, fact.bindings, fact.origins
+        if not lost and refs.keys() <= live and nulls <= live and bindings.keys() <= live:
+            return fact
         if not refs.keys() <= live:
             lost = lost.union(*(oset for x, (oset, _nn) in refs.items() if x not in live))
             refs = {x: info for x, info in refs.items() if x in live}
@@ -626,7 +628,7 @@ class _MethodChecker:
     def run(self) -> list[Warning]:
         """Warnings of the method; a node's are those of its last visit, which
         saw the converged in-fact. Also sets `exit_fact`, exit's in-fact."""
-        cfg, exit_, live_in = self.cfg, self.cfg.exit, self.live_in
+        cfg, exit_ = self.cfg, self.cfg.exit
         emitted: dict[int, dict[str, Warning]] = {}
         to_exit = set(cfg.preds(exit_, C.NORMAL))
         # the origins whose field holders the meets since the last visit dropped;
@@ -646,10 +648,7 @@ class _MethodChecker:
             if exit_ in outs and n not in to_exit:
                 del outs[exit_]
             for s, out in outs.items():  # a transfer's dict is the flow's to edit
-                live = live_in[s]
-                # no origin lost a holder and no local dies: `_prune` would return `out`
-                if lost or not (out.refs.keys() <= live and out.nulls <= live and out.bindings.keys() <= live):
-                    outs[s] = self._prune(out, s, lost)
+                outs[s] = self._prune(out, s, lost)
             return outs
 
         in_facts, _outs = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, meet)

@@ -408,7 +408,7 @@ def _round_robin_check(prog, cls, meth, cfg, specs, lib):
                     continue
                 fact = facts[0]
                 for f in facts[1:]:
-                    fact = K._meet(fact, f)
+                    fact = K._meet(fact, f, set())
             else:
                 if n != cfg.entry:
                     continue
@@ -426,7 +426,7 @@ def _round_robin_check(prog, cls, meth, cfg, specs, lib):
     if normal_in:
         exit_fact = normal_in[0]
         for f in normal_in[1:]:
-            exit_fact = K._meet(exit_fact, f)
+            exit_fact = K._meet(exit_fact, f, set())
         for origin in sorted(exit_fact.origins, key=repr):
             st = exit_fact.origins[origin]
             if not st.resolved and not st.called >= chk.must_call_for(chk.origin_class(origin)):

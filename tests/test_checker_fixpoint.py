@@ -237,7 +237,7 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
         record(out)
         return out
 
-    def recording_meet(f1, f2, dropped=None):
+    def recording_meet(f1, f2, dropped):
         record(f1, f2)
         out = meet(f1, f2, dropped)
         record(out)
