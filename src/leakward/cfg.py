@@ -17,9 +17,8 @@ enclosing finally block. A throwing node writes its `dst` on its normal
 out-edges only: on an exceptional one the local keeps what it held, and
 every analysis here and the checker read it so. Where the completion of a
 node that defines a named local would end the body or an exception path,
-or reach the node its own throw reaches, the node defines a temporary
-instead, which a `CopyLocal` after it copies into the local
-(`Lowerer.unfold`). Finally blocks are duplicated per entry
+the node defines a temporary instead, which a `CopyLocal` after it copies
+into the local (`Lowerer.unfold`). Finally blocks are duplicated per entry
 path (normal completion, exception propagation, return), so the analyses
 stay path-insensitive without losing the finally-always-runs guarantee.
 
@@ -40,9 +39,9 @@ path from entry. Three kinds of `Nop` stay:
   is not exit's, so the checker still finds it and exit facts stay as they
   are;
 - "split", on one of two out-edges of a node that would otherwise reach the
-  same node (a branch with nothing on either side before its join, a call's
-  normal and exceptional edges past an empty catch): `solve` keeps one
-  out-fact per successor, and each edge carries its own.
+  same node (a branch with nothing on either side before its join, a
+  throwing node's normal and exceptional edges past an empty catch):
+  `solve` keeps one out-fact per successor, and each edge carries its own.
 
 `solve` is the one dataflow engine: liveness, must-alias and the escape
 taint here, and the checker's obligation dataflow, each give it a transfer
@@ -204,11 +203,9 @@ class Cfg:
         default=None, init=False, repr=False, compare=False
     )
 
-    def index_edges(self, places: Optional[dict[tuple[int, int], Place]] = None) -> None:
+    def index_edges(self) -> None:
         """Build the adjacency index, the reverse postorder and `solve`'s
-        ranks; lowering calls it once `nodes` and `edges` are final. The
-        postorder walk takes a node's out-edges by their `places` (see
-        `Pending`), (target, 0) by default."""
+        ranks; lowering calls it once `nodes` and `edges` are final."""
         kinds = (None, NORMAL, EXCEPTIONAL)
         succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
         pred: list[list[int]] = [[] for _ in self.nodes]
@@ -218,7 +215,7 @@ class Cfg:
             succ[k][f].append(t)
             pred[t].append(f)
         self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
-        self._rpo = rpo = self._reverse_postorder(places or {})
+        self._rpo = rpo = self._reverse_postorder()
         forward = list(range(len(rpo), len(rpo) + len(self.nodes)))  # exit goes last if no path reaches it
         backward = forward.copy()
         for i, n in enumerate(rpo):
@@ -305,7 +302,7 @@ class Cfg:
         return stores, doubled
 
     def rpo(self) -> list[int]:
-        """Nodes reachable from entry in reverse postorder (successors taken by id); a fresh list."""
+        """Nodes reachable from entry in reverse postorder (successors taken in `edges` order); a fresh list."""
         return list(self._rpo)
 
     def live_in(self) -> tuple[frozenset[str], ...]:
@@ -330,23 +327,17 @@ class Cfg:
             return taint(self, [(node, local)]), 1
         return facts, bit
 
-    def _reverse_postorder(self, places: dict[tuple[int, int], Place]) -> tuple[int, ...]:
+    def _reverse_postorder(self) -> tuple[int, ...]:
         succ = self._succ[None]
-
-        def visiting_order(n: int) -> Iterable[int]:
-            if len(succ[n]) < 2:
-                return iter(succ[n])
-            return iter(sorted(succ[n], key=lambda s: places.get((n, s), (s, 0))))
-
         seen = {self.entry}
         order: list[int] = []
-        stack = [(self.entry, visiting_order(self.entry))]
+        stack = [(self.entry, iter(succ[self.entry]))]
         while stack:
             node, it = stack[-1]
             for s in it:
                 if s not in seen:
                     seen.add(s)
-                    stack.append((s, visiting_order(s)))
+                    stack.append((s, iter(succ[s])))
                     break
             else:
                 order.append(node)
@@ -408,38 +399,27 @@ def _instr_text(i: Instr) -> str:
 # --- lowering --------------------------------------------------------------
 
 # An edge still waiting for its target, the next node lowered on its path:
-# (source, kind, side, place), where side is the Branch slot it fills (True,
-# False) or None, and place is where the block the edge enters began among
-# the nodes (`Lowerer.here`). A block's tails are the nodes that fall through
-# its end, each with a normal edge to come, and the pending edges of a block
-# that lowered no node (a `Group`), which keep their own kinds, sides and
-# places.
-#
-# `solve` visits nodes by rank, and the checker's facts can depend on that
-# order (a branch side the checker finds infeasible keeps the fact an earlier
-# visit gave it). So the walk that ranks the nodes takes an edge by its place,
-# not by its target's id: the ranks are those of a lowering that began every
-# block with a node of its own, and neither an empty block nor a handler
-# block lowered after its try body moves them.
-Place = tuple[int, int]  # (the last node lowered before, the count of blocks begun)
-Pending = tuple[int, str, Optional[bool], Place]
+# (source, kind, side), where side is the Branch slot it fills (True, False)
+# or None. A block's tails are the nodes that fall through its end, each with
+# a normal edge to come, and the pending edges of a block that lowered no
+# node (a `Group`), which keep their own kinds and sides.
+Pending = tuple[int, str, Optional[bool]]
 Group = list[Pending]
 Tails = list[Union[int, Group]]
 
 
-def _pending(tails: Tails, place: Place, kind: str = NORMAL) -> Group:
-    """The pending edges of `tails` into a block that began at `place`: a
-    node's leave it with `kind`, and a group's keep their places and are
-    exceptional when `kind` is (one exceptional step makes the whole path
-    exceptional)."""
+def _pending(tails: Tails, kind: str = NORMAL) -> Group:
+    """The pending edges of `tails`: a node's leave it with `kind`, and a
+    group's are exceptional when `kind` is (one exceptional step makes the
+    whole path exceptional)."""
     out: Group = []
     for t in tails:
         if isinstance(t, int):
-            out.append((t, kind, None, place))
+            out.append((t, kind, None))
         elif kind == NORMAL:
             out.extend(t)
         else:
-            out.extend((src, kind, side, pl) for src, _k, side, pl in t)
+            out.extend((src, kind, side) for src, _k, side in t)
     return out
 
 
@@ -461,8 +441,6 @@ class Lowerer:
         self.frames: list[_TryFrame] = []  # the try statements the lowering is inside, outermost first
         self.linked: set[tuple[int, int, str, Optional[bool]]] = set()  # each (source, target, kind, side) linked
         self.pairs: set[tuple[int, int]] = set()  # each (source, target) with an edge
-        self.places: dict[tuple[int, int], Place] = {}  # each (source, target) entering a block at its place
-        self.blocks_begun = 0
         # each node that defines a named local itself, with the type of the temporary `unfold` gives it
         self.folded: dict[int, str] = {}
 
@@ -472,17 +450,8 @@ class Lowerer:
         self.cfg.nodes.append(instr)
         return len(self.cfg.nodes) - 1
 
-    def here(self) -> Place:
-        """The place of a block that begins now: after every node lowered so
-        far and every block begun so far."""
-        self.blocks_begun += 1
-        return (len(self.cfg.nodes) - 1, self.blocks_begun)
-
-    def link(
-        self, src: int, dst: int, kind: str = NORMAL, side: Optional[bool] = None, place: Optional[Place] = None
-    ) -> None:
-        """The edge `src` -> `dst`, filling Branch slot `side`, at `place` when
-        it enters a block that began there. When another
+    def link(self, src: int, dst: int, kind: str = NORMAL, side: Optional[bool] = None) -> None:
+        """The edge `src` -> `dst`, filling Branch slot `side`. When another
         out-edge of `src` already reaches `dst` on a different way, this one
         goes through a `split` Nop, as a solve keeps one out-fact per
         successor. Into exit a call's normal and exceptional edges stay
@@ -492,12 +461,10 @@ class Lowerer:
         self.linked.add((src, dst, kind, side))
         if (src, dst) in self.pairs and (side is not None or dst != self.cfg.exit):
             split = self.node(Nop("split"))
-            self.link(src, split, kind, side, place)
+            self.link(src, split, kind, side)
             self.link(split, dst, kind)
             return
         self.pairs.add((src, dst))
-        if place is not None:
-            self.places[(src, dst)] = place
         self.cfg.edges.append((src, dst, kind))
         if side is not None:
             branch: Branch = self.cfg.nodes[src]  # type: ignore[assignment]
@@ -508,17 +475,13 @@ class Lowerer:
 
     def connect(self, tails: Tails, n: int) -> list[int]:
         """Link `tails` to `n`, the next node on their paths; `[n]` is the new
-        tails. A node that reaches `n` both by its own throw and by
-        completing is unfolded first."""
-        thrown = [src for t in tails if not isinstance(t, int) for src, kind, _s, _p in t if kind == EXCEPTIONAL]
-        if thrown and self.folded.keys() & thrown:
-            tails = self.unfold(tails, thrown)
+        tails."""
         for t in tails:
             if isinstance(t, int):
                 self.link(t, n)
             else:
-                for src, kind, side, place in t:
-                    self.link(src, n, kind, side, place)
+                for src, kind, side in t:
+                    self.link(src, n, kind, side)
         return [n]
 
     def temp(self, type_name: str) -> str:
@@ -556,7 +519,7 @@ class Lowerer:
             self.cfg.local_types[p.name] = p.type_name
             self.cfg.params.append(p.name)
         self.to_exit(self.unfold(self.lower_block(self.method.body, [entry])), NORMAL)
-        self.cfg.index_edges(self.places)
+        self.cfg.index_edges()
         return self.cfg
 
     def to_exit(self, tails: Tails, kind: str) -> None:
@@ -595,16 +558,16 @@ class Lowerer:
             return tails
         if isinstance(stmt, sx.If):
             branch = self.lower_cond(stmt.cond, tails)
-            then_tails = self.lower_block(stmt.then_block, [[(branch, NORMAL, True, self.here())]])
-            else_tails: Tails = [[(branch, NORMAL, False, self.here())]]
+            then_tails = self.lower_block(stmt.then_block, [[(branch, NORMAL, True)]])
+            else_tails: Tails = [[(branch, NORMAL, False)]]
             if stmt.else_block is not None:
                 else_tails = self.lower_block(stmt.else_block, else_tails)
             return then_tails + else_tails
         if isinstance(stmt, sx.While):
             head = len(self.cfg.nodes)  # the condition's first node, where the body loops back
             branch = self.lower_cond(stmt.cond, tails)
-            self.connect(self.lower_block(stmt.body, [[(branch, NORMAL, True, self.here())]]), head)
-            return [[(branch, NORMAL, False, self.here())]]
+            self.connect(self.lower_block(stmt.body, [[(branch, NORMAL, True)]]), head)
+            return [[(branch, NORMAL, False)]]
         if isinstance(stmt, sx.Try):
             return self.lower_try(stmt, tails)
         if isinstance(stmt, sx.Return):
@@ -670,7 +633,7 @@ class Lowerer:
         if stmt.finally_block is not None and out:
             # the normal-completion duplicate, entered by everything that
             # completes the body or the catch
-            out = self.lower_block(stmt.finally_block, [_pending(out, self.here())])
+            out = self.lower_block(stmt.finally_block, [_pending(out)])
         body_frame.seal(self)
         if catch_frame is not None:
             catch_frame.seal(self)
@@ -686,7 +649,7 @@ class Lowerer:
                 # back into the same finally
                 self.frames = active[:idx]
                 if tails:
-                    tails = self.lower_block(frame.stmt.finally_block, [_pending(tails, self.here())])
+                    tails = self.lower_block(frame.stmt.finally_block, [_pending(tails)])
                 self.frames = active
         return tails
 
@@ -698,9 +661,7 @@ class Lowerer:
         for idx in range(level - 1, -1, -1):
             frame = self.frames[idx]
             if frame.catch_active or frame.stmt.finally_block is not None:
-                if frame.place is None:
-                    frame.place = self.here()  # the handler block begins at the first throw into it
-                edges = _pending(tails, frame.place, EXCEPTIONAL)
+                edges = _pending(tails, EXCEPTIONAL)
                 if frame.catch_active:
                     frame.caught.extend(edges)
                 else:
@@ -709,29 +670,22 @@ class Lowerer:
                 return
         self.to_exit(tails, EXCEPTIONAL)
 
-    def unfold(self, tails: Tails, which: Optional[Collection[int]] = None) -> Tails:
+    def unfold(self, tails: Tails) -> Tails:
         """`tails` with each node among them that defines a named local
-        itself (of `which`; any when None) given a temporary again, and a
-        copy into the local after it on its way on. A throwing node writes
-        its local on its normal out-edges only, so the copy keeps the shape
-        the lowering had before the fold where the node's completion
+        itself given a temporary again, and a copy into the local after it
+        on its way on. A throwing node writes its local on its normal
+        out-edges only, so the copy keeps the shape the lowering had before
+        the fold where the node's completion
         - ends the body, so that a death there is pruned on an edge that
           does not enter exit;
         - ends an exception path, whose exceptional edge carries no write,
-          nor, into exit, any fact;
-        - reaches the node its own throw reaches: the copy, not a `split`
-          Nop, keeps the two edges apart, and the solve visits them in the
-          order it did."""
-
-        def unfolds(n: int) -> bool:
-            return n in self.folded and (which is None or n in which)
-
+          nor, into exit, any fact."""
         out: Tails = []
         for t in tails:
             if isinstance(t, int):
-                out.append(self.copy_after(t) if unfolds(t) else t)
+                out.append(self.copy_after(t) if t in self.folded else t)
             else:
-                out.append([(self.copy_after(p[0]), *p[1:]) if p[1] == NORMAL and unfolds(p[0]) else p for p in t])
+                out.append([(self.copy_after(p[0]), *p[1:]) if p[1] == NORMAL and p[0] in self.folded else p for p in t])
         return out
 
     def copy_after(self, n: int) -> int:
@@ -923,7 +877,6 @@ class _TryFrame:
         self.catch_active = catch_active
         self.caught: Group = []
         self.unwinding: Group = []
-        self.place: Optional[Place] = None  # where its handler block began
         self.level = 0  # the frame's index in the active frames
 
     def seal(self, lowerer: Lowerer) -> None:
@@ -961,13 +914,17 @@ def solve(
     `flow(node, in_fact)` maps successors (predecessors when `backward`) to
     out-facts, and the dict it returns is the node's out-facts until its
     next visit; an edge it leaves out keeps the fact an earlier visit gave
-    it (a branch side the checker finds infeasible). A node's in-fact is
+    it (a branch side the checker finds infeasible), so a node whose
+    in-edges all turn infeasible still meets a fact. A node's in-fact is
     the meet of its seed and what its predecessors' out-facts (successors'
     when `backward`) hold for it; it is computed when the node is popped,
     in reverse postorder (postorder when `backward`), and a node whose
-    in-fact has not changed is skipped. Returns the in-fact and the
-    out-facts of every visited node. Raises RuntimeError when the flow
-    does not converge.
+    in-fact has not changed is skipped. The ranks only schedule the
+    visits: a monotone flow and meet reach one fixpoint in any order
+    (Kam & Ullman 1977), and `test_checker_fixpoint` checks the checker's
+    against random rank orders. Returns the in-fact and the out-facts of
+    every visited node. Raises RuntimeError when the flow does not
+    converge.
     """
     rank = cfg._ranks[backward]
     sources = cfg._succ[None] if backward else cfg._pred

@@ -17,12 +17,13 @@ never raise overwrite warnings.
 Obligation states live in a lattice per allocation origin: (called-set,
 resolved-flag) with meet = (intersection, and). Crediting resolves an origin
 once its called-set covers the must-call set, so "unresolved" is the whole
-leak test. Each local carries the set of
-origins whose value it may hold plus a definitely-non-null flag; crediting a
-call or discharge to every origin a receiver may hold is path-wise sound
-because obligations whose last live reference disappears are warned at that
-death point (liveness-driven), mirroring the lifetime-end rule ("scope exit
-or variable overwrite"). A method invocation registers on both the normal and
+leak test. A local in `refs` carries the set of origins whose value it may
+hold plus a definitely-non-null flag, one in `nulls` holds null, and one in
+neither holds a value of unknown nullness (a parameter, an untracked call
+result, a field load). Crediting a call or discharge to every origin a
+receiver may hold is path-wise sound because obligations whose last live
+reference disappears are warned at that death point (liveness-driven),
+mirroring the lifetime-end rule ("scope exit or variable overwrite"). A method invocation registers on both the normal and
 exceptional out-edges (the call happened even if it threw), but its result,
 and the write of the local it goes into, only on the normal ones; a failed
 allocation registers on neither, and its local keeps what it held. Values dying on an uncaught-exception edge
@@ -158,7 +159,7 @@ class SiteState(NamedTuple):
 
 
 RefInfo = tuple[frozenset[Origin], bool]  # (possible origins, definitely non-null)
-_UNBOUND: RefInfo = (frozenset(), False)  # what a local bound to no origin holds
+_UNBOUND: RefInfo = (frozenset(), False)  # a local in neither `refs` nor `nulls`: a value of unknown nullness
 
 
 class CheckFact(NamedTuple):
@@ -220,6 +221,9 @@ def _meet(f1: CheckFact, f2: CheckFact, dropped: set[Origin]) -> CheckFact:
 
 
 def _meet_refs(f1: CheckFact, f2: CheckFact) -> tuple[dict[str, RefInfo], frozenset[str]]:
+    """A local holds every origin it holds on either side, is non-null where
+    it is on both and null where it is on both; absent from a side's maps,
+    it holds a value of unknown nullness there (`_UNBOUND`)."""
     r1, r2 = f1.refs, f2.refs
     refs: dict[str, RefInfo] = {}
     nulls: set[str] = set()
@@ -228,20 +232,12 @@ def _meet_refs(f1: CheckFact, f2: CheckFact) -> tuple[dict[str, RefInfo], frozen
         if info is not None and info is r2.get(x):  # bound to the same entry on both sides, so null on neither
             refs[x] = info
             continue
-        in1, in2 = x in r1 or x in f1.nulls, x in r2 or x in f2.nulls
-        null1, null2 = x in f1.nulls, x in f2.nulls
         s1, nn1 = r1.get(x, _UNBOUND)
         s2, nn2 = r2.get(x, _UNBOUND)
-        if not in1:  # unbound on side 1: unreadable on those paths, keep side 2
-            s, nn, isnull = s2, nn2, null2
-        elif not in2:
-            s, nn, isnull = s1, nn1, null1
-        else:
-            s, nn, isnull = s1 | s2, nn1 and nn2, null1 and null2
-        if isnull:
+        if x in f1.nulls and x in f2.nulls:
             nulls.add(x)
-        elif s:
-            refs[x] = (s, nn and not (null1 or null2))
+        elif s1 or s2:
+            refs[x] = (s1 | s2, nn1 and nn2)
     return refs, frozenset(nulls)
 
 

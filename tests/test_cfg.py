@@ -659,10 +659,11 @@ def test_every_temporary_is_named_by_some_instruction():
 def test_a_value_goes_straight_into_its_local():
     """A new, a call, a field load or null assigned to a local defines it in
     its own node: a copy from a temporary is left only where the defining
-    node's completion ends the body or an exception path, or reaches the
-    node its own throw does. A null a condition compares is a Branch
-    operand, never a Const's temporary."""
-    copies = 0
+    node's completion ends the body or an exception path; one that reaches
+    the node its own throw does takes a `split` Nop on one of the two
+    edges. A null a condition compares is a Branch operand, never a Const's
+    temporary."""
+    copies = splits = 0
     nesting_lib = load_library_spec(NESTING_LIBSPEC)
     nesting = ((parse(nesting_source(seed), f"nest{seed}.mj"), nesting_lib) for seed in range(2000))
     for prog, lib in itertools.chain(_lowering_programs(), nesting):
@@ -678,14 +679,17 @@ def test_a_value_goes_straight_into_its_local():
                 for n, ins in enumerate(g.nodes):
                     if isinstance(ins, C.Branch):
                         assert not nulls & {ins.lhs, ins.rhs}, where
+                    if isinstance(ins, (C.Alloc, C.Invoke)) and ins.dst and ins.dst not in temporaries:
+                        out = g.succs(n)  # one reached both ways: through a split on one of them
+                        splits += any(g.nodes[s] == C.Nop("split") and g.succs(s)[0] in out for s in out)
                     if not (isinstance(ins, C.CopyLocal) and ins.src in temporaries):
                         continue
                     copies += 1
                     (d,), (succ,) = g.preds(n), g.succs(n)
                     assert d == temporaries[ins.src], where
                     ends = succ == g.exit or g.nodes[succ] == C.Nop("to-exit") or (n, succ, C.EXCEPTIONAL) in g.edges
-                    assert ends or succ in g.succs(d, C.EXCEPTIONAL), where
-    assert copies > 100
+                    assert ends, where
+    assert copies > 100 and splits > 0
 
 
 # the normal-edge rule: a throwing node that defines a named local writes it

@@ -2,14 +2,17 @@
 
 import pytest
 
+from helpers import NESTING_LIBSPEC, nesting_source
 from leakward.checker import (
     OWNING_FIELD_OVERWRITE,
     UNSATISFIED_OBLIGATION,
     check_program,
     filter_constructor_first_writes,
+    method_run,
     reject_final_writes,
 )
 from leakward.libspec import load_library_spec
+from leakward.memo import ProgramVersion
 from leakward.parser import parse
 from leakward.specs import SpecSet, resource_must_call
 
@@ -246,6 +249,38 @@ def test_a_death_at_the_end_of_the_exception_path_finally_warns(finally_body):
 """
     _, ws = check(src)
     assert [(w.kind, w.line) for w in ws] == [(UNSATISFIED_OBLIGATION, 3)]
+
+
+@pytest.mark.parametrize("nulling", ["if (c == 1) { u = null; }", "while (c == 1) { u = null; }"], ids=["if", "loop"])
+def test_a_parameter_nulled_on_one_path_may_be_non_null_after_the_join(nulling):
+    # `u` holds an unknown value on the path that skips the nulling, so the
+    # return that leaves `s` open is feasible
+    src = f"""class A {{
+  void m(PrintStream u) {{
+    int c = 1;
+    {nulling}
+    PrintStream s = new PrintStream("a");
+    if (u != null) {{
+      return;
+    }}
+    s.close();
+  }}
+}}
+"""
+    _, ws = check(src)
+    assert [(w.kind, w.anchor_kind, w.line) for w in ws] == [(UNSATISFIED_OBLIGATION, "new", 5)]
+
+
+def test_a_nesting_shape_whose_join_meets_a_nulled_parameter_reaches_exit():
+    # the finally's `if (u == null) { } else { s = new ...; }` joins a
+    # parameter with its null branch side; the loop after it then exits
+    program = parse(nesting_source(106), "nest106.mj")
+    version = ProgramVersion(program, load_library_spec(NESTING_LIBSPEC))
+    (cls,) = program.classes
+    (meth,) = cls.all_methods()
+    warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
+    assert exit_fact is not None
+    assert 2 in {w.site for w in warnings if w.kind == UNSATISFIED_OBLIGATION}
 
 
 def test_warning_ids_survive_blank_lines():

@@ -1,17 +1,21 @@
-"""The checker's fixpoint computes what it always computed, never mutates
-a fact once it is built, and builds only facts on which the meet is
-idempotent.
+"""The checker's fixpoint computes what it always computed, whatever order
+the solver visits nodes in, never mutates a fact once it is built, and
+builds only facts on which the meet is idempotent.
 
 A SHA-256 pins every `method_run` result: its warnings and its normal-exit
 fact, over the corpus and `generate_source(0..599)`, under declared and under
 inferred specs; a second pins them over nested handler shapes, corpus
-mutants and wide methods (`KERNEL_SHA256`). The round-robin reference in test_cfg.py calls the same
-transfer function, so only a recorded result can catch a change there, such
-as a copy-on-write transfer that writes into a map an out-edge shares.
+mutants and wide methods (`KERNEL_SHA256`), and a third pins the warnings of
+the nested shapes alone (`NESTING_SHA256`). The round-robin reference in
+test_cfg.py calls the same transfer function, so only a recorded result can
+catch a change there, such as a copy-on-write transfer that writes into a
+map an out-edge shares. The ranks only schedule the solve: checking each
+method again under random rank orders gives the answer of its own order.
 """
 
 import hashlib
-from itertools import islice
+import random
+from itertools import chain, islice
 from pathlib import Path
 
 from helpers import NESTING_LIBSPEC, corpus_and_fuzz_programs, corpus_mutants, nesting_source, wide_method_source
@@ -25,7 +29,7 @@ from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.memo import ProgramVersion
 from leakward.parser import parse
-from leakward.specs import SpecSet
+from leakward.specs import SpecReader, SpecSet
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -102,42 +106,73 @@ def test_method_runs_match_the_pinned_hash():
     assert digest.hexdigest() == PINNED_SHA256
 
 
-# warnings and whether exit is reached: recorded on the lowering that copied
-# each value into its local through a temporary and tested a null temporary
-NESTING_SHA256 = "4ba6ea5ab979826ab16d6eaa4b1f7659260f0ae76b986d83c0a766dcb5a2de3b"
-# the rank order: recorded on the lowering that defines a named local in the
-# node of its value and tests `null` as a Branch operand
-NESTING_ORDER_SHA256 = "6b7191d299b19cc0ffa061daf6c513353a812c9d917b57084668f750bfd641c2"
+# warnings and whether exit is reached: recorded on the checker whose meet
+# reads a local absent from one side's maps as holding a value of unknown
+# nullness there
+NESTING_SHA256 = "a4032ebb43913e460b6ccae88e80c8f79cc1120a2276a0c4afe100def0618d2e"
 
 
 def test_nesting_shapes_match_the_pinned_hash():
     """Over `nesting_source(0..1999)`, where handler and branch blocks are
     empty, return, or begin at a call inside a finally (shapes the corpus and
     generated programs rarely reach): each method's warnings and whether a
-    normal path reaches exit, and, pinned apart, the rank order `solve`
-    visits its non-Nop nodes in, as a death at an empty block's end and the
-    visiting order (an infeasible branch side keeps an earlier visit's fact)
-    both show in warnings. The first pin holds across lowerings that emit
-    other nodes for the same program; the second moves with the nodes a
-    lowering emits."""
+    normal path reaches exit, as a death at an empty block's end shows in
+    warnings. The pin holds across lowerings that emit other nodes for the
+    same program."""
     libspec = load_library_spec(NESTING_LIBSPEC)
-    digest, order_digest = hashlib.sha256(), hashlib.sha256()
+    digest = hashlib.sha256()
     for seed in range(2000):
         program = parse(nesting_source(seed), f"nest{seed}.mj")
         version = ProgramVersion(program, libspec)
         (cls,) = program.classes
         (meth,) = cls.all_methods()
         warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
-        g = version.cfg(cls, meth)
-        index = {n: i for i, n in enumerate(n for n, ins in enumerate(g.nodes) if not isinstance(ins, C.Nop))}
-        order = [index[n] for n in g.rpo() if n in index]
         digest.update(f"{seed}|{[(w.id, w.kind, w.site) for w in warnings]}|{exit_fact is None}\n".encode())
-        order_digest.update(f"{seed}|{order}\n".encode())
-    assert (digest.hexdigest(), order_digest.hexdigest()) == (NESTING_SHA256, NESTING_ORDER_SHA256)
+    assert digest.hexdigest() == NESTING_SHA256
 
 
-# recorded on the checker whose facts and states were frozen dataclasses
-KERNEL_SHA256 = "deaa9cc52db412346d79c70a2918af469c08f2eaa4db95629fb83a665d445f6a"
+def _ranked_run(program, cls, cfg, reader, ranks=None):
+    """A fresh checker run of `cfg` (no memo), `solve` visiting by `ranks`
+    when given: what `inference` and the pipeline read of it, which are the
+    warnings, whether exit is reached and the fields satisfied there."""
+    if ranks is not None:
+        cfg._ranks = {False: ranks, True: ranks}
+    checker = K._MethodChecker(program, cls, cfg, reader)
+    warnings = [(w.id, w.kind, w.site) for w in checker.run()]
+    exit_fact = checker.exit_fact
+    return warnings, exit_fact is None, None if exit_fact is None else exit_fact.field_sat
+
+
+def test_the_checker_gives_one_answer_whatever_the_visit_order():
+    """Kildall's and Kam & Ullman's point: a monotone framework has one
+    fixpoint, whatever order the solver visits nodes in. Each method of the
+    corpus, `generate_source(0..299)` and `nesting_source(0..1999)` is
+    lowered afresh and checked under declared and inferred specs, by its
+    own ranks and by three seeded random ones."""
+    nesting_lib = load_library_spec(NESTING_LIBSPEC)
+    nesting = ((parse(nesting_source(seed), f"nest{seed}.mj"), nesting_lib) for seed in range(2000))
+    programs = chain(islice(_programs(), len(list(CORPUS.glob("*.mj"))) + 300), nesting)
+    rng = random.Random(0)
+    runs = 0
+    for program, libspec in programs:
+        for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+            reader = SpecReader(specs, libspec, program)
+            for cls in program.classes:
+                for meth in cls.all_methods():
+                    cfg = C.lower(program, cls, meth, libspec)
+                    expected = _ranked_run(program, cls, cfg, reader)
+                    for _ in range(3):
+                        ranks = list(range(len(cfg.nodes)))
+                        rng.shuffle(ranks)
+                        got = _ranked_run(program, cls, cfg, reader, ranks)
+                        assert got == expected, (program.source_name, cls.name, sx.member_key(meth), ranks)
+                    runs += 1
+    assert runs > 5000
+
+
+# recorded on the checker whose meet reads a local absent from one side's
+# maps as holding a value of unknown nullness there
+KERNEL_SHA256 = "5c4c084743ffcb16769248548a74dc41c1de056b22cfbae5fe14d8b981f6fbab"
 
 
 def _kernel_sources():
