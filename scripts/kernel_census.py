@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Census of the per-method kernel: for each CFG node count, how many
 lowerings of the corpus and of `generate_source(0..N-1)` have it (one per
-member), and the median microseconds of one lowering, one liveness solve
-and one checker run (under inferred specs) of those members. Each time is a
-member's best of REPEAT runs, each on a fresh parse of its file, so the
-memo holds none of its entries.
+member), how many of those start no value (no `Alloc`, no `Invoke` with a
+`dst`), so that their checker runs solve no liveness, and the median
+microseconds of one lowering, one liveness solve (over the lowerings that
+solve it) and one checker run (under inferred specs) of those members. Each
+time is a member's best of REPEAT runs, each on a fresh parse of its file,
+so the memo holds none of its entries.
 
 Usage: python scripts/kernel_census.py [N]    (N defaults to 600)
 """
@@ -17,6 +19,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -30,7 +33,7 @@ from leakward.libspec import load_library_spec
 from leakward.memo import ProgramVersion
 from leakward.parser import parse
 
-Times = tuple[float, float, float]  # lowering, liveness, checker run; seconds
+Times = tuple[float, Optional[float], float]  # lowering, liveness (None where no run solves it), checker run; seconds
 REPEAT = 5  # runs per member, of which each time takes the best
 
 
@@ -46,14 +49,15 @@ def measure(name: str, text: str, libspec) -> dict[tuple[str, str], tuple[int, T
                 t0 = perf_counter()
                 g = version.cfg(cls, meth)
                 t1 = perf_counter()
-                g.live_in()
+                if g.starts_values:
+                    g.live_in()
                 t2 = perf_counter()
                 method_run(version, cls, meth, specs)
                 t3 = perf_counter()
-                times = (t1 - t0, t2 - t1, t3 - t2)
+                times = (t1 - t0, t2 - t1 if g.starts_values else None, t3 - t2)
                 key = (cls.name, sx.member_key(meth))
                 if key in best:
-                    times = tuple(min(a, b) for a, b in zip(best[key][1], times))  # type: ignore[assignment]
+                    times = tuple(None if a is None else min(a, b) for a, b in zip(best[key][1], times))  # type: ignore[assignment]
                 best[key] = (len(g.nodes), times)
     return best
 
@@ -77,12 +81,16 @@ def main() -> int:
             by_nodes[nodes].append(times)
     lowerings = sum(len(ts) for ts in by_nodes.values())
     print(f"corpus and generate_source(0..{args.count - 1}): {lowerings} lowerings, {skipped} files skipped")
-    print(f"{'nodes':>5} {'lowerings':>9} {'lower us':>9} {'liveness us':>11} {'checker us':>10}")
+    print(f"{'nodes':>5} {'lowerings':>9} {'no liveness':>11} {'lower us':>9} {'liveness us':>11} {'checker us':>10}")
     for nodes in sorted(by_nodes):
         ts = by_nodes[nodes]
-        lower, live, check = (statistics.median(t[i] for t in ts) * 1e6 for i in range(3))
-        print(f"{nodes:5} {len(ts):9} {lower:9.1f} {live:11.1f} {check:10.1f}")
-    totals = [sum(t[i] for ts in by_nodes.values() for t in ts) * 1e3 for i in range(3)]
+        solved = [t[1] for t in ts if t[1] is not None]
+        lower, check = (statistics.median(t[i] for t in ts) * 1e6 for i in (0, 2))
+        live = f"{statistics.median(solved) * 1e6:11.1f}" if solved else f"{'-':>11}"
+        print(f"{nodes:5} {len(ts):9} {len(ts) - len(solved):11} {lower:9.1f} {live} {check:10.1f}")
+    totals = [sum(t[i] or 0.0 for ts in by_nodes.values() for t in ts) * 1e3 for i in range(3)]
+    skipped_liveness = sum(t[1] is None for ts in by_nodes.values() for t in ts)
+    print(f"lowerings that solve no liveness: {skipped_liveness} of {lowerings}")
     print(f"total ms: lowering {totals[0]:.1f}, liveness {totals[1]:.1f}, checker runs {totals[2]:.1f}")
     return 0
 

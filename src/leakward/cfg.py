@@ -48,13 +48,15 @@ taint here, and the checker's obligation dataflow, each give it a transfer
 (`flow`) and a meet.
 
 What depends only on the graph is computed once per lowering: the adjacency
-index, the reverse postorder and `solve`'s ranks when the CFG is built;
+index (one pass over `edges`), the reverse postorder, `solve`'s ranks and
+whether a node starts a value (`Cfg.starts_values`) when the CFG is built;
 liveness, the anchors lowered from each AST node (`Cfg.copies`), the nodes
 a value can escape through (`Cfg.sinks`) and the taint of the values the
-escape analysis asks about on first use (`Cfg.live_in`, `Cfg.taint_of`). A CFG holds no AST: a warning's `Anchor` instruction
-carries its AST node's id and the warning ordinal the lowering numbers from
-its one `local_refs` walk. So the memo hands out the stored lowering itself
-on every hit.
+escape analysis asks about on first use (`Cfg.live_in`, `Cfg.taint_of`).
+The checker asks for liveness only of a lowering that starts a value. A
+CFG holds no AST: a warning's `Anchor` instruction carries its AST node's
+id and the warning ordinal the lowering numbers from its one `local_refs`
+walk. So the memo hands out the stored lowering itself on every hit.
 """
 from __future__ import annotations
 
@@ -189,6 +191,9 @@ class Cfg:
     # predecessors of any kind per node
     _succ: dict[Optional[str], list[tuple[int, ...]]] = field(default_factory=dict, init=False, repr=False, compare=False)
     _pred: list[tuple[int, ...]] = field(default_factory=list, init=False, repr=False, compare=False)
+    # whether a node starts a value (an `Alloc`, an `Invoke` with a `dst`):
+    # with none, no origin exists, so nothing can die and no run reads liveness
+    starts_values: bool = field(default=False, init=False, repr=False, compare=False)
     _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order, and the
     # nodes that store, return or pass an operand: built on first use
@@ -204,17 +209,41 @@ class Cfg:
     )
 
     def index_edges(self) -> None:
-        """Build the adjacency index, the reverse postorder and `solve`'s
-        ranks; lowering calls it once `nodes` and `edges` are final."""
-        kinds = (None, NORMAL, EXCEPTIONAL)
-        succ: dict[Optional[str], list[list[int]]] = {k: [[] for _ in self.nodes] for k in kinds}
+        """Build the adjacency index, the reverse postorder, `solve`'s ranks
+        and `starts_values`; lowering calls it once `nodes` and `edges` are
+        final. The index is one pass over `edges`, and only a node with an
+        exceptional out-edge gets per-kind successor tuples of its own: any
+        other has its any-kind tuple as its normal one and `()` as its
+        exceptional one (a node whose out-edges are all exceptional, the
+        other way round), as the memo keeps every lowering of a program
+        family until another family replaces it."""
+        succ: list[list[int]] = [[] for _ in self.nodes]
         pred: list[list[int]] = [[] for _ in self.nodes]
-        succ_any = succ[None]
+        # node with an exceptional out-edge -> its normal and exceptional successors,
+        # begun at its first exceptional out-edge
+        split: dict[int, tuple[list[int], list[int]]] = {}
         for f, t, k in self.edges:
-            succ_any[f].append(t)
-            succ[k][f].append(t)
+            ss = succ[f]
+            ss.append(t)
             pred[t].append(f)
-        self._succ, self._pred = _neighbour_tuples(succ), [tuple(ps) for ps in pred]
+            if k == EXCEPTIONAL:
+                kinds = split.get(f)
+                if kinds is None:
+                    split[f] = kinds = (ss[:-1], [])
+                kinds[1].append(t)
+            elif f in split:
+                split[f][0].append(t)
+        any_kind = [tuple(ss) for ss in succ]
+        normal = any_kind.copy()
+        exceptional: list[tuple[int, ...]] = [()] * len(any_kind)
+        for f, (ns, xs) in split.items():
+            if ns:
+                normal[f], exceptional[f] = tuple(ns), tuple(xs)
+            else:
+                normal[f], exceptional[f] = (), any_kind[f]
+        self._succ = {None: any_kind, NORMAL: normal, EXCEPTIONAL: exceptional}
+        self._pred = [tuple(ps) for ps in pred]
+        self.starts_values = any(isinstance(ins, Alloc) or (isinstance(ins, Invoke) and ins.dst) for ins in self.nodes)
         self._rpo = rpo = self._reverse_postorder()
         forward = list(range(len(rpo), len(rpo) + len(self.nodes)))  # exit goes last if no path reaches it
         backward = forward.copy()
@@ -263,13 +292,9 @@ class Cfg:
             outs.setdefault(s, thrown)
         return outs
 
-    def preds(self, n: int, kind: Optional[str] = None) -> tuple[int, ...]:
-        """Predecessors of `n` along edges of `kind` (any kind when None), in
-        `edges` order. Only the any-kind ones are indexed: a kind is a scan
-        of `edges`, which one exit check per checker run makes."""
-        if kind is None:
-            return self._pred[n]
-        return tuple(f for f, t, k in self.edges if t == n and k == kind)
+    def preds(self, n: int) -> tuple[int, ...]:
+        """Predecessors of `n` along edges of any kind, in `edges` order."""
+        return self._pred[n]
 
     def reachable(self, starts: Iterable[int], kind: Optional[str] = None, blocked: Collection[int] = ()) -> set[int]:
         """Nodes reachable from `starts` (themselves included) along edges of
@@ -355,18 +380,6 @@ class Cfg:
             lines.append(f"  n{f} -> n{t}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _neighbour_tuples(per_kind: dict[Optional[str], list[list[int]]]) -> dict[Optional[str], list[tuple[int, ...]]]:
-    """Per-node neighbour tuples. The memo keeps every lowering of a program
-    family, handed out as stored, until another family replaces it, so a
-    node whose edges are all of one kind shares one tuple between that kind
-    and the any-kind index (and an empty one is `()`)."""
-    any_kind = [tuple(ns) for ns in per_kind[None]]
-    out = {None: any_kind}
-    for k in (NORMAL, EXCEPTIONAL):
-        out[k] = [a if len(a) == len(ns) else tuple(ns) for a, ns in zip(any_kind, per_kind[k])]
-    return out
 
 
 def _instr_text(i: Instr) -> str:
@@ -1223,7 +1236,9 @@ def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
     """May-liveness of locals before each node (backward union fixpoint).
     A node sends each predecessor its live-in minus what that predecessor
     defines, but whole along a throwing node's exceptional edge, where its
-    def does not happen. `Cfg.live_in` keeps the result with the CFG."""
+    def does not happen. The solve is seeded only at the nodes that use a
+    local, so it visits only the nodes from which a path reaches a use; any
+    other keeps ∅. `Cfg.live_in` keeps the result with the CFG."""
     live_in: dict[int, frozenset[str]] = {n: frozenset() for n in range(len(cfg.nodes))}
     uses = [frozenset(instr_uses(instr)) for instr in cfg.nodes]
     defs = [frozenset(instr_defs(instr)) for instr in cfg.nodes]
@@ -1239,5 +1254,5 @@ def liveness(cfg: Cfg) -> dict[int, frozenset[str]]:
         live = live_in[n] = uses[n] | live_out
         return {m: live - defs[m] if defs[m] and (m, n) not in thrown else live for m in cfg.preds(n)}
 
-    solve(cfg, dict.fromkeys(live_in, frozenset()), flow, frozenset.union, backward=True)
+    solve(cfg, {n: frozenset() for n, used in enumerate(uses) if used}, flow, frozenset.union, backward=True)
     return live_in

@@ -53,6 +53,17 @@ keeps on the meet every origin it holds on either side). An out-fact on an
 edge where no origin lost a holder and no local dies passes through: `_prune`
 returns it as it is before any other work.
 
+A run does only the fixed work that can change a fact. Entry is a `Nop`
+with no in-edge, so the solve starts at its successors with the empty fact
+and never visits it. Only an `Alloc` or an `Invoke` with a `dst` makes an
+origin, so in a lowering with neither (`Cfg.starts_values` false) nothing
+can die: the run solves no liveness, `_prune` passes every fact through
+unchanged but for dropping `nulls` and `bindings` on the edges into exit
+(which gives exit the fact a pruned run gives it), and a null test's
+branch reads liveness only for the origins of its tested local, which has
+none. A node keeps its out-fact for exit only when exit is among its normal
+successors (`Cfg.succs(n, NORMAL)`), with no scan of the edges.
+
 A warning is built once, from its anchor instruction: its kind and token
 from `anchor_name`, its AST node id and ordinal as the lowering stamped
 them, so a run makes no walk of the method.
@@ -318,7 +329,8 @@ class _MethodChecker:
         self.allocs = {instr.site: instr for instr in cfg.nodes if isinstance(instr, C.Alloc)}
         self.calls: dict[int, tuple[C.Invoke, str]] = {}  # invoke ast nid -> (the call, its returned class)
         self.exit_fact: Optional[CheckFact] = None  # meet over exit's normal in-edges; None if none
-        self.live_in = cfg.live_in()
+        # liveness, solved only where an origin can die: a lowering that starts no value reads none
+        self.live_in = cfg.live_in() if cfg.starts_values else ()
         self.lost: set[Origin] = set()  # the origins the last transfer took a holder from
 
     # origin helpers
@@ -517,9 +529,9 @@ class _MethodChecker:
             origins_eq = dict(fact.origins)
             refs_eq = dict(refs)
             tested_origins = refs_eq.pop(tested, _UNBOUND)[0]
-            live = self.live_in[eq_edge]
             field_referenced = {o for held in fact.field_origins.values() for o in held}
             for origin in tested_origins:
+                live = self.live_in[eq_edge]
                 others = [x for x, (oset, _nn) in refs_eq.items() if origin in oset and x in live]
                 st = origins_eq.get(origin)
                 if not others and origin not in field_referenced and st is not None:
@@ -594,7 +606,15 @@ class _MethodChecker:
         is one allocation or call AST node, and its warning id comes from
         that node's anchor ordinal, so origins and warning ids map one to
         one. A fact where no origin lost a holder and no local dies is
-        returned as it is."""
+        returned as it is. In a run of a lowering that starts no value there
+        is no origin, so nothing can die: the fact passes through unchanged,
+        but on an edge into exit, where it loses its `nulls` and `bindings`,
+        as no local is live at exit; that gives exit the fact a pruned run
+        gives it, and no liveness is read."""
+        if not self.live_in:  # a lowering that starts no value
+            if succ == self.cfg.exit and (fact.nulls or fact.bindings):
+                return fact._replace(nulls=frozenset(), bindings={})
+            return fact
         live = self.live_in[succ]
         refs, nulls, bindings, origins = fact.refs, fact.nulls, fact.bindings, fact.origins
         if not lost and refs.keys() <= live and nulls <= live and bindings.keys() <= live:
@@ -626,7 +646,6 @@ class _MethodChecker:
         saw the converged in-fact. Also sets `exit_fact`, exit's in-fact."""
         cfg, exit_ = self.cfg, self.cfg.exit
         emitted: dict[int, dict[str, Warning]] = {}
-        to_exit = set(cfg.preds(exit_, C.NORMAL))
         # the origins whose field holders the meets since the last visit dropped;
         # those of a node the solve then skipped only widen the next look
         dropped: set[Origin] = set()
@@ -641,13 +660,14 @@ class _MethodChecker:
             if dropped:
                 lost |= dropped
                 dropped.clear()
-            if exit_ in outs and n not in to_exit:
+            if exit_ in outs and exit_ not in cfg.succs(n, C.NORMAL):
                 del outs[exit_]
             for s, out in outs.items():  # a transfer's dict is the flow's to edit
                 outs[s] = self._prune(out, s, lost)
             return outs
 
-        in_facts, _outs = C.solve(cfg, {cfg.entry: EMPTY_FACT}, flow, meet)
+        # entry is a `Nop` with no in-edge: its successors start from the empty fact
+        in_facts, _outs = C.solve(cfg, dict.fromkeys(cfg.succs(cfg.entry), EMPTY_FACT), flow, meet)
         self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
         self.exit_fact = in_facts.get(cfg.exit)
         if self.exit_fact is not None:

@@ -67,9 +67,10 @@ member key, body):
   ("cfg", ...) -> Cfg. A hit is the stored lowering itself, which holds no
       AST: the caller holds its program, class and member, and reads the
       CFG with them. So every hit has the graph facts built at lowering (the
-      adjacency index, reverse postorder and solver ranks; no in-edge keys,
-      as a solve reads a node's in-facts off its predecessors' out-facts),
-      the liveness solved at the first `Cfg.live_in` of any lookup, `copies`
+      adjacency index, reverse postorder, solver ranks and whether a node
+      starts a value; no in-edge keys, as a solve reads a node's in-facts
+      off its predecessors' out-facts), the liveness solved at the first
+      `Cfg.live_in` of any lookup, `copies`
       and `sinks` built at the first read of either, and the taint solved
       at the first `Cfg.taint_of`. Its anchors' node ids and warning
       ordinals are the caller's, as the keys cover what they read.
@@ -85,7 +86,9 @@ member key, body):
 A miss calls the module-level `cfg.lower`, the first `Cfg.live_in` of a
 lowering the module-level `cfg.liveness`, and its first `Cfg.taint_of` the
 module-level `cfg.taint` over `cfg.taint_starts`, so counts of those calls
-count real work: liveness and taint run at most once per lowering.
+count real work: taint runs at most once per lowering, and liveness at
+most once per lowering and never for one that starts no value (no `Alloc`,
+no `Invoke` with a `dst`), as a checker run of it reads none.
 """
 
 from __future__ import annotations

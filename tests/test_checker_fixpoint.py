@@ -1,6 +1,8 @@
 """The checker's fixpoint computes what it always computed, whatever order
 the solver visits nodes in, never mutates a fact once it is built, and
-builds only facts on which the meet is idempotent.
+builds only facts on which the meet is idempotent. A run does no fixed work
+that cannot change a fact: it never visits entry, and it solves liveness
+only for a lowering that starts a value.
 
 A SHA-256 pins every `method_run` result: its warnings and its normal-exit
 fact, over the corpus and `generate_source(0..599)`, under declared and under
@@ -357,7 +359,7 @@ def test_a_method_with_no_normal_path_to_exit_has_no_exit_fact(monkeypatch):
     cls = program.class_named("A")
     meth = cls.member("main")
     cfg = version.cfg(cls, meth)
-    assert cfg.preds(cfg.exit, C.EXCEPTIONAL) and cfg.preds(cfg.exit, C.NORMAL)
+    assert {k for (_f, t, k) in cfg.edges if t == cfg.exit} == {C.NORMAL, C.EXCEPTIONAL}
     visited = []
     transfer = K._MethodChecker.transfer
 
@@ -369,3 +371,81 @@ def test_a_method_with_no_normal_path_to_exit_has_no_exit_fact(monkeypatch):
     warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
     assert warnings == [] and exit_fact is None
     assert visited and cfg.exit not in visited
+
+
+def _starts_a_value(cfg: C.Cfg) -> bool:
+    return any(isinstance(ins, C.Alloc) or (isinstance(ins, C.Invoke) and ins.dst) for ins in cfg.nodes)
+
+
+def _checked_corpus_and_fuzz():
+    """Check the corpus and `generate_source(0..299)` under declared and
+    inferred specs, each file on a fresh parse, so no memo entry is reused."""
+    for program, libspec in islice(_programs(), len(list(CORPUS.glob("*.mj"))) + 300):
+        for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+            check_program(ProgramVersion(program, libspec), specs, libspec)
+
+
+def test_no_checker_run_visits_entry(monkeypatch):
+    """Entry is a `Nop` with no in-edge, so a run seeds its successors with
+    the empty fact instead of visiting it."""
+    transfer = K._MethodChecker.transfer
+    visits = 0
+
+    def recording_transfer(self, node, fact):
+        nonlocal visits
+        assert node != self.cfg.entry, (self.cfg.class_name, self.cfg.method_name)
+        visits += 1
+        return transfer(self, node, fact)
+
+    monkeypatch.setattr(K._MethodChecker, "transfer", recording_transfer)
+    _checked_corpus_and_fuzz()
+    assert visits > 1000
+
+
+def test_liveness_is_solved_exactly_for_the_lowerings_that_start_a_value(monkeypatch):
+    """Only an `Alloc` or an `Invoke` with a `dst` makes an origin, so a
+    lowering with neither has nothing that can die, and its runs solve no
+    liveness; every other lowering a run checks has it solved once."""
+    liveness, run = C.liveness, K._MethodChecker.run
+    solved: list[C.Cfg] = []
+    checked: dict[int, C.Cfg] = {}
+
+    def recording_liveness(cfg):
+        solved.append(cfg)
+        return liveness(cfg)
+
+    def recording_run(self):
+        checked[id(self.cfg)] = self.cfg
+        return run(self)
+
+    monkeypatch.setattr(C, "liveness", recording_liveness)
+    monkeypatch.setattr(K._MethodChecker, "run", recording_run)
+    _checked_corpus_and_fuzz()
+    starting = sorted(key for key, cfg in checked.items() if _starts_a_value(cfg))
+    assert sorted(map(id, solved)) == starting
+    assert 0 < len(starting) < len(checked)
+    assert all(cfg.starts_values == _starts_a_value(cfg) for cfg in checked.values())
+
+
+# no allocation and no call result: the store's warning reads no liveness
+VALUE_FREE_STORE = """class Holder {
+  @Owning private PrintStream kept;
+
+  void fill(PrintStream p) {
+    if (p != null) {
+      kept = p;
+    }
+  }
+}
+"""
+
+
+def test_a_value_free_overwrite_warns_without_liveness(monkeypatch):
+    def no_liveness(cfg):
+        raise AssertionError(f"liveness solved for {cfg.class_name}.{cfg.method_name}")
+
+    monkeypatch.setattr(C, "liveness", no_liveness)
+    program = parse(VALUE_FREE_STORE, "holder.mj")
+    libspec = load_library_spec((CORPUS / "minij.libspec").read_text())
+    warnings = check_program(ProgramVersion(program, libspec), SpecSet.from_declared(program), libspec)
+    assert [(w.kind, w.method_name) for w in warnings] == [(K.OWNING_FIELD_OVERWRITE, "fill")]
