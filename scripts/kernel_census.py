@@ -4,9 +4,10 @@ lowerings of the corpus and of `generate_source(0..N-1)` have it (one per
 member), how many of those start no value (no `Alloc`, no `Invoke` with a
 `dst`), so that their checker runs solve no liveness, and the median
 microseconds of one lowering, one liveness solve (over the lowerings that
-solve it) and one checker run (under inferred specs) of those members. Each
-time is a member's best of REPEAT runs, each on a fresh parse of its file,
-so the memo holds none of its entries.
+solve it) and one checker run (under inferred specs) of those members;
+then the median microseconds of one `memo.member_keys` call per file. Each
+time is a member's (or a file's) best of REPEAT runs, each on a fresh parse
+of its file, so the memo holds none of its entries.
 
 Usage: python scripts/kernel_census.py [N]    (N defaults to 600)
 """
@@ -37,13 +38,17 @@ Times = tuple[float, Optional[float], float]  # lowering, liveness (None where n
 REPEAT = 5  # runs per member, of which each time takes the best
 
 
-def measure(name: str, text: str, libspec) -> dict[tuple[str, str], tuple[int, Times]]:
-    """(node count, best times) per member of the file, by (class, member key)."""
+def measure(name: str, text: str, libspec) -> tuple[dict[tuple[str, str], tuple[int, Times]], float]:
+    """(node count, best times) per member of the file, by (class, member
+    key), and the best time of taking the file's keys, in seconds."""
     specs = infer_specs(parse(text, name), libspec)
     best: dict[tuple[str, str], tuple[int, Times]] = {}
+    best_keys = float("inf")
     for _ in range(REPEAT):
         version = ProgramVersion(parse(text, name), libspec)  # a fresh program: no memo entry is reused
-        version.keys  # taken at the first lookup; not part of any time
+        t0 = perf_counter()
+        version.keys  # taken here, before the first lookup would take them
+        best_keys = min(best_keys, perf_counter() - t0)
         for cls in version.program.classes:
             for meth in cls.all_methods():
                 t0 = perf_counter()
@@ -59,7 +64,7 @@ def measure(name: str, text: str, libspec) -> dict[tuple[str, str], tuple[int, T
                 if key in best:
                     times = tuple(None if a is None else min(a, b) for a, b in zip(best[key][1], times))  # type: ignore[assignment]
                 best[key] = (len(g.nodes), times)
-    return best
+    return best, best_keys
 
 
 def main() -> int:
@@ -70,13 +75,15 @@ def main() -> int:
     files = [(p.name, p.read_text(), corpus_lib) for p in sorted((ROOT / "corpus").glob("*.mj"))]
     files += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(args.count)]
     by_nodes: dict[int, list[Times]] = defaultdict(list)
+    keys: list[float] = []  # seconds of one `member_keys` per file
     skipped = 0
     for name, text, libspec in files:
         try:
-            runs = measure(name, text, libspec)
+            runs, keying = measure(name, text, libspec)
         except FILE_ERRORS:
             skipped += 1
             continue
+        keys.append(keying)
         for nodes, times in runs.values():
             by_nodes[nodes].append(times)
     lowerings = sum(len(ts) for ts in by_nodes.values())
@@ -92,6 +99,7 @@ def main() -> int:
     skipped_liveness = sum(t[1] is None for ts in by_nodes.values() for t in ts)
     print(f"lowerings that solve no liveness: {skipped_liveness} of {lowerings}")
     print(f"total ms: lowering {totals[0]:.1f}, liveness {totals[1]:.1f}, checker runs {totals[2]:.1f}")
+    print(f"member_keys: median {statistics.median(keys) * 1e6:.1f} us per file, total ms {sum(keys) * 1e3:.1f}")
     return 0
 
 

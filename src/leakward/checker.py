@@ -73,8 +73,8 @@ A run reads its specs only through a `SpecReader`: must-call sets
 the ownership facts of the AST through the same reader: a stored field's
 `final`, a user callee's parameter ownerships, and the `@NotOwning` of a
 callee and of the method itself. Beyond its CFG it reads field types from
-the AST, which the memo's lowering digest covers, and positions only for
-`Warning.line`. The memo keys a run on that digest and its member's body,
+the AST, which the memo's lowering key covers, and positions only for
+`Warning.line`. The memo keys a run on that key and its member's body,
 and reuses it where the reader's reads give the same values (`memo`).
 
 Warning ids hash a structural descriptor (class, method, resource, ordinal),

@@ -126,7 +126,8 @@ def _select_finalizer(disposals: list[_Disposal]) -> _Disposal:
 
 def write_specs(program: sx.Program, specs: SpecSet) -> None:
     """Insert inferred annotations into `program` itself. No annotation it
-    writes is read by a memo key (`memo.member_keys`), nor from the AST by a
+    writes is part of a memo key (`memo.member_keys` spells out bodies and
+    parameter types and names, which hold none), nor read from the AST by a
     checker run's `SpecReader`, which reads them only as specs, so a version
     of `program` stays valid.
 

@@ -39,12 +39,15 @@ entries:
     callees' and its own `@NotOwning`, and the must-call sets and field
     ownership of its specs.
 
-So a version's keys (`member_keys`), taken in one pass at its first lookup
-from pickles alone, are a digest of each member's body (nids and allocation
-sites included), `static` and parameter types and names, and one lowering
-digest of what lowering reads of the shapes: the file name, class names,
-fields with their names, types and `static`, and the name and return type
-of each method not `void` (method names are unique in a class). Left out:
+So a version's keys (`member_keys`), taken in one pass at its first
+lookup, are plain tuples that the table compares exactly, with no digest to
+stand for them: each member's is its `static`, its parameter count, types
+and names, and its body as `syntax.flatten` spells it out in one walk
+(every node's class and fields, nids and allocation sites included, every
+list's length, None for an empty slot); and one lowering key holds what
+lowering reads of the shapes: the file name, class names, fields with
+their names, types and `static`, and the name and return type of each
+method not `void` (method names are unique in a class). Left out:
 
   - a `void` method, a constructor, `implements`, every other modifier,
     and every annotation: lowering reads none of them. A run reads whether
@@ -61,8 +64,8 @@ So `final` from `finalize_fields`, the `close()` and `implements` from
 method, or a moved line leaves a CFG valid, and an entry outlives the
 version that made it.
 
-The table holds two kinds of entries, under (kind, lowering digest, class,
-member key, body):
+The table holds two kinds of entries, under (kind, lowering key, class,
+member key, body key):
 
   ("cfg", ...) -> Cfg. A hit is the stored lowering itself, which holds no
       AST: the caller holds its program, class and member, and reads the
@@ -93,8 +96,6 @@ no `Invoke` with a `dst`), as a checker run of it reads none.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, TypeVar, Union
@@ -110,31 +111,27 @@ T = TypeVar("T")
 _family: tuple[int, LibrarySpec, dict[tuple, object]] = (0, LibrarySpec(), {})
 
 
-def _digest(data: bytes) -> bytes:
-    return hashlib.blake2b(data, digest_size=16).digest()
-
-
 @dataclass(frozen=True)
 class MemberKeys:
     """What a program state's entries are keyed on."""
 
-    lowering: bytes  # digest of the file name and the class shapes lowering reads
-    bodies: dict[tuple[str, str], bytes]  # (class, member key) -> digest of its body, `static` and params
+    lowering: tuple  # the file name and the class shapes lowering reads
+    bodies: dict[tuple[str, str], tuple]  # (class, member key) -> its `static`, params and flattened body
 
 
 def member_keys(program: sx.Program) -> MemberKeys:
-    """The keys of `program` as it is now: one pickle per member and one of
-    the class shapes lowering reads, with no walk of a body."""
-    bodies: dict[tuple[str, str], bytes] = {}
+    """The keys of `program` as it is now: one walk of each member's body,
+    and the class shapes lowering reads."""
+    bodies: dict[tuple[str, str], tuple] = {}
     shapes = []
     for cls in program.classes:
         for meth in cls.all_methods():
-            own = (meth.is_static, tuple((p.type_name, p.name) for p in meth.params), meth.body)
-            bodies[(cls.name, sx.member_key(meth))] = _digest(pickle.dumps(own, pickle.HIGHEST_PROTOCOL))
+            params = [part for p in meth.params for part in (p.type_name, p.name)]
+            bodies[(cls.name, sx.member_key(meth))] = sx.flatten(meth.body, (meth.is_static, len(meth.params), *params))
         fields = tuple((f.name, f.declared_type, f.has("static")) for f in cls.fields)
         returns = tuple((m.name, m.return_type) for m in cls.methods if m.return_type != "void")
         shapes.append((cls.name, fields, returns))
-    return MemberKeys(_digest(pickle.dumps((program.source_name, shapes), pickle.HIGHEST_PROTOCOL)), bodies)
+    return MemberKeys((program.source_name, tuple(shapes)), bodies)
 
 
 class ProgramVersion:

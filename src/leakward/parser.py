@@ -59,7 +59,7 @@ KEYWORDS = {
 }
 
 # Every pass over the AST recurses on its nesting: lowering, printing, the
-# interpreter, deepcopy and the memo's pickle. Past this depth of blocks
+# interpreter and deepcopy, a pickle round trip. Past this depth of blocks
 # and expressions together a file fails to parse, where it would otherwise
 # raise RecursionError later and take down the whole batch.
 MAX_NESTING = 64

@@ -326,6 +326,8 @@ def fix_stage(
     `patched`, in rounds, re-inferring and re-checking after each round that
     fixed something to repair the fresh warnings (unfixable with detail
     `IterationsExhausted` after the last round); then validate the patch.
+    With no warning there is nothing to repair, and `patched` is `program`
+    itself, uncopied: nothing edits either after the pipeline.
 
     `patched` is read through one version per state, each analysed once: the
     copy gets the key of `program`'s version and is repaired under `specs`,
@@ -350,6 +352,8 @@ def fix_stage(
     validation run."""
     version = memo.version_of(program, libspec)
     program = version.program
+    if not warnings:
+        return FixOutcome(program, {}, 0, ValidationVerdict(ok=True), "")
     patched = copy.deepcopy(program)
     now = version.copied(patched)  # `patched` as it is now
     fix_status: dict[str, tuple[str, str]] = {}
@@ -404,14 +408,15 @@ def fix_stage(
 def run_file_pipeline(program: sx.Program, libspec: LibrarySpec, config: PipelineConfig) -> FileResult:
     """The eight steps on one file's parse, which the transforms and
     `write_specs` edit in place and which ends as `FileResult.transformed`;
-    `fix_stage` patches a copy of it. The stages read the parse through one
-    `ProgramVersion` per state, so each state is hashed once: the transforms
-    hand back a new version only when they edited, and `write_specs` keeps
-    the version, as no annotation it writes is read by a key. When the
-    transforms edit nothing, the first inference and check are `specs` and
-    `w_xform`, so that state is analysed once. The shift map reads the last
-    version, while its entries are current; when it is ambiguous, each
-    w_xform warning is its own root and `shift_error` says why."""
+    `fix_stage` patches a copy of it, or hands it back when it has no
+    warning. The stages read the parse through one `ProgramVersion` per
+    state, so each state is keyed once: the transforms hand back a new
+    version only when they edited, and `write_specs` keeps the version, as
+    no annotation it writes is read by a key. When the transforms edit
+    nothing, the first inference and check are `specs` and `w_xform`, so
+    that state is analysed once. The shift map reads the last version,
+    while its entries are current; when it is ambiguous, each w_xform
+    warning is its own root and `shift_error` says why."""
     version = memo.ProgramVersion(program, libspec)
     # w_orig: the checker alone, no inferred specifications
     w_orig = check_stage(version, SpecSet.from_declared(program), libspec, config)

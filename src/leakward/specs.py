@@ -8,7 +8,7 @@ program itself (`SpecSet.from_declared`). A class is a resource type when
 its must-call set (`resource_must_call`) is nonempty.
 
 A checker run reads its SpecSet through a `SpecReader`, and so does it the
-ownership facts of the AST that the memo's lowering digest leaves out: a
+ownership facts of the AST that the memo's lowering key leaves out: a
 stored field's `final`, a user callee's parameter ownerships and the
 `@NotOwning` of a callee or of the method itself. The reader records each
 read with the value it got (`SpecReads`), so that the memo can reuse the run

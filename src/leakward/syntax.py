@@ -7,7 +7,9 @@ positions live in ``Program.line_index`` keyed by node id, never on the nodes
 themselves.
 
 Shape: ``SHAPE`` is the only list of the fields that hold each node type's
-children; every walk, search and rewrite here reads it.
+children; every walk, search and rewrite here reads it, and so does
+``flatten``, which spells a tree out as one flat tuple of its classes and
+fields, the memo's key of a member.
 
 Names: ``local_refs`` resolves a method's bare names by block scope, once for
 the CFG lowering and ``stores_to_field`` alike, and in the same walk lists
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 import pickle
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 _node_counter = itertools.count(1)
 
@@ -387,6 +390,47 @@ def children(node: Node) -> Iterator[Node]:
             yield from child
         elif child is not None:
             yield child
+
+
+def _flat_plan(kind: type) -> tuple[Callable[[Node], tuple], tuple[str, ...], Optional[Callable[[Node], tuple]]]:
+    """A getter of the class and the scalar fields of a `kind` node, in
+    field order (`nid` first), and its child slots in reverse field order,
+    with a getter of them all when there are two or more."""
+    slots = tuple(reversed(SHAPE[kind]))
+    scalars = [f.name for f in fields(kind) if f.name not in slots]
+    return attrgetter("__class__", *scalars), slots, attrgetter(*slots) if len(slots) > 1 else None
+
+
+_FLAT_PLANS = {kind: _flat_plan(kind) for kind in SHAPE}
+
+
+def flatten(root: Node, head: Iterable = ()) -> tuple:
+    """`head`, then root and every node under it in one preorder walk: for
+    each node its class and its scalar fields in field order, `nid` and
+    `site` included, then each child slot in field order, a list as its
+    length and then its items, an empty slot as None. A node's class fixes
+    how many scalars follow it and which slots come next, so the tuple reads
+    back one way: two trees give equal tuples exactly when they are equal
+    field by field, `nid` and `site` included."""
+    out = list(head)
+    add, put = out.extend, out.append
+    stack: list = [root]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        if node is None:
+            put(None)
+        elif node.__class__ is list:
+            put(len(node))
+            extend(node[::-1])
+        else:
+            scalars, slots, every_slot = _FLAT_PLANS[node.__class__]
+            add(scalars(node))
+            if every_slot is not None:
+                extend(every_slot(node))
+            elif slots:
+                push(getattr(node, slots[0]))
+    return tuple(out)
 
 
 def annotation_named(annotations: list[Annotation], kind: str) -> Optional[Annotation]:

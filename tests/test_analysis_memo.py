@@ -15,8 +15,11 @@ member never reads, a moved position, an injected `close()` and a shape
 part lowering does not read (`final`, `private`, `implements`, another
 member's parameter types) each leave the other entries hits,
 while a run reads a callee's ownership annotations and a field's `final`
-as it reads its specs. A corpus run stays within its count of lowerings
-and checker runs."""
+as it reads its specs. Two member states get equal keys exactly when the
+pickle digests the memo keyed on before get equal ones, and no AST node
+sits twice under one member, which is all a pickle could see that a key
+misses. A corpus run stays within its count of lowerings and checker
+runs."""
 
 import copy
 import hashlib
@@ -29,7 +32,7 @@ from typing import Callable, Iterator, Optional
 
 import pytest
 
-from helpers import corpus_mutants, keys_taken, memo_bypassed
+from helpers import NESTING_LIBSPEC, corpus_mutants, keys_taken, memo_bypassed, nesting_source
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import memo
@@ -37,7 +40,7 @@ from leakward import syntax as sx
 from leakward.checker import check_program
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs, write_specs
-from leakward.libspec import LibrarySpec
+from leakward.libspec import LibrarySpec, load_library_spec
 from leakward.parser import parse
 from leakward.pipeline import FixOutcome, PipelineConfig, check_stage, run_file_pipeline, run_pipeline, transform_stage
 from leakward.printer import pretty_print
@@ -251,8 +254,8 @@ def test_memoised_checks_equal_memo_free_ones_as_class_shapes_change(corpus_sour
 
 
 def _member_key(program, cls, meth) -> tuple:
-    """The memo's key of a member of `program` as it is now: (lowering
-    digest, class, member, body)."""
+    """The memo's key of a member of `program` as it is now: (lowering key,
+    class, member, body key), plain tuples compared exactly."""
     keys = memo.member_keys(program)
     member = (cls.name, sx.member_key(meth))
     return (keys.lowering, *member, keys.bodies[member])
@@ -544,6 +547,80 @@ def test_no_two_key_passes_of_a_pipeline_run_give_equal_keys(corpus_sources, lib
             repeated.append(([name for name, _text in sources], config))
         total += len(taken)
     assert repeated == [] and total > 0
+
+
+def _pickled_keys(program: sx.Program) -> dict[tuple[str, str], tuple[bytes, bytes]]:
+    """The memo's former keys, the reference its keys are checked against:
+    by (class, member key), a 16-byte blake2b digest of a pickle of the file
+    name and the class shapes lowering reads, and one of the member's
+    `static`, parameter types and names, and body."""
+
+    def digest(value) -> bytes:
+        return hashlib.blake2b(pickle.dumps(value, pickle.HIGHEST_PROTOCOL), digest_size=16).digest()
+
+    bodies: dict[tuple[str, str], bytes] = {}
+    shapes = []
+    for cls in program.classes:
+        for meth in cls.all_methods():
+            own = (meth.is_static, tuple((p.type_name, p.name) for p in meth.params), meth.body)
+            bodies[(cls.name, sx.member_key(meth))] = digest(own)
+        fields = tuple((f.name, f.declared_type, f.has("static")) for f in cls.fields)
+        returns = tuple((m.name, m.return_type) for m in cls.methods if m.return_type != "void")
+        shapes.append((cls.name, fields, returns))
+    lowering = digest((program.source_name, shapes))
+    return {member: (lowering, body) for member, body in bodies.items()}
+
+
+@pytest.fixture(scope="module")
+def keyings(corpus_sources, libspec) -> list[tuple[tuple, tuple, bool]]:
+    """(memo key, reference key, whether no AST node sits twice under the
+    member) of each member at every `memo.member_keys` call of `run_pipeline`
+    on the corpus under each of `CONFIGS`, on each of generate_source(0..599)
+    and of the corpus mutants, and of `check_program` on each of
+    nesting_source(0..1999)."""
+    found = []
+    real = memo.member_keys
+
+    def recorded(program):
+        keys = real(program)
+        reference = _pickled_keys(program)
+        for cls in program.classes:
+            for meth in cls.all_methods():
+                member = (cls.name, sx.member_key(meth))
+                ids = [id(node) for node in sx.walk_nodes(meth)]
+                key = (keys.lowering, *member, keys.bodies[member])
+                found.append((key, (reference[member][0], *member, reference[member][1]), len(set(ids)) == len(ids)))
+        return keys
+
+    nesting_lib = load_library_spec(NESTING_LIBSPEC)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memo, "member_keys", recorded)
+        for config in CONFIGS:
+            run_pipeline(corpus_sources, libspec, config)
+        for seed in range(600):
+            run_pipeline([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec())
+        for mutant in corpus_mutants():
+            run_pipeline([mutant], libspec)
+        for seed in range(2000):
+            program = parse(nesting_source(seed), f"nest{seed}.mj")
+            check_program(program, SpecSet.from_declared(program), nesting_lib)
+    return found
+
+
+def test_two_member_states_get_equal_keys_exactly_when_their_pickle_digests_are_equal(keyings):
+    by_key: dict[tuple, tuple] = {}
+    by_reference: dict[tuple, tuple] = {}
+    split = [key for key, reference, _unshared in keyings if by_key.setdefault(key, reference) != reference]
+    merged = [ref for key, ref, _unshared in keyings if by_reference.setdefault(ref, key) != key]
+    assert (split, merged) == ([], [])
+    assert len(keyings) > 7000 and len(by_key) > 5000, (len(keyings), len(by_key))
+
+
+def test_no_ast_node_sits_twice_under_one_member(keyings):
+    """A pickle writes a node met twice as a reference to the first, and a
+    flat key spells it out twice: with no node shared, the two tell apart
+    the same states."""
+    assert all(unshared for _key, _reference, unshared in keyings)
 
 
 # --- what an entry reads: member keys and spec reads --------------------------

@@ -330,7 +330,9 @@ def test_transforms_off_runs_no_first_inference_or_check(monkeypatch, corpus_dir
 
 @pytest.mark.parametrize("transforms", [True, False])
 def test_a_pipeline_run_copies_each_files_program_once(monkeypatch, corpus_sources, libspec, transforms):
-    # the stages edit the file's parse; only the fix stage patches a copy
+    """The stages edit the file's parse; only the fix stage patches a copy,
+    and only of a file with a warning to repair: a clean file's patched
+    program is its transformed one, with no deep copy made."""
     copied: list[str] = []
     real = sx.Program.__deepcopy__
 
@@ -340,12 +342,14 @@ def test_a_pipeline_run_copies_each_files_program_once(monkeypatch, corpus_sourc
 
     monkeypatch.setattr(sx.Program, "__deepcopy__", counted)
     config = PipelineConfig(enable_transforms=transforms)
-    report = run_pipeline(corpus_sources, libspec, config)
-    assert report.errors == [] and copied == sorted(name for name, _text in corpus_sources)
-    for seed in range(6):
-        copied.clear()
-        run_pipeline([(f"fuzz{seed}.mj", generate_source(seed))], fuzz_libspec(), config)
-        assert copied == [f"fuzz{seed}.mj"]
+    results = list(run_pipeline(corpus_sources, libspec, config).files.items())
+    for seed in range(12):
+        name = f"fuzz{seed}.mj"
+        results.append((name, run_pipeline([(name, generate_source(seed))], fuzz_libspec(), config).files[name]))
+    warned = [name for name, fr in results if fr.w_xform]
+    assert len(results) == len(corpus_sources) + 12 and copied == warned
+    clean = [fr for _name, fr in results if not fr.w_xform]
+    assert clean and all(fr.patched is fr.transformed and fr.diff == "" for fr in clean)
 
 
 def _bind_everywhere(monkeypatch, fn, wrapper):

@@ -3,13 +3,14 @@ ordinals and anchors, statement paths, first writes, the expression
 rewriter and subtree positions, over every method of the corpus and
 generate_source(0..59); the shape table's walkers against the hand-written
 ones they replaced, over the corpus, generate_source(0..599) and the 600
-corpus mutants."""
+corpus mutants; and `flatten`, which tells apart any two trees that differ
+in one field, a list's length or an empty slot."""
 
 import copy
 import dataclasses
 from typing import get_args, get_origin, get_type_hints
 
-from helpers import CORPUS, corpus_and_fuzz_programs, corpus_mutants, memo_bypassed
+from helpers import CORPUS, corpus_and_fuzz_programs, corpus_mutants, memo_bypassed, nesting_source
 from leakward import cfg as C
 from leakward import checker as checker_module
 from leakward import syntax as sx
@@ -537,6 +538,74 @@ def _node_types():
         out.append(t)
         todo.extend(t.__subclasses__())
     return out
+
+
+def _other(value):
+    """Another value of a scalar field's type; a name for an empty one."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return "x" if value is None else value + "x"
+
+
+def _bodies() -> list[sx.Block]:
+    """The bodies of every member of the corpus, generate_source(0..59) and
+    nesting_source(0..299)."""
+    programs = [prog for prog, _lib in PROGRAMS]
+    programs += [parse(nesting_source(seed), f"nest{seed}.mj") for seed in range(300)]
+    return [meth.body for prog in programs for cls in prog.classes for meth in cls.all_methods()]
+
+
+def test_flatten_tells_apart_every_change_of_one_scalar_field():
+    """Each scalar field of each node under a body, `nid` and `site`
+    included, changed alone, changes the body's flat tuple; a deep copy,
+    which keeps nids, has the same tuple."""
+    changed: set[tuple[str, str]] = set()
+    for body in _bodies():
+        flat = sx.flatten(body)
+        assert sx.flatten(copy.deepcopy(body)) == flat
+        for node in sx.walk_nodes(body):
+            for f in dataclasses.fields(node):
+                if f.name in sx.SHAPE[node.__class__]:
+                    continue
+                value = getattr(node, f.name)
+                setattr(node, f.name, _other(value))
+                assert sx.flatten(body) != flat, (node.__class__.__name__, f.name)
+                setattr(node, f.name, value)
+                changed.add((node.__class__.__name__, f.name))
+        assert sx.flatten(body) == flat
+    in_bodies = [t for t in sx.SHAPE if issubclass(t, (sx.Expr, sx.Stmt, sx.Block))]
+    every = {(t.__name__, f.name) for t in in_bodies for f in dataclasses.fields(t) if f.name not in sx.SHAPE[t]}
+    assert changed == every and ("New", "site") in every
+
+
+def test_flatten_tells_apart_trees_whose_nodes_walk_in_the_same_order():
+    """A statement moved from after a statement into the end of that
+    statement's last block (a `while` body, an `else`, a `finally`), and a
+    `try`'s lone catch or finally block moved to the other slot, leave the
+    preorder walk of nodes as it was: only the list lengths and the empty
+    slots tell the two trees apart, and they do."""
+    moves = swaps = 0
+    for body in _bodies():
+        flat, walk = sx.flatten(body), [id(node) for node in sx.walk_nodes(body)]
+        for block in [n for n in sx.walk_nodes(body) if isinstance(n, sx.Block)]:
+            for i, stmt in enumerate(block.stmts):
+                last = getattr(stmt, sx.SHAPE[stmt.__class__][-1]) if sx.SHAPE[stmt.__class__] else None
+                if isinstance(last, sx.Block) and i + 1 < len(block.stmts):
+                    last.stmts.append(block.stmts.pop(i + 1))
+                    assert [id(node) for node in sx.walk_nodes(body)] == walk
+                    assert sx.flatten(body) != flat
+                    block.stmts.insert(i + 1, last.stmts.pop())
+                    moves += 1
+                if isinstance(stmt, sx.Try) and (stmt.catch_block is None) != (stmt.finally_block is None):
+                    stmt.catch_block, stmt.finally_block = stmt.finally_block, stmt.catch_block
+                    assert [id(node) for node in sx.walk_nodes(body)] == walk
+                    assert sx.flatten(body) != flat
+                    stmt.catch_block, stmt.finally_block = stmt.finally_block, stmt.catch_block
+                    swaps += 1
+        assert sx.flatten(body) == flat
+    assert moves > 100 and swaps > 100, (moves, swaps)
 
 
 def _can_hold_a_node(hint) -> bool:
