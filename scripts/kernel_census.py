@@ -5,9 +5,11 @@ member), how many of those start no value (no `Alloc`, no `Invoke` with a
 `dst`), so that their checker runs solve no liveness, and the median
 microseconds of one lowering, one liveness solve (over the lowerings that
 solve it) and one checker run (under inferred specs) of those members;
-then the median microseconds of one `memo.member_keys` call per file. Each
-time is a member's (or a file's) best of REPEAT runs, each on a fresh parse
-of its file, so the memo holds none of its entries.
+then the median microseconds of one `memo.member_keys` call per file, and
+the total and median number of origins in the normal-exit facts of the
+checker runs it timed (a run that reaches exit on no normal path has no
+such fact). Each time is a member's (or a file's) best of REPEAT runs, each
+on a fresh parse of its file, so the memo holds none of its entries.
 
 Usage: python scripts/kernel_census.py [N]    (N defaults to 600)
 """
@@ -38,11 +40,15 @@ Times = tuple[float, Optional[float], float]  # lowering, liveness (None where n
 REPEAT = 5  # runs per member, of which each time takes the best
 
 
-def measure(name: str, text: str, libspec) -> tuple[dict[tuple[str, str], tuple[int, Times]], float]:
-    """(node count, best times) per member of the file, by (class, member
-    key), and the best time of taking the file's keys, in seconds."""
+Run = tuple[int, Times, Optional[int]]  # node count, best times, normal-exit origins (None: no normal exit)
+
+
+def measure(name: str, text: str, libspec) -> tuple[dict[tuple[str, str], Run], float]:
+    """(node count, best times, normal-exit origins) per member of the file,
+    by (class, member key), and the best time of taking the file's keys, in
+    seconds."""
     specs = infer_specs(parse(text, name), libspec)
-    best: dict[tuple[str, str], tuple[int, Times]] = {}
+    best: dict[tuple[str, str], Run] = {}
     best_keys = float("inf")
     for _ in range(REPEAT):
         version = ProgramVersion(parse(text, name), libspec)  # a fresh program: no memo entry is reused
@@ -57,13 +63,13 @@ def measure(name: str, text: str, libspec) -> tuple[dict[tuple[str, str], tuple[
                 if g.starts_values:
                     g.live_in()
                 t2 = perf_counter()
-                method_run(version, cls, meth, specs)
+                _warnings, exit_fact = method_run(version, cls, meth, specs)
                 t3 = perf_counter()
                 times = (t1 - t0, t2 - t1 if g.starts_values else None, t3 - t2)
                 key = (cls.name, sx.member_key(meth))
                 if key in best:
                     times = tuple(None if a is None else min(a, b) for a, b in zip(best[key][1], times))  # type: ignore[assignment]
-                best[key] = (len(g.nodes), times)
+                best[key] = (len(g.nodes), times, None if exit_fact is None else len(exit_fact.origins))
     return best, best_keys
 
 
@@ -76,6 +82,7 @@ def main() -> int:
     files += [(f"fuzz{seed}.mj", generate_source(seed), fuzz_libspec()) for seed in range(args.count)]
     by_nodes: dict[int, list[Times]] = defaultdict(list)
     keys: list[float] = []  # seconds of one `member_keys` per file
+    exit_origins: list[int] = []  # origins in each normal-exit fact
     skipped = 0
     for name, text, libspec in files:
         try:
@@ -84,8 +91,10 @@ def main() -> int:
             skipped += 1
             continue
         keys.append(keying)
-        for nodes, times in runs.values():
+        for nodes, times, origins in runs.values():
             by_nodes[nodes].append(times)
+            if origins is not None:
+                exit_origins.append(origins)
     lowerings = sum(len(ts) for ts in by_nodes.values())
     print(f"corpus and generate_source(0..{args.count - 1}): {lowerings} lowerings, {skipped} files skipped")
     print(f"{'nodes':>5} {'lowerings':>9} {'no liveness':>11} {'lower us':>9} {'liveness us':>11} {'checker us':>10}")
@@ -100,6 +109,10 @@ def main() -> int:
     print(f"lowerings that solve no liveness: {skipped_liveness} of {lowerings}")
     print(f"total ms: lowering {totals[0]:.1f}, liveness {totals[1]:.1f}, checker runs {totals[2]:.1f}")
     print(f"member_keys: median {statistics.median(keys) * 1e6:.1f} us per file, total ms {sum(keys) * 1e3:.1f}")
+    print(
+        f"normal-exit facts: {len(exit_origins)}, origins total {sum(exit_origins)}, "
+        f"median {statistics.median(exit_origins)} per fact"
+    )
     return 0
 
 

@@ -194,7 +194,6 @@ class Cfg:
     # whether a node starts a value (an `Alloc`, an `Invoke` with a `dst`):
     # with none, no origin exists, so nothing can die and no run reads liveness
     starts_values: bool = field(default=False, init=False, repr=False, compare=False)
-    _rpo: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
     # AST node id -> the anchors lowered from it, in node order, and the
     # nodes that store, return or pass an operand: built on first use
     _copies: Optional[dict[int, tuple[int, ...]]] = field(default=None, init=False, repr=False, compare=False)
@@ -209,14 +208,14 @@ class Cfg:
     )
 
     def index_edges(self) -> None:
-        """Build the adjacency index, the reverse postorder, `solve`'s ranks
-        and `starts_values`; lowering calls it once `nodes` and `edges` are
-        final. The index is one pass over `edges`, and only a node with an
-        exceptional out-edge gets per-kind successor tuples of its own: any
-        other has its any-kind tuple as its normal one and `()` as its
-        exceptional one (a node whose out-edges are all exceptional, the
-        other way round), as the memo keeps every lowering of a program
-        family until another family replaces it."""
+        """Build the adjacency index, `solve`'s ranks (from the reverse
+        postorder) and `starts_values`; lowering calls it once `nodes` and
+        `edges` are final. The index is one pass over `edges`, and only a node
+        with an exceptional out-edge gets per-kind successor tuples of its
+        own: any other has its any-kind tuple as its normal one and `()` as
+        its exceptional one (a node whose out-edges are all exceptional, the
+        other way round), as the memo keeps every lowering of a program family
+        until another family replaces it."""
         succ: list[list[int]] = [[] for _ in self.nodes]
         pred: list[list[int]] = [[] for _ in self.nodes]
         # node with an exceptional out-edge -> its normal and exceptional successors,
@@ -244,7 +243,7 @@ class Cfg:
         self._succ = {None: any_kind, NORMAL: normal, EXCEPTIONAL: exceptional}
         self._pred = [tuple(ps) for ps in pred]
         self.starts_values = any(isinstance(ins, Alloc) or (isinstance(ins, Invoke) and ins.dst) for ins in self.nodes)
-        self._rpo = rpo = self._reverse_postorder()
+        rpo = self.rpo()
         forward = list(range(len(rpo), len(rpo) + len(self.nodes)))  # exit goes last if no path reaches it
         backward = forward.copy()
         for i, n in enumerate(rpo):
@@ -326,10 +325,6 @@ class Cfg:
                 doubled |= reached | {a}
         return stores, doubled
 
-    def rpo(self) -> list[int]:
-        """Nodes reachable from entry in reverse postorder (successors taken in `edges` order); a fresh list."""
-        return list(self._rpo)
-
     def live_in(self) -> tuple[frozenset[str], ...]:
         """`liveness(self)` by node id, solved once per lowering."""
         if self._live is None:
@@ -352,7 +347,10 @@ class Cfg:
             return taint(self, [(node, local)]), 1
         return facts, bit
 
-    def _reverse_postorder(self) -> tuple[int, ...]:
+    def rpo(self) -> list[int]:
+        """Nodes reachable from entry in reverse postorder (successors taken
+        in `edges` order); computed afresh on each call, as only the index
+        build and tests ask for it."""
         succ = self._succ[None]
         seen = {self.entry}
         order: list[int] = []
@@ -367,7 +365,8 @@ class Cfg:
             else:
                 order.append(node)
                 stack.pop()
-        return tuple(reversed(order))
+        order.reverse()
+        return order
 
     def to_dot(self) -> str:
         lines = [f'digraph "{self.class_name}.{self.method_name}" {{']

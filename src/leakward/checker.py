@@ -14,29 +14,34 @@ constructor filter later removes provably-first writes. Final fields cannot
 be overwritten (the compile gate enforces the single write), so their stores
 never raise overwrite warnings.
 
-Obligation states live in a lattice per allocation origin: (called-set,
-resolved-flag) with meet = (intersection, and). Crediting resolves an origin
-once its called-set covers the must-call set, so "unresolved" is the whole
-leak test. A local in `refs` carries the set of origins whose value it may
-hold plus a definitely-non-null flag, one in `nulls` holds null, and one in
-neither holds a value of unknown nullness (a parameter, an untracked call
-result, a field load). Crediting a call or discharge to every origin a
-receiver may hold is path-wise sound because obligations whose last live
-reference disappears are warned at that death point (liveness-driven),
-mirroring the lifetime-end rule ("scope exit or variable overwrite"). A method invocation registers on both the normal and
-exceptional out-edges (the call happened even if it threw), but its result,
-and the write of the local it goes into, only on the normal ones; a failed
-allocation registers on neither, and its local keeps what it held. Values dying on an uncaught-exception edge
-out of the method are not leak-reported: the flow puts no fact on an
-exceptional edge into exit, so exit's in-fact is the meet of its normal
-in-edges, and it alone feeds the final check.
+A fact maps each pending obligation's allocation origin to the methods
+called on it. An obligation leaves the fact once it is met (its called-set
+covers the must-call set, or its value is discharged), proven null, or
+warned (Kellogg et al., ESEC/FSE 2021), so every origin a fact holds may
+still leak; exit warns each one left. The meet intersects the called-sets of
+an origin pending on both sides and keeps one absent from a side ("not
+allocated, or already met, on that path") as the other has it. A local in
+`refs` carries the set of origins whose value it may hold plus a
+definitely-non-null flag, one in `nulls` holds null, and one in neither
+holds a value of unknown nullness (a parameter, an untracked call result, a
+field load). Crediting a call or discharge to every origin a receiver may
+hold is path-wise sound because obligations whose last live reference
+disappears are warned at that death point (liveness-driven), mirroring the
+lifetime-end rule ("scope exit or variable overwrite"). A method invocation
+registers on both the normal and exceptional out-edges (the call happened
+even if it threw), but its result, and the write of the local it goes into,
+only on the normal ones; a failed allocation registers on neither, and its
+local keeps what it held. Values dying on an uncaught-exception edge out of
+the method are not leak-reported: the flow puts no fact on an exceptional
+edge into exit, so exit's in-fact is the meet of its normal in-edges, and it
+alone feeds the final check.
 
 A fact (`CheckFact`) holds the maps and sets the transfer function works on:
-dicts from origins to states, from locals to the frozenset of origins they
-may hold, and from this-fields to what was called on or stored in them, plus
-frozensets of null locals and satisfied fields. A fact and an origin's state
-(`SiteState`) are immutable records, named tuples built and compared in C;
-facts compare as maps, with no regard to order. Once built a fact is never
+dicts from pending origins to their called-sets, from locals to the
+frozenset of origins they may hold, and from this-fields to what was called
+on or stored in them, plus frozensets of null locals and satisfied fields. A
+fact is an immutable record, a named tuple built and compared in C; facts
+compare as maps, with no regard to order. Once built a fact is never
 mutated, nor is any map it holds: out-edges share facts, facts share maps,
 and the memo keeps exit facts. So a transfer builds its out-fact
 copy-on-write (`_OutFact`): it shares with the in-fact every map the
@@ -45,13 +50,13 @@ branch shares all but the maps its null test refines. Its dicts make a
 `CheckFact` unhashable.
 
 `_prune` drops the locals that die on an edge and warns the origins that
-lose their last holder there. Every unresolved origin of a pruned fact has
-a holder, so it looks for deaths only among the origins the transfer took a
-holder from and those of the dying locals. At a join it also looks at the
-origins whose field holders the meet dropped (`_meet` reports them: a local
-keeps on the meet every origin it holds on either side). An out-fact on an
-edge where no origin lost a holder and no local dies passes through: `_prune`
-returns it as it is before any other work.
+lose their last holder there. Every origin of a pruned fact has a holder, so
+it looks for deaths only among the origins the transfer took a holder from
+and those of the dying locals. At a join it also looks at the origins whose
+field holders the meet dropped (`_meet` reports them: a local keeps on the
+meet every origin it holds on either side). An out-fact on an edge where no
+origin lost a holder and no local dies passes through: `_prune` returns it
+as it is before any other work.
 
 A run does only the fixed work that can change a fact. Entry is a `Nop`
 with no in-edge, so the solve starts at its successors with the empty fact
@@ -164,17 +169,12 @@ class CompileError:
 # --- per-method obligation dataflow -----------------------------------------
 
 
-class SiteState(NamedTuple):
-    called: frozenset[str]
-    resolved: bool
-
-
 RefInfo = tuple[frozenset[Origin], bool]  # (possible origins, definitely non-null)
 _UNBOUND: RefInfo = (frozenset(), False)  # a local in neither `refs` nor `nulls`: a value of unknown nullness
 
 
 class CheckFact(NamedTuple):
-    origins: dict[Origin, SiteState]
+    origins: dict[Origin, frozenset[str]]  # pending origin -> the methods called on it
     refs: dict[str, RefInfo]  # local -> origins it may hold
     nulls: frozenset[str]  # locals definitely holding null
     field_called: dict[str, frozenset[str]]  # accumulated on the current content
@@ -191,19 +191,20 @@ EMPTY_FACT = CheckFact(
 def _meet(f1: CheckFact, f2: CheckFact, dropped: set[Origin]) -> CheckFact:
     """The meet of two facts. It is idempotent, since `refs` and `nulls` are
     disjoint and no `refs` or `field_origins` entry is empty, so a fact met
-    with itself is that fact, and a map both sides share is the result's.
-    A local that holds an origin on one side holds it in the meet, so only a
+    with itself is that fact, and a map both sides share is the result's. A
+    local that holds an origin on one side holds it in the meet, so only a
     field can lose a holder: its origins that the meet drops go into
-    `dropped`."""
+    `dropped`. An origin pending on both sides keeps what both called on it;
+    one absent from a side (not allocated, or met, there) keeps the other's."""
     if f1 is f2:
         return f1
     if f1.origins is f2.origins:
         origins = f1.origins
     else:
-        origins = dict(f2.origins)  # absent = not allocated on that path
-        for k, st in f1.origins.items():
-            s2 = origins.get(k)  # kept when both sides hold the same state
-            origins[k] = st if s2 is None or s2 is st else SiteState(st.called & s2.called, st.resolved and s2.resolved)
+        origins = dict(f2.origins)
+        for k, called in f1.origins.items():
+            c2 = origins.get(k)  # kept when both sides hold the same set
+            origins[k] = called if c2 is None or c2 is called else called & c2
     if f1.refs is f2.refs and f1.nulls is f2.nulls:
         refs, nulls = f1.refs, f1.nulls
     else:
@@ -405,10 +406,9 @@ class _MethodChecker:
             out.kill_local(instr.dst)
             if self.tracked(instr.class_name):
                 origin: Origin = ("new", instr.site)
-                prior = out.origins.get(origin)
-                if prior is not None and not prior.resolved:
+                if origin in out.origins:
                     self.warn_unsatisfied(origin)  # looped re-allocation rolls over a pending instance
-                out.write("origins")[origin] = SiteState(frozenset(), False)
+                out.write("origins")[origin] = frozenset()
                 out.write("refs")[instr.dst] = (frozenset({origin}), True)
             if C.THIS in instr.args:
                 out.touch_field_contents()
@@ -491,10 +491,9 @@ class _MethodChecker:
                 if ret_class is not None:
                     self.calls[instr.ast_nid] = (instr, ret_class)
                     origin = ("call", instr.ast_nid)
-                    prior = out.origins.get(origin)
-                    if prior is not None and not prior.resolved:
+                    if origin in out.origins:
                         self.warn_unsatisfied(origin)
-                    out.write("origins")[origin] = SiteState(frozenset(), False)
+                    out.write("origins")[origin] = frozenset()
                     out.write("refs")[instr.dst] = (frozenset({origin}), False)  # callees may return null
                 return self.cfg.split_out(node, out.pack(), thrown)
         elif isinstance(instr, C.ReturnVal):
@@ -524,8 +523,8 @@ class _MethodChecker:
                 fact.origins, ne_refs, fact.nulls, fact.field_called, fact.field_sat, fact.bindings, fact.field_origins
             )
         if eq_edge in outs:
-            # the tested local is null here: its origins are vacuous when no
-            # other live reference can still reach them
+            # the tested local is null here: its origins are vacuous, and
+            # leave the fact, when no other live reference can still reach them
             origins_eq = dict(fact.origins)
             refs_eq = dict(refs)
             tested_origins = refs_eq.pop(tested, _UNBOUND)[0]
@@ -533,14 +532,13 @@ class _MethodChecker:
             for origin in tested_origins:
                 live = self.live_in[eq_edge]
                 others = [x for x, (oset, _nn) in refs_eq.items() if origin in oset and x in live]
-                st = origins_eq.get(origin)
-                if not others and origin not in field_referenced and st is not None:
-                    origins_eq[origin] = SiteState(st.called, True)
+                if not others and origin not in field_referenced:
+                    origins_eq.pop(origin, None)
             field_sat_eq, field_origins_eq = fact.field_sat, fact.field_origins
             bound = fact.bindings.get(tested)
             if bound is not None:
                 field_sat_eq = field_sat_eq | {bound}  # the field content itself is proven null
-                # the tested local's origins are resolved above or still held; only this field's can die
+                # the tested local's origins left the fact above or are still held; only this field's can die
                 self.lost.update(field_origins_eq.get(bound, ()))
                 field_origins_eq = {k: v for k, v in field_origins_eq.items() if k != bound}
             nulls_eq = fact.nulls | {tested}
@@ -550,21 +548,22 @@ class _MethodChecker:
         return outs
 
     def _credit(self, out: _OutFact, origin: Origin, method: str) -> None:
-        """A call of `method` on `origin`, which resolves it once its
-        called-set covers the must-call set."""
-        st = out.origins.get(origin)
-        if st is None:
+        """A call of `method` on `origin`, which leaves the fact once its
+        called-set covers the must-call set; nothing if it is not pending."""
+        called = out.origins.get(origin)
+        if called is None:
             return
-        called = st.called | {method}
-        resolved = st.resolved or called >= self.must_call_for(self.origin_class(origin))
-        out.write("origins")[origin] = SiteState(called, resolved)
+        called = called | {method}
+        if called >= self.must_call_for(self.origin_class(origin)):
+            del out.write("origins")[origin]
+        else:
+            out.write("origins")[origin] = called
 
     def _discharge(self, out: _OutFact, op: str, fact: CheckFact) -> None:
-        """Resolve every origin the operand `op` may hold in the in-fact `fact`."""
+        """Drop from the fact every origin the operand `op` may hold in the in-fact `fact`."""
         for origin in self.origins_of_operand(op, fact):
-            st = out.origins.get(origin)
-            if st is not None and not st.resolved:
-                out.write("origins")[origin] = SiteState(st.called, True)
+            if origin in out.origins:
+                del out.write("origins")[origin]
 
     def _discharge_owning_args(
         self, out: _OutFact, fact: CheckFact, callee_class: str, method: str, args: list[str], is_ctor: bool
@@ -598,19 +597,19 @@ class _MethodChecker:
         return m.return_type
 
     def _prune(self, fact: CheckFact, succ: int, lost: set[Origin]) -> CheckFact:
-        """Drop dead locals entering succ; an obligation losing its last live
-        reference while unsatisfied is a leak at that point. Every unresolved
-        origin of a pruned fact has a holder, so only one in `lost` or held by
-        a dropped local can die; at a join `lost` also holds the origins whose
-        field holders the meet dropped. Emission order never shows: an origin
-        is one allocation or call AST node, and its warning id comes from
-        that node's anchor ordinal, so origins and warning ids map one to
-        one. A fact where no origin lost a holder and no local dies is
-        returned as it is. In a run of a lowering that starts no value there
-        is no origin, so nothing can die: the fact passes through unchanged,
-        but on an edge into exit, where it loses its `nulls` and `bindings`,
-        as no local is live at exit; that gives exit the fact a pruned run
-        gives it, and no liveness is read."""
+        """Drop dead locals entering succ; a pending origin losing its last
+        live reference is a leak at that point, warned there and dropped from
+        the fact. Every origin of a pruned fact has a holder, so only one in
+        `lost` or held by a dropped local can die; at a join `lost` also holds
+        the origins whose field holders the meet dropped. Emission order never
+        shows: an origin is one allocation or call AST node, and its warning
+        id comes from that node's anchor ordinal, so origins and warning ids
+        map one to one. A fact where no origin lost a holder and no local dies
+        is returned as it is. In a run of a lowering that starts no value
+        there is no origin, so nothing can die: the fact passes through
+        unchanged, but on an edge into exit, where it loses its `nulls` and
+        `bindings`, as no local is live at exit; that gives exit the fact a
+        pruned run gives it, and no liveness is read."""
         if not self.live_in:  # a lowering that starts no value
             if succ == self.cfg.exit and (fact.nulls or fact.bindings):
                 return fact._replace(nulls=frozenset(), bindings={})
@@ -626,7 +625,7 @@ class _MethodChecker:
             nulls = nulls & live
         if not bindings.keys() <= live:
             bindings = {k: v for k, v in bindings.items() if k in live}
-        pending = [] if succ == self.cfg.exit else [o for o in lost if o in origins and not origins[o].resolved]
+        pending = [] if succ == self.cfg.exit else [o for o in lost if o in origins]
         if pending:
             referenced = set().union(*(oset for oset, _nn in refs.values()), *fact.field_origins.values())
             dying = [o for o in pending if o not in referenced]
@@ -634,7 +633,7 @@ class _MethodChecker:
                 origins = dict(origins)
                 for origin in dying:
                     self.warn_unsatisfied(origin)
-                    origins[origin] = SiteState(origins[origin].called, True)
+                    del origins[origin]
         if refs is fact.refs and nulls is fact.nulls and bindings is fact.bindings and origins is fact.origins:
             return fact
         return CheckFact(origins, refs, nulls, fact.field_called, fact.field_sat, bindings, fact.field_origins)
@@ -671,9 +670,8 @@ class _MethodChecker:
         self.warnings = {wid: w for node_warnings in emitted.values() for wid, w in node_warnings.items()}
         self.exit_fact = in_facts.get(cfg.exit)
         if self.exit_fact is not None:
-            for origin, st in self.exit_fact.origins.items():
-                if not st.resolved:
-                    self.warn_unsatisfied(origin)
+            for origin in self.exit_fact.origins:
+                self.warn_unsatisfied(origin)
         return sorted(self.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
 
 

@@ -243,7 +243,7 @@ def plan_fix(
         stop = len(block.stmts) if tries else _wrap_range(block, idx, index)
         if _holder_reassigned(path, tries, anchor, stop, index):
             return Unfixable(NO_IR_MATCH, detail="holder reassigned before the finally")
-        if _holder_used_after(path, tries, anchor):
+        if _holder_used_after(path, tries, anchor, index):
             return Unfixable(NO_IR_MATCH, detail="holder used after the wrapped block")
         if _wrap_nesting(path, tries, stop) > MAX_NESTING:
             return Unfixable(NO_IR_MATCH, detail="nesting limit")
@@ -386,17 +386,31 @@ def _placed(node: sx.Node, blocks: dict[int, int], index: sx.AstIndex) -> Option
     return None if holder is None else (blocks[id(holder)], index.slot(node)[1])
 
 
-def _holder_used_after(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node) -> bool:
+def _holder_used_after(path: sx.StmtPath, tries: sx.StmtPath, anchor: sx.Node, index: sx.AstIndex) -> bool:
     """Does a statement after the blocks a wrap's finally covers name its
-    holder, in the holder's scope? It would use the closed value."""
-    var, start = _holder(path, anchor), _covered_from(path, tries)
-    for k in reversed(range(len(path) if var else 0)):
+    holder, in the holder's scope? It would use the closed value.
+
+    The scope starts at the innermost block of `path` whose statements up to
+    the path declare the holder, looked for back from the path, where a
+    holder's declaration most often is; or at the method's body for a
+    parameter or field. Each reference to the holder in `index` is placed by
+    its parents: one that the innermost block of `path` holding it holds after
+    the path's statement there, in the scope and outside the covered blocks,
+    is a use after."""
+    var = _holder(path, anchor)
+    if var is None:
+        return False
+    start, scope = _covered_from(path, tries), 0  # scope 0: a parameter or field
+    for k in reversed(range(len(path))):
         block, i = path[k]
-        later = block.stmts[i + 1 :] if k < start else []
-        if any(isinstance(e, sx.VarRef) and e.name == var for s in later for e in sx.walk_exprs(s)):
+        if any(isinstance(block.stmts[j], sx.LocalDecl) and block.stmts[j].name == var for j in range(i, -1, -1)):
+            scope = k
+            break
+    levels = {id(b): k for k, (b, _i) in enumerate(path)}
+    for ref in index.refs.get(var, ()):
+        placed = _placed(ref, levels, index)
+        if placed is not None and scope <= placed[0] < start and path[placed[0]][1] < placed[1]:
             return True
-        if any(isinstance(s, sx.LocalDecl) and s.name == var for s in block.stmts[: i + 1]):
-            return False  # declared here: out of scope further out
     return False
 
 

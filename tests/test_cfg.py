@@ -431,7 +431,7 @@ def _round_robin_check(prog, cls, meth, cfg, specs, lib):
                 in_facts[n] = fact
                 changed = True
             for succ, of in chk.transfer(n, fact).items():
-                of = chk._prune(of, succ, set(of.origins))  # every unresolved origin looked at, on every edge
+                of = chk._prune(of, succ, set(of.origins))  # every pending origin looked at, on every edge
                 if out_facts.get((n, succ)) != of:
                     out_facts[(n, succ)] = of
                     changed = True
@@ -443,9 +443,7 @@ def _round_robin_check(prog, cls, meth, cfg, specs, lib):
         for f in normal_in[1:]:
             exit_fact = K._meet(exit_fact, f, set())
         for origin in sorted(exit_fact.origins, key=repr):
-            st = exit_fact.origins[origin]
-            if not st.resolved and not st.called >= chk.must_call_for(chk.origin_class(origin)):
-                chk.warn_unsatisfied(origin)
+            chk.warn_unsatisfied(origin)
     warnings = sorted(chk.warnings.values(), key=lambda w: (w.file, w.line, w.kind, w.id))
     return warnings, exit_fact
 
@@ -513,7 +511,7 @@ def test_the_sparse_prune_finds_the_deaths_of_the_full_scan_where_a_field_holder
         warnings, exit_fact = _round_robin_check(prog, cls, meth, g, specs, lib)
         assert K.method_run(memo.ProgramVersion(prog, lib), cls, meth, specs) == (warnings, exit_fact)
         if meth.name != "other":
-            assert len(warnings) == 1 and all(st.resolved for st in exit_fact.origins.values()), meth.name
+            assert len(warnings) == 1 and exit_fact.origins == {}, meth.name
 
 
 # locals that may hold several values at once, through joins, a loop and a

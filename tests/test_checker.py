@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import NESTING_LIBSPEC, nesting_source
+from helpers import CORPUS, NESTING_LIBSPEC, nesting_source
 from leakward.checker import (
     OWNING_FIELD_OVERWRITE,
     UNSATISFIED_OBLIGATION,
@@ -11,6 +11,7 @@ from leakward.checker import (
     method_run,
     reject_final_writes,
 )
+from leakward.inference import infer_specs
 from leakward.libspec import load_library_spec
 from leakward.memo import ProgramVersion
 from leakward.parser import parse
@@ -281,6 +282,42 @@ def test_a_nesting_shape_whose_join_meets_a_nulled_parameter_reaches_exit():
     warnings, exit_fact = method_run(version, cls, meth, SpecSet.from_declared(program))
     assert exit_fact is not None
     assert 2 in {w.site for w in warnings if w.kind == UNSATISFIED_OBLIGATION}
+
+
+# `rec` is handed away on one path and only flushed on the other; the close
+# after the join meets the obligation on the second path
+MET_ON_ONE_SIDE = """class Sink {
+  static void take(@Owning Recorder r) {
+    r.close();
+    r.flush();
+  }
+}
+class Main {
+  static void main() {
+    Recorder rec = new Recorder("a");
+    int c = 1;
+    if (c == 1) {
+      Sink.take(rec);
+    } else {
+      rec.flush();
+    }
+    rec.close();
+  }
+}
+"""
+
+
+def test_a_join_with_a_path_that_met_the_obligation_keeps_the_other_paths_calls():
+    """A met obligation leaves the fact, so the join keeps the flushing
+    path's `{flush}`, and the close after it meets `{close, flush}`. No
+    path leaks. A checker that kept a met obligation in the fact, with the
+    called-set it had when met (`{}` here, as `take` owns it), intersected
+    the two sides to `{}` and warned that `rec` may never reach
+    `close, flush()`."""
+    program = parse(MET_ON_ONE_SIDE, "sink.mj")
+    libspec = load_library_spec((CORPUS / "minij.libspec").read_text())
+    for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+        assert check_program(ProgramVersion(program, libspec), specs, libspec) == []
 
 
 def test_warning_ids_survive_blank_lines():

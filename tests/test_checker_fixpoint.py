@@ -12,7 +12,8 @@ the nested shapes alone (`NESTING_SHA256`). The round-robin reference in
 test_cfg.py calls the same transfer function, so only a recorded result can
 catch a change there, such as a copy-on-write transfer that writes into a
 map an out-edge shares. The ranks only schedule the solve: checking each
-method again under random rank orders gives the answer of its own order.
+method again under random rank orders gives the warnings and the exit fact
+of its own order.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ from helpers import NESTING_LIBSPEC, corpus_and_fuzz_programs, corpus_mutants, n
 from leakward import cfg as C
 from leakward import checker as K
 from leakward import syntax as sx
-from leakward.checker import CheckFact, SiteState, check_program, method_run
+from leakward.checker import CheckFact, check_program, method_run
 from leakward.errors import FILE_ERRORS
 from leakward.fuzz import fuzz_libspec, generate_source
 from leakward.inference import infer_specs
@@ -60,8 +61,9 @@ class R {
 }
 """
 
-# recorded on the checker that copied every map of the in-fact per transfer
-PINNED_SHA256 = "1f37a8f31eaeedc452ff2600d3b0fb0fd56739d15ea384efe0e0e2cd549702a6"
+# recorded on the checker whose facts hold only pending origins, each
+# mapped to its called-set: a met or warned origin leaves the fact
+PINNED_SHA256 = "88721d38c242372d0f5a97b61b9d4c14ad839f10fc802b788fecd307cf7b0997"
 
 
 def _canon(value, nids: dict[int, int]) -> str:
@@ -72,8 +74,6 @@ def _canon(value, nids: dict[int, int]) -> str:
         return "{" + ", ".join(sorted(f"{_canon(k, nids)}: {_canon(v, nids)}" for k, v in value.items())) + "}"
     if isinstance(value, (set, frozenset)):
         return "{" + ", ".join(sorted(_canon(v, nids) for v in value)) + "}"
-    if isinstance(value, SiteState):
-        return f"SiteState({_canon(value.called, nids)}, {value.resolved})"
     if isinstance(value, CheckFact):
         return "CheckFact(" + ", ".join(_canon(getattr(value, f), nids) for f in CheckFact._fields) + ")"
     if isinstance(value, tuple):
@@ -135,14 +135,13 @@ def test_nesting_shapes_match_the_pinned_hash():
 
 def _ranked_run(program, cls, cfg, reader, ranks=None):
     """A fresh checker run of `cfg` (no memo), `solve` visiting by `ranks`
-    when given: what `inference` and the pipeline read of it, which are the
-    warnings, whether exit is reached and the fields satisfied there."""
+    when given: its warnings and its whole exit fact (None if exit is not
+    reached), which facts compare as maps, with no regard to order."""
     if ranks is not None:
         cfg._ranks = {False: ranks, True: ranks}
     checker = K._MethodChecker(program, cls, cfg, reader)
     warnings = [(w.id, w.kind, w.site) for w in checker.run()]
-    exit_fact = checker.exit_fact
-    return warnings, exit_fact is None, None if exit_fact is None else exit_fact.field_sat
+    return warnings, checker.exit_fact
 
 
 def test_the_checker_gives_one_answer_whatever_the_visit_order():
@@ -150,7 +149,8 @@ def test_the_checker_gives_one_answer_whatever_the_visit_order():
     fixpoint, whatever order the solver visits nodes in. Each method of the
     corpus, `generate_source(0..299)` and `nesting_source(0..1999)` is
     lowered afresh and checked under declared and inferred specs, by its
-    own ranks and by three seeded random ones."""
+    own ranks and by three seeded random ones, which must give the same
+    warnings and the same exit fact."""
     nesting_lib = load_library_spec(NESTING_LIBSPEC)
     nesting = ((parse(nesting_source(seed), f"nest{seed}.mj"), nesting_lib) for seed in range(2000))
     programs = chain(islice(_programs(), len(list(CORPUS.glob("*.mj"))) + 300), nesting)
@@ -172,9 +172,31 @@ def test_the_checker_gives_one_answer_whatever_the_visit_order():
     assert runs > 5000
 
 
-# recorded on the checker whose meet reads a local absent from one side's
-# maps as holding a value of unknown nullness there
-KERNEL_SHA256 = "5c4c084743ffcb16769248548a74dc41c1de056b22cfbae5fe14d8b981f6fbab"
+def test_a_met_obligation_leaves_no_order_dependent_called_set_at_exit():
+    """A checker that kept an origin in the fact once it was met or warned
+    kept the called-set it had then, and in `nesting_source(349)` which
+    such set reached exit depended on the visit order: `('new', 1)` had
+    called `{println}` by the default ranks and `{}` by the second of these
+    orders, under declared and inferred specs alike. An origin that is met
+    or warned now leaves the fact, so every order gives one exit fact."""
+    libspec = load_library_spec(NESTING_LIBSPEC)
+    program = parse(nesting_source(349), "nest349.mj")
+    (cls,) = program.classes
+    (meth,) = cls.all_methods()
+    for specs in (SpecSet.from_declared(program), infer_specs(program, libspec)):
+        reader = SpecReader(specs, libspec, program)
+        cfg = C.lower(program, cls, meth, libspec)
+        expected = _ranked_run(program, cls, cfg, reader)
+        rng = random.Random(0)
+        for _ in range(10):
+            ranks = list(range(len(cfg.nodes)))
+            rng.shuffle(ranks)
+            assert _ranked_run(program, cls, cfg, reader, ranks) == expected, ranks
+
+
+# recorded on the checker whose facts hold only pending origins, each
+# mapped to its called-set: a met or warned origin leaves the fact
+KERNEL_SHA256 = "2ba84a7e623b067aa4a3f95a092c9cd20d06f35221c4df8e223763ab49d470f7"
 
 
 def _kernel_sources():
@@ -227,7 +249,7 @@ def test_kernel_runs_match_the_pinned_hash():
 
 
 def _snapshot(fact: CheckFact) -> tuple:
-    """The fact's maps, copied; what they hold (frozensets, tuples, SiteStates) is immutable."""
+    """The fact's maps, copied; what they hold (frozensets, tuples) is immutable."""
     maps = (getattr(fact, name) for name in CheckFact._fields)
     return tuple(dict(m) if isinstance(m, dict) else m for m in maps)
 
@@ -303,22 +325,22 @@ def test_no_fact_is_mutated_after_it_is_built(monkeypatch):
 
 
 
-def test_an_unresolved_origin_is_short_of_its_must_call_set(monkeypatch):
-    """What lets the checker read `not resolved` as "may leak": crediting
-    resolves an origin once its called-set covers the must-call set, and
-    the meet intersects the called-sets and ands the flags. Checked on every
-    fact that enters or leaves a transfer or `_prune`."""
+def test_every_origin_of_every_fact_is_short_of_its_must_call_set(monkeypatch):
+    """What lets the checker read every origin a fact holds as "may leak":
+    crediting drops an origin once its called-set covers the must-call set,
+    and the meet intersects the called-sets of an origin on both sides or
+    keeps one side's. Checked on every fact that enters or leaves a
+    transfer or `_prune`."""
     transfer, prune = K._MethodChecker.transfer, K._MethodChecker._prune
     checked = 0
 
     def check(checker, *facts):
         nonlocal checked
         for fact in facts:
-            for origin, st in fact.origins.items():
-                if not st.resolved:
-                    need = checker.must_call_for(checker.origin_class(origin))
-                    assert not st.called >= need, (checker.cfg.class_name, checker.cfg.method_name, origin)
-                    checked += 1
+            for origin, called in fact.origins.items():
+                need = checker.must_call_for(checker.origin_class(origin))
+                assert not called >= need, (checker.cfg.class_name, checker.cfg.method_name, origin)
+                checked += 1
 
     def checking_transfer(self, node, fact):
         outs = transfer(self, node, fact)

@@ -1,10 +1,13 @@
 """Repair planning, the pre-close eligibility conditions, and materialization."""
 
 import copy
+import gc
+import sys
 
 import pytest
 
 from helpers import apply_unified_diff, wide_method_source
+from leakward import repair as R
 from leakward import syntax as sx
 from leakward.checker import check_program, filter_constructor_first_writes
 from leakward.errors import StaleWarning
@@ -656,6 +659,53 @@ def test_each_leaked_holder_of_wide_method_is_wrapped_over_its_allocation_alone(
     tries = [s for s in _main_body(fr.patched).stmts if isinstance(s, sx.Try)]
     assert [[type(s) for s in t.body.stmts] for t in tries] == [[sx.Assign]] * 3
     assert [t.body.stmts[0].target.name for t in tries] == ["s1", "s3", "s5"]
+
+
+def test_the_holder_use_test_costs_each_warning_the_same_whatever_the_method_size(monkeypatch, libspec):
+    """`_holder_used_after` places the holder's references read off the
+    round's `AstIndex` and walks no statement: on `wide_method_source(n)`
+    it never calls `walk_exprs`, and each warning costs it the same number
+    of interpreter steps (calls, lines and returns under `sys.settrace`) at
+    n = 20 as at n = 320, where a scan of the statements before or after
+    the allocation grows with n. The collector is off during a counted
+    call, so no finalizer's steps land in it."""
+    holder_used_after = R._holder_used_after
+    steps: list[int] = []
+    called: set = set()
+
+    def counted(*args):
+        count = 0
+
+        def trace(frame, event, _arg):
+            nonlocal count
+            count += 1
+            if event == "call":
+                called.add(frame.f_code)
+            return trace
+
+        previous, collecting = sys.gettrace(), gc.isenabled()
+        gc.disable()
+        sys.settrace(trace)
+        try:
+            return holder_used_after(*args)
+        finally:
+            sys.settrace(previous)
+            if collecting:
+                gc.enable()
+            steps.append(count)
+
+    monkeypatch.setattr(R, "_holder_used_after", counted)
+    per_size = {}
+    for n in (20, 320):
+        program = parse(wide_method_source(n), f"wide{n}.mj")
+        specs = infer_specs(program, libspec)
+        steps.clear()
+        for w in check_program(program, specs, libspec):
+            assert isinstance(_plan(w, program, specs, lib=libspec), RepairPlan)
+        assert len(steps) == n // 2
+        per_size[n] = max(steps)
+    assert sx.walk_exprs.__code__ not in called
+    assert per_size[320] == per_size[20]
 
 
 # `b` is declared inside `a`'s range, so the range reaches `b.read()` and
